@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint vet-sarif test race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench bench-checkpoint bench-fleet bench-diff
+.PHONY: check build fmt vet lint vet-sarif test bench-test race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench bench-checkpoint bench-fleet bench-diff
 
 # check is the full gate, in fail-fast order: cheap static checks first,
 # then the test suites.
-check: build fmt vet lint test race
+check: build fmt vet lint test bench-test race
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,11 @@ vet-sarif:
 
 test:
 	$(GO) test ./...
+
+# bench-test runs the benchmark harness's own tests: bench/ is a separate
+# module, so the root `go test ./...` never reaches it.
+bench-test:
+	$(GO) -C bench test ./...
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

@@ -371,14 +371,6 @@ func (r *Reader) Has(name string) bool {
 	return ok
 }
 
-// Version returns the recorded version of the named section and whether
-// the section exists. Layers that accept more than one wire version use
-// it to dispatch before calling Section with the matched version.
-func (r *Reader) Version(name string) (uint32, bool) {
-	v, ok := r.versions[name]
-	return v, ok
-}
-
 // Section returns a decoder over the named section's payload. It errors
 // when the section is missing or its recorded version differs from
 // want: sections are versioned independently so a layer can evolve its

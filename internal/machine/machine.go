@@ -28,11 +28,10 @@ func DefaultConfig() Config {
 }
 
 // Machine binds together the physical substrate of one simulation run:
-// the virtual clock, event queue, memory tiers, core count, and cost
-// model. It is the single object policies and workloads share.
+// the virtual clock, memory tiers, core count, cost model, and machine
+// RNG. It is the single object policies and workloads share.
 type Machine struct {
 	Clock *sim.Clock
-	Queue *sim.Queue
 	Tiers *mem.Tiers
 	Cost  CostModel
 	RNG   *sim.RNG
@@ -45,10 +44,8 @@ func New(cfg Config) *Machine {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("machine: %d cores", cfg.Cores))
 	}
-	clock := &sim.Clock{}
 	return &Machine{
-		Clock: clock,
-		Queue: sim.NewQueue(clock),
+		Clock: &sim.Clock{},
 		Tiers: mem.NewTiers(cfg.Tiers),
 		Cost:  cfg.Cost,
 		RNG:   sim.NewRNG(cfg.Seed),

@@ -85,9 +85,6 @@ func (a *Account) App() string { return a.app }
 // Tier returns the tier label ("" = tier-less).
 func (a *Account) Tier() string { return a.tier }
 
-// Mech reports whether the account is on the mechanism plane.
-func (a *Account) Mech() bool { return a.mech }
-
 // Cycles returns the cumulative cycle total.
 func (a *Account) Cycles() float64 {
 	if a == nil {

@@ -327,9 +327,3 @@ func (t *Table) RangeMut(fn func(vp VPage, p PTE) PTE) {
 		}
 	}
 }
-
-// WalkDepth returns the number of memory references a hardware page walk
-// performs for a mapped page (always Levels for a 4-level table); it
-// exists so TLB-miss costs can be derived from the structure rather than
-// a constant.
-func (t *Table) WalkDepth() int { return Levels }

@@ -91,6 +91,3 @@ func (f *Faulty) HeatPages() []PageHeat { return f.inner.HeatPages() }
 
 // Tracked implements Profiler.
 func (f *Faulty) Tracked() int { return f.inner.Tracked() }
-
-// Unwrap exposes the inner profiler (for tests and name-based checks).
-func (f *Faulty) Unwrap() Profiler { return f.inner }

@@ -1,10 +1,10 @@
-// Package profile implements the page-access profiling mechanisms
-// surveyed in §2.1 of the paper: PEBS-style event sampling, page-table
-// accessed-bit scanning, NUMA-hint-fault poisoning, and the FlexMem-style
-// hybrid that Vulcan adopts by default. All profilers consume the same
-// access stream and expose per-page heat and write-intensity estimates;
-// each has the blind spots of its real counterpart (sampling misses,
-// scan staleness, fault overhead).
+// Package profile implements the page-access profiling mechanisms the
+// policies build (§2.1 of the paper): PEBS-style event sampling,
+// NUMA-hint-fault poisoning, and the FlexMem-style hybrid of sampling and
+// page-table accessed-bit scanning that Vulcan adopts by default. All
+// profilers consume the same access stream and expose per-page heat and
+// write-intensity estimates; each has the blind spots of its real
+// counterpart (sampling misses, scan staleness, fault overhead).
 package profile
 
 import (
@@ -42,9 +42,19 @@ type EpochReport struct {
 	Tracked int
 }
 
+// Table is the page-table surface the table-reading profilers need:
+// iteration plus a batched read-modify-write pass for harvesting and
+// clearing accessed/dirty bits in one walk. Both *pagetable.Table and
+// *pagetable.Replicated satisfy it.
+type Table interface {
+	Range(fn func(vp pagetable.VPage, p pagetable.PTE) bool)
+	RangeFrom(start pagetable.VPage, fn func(vp pagetable.VPage, p pagetable.PTE) bool)
+	RangeMut(fn func(vp pagetable.VPage, p pagetable.PTE) pagetable.PTE)
+}
+
 // Profiler estimates page heat from an access stream.
 type Profiler interface {
-	// Name identifies the mechanism ("pebs", "scan", ...).
+	// Name identifies the mechanism ("pebs", "hybrid" or "hintfault").
 	Name() string
 	// Record offers one access to the profiler. Sampling profilers may
 	// ignore most calls; Record returns any extra cycles the mechanism

@@ -163,63 +163,18 @@ func touch(tbl *pagetable.Table, vp pagetable.VPage, write bool) {
 	})
 }
 
-func TestScanHarvestsAccessedBits(t *testing.T) {
-	tbl := buildTable(t, 16)
-	s := NewScan(tbl)
-	touch(tbl, 3, false)
-	touch(tbl, 5, true)
-	rep := s.EndEpoch()
-	if rep.ScannedPages != 16 {
-		t.Fatalf("scanned = %d, want 16", rep.ScannedPages)
-	}
-	if s.Heat(3) <= 0 || s.Heat(5) <= 0 {
-		t.Fatal("touched pages have no heat")
-	}
-	if s.Heat(4) != 0 {
-		t.Fatal("untouched page has heat")
-	}
-	if s.WriteFraction(5) != 1 || s.WriteFraction(3) != 0 {
-		t.Fatalf("write fractions: %v %v", s.WriteFraction(5), s.WriteFraction(3))
-	}
-	// Bits must be cleared for the next epoch.
-	p, _ := tbl.Lookup(3)
-	if p.Accessed() {
-		t.Fatal("accessed bit not cleared by scan")
-	}
-	p, _ = tbl.Lookup(5)
-	if p.Dirty() {
-		t.Fatal("dirty bit not cleared by scan")
-	}
-}
-
-func TestScanCannotSeeFrequency(t *testing.T) {
-	// Two pages: one touched once, one conceptually touched 1000 times —
-	// the accessed bit is binary, so the scanner credits them equally.
-	tbl := buildTable(t, 2)
-	s := NewScan(tbl)
-	touch(tbl, 0, false)
-	touch(tbl, 1, false) // the bit saturates; more touches change nothing
-	s.EndEpoch()
-	if s.Heat(0) != s.Heat(1) {
-		t.Fatalf("scanner distinguished frequencies: %v vs %v", s.Heat(0), s.Heat(1))
-	}
-}
-
 func TestScanOverheadScalesWithPages(t *testing.T) {
-	small := NewScan(buildTable(t, 8))
-	big := NewScan(buildTable(t, 800))
-	if small.EndEpoch().OverheadCycles >= big.EndEpoch().OverheadCycles {
-		t.Fatal("scan overhead not proportional to table size")
+	// Hybrid's epoch sweep visits every mapped PTE. With no samples taken
+	// its overhead is the sweep alone, so it grows in proportion to the
+	// table.
+	small := NewHybrid(buildTable(t, 8), 10, 1).EndEpoch()
+	big := NewHybrid(buildTable(t, 800), 10, 1).EndEpoch()
+	if small.ScannedPages != 8 || big.ScannedPages != 800 {
+		t.Fatalf("scanned %d and %d pages, want 8 and 800", small.ScannedPages, big.ScannedPages)
 	}
-}
-
-func TestScanRecordNoop(t *testing.T) {
-	s := NewScan(buildTable(t, 1))
-	if c := s.Record(Access{VP: 0}); c != 0 {
-		t.Fatal("scan Record charged cycles")
-	}
-	if s.Tracked() != 0 {
-		t.Fatal("scan Record tracked a page")
+	if small.OverheadCycles <= 0 || big.OverheadCycles != 100*small.OverheadCycles {
+		t.Fatalf("scan overhead %v for 8 pages, %v for 800: not proportional to table size",
+			small.OverheadCycles, big.OverheadCycles)
 	}
 }
 
@@ -372,7 +327,6 @@ func TestProfilerNames(t *testing.T) {
 		want string
 	}{
 		{NewPEBS(10, 1), "pebs"},
-		{NewScan(tbl), "scan"},
 		{NewHintFault(tbl, 1, 0), "hintfault"},
 		{NewHybrid(tbl, 10, 1), "hybrid"},
 	} {

@@ -7,16 +7,11 @@ import (
 	"vulcan/internal/pagetable"
 )
 
-// SnapshotVersion is the wire version SnapshotProfiler writes (the
-// "app.N.profiler" checkpoint section version). Version 1 encoded the
-// old map-layout stores (flat sorted entry lists everywhere); version 2
-// encodes the dense stores, most notably run-length heat entries.
-// RestoreProfiler accepts both, so checkpoint containers written before
-// the dense-store rewrite still restore.
+// SnapshotVersion is the wire version SnapshotProfiler writes and the
+// only one RestoreProfiler reads (the "app.N.profiler" checkpoint section
+// version). Version 2 encodes the dense stores, most notably run-length
+// heat entries; the version-1 map layout is no longer readable.
 const SnapshotVersion = 2
-
-// LegacySnapshotVersion is the last map-layout wire version.
-const LegacySnapshotVersion = 1
 
 // SnapshotProfiler appends p's durable state, tagged with the profiler
 // name so RestoreProfiler can verify the constructed profiler matches.
@@ -38,36 +33,34 @@ func SnapshotProfiler(e *checkpoint.Encoder, p Profiler) {
 }
 
 // RestoreProfiler reads state written by SnapshotProfiler back into p,
-// a freshly-constructed profiler. version selects the wire layout: the
-// section version recorded in the checkpoint container, either
-// SnapshotVersion or LegacySnapshotVersion. The fault decoration may
-// differ between writer and reader (a clean warm-up resumed under fault
-// injection, or vice versa): wrapper state that has no destination is
-// discarded, and a fresh wrapper keeps its construction-time state.
+// a freshly-constructed profiler. version is the section version
+// recorded in the checkpoint container; anything but SnapshotVersion is
+// rejected. The fault decoration may differ between writer and reader
+// (a clean warm-up resumed under fault injection, or vice versa):
+// wrapper state that has no destination is discarded, and a fresh
+// wrapper keeps its construction-time state.
 func RestoreProfiler(d *checkpoint.Decoder, p Profiler, version uint32) error {
-	if version != SnapshotVersion && version != LegacySnapshotVersion {
+	if version != SnapshotVersion {
 		return fmt.Errorf("profile: unsupported profiler snapshot version %d", version)
 	}
+	return restoreProfiler(d, p)
+}
+
+func restoreProfiler(d *checkpoint.Decoder, p Profiler) error {
 	tag := d.String()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	return restoreTagged(tag, d, p, version)
+	return restoreTagged(tag, d, p)
 }
 
-// legacyRestorer is implemented by profilers that can decode the
-// version-1 (map-layout) wire format.
-type legacyRestorer interface {
-	restoreLegacy(d *checkpoint.Decoder) error
-}
-
-func restoreTagged(tag string, d *checkpoint.Decoder, p Profiler, version uint32) error {
+func restoreTagged(tag string, d *checkpoint.Decoder, p Profiler) error {
 	if tag == "faulty" {
 		if f, ok := p.(*Faulty); ok {
 			if err := f.restoreSelf(d); err != nil {
 				return err
 			}
-			return RestoreProfiler(d, f.inner, version)
+			return restoreProfiler(d, f.inner)
 		}
 		// Checkpoint was fault-wrapped, target is not: skip the wrapper
 		// fields and restore the inner profiler directly.
@@ -75,23 +68,16 @@ func restoreTagged(tag string, d *checkpoint.Decoder, p Profiler, version uint32
 		if d.Err() != nil {
 			return d.Err()
 		}
-		return RestoreProfiler(d, p, version)
+		return restoreProfiler(d, p)
 	}
 	if f, ok := p.(*Faulty); ok {
 		// Target is fault-wrapped, checkpoint was not: the fresh wrapper
 		// keeps its construction-time state (epoch 0, confidence 1).
-		return restoreTagged(tag, d, f.inner, version)
+		return restoreTagged(tag, d, f.inner)
 	}
 	if tag != p.Name() {
 		return fmt.Errorf("profile: checkpoint holds a %q profiler, restoring into %q",
 			tag, p.Name())
-	}
-	if version == LegacySnapshotVersion {
-		lr, ok := p.(legacyRestorer)
-		if !ok {
-			return fmt.Errorf("profile: profiler %q cannot restore legacy snapshots", p.Name())
-		}
-		return lr.restoreLegacy(d)
 	}
 	s, ok := p.(checkpoint.Snapshotter)
 	if !ok {
@@ -258,36 +244,6 @@ func (h *heatStore) Restore(d *checkpoint.Decoder) error {
 	return nil
 }
 
-// restoreLegacy reads the version-1 flat entry list (count, then
-// ascending (page, heat, reads, writes) tuples).
-func (h *heatStore) restoreLegacy(d *checkpoint.Decoder) error {
-	n := d.Length(32)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	h.l1 = nil
-	h.trackedPages = 0
-	for i := 0; i < n; i++ {
-		vp := pagetable.VPage(d.U64())
-		heat := d.F64()
-		reads := d.F64()
-		writes := d.F64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if vp > pagetable.MaxVPage {
-			return fmt.Errorf("profile: heat entry page %d out of range", vp)
-		}
-		if heat == 0 {
-			return fmt.Errorf("profile: zero-heat entry for page %d", vp)
-		}
-		if !h.setRaw(vp, heat, reads, writes) {
-			return fmt.Errorf("profile: duplicate heat entry for page %d", vp)
-		}
-	}
-	return nil
-}
-
 // Snapshot implements checkpoint.Snapshotter.
 func (p *PEBS) Snapshot(e *checkpoint.Encoder) {
 	p.rng.Snapshot(e)
@@ -302,14 +258,6 @@ func (p *PEBS) Restore(d *checkpoint.Decoder) error {
 	}
 	p.samples = d.U64()
 	return p.heat.Restore(d)
-}
-
-func (p *PEBS) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := p.rng.Restore(d); err != nil {
-		return err
-	}
-	p.samples = d.U64()
-	return p.heat.restoreLegacy(d)
 }
 
 // Snapshot implements checkpoint.Snapshotter.
@@ -328,175 +276,9 @@ func (h *Hybrid) Restore(d *checkpoint.Decoder) error {
 	return h.heat.Restore(d)
 }
 
-func (h *Hybrid) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := h.rng.Restore(d); err != nil {
-		return err
-	}
-	h.samples = d.U64()
-	return h.heat.restoreLegacy(d)
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (s *Scan) Snapshot(e *checkpoint.Encoder) { s.heat.Snapshot(e) }
-
-// Restore implements checkpoint.Snapshotter.
-func (s *Scan) Restore(d *checkpoint.Decoder) error { return s.heat.Restore(d) }
-
-func (s *Scan) restoreLegacy(d *checkpoint.Decoder) error { return s.heat.restoreLegacy(d) }
-
-// Snapshot implements checkpoint.Snapshotter. The idle list keeps the
-// version-1 shape (count, ascending (page, idle) entries); only the
-// heat layout changed in version 2.
-func (c *Chrono) Snapshot(e *checkpoint.Encoder) {
-	c.heat.Snapshot(e)
-	e.Int(c.idle.live)
-	c.idle.forEach(func(vp pagetable.VPage, idle int) {
-		e.U64(uint64(vp))
-		e.Int(idle)
-	})
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (c *Chrono) Restore(d *checkpoint.Decoder) error {
-	if err := c.heat.Restore(d); err != nil {
-		return err
-	}
-	return c.restoreIdle(d)
-}
-
-func (c *Chrono) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := c.heat.restoreLegacy(d); err != nil {
-		return err
-	}
-	return c.restoreIdle(d)
-}
-
-func (c *Chrono) restoreIdle(d *checkpoint.Decoder) error {
-	n := d.Length(16)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	c.idle.reset()
-	for i := 0; i < n; i++ {
-		vp := pagetable.VPage(d.U64())
-		idle := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if vp > pagetable.MaxVPage {
-			return fmt.Errorf("profile: idle entry page %d out of range", vp)
-		}
-		if idle < 0 || idle > c.forgetAfter {
-			return fmt.Errorf("profile: idle entry for page %d out of range: %d", vp, idle)
-		}
-		if c.idle.get(vp) != 0 {
-			return fmt.Errorf("profile: duplicate idle entry for page %d", vp)
-		}
-		c.idle.set(vp, int32(idle)+1)
-	}
-	return nil
-}
-
-// Snapshot implements checkpoint.Snapshotter. Version 2 encodes one
-// entry per region with any nonzero backoff state (level, skip
-// deadline), ascending by region.
-func (s *RegionScan) Snapshot(e *checkpoint.Encoder) {
-	s.heat.Snapshot(e)
-	count := 0
-	s.regions.forEach(func(uint64, uint8, int) { count++ })
-	e.Int(count)
-	s.regions.forEach(func(region uint64, level uint8, skipUntil int) {
-		e.U64(region)
-		e.U8(level)
-		e.Int(skipUntil)
-	})
-	e.Int(s.epoch)
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (s *RegionScan) Restore(d *checkpoint.Decoder) error {
-	if err := s.heat.Restore(d); err != nil {
-		return err
-	}
-	n := d.Length(17)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	s.regions.reset()
-	maxRegion := pagetable.LeafIndex(pagetable.MaxVPage)
-	for i := 0; i < n; i++ {
-		region := d.U64()
-		level := d.U8()
-		until := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if region > maxRegion {
-			return fmt.Errorf("profile: backoff region %d out of range", region)
-		}
-		if level > s.maxBackoff {
-			return fmt.Errorf("profile: backoff level %d exceeds max %d", level, s.maxBackoff)
-		}
-		s.regions.setBackoff(region, level, until)
-	}
-	s.epoch = d.Int()
-	return d.Err()
-}
-
-// restoreLegacy reads the version-1 two-list layout (backoff entries,
-// then skip-until entries; either may include zero values).
-func (s *RegionScan) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := s.heat.restoreLegacy(d); err != nil {
-		return err
-	}
-	s.regions.reset()
-	maxRegion := pagetable.LeafIndex(pagetable.MaxVPage)
-	n := d.Length(9)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := 0; i < n; i++ {
-		region := d.U64()
-		level := d.U8()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if region > maxRegion {
-			return fmt.Errorf("profile: backoff region %d out of range", region)
-		}
-		if level > s.maxBackoff {
-			return fmt.Errorf("profile: backoff level %d exceeds max %d", level, s.maxBackoff)
-		}
-		if level != 0 {
-			c := s.regions.ensureChunk(region)
-			c.backoff[int(region)&chunkMask] = level
-		}
-	}
-	n = d.Length(16)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := 0; i < n; i++ {
-		region := d.U64()
-		until := d.Int()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if region > maxRegion {
-			return fmt.Errorf("profile: backoff region %d out of range", region)
-		}
-		if until != 0 {
-			c := s.regions.ensureChunk(region)
-			c.skip[int(region)&chunkMask] = int32(until)
-		}
-	}
-	s.epoch = d.Int()
-	return d.Err()
-}
-
-// Snapshot implements checkpoint.Snapshotter. The poison list keeps the
-// version-1 shape (count, ascending pages); only the heat layout
-// changed in version 2.
+// Snapshot implements checkpoint.Snapshotter: the heat runs, then the
+// poison window as a count and ascending pages, the cursor and the
+// in-flight fault count.
 func (h *HintFault) Snapshot(e *checkpoint.Encoder) {
 	h.heat.Snapshot(e)
 	e.Int(h.poisoned.count)
@@ -512,17 +294,6 @@ func (h *HintFault) Restore(d *checkpoint.Decoder) error {
 	if err := h.heat.Restore(d); err != nil {
 		return err
 	}
-	return h.restorePoison(d)
-}
-
-func (h *HintFault) restoreLegacy(d *checkpoint.Decoder) error {
-	if err := h.heat.restoreLegacy(d); err != nil {
-		return err
-	}
-	return h.restorePoison(d)
-}
-
-func (h *HintFault) restorePoison(d *checkpoint.Decoder) error {
 	n := d.Length(8)
 	if d.Err() != nil {
 		return d.Err()

@@ -34,12 +34,6 @@ func profilerPair(kind string) (live, fresh Profiler, liveTbl, freshTbl *pagetab
 			return NewPEBS(4, 9), tbl
 		case "hybrid":
 			return NewHybrid(tbl, 4, 9), tbl
-		case "scan":
-			return NewScan(tbl), tbl
-		case "chrono":
-			return NewChrono(tbl), tbl
-		case "regionscan":
-			return NewRegionScan(tbl), tbl
 		case "hintfault":
 			return NewHintFault(tbl, 64, 1000), tbl
 		}
@@ -67,7 +61,7 @@ func feedMix(p Profiler, tbl *pagetable.Replicated, round int) EpochReport {
 // profilers consume) and requires the restored twin to report identical
 // heat, write fractions and epoch behavior from then on.
 func TestProfilerSnapshotRoundTrip(t *testing.T) {
-	kinds := []string{"pebs", "hybrid", "scan", "chrono", "regionscan", "hintfault"}
+	kinds := []string{"pebs", "hybrid", "hintfault"}
 	for _, kind := range kinds {
 		live, fresh, liveTbl, freshTbl := profilerPair(kind)
 		for r := 0; r < 3; r++ {
@@ -118,7 +112,7 @@ func TestProfilerSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRestoreProfilerRejectsWrongKind restores a PEBS snapshot into a
-// Scan profiler and expects a tag error, plus truncation robustness.
+// Hybrid profiler and expects a tag error, plus truncation robustness.
 func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
 	p := NewPEBS(4, 9)
 	for i := 0; i < 200; i++ {
@@ -129,12 +123,33 @@ func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
 	SnapshotProfiler(e, p)
 	blob := e.Bytes()
 
-	if err := RestoreProfiler(checkpoint.NewDecoder(blob), NewScan(newProfileTable()), SnapshotVersion); err == nil {
-		t.Fatal("pebs snapshot restored into scan profiler")
+	if err := RestoreProfiler(checkpoint.NewDecoder(blob), NewHybrid(newProfileTable(), 4, 9), SnapshotVersion); err == nil {
+		t.Fatal("pebs snapshot restored into hybrid profiler")
 	}
 	for cut := 0; cut < len(blob); cut += 9 {
 		if err := RestoreProfiler(checkpoint.NewDecoder(blob[:cut]), NewPEBS(4, 9), SnapshotVersion); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestRestoreProfilerRejectsUnknownVersion feeds a valid blob through the
+// version gate under every version but SnapshotVersion: the retired
+// version-1 map layout, an unassigned 0, and a future 3. Each must fail
+// with an error, never a panic.
+func TestRestoreProfilerRejectsUnknownVersion(t *testing.T) {
+	e := &checkpoint.Encoder{}
+	SnapshotProfiler(e, NewPEBS(4, 9))
+	for _, version := range []uint32{0, 1, 3} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("version %d: restore panicked: %v", version, r)
+				}
+			}()
+			if err := RestoreProfiler(checkpoint.NewDecoder(e.Bytes()), NewPEBS(4, 9), version); err == nil {
+				t.Errorf("version %d snapshot accepted", version)
+			}
+		}()
 	}
 }

@@ -79,14 +79,6 @@ func TestFaultyRecordZeroAlloc(t *testing.T) {
 	pinRecord(t, "Faulty", f, Access{VP: 3, Write: true, Fast: true})
 }
 
-func TestScannerRecordsZeroAlloc(t *testing.T) {
-	tbl := warmTable(t, 8)
-	a := Access{VP: 3, Fast: true}
-	pinRecord(t, "Scan", NewScan(tbl), a)
-	pinRecord(t, "Chrono", NewChrono(tbl), a)
-	pinRecord(t, "RegionScan", NewRegionScan(tbl), a)
-}
-
 func TestHeatStoreRecordZeroAlloc(t *testing.T) {
 	// The store itself, below any profiler: steady-state updates of an
 	// existing cell (and the maxHeat maintenance) must not allocate.

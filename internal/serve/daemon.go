@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -61,8 +63,39 @@ func NewDaemon(s *Session, socket string, pace func()) (*Daemon, error) {
 	mux.HandleFunc("/v1/status", d.handleStatus)
 	mux.HandleFunc("/v1/checkpoint", d.handleCheckpoint)
 	mux.HandleFunc("/v1/shutdown", d.handleShutdown)
-	d.srv = &http.Server{Handler: mux}
+	d.srv = &http.Server{Handler: limitBodies(mux)}
 	return d, nil
+}
+
+// maxBodyBytes caps every request body the control API accepts; the
+// largest legitimate body, an inline app spec, is a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// limitBodies answers a body declared larger than maxBodyBytes with 413
+// and caps every other body, so no handler can be made to buffer
+// unbounded input.
+func limitBodies(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength > maxBodyBytes {
+			writeErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body of %d bytes exceeds %d", r.ContentLength, maxBodyBytes))
+			return
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		h.ServeHTTP(w, r)
+	})
+}
+
+// decodeBody decodes the request's JSON body into v and returns the
+// status to answer a failure with: 413 when the body overruns the cap,
+// 400 when it is not JSON of v's shape. An empty body yields io.EOF.
+func decodeBody(r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(r.Body).Decode(v)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 // Run serves the control API and drives the epoch loop until the run
@@ -177,8 +210,8 @@ func (d *Daemon) handleCmd(op string) http.HandlerFunc {
 			return
 		}
 		var req cmdRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if code, err := decodeBody(r, &req); err != nil {
+			writeErr(w, code, err)
 			return
 		}
 		c := Cmd{Op: op, App: req.App, Name: req.Name, Milli: req.Milli, Depart: req.Depart}
@@ -194,7 +227,8 @@ func (d *Daemon) handleCmd(op string) http.HandlerFunc {
 	}
 }
 
-// handleStep advances epochs synchronously — manual mode only.
+// handleStep advances epochs synchronously — manual mode only. An empty
+// body steps one epoch; a body that does not decode steps none.
 func (d *Daemon) handleStep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
@@ -207,8 +241,9 @@ func (d *Daemon) handleStep(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Epochs int `json:"epochs"`
 	}
-	if r.Body != nil {
-		json.NewDecoder(r.Body).Decode(&req)
+	if code, err := decodeBody(r, &req); err != nil && !errors.Is(err, io.EOF) {
+		writeErr(w, code, err)
+		return
 	}
 	if req.Epochs <= 0 {
 		req.Epochs = 1

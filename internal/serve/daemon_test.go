@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -241,5 +243,59 @@ func TestDaemonAutoPaced(t *testing.T) {
 	}
 	if st := d.statusLocked(); !st.Finished || st.Epoch != 6 {
 		t.Fatalf("final: %+v", st)
+	}
+}
+
+// TestDaemonBoundsRequestBodies drives the control API's handler
+// directly: malformed step bodies are refused without stepping, an empty
+// step body still means one epoch, and bodies over maxBodyBytes get 413
+// whether their length is declared up front or only found while reading.
+func TestDaemonBoundsRequestBodies(t *testing.T) {
+	sockDir, err := os.MkdirTemp("", "vd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(sockDir)
+	s, err := NewSession(Options{Scenario: testScenario(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(s, filepath.Join(sockDir, "vulcand.sock"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.ln.Close()
+
+	// Valid JSON once the cap is lifted, so only the cap can reject it.
+	huge := `{"epochs": 1, "pad": "` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, tc := range []struct {
+		name, path, body string
+		chunked          bool // hide the length so the cap trips mid-read
+		code, steps      int
+	}{
+		{"string epochs", "/v1/step", `{"epochs": "ten"}`, false, http.StatusBadRequest, 0},
+		{"garbage", "/v1/step", `garbage`, false, http.StatusBadRequest, 0},
+		{"truncated", "/v1/step", `{"epochs": 2`, false, http.StatusBadRequest, 0},
+		{"empty", "/v1/step", ``, false, http.StatusOK, 1},
+		{"two epochs", "/v1/step", `{"epochs": 2}`, false, http.StatusOK, 2},
+		{"oversized step", "/v1/step", huge, false, http.StatusRequestEntityTooLarge, 0},
+		{"oversized chunked step", "/v1/step", huge, true, http.StatusRequestEntityTooLarge, 0},
+		{"oversized admit", "/v1/admit", huge, false, http.StatusRequestEntityTooLarge, 0},
+		{"oversized chunked admit", "/v1/admit", huge, true, http.StatusRequestEntityTooLarge, 0},
+		{"oversized checkpoint", "/v1/checkpoint", huge, false, http.StatusRequestEntityTooLarge, 0},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "http://vulcand"+tc.path, strings.NewReader(tc.body))
+		if tc.chunked {
+			req.ContentLength = -1
+		}
+		before := s.Epoch()
+		rec := httptest.NewRecorder()
+		d.srv.Handler.ServeHTTP(rec, req)
+		if rec.Code != tc.code {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()), tc.code)
+		}
+		if got := s.Epoch() - before; got != tc.steps {
+			t.Errorf("%s: stepped %d epochs, want %d", tc.name, got, tc.steps)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package sim provides the deterministic simulation kernel shared by every
-// substrate in the repository: a nanosecond-resolution virtual clock, a
-// calendar-queue event scheduler, and reproducible pseudo-random number
-// generators.
+// substrate in the repository: a nanosecond-resolution virtual clock and
+// reproducible pseudo-random number generators.
 //
 // All simulated components (memory tiers, TLBs, migration engines, workload
 // generators) advance exclusively through this package, which keeps every

@@ -27,9 +27,7 @@ const (
 	// appVersion 3 appends the async-migrator backpressure tallies and the
 	// dynamic intensity override.
 	appVersion = 3
-	// profilerVersion tracks the profile package's snapshot layout; Resume
-	// additionally accepts profile.LegacySnapshotVersion blobs so
-	// checkpoints written before the dense-store rewrite still restore.
+	// profilerVersion tracks the profile package's snapshot layout.
 	profilerVersion = profile.SnapshotVersion
 	policyVersion   = 1
 	faultVersion    = 1
@@ -292,20 +290,11 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 			return nil, err
 		}
 		if a.started && samePolicy {
-			name := fmt.Sprintf("app.%d.profiler", i)
-			ver, ok := cr.Version(name)
-			if !ok {
-				return nil, fmt.Errorf("checkpoint: missing section %q", name)
-			}
-			if ver != profile.SnapshotVersion && ver != profile.LegacySnapshotVersion {
-				return nil, fmt.Errorf("system: section %q version %d (want %d or %d)",
-					name, ver, profile.SnapshotVersion, profile.LegacySnapshotVersion)
-			}
-			pd, err := cr.Section(name, ver)
+			pd, err := cr.Section(fmt.Sprintf("app.%d.profiler", i), profilerVersion)
 			if err != nil {
 				return nil, err
 			}
-			if err := profile.RestoreProfiler(pd, a.Profiler, ver); err != nil {
+			if err := profile.RestoreProfiler(pd, a.Profiler, profilerVersion); err != nil {
 				return nil, err
 			}
 			if err := pd.Close(); err != nil {
