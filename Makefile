@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint vet-sarif test bench-test race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench bench-checkpoint bench-fleet bench-diff
+.PHONY: check build fmt vet lint vet-sarif test bench-test bench-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench bench-checkpoint bench-fleet bench-diff
 
 # check is the full gate, in fail-fast order: cheap static checks first,
 # then the test suites.
@@ -40,6 +40,13 @@ test:
 # module, so the root `go test ./...` never reaches it.
 bench-test:
 	$(GO) -C bench test ./...
+
+# bench-smoke is a short vulcanbench run over all four workloads. It
+# gates only on correctness: it fails when a unit's output digest moves
+# off bench/digests.json or any operation fails (fail_ratio > 0). The
+# timings of a 3-second run are too noisy to judge.
+bench-smoke:
+	bash bench/run.sh --seconds 3
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

@@ -1,6 +1,6 @@
 // Package cluster scales the single-machine colocation simulator to a
 // fleet: N independent machine instances — each a full internal/system
-// stack with its own tiers, policy, profilers and telemetry — stepped
+// stack with its own tiers, policy and profilers — stepped
 // in lockstep by a shared fleet clock at epoch granularity, under a
 // placement layer that admits, evicts and rebalances applications
 // across hosts.
@@ -28,7 +28,6 @@ import (
 	"vulcan/internal/lab"
 	"vulcan/internal/machine"
 	"vulcan/internal/metrics"
-	"vulcan/internal/obs"
 	"vulcan/internal/sim"
 	"vulcan/internal/system"
 	"vulcan/internal/workload"
@@ -79,7 +78,9 @@ type Config struct {
 	Host HostTemplate
 	// HostOverride, when non-nil, may mutate one host's system config
 	// after the template is applied (capacity skew, policy swaps). It
-	// must be deterministic in the host index.
+	// must be deterministic in the host index. Hosts have no telemetry
+	// sink by default; setting cfg.Obs here opts a host into one, and no
+	// scheduler decision depends on it.
 	HostOverride func(host int, cfg *system.Config)
 	// Scheduler names the placement policy (see Schedulers()).
 	Scheduler string
@@ -237,7 +238,6 @@ func (c *Config) hostConfig(h int) system.Config {
 		AllowDynamic:     true,
 		EpochLength:      c.Host.EpochLength,
 		SamplesPerThread: c.Host.SamplesPerThread,
-		Obs:              obs.NewRecorder(),
 		Seed:             hostSeed(c.Seed, h),
 	}
 	if c.Host.NewPolicy != nil {

@@ -6,7 +6,6 @@ import (
 
 	"vulcan/internal/machine"
 	"vulcan/internal/mem"
-	"vulcan/internal/obs"
 	"vulcan/internal/sim"
 	"vulcan/internal/system"
 	"vulcan/internal/workload"
@@ -62,7 +61,8 @@ func fleetConfig(hosts, workers int, scheduler string) Config {
 }
 
 // dump renders everything the fleet byte-identity contract covers: the
-// fleet report plus every host's report, time series and telemetry.
+// fleet report plus every host's report and time series. Host telemetry
+// is opt-in and observer-only, so it is not part of the contract.
 func dump(t *testing.T, f *Fleet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -76,11 +76,6 @@ func dump(t *testing.T, f *Fleet) []byte {
 		}
 		if err := sys.Recorder().WriteCSV(&buf); err != nil {
 			t.Fatal(err)
-		}
-		if rec, ok := sys.Obs().(*obs.Recorder); ok {
-			if err := rec.WriteMetricsCSV(&buf); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	return buf.Bytes()

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"vulcan/internal/mem"
-	"vulcan/internal/obs"
 )
 
 // Scheduler is a fleet placement policy. Both methods run in the serial
@@ -142,12 +141,13 @@ func (fairnessSched) Rebalance(f *Fleet, budget int) []Move {
 }
 
 // vulcanSched is the Vulcan-informed scheduler: it reads each host's
-// telemetry registry — the same per-app gauges the paper's profiler
-// publishes — and steers placement by fast-tier pressure and profiler
-// health. A host whose tenants show degraded profile confidence is
-// already thrashing its profiler budget; parking another tenant there
-// compounds the blindness, so such hosts are deprioritized even when
-// they have headroom.
+// tenants through their typed App accessors — the same FTHR and profile
+// confidence the paper's profiler feeds the host policy — and steers
+// placement by fast-tier pressure and profiler health. A host whose
+// tenants show degraded profile confidence is already thrashing its
+// profiler budget; parking another tenant there compounds the blindness,
+// so such hosts are deprioritized even when they have headroom. It never
+// reads telemetry, so its decisions are the same with any host sink.
 type vulcanSched struct{}
 
 func (vulcanSched) Name() string { return "vulcan" }
@@ -162,12 +162,12 @@ func hostPressure(f *Fleet, h int) float64 {
 	if fast.Capacity() > 0 {
 		score = float64(fast.Used()) / float64(fast.Capacity())
 	}
-	reg := obs.RegistryOf(sys.Obs())
-	if reg == nil {
-		return score
-	}
 	for _, a := range sys.StartedApps() {
-		if reg.Gauge("profile_confidence", obs.App(a.Cfg.Name)).Value() < 0.5 {
+		// Known defect, kept so fleet outputs stay put (ROADMAP "Decouple
+		// fleet control from telemetry", step 2): a profiler that is not
+		// fault-wrapped has no confidence and scores as 0, so every
+		// tenant on a fault-free host adds a full point.
+		if conf, _ := a.ProfileConfidence(); conf < 0.5 {
 			score += 1.0
 		}
 	}
@@ -188,9 +188,10 @@ func (vulcanSched) Place(f *Fleet, j *Job) int {
 	return best
 }
 
-// Rebalance moves the coldest tenant (lowest FTHR gauge — it runs
-// mostly out of slow memory anyway, so the move costs it least) off the
-// most pressured host onto the least pressured one.
+// Rebalance moves the coldest tenant (lowest FTHR — it runs mostly out
+// of slow memory anyway, so the move costs it least) off the most
+// pressured host onto the least pressured one. An instance placed but
+// not yet admitted has no FTHR and counts as 0.
 func (vulcanSched) Rebalance(f *Fleet, budget int) []Move {
 	if budget < 1 || f.NumHosts() < 2 {
 		return nil
@@ -209,15 +210,14 @@ func (vulcanSched) Rebalance(f *Fleet, budget int) []Move {
 	if hot == cold || hotScore < coldScore+0.25 {
 		return nil
 	}
-	reg := obs.RegistryOf(f.Host(hot).Sys.Obs())
 	victim, victimFTHR := -1, 0.0
 	for _, j := range f.Jobs() {
 		if !j.Placed() || j.HostID != hot {
 			continue
 		}
 		fthr := 0.0
-		if reg != nil && j.app != nil {
-			fthr = reg.Gauge("fthr", obs.App(j.app.Cfg.Name)).Value()
+		if j.app.Started() {
+			fthr = j.app.FTHR()
 		}
 		if victim < 0 || fthr < victimFTHR {
 			victim, victimFTHR = j.Idx, fthr

@@ -91,8 +91,8 @@ func TestRegistryLabelsAndIdentity(t *testing.T) {
 	}
 	c1.Add(3)
 	c1.Inc()
-	if c2.Value() != 4 {
-		t.Fatalf("counter = %v", c2.Value())
+	if c2.value() != 4 {
+		t.Fatalf("counter = %v", c2.value())
 	}
 	ids := reg.CounterIDs()
 	if len(ids) != 1 || ids[0] != "pages_moved{app=memcached,tier=fast}" {
@@ -101,7 +101,7 @@ func TestRegistryLabelsAndIdentity(t *testing.T) {
 
 	g := reg.Gauge("fthr", App("a"))
 	g.Set(0.75)
-	if reg.Gauge("fthr", App("a")).Value() != 0.75 {
+	if reg.Gauge("fthr", App("a")).value() != 0.75 {
 		t.Fatal("gauge identity broken")
 	}
 

@@ -61,8 +61,10 @@ func (c *Counter) Add(delta float64) {
 // Inc adds one.
 func (c *Counter) Inc() { c.v++ }
 
-// Value returns the accumulated total.
-func (c *Counter) Value() float64 { return c.v }
+// value returns the accumulated total. It is unexported on purpose:
+// only the exporters read instruments back, so control code cannot
+// depend on telemetry being enabled.
+func (c *Counter) value() float64 { return c.v }
 
 // Gauge is a set-to-current-value instrument.
 type Gauge struct{ v float64 }
@@ -70,8 +72,8 @@ type Gauge struct{ v float64 }
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.v = v }
 
-// Value returns the last set value.
-func (g *Gauge) Value() float64 { return g.v }
+// value returns the last set value (unexported, like Counter.value).
+func (g *Gauge) value() float64 { return g.v }
 
 // Registry is the simulator's metric namespace: named counters, gauges,
 // and fixed-bucket histograms, each optionally labeled per app and per
@@ -142,10 +144,10 @@ func (r *Registry) HistogramIDs() []string { return sortedKeys(r.histos) }
 // only export path, shared by the CSV exporter.
 func (r *Registry) snapshot(out []metricRow) []metricRow {
 	for _, id := range r.CounterIDs() {
-		out = append(out, metricRow{ID: id, Val: r.counters[id].Value()})
+		out = append(out, metricRow{ID: id, Val: r.counters[id].value()})
 	}
 	for _, id := range r.GaugeIDs() {
-		out = append(out, metricRow{ID: id, Val: r.gauges[id].Value()})
+		out = append(out, metricRow{ID: id, Val: r.gauges[id].value()})
 	}
 	for _, id := range r.HistogramIDs() {
 		s := r.histos[id].Summary()

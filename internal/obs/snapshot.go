@@ -125,13 +125,13 @@ func (r *Registry) Snapshot(e *checkpoint.Encoder) {
 	e.Int(len(ids))
 	for _, id := range ids {
 		e.String(id)
-		e.F64(r.counters[id].Value())
+		e.F64(r.counters[id].value())
 	}
 	ids = r.GaugeIDs()
 	e.Int(len(ids))
 	for _, id := range ids {
 		e.String(id)
-		e.F64(r.gauges[id].Value())
+		e.F64(r.gauges[id].value())
 	}
 	ids = r.HistogramIDs()
 	e.Int(len(ids))

@@ -161,6 +161,17 @@ func (a *App) SampleWeight() float64 { return a.sampleWeight }
 // prior placement rather than chase a profile built from lost samples.
 func (a *App) ProfileDegraded() bool { return a.profileDegraded }
 
+// ProfileConfidence returns the fraction of the app's profiler samples
+// that survived fault injection in the last finished epoch, and whether
+// the profiler is fault-wrapped at all (false on fault-free runs, where
+// no confidence is computed).
+func (a *App) ProfileConfidence() (float64, bool) {
+	if fp, ok := a.Profiler.(*profile.Faulty); ok {
+		return fp.Confidence(), true
+	}
+	return 0, false
+}
+
 // WriteProbability estimates the chance that a page is written during
 // one migration copy window — the dirty-retry input for transactional
 // async migration. It combines the page's profiled write fraction with

@@ -464,8 +464,8 @@ func (s *System) observeApp(a *App) {
 		reg.Gauge("retry_recovered", app).Set(float64(rs.Recovered))
 		reg.Gauge("retry_gaveup", app).Set(float64(rs.GaveUp))
 	}
-	if fp, ok := a.Profiler.(*profile.Faulty); ok {
-		reg.Gauge("profile_confidence", app).Set(fp.Confidence())
+	if conf, ok := a.ProfileConfidence(); ok {
+		reg.Gauge("profile_confidence", app).Set(conf)
 	}
 	if ts.DelayedAcks > 0 {
 		reg.Gauge("tlb_delayed_acks", app).Set(float64(ts.DelayedAcks))
