@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint vet-sarif test bench-test bench-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench bench-checkpoint bench-fleet bench-diff
+.PHONY: check build fmt vet lint vet-sarif test bench-test bench-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench
 
 # check is the full gate, in fail-fast order: cheap static checks first,
 # then the test suites.
@@ -252,50 +252,8 @@ serve-demo:
 	done
 	@echo "serve-demo: suspended/resumed daemon artifacts byte-identical to journal replay at workers 1/2/7"
 
-# bench runs the figure benchmarks with allocation accounting and
-# records the numbers as structured JSON (committed as
-# BENCH_parallel.json so perf regressions show up in review diffs).
-# Self-profiles of the bench process (runtime/pprof CPU + heap) land in
-# out/ for ad-hoc inspection with `go tool pprof`.
-# Narrow with e.g. `make bench BENCHES='BenchmarkFig2|BenchmarkFig8'`.
-BENCHES ?= BenchmarkFig
+# bench runs vulcanbench, the repo's benchmark, over all four workloads
+# (bench/README.md has its options and metrics). Figure values are
+# pinned separately, by TestFiguresGolden in internal/figures.
 bench:
-	@mkdir -p out
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime 1x \
-		-cpuprofile out/bench-cpu.pb.gz -memprofile out/bench-mem.pb.gz \
-		-o out/vulcan-bench.test . \
-		| $(GO) run ./cmd/benchjson > BENCH_parallel.json
-	@cat BENCH_parallel.json
-
-# bench-diff runs the figure benchmarks fresh and compares them against
-# the committed baseline (BENCH_parallel.json by default): per-benchmark
-# ns/op, B/op and allocs/op deltas, plus a drift check on every figure
-# metric — those must be byte-identical, and any drift fails the target.
-# The report also lands in out/bench-diff.txt for CI to upload.
-# Narrow with BENCHES=..., or diff another baseline with
-# `make bench-diff BASELINE=BENCH_checkpoint.json BENCHES=BenchmarkCheckpoint`.
-BASELINE ?= BENCH_parallel.json
-bench-diff:
-	@mkdir -p out
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime 1x . \
-		> out/bench-diff-raw.txt
-	@status=0; $(GO) run ./cmd/benchjson -diff $(BASELINE) \
-		< out/bench-diff-raw.txt > out/bench-diff.txt || status=$$?; \
-	cat out/bench-diff.txt; exit $$status
-
-# bench-fleet measures the fleet layer: host-stepping scaling across
-# lab worker counts, the schedulers head to head (with the fleet CFI
-# each reaches), and the fleet checkpoint round-trip. Committed as
-# BENCH_fleet.json.
-bench-fleet:
-	$(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson > BENCH_fleet.json
-	@cat BENCH_fleet.json
-
-# bench-checkpoint measures the branch-from-snapshot win: one shared
-# warm-up feeding every policy x fault-rate cell of a sweep, against
-# running each cell cold. Committed as BENCH_checkpoint.json.
-bench-checkpoint:
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson > BENCH_checkpoint.json
-	@cat BENCH_checkpoint.json
+	bash bench/run.sh

@@ -77,7 +77,7 @@ func Fig10(trials int, duration sim.Duration, scale int) Fig10Result {
 		}
 	}
 	warm := make([][]byte, trials)
-	if w := WarmEpochs(duration, sim.Second); w > 0 {
+	if w := warmEpochs(duration); w > 0 {
 		lab.Collect(0, trials,
 			func(trial int) []byte { return WarmStart(trialCfg(trial), w) },
 			func(trial int, blob []byte) { warm[trial] = blob })

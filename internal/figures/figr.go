@@ -76,7 +76,7 @@ func FigR(duration sim.Duration, scale int, seed uint64, rates []float64) FigRRe
 
 	base := ColocationConfig{Duration: duration, Seed: seed, Scale: scale}
 	var warm []byte
-	if w := WarmEpochs(duration, sim.Second); w > 0 {
+	if w := warmEpochs(duration); w > 0 {
 		warm = WarmStart(base, w)
 	}
 

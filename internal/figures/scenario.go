@@ -2,7 +2,7 @@
 // evaluation (§2.2 motivation figures 1–4, §5 figures 7–10 and tables
 // 1–2) from the simulated substrate. Each FigN function returns the
 // figure's data in a printable form; cmd/figures renders them as CSV or
-// ASCII tables and bench_test.go wraps them as benchmarks.
+// ASCII tables, and TestFiguresGolden pins their values.
 package figures
 
 import (
@@ -246,15 +246,12 @@ func RunColocation(cfg ColocationConfig) ColocationResult {
 	return summarize(cfg.Policy, sys)
 }
 
-// WarmEpochs returns how many epochs of a run of the given duration the
-// branch-from-snapshot sweeps share as a common warm-up: the standard
-// measurement warm-up, capped at half the run so short test sweeps
-// still measure something.
-func WarmEpochs(duration sim.Duration, epochLength sim.Duration) int {
-	if epochLength <= 0 {
-		epochLength = sim.Second
-	}
-	total := int(duration / epochLength)
+// warmEpochs returns how many of a co-location run's 1-second epochs
+// the branch-from-snapshot sweeps share as a common warm-up: the
+// standard measurement warm-up, capped at half the run so short test
+// sweeps still measure something.
+func warmEpochs(duration sim.Duration) int {
+	total := int(duration / sim.Second)
 	w := WarmupEpochs
 	if w > total/2 {
 		w = total / 2

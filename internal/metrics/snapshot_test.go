@@ -167,7 +167,7 @@ func TestRecorderSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var clock2 sim.Clock
-	clock2.AdvanceTo(clock.Now())
+	clock2.Advance(sim.Duration(clock.Now()))
 	dst := NewRecorder(&clock2)
 	dst.Record("pre-existing", 1) // must be discarded by Restore
 	if err := dst.Restore(d); err != nil {

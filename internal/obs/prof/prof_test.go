@@ -213,16 +213,3 @@ func TestCounterRows(t *testing.T) {
 		t.Errorf("system epoch 0 cycles = %v, want 450", rows[2].Cycles)
 	}
 }
-
-var selfStatsSink []byte
-
-func TestSelfStats(t *testing.T) {
-	s0 := ReadSelfStats()
-	for i := 0; i < 64; i++ {
-		selfStatsSink = make([]byte, 1<<14)
-	}
-	d := ReadSelfStats().Sub(s0)
-	if d.AllocBytes == 0 && d.AllocObjects == 0 {
-		t.Error("runtime/metrics reported no allocation delta after 1 MiB of allocations")
-	}
-}

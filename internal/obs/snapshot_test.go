@@ -53,7 +53,7 @@ func TestObsRecorderSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var clock2 sim.Clock
-	clock2.AdvanceTo(clock.Now())
+	clock2.Advance(sim.Duration(clock.Now()))
 	dst := NewRecorder()
 	dst.BindClock(&clock2)
 	dst.Metrics().Counter("stale") // must be discarded by Restore

@@ -66,17 +66,6 @@ func (c *Clock) Advance(d Duration) {
 	c.now += Time(d)
 }
 
-// AdvanceTo moves the clock to absolute time t. Moving backwards panics.
-func (c *Clock) AdvanceTo(t Time) {
-	if t < c.now {
-		panic(fmt.Sprintf("sim: clock moving backwards: %d -> %d", c.now, t))
-	}
-	c.now = t
-}
-
-// Reset returns the clock to t=0.
-func (c *Clock) Reset() { c.now = 0 }
-
 // CyclesPerNs is the simulated core frequency in cycles per nanosecond.
 // The paper's testbed uses Intel Xeon Platinum 8378A CPUs at 3.0 GHz.
 const CyclesPerNs = 3.0
