@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint vet-sarif test bench-test bench-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench
+.PHONY: FORCE check build fmt vet lint vet-sarif test bench-test bench-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench
 
 # check is the full gate, in fail-fast order: cheap static checks first,
 # then the test suites.
@@ -53,17 +53,26 @@ bench-smoke:
 race:
 	$(GO) test -race ./...
 
+# The demos build vulcansim once and run the binary: one compile instead
+# of one per invocation, and the program's own exit status (go run
+# reports every failure as 1). FORCE rebuilds it on every make run; go's
+# build cache keeps that cheap when nothing changed.
+VULCANSIM = out/bin/vulcansim
+$(VULCANSIM): FORCE
+	$(GO) build -o $@ ./cmd/vulcansim
+FORCE:
+
 # obs-demo runs one seeded scenario twice with telemetry export and
 # byte-compares the artifacts: the executable form of the determinism
 # contract for the trace/metrics exporters. Artifacts land in
 # out/obs-demo/ (gitignored); run1's trace.json opens in Perfetto.
 OBS_DEMO_FLAGS = -policy vulcan -seconds 20 -scale 8 -seed 7
-obs-demo:
+obs-demo: $(VULCANSIM)
 	@mkdir -p out/obs-demo
-	$(GO) run ./cmd/vulcansim $(OBS_DEMO_FLAGS) \
+	$(VULCANSIM) $(OBS_DEMO_FLAGS) \
 		-trace-out out/obs-demo/trace.json -metrics-out out/obs-demo/metrics.csv \
 		> out/obs-demo/report.txt
-	$(GO) run ./cmd/vulcansim $(OBS_DEMO_FLAGS) \
+	$(VULCANSIM) $(OBS_DEMO_FLAGS) \
 		-trace-out out/obs-demo/trace2.json -metrics-out out/obs-demo/metrics2.csv \
 		> out/obs-demo/report2.txt
 	cmp out/obs-demo/trace.json out/obs-demo/trace2.json
@@ -75,12 +84,12 @@ obs-demo:
 # sweep on 4 workers and on 1 must emit byte-identical reports, traces
 # and metric CSVs (internal/lab's ordered-commit contract, DESIGN.md
 # "Parallel determinism").
-obs-demo-parallel:
+obs-demo-parallel: $(VULCANSIM)
 	@mkdir -p out/obs-demo
-	$(GO) run ./cmd/vulcansim $(OBS_DEMO_FLAGS) -seeds 3 -parallel 4 \
+	$(VULCANSIM) $(OBS_DEMO_FLAGS) -seeds 3 -parallel 4 \
 		-trace-out out/obs-demo/ptrace.json -metrics-out out/obs-demo/pmetrics.csv \
 		> out/obs-demo/preport.txt
-	$(GO) run ./cmd/vulcansim $(OBS_DEMO_FLAGS) -seeds 3 -parallel 1 \
+	$(VULCANSIM) $(OBS_DEMO_FLAGS) -seeds 3 -parallel 1 \
 		-trace-out out/obs-demo/strace.json -metrics-out out/obs-demo/smetrics.csv \
 		> out/obs-demo/sreport.txt
 	cmp out/obs-demo/preport.txt out/obs-demo/sreport.txt
@@ -97,12 +106,12 @@ obs-demo-parallel:
 # degradation events must appear in the exported trace. Regenerate the
 # golden with `make chaos-golden` after an intentional behavior change.
 CHAOS_DEMO_FLAGS = -policy vulcan -seconds 20 -scale 8 -seed 7 -seeds 2 -faults moderate
-chaos-demo:
+chaos-demo: $(VULCANSIM)
 	@mkdir -p out/chaos-demo
-	$(GO) run ./cmd/vulcansim $(CHAOS_DEMO_FLAGS) \
+	$(VULCANSIM) $(CHAOS_DEMO_FLAGS) \
 		-trace-out out/chaos-demo/trace.json -metrics-out out/chaos-demo/metrics.csv \
 		> out/chaos-demo/report.txt
-	$(GO) run ./cmd/vulcansim $(CHAOS_DEMO_FLAGS) \
+	$(VULCANSIM) $(CHAOS_DEMO_FLAGS) \
 		-trace-out out/chaos-demo/trace2.json -metrics-out out/chaos-demo/metrics2.csv \
 		> out/chaos-demo/report2.txt
 	cmp out/chaos-demo/report.txt out/chaos-demo/report2.txt
@@ -117,9 +126,9 @@ chaos-demo:
 	@echo "chaos-demo: faulted sweep byte-identical across replays and matches the golden"
 
 # chaos-golden rewrites the committed chaos-demo golden.
-chaos-golden:
+chaos-golden: $(VULCANSIM)
 	@mkdir -p testdata/chaos
-	$(GO) run ./cmd/vulcansim $(CHAOS_DEMO_FLAGS) > testdata/chaos/report.golden.txt
+	$(VULCANSIM) $(CHAOS_DEMO_FLAGS) > testdata/chaos/report.golden.txt
 	@echo "golden updated: testdata/chaos/report.golden.txt"
 
 # checkpoint-demo is the executable form of the resume contract
@@ -129,16 +138,16 @@ chaos-golden:
 # 20-second run. Note `-seconds` after `-resume` counts additional
 # simulated time. Artifacts land in out/ckpt-demo/ (gitignored).
 CKPT_DEMO_FLAGS = -policy vulcan -scale 8 -seed 7
-checkpoint-demo:
+checkpoint-demo: $(VULCANSIM)
 	@mkdir -p out/ckpt-demo
-	$(GO) run ./cmd/vulcansim $(CKPT_DEMO_FLAGS) -seconds 20 \
+	$(VULCANSIM) $(CKPT_DEMO_FLAGS) -seconds 20 \
 		-trace-out out/ckpt-demo/trace.json -metrics-out out/ckpt-demo/metrics.csv \
 		> out/ckpt-demo/report.txt
-	$(GO) run ./cmd/vulcansim $(CKPT_DEMO_FLAGS) -seconds 10 \
+	$(VULCANSIM) $(CKPT_DEMO_FLAGS) -seconds 10 \
 		-checkpoint-out out/ckpt-demo/mid.ckpt \
 		-trace-out out/ckpt-demo/trace-first.json -metrics-out out/ckpt-demo/metrics-first.csv \
 		> out/ckpt-demo/report-first.txt
-	$(GO) run ./cmd/vulcansim $(CKPT_DEMO_FLAGS) -seconds 10 \
+	$(VULCANSIM) $(CKPT_DEMO_FLAGS) -seconds 10 \
 		-resume out/ckpt-demo/mid.ckpt \
 		-trace-out out/ckpt-demo/trace-resumed.json -metrics-out out/ckpt-demo/metrics-resumed.csv \
 		> out/ckpt-demo/report-resumed.txt
@@ -155,25 +164,25 @@ checkpoint-demo:
 # `go tool pprof`. Artifacts land in out/prof-demo/ (gitignored);
 # cost.folded feeds flamegraph.pl / speedscope directly.
 PROF_DEMO_FLAGS = -policy vulcan -seconds 20 -scale 8 -seed 7
-prof-demo:
+prof-demo: $(VULCANSIM)
 	@mkdir -p out/prof-demo
-	$(GO) run ./cmd/vulcansim $(PROF_DEMO_FLAGS) \
+	$(VULCANSIM) $(PROF_DEMO_FLAGS) \
 		-costprofile out/prof-demo/cost.pb.gz -cost-folded out/prof-demo/cost.folded \
 		-cost-csv out/prof-demo/cost.csv > out/prof-demo/report.txt
-	$(GO) run ./cmd/vulcansim $(PROF_DEMO_FLAGS) \
+	$(VULCANSIM) $(PROF_DEMO_FLAGS) \
 		-costprofile out/prof-demo/cost2.pb.gz -cost-folded out/prof-demo/cost2.folded \
 		-cost-csv out/prof-demo/cost2.csv > out/prof-demo/report2.txt
 	cmp out/prof-demo/cost.pb.gz out/prof-demo/cost2.pb.gz
 	cmp out/prof-demo/cost.folded out/prof-demo/cost2.folded
 	cmp out/prof-demo/cost.csv out/prof-demo/cost2.csv
 	cmp out/prof-demo/report.txt out/prof-demo/report2.txt
-	$(GO) run ./cmd/vulcansim $(PROF_DEMO_FLAGS) -seeds 3 -parallel 1 \
+	$(VULCANSIM) $(PROF_DEMO_FLAGS) -seeds 3 -parallel 1 \
 		-costprofile out/prof-demo/s.pb.gz -cost-folded out/prof-demo/s.folded \
 		-cost-csv out/prof-demo/s.csv > /dev/null
-	$(GO) run ./cmd/vulcansim $(PROF_DEMO_FLAGS) -seeds 3 -parallel 2 \
+	$(VULCANSIM) $(PROF_DEMO_FLAGS) -seeds 3 -parallel 2 \
 		-costprofile out/prof-demo/w2.pb.gz -cost-folded out/prof-demo/w2.folded \
 		-cost-csv out/prof-demo/w2.csv > /dev/null
-	$(GO) run ./cmd/vulcansim $(PROF_DEMO_FLAGS) -seeds 3 -parallel 7 \
+	$(VULCANSIM) $(PROF_DEMO_FLAGS) -seeds 3 -parallel 7 \
 		-costprofile out/prof-demo/w7.pb.gz -cost-folded out/prof-demo/w7.folded \
 		-cost-csv out/prof-demo/w7.csv > /dev/null
 	for s in 7 8 9; do \
@@ -194,16 +203,16 @@ prof-demo:
 # a different worker count must reproduce the uninterrupted report.
 # Artifacts land in out/fleet-demo/ (gitignored).
 FLEET_DEMO_FLAGS = -fleet 6 -scheduler vulcan -policy vulcan -seconds 12 -scale 8 -seed 7
-fleet-demo:
+fleet-demo: $(VULCANSIM)
 	@mkdir -p out/fleet-demo
-	$(GO) run ./cmd/vulcansim $(FLEET_DEMO_FLAGS) -parallel 1 > out/fleet-demo/report-w1.txt
-	$(GO) run ./cmd/vulcansim $(FLEET_DEMO_FLAGS) -parallel 2 > out/fleet-demo/report-w2.txt
-	$(GO) run ./cmd/vulcansim $(FLEET_DEMO_FLAGS) -parallel 7 > out/fleet-demo/report-w7.txt
+	$(VULCANSIM) $(FLEET_DEMO_FLAGS) -parallel 1 > out/fleet-demo/report-w1.txt
+	$(VULCANSIM) $(FLEET_DEMO_FLAGS) -parallel 2 > out/fleet-demo/report-w2.txt
+	$(VULCANSIM) $(FLEET_DEMO_FLAGS) -parallel 7 > out/fleet-demo/report-w7.txt
 	cmp out/fleet-demo/report-w1.txt out/fleet-demo/report-w2.txt
 	cmp out/fleet-demo/report-w1.txt out/fleet-demo/report-w7.txt
-	$(GO) run ./cmd/vulcansim $(FLEET_DEMO_FLAGS) -parallel 2 -seconds 6 \
+	$(VULCANSIM) $(FLEET_DEMO_FLAGS) -parallel 2 -seconds 6 \
 		-checkpoint-out out/fleet-demo/mid.ckpt > /dev/null
-	$(GO) run ./cmd/vulcansim $(FLEET_DEMO_FLAGS) -parallel 7 -seconds 6 \
+	$(VULCANSIM) $(FLEET_DEMO_FLAGS) -parallel 7 -seconds 6 \
 		-resume out/fleet-demo/mid.ckpt > out/fleet-demo/report-resumed.txt
 	cmp out/fleet-demo/report-w1.txt out/fleet-demo/report-resumed.txt
 	@echo "fleet-demo: fleet report byte-identical across workers 1/2/7 and across resume"
@@ -221,7 +230,7 @@ SD = out/serve-demo
 SD_ARTIFACTS = -journal $(SD)/run.journal -trace-out $(SD)/trace.json \
 	-metrics-out $(SD)/metrics.csv -report-out $(SD)/report.txt \
 	-checkpoint-base $(SD)/run.ckpt -checkpoint-every 6 -checkpoint-retain 2
-serve-demo:
+serve-demo: $(VULCANSIM)
 	@rm -rf $(SD); mkdir -p $(SD)
 	$(GO) build -o $(SD)/vulcand ./cmd/vulcand
 	@set -e; \
@@ -243,7 +252,7 @@ serve-demo:
 	@if test -f $(SD)/run.t006.ckpt; then \
 		echo "retention failed: run.t006.ckpt survived -checkpoint-retain 2"; exit 1; fi
 	for w in 1 2 7; do \
-		$(GO) run ./cmd/vulcansim -replay-journal $(SD)/run.journal -parallel $$w \
+		$(VULCANSIM) -replay-journal $(SD)/run.journal -parallel $$w \
 			-trace-out $(SD)/rtrace$$w.json -metrics-out $(SD)/rmetrics$$w.csv \
 			> $(SD)/rreport$$w.txt && \
 		cmp $(SD)/trace.json $(SD)/rtrace$$w.json && \

@@ -1,4 +1,4 @@
-// Command vulcansim runs one tiered-memory co-location scenario and
+// Command vulcansim runs tiered-memory co-location experiments and
 // reports per-application performance, fast-tier hit ratios, allocation,
 // and the FTHR-weighted fairness index.
 //
@@ -11,23 +11,39 @@
 //	vulcansim -policy vulcan -faults moderate       # deterministic chaos
 //	vulcansim -policy tpp -fault-rate 0.08 -fault-seed 42
 //	vulcansim -fleet 8 -scheduler fairness -seconds 60   # multi-host fleet
+//	vulcansim -config scenario.json -seeds 3
 //
-// Fleet mode (-fleet N, or a scenario file with a "fleet" block) steps
-// N hosts in lockstep under a placement scheduler (-scheduler binpack,
-// fairness or vulcan); -seconds then counts one-second fleet epochs and
-// the report is fleet-wide (fleet CFI, per-host spread, migration
-// totals). Fleet runs support -json, fleet-level -checkpoint-out and
-// -resume, but no per-epoch artifact exports.
+// Every run is a scenario (internal/scenario). It is either a JSON file
+// (-config) or the one the flags define: -policy, -apps, -scale, -seed,
+// -seconds and -staggered (arrivals at 0/55/110 s) fill the scenario
+// fields, the fault flags a faults block, and -fleet with -scheduler a
+// fleet block. scenario.Resolve validates it and the run takes one of
+// two paths.
 //
-// Multi-seed mode (-seeds N) runs N consecutive seeds as independent
-// simulations on a worker pool (-parallel, default GOMAXPROCS) and
-// reports them in seed order; per-seed artifacts get a ".seedK" suffix
-// before the extension. Output is byte-identical at any -parallel value.
+// Single host: -seeds N runs seeds seed..seed+N-1 as independent
+// simulations on a worker pool (-parallel, default GOMAXPROCS), renders
+// each to buffers and commits reports and artifacts in seed order, so
+// output is byte-identical at any -parallel value. With N > 1 every
+// artifact gets a ".seedK" suffix before its extension.
+//
+// Fleet (-fleet N, or a file's "fleet" block): N hosts step in lockstep
+// under a placement scheduler (binpack, fairness or vulcan) and -seconds
+// counts one-second fleet epochs. A flag-defined fleet runs 2×N jobs
+// cycling the three presets (memcached00, pagerank01, liblinear02, ...)
+// with staggered arrivals and a few departures, rebalancing every 5
+// epochs with a move budget of 2. The report is fleet-wide (fleet CFI,
+// per-host spread, migration totals). Fleet runs support -json,
+// -checkpoint-out and -resume only.
+//
+// Flag-defined runs simulate figures.SamplesForScale(-scale) accesses
+// per thread; scenario files use the system default of 400. The two
+// agree at -scale 16 and above.
 //
 // Fault injection (-faults off|light|moderate|heavy, or -fault-rate R
 // for the canonical plan at rate R) is clock-keyed and seed-derived:
 // the same flags replay the same faults byte for byte. -fault-seed
-// varies the fault schedule without touching the workload seed.
+// varies the fault schedule without touching the workload seed. An
+// armed flag plan overrides a -config file's faults block.
 //
 // Cost profiling (-costprofile, -cost-folded, -cost-csv) attributes
 // every simulated cycle to a (subsystem, app, tier) account and exports
@@ -59,14 +75,16 @@
 // re-applies at its epoch boundary, and the report, -trace-out and
 // -metrics-out artifacts are byte-identical to what the live daemon
 // streamed — at any -parallel value.
+//
+// An invalid command line exits 2; a run that fails exits 1.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,6 +92,7 @@ import (
 	"vulcan"
 	"vulcan/internal/checkpoint"
 	"vulcan/internal/cluster"
+	"vulcan/internal/fault"
 	"vulcan/internal/figures"
 	"vulcan/internal/lab"
 	"vulcan/internal/obs"
@@ -82,6 +101,13 @@ import (
 	"vulcan/internal/serve"
 	"vulcan/internal/sim"
 )
+
+// usageError marks an invalid command line; main exits 2 on it.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error {
+	return usageError{fmt.Errorf(format, args...)}
+}
 
 // costFlags bundles the three simulated-cost artifact paths.
 type costFlags struct {
@@ -93,399 +119,453 @@ type costFlags struct {
 // wanted reports whether any cost artifact was requested.
 func (c costFlags) wanted() bool { return c.pb != "" || c.folded != "" || c.csv != "" }
 
-func main() {
-	var (
-		policyName = flag.String("policy", "vulcan", "tiering policy: "+strings.Join(figures.PolicyNames, ", "))
-		appsFlag   = flag.String("apps", "memcached,pagerank,liblinear", "comma-separated apps (memcached, pagerank, liblinear)")
-		seconds    = flag.Int("seconds", 120, "simulated seconds")
-		scale      = flag.Int("scale", 4, "extra capacity scale divisor (1 = full 1/64 scale)")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		staggered  = flag.Bool("staggered", false, "stagger app arrivals at 0s/50s/110s (Figure 9 style)")
-		seriesOut  = flag.String("series", "", "write per-epoch time series CSV to this file")
-		configPath = flag.String("config", "", "load the scenario from a JSON file (see internal/scenario) instead of flags")
-		jsonOut    = flag.Bool("json", false, "emit the final report as JSON")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
-		metricsOut = flag.String("metrics-out", "", "write per-epoch metric samples as CSV to this file")
-		obsFilter  = flag.String("obs-filter", "", "comma-separated event types to record (default all; see internal/obs)")
-		seedsN     = flag.Int("seeds", 1, "run this many consecutive seeds (seed, seed+1, ...) as independent simulations")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for multi-seed mode (0 = GOMAXPROCS); output is byte-identical at any value")
-		faultsProf = flag.String("faults", "", "fault-injection profile: off, light, moderate, heavy")
-		faultRate  = flag.Float64("fault-rate", 0, "inject the canonical all-kinds fault plan at this rate (0 = off; excludes -faults)")
-		faultSeed  = flag.Uint64("fault-seed", 0, "vary the fault schedule independently of -seed (needs -faults or -fault-rate)")
-		fleetN     = flag.Int("fleet", 0, "run a fleet of this many hosts instead of one machine; -seconds counts fleet epochs of 1s")
-		schedName  = flag.String("scheduler", "binpack", "fleet placement scheduler: "+strings.Join(cluster.Schedulers(), ", ")+" (needs -fleet)")
-		ckptOut    = flag.String("checkpoint-out", "", "write a checkpoint blob of the final simulation state to this file")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "also checkpoint every N simulated seconds (needs -checkpoint-out; interim files get a .tNNN suffix)")
-		ckptRetain = flag.Int("checkpoint-retain", 0, "keep only the newest N interim checkpoints (0 = all; needs -checkpoint-every)")
-		resumeFrom = flag.String("resume", "", "resume from a checkpoint blob; -seconds then counts additional simulated time")
-		replayJrnl = flag.String("replay-journal", "", "replay a vulcand command journal through the batch pipeline and exit")
-		costPB     = flag.String("costprofile", "", "write the simulated-cycle cost profile as gzipped pprof protobuf (go tool pprof readable)")
-		costFolded = flag.String("cost-folded", "", "write the cost profile as folded stacks (flamegraph.pl / speedscope input)")
-		costCSV    = flag.String("cost-csv", "", "write the per-epoch cost breakdown as CSV")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the simulator process itself to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile of the simulator process itself to this file (taken after the run)")
-	)
-	flag.Parse()
-	lab.SetDefaultWorkers(*parallel)
-	cost := costFlags{pb: *costPB, folded: *costFolded, csv: *costCSV}
+// options is the parsed command line.
+type options struct {
+	policy, apps           string
+	seconds, scale         int
+	seed                   uint64
+	staggered              bool
+	config                 string
+	json                   bool
+	series, trace, metrics string
+	obsFilter              string
+	seeds, parallel        int
+	faults                 string
+	faultRate              float64
+	faultSeed              uint64
+	fleet                  int
+	scheduler              string
+	ckptOut                string
+	ckptEvery, ckptRetain  int
+	resume, replay         string
+	cost                   costFlags
+	cpuProfile, memProfile string
+}
 
-	// Plane-B self-profiling of the simulator process. Deferred writers
-	// run on every normal return path; log.Fatal error paths lose the
-	// profile, which is fine — the run itself failed.
-	if *cpuProf != "" {
-		stop, err := prof.StartCPUProfile(*cpuProf)
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "vulcansim:", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// run executes one vulcansim command line, writing reports to stdout and
+// progress to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	var o options
+	fs := newFlagSet(&o, stderr)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return nil
+		}
+		return usageError{err}
+	}
+	if err := o.validate(); err != nil {
+		return err
+	}
+	lab.SetDefaultWorkers(o.parallel)
+
+	// Plane-B self-profiling of the simulator process.
+	if o.cpuProfile != "" {
+		stop, err := prof.StartCPUProfile(o.cpuProfile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer func() {
 			if err := stop(); err != nil {
-				log.Print(err)
+				fmt.Fprintln(stderr, "vulcansim:", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", *cpuProf)
+			fmt.Fprintf(stderr, "cpu profile written to %s\n", o.cpuProfile)
 		}()
 	}
-	if *memProf != "" {
+	if o.memProfile != "" {
 		defer func() {
-			if err := prof.WriteHeapProfile(*memProf); err != nil {
-				log.Print(err)
+			if err := prof.WriteHeapProfile(o.memProfile); err != nil {
+				fmt.Fprintln(stderr, "vulcansim:", err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memProf)
+			fmt.Fprintf(stderr, "heap profile written to %s\n", o.memProfile)
 		}()
 	}
 
-	plan, err := buildFaultPlan(*faultsProf, *faultRate, *faultSeed)
+	if o.replay != "" {
+		return runReplayJournal(&o, stdout, stderr)
+	}
+	file, err := o.scenarioFile()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		flag.Usage()
-		os.Exit(2)
+		return err
 	}
-	if !figures.ValidPolicy(*policyName) {
-		log.Fatalf("unknown policy %q (want one of %s)", *policyName, strings.Join(figures.PolicyNames, ", "))
+	parsed, err := scenario.Resolve(file)
+	if err != nil {
+		if o.config == "" {
+			return usageError{err}
+		}
+		return fmt.Errorf("%s: %w", o.config, err)
 	}
-	if *ckptEvery < 0 || *ckptRetain < 0 {
-		log.Fatal("-checkpoint-every and -checkpoint-retain must be >= 0")
+	samples := 0 // the system default, as for every scenario file
+	if o.config == "" {
+		samples = figures.SamplesForScale(o.scale)
 	}
-	if *ckptEvery > 0 && *ckptOut == "" {
-		log.Fatal("-checkpoint-every needs -checkpoint-out")
+	if parsed.Fleet != nil {
+		if o.seeds > 1 || o.series != "" || o.trace != "" || o.metrics != "" ||
+			o.obsFilter != "" || o.cost.wanted() || o.ckptEvery > 0 {
+			return usagef("fleet runs support -json, -resume and -checkpoint-out only " +
+				"(no -seeds, -series, trace/metrics/-obs-filter, cost artifacts or -checkpoint-every)")
+		}
+		return runFleet(&o, parsed, samples, stdout, stderr)
 	}
-	if *ckptRetain > 0 && *ckptEvery == 0 {
-		log.Fatal("-checkpoint-retain needs -checkpoint-every")
-	}
-	if (*ckptOut != "" || *resumeFrom != "") && *seedsN > 1 {
-		log.Fatal("-checkpoint-out/-resume are single-run flags; they exclude -seeds > 1")
-	}
+	return runHosts(&o, parsed, samples, stdout, stderr)
+}
 
-	if *replayJrnl != "" {
+// newFlagSet binds every vulcansim flag to o.
+func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("vulcansim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.policy, "policy", "vulcan", "tiering policy: "+strings.Join(figures.PolicyNames, ", "))
+	fs.StringVar(&o.apps, "apps", "memcached,pagerank,liblinear", "comma-separated apps (memcached, pagerank, liblinear)")
+	fs.IntVar(&o.seconds, "seconds", 120, "simulated seconds")
+	fs.IntVar(&o.scale, "scale", 4, "extra capacity scale divisor (1 = full 1/64 scale)")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.staggered, "staggered", false, "stagger app arrivals at 0s/55s/110s (Figure 9 style)")
+	fs.StringVar(&o.series, "series", "", "write per-epoch time series CSV to this file")
+	fs.StringVar(&o.config, "config", "", "load the scenario from a JSON file (see internal/scenario) instead of flags")
+	fs.BoolVar(&o.json, "json", false, "emit the final report as JSON")
+	fs.StringVar(&o.trace, "trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
+	fs.StringVar(&o.metrics, "metrics-out", "", "write per-epoch metric samples as CSV to this file")
+	fs.StringVar(&o.obsFilter, "obs-filter", "", "comma-separated event types to record (default all; see internal/obs)")
+	fs.IntVar(&o.seeds, "seeds", 1, "run this many consecutive seeds (seed, seed+1, ...) as independent simulations")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker goroutines for multi-seed and fleet runs (0 = GOMAXPROCS); output is byte-identical at any value")
+	fs.StringVar(&o.faults, "faults", "", "fault-injection profile: off, light, moderate, heavy")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0, "inject the canonical all-kinds fault plan at this rate (0 = off; excludes -faults)")
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 0, "vary the fault schedule independently of -seed (needs -faults or -fault-rate)")
+	fs.IntVar(&o.fleet, "fleet", 0, "run a fleet of this many hosts instead of one machine; -seconds counts fleet epochs of 1s")
+	fs.StringVar(&o.scheduler, "scheduler", "binpack", "fleet placement scheduler: "+strings.Join(cluster.Schedulers(), ", ")+" (needs -fleet)")
+	fs.StringVar(&o.ckptOut, "checkpoint-out", "", "write a checkpoint blob of the final simulation state to this file")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "also checkpoint every N simulated seconds (needs -checkpoint-out; interim files get a .tNNN suffix)")
+	fs.IntVar(&o.ckptRetain, "checkpoint-retain", 0, "keep only the newest N interim checkpoints (0 = all; needs -checkpoint-every)")
+	fs.StringVar(&o.resume, "resume", "", "resume from a checkpoint blob; -seconds then counts additional simulated time")
+	fs.StringVar(&o.replay, "replay-journal", "", "replay a vulcand command journal through the batch pipeline and exit")
+	fs.StringVar(&o.cost.pb, "costprofile", "", "write the simulated-cycle cost profile as gzipped pprof protobuf (go tool pprof readable)")
+	fs.StringVar(&o.cost.folded, "cost-folded", "", "write the cost profile as folded stacks (flamegraph.pl / speedscope input)")
+	fs.StringVar(&o.cost.csv, "cost-csv", "", "write the per-epoch cost breakdown as CSV")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the simulator process itself to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile of the simulator process itself to this file (taken after the run)")
+	return fs
+}
+
+// validate rejects flag values and combinations no run accepts. Shape
+// flags are checked only when they define the scenario, because
+// scenario.Resolve would silently default a zero.
+func (o *options) validate() error {
+	switch {
+	case o.seeds < 1:
+		return usagef("-seeds %d: need at least one seed", o.seeds)
+	case o.ckptEvery < 0 || o.ckptRetain < 0:
+		return usagef("-checkpoint-every and -checkpoint-retain must be >= 0")
+	case o.ckptEvery > 0 && o.ckptOut == "":
+		return usagef("-checkpoint-every needs -checkpoint-out")
+	case o.ckptRetain > 0 && o.ckptEvery == 0:
+		return usagef("-checkpoint-retain needs -checkpoint-every")
+	case (o.ckptOut != "" || o.resume != "") && o.seeds > 1:
+		return usagef("-checkpoint-out/-resume are single-run flags; they exclude -seeds > 1")
+	case o.fleet > 0 && o.config != "":
+		return usagef("-fleet and -config both define the scenario; use the file's fleet block")
+	}
+	if o.obsFilter != "" {
+		if _, err := obs.ParseFilter(o.obsFilter); err != nil {
+			return usagef("-obs-filter: %v", err)
+		}
+	}
+	if o.replay != "" {
 		// The journal header IS the scenario; flags that would define or
 		// alter one are contradictions, not overrides.
-		if *configPath != "" || *fleetN > 0 || *seedsN > 1 || *seriesOut != "" ||
-			cost.wanted() || plan != nil || *ckptOut != "" || *resumeFrom != "" {
-			log.Fatal("-replay-journal replays the journal's own scenario: it supports -json, -trace-out, -metrics-out and -parallel only")
+		if o.config != "" || o.fleet > 0 || o.seeds > 1 || o.series != "" ||
+			o.cost.wanted() || o.faultsBlock() != nil || o.ckptOut != "" || o.resume != "" {
+			return usagef("-replay-journal replays the journal's own scenario: it supports -json, -trace-out, -metrics-out and -parallel only")
 		}
-		runReplayJournal(*replayJrnl, *jsonOut, *traceOut, *metricsOut)
-		return
+		return nil
 	}
-
-	if *fleetN > 0 {
-		if *seedsN > 1 || *configPath != "" || cost.wanted() ||
-			*traceOut != "" || *metricsOut != "" || *seriesOut != "" || *ckptEvery > 0 {
-			log.Fatal("-fleet runs one fleet: it excludes -seeds, -config, -series, trace/metrics and cost artifacts, and -checkpoint-every")
+	if o.config == "" {
+		switch {
+		case o.scale < 1:
+			return usagef("-scale %d: must be >= 1", o.scale)
+		case o.seconds < 1:
+			return usagef("-seconds %d: must be >= 1", o.seconds)
+		case o.seed < 1:
+			return usagef("-seed %d: seeds start at 1", o.seed)
 		}
-		runFleet(fleetConfig(*fleetN, *schedName, *policyName, *scale, *seed, plan),
-			*seconds, *jsonOut, *resumeFrom, *ckptOut)
-		return
 	}
+	return nil
+}
 
-	if *configPath != "" {
-		if *seedsN > 1 {
-			log.Fatal("-seeds applies to flag-defined scenarios, not -config runs")
-		}
-		rec, err := buildRecorder(*traceOut, *metricsOut, *obsFilter)
+// faultsBlock lowers the fault flags to a scenario faults block; nil
+// when they validly select no plan (unset, or a bare -faults off), so a
+// -config file's own block stands.
+func (o *options) faultsBlock() *scenario.Faults {
+	if plan, err := fault.ParseProfile(o.faults); plan == nil && err == nil && o.faultRate == 0 && o.faultSeed == 0 {
+		return nil
+	}
+	return &scenario.Faults{Profile: o.faults, Rate: o.faultRate, Seed: o.faultSeed}
+}
+
+// scenarioFile returns the experiment to run: the -config file, or the
+// one the flags define.
+func (o *options) scenarioFile() (scenario.File, error) {
+	var f scenario.File
+	if o.config != "" {
+		in, err := os.Open(o.config)
 		if err != nil {
-			log.Fatal(err)
+			return f, err
 		}
-		runConfigFile(*configPath, *seriesOut, *jsonOut, rec, *traceOut, *metricsOut, cost, plan,
-			*resumeFrom, *ckptOut, *ckptEvery, *ckptRetain)
-		return
+		defer in.Close()
+		if f, err = scenario.LoadFile(in); err != nil {
+			return f, fmt.Errorf("%s: %w", o.config, err)
+		}
+	} else {
+		f = scenario.File{Policy: o.policy, Seconds: o.seconds, Seed: o.seed, Scale: o.scale}
+		if o.fleet > 0 {
+			f.Apps = fleetJobs(o.fleet)
+			f.Fleet = &scenario.Fleet{Hosts: o.fleet, Scheduler: o.scheduler, RebalanceEvery: 5, MoveBudget: 2}
+		} else {
+			for i, name := range strings.Split(o.apps, ",") {
+				a := scenario.App{Preset: strings.TrimSpace(name)}
+				if o.staggered {
+					a.StartAtS = 55 * i
+				}
+				f.Apps = append(f.Apps, a)
+			}
+		}
 	}
+	if fb := o.faultsBlock(); fb != nil {
+		f.Faults = fb
+	}
+	return f, nil
+}
 
-	var apps []vulcan.AppConfig
-	for _, name := range strings.Split(*appsFlag, ",") {
-		var cfg vulcan.AppConfig
-		switch strings.TrimSpace(name) {
-		case "memcached":
-			cfg = vulcan.Memcached()
-		case "pagerank":
-			cfg = vulcan.PageRank()
-		case "liblinear":
-			cfg = vulcan.Liblinear()
-		default:
-			log.Fatalf("unknown app %q (want memcached, pagerank, liblinear)", name)
+// fleetJobs is the flag-defined fleet's offered load: two jobs per host
+// cycling the presets, arriving over the first four epochs, with every
+// fifth job departing eight epochs after it arrives — so every scheduler
+// faces the same mix.
+func fleetJobs(hosts int) []scenario.App {
+	presets := []string{"memcached", "pagerank", "liblinear"}
+	var apps []scenario.App
+	for i := 0; i < 2*hosts; i++ {
+		p := presets[i%len(presets)]
+		a := scenario.App{Preset: p, Name: fmt.Sprintf("%s%02d", p, i), StartAtS: i % 4}
+		if i%5 == 4 {
+			a.StopAtS = a.StartAtS + 8
 		}
-		cfg.RSSPages /= *scale
-		apps = append(apps, cfg)
+		apps = append(apps, a)
 	}
-	if *staggered {
-		for i := range apps {
-			apps[i].StartAt = vulcan.Time(i) * vulcan.Time(50*sim.Second) * 11 / 10
-		}
-	}
+	return apps
+}
 
-	if *seedsN > 1 {
-		// Validate the filter once before fanning out; workers reparse
-		// it (deterministically) for their private recorders.
-		if *obsFilter != "" {
-			if _, err := obs.ParseFilter(*obsFilter); err != nil {
-				log.Fatal(err)
-			}
-		}
-		// Each seed is a self-contained run: fresh policy, recorder,
-		// cost profiler and system per worker. Output is rendered to
-		// buffers in parallel and committed to stdout/disk serially in
-		// seed order, so bytes never depend on -parallel.
-		type seedOut struct {
-			report, series, trace, metrics []byte
-			costPB, costFolded, costCSV    []byte
-		}
-		outs := lab.Map(0, *seedsN, func(i int) seedOut {
-			rec, err := buildRecorder(*traceOut, *metricsOut, *obsFilter)
-			if err != nil {
-				panic(err) // filter validated before the fan-out
-			}
-			p := buildCostProfiler(cost)
-			cfg := vulcan.Config{
-				Machine:          figures.ColocationMachine(*scale),
-				Apps:             apps,
-				Policy:           figures.NewPolicy(*policyName),
-				Seed:             *seed + uint64(i),
-				SamplesPerThread: figures.SamplesForScale(*scale),
-				Faults:           plan,
-				Prof:             p,
-			}
-			if rec != nil {
-				cfg.Obs = rec
-				rec.AttachCostProfiler(p)
-			}
-			sys := vulcan.NewSystem(cfg)
-			sys.Run(vulcan.Duration(*seconds) * vulcan.Second)
-			var o seedOut
-			o.report = renderReport(sys, *jsonOut)
-			if *seriesOut != "" {
-				o.series = renderTo(sys.Recorder().WriteCSV)
-			}
-			if *traceOut != "" {
-				o.trace = renderTo(rec.WriteChromeTrace)
-			}
-			if *metricsOut != "" {
-				o.metrics = renderTo(rec.WriteMetricsCSV)
-			}
-			if cost.pb != "" {
-				o.costPB = renderTo(p.WritePprof)
-			}
-			if cost.folded != "" {
-				o.costFolded = renderTo(p.WriteFolded)
-			}
-			if cost.csv != "" {
-				o.costCSV = renderTo(p.WriteBreakdownCSV)
-			}
-			return o
-		})
-		for i, o := range outs {
-			s := *seed + uint64(i)
-			if !*jsonOut {
-				fmt.Printf("### seed %d\n", s)
-			}
-			os.Stdout.Write(o.report)
-			if *seriesOut != "" {
-				writeBytesArtifact(seedPath(*seriesOut, s), "time series", o.series)
-			}
-			if *traceOut != "" {
-				writeBytesArtifact(seedPath(*traceOut, s), "chrome trace", o.trace)
-			}
-			if *metricsOut != "" {
-				writeBytesArtifact(seedPath(*metricsOut, s), "metric samples", o.metrics)
-			}
-			if cost.pb != "" {
-				writeBytesArtifact(seedPath(cost.pb, s), "cost profile", o.costPB)
-			}
-			if cost.folded != "" {
-				writeBytesArtifact(seedPath(cost.folded, s), "folded cost stacks", o.costFolded)
-			}
-			if cost.csv != "" {
-				writeBytesArtifact(seedPath(cost.csv, s), "cost breakdown", o.costCSV)
-			}
-		}
-		return
-	}
+// artifact is one rendered export awaiting its ordered commit.
+type artifact struct {
+	path, what string
+	data       []byte
+}
 
-	rec, err := buildRecorder(*traceOut, *metricsOut, *obsFilter)
+// seedRun is one single-host run's rendered output.
+type seedRun struct {
+	report    []byte
+	artifacts []artifact
+	err       error
+}
+
+// runHosts is the single-host path: one independent simulation per seed
+// on the lab pool, committed to stdout and disk serially in seed order.
+func runHosts(o *options, parsed *scenario.Parsed, samples int, stdout, stderr io.Writer) error {
+	secs := int(parsed.Duration / sim.Duration(sim.Second))
+	runs := lab.Map(0, o.seeds, func(i int) seedRun {
+		return runSeed(o, parsed, samples, uint64(i), secs, stderr)
+	})
+	for i, r := range runs {
+		if r.err != nil {
+			return r.err
+		}
+		seed := parsed.Seed + uint64(i)
+		if o.seeds > 1 && !o.json {
+			fmt.Fprintf(stdout, "### seed %d\n", seed)
+		}
+		if _, err := stdout.Write(r.report); err != nil {
+			return err
+		}
+		for _, a := range r.artifacts {
+			path := a.path
+			if o.seeds > 1 {
+				path = seedPath(path, seed)
+			}
+			if err := os.WriteFile(path, a.data, 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "%s written to %s\n", a.what, path)
+		}
+	}
+	return nil
+}
+
+// runSeed builds (or resumes) the system for seed offset i with its own
+// policy, recorder and cost profiler, runs it, and renders the report
+// and every requested artifact.
+func runSeed(o *options, parsed *scenario.Parsed, samples int, i uint64, secs int, stderr io.Writer) (out seedRun) {
+	rec, err := buildRecorder(o.trace, o.metrics, o.obsFilter)
 	if err != nil {
-		log.Fatal(err)
+		return seedRun{err: err}
 	}
-	p := buildCostProfiler(cost)
-	mcfg := figures.ColocationMachine(*scale)
-	cfg := vulcan.Config{
-		Machine:          mcfg,
-		Apps:             apps,
-		Policy:           figures.NewPolicy(*policyName),
-		Seed:             *seed,
-		SamplesPerThread: figures.SamplesForScale(*scale),
-		Faults:           plan,
-		Prof:             p,
-	}
+	p := buildCostProfiler(o.cost)
+	cfg := parsed.SystemConfig(samples)
+	cfg.Seed += i
+	cfg.Prof = p
 	if rec != nil {
 		cfg.Obs = rec
 		rec.AttachCostProfiler(p)
 	}
-	sys := runSystem(cfg, *seconds, *resumeFrom, *ckptOut, *ckptEvery, *ckptRetain)
-	finish(sys, *jsonOut, *seriesOut, rec, *traceOut, *metricsOut)
-	writeCostArtifacts(p, cost)
+	sys, err := runSystem(cfg, secs, o, stderr)
+	if err != nil {
+		return seedRun{err: err}
+	}
+	render := func(write func(io.Writer) error) []byte {
+		var b bytes.Buffer
+		if out.err == nil {
+			out.err = write(&b)
+		}
+		return b.Bytes()
+	}
+	if o.json {
+		out.report = render(sys.Report().WriteJSON)
+	} else {
+		out.report = render(sys.Report().WriteText)
+	}
+	for _, a := range []struct {
+		path, what string
+		write      func(io.Writer) error
+	}{
+		{o.series, "time series", sys.Recorder().WriteCSV},
+		{o.trace, "chrome trace", rec.WriteChromeTrace},
+		{o.metrics, "metric samples", rec.WriteMetricsCSV},
+		{o.cost.pb, "cost profile", p.WritePprof},
+		{o.cost.folded, "folded cost stacks", p.WriteFolded},
+		{o.cost.csv, "cost breakdown", p.WriteBreakdownCSV},
+	} {
+		if a.path != "" {
+			out.artifacts = append(out.artifacts, artifact{a.path, a.what, render(a.write)})
+		}
+	}
+	return out
+}
+
+// runSystem builds (or resumes) the system and advances it secs of
+// simulated time, writing interim and final checkpoints as requested.
+// Checkpoints happen on epoch boundaries, which whole-second steps
+// align with (the default epoch is 1s).
+func runSystem(cfg vulcan.Config, secs int, o *options, stderr io.Writer) (*vulcan.System, error) {
+	var sys *vulcan.System
+	if o.resume != "" {
+		f, err := os.Open(o.resume)
+		if err != nil {
+			return nil, err
+		}
+		sys, err = vulcan.Resume(f, cfg)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("resume %s: %w", o.resume, err)
+		}
+		fmt.Fprintf(stderr, "resumed from %s at t=%ds\n", o.resume, simSeconds(sys))
+	} else {
+		sys = vulcan.NewSystem(cfg)
+	}
+	step := secs
+	if o.ckptEvery > 0 {
+		step = o.ckptEvery
+	}
+	for done := 0; done < secs; {
+		n := min(step, secs-done)
+		sys.Run(vulcan.Duration(n) * vulcan.Second)
+		if done += n; done == secs {
+			break
+		}
+		if err := writeCheckpoint(sys, checkpoint.RollingPath(o.ckptOut, simSeconds(sys)), stderr); err != nil {
+			return nil, err
+		}
+		if _, err := checkpoint.PruneRolling(o.ckptOut, o.ckptRetain); err != nil {
+			return nil, fmt.Errorf("prune checkpoints: %w", err)
+		}
+	}
+	if o.ckptOut != "" {
+		if err := writeCheckpoint(sys, o.ckptOut, stderr); err != nil {
+			return nil, err
+		}
+	}
+	return sys, nil
+}
+
+// runFleet is the fleet path: the scenario's hosts stepped secs fleet
+// epochs, with optional fleet checkpoint/resume.
+func runFleet(o *options, parsed *scenario.Parsed, samples int, stdout, stderr io.Writer) error {
+	cfg := parsed.Fleet.ClusterConfig(parsed, sim.Second, samples)
+	var f *cluster.Fleet
+	if o.resume != "" {
+		in, err := os.Open(o.resume)
+		if err != nil {
+			return err
+		}
+		f, err = cluster.Resume(in, cfg)
+		in.Close()
+		if err != nil {
+			return fmt.Errorf("resume %s: %w", o.resume, err)
+		}
+		fmt.Fprintf(stderr, "resumed fleet from %s at epoch %d\n", o.resume, f.Epoch())
+	} else {
+		var err error
+		if f, err = cluster.New(cfg); err != nil {
+			return err
+		}
+	}
+	if err := f.Run(int(parsed.Duration / sim.Duration(sim.Second))); err != nil {
+		return err
+	}
+	if o.ckptOut != "" {
+		if err := writeArtifact(o.ckptOut, "fleet checkpoint", f.Checkpoint, io.Discard); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "fleet checkpoint written to %s (epoch %d)\n", o.ckptOut, f.Epoch())
+	}
+	if o.json {
+		return f.Report().WriteJSON(stdout)
+	}
+	return f.Report().WriteText(stdout)
 }
 
 // runReplayJournal rebuilds a vulcand serving run from its command
 // journal in batch mode and renders the same artifacts the daemon
 // streamed.
-func runReplayJournal(path string, jsonOut bool, traceOut, metricsOut string) {
-	s, err := serve.Replay(path)
+func runReplayJournal(o *options, stdout, stderr io.Writer) error {
+	s, err := serve.Replay(o.replay)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := s.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := s.WriteReport(os.Stdout, jsonOut); err != nil {
-		log.Fatal(err)
+	if err := s.WriteReport(stdout, o.json); err != nil {
+		return err
 	}
-	if traceOut != "" {
-		writeArtifact(traceOut, "chrome trace", s.WriteTrace)
-	}
-	if metricsOut != "" {
-		writeArtifact(metricsOut, "metric samples", s.WriteMetrics)
-	}
-}
-
-// runSystem builds (or resumes) the system and advances it seconds of
-// simulated time, writing interim and final checkpoints as requested.
-// Checkpoints happen on epoch boundaries, which whole-second steps
-// align with (the default epoch is 1s).
-func runSystem(cfg vulcan.Config, seconds int, resumeFrom, ckptOut string, ckptEvery, ckptRetain int) *vulcan.System {
-	var sys *vulcan.System
-	if resumeFrom != "" {
-		f, err := os.Open(resumeFrom)
-		if err != nil {
-			log.Fatal(err)
+	if o.trace != "" {
+		if err := writeArtifact(o.trace, "chrome trace", s.WriteTrace, stderr); err != nil {
+			return err
 		}
-		sys, err = vulcan.Resume(f, cfg)
-		f.Close()
-		if err != nil {
-			log.Fatalf("resume %s: %v", resumeFrom, err)
-		}
-		fmt.Fprintf(os.Stderr, "resumed from %s at t=%ds\n", resumeFrom, simSeconds(sys))
-	} else {
-		sys = vulcan.NewSystem(cfg)
 	}
-	if ckptEvery > 0 {
-		for done := 0; done < seconds; {
-			step := ckptEvery
-			if done+step > seconds {
-				step = seconds - done
-			}
-			sys.Run(vulcan.Duration(step) * vulcan.Second)
-			done += step
-			if done < seconds {
-				writeCheckpoint(sys, checkpoint.RollingPath(ckptOut, simSeconds(sys)))
-				if _, err := checkpoint.PruneRolling(ckptOut, ckptRetain); err != nil {
-					log.Fatalf("prune checkpoints: %v", err)
-				}
-			}
-		}
-	} else {
-		sys.Run(vulcan.Duration(seconds) * vulcan.Second)
+	if o.metrics != "" {
+		return writeArtifact(o.metrics, "metric samples", s.WriteMetrics, stderr)
 	}
-	if ckptOut != "" {
-		writeCheckpoint(sys, ckptOut)
-	}
-	return sys
-}
-
-// fleetConfig assembles the flag-defined fleet experiment: hosts built
-// from the colocation machine at -scale, two jobs per host cycling the
-// built-in app templates with staggered arrivals and a few departures,
-// so every scheduler faces the same offered load.
-func fleetConfig(hosts int, scheduler, policyName string, scale int, seed uint64, plan *vulcan.FaultPlan) cluster.Config {
-	templates := []vulcan.AppConfig{vulcan.Memcached(), vulcan.PageRank(), vulcan.Liblinear()}
-	var jobs []cluster.JobSpec
-	for i := 0; i < 2*hosts; i++ {
-		ac := templates[i%len(templates)]
-		ac.Name = fmt.Sprintf("%s%02d", ac.Name, i)
-		ac.RSSPages /= scale
-		spec := cluster.JobSpec{App: ac, Arrive: i % 4}
-		if i%5 == 4 {
-			spec.Depart = spec.Arrive + 8
-		}
-		jobs = append(jobs, spec)
-	}
-	return cluster.Config{
-		Hosts: hosts,
-		Host: cluster.HostTemplate{
-			Machine:          figures.ColocationMachine(scale),
-			NewPolicy:        func() vulcan.Tiering { return figures.NewPolicy(policyName) },
-			EpochLength:      sim.Second,
-			SamplesPerThread: figures.SamplesForScale(scale),
-		},
-		HostOverride:   func(host int, scfg *vulcan.Config) { scfg.Faults = plan },
-		Scheduler:      scheduler,
-		Jobs:           jobs,
-		RebalanceEvery: 5,
-		MoveBudget:     2,
-		Seed:           seed,
-	}
-}
-
-// runFleet executes fleet mode: the configured hosts stepped seconds
-// fleet epochs, with optional fleet checkpoint/resume.
-func runFleet(cfg cluster.Config, seconds int, jsonOut bool, resumeFrom, ckptOut string) {
-	var f *cluster.Fleet
-	var err error
-	if resumeFrom != "" {
-		in, err2 := os.Open(resumeFrom)
-		if err2 != nil {
-			log.Fatal(err2)
-		}
-		f, err = cluster.Resume(in, cfg)
-		in.Close()
-		if err != nil {
-			log.Fatalf("resume %s: %v", resumeFrom, err)
-		}
-		fmt.Fprintf(os.Stderr, "resumed fleet from %s at epoch %d\n", resumeFrom, f.Epoch())
-	} else if f, err = cluster.New(cfg); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Run(seconds); err != nil {
-		log.Fatal(err)
-	}
-	if ckptOut != "" {
-		out, err := os.Create(ckptOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Checkpoint(out); err != nil {
-			log.Fatalf("checkpoint %s: %v", ckptOut, err)
-		}
-		if err := out.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "fleet checkpoint written to %s (epoch %d)\n", ckptOut, f.Epoch())
-	}
-	if jsonOut {
-		if err := f.Report().WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	} else if err := f.Report().WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }
 
 // simSeconds returns the simulation clock in whole simulated seconds.
@@ -494,40 +574,29 @@ func simSeconds(sys *vulcan.System) int {
 }
 
 // writeCheckpoint serializes the full simulation state to path.
-func writeCheckpoint(sys *vulcan.System, path string) {
+func writeCheckpoint(sys *vulcan.System, path string, stderr io.Writer) error {
+	if err := writeArtifact(path, "checkpoint", sys.Checkpoint, io.Discard); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "checkpoint written to %s (t=%ds)\n", path, simSeconds(sys))
+	return nil
+}
+
+// writeArtifact creates path and streams one exporter's output into it.
+func writeArtifact(path, what string, write func(io.Writer) error, stderr io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer f.Close()
-	if err := sys.Checkpoint(f); err != nil {
-		log.Fatalf("checkpoint %s: %v", path, err)
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("%s %s: %w", what, path, err)
 	}
-	fmt.Fprintf(os.Stderr, "checkpoint written to %s (t=%ds)\n", path, simSeconds(sys))
-}
-
-// renderReport buffers the final report in the requested format.
-func renderReport(sys *vulcan.System, jsonOut bool) []byte {
-	var b bytes.Buffer
-	var err error
-	if jsonOut {
-		err = sys.Report().WriteJSON(&b)
-	} else {
-		err = sys.Report().WriteText(&b)
+	if err := f.Close(); err != nil {
+		return err
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	return b.Bytes()
-}
-
-// renderTo buffers one exporter's output.
-func renderTo(write func(io.Writer) error) []byte {
-	var b bytes.Buffer
-	if err := write(&b); err != nil {
-		log.Fatal(err)
-	}
-	return b.Bytes()
+	fmt.Fprintf(stderr, "%s written to %s\n", what, path)
+	return nil
 }
 
 // seedPath derives a per-seed artifact path by inserting the seed
@@ -535,14 +604,6 @@ func renderTo(write func(io.Writer) error) []byte {
 func seedPath(path string, seed uint64) string {
 	ext := filepath.Ext(path)
 	return fmt.Sprintf("%s.seed%d%s", strings.TrimSuffix(path, ext), seed, ext)
-}
-
-// writeBytesArtifact writes one pre-rendered artifact to path.
-func writeBytesArtifact(path, what string, data []byte) {
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
 }
 
 // buildRecorder returns a telemetry recorder when any -trace-out,
@@ -573,129 +634,4 @@ func buildCostProfiler(cost costFlags) *prof.Profiler {
 		return nil
 	}
 	return prof.New()
-}
-
-// writeCostArtifacts writes the requested cost-profile artifacts.
-func writeCostArtifacts(p *prof.Profiler, cost costFlags) {
-	if p == nil {
-		return
-	}
-	if cost.pb != "" {
-		writeArtifact(cost.pb, "cost profile", p.WritePprof)
-	}
-	if cost.folded != "" {
-		writeArtifact(cost.folded, "folded cost stacks", p.WriteFolded)
-	}
-	if cost.csv != "" {
-		writeArtifact(cost.csv, "cost breakdown", p.WriteBreakdownCSV)
-	}
-}
-
-// buildFaultPlan resolves the three fault flags to at most one plan.
-// -faults names a canned profile; -fault-rate builds the canonical
-// all-kinds plan at an explicit rate; the two are mutually exclusive.
-// -fault-seed re-keys whichever plan was selected and is an error on
-// its own (it would silently do nothing).
-func buildFaultPlan(profile string, rate float64, seed uint64) (*vulcan.FaultPlan, error) {
-	if rate < 0 || rate > 1 {
-		return nil, fmt.Errorf("-fault-rate %v out of range [0,1]", rate)
-	}
-	var plan *vulcan.FaultPlan
-	if rate > 0 {
-		if profile != "" && profile != "off" {
-			return nil, fmt.Errorf("-faults %s and -fault-rate %v are mutually exclusive", profile, rate)
-		}
-		plan = vulcan.FaultPlanAtRate(rate)
-	} else {
-		var err error
-		if plan, err = vulcan.FaultProfile(profile); err != nil {
-			return nil, err
-		}
-	}
-	if seed != 0 {
-		if plan == nil {
-			return nil, fmt.Errorf("-fault-seed %d without -faults or -fault-rate has no effect", seed)
-		}
-		plan.Seed = seed
-	}
-	return plan, nil
-}
-
-// runConfigFile executes a JSON-defined scenario. A -faults/-fault-rate
-// flag plan overrides the file's own faults block.
-func runConfigFile(path, seriesOut string, jsonOut bool, rec *obs.Recorder, traceOut, metricsOut string,
-	cost costFlags, plan *vulcan.FaultPlan, resumeFrom, ckptOut string, ckptEvery, ckptRetain int) {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	parsed, err := scenario.Load(f)
-	f.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if plan == nil {
-		plan = parsed.Faults
-	}
-	if parsed.Fleet != nil {
-		if rec != nil || cost.wanted() || seriesOut != "" || ckptEvery > 0 {
-			log.Fatal("fleet scenarios support -json, -resume and -checkpoint-out only " +
-				"(no series, trace/metrics or cost artifacts, no -checkpoint-every)")
-		}
-		parsed.Faults = plan // flag plan overrides the file's block
-		newPol := func() vulcan.Tiering { return figures.NewPolicy(parsed.Policy) }
-		cfg := parsed.Fleet.ClusterConfig(parsed, newPol, sim.Second, 0)
-		runFleet(cfg, int(parsed.Duration/sim.Duration(sim.Second)), jsonOut, resumeFrom, ckptOut)
-		return
-	}
-	p := buildCostProfiler(cost)
-	cfg := vulcan.Config{
-		Machine: parsed.Machine,
-		Apps:    parsed.Apps,
-		Policy:  figures.NewPolicy(parsed.Policy),
-		Seed:    parsed.Seed,
-		Faults:  plan,
-		Prof:    p,
-	}
-	if rec != nil {
-		cfg.Obs = rec
-		rec.AttachCostProfiler(p)
-	}
-	sys := runSystem(cfg, int(parsed.Duration/sim.Duration(sim.Second)), resumeFrom, ckptOut, ckptEvery, ckptRetain)
-	finish(sys, jsonOut, seriesOut, rec, traceOut, metricsOut)
-	writeCostArtifacts(p, cost)
-}
-
-// finish prints the run summary and optional artifacts.
-func finish(sys *vulcan.System, jsonOut bool, seriesOut string, rec *obs.Recorder, traceOut, metricsOut string) {
-	if jsonOut {
-		if err := sys.Report().WriteJSON(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	} else if err := sys.Report().WriteText(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-
-	if seriesOut != "" {
-		writeArtifact(seriesOut, "time series", sys.Recorder().WriteCSV)
-	}
-	if traceOut != "" {
-		writeArtifact(traceOut, "chrome trace", rec.WriteChromeTrace)
-	}
-	if metricsOut != "" {
-		writeArtifact(metricsOut, "metric samples", rec.WriteMetricsCSV)
-	}
-}
-
-// writeArtifact creates path and streams one exporter's output into it.
-func writeArtifact(path, what string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "%s written to %s\n", what, path)
 }

@@ -18,6 +18,9 @@
 //	  "faults": {"profile": "moderate", "seed": 42}
 //	}
 //
+// A preset's footprint is divided by scale; its "name", when set,
+// renames it (so one preset can run twice).
+//
 // The optional faults block compiles to a fault.Plan: name a canned
 // profile ("off", "light", "moderate", "heavy") or give an explicit
 // "rate" for the canonical all-kinds plan; "seed" re-keys the fault
@@ -37,9 +40,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"vulcan/internal/cluster"
 	"vulcan/internal/fault"
+	"vulcan/internal/figures"
 	"vulcan/internal/machine"
 	"vulcan/internal/mem"
 	"vulcan/internal/sim"
@@ -148,8 +153,10 @@ type App struct {
 	// StopAtS departs the app at that second; fleet scenarios only.
 	StopAtS int `json:"stop_at_s,omitempty"`
 
+	// Name names a custom app and renames a preset.
+	Name string `json:"name,omitempty"`
+
 	// Custom-app fields (ignored when Preset is set).
-	Name      string  `json:"name,omitempty"`
 	Class     string  `json:"class,omitempty"` // "LC" or "BE"
 	Threads   int     `json:"threads,omitempty"`
 	RSSPages  int     `json:"rss_pages,omitempty"`
@@ -236,13 +243,15 @@ func Resolve(f File) (*Parsed, error) {
 	if f.Scale < 1 {
 		f.Scale = 1
 	}
+	if !figures.ValidPolicy(f.Policy) {
+		return nil, fmt.Errorf("scenario: unknown policy %q (want one of %s)",
+			f.Policy, strings.Join(figures.PolicyNames, ", "))
+	}
 	if len(f.Apps) == 0 {
 		return nil, fmt.Errorf("scenario: no apps")
 	}
 
-	mcfg := machine.DefaultConfig()
-	mcfg.Tiers[mem.TierFast].CapacityPages /= f.Scale
-	mcfg.Tiers[mem.TierSlow].CapacityPages /= f.Scale
+	mcfg := figures.ColocationMachine(f.Scale)
 	if f.Machine != nil {
 		if f.Machine.Cores > 0 {
 			mcfg.Cores = f.Machine.Cores
@@ -287,7 +296,7 @@ func Resolve(f File) (*Parsed, error) {
 		return nil, err
 	}
 	p.Fleet = fp
-	spec, err := resolveArrivals(f.Arrivals, f)
+	spec, err := resolveArrivals(f.Arrivals, f, p.Apps)
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +304,23 @@ func Resolve(f File) (*Parsed, error) {
 	return p, nil
 }
 
+// SystemConfig lowers a single-host scenario to a system configuration
+// with a fresh policy instance. samples sets SamplesPerThread; 0 keeps
+// the system default (400). Runner concerns (telemetry, cost profiling,
+// dynamic turnover) are the caller's to add.
+func (p *Parsed) SystemConfig(samples int) system.Config {
+	return system.Config{
+		Machine:          p.Machine,
+		Apps:             p.Apps,
+		Policy:           figures.NewPolicy(p.Policy),
+		Seed:             p.Seed,
+		SamplesPerThread: samples,
+		Faults:           p.Faults,
+	}
+}
+
 // resolveArrivals compiles the arrivals block to a workload.ArrivalSpec.
-func resolveArrivals(ab *Arrivals, f File) (*workload.ArrivalSpec, error) {
+func resolveArrivals(ab *Arrivals, f File, apps []workload.AppConfig) (*workload.ArrivalSpec, error) {
 	if ab == nil {
 		return nil, nil
 	}
@@ -327,8 +351,8 @@ func resolveArrivals(ab *Arrivals, f File) (*workload.ArrivalSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: arrivals template: %w", err)
 	}
-	for _, a := range f.Apps {
-		if name := a.Name; (name != "" && name == tmpl.Name) || a.Preset == tmpl.Name {
+	for _, a := range apps {
+		if a.Name == tmpl.Name {
 			return nil, fmt.Errorf("scenario: arrivals template name %q collides with a scenario app", tmpl.Name)
 		}
 	}
@@ -357,18 +381,18 @@ func resolveArrivals(ab *Arrivals, f File) (*workload.ArrivalSpec, error) {
 
 // ClusterConfig assembles a runnable fleet configuration: every host is
 // a copy of the scenario machine (reshaped by the plan's overrides) that
-// runs newPolicy and sees the scenario's fault plan. The caller supplies
-// the policy factory and epoch shape because those are runner choices,
-// not scenario content.
-func (fp *FleetPlan) ClusterConfig(p *Parsed, newPolicy func() system.Tiering,
-	epoch sim.Duration, samples int) cluster.Config {
+// runs its own instance of the scenario policy and sees the scenario's
+// fault plan. The caller supplies the epoch shape and samples per
+// thread (0 = the system default) because those are runner choices, not
+// scenario content.
+func (fp *FleetPlan) ClusterConfig(p *Parsed, epoch sim.Duration, samples int) cluster.Config {
 	overrides := fp.Overrides
 	faults := p.Faults
 	return cluster.Config{
 		Hosts: fp.Hosts,
 		Host: cluster.HostTemplate{
 			Machine:          p.Machine,
-			NewPolicy:        newPolicy,
+			NewPolicy:        func() system.Tiering { return figures.NewPolicy(p.Policy) },
 			EpochLength:      epoch,
 			SamplesPerThread: samples,
 		},
@@ -517,6 +541,9 @@ func resolveApp(a App, scale int) (workload.AppConfig, error) {
 	}
 	if a.Preset != "" {
 		cfg.RSSPages /= scale
+		if a.Name != "" {
+			cfg.Name = a.Name
+		}
 	}
 	cfg.StartAt = sim.Time(a.StartAtS) * sim.Time(sim.Second)
 	if a.PremapFraction != 0 {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -113,6 +114,7 @@ func TestLoadErrors(t *testing.T) {
 		"garbage":           `{`,
 		"unknown field":     `{"bogus": 1, "apps":[{"preset":"memcached"}]}`,
 		"no apps":           `{"policy":"tpp"}`,
+		"unknown policy":    `{"policy":"bogus","apps":[{"preset":"memcached"}]}`,
 		"bad preset":        `{"apps":[{"preset":"redis"}]}`,
 		"custom no name":    `{"apps":[{"generator":"zipf","rss_pages":10}]}`,
 		"bad class":         `{"apps":[{"name":"x","class":"MEDIUM","rss_pages":10}]}`,
@@ -157,6 +159,16 @@ func TestFaultsBlock(t *testing.T) {
 		t.Fatalf("rate plan = %+v", p.Faults)
 	}
 
+	// An explicit rate arms the canonical plan even beside profile "off".
+	p, err = Load(strings.NewReader(
+		`{"apps":[{"preset":"memcached"}],"faults":{"profile":"off","rate":0.05}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Faults.Armed() || !reflect.DeepEqual(p.Faults, fault.PlanAtRate(0.05)) {
+		t.Fatalf("off+rate plan = %+v, want the armed canonical plan", p.Faults)
+	}
+
 	// "off", zero rate, and an absent block are all chaos-free.
 	for _, js := range []string{
 		`{"apps":[{"preset":"memcached"}]}`,
@@ -190,14 +202,7 @@ func TestFaultsRoundTrip(t *testing.T) {
 		if plan != nil {
 			p.Faults = plan
 		}
-		sys := system.New(system.Config{
-			Machine:          p.Machine,
-			Apps:             p.Apps,
-			Policy:           figures.NewPolicy(p.Policy),
-			Seed:             p.Seed,
-			SamplesPerThread: 400,
-			Faults:           p.Faults,
-		})
+		sys := system.New(p.SystemConfig(400))
 		sys.Run(p.Duration)
 		var buf bytes.Buffer
 		if err := sys.Report().WriteJSON(&buf); err != nil {
@@ -339,8 +344,7 @@ func TestFleetScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newPol := func() system.Tiering { return figures.NewPolicy("vulcan") }
-	cfg := p.Fleet.ClusterConfig(p, newPol, 10*sim.Millisecond, 1)
+	cfg := p.Fleet.ClusterConfig(p, 10*sim.Millisecond, 1)
 	cfg.Workers = 2
 	f, err := cluster.New(cfg)
 	if err != nil {
@@ -361,5 +365,34 @@ func TestFleetScenarioRuns(t *testing.T) {
 		if audit := f.Host(h).Sys.Audit(); !audit.Ok() {
 			t.Errorf("host %d audit: %v", h, audit.Errors)
 		}
+	}
+}
+
+// TestPresetName: a preset's name renames it, so one preset can run
+// twice in a fleet, and the arrivals collision check sees the new name.
+func TestPresetName(t *testing.T) {
+	p, err := Load(strings.NewReader(`{"scale": 16, "apps": [
+		{"preset": "memcached", "name": "mc0"},
+		{"preset": "memcached", "name": "mc1", "start_at_s": 3}],
+		"fleet": {"hosts": 2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := workload.MemcachedConfig()
+	want.RSSPages /= 16
+	for i, j := range p.Fleet.Jobs {
+		if j.App.Name != fmt.Sprintf("mc%d", i) || j.App.RSSPages != want.RSSPages || j.App.Class != want.Class {
+			t.Fatalf("job %d = %s (%d pages), want mc%d (%d pages)", i, j.App.Name, j.App.RSSPages, i, want.RSSPages)
+		}
+	}
+
+	// The template collides with the renamed preset, not the preset kind.
+	tmpl := `"arrivals": {"rate_per_epoch": 1, "template": {"name": "%s", "rss_pages": 1000}}`
+	apps := `"apps": [{"preset": "memcached", "name": "mc"}]`
+	if _, err := Load(strings.NewReader(`{` + apps + `, ` + fmt.Sprintf(tmpl, "memcached") + `}`)); err != nil {
+		t.Fatalf("template named after a renamed preset's kind: %v", err)
+	}
+	if _, err := Load(strings.NewReader(`{` + apps + `, ` + fmt.Sprintf(tmpl, "mc") + `}`)); err == nil {
+		t.Fatal("template name colliding with a renamed preset accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"vulcan/internal/checkpoint"
-	"vulcan/internal/figures"
 	"vulcan/internal/obs"
 	"vulcan/internal/scenario"
 	"vulcan/internal/sim"
@@ -123,16 +122,10 @@ func resolveServe(f scenario.File) (*scenario.Parsed, error) {
 // profiler (profiler state is not checkpointed, and recovery must be
 // byte-identical).
 func baseConfig(parsed *scenario.Parsed, opts Options, rec *obs.Recorder) system.Config {
-	cfg := system.Config{
-		Machine:            parsed.Machine,
-		Apps:               parsed.Apps,
-		Policy:             figures.NewPolicy(parsed.Policy),
-		Seed:               parsed.Seed,
-		Faults:             parsed.Faults,
-		AllowDynamic:       true,
-		AsyncMaxBacklog:    opts.MaxBacklog,
-		IncrementalRescore: opts.Rescore,
-	}
+	cfg := parsed.SystemConfig(0)
+	cfg.AllowDynamic = true
+	cfg.AsyncMaxBacklog = opts.MaxBacklog
+	cfg.IncrementalRescore = opts.Rescore
 	if rec != nil {
 		cfg.Obs = rec
 	}

@@ -348,3 +348,26 @@ func TestSessionRejections(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownPolicyErrors: a scenario naming a policy outside
+// figures.PolicyNames fails every constructor with an error instead of
+// panicking inside the policy factory.
+func TestUnknownPolicyErrors(t *testing.T) {
+	dir := t.TempDir()
+	sc := testScenario(4)
+	sc.Policy = "bogus"
+	if _, err := NewSession(Options{Scenario: sc, Journal: filepath.Join(dir, "new.journal")}); err == nil {
+		t.Error("NewSession accepted policy \"bogus\"")
+	}
+	hdr := `{"v":1,"scenario":{"policy":"bogus","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]}}` + "\n"
+	journal := filepath.Join(dir, "bogus.journal")
+	if err := os.WriteFile(journal, []byte(hdr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(journal); err == nil {
+		t.Error("Replay accepted a journal with policy \"bogus\"")
+	}
+	if _, err := Recover(Options{Journal: journal}); err == nil {
+		t.Error("Recover accepted a journal with policy \"bogus\"")
+	}
+}
