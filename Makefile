@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: FORCE check build fmt vet lint vet-sarif test bench-test bench-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench
+.PHONY: FORCE check build fmt vet lint vet-sarif test bench-test bench-smoke fuzz-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench
 
 # check is the full gate, in fail-fast order: cheap static checks first,
 # then the test suites.
@@ -47,6 +47,12 @@ bench-test:
 # timings of a 3-second run are too noisy to judge.
 bench-smoke:
 	bash bench/run.sh --seconds 3
+
+# fuzz-smoke runs the journal decoder's native fuzz target for ten
+# seconds. Its seed corpus also runs in every `go test`; a failing input
+# lands in internal/serve/testdata/fuzz/ for replay.
+fuzz-smoke:
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzReadJournal -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

@@ -74,7 +74,8 @@
 // the journal header carries the scenario, every journaled command
 // re-applies at its epoch boundary, and the report, -trace-out and
 // -metrics-out artifacts are byte-identical to what the live daemon
-// streamed — at any -parallel value.
+// streamed — at any -parallel value. Flags that would shape the
+// scenario or filter the streams (-obs-filter) are usage errors.
 //
 // An invalid command line exits 2; a run that fails exits 1.
 package main
@@ -284,9 +285,11 @@ func (o *options) validate() error {
 	}
 	if o.replay != "" {
 		// The journal header IS the scenario; flags that would define or
-		// alter one are contradictions, not overrides.
+		// alter one are contradictions, not overrides. A filtered replay
+		// could not equal the live streams, so -obs-filter is one too.
 		if o.config != "" || o.fleet > 0 || o.seeds > 1 || o.series != "" ||
-			o.cost.wanted() || o.faultsBlock() != nil || o.ckptOut != "" || o.resume != "" {
+			o.cost.wanted() || o.faultsBlock() != nil || o.ckptOut != "" || o.resume != "" ||
+			o.obsFilter != "" {
 			return usagef("-replay-journal replays the journal's own scenario: it supports -json, -trace-out, -metrics-out and -parallel only")
 		}
 		return nil

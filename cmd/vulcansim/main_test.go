@@ -161,6 +161,7 @@ func TestRunRejects(t *testing.T) {
 		{"seeds with checkpoint", []string{"-seeds", "2", "-checkpoint-out", "c.ckpt"}, "exclude -seeds"},
 		{"every without out", []string{"-checkpoint-every", "5"}, "needs -checkpoint-out"},
 		{"replay with faults", []string{"-replay-journal", "j", "-faults", "light"}, "journal's own scenario"},
+		{"replay with obs filter", []string{"-replay-journal", "j", "-obs-filter", "epoch"}, "journal's own scenario"},
 		{"undefined flag", []string{"-bogus"}, "-bogus"},
 	}
 	for _, tc := range cases {

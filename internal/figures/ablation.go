@@ -7,7 +7,6 @@ import (
 	"vulcan/internal/core"
 	"vulcan/internal/lab"
 	"vulcan/internal/sim"
-	"vulcan/internal/system"
 )
 
 // AblationRow compares full Vulcan against one disabled mechanism.
@@ -52,7 +51,7 @@ func Ablations(duration sim.Duration, scale int, seed uint64) []AblationRow {
 	run := func(opts core.Options) ablRun {
 		// Construct the (stateful) policy inside the worker so no
 		// instance is shared across goroutines.
-		res := runColocationWith(core.New(opts), duration, scale, seed)
+		res := runColocation(core.New(opts), nil, ColocationConfig{Duration: duration, Seed: seed, Scale: scale})
 		var r ablRun
 		sum := 0.0
 		for _, a := range res.Apps {
@@ -88,32 +87,6 @@ func Ablations(duration sim.Duration, scale int, seed uint64) []AblationRow {
 		})
 	}
 	return rows
-}
-
-// runColocationWith is RunColocation with an explicit policy instance
-// (ablated Vulcans are not in the name registry).
-func runColocationWith(pol system.Tiering, duration sim.Duration, scale int, seed uint64) ColocationResult {
-	if scale < 1 {
-		scale = 1
-	}
-	sys := system.New(system.Config{
-		Machine:          ColocationMachine(scale),
-		Apps:             Table2Apps(scale, false),
-		Policy:           pol,
-		Seed:             seed,
-		SamplesPerThread: SamplesForScale(scale),
-	})
-	sys.Run(duration)
-	res := ColocationResult{Policy: pol.Name(), System: sys, CFI: measuredCFI(sys)}
-	for _, a := range sys.Apps() {
-		perf := a.NormalizedPerf()
-		res.Apps = append(res.Apps, AppResult{
-			Name: a.Name(), Class: a.Class(),
-			Perf: perf.Mean(), PerfCI: perf.CI95(),
-			FTHR: a.FTHR(), Fast: a.FastPages(), RSS: a.RSSMapped(),
-		})
-	}
-	return res
 }
 
 // RenderAblations renders the comparison.

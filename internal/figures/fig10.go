@@ -88,9 +88,6 @@ func Fig10(trials int, duration sim.Duration, scale int) Fig10Result {
 		func(i int) ColocationResult {
 			cfg := trialCfg(specs[i].trial)
 			cfg.Policy = specs[i].pol
-			if warm[specs[i].trial] == nil {
-				return RunColocation(cfg)
-			}
 			return RunColocationFrom(warm[specs[i].trial], cfg)
 		},
 		func(i int, res ColocationResult) {

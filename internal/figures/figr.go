@@ -90,9 +90,6 @@ func FigR(duration sim.Duration, scale int, seed uint64, rates []float64) FigRRe
 			cfg := base
 			cfg.Policy = specs[i].pol
 			cfg.Faults = fault.PlanAtRate(specs[i].rate)
-			if warm == nil {
-				return RunColocation(cfg)
-			}
 			return RunColocationFrom(warm, cfg)
 		},
 		func(i int, res ColocationResult) {

@@ -186,8 +186,8 @@ func ColocationMachine(extraScale int) machine.Config {
 }
 
 // normalized resolves the config's zero-valued knobs to the §5
-// defaults. Every entry point (fresh run, warm-up, resume) normalizes
-// first so all three describe the same experiment.
+// defaults. The runner and WarmStart both normalize first so a warm
+// blob and the runs branching from it describe the same experiment.
 func (cfg ColocationConfig) normalized() ColocationConfig {
 	if cfg.Scale < 1 {
 		cfg.Scale = 1
@@ -204,12 +204,13 @@ func (cfg ColocationConfig) normalized() ColocationConfig {
 	return cfg
 }
 
-// systemConfig lowers the normalized figure config to a system config.
-func (cfg ColocationConfig) systemConfig() system.Config {
+// systemConfig lowers the normalized figure config to a system config
+// running pol.
+func (cfg ColocationConfig) systemConfig(pol system.Tiering) system.Config {
 	return system.Config{
 		Machine:          ColocationMachine(cfg.Scale),
 		Apps:             Table2Apps(cfg.Scale, cfg.Staggered),
-		Policy:           NewPolicy(cfg.Policy),
+		Policy:           pol,
 		Seed:             cfg.Seed,
 		SamplesPerThread: cfg.SamplesPerThread,
 		Obs:              cfg.Obs,
@@ -239,12 +240,7 @@ func summarize(policy string, sys *system.System) ColocationResult {
 
 // RunColocation executes the three-app co-location under the named
 // policy and summarizes per-app performance and fairness.
-func RunColocation(cfg ColocationConfig) ColocationResult {
-	cfg = cfg.normalized()
-	sys := system.New(cfg.systemConfig())
-	sys.Run(cfg.Duration)
-	return summarize(cfg.Policy, sys)
-}
+func RunColocation(cfg ColocationConfig) ColocationResult { return RunColocationFrom(nil, cfg) }
 
 // warmEpochs returns how many of a co-location run's 1-second epochs
 // the branch-from-snapshot sweeps share as a common warm-up: the
@@ -270,11 +266,10 @@ func WarmStart(cfg ColocationConfig, epochs int) []byte {
 	cfg = cfg.normalized()
 	// The warm-up must be independent of the branch axes: no policy
 	// learning, no faults, no telemetry to replay.
-	cfg.Policy = "static"
 	cfg.Faults = nil
 	cfg.Obs = nil
 	cfg.Prof = nil
-	sys := system.New(cfg.systemConfig())
+	sys := system.New(cfg.systemConfig(system.NullPolicy{}))
 	for i := 0; i < epochs; i++ {
 		sys.RunEpoch()
 	}
@@ -288,15 +283,27 @@ func WarmStart(cfg ColocationConfig, epochs int) []byte {
 // RunColocationFrom resumes a WarmStart blob under cfg's policy and
 // fault plan, runs the remaining simulated time, and summarizes. The
 // blob must come from a WarmStart of the same scenario (duration, seed,
-// scale, stagger).
+// scale, stagger); a nil blob runs the whole scenario cold.
 func RunColocationFrom(blob []byte, cfg ColocationConfig) ColocationResult {
+	return runColocation(NewPolicy(cfg.Policy), blob, cfg)
+}
+
+// runColocation is the one co-location runner: cfg's scenario under
+// pol, cold or resumed from a warm blob, run to cfg's duration and
+// summarized. cfg.Policy is ignored; the result is named after pol.
+func runColocation(pol system.Tiering, warm []byte, cfg ColocationConfig) ColocationResult {
 	cfg = cfg.normalized()
-	sys, err := system.Resume(bytes.NewReader(blob), cfg.systemConfig())
-	if err != nil {
-		panic(fmt.Sprintf("figures: resume from warm start: %v", err))
+	var sys *system.System
+	if warm == nil {
+		sys = system.New(cfg.systemConfig(pol))
+	} else {
+		var err error
+		if sys, err = system.Resume(bytes.NewReader(warm), cfg.systemConfig(pol)); err != nil {
+			panic(fmt.Sprintf("figures: resume from warm start: %v", err))
+		}
 	}
 	if remaining := cfg.Duration - sim.Duration(sys.Now()); remaining > 0 {
 		sys.Run(remaining)
 	}
-	return summarize(cfg.Policy, sys)
+	return summarize(pol.Name(), sys)
 }

@@ -155,17 +155,6 @@ type JournalData struct {
 	CleanSize int64
 }
 
-// BatchFor returns the journaled commands for one epoch boundary (nil
-// when the boundary wrote none).
-func (d *JournalData) BatchFor(epoch int) []Cmd {
-	for i := range d.Batches {
-		if d.Batches[i].Epoch == epoch {
-			return d.Batches[i].Cmds
-		}
-	}
-	return nil
-}
-
 // LastEpoch returns the highest journaled batch epoch, or -1 when no
 // batches were written.
 func (d *JournalData) LastEpoch() int {
@@ -183,6 +172,12 @@ func ReadJournal(path string) (*JournalData, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseJournal(path, raw)
+}
+
+// parseJournal decodes a journal's raw bytes; path only names it in
+// errors.
+func parseJournal(path string, raw []byte) (*JournalData, error) {
 	d := &JournalData{}
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)

@@ -60,12 +60,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(d.Batches) != 2 || d.LastEpoch() != 5 {
 		t.Fatalf("batches: %+v", d.Batches)
 	}
-	b0 := d.BatchFor(2)
-	if len(b0) != 1 || b0[0].Op != "admit" || b0[0].App.Name != "burst" || b0[0].Depart != 9 {
+	b0 := d.Batches[0]
+	if b0.Epoch != 2 || len(b0.Cmds) != 1 || b0.Cmds[0].Op != "admit" ||
+		b0.Cmds[0].App.Name != "burst" || b0.Cmds[0].Depart != 9 {
 		t.Fatalf("batch 2: %+v", b0)
 	}
-	if got := d.BatchFor(3); got != nil {
-		t.Fatalf("batch 3 should be empty, got %+v", got)
+	if d.Batches[1].Epoch != 5 {
+		t.Fatalf("second batch at epoch %d, want 5 (boundaries without commands write none)", d.Batches[1].Epoch)
 	}
 	info, err := os.Stat(path)
 	if err != nil {
@@ -193,4 +194,54 @@ func TestJournalReopenAppend(t *testing.T) {
 		d2.Batches[1].Epoch != 4 || d2.Batches[1].Cmds[0].Name != "b" {
 		t.Fatalf("continued journal: %+v", d2)
 	}
+}
+
+// FuzzReadJournal feeds the journal decoder arbitrary bytes. It must
+// never panic, and a journal it accepts must describe a prefix of its
+// input (CleanSize at most the input length) whose batch epochs
+// strictly increase — the two facts recovery relies on when it
+// truncates the file and replays the batches in order.
+func FuzzReadJournal(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed.journal")
+	j, err := CreateJournal(path, testHeader())
+	if err != nil {
+		f.Fatal(err)
+	}
+	app := &scenario.App{Name: "burst", Threads: 1, RSSPages: 1000}
+	j.Append(Batch{Epoch: 2, Cmds: []Cmd{{Op: "admit", App: app, Src: "api", Depart: 9}}})
+	j.Append(Batch{Epoch: 5, Cmds: []Cmd{{Op: "intensity", Name: "burst", Milli: 500, Src: "api"}}})
+	j.Finish(10)
+	j.Close()
+	roundTrip, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	hdr := `{"v":1,"scenario":{"policy":"vulcan","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]}}` + "\n"
+	for _, seed := range []string{
+		string(roundTrip),
+		hdr + `{"epoch":1,"cmds":[{"op":"stop","name":"x","src":"api"}]}` + "\n" + `{"epoch":2,"cm`,
+		hdr + `{"epoch":2,"cmds":[]}`,
+		hdr + `{"epoch":2,"cmds":[]}x` + "\n",
+		hdr + "not json\n" + `{"epoch":3,"cmds":[]}` + "\n",
+		hdr + `{"epoch":5,"cmds":[]}` + "\n" + `{"epoch":3,"cmds":[]}` + "\n",
+		hdr + `{"finish":5}` + "\n" + `{"epoch":3,"cmds":[]}` + "\n",
+		hdr + hdr,
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		d, err := parseJournal("fuzz", raw)
+		if err != nil {
+			return
+		}
+		if d.CleanSize > int64(len(raw)) {
+			t.Fatalf("CleanSize %d past the %d-byte input", d.CleanSize, len(raw))
+		}
+		for i := 1; i < len(d.Batches); i++ {
+			if d.Batches[i].Epoch <= d.Batches[i-1].Epoch {
+				t.Fatalf("batch epochs %d then %d", d.Batches[i-1].Epoch, d.Batches[i].Epoch)
+			}
+		}
+	})
 }

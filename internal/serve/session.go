@@ -104,99 +104,9 @@ type Session struct {
 	finished bool
 }
 
-// resolveServe resolves a scenario for serving: fleet scenarios have no
-// single dynamic system to serve.
-func resolveServe(f scenario.File) (*scenario.Parsed, error) {
-	parsed, err := scenario.Resolve(f)
-	if err != nil {
-		return nil, err
-	}
-	if parsed.Fleet != nil {
-		return nil, fmt.Errorf("serve: fleet scenarios cannot be served (one dynamic host only)")
-	}
-	return parsed, nil
-}
-
-// baseConfig assembles the system config every mode shares. The serving
-// runtime always allows dynamic turnover and never attaches a cost
-// profiler (profiler state is not checkpointed, and recovery must be
-// byte-identical).
-func baseConfig(parsed *scenario.Parsed, opts Options, rec *obs.Recorder) system.Config {
-	cfg := parsed.SystemConfig(0)
-	cfg.AllowDynamic = true
-	cfg.AsyncMaxBacklog = opts.MaxBacklog
-	cfg.IncrementalRescore = opts.Rescore
-	if rec != nil {
-		cfg.Obs = rec
-	}
-	return cfg
-}
-
-// build assembles a fresh session: artifacts created (truncating any
-// previous run's), streams opened, system built cold. The journal is
-// the caller's job — NewSession writes a fresh one, Recover reopens.
-func build(parsed *scenario.Parsed, opts Options) (*Session, error) {
-	s := &Session{
-		opts:             opts,
-		parsed:           parsed,
-		target:           int(parsed.Duration / sim.Duration(sim.Second)),
-		replay:           map[int][]Cmd{},
-		journaledThrough: -1,
-	}
-	if parsed.Arrivals != nil {
-		s.plan = parsed.Arrivals.Plan(s.target)
-	}
-	if opts.TraceOut != "" || opts.MetricsOut != "" {
-		s.rec = obs.NewRecorder()
-	}
-	if opts.TraceOut != "" {
-		f, err := os.Create(opts.TraceOut)
-		if err != nil {
-			return nil, err
-		}
-		s.traceF = f
-		s.ts = obs.NewTraceStream(f)
-	}
-	if opts.MetricsOut != "" {
-		f, err := os.Create(opts.MetricsOut)
-		if err != nil {
-			s.closeArtifacts()
-			return nil, err
-		}
-		s.metricsF = f
-		s.cs = obs.NewCSVStream(f)
-	}
-	if s.rec != nil {
-		s.rec.StreamTo(s.ts, s.cs)
-	}
-	s.sys = system.New(baseConfig(parsed, opts, s.rec))
-	return s, nil
-}
-
 // NewSession opens a live serving session: fresh system, fresh
 // artifacts, fresh journal.
-func NewSession(opts Options) (*Session, error) {
-	parsed, err := resolveServe(opts.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	s, err := build(parsed, opts)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Journal != "" {
-		s.journal, err = CreateJournal(opts.Journal, Header{
-			Scenario:   opts.Scenario,
-			MaxBacklog: opts.MaxBacklog,
-			Rescore:    opts.Rescore,
-		})
-		if err != nil {
-			s.closeArtifacts()
-			return nil, err
-		}
-	}
-	return s, nil
-}
+func NewSession(opts Options) (*Session, error) { return open(opts, nil, "", false) }
 
 // Replay rebuilds a run from its journal in batch mode: no streams, no
 // journaling — telemetry buffers in the recorder and renders through
@@ -208,31 +118,7 @@ func Replay(journalPath string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	parsed, err := resolveServe(jd.Header.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	opts := Options{
-		Scenario:   jd.Header.Scenario,
-		MaxBacklog: jd.Header.MaxBacklog,
-		Rescore:    jd.Header.Rescore,
-	}
-	s := &Session{
-		opts:             opts,
-		parsed:           parsed,
-		target:           int(parsed.Duration / sim.Duration(sim.Second)),
-		rec:              obs.NewRecorder(),
-		replay:           map[int][]Cmd{},
-		journaledThrough: jd.LastEpoch(),
-	}
-	if parsed.Arrivals != nil {
-		s.plan = parsed.Arrivals.Plan(s.target)
-	}
-	for _, b := range jd.Batches {
-		s.replay[b.Epoch] = b.Cmds
-	}
-	s.sys = system.New(baseConfig(parsed, opts, s.rec))
-	return s, nil
+	return open(Options{}, jd, "", true)
 }
 
 // Recover resumes a killed session from its journal and newest rolling
@@ -249,71 +135,40 @@ func Recover(opts Options) (*Session, error) {
 	if jd.Finished {
 		return nil, fmt.Errorf("serve: journal %s records a finished run; nothing to recover", opts.Journal)
 	}
-	opts.Scenario = jd.Header.Scenario
-	opts.MaxBacklog = jd.Header.MaxBacklog
-	opts.Rescore = jd.Header.Rescore
-	parsed, err := resolveServe(opts.Scenario)
-	if err != nil {
-		return nil, err
-	}
-
-	var s *Session
-	ckEpoch := 0
+	image := ""
 	if opts.CheckpointBase != "" {
-		path, epoch, ok, err := checkpoint.LatestRolling(opts.CheckpointBase)
+		path, _, ok, err := checkpoint.LatestRolling(opts.CheckpointBase)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			if s, err = resumeFromImage(parsed, opts, path, jd); err != nil {
-				return nil, fmt.Errorf("serve: resume from %s: %w", path, err)
-			}
-			ckEpoch = epoch
+			image = path
 		}
 	}
-	if s == nil {
-		if s, err = build(parsed, opts); err != nil {
-			return nil, err
-		}
-	}
-
-	// The journal tail replays from the restored boundary on. Batches
-	// before it were already consumed by the checkpoint's state.
-	for _, b := range jd.Batches {
-		if b.Epoch >= ckEpoch {
-			s.replay[b.Epoch] = b.Cmds
-		}
-	}
-	s.journaledThrough = jd.LastEpoch()
-
-	s.journal, err = openJournalAppend(opts.Journal, jd.CleanSize)
-	if err != nil {
-		s.closeArtifacts()
-		return nil, err
-	}
-	return s, nil
+	return open(opts, jd, image, false)
 }
 
-// resumeFromImage restores mid-run state from one rolling checkpoint:
-// streams resumed onto truncated artifacts, the system rebuilt from the
-// embedded blob against a config whose app list replays the journal's
-// pre-checkpoint admissions, scheduled departures re-derived.
-func resumeFromImage(parsed *scenario.Parsed, opts Options, path string, jd *JournalData) (*Session, error) {
-	f, err := os.Open(path)
+// open is the one session constructor behind NewSession, Replay and
+// Recover. jd is the journal to re-apply (nil for a fresh run): its
+// header's scenario and knobs replace opts', and its batches replay at
+// their boundaries. image, when set, is the rolling checkpoint to
+// restore from instead of starting cold. batch buffers telemetry in the
+// recorder instead of streaming it, and journals nothing. Every failure
+// releases what was opened without sealing it, so the artifacts stay
+// as a kill would leave them and a corrected retry can still recover.
+func open(opts Options, jd *JournalData, image string, batch bool) (_ *Session, err error) {
+	if jd != nil {
+		opts.Scenario = jd.Header.Scenario
+		opts.MaxBacklog = jd.Header.MaxBacklog
+		opts.Rescore = jd.Header.Rescore
+	}
+	parsed, err := scenario.Resolve(opts.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r, err := checkpoint.NewReader(f)
-	if err != nil {
-		return nil, err
+	if parsed.Fleet != nil {
+		return nil, fmt.Errorf("serve: fleet scenarios cannot be served (one dynamic host only)")
 	}
-	d, err := r.Section("serve", 1)
-	if err != nil {
-		return nil, err
-	}
-	ckEpoch := d.Int()
-
 	s := &Session{
 		opts:             opts,
 		parsed:           parsed,
@@ -321,72 +176,150 @@ func resumeFromImage(parsed *scenario.Parsed, opts Options, path string, jd *Jou
 		replay:           map[int][]Cmd{},
 		journaledThrough: -1,
 	}
+	defer func() {
+		if err != nil {
+			s.release(false)
+		}
+	}()
+
+	// The serving runtime always allows dynamic turnover and never
+	// attaches a cost profiler (profiler state is not checkpointed, and
+	// recovery must be byte-identical).
+	cfg := parsed.SystemConfig(0)
+	cfg.AllowDynamic = true
+	cfg.AsyncMaxBacklog = opts.MaxBacklog
+	cfg.IncrementalRescore = opts.Rescore
+	if batch || opts.TraceOut != "" || opts.MetricsOut != "" {
+		s.rec = obs.NewRecorder()
+		cfg.Obs = s.rec
+	}
+
+	ckEpoch := 0
+	if image == "" {
+		// A cold start truncates any previous run's artifacts and streams
+		// from the system's first event on.
+		if opts.TraceOut != "" {
+			if s.traceF, err = os.Create(opts.TraceOut); err != nil {
+				return nil, err
+			}
+			s.ts = obs.NewTraceStream(s.traceF)
+		}
+		if opts.MetricsOut != "" {
+			if s.metricsF, err = os.Create(opts.MetricsOut); err != nil {
+				return nil, err
+			}
+			s.cs = obs.NewCSVStream(s.metricsF)
+		}
+		if s.rec != nil {
+			s.rec.StreamTo(s.ts, s.cs)
+		}
+		s.sys = system.New(cfg)
+	} else {
+		if ckEpoch, err = s.restore(image, jd, cfg); err != nil {
+			return nil, fmt.Errorf("serve: resume from %s: %w", image, err)
+		}
+		// A restore attaches the streams only now: nothing Resume emitted
+		// while rebuilding admissions may reach the resumed artifacts.
+		if s.rec != nil {
+			s.rec.StreamTo(s.ts, s.cs)
+		}
+	}
+
 	if parsed.Arrivals != nil {
 		s.plan = parsed.Arrivals.Plan(s.target)
 		for s.planIdx < len(s.plan) && s.plan[s.planIdx].Epoch < ckEpoch {
 			s.planIdx++
 		}
 	}
+	if jd != nil {
+		// The journal replays from the restored boundary on; batches
+		// before it are already in the checkpoint's state.
+		for _, b := range jd.Batches {
+			if b.Epoch >= ckEpoch {
+				s.replay[b.Epoch] = b.Cmds
+			}
+		}
+		s.journaledThrough = jd.LastEpoch()
+	}
 
-	// Streams: the checkpoint records whether each artifact was being
-	// streamed and the layout state to continue it. The artifact file is
-	// truncated to the recorded offset (dropping any tail written after
-	// the checkpoint) and appended to from there.
-	if hasTrace := d.Bool(); hasTrace {
-		if opts.TraceOut == "" {
-			return nil, fmt.Errorf("checkpoint streams a trace; -trace-out required to recover it")
-		}
-		tf, err := os.OpenFile(opts.TraceOut, os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		s.traceF = tf
-		if s.ts, err = obs.ResumeTraceStream(tf, d); err != nil {
-			s.closeArtifacts()
-			return nil, err
-		}
-		if err := truncateTo(tf, s.ts.Tell()); err != nil {
-			s.closeArtifacts()
-			return nil, err
-		}
-	} else if opts.TraceOut != "" {
-		return nil, fmt.Errorf("checkpoint has no trace stream; a recovered run cannot start one mid-flight")
+	switch {
+	case batch || opts.Journal == "":
+	case jd == nil:
+		s.journal, err = CreateJournal(opts.Journal, Header{
+			Scenario:   opts.Scenario,
+			MaxBacklog: opts.MaxBacklog,
+			Rescore:    opts.Rescore,
+		})
+	default:
+		s.journal, err = openJournalAppend(opts.Journal, jd.CleanSize)
 	}
-	if hasCSV := d.Bool(); hasCSV {
-		if opts.MetricsOut == "" {
-			return nil, fmt.Errorf("checkpoint streams metrics; -metrics-out required to recover them")
-		}
-		mf, err := os.OpenFile(opts.MetricsOut, os.O_WRONLY, 0o644)
-		if err != nil {
-			s.closeArtifacts()
-			return nil, err
-		}
-		s.metricsF = mf
-		if s.cs, err = obs.ResumeCSVStream(mf, d); err != nil {
-			s.closeArtifacts()
-			return nil, err
-		}
-		if err := truncateTo(mf, s.cs.Tell()); err != nil {
-			s.closeArtifacts()
-			return nil, err
-		}
-	} else if opts.MetricsOut != "" {
-		return nil, fmt.Errorf("checkpoint has no metrics stream; a recovered run cannot start one mid-flight")
-	}
-	if err := d.Err(); err != nil {
-		s.closeArtifacts()
+	if err != nil {
 		return nil, err
 	}
-	if s.ts != nil || s.cs != nil {
-		s.rec = obs.NewRecorder()
+	return s, nil
+}
+
+// restore loads one rolling checkpoint into s and returns its epoch.
+// Each artifact the checkpoint was streaming is reopened, truncated to
+// the recorded offset (dropping any tail written after the checkpoint)
+// and continued from there. The system resumes against a config whose
+// app list is the scenario's own followed by the journal's
+// pre-checkpoint admissions in execution order (system.Resume replays
+// admissions and stops from its internal chronology); their scheduled
+// departures are re-derived.
+func (s *Session) restore(image string, jd *JournalData, cfg system.Config) (int, error) {
+	f, err := os.Open(image)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	r, err := checkpoint.NewReader(f)
+	if err != nil {
+		return 0, err
+	}
+	d, err := r.Section("serve", 1)
+	if err != nil {
+		return 0, err
+	}
+	ckEpoch := d.Int()
+
+	if d.Bool() {
+		if s.opts.TraceOut == "" {
+			return 0, fmt.Errorf("checkpoint streams a trace; -trace-out required to recover it")
+		}
+		if s.traceF, err = os.OpenFile(s.opts.TraceOut, os.O_WRONLY, 0o644); err != nil {
+			return 0, err
+		}
+		if s.ts, err = obs.ResumeTraceStream(s.traceF, d); err != nil {
+			return 0, err
+		}
+		if err := truncateTo(s.traceF, s.ts.Tell()); err != nil {
+			return 0, err
+		}
+	} else if s.opts.TraceOut != "" {
+		return 0, fmt.Errorf("checkpoint has no trace stream; a recovered run cannot start one mid-flight")
+	}
+	if d.Bool() {
+		if s.opts.MetricsOut == "" {
+			return 0, fmt.Errorf("checkpoint streams metrics; -metrics-out required to recover them")
+		}
+		if s.metricsF, err = os.OpenFile(s.opts.MetricsOut, os.O_WRONLY, 0o644); err != nil {
+			return 0, err
+		}
+		if s.cs, err = obs.ResumeCSVStream(s.metricsF, d); err != nil {
+			return 0, err
+		}
+		if err := truncateTo(s.metricsF, s.cs.Tell()); err != nil {
+			return 0, err
+		}
+	} else if s.opts.MetricsOut != "" {
+		return 0, fmt.Errorf("checkpoint has no metrics stream; a recovered run cannot start one mid-flight")
+	}
+	if err := d.Err(); err != nil {
+		return 0, err
 	}
 
-	// The system resumes against a config listing every app ever added:
-	// the scenario's own, then the journal's pre-checkpoint admissions
-	// in execution order (system.Resume replays admissions and stops
-	// from its internal chronology).
-	cfg := baseConfig(parsed, opts, s.rec)
-	cfg.Apps = append([]workload.AppConfig(nil), parsed.Apps...)
+	cfg.Apps = append([]workload.AppConfig(nil), cfg.Apps...)
 	for _, b := range jd.Batches {
 		if b.Epoch >= ckEpoch {
 			break
@@ -395,10 +328,9 @@ func resumeFromImage(parsed *scenario.Parsed, opts Options, path string, jd *Jou
 			if c.Op != "admit" {
 				continue
 			}
-			ac, err := resolveCmdApp(c, parsed.Scale, b.Epoch)
+			ac, err := resolveCmdApp(c, s.parsed.Scale, b.Epoch)
 			if err != nil {
-				s.closeArtifacts()
-				return nil, fmt.Errorf("journaled admit at epoch %d: %w", b.Epoch, err)
+				return 0, fmt.Errorf("journaled admit at epoch %d: %w", b.Epoch, err)
 			}
 			cfg.Apps = append(cfg.Apps, ac)
 			if c.Depart >= ckEpoch {
@@ -409,28 +341,19 @@ func resumeFromImage(parsed *scenario.Parsed, opts Options, path string, jd *Jou
 
 	sb, err := r.Section("sysblob", 1)
 	if err != nil {
-		s.closeArtifacts()
-		return nil, err
+		return 0, err
 	}
 	blob := sb.Bytes64()
 	if err := sb.Err(); err != nil {
-		s.closeArtifacts()
-		return nil, err
+		return 0, err
 	}
-	sys, err := system.Resume(bytes.NewReader(blob), cfg)
-	if err != nil {
-		s.closeArtifacts()
-		return nil, err
+	if s.sys, err = system.Resume(bytes.NewReader(blob), cfg); err != nil {
+		return 0, err
 	}
-	if sys.Epoch() != ckEpoch {
-		s.closeArtifacts()
-		return nil, fmt.Errorf("restored system at epoch %d, checkpoint says %d", sys.Epoch(), ckEpoch)
+	if s.sys.Epoch() != ckEpoch {
+		return 0, fmt.Errorf("restored system at epoch %d, checkpoint says %d", s.sys.Epoch(), ckEpoch)
 	}
-	s.sys = sys
-	if s.rec != nil {
-		s.rec.StreamTo(s.ts, s.cs)
-	}
-	return s, nil
+	return ckEpoch, nil
 }
 
 // truncateTo cuts f to n bytes and positions the write offset there.
@@ -623,7 +546,7 @@ func (s *Session) Step() error {
 		}
 	}
 	if done >= s.target {
-		return s.finish()
+		return s.release(true)
 	}
 	return nil
 }
@@ -700,53 +623,6 @@ func (s *Session) Checkpoint() error {
 	return err
 }
 
-// finish seals the run: journal trailer, trace footer, final flushes,
-// file closes. The first error wins but every resource is released.
-func (s *Session) finish() error {
-	s.finished = true
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if s.journal != nil {
-		keep(s.journal.Finish(s.sys.Epoch()))
-		keep(s.journal.Close())
-		s.journal = nil
-	}
-	keep(s.closeArtifacts())
-	return first
-}
-
-// closeArtifacts seals and closes the stream files (trace footer,
-// final flushes). Safe on partially-built sessions.
-func (s *Session) closeArtifacts() error {
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
-		}
-	}
-	if s.ts != nil {
-		keep(s.ts.Close())
-		s.ts = nil
-	}
-	if s.traceF != nil {
-		keep(s.traceF.Close())
-		s.traceF = nil
-	}
-	if s.cs != nil {
-		keep(s.cs.Flush())
-		s.cs = nil
-	}
-	if s.metricsF != nil {
-		keep(s.metricsF.Close())
-		s.metricsF = nil
-	}
-	return first
-}
-
 // Suspend releases an unfinished session resumably: streams flush and
 // their files close WITHOUT the trace footer, and the journal closes
 // WITHOUT the finish trailer — exactly the state a crash leaves behind,
@@ -755,6 +631,15 @@ func (s *Session) Suspend() error {
 	if s.finished {
 		return fmt.Errorf("serve: session already finished")
 	}
+	return s.release(false)
+}
+
+// release ends the session and closes its journal and artifact files.
+// seal marks a completed run: the journal gets its finish trailer and
+// the trace its footer. Without seal everything is only flushed and
+// closed, which is what a kill leaves on disk. The first error wins but
+// every resource is released; partially built sessions are safe.
+func (s *Session) release(seal bool) error {
 	s.finished = true
 	var first error
 	keep := func(err error) {
@@ -763,11 +648,18 @@ func (s *Session) Suspend() error {
 		}
 	}
 	if s.journal != nil {
+		if seal {
+			keep(s.journal.Finish(s.sys.Epoch()))
+		}
 		keep(s.journal.Close())
 		s.journal = nil
 	}
 	if s.ts != nil {
-		keep(s.ts.Flush())
+		if seal {
+			keep(s.ts.Close())
+		} else {
+			keep(s.ts.Flush())
+		}
 		s.ts = nil
 	}
 	if s.traceF != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vulcan/internal/checkpoint"
@@ -369,5 +370,93 @@ func TestUnknownPolicyErrors(t *testing.T) {
 	}
 	if _, err := Recover(Options{Journal: journal}); err == nil {
 		t.Error("Recover accepted a journal with policy \"bogus\"")
+	}
+}
+
+// openFDs counts the process's open file descriptors; ok is false where
+// /proc is absent.
+func openFDs() (n int, ok bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	return len(ents), err == nil
+}
+
+// TestRecoverStreamMismatch: a Recover whose stream flags disagree with
+// the checkpoint errors out without leaking a file or sealing a
+// mid-run artifact, so the corrected Recover still finishes
+// byte-identical to the uninterrupted run.
+func TestRecoverStreamMismatch(t *testing.T) {
+	refTrace, refMetrics, refJournal := runLive(t, t.TempDir(), Options{})
+	ref := map[string][]byte{
+		"trace.json":  readFile(t, refTrace),
+		"metrics.csv": readFile(t, refMetrics),
+		"run.journal": readFile(t, refJournal),
+	}
+	cases := []struct {
+		name           string
+		trace, metrics bool // the streams the suspended session ran with
+		mismatch       func(o *Options)
+		want           string
+	}{
+		{"trace required", true, true, func(o *Options) { o.TraceOut = "" }, "-trace-out required"},
+		{"no trace stream", false, true, func(o *Options) { o.TraceOut = o.Journal + ".trace.json" }, "no trace stream"},
+		{"metrics required", true, true, func(o *Options) { o.MetricsOut = "" }, "-metrics-out required"},
+		{"no metrics stream", true, false, func(o *Options) { o.MetricsOut = o.Journal + ".metrics.csv" }, "no metrics stream"},
+		{"metrics artifact missing", true, true, func(o *Options) { o.MetricsOut += ".missing" }, "no such file"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{
+				Scenario:        testScenario(24),
+				Journal:         filepath.Join(dir, "run.journal"),
+				CheckpointBase:  filepath.Join(dir, "run.ckpt"),
+				CheckpointEvery: 6,
+			}
+			if tc.trace {
+				opts.TraceOut = filepath.Join(dir, "trace.json")
+			}
+			if tc.metrics {
+				opts.MetricsOut = filepath.Join(dir, "metrics.csv")
+			}
+			victim, err := NewSession(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drive(t, victim, testScript(), 14)
+			if err := victim.Suspend(); err != nil {
+				t.Fatal(err)
+			}
+
+			bad := opts
+			tc.mismatch(&bad)
+			before, haveProc := openFDs()
+			if _, err := Recover(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("mismatched Recover: err = %v, want %q", err, tc.want)
+			}
+			if after, _ := openFDs(); haveProc && after != before {
+				t.Errorf("failed Recover leaked %d file descriptors", after-before)
+			}
+			// Nothing was sealed: every artifact is still a prefix of the
+			// finished run's.
+			for name, want := range ref {
+				if b, err := os.ReadFile(filepath.Join(dir, name)); err == nil && !bytes.HasPrefix(want, b) {
+					t.Errorf("failed Recover left %s that is no prefix of the finished run's", name)
+				}
+			}
+
+			recovered, err := Recover(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drive(t, recovered, testScript(), 1<<30)
+			if !recovered.Finished() {
+				t.Fatal("recovered session did not finish")
+			}
+			for _, path := range []string{opts.TraceOut, opts.MetricsOut, opts.Journal} {
+				if path != "" && !bytes.Equal(ref[filepath.Base(path)], readFile(t, path)) {
+					t.Errorf("recovered %s differs from the uninterrupted run", filepath.Base(path))
+				}
+			}
+		})
 	}
 }
