@@ -60,7 +60,7 @@ func main() {
 	var gen workload.Generator
 	switch *name {
 	case "memcached":
-		gen = workload.NewKeyValue(*pages, workload.KeyValueParams{}, rng)
+		gen = workload.NewKeyValue(*pages, rng)
 	case "pagerank":
 		gen = workload.NewGraphWalk(*pages, rng)
 	case "liblinear":

@@ -18,7 +18,7 @@ import (
 func main() {
 	// 1. Capture: record 200K references of a key-value workload.
 	const pages = 8000
-	source := workload.NewKeyValue(pages, workload.KeyValueParams{}, sim.NewRNG(42))
+	source := workload.NewKeyValue(pages, sim.NewRNG(42))
 	tr := vulcan.CaptureTrace(source, 200_000)
 	st := tr.Stats()
 	fmt.Printf("captured %d refs over %d pages (%d unique, %.0f%% writes)\n",

@@ -52,29 +52,27 @@ type QoSController struct {
 	// feed and a debugging aid for partitioning behavior.
 	Transfers []Transfer
 
-	// Probe-shrink tuning for satisfied workloads (§3.3's efficiency
-	// goal: reclaim "excessive resources" from workloads that do not
-	// need them). ShrinkFrac of the allocation is probed away per epoch;
-	// a probe that costs more than ShrinkTolerance of FTHR is reverted
-	// and the allocation held for HoldEpochs.
-	ShrinkFrac      float64
-	ShrinkTolerance float64
-	HoldEpochs      int
-
 	epoch int
 }
+
+// Probe-shrink tuning for satisfied workloads (§3.3's efficiency goal:
+// reclaim "excessive resources" from workloads that do not need them).
+// shrinkFrac of the allocation is probed away per epoch; a probe that
+// costs more than shrinkTolerance of FTHR is reverted and the allocation
+// held for holdEpochs. A 3% probe over a uniformly hot working set costs
+// ~2-3% of its coverage in FTHR; the tolerance must catch that while
+// sitting above FTHR sampling noise (~0.7% per epoch after EMA).
+const (
+	shrinkFrac      float64 = 0.03
+	shrinkTolerance float64 = 0.015
+	holdEpochs              = 6
+)
 
 // NewQoSController returns an empty controller with defaults.
 func NewQoSController() *QoSController {
 	return &QoSController{
 		byApp:     make(map[*system.App]*QoSState),
 		UnitPages: 512,
-		// A 3% probe over a uniformly hot working set costs ~2-3% of its
-		// coverage in FTHR; the tolerance must catch that while sitting
-		// above FTHR sampling noise (~0.7% per epoch after EMA).
-		ShrinkFrac:      0.03,
-		ShrinkTolerance: 0.015,
-		HoldEpochs:      6,
 	}
 }
 
@@ -211,14 +209,14 @@ func (q *QoSController) sufficientDemand(st *QoSState, alloc, gfmc int, fthr flo
 		st.shrankLast = false
 		return gfmc
 	}
-	step := int(q.ShrinkFrac * float64(alloc))
+	step := int(shrinkFrac * float64(alloc))
 	if step < 64 {
 		step = 64
 	}
-	if st.shrankLast && fthr < st.lastFTHR-q.ShrinkTolerance {
+	if st.shrankLast && fthr < st.lastFTHR-shrinkTolerance {
 		// The last probe cost real hit ratio: take it back and hold.
 		st.shrankLast = false
-		st.holdUntil = q.epoch + q.HoldEpochs
+		st.holdUntil = q.epoch + holdEpochs
 		d := alloc + 2*step
 		if d > gfmc {
 			d = gfmc

@@ -30,27 +30,6 @@ type Options struct {
 	// DisableShadowing drops Nomad-style shadow copies (§3.5).
 	DisableShadowing bool
 
-	// MigThreadBudget is each app's dedicated migration-thread CPU per
-	// epoch, in multiples of one core's epoch cycles (§3.2: "dedicated
-	// migration threads created for each application").
-	MigThreadBudget float64
-	// PromoteLimit caps promotion candidates per app per epoch.
-	PromoteLimit int
-	// SyncBatchLimit caps synchronous (write-intensive) migrations per
-	// app per epoch.
-	SyncBatchLimit int
-	// SampleRate is the hybrid profiler's sampling period.
-	SampleRate int
-	// LCHeatDecay / BEHeatDecay are the hybrid profiler's per-epoch aging
-	// factors, chosen per workload class (§3.2: the daemon picks the
-	// profiling configuration that fits each workload). Latency-critical
-	// services get a slow decay so their steadily-hot-but-low-rate
-	// working sets outrank transients; best-effort streamers get a fast
-	// decay so scan residue cools quickly.
-	LCHeatDecay float64
-	BEHeatDecay float64
-	// SwapLimit caps per-epoch within-quota rebalancing swaps.
-	SwapLimit int
 	// ColloidGate enables the §3.6 Colloid integration: migrations are
 	// suspended for an epoch when bandwidth contention erases the fast
 	// tier's latency advantage.
@@ -58,37 +37,38 @@ type Options struct {
 	// ColloidThreshold is the fast/slow loaded-latency ratio above which
 	// migration is pointless (default 0.85).
 	ColloidThreshold float64
-	// Seed drives CBFRP's random BE selection.
-	Seed uint64
 }
 
+// Vulcan's tuning.
+const (
+	// migThreadBudget is each app's dedicated migration-thread CPU per
+	// epoch, in multiples of one core's epoch cycles (§3.2: "dedicated
+	// migration threads created for each application").
+	migThreadBudget float64 = 1.0
+	// promoteLimit caps promotion candidates per app per epoch.
+	promoteLimit = 16384
+	// syncBatchLimit caps synchronous (write-intensive) migrations per
+	// app per epoch.
+	syncBatchLimit = 2048
+	// sampleRate is the hybrid profiler's sampling period.
+	sampleRate = 4
+	// lcHeatDecay / beHeatDecay are the hybrid profiler's per-epoch aging
+	// factors, chosen per workload class (§3.2: the daemon picks the
+	// profiling configuration that fits each workload). Latency-critical
+	// services get a slow decay so their steadily-hot-but-low-rate
+	// working sets outrank transients; best-effort streamers get a fast
+	// decay so scan residue cools quickly.
+	lcHeatDecay float64 = 0.9
+	beHeatDecay float64 = profile.DefaultDecay
+	// swapLimit caps per-epoch within-quota rebalancing swaps.
+	swapLimit = 1024
+	// cbfrpSeed drives CBFRP's random BE selection.
+	cbfrpSeed uint64 = 99
+)
+
 func (o *Options) fillDefaults() {
-	if o.MigThreadBudget == 0 {
-		o.MigThreadBudget = 1.0
-	}
-	if o.PromoteLimit == 0 {
-		o.PromoteLimit = 16384
-	}
-	if o.SyncBatchLimit == 0 {
-		o.SyncBatchLimit = 2048
-	}
-	if o.SampleRate == 0 {
-		o.SampleRate = 4
-	}
-	if o.LCHeatDecay == 0 {
-		o.LCHeatDecay = 0.9
-	}
-	if o.BEHeatDecay == 0 {
-		o.BEHeatDecay = profile.DefaultDecay
-	}
-	if o.SwapLimit == 0 {
-		o.SwapLimit = 1024
-	}
 	if o.ColloidThreshold == 0 {
 		o.ColloidThreshold = 0.85
-	}
-	if o.Seed == 0 {
-		o.Seed = 99
 	}
 }
 
@@ -118,15 +98,12 @@ func New(opts Options) *Vulcan {
 		qos:    NewQoSController(),
 		queues: make(map[*system.App]*PromotionQueues),
 		placed: make(map[*system.App]int),
-		rng:    sim.NewRNG(opts.Seed),
+		rng:    sim.NewRNG(cbfrpSeed),
 	}
 }
 
 // Name implements system.Tiering.
 func (v *Vulcan) Name() string { return "vulcan" }
-
-// Options returns the active option set.
-func (v *Vulcan) Options() Options { return v.opts }
 
 // QoS exposes the controller (figures read GPT/demand/credits from it).
 func (v *Vulcan) QoS() *QoSController { return v.qos }
@@ -144,11 +121,11 @@ func (v *Vulcan) Mechanisms() system.Mechanisms {
 // NewProfiler implements system.ProfilerFactory: the FlexMem-style
 // hybrid profiler (§3.2).
 func (v *Vulcan) NewProfiler(app *system.App) profile.Profiler {
-	decay := v.opts.BEHeatDecay
+	decay := beHeatDecay
 	if app.Class() == workload.LC {
-		decay = v.opts.LCHeatDecay
+		decay = lcHeatDecay
 	}
-	return profile.NewHybridWithDecay(app.Table, v.opts.SampleRate, decay,
+	return profile.NewHybridWithDecay(app.Table, sampleRate, decay,
 		uint64(app.Index)*7919+3)
 }
 
@@ -267,7 +244,7 @@ func (v *Vulcan) EndEpoch(sys *system.System) {
 // enforce reconciles one app's fast-tier residency with its quota.
 func (v *Vulcan) enforce(sys *system.System, st *QoSState) {
 	app := st.App
-	budget := v.opts.MigThreadBudget * sys.EpochCycles()
+	budget := migThreadBudget * sys.EpochCycles()
 	cur := app.FastPages()
 
 	if cur > st.Alloc {
@@ -304,7 +281,7 @@ func (v *Vulcan) enforce(sys *system.System, st *QoSState) {
 	}
 
 	// Under quota: gather hot slow-tier candidates.
-	candidates := v.slowCandidates(app, min(room+v.opts.SwapLimit, v.opts.PromoteLimit))
+	candidates := v.slowCandidates(app, min(room+swapLimit, promoteLimit))
 	if v.opts.DisableBiasedQueues {
 		for _, c := range candidates {
 			app.Async.EnqueueOne(migrate.Move{VP: c.VP, To: mem.TierFast})
@@ -327,7 +304,7 @@ func (v *Vulcan) enforce(sys *system.System, st *QoSState) {
 		taken++
 		if it.Class.Async() {
 			app.Async.EnqueueOne(migrate.Move{VP: it.VP, To: mem.TierFast})
-		} else if len(syncBatch) < v.opts.SyncBatchLimit {
+		} else if len(syncBatch) < syncBatchLimit {
 			syncBatch = append(syncBatch, migrate.Move{VP: it.VP, To: mem.TierFast})
 		}
 		return true
@@ -360,7 +337,7 @@ func (v *Vulcan) enforce(sys *system.System, st *QoSState) {
 // swapWithinQuota demotes the coldest fast pages to admit strictly
 // hotter slow candidates, without changing the app's allocation.
 func (v *Vulcan) swapWithinQuota(sys *system.System, app *system.App, budget float64) {
-	candidates := v.slowCandidates(app, v.opts.SwapLimit)
+	candidates := v.slowCandidates(app, swapLimit)
 	if len(candidates) == 0 {
 		app.Async.RunEpoch(budget, app.WriteProbability)
 		return

@@ -26,7 +26,7 @@ func vulcanColo(t *testing.T, pol system.Tiering, fastPages int, seed uint64) *s
 				SharedFraction: 0.9, ComputeNs: 100 * sim.Nanosecond,
 				OpsPerSec: 1e5,
 				NewGen: func(p int, rng *sim.RNG) workload.Generator {
-					return workload.NewKeyValue(p, workload.KeyValueParams{}, rng)
+					return workload.NewKeyValue(p, rng)
 				},
 			},
 			{
@@ -245,7 +245,7 @@ func TestVulcanStaggeredArrivalRebalances(t *testing.T) {
 				OpsPerSec: 1e5,
 				StartAt:   sim.Time(200 * sim.Millisecond),
 				NewGen: func(p int, rng *sim.RNG) workload.Generator {
-					return workload.NewKeyValue(p, workload.KeyValueParams{}, rng)
+					return workload.NewKeyValue(p, rng)
 				},
 			},
 		},

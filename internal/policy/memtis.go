@@ -22,21 +22,6 @@ import (
 // high-intensity streaming workloads monopolize the fast tier — the
 // cold-page dilemma of §2.2 reproduces directly from this logic.
 type Memtis struct {
-	// SampleRate is the PEBS sampling period over simulated accesses.
-	SampleRate int
-	// HeatDecay is the per-epoch cooling factor; Memtis cools slowly
-	// (count halving every cooling period), so warm footprints linger.
-	HeatDecay float64
-	// KmigratedBudget is background migration CPU per epoch, in multiples
-	// of one core's epoch cycles (Memtis caps daemon overhead at ~3%;
-	// one dedicated core at our scale).
-	KmigratedBudget float64
-	// MaxMovesPerEpoch bounds promotion/demotion batches per epoch.
-	MaxMovesPerEpoch int
-	// Headroom keeps a small fraction of the fast tier free to absorb
-	// allocation bursts.
-	Headroom float64
-
 	// Per-epoch scratch, reused across epochs so the classification pass
 	// allocates nothing in steady state. hotByApp's inner sets are
 	// cleared, not reallocated; promote is truncated.
@@ -51,16 +36,28 @@ type memtisPromo struct {
 	vp  pagetable.VPage
 }
 
-// NewMemtis returns Memtis with representative defaults.
-func NewMemtis() *Memtis {
-	return &Memtis{
-		SampleRate:       4,
-		HeatDecay:        0.8,
-		KmigratedBudget:  1.0,
-		MaxMovesPerEpoch: 16384,
-		Headroom:         0.01,
-	}
-}
+// Memtis's representative tuning.
+const (
+	// memtisSampleRate is the PEBS sampling period over simulated
+	// accesses.
+	memtisSampleRate = 4
+	// memtisHeatDecay is the per-epoch cooling factor; Memtis cools
+	// slowly (count halving every cooling period), so warm footprints
+	// linger.
+	memtisHeatDecay float64 = 0.8
+	// kmigratedBudget is background migration CPU per epoch, in
+	// multiples of one core's epoch cycles (Memtis caps daemon overhead
+	// at ~3%; one dedicated core at our scale).
+	kmigratedBudget float64 = 1.0
+	// maxMovesPerEpoch bounds promotion/demotion batches per epoch.
+	maxMovesPerEpoch = 16384
+	// headroom keeps a small fraction of the fast tier free to absorb
+	// allocation bursts.
+	headroom float64 = 0.01
+)
+
+// NewMemtis returns Memtis.
+func NewMemtis() *Memtis { return &Memtis{} }
 
 // Name implements system.Tiering.
 func (m *Memtis) Name() string { return "memtis" }
@@ -70,7 +67,7 @@ func (m *Memtis) Mechanisms() system.Mechanisms { return system.Mechanisms{} }
 
 // NewProfiler implements system.ProfilerFactory: PEBS sampling.
 func (m *Memtis) NewProfiler(app *system.App) profile.Profiler {
-	return profile.NewPEBSWithDecay(m.SampleRate, m.HeatDecay, profilerSeed(app))
+	return profile.NewPEBSWithDecay(memtisSampleRate, memtisHeatDecay, profilerSeed(app))
 }
 
 // AppStarted implements system.Tiering.
@@ -80,7 +77,7 @@ func (m *Memtis) AppStarted(*system.System, *system.App) {}
 func (m *Memtis) EndEpoch(sys *system.System) {
 	ranking := m.rank.MergedRanking(sys)
 	capacity := sys.Tiers().Fast().Capacity()
-	target := int(float64(capacity) * (1 - m.Headroom))
+	target := int(float64(capacity) * (1 - headroom))
 
 	// The hot set: globally hottest pages up to fast capacity. Pages
 	// below the resulting hotness threshold are classified cold — they
@@ -110,7 +107,7 @@ func (m *Memtis) EndEpoch(sys *system.System) {
 		if p, ok := gp.App.Table.Lookup(gp.VP); ok {
 			if p.Frame().Tier == mem.TierFast {
 				hotInFast++
-			} else if len(promote) < m.MaxMovesPerEpoch {
+			} else if len(promote) < maxMovesPerEpoch {
 				promote = append(promote, memtisPromo{gp.App, gp.VP})
 			}
 		}
@@ -130,8 +127,8 @@ func (m *Memtis) EndEpoch(sys *system.System) {
 	// so a tenant whose pages rank low loses them regardless of who it
 	// is.
 	coldInFast := sys.Tiers().Fast().Used() - hotInFast
-	if coldInFast > m.MaxMovesPerEpoch {
-		coldInFast = m.MaxMovesPerEpoch
+	if coldInFast > maxMovesPerEpoch {
+		coldInFast = maxMovesPerEpoch
 	}
 	if coldInFast > 0 {
 		EnqueueVictims(m.rank.GlobalColdestFastPages(sys, coldInFast, hotByApp))
@@ -150,7 +147,7 @@ func (m *Memtis) EndEpoch(sys *system.System) {
 	if totalBacklog == 0 {
 		return
 	}
-	budget := m.KmigratedBudget * sys.EpochCycles()
+	budget := kmigratedBudget * sys.EpochCycles()
 	for _, a := range apps {
 		share := budget * float64(a.Async.Backlog()) / float64(totalBacklog)
 		a.Async.RunEpoch(share, a.WriteProbability)

@@ -22,32 +22,25 @@ import (
 // Nomad fixes migration overhead but inherits hotness-only, fairness-blind
 // placement — which is why it shares the cold-page dilemma.
 type Nomad struct {
-	PromoteLimit    int
-	LowWatermark    float64
-	HighWatermark   float64
-	HintWindowPages int
-	// MigratorBudget is the async migration thread budget per epoch, in
-	// multiples of one core's epoch cycles.
-	MigratorBudget float64
-
 	// rank holds reusable per-epoch ranking buffers.
 	rank RankBuf
 }
 
-// NewNomad returns Nomad with representative defaults. With migration
-// cost off the critical path, nothing throttles promotion: every recently
-// touched slow page is a candidate, so high-intensity streaming workloads
-// flood the fast tier harder than under TPP's rate-limited synchronous
-// promotion — which is why Nomad is the least fair of the baselines.
-func NewNomad() *Nomad {
-	return &Nomad{
-		PromoteLimit:    32768,
-		LowWatermark:    0.02,
-		HighWatermark:   0.08,
-		HintWindowPages: 24576,
-		MigratorBudget:  2.0,
-	}
-}
+// Nomad's representative tuning. With migration cost off the critical
+// path, nothing throttles promotion: every recently touched slow page is
+// a candidate, so high-intensity streaming workloads flood the fast tier
+// harder than under TPP's rate-limited synchronous promotion — which is
+// why Nomad is the least fair of the baselines.
+const (
+	nomadPromoteLimit    = 32768
+	nomadHintWindowPages = 24576
+	// migratorBudget is the async migration thread budget per epoch, in
+	// multiples of one core's epoch cycles.
+	migratorBudget float64 = 2.0
+)
+
+// NewNomad returns Nomad.
+func NewNomad() *Nomad { return &Nomad{} }
 
 // Name implements system.Tiering.
 func (n *Nomad) Name() string { return "nomad" }
@@ -61,7 +54,7 @@ func (n *Nomad) Mechanisms() system.Mechanisms {
 
 // NewProfiler implements system.ProfilerFactory.
 func (n *Nomad) NewProfiler(app *system.App) profile.Profiler {
-	return profile.NewHintFault(app.Table, n.HintWindowPages, app.CostModel().HintFaultCycles)
+	return profile.NewHintFault(app.Table, nomadHintWindowPages, app.CostModel().HintFaultCycles)
 }
 
 // AppStarted implements system.Tiering.
@@ -73,9 +66,9 @@ func (n *Nomad) EndEpoch(sys *system.System) {
 
 	// Watermark-driven async demotion (shadow remaps make clean-page
 	// demotion nearly free).
-	if FreeFastFraction(sys) < n.LowWatermark {
+	if FreeFastFraction(sys) < lowWatermark {
 		fast := sys.Tiers().Fast()
-		need := int(n.HighWatermark*float64(fast.Capacity())) - fast.FreePages()
+		need := int(highWatermark*float64(fast.Capacity())) - fast.FreePages()
 		if need > 0 {
 			EnqueueVictims(n.rank.GlobalColdestFastPages(sys, need, nil))
 		}
@@ -85,7 +78,7 @@ func (n *Nomad) EndEpoch(sys *system.System) {
 	// the migrator thread works through them within budget, aborting
 	// copies dirtied in flight.
 	for _, a := range apps {
-		for _, vp := range n.rank.SlowPagesWithHeat(a, n.PromoteLimit) {
+		for _, vp := range n.rank.SlowPagesWithHeat(a, nomadPromoteLimit) {
 			a.Async.EnqueueOne(migrate.Move{VP: vp, To: mem.TierFast})
 		}
 	}
@@ -96,7 +89,7 @@ func (n *Nomad) EndEpoch(sys *system.System) {
 	if totalBacklog == 0 {
 		return
 	}
-	budget := n.MigratorBudget * sys.EpochCycles()
+	budget := migratorBudget * sys.EpochCycles()
 	for _, a := range apps {
 		share := budget * float64(a.Async.Backlog()) / float64(totalBacklog)
 		a.Async.RunEpoch(share, a.WriteProbability)

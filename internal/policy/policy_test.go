@@ -27,7 +27,7 @@ func colo(t *testing.T, pol system.Tiering, fastPages int) *system.System {
 				SharedFraction: 0.9, ComputeNs: 100 * sim.Nanosecond,
 				OpsPerSec: 1e5,
 				NewGen: func(p int, rng *sim.RNG) workload.Generator {
-					return workload.NewKeyValue(p, workload.KeyValueParams{}, rng)
+					return workload.NewKeyValue(p, rng)
 				},
 			},
 			{
@@ -193,7 +193,8 @@ func TestMergedRankingWeightsByIntensity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sys.RunEpoch()
 	}
-	ranking := MergedRanking(sys)
+	var b RankBuf
+	ranking := b.MergedRanking(sys)
 	if len(ranking) == 0 {
 		t.Fatal("empty merged ranking")
 	}
@@ -219,7 +220,8 @@ func TestColdestFastPagesOrdering(t *testing.T) {
 	sys := colo(t, system.NullPolicy{}, 1024)
 	sys.RunEpoch()
 	lc := sys.App("lc")
-	cold := ColdestFastPages(lc, 10, nil)
+	var b RankBuf
+	cold := append([]pagetable.VPage(nil), b.ColdestFastPages(lc, 10, nil)...)
 	if len(cold) != 10 {
 		t.Fatalf("got %d victims", len(cold))
 	}
@@ -237,7 +239,7 @@ func TestColdestFastPagesOrdering(t *testing.T) {
 	}
 	// Keep-set is honored.
 	keep := map[pagetable.VPage]bool{cold[0]: true}
-	cold2 := ColdestFastPages(lc, 10, keep)
+	cold2 := b.ColdestFastPages(lc, 10, keep)
 	for _, vp := range cold2 {
 		if vp == cold[0] {
 			t.Fatal("kept page selected as victim")
@@ -248,7 +250,8 @@ func TestColdestFastPagesOrdering(t *testing.T) {
 func TestGlobalColdestSkipsKeepAndOrders(t *testing.T) {
 	sys := colo(t, system.NullPolicy{}, 1024)
 	sys.RunEpoch()
-	victims := GlobalColdestFastPages(sys, 50, nil)
+	var b RankBuf
+	victims := b.GlobalColdestFastPages(sys, 50, nil)
 	if len(victims) != 50 {
 		t.Fatalf("got %d global victims", len(victims))
 	}
@@ -258,22 +261,22 @@ func TestGlobalColdestSkipsKeepAndOrders(t *testing.T) {
 			t.Fatal("global victim not fast-resident")
 		}
 	}
-	if GlobalColdestFastPages(sys, 0, nil) != nil {
+	if b.GlobalColdestFastPages(sys, 0, nil) != nil {
 		t.Fatal("n=0 returned victims")
 	}
 }
 
 func TestMoveBuilders(t *testing.T) {
+	var b RankBuf
 	vps := []pagetable.VPage{1, 2, 3}
-	for i, mv := range PromoteMoves(vps) {
+	for i, mv := range b.PromoteMoves(vps) {
 		if mv.VP != vps[i] || mv.To != mem.TierFast {
 			t.Fatal("PromoteMoves wrong")
 		}
 	}
-	for i, mv := range DemoteMoves(vps) {
-		if mv.VP != vps[i] || mv.To != mem.TierSlow {
-			t.Fatal("DemoteMoves wrong")
-		}
+	// The buffer is reused: a shorter second call sees only its own pages.
+	if got := b.PromoteMoves(vps[:1]); len(got) != 1 || got[0].VP != 1 {
+		t.Fatalf("PromoteMoves reuse: %+v", got)
 	}
 }
 
@@ -283,7 +286,8 @@ func TestSlowPagesWithHeatLimit(t *testing.T) {
 		sys.RunEpoch()
 	}
 	be := sys.App("be")
-	pages := SlowPagesWithHeat(be, 5)
+	var b RankBuf
+	pages := b.SlowPagesWithHeat(be, 5)
 	if len(pages) > 5 {
 		t.Fatalf("limit ignored: %d", len(pages))
 	}

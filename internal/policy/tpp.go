@@ -19,33 +19,24 @@ import (
 //     pages (globally, with no notion of per-app fairness) until the high
 //     watermark is restored.
 type TPP struct {
-	// PromoteLimit bounds synchronous promotions per app per epoch
-	// (Linux's NUMA-balancing rate limit).
-	PromoteLimit int
-	// LowWatermark / HighWatermark are fast-tier free fractions that
-	// trigger and terminate background demotion.
-	LowWatermark  float64
-	HighWatermark float64
-	// HintWindowPages is the per-epoch poison window per app.
-	HintWindowPages int
-	// KswapdBudget is background demotion CPU per epoch, in multiples of
-	// one core's epoch cycles.
-	KswapdBudget float64
-
 	// rank holds reusable per-epoch ranking buffers.
 	rank RankBuf
 }
 
-// NewTPP returns TPP with defaults mirroring kernel tunables.
-func NewTPP() *TPP {
-	return &TPP{
-		PromoteLimit:    1024,
-		LowWatermark:    0.02,
-		HighWatermark:   0.08,
-		HintWindowPages: 8192,
-		KswapdBudget:    1.0,
-	}
-}
+// TPP's tuning, mirroring kernel tunables.
+const (
+	// tppPromoteLimit bounds synchronous promotions per app per epoch
+	// (Linux's NUMA-balancing rate limit).
+	tppPromoteLimit = 1024
+	// tppHintWindowPages is the per-epoch poison window per app.
+	tppHintWindowPages = 8192
+	// kswapdBudget is background demotion CPU per epoch, in multiples of
+	// one core's epoch cycles.
+	kswapdBudget float64 = 1.0
+)
+
+// NewTPP returns TPP.
+func NewTPP() *TPP { return &TPP{} }
 
 // Name implements system.Tiering.
 func (t *TPP) Name() string { return "tpp" }
@@ -55,7 +46,7 @@ func (t *TPP) Mechanisms() system.Mechanisms { return system.Mechanisms{} }
 
 // NewProfiler implements system.ProfilerFactory: NUMA hinting faults.
 func (t *TPP) NewProfiler(app *system.App) profile.Profiler {
-	return profile.NewHintFault(app.Table, t.HintWindowPages, app.CostModel().HintFaultCycles)
+	return profile.NewHintFault(app.Table, tppHintWindowPages, app.CostModel().HintFaultCycles)
 }
 
 // AppStarted implements system.Tiering.
@@ -64,7 +55,7 @@ func (t *TPP) AppStarted(*system.System, *system.App) {}
 // Place implements system.Placer: TPP allocates new pages to the fast
 // tier while it has headroom.
 func (t *TPP) Place(sys *system.System, app *system.App) mem.TierID {
-	if FreeFastFraction(sys) > t.LowWatermark {
+	if FreeFastFraction(sys) > lowWatermark {
 		return mem.TierFast
 	}
 	return mem.TierSlow
@@ -76,14 +67,14 @@ func (t *TPP) EndEpoch(sys *system.System) {
 
 	// Background demotion first: restore the high watermark by demoting
 	// the globally coldest fast pages, apportioned by fast-tier usage.
-	if FreeFastFraction(sys) < t.LowWatermark {
+	if FreeFastFraction(sys) < lowWatermark {
 		fast := sys.Tiers().Fast()
-		need := int(t.HighWatermark*float64(fast.Capacity())) - fast.FreePages()
+		need := int(highWatermark*float64(fast.Capacity())) - fast.FreePages()
 		if need > 0 {
 			// kswapd reclaims from the node's global LRU: coldest pages
 			// go regardless of owner.
 			EnqueueVictims(t.rank.GlobalColdestFastPages(sys, need, nil))
-			budget := t.KswapdBudget * sys.EpochCycles()
+			budget := kswapdBudget * sys.EpochCycles()
 			for _, a := range apps {
 				a.Async.RunEpoch(budget/float64(len(apps)), a.WriteProbability)
 			}
@@ -92,7 +83,7 @@ func (t *TPP) EndEpoch(sys *system.System) {
 
 	// Synchronous hint-fault promotion, charged to the faulting app.
 	for _, a := range apps {
-		candidates := t.rank.SlowPagesWithHeat(a, t.PromoteLimit)
+		candidates := t.rank.SlowPagesWithHeat(a, tppPromoteLimit)
 		if len(candidates) == 0 {
 			continue
 		}

@@ -549,7 +549,7 @@ func resolveApp(a App, scale int) (workload.AppConfig, error) {
 	if a.PremapFraction != 0 {
 		cfg.PremapFraction = a.PremapFraction
 	}
-	return cfg, nil
+	return cfg, cfg.Check()
 }
 
 func resolveCustom(a App) (workload.AppConfig, error) {
@@ -595,7 +595,6 @@ func resolveCustom(a App) (workload.AppConfig, error) {
 		OpsPerSec:      a.OpsPerSec,
 		NewGen:         gen,
 	}
-	cfg.Validate()
 	return cfg, nil
 }
 
@@ -615,7 +614,7 @@ func generatorFactory(kind string, skew, writeFrac, llc float64, wss int) (workl
 		}, nil
 	case "keyvalue":
 		return func(p int, rng *sim.RNG) workload.Generator {
-			return workload.NewKeyValue(p, workload.KeyValueParams{}, rng)
+			return workload.NewKeyValue(p, rng)
 		}, nil
 	case "graph":
 		return func(p int, rng *sim.RNG) workload.Generator {

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -109,30 +111,83 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-func TestLoadErrors(t *testing.T) {
-	cases := map[string]string{
-		"garbage":           `{`,
-		"unknown field":     `{"bogus": 1, "apps":[{"preset":"memcached"}]}`,
-		"no apps":           `{"policy":"tpp"}`,
-		"unknown policy":    `{"policy":"bogus","apps":[{"preset":"memcached"}]}`,
-		"bad preset":        `{"apps":[{"preset":"redis"}]}`,
-		"custom no name":    `{"apps":[{"generator":"zipf","rss_pages":10}]}`,
-		"bad class":         `{"apps":[{"name":"x","class":"MEDIUM","rss_pages":10}]}`,
-		"bad generator":     `{"apps":[{"name":"x","rss_pages":10,"generator":"lru"}]}`,
-		"micro without wss": `{"apps":[{"name":"x","rss_pages":10,"generator":"micro"}]}`,
+// loadErrorCases are scenarios Load must reject; FuzzResolve seeds from
+// them too.
+var loadErrorCases = map[string]string{
+	"garbage":           `{`,
+	"unknown field":     `{"bogus": 1, "apps":[{"preset":"memcached"}]}`,
+	"no apps":           `{"policy":"tpp"}`,
+	"unknown policy":    `{"policy":"bogus","apps":[{"preset":"memcached"}]}`,
+	"bad preset":        `{"apps":[{"preset":"redis"}]}`,
+	"custom no name":    `{"apps":[{"generator":"zipf","rss_pages":10}]}`,
+	"bad class":         `{"apps":[{"name":"x","class":"MEDIUM","rss_pages":10}]}`,
+	"bad generator":     `{"apps":[{"name":"x","rss_pages":10,"generator":"lru"}]}`,
+	"micro without wss": `{"apps":[{"name":"x","rss_pages":10,"generator":"micro"}]}`,
+	"custom zero rss":   `{"apps":[{"name":"x","rss_pages":0}]}`,
+	"preset premap 3":   `{"apps":[{"preset":"memcached","premap_fraction":3}]}`,
+	"custom premap 3":   `{"apps":[{"name":"x","rss_pages":10,"premap_fraction":3}]}`,
+	"scaled to no rss":  `{"scale":1000000000,"apps":[{"preset":"memcached"}]}`,
 
-		"unknown fault field":      `{"apps":[{"preset":"memcached"}],"faults":{"kind":"pebs"}}`,
-		"unknown fault profile":    `{"apps":[{"preset":"memcached"}],"faults":{"profile":"apocalyptic"}}`,
-		"fault rate over 1":        `{"apps":[{"preset":"memcached"}],"faults":{"rate":1.5}}`,
-		"negative fault rate":      `{"apps":[{"preset":"memcached"}],"faults":{"rate":-0.1}}`,
-		"profile and rate":         `{"apps":[{"preset":"memcached"}],"faults":{"profile":"light","rate":0.05}}`,
-		"fault seed doing nothing": `{"apps":[{"preset":"memcached"}],"faults":{"seed":7}}`,
-	}
-	for name, js := range cases {
+	"unknown fault field":      `{"apps":[{"preset":"memcached"}],"faults":{"kind":"pebs"}}`,
+	"unknown fault profile":    `{"apps":[{"preset":"memcached"}],"faults":{"profile":"apocalyptic"}}`,
+	"fault rate over 1":        `{"apps":[{"preset":"memcached"}],"faults":{"rate":1.5}}`,
+	"negative fault rate":      `{"apps":[{"preset":"memcached"}],"faults":{"rate":-0.1}}`,
+	"profile and rate":         `{"apps":[{"preset":"memcached"}],"faults":{"profile":"light","rate":0.05}}`,
+	"fault seed doing nothing": `{"apps":[{"preset":"memcached"}],"faults":{"seed":7}}`,
+}
+
+func TestLoadErrors(t *testing.T) {
+	for name, js := range loadErrorCases {
 		if _, err := Load(strings.NewReader(js)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzResolve feeds LoadFile and Resolve arbitrary bytes. Neither may
+// panic, and every app of an accepted scenario — its own apps, the
+// arrivals template and the fleet jobs — must pass AppConfig.Check, so
+// no accepted scenario can crash the system that admits it.
+func FuzzResolve(f *testing.F) {
+	seeds, err := filepath.Glob("../../cmd/vulcansim/testdata/*.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range append(seeds, "../../testdata/serve/scenario.json") {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(sampleJSON))
+	for _, js := range loadErrorCases {
+		f.Add([]byte(js))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		file, err := LoadFile(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		p, err := Resolve(file)
+		if err != nil {
+			return
+		}
+		apps := append([]workload.AppConfig(nil), p.Apps...)
+		if p.Arrivals != nil {
+			apps = append(apps, p.Arrivals.Template)
+		}
+		if p.Fleet != nil {
+			for _, j := range p.Fleet.Jobs {
+				apps = append(apps, j.App)
+			}
+		}
+		for _, a := range apps {
+			if err := a.Check(); err != nil {
+				t.Fatalf("accepted scenario holds a bad app: %v", err)
+			}
+		}
+	})
 }
 
 func TestFaultsBlock(t *testing.T) {

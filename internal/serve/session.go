@@ -393,7 +393,7 @@ func (s *Session) Enqueue(c Cmd) error {
 	}
 	switch c.Op {
 	case "admit":
-		if err := checkAdmitSpec(c, s.parsed.Scale); err != nil {
+		if _, err := resolveCmdApp(c, s.parsed.Scale, 0); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 		if c.Depart < 0 {
@@ -416,20 +416,6 @@ func (s *Session) Enqueue(c Cmd) error {
 	c.Src = "api"
 	s.pending = append(s.pending, c)
 	return nil
-}
-
-// checkAdmitSpec dry-runs an admit's spec resolution. Config validation
-// panics on malformed values (the configured-up-front contract); an API
-// client's spec must surface as a rejection instead, so the panic is
-// converted here.
-func checkAdmitSpec(c Cmd, scale int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("invalid app spec: %v", r)
-		}
-	}()
-	_, err = resolveCmdApp(c, scale, 0)
-	return err
 }
 
 // apply executes one command at the current boundary.

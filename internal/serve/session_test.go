@@ -317,7 +317,7 @@ func TestSessionRejections(t *testing.T) {
 	}
 	if err := s.Enqueue(Cmd{Op: "admit",
 		App: &scenario.App{Name: "bad", Threads: 1}}); err == nil {
-		t.Error("admit with zero RSS accepted (Validate panic not converted)")
+		t.Error("admit with zero RSS accepted")
 	}
 
 	// State errors surface at the boundary, in Errs.
@@ -347,6 +347,28 @@ func TestSessionRejections(t *testing.T) {
 				t.Fatal("rejected command was journaled")
 			}
 		}
+	}
+}
+
+// TestEnqueueRejectsPremapAdmit: a preset admit whose premap fraction is
+// out of range is rejected at Enqueue, never reaches a boundary, and the
+// session runs to completion.
+func TestEnqueueRejectsPremapAdmit(t *testing.T) {
+	s, err := NewSession(Options{Scenario: testScenario(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Cmd{Op: "admit", App: &scenario.App{Preset: "memcached", PremapFraction: 3}}
+	if err := s.Enqueue(bad); err == nil || !strings.Contains(err.Error(), "premap fraction") {
+		t.Fatalf("premap admit: err = %v, want a premap rejection", err)
+	}
+	for !s.Finished() {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.Errs()) != 0 {
+		t.Fatalf("errs = %v, want none", s.Errs())
 	}
 }
 

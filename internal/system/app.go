@@ -253,7 +253,7 @@ func (a *App) admit(sys *System, placer Placer) {
 	a.perfSeries = &metrics.Running{}
 	a.sampleWeight = 1
 
-	mech := sys.mechanisms()
+	mech := sys.Mechanisms()
 	engCfg := migrate.Config{
 		Cost:              sys.cost,
 		Tiers:             sys.tiers,

@@ -49,13 +49,16 @@ func (s *System) liveThreads() int {
 // once its StartAt time arrives (callers that want immediate admission
 // set StartAt at or before the current clock). The system must have
 // been built with AllowDynamic; names must be unique (recorder series,
-// telemetry labels and policy registries are keyed by them) and the
-// newcomer's threads must fit alongside every non-stopped app's.
+// telemetry labels and policy registries are keyed by them), the config
+// must pass AppConfig.Check, and the newcomer's threads must fit
+// alongside every non-stopped app's.
 func (s *System) AddApp(ac workload.AppConfig) (*App, error) {
 	if !s.cfg.AllowDynamic {
 		return nil, fmt.Errorf("system: AddApp on a static system (Config.AllowDynamic is off)")
 	}
-	ac.Validate()
+	if err := ac.Check(); err != nil {
+		return nil, err
+	}
 	if s.App(ac.Name) != nil {
 		return nil, fmt.Errorf("system: app %q already exists", ac.Name)
 	}

@@ -51,6 +51,12 @@ func TestAddAppLifecycle(t *testing.T) {
 	if _, err := sys.AddApp(big); err == nil {
 		t.Fatal("over-capacity app accepted")
 	}
+	// A malformed config is an error, not a panic.
+	bad := tinyApp("bad", workload.BE, 100, 0)
+	bad.PremapFraction = 3
+	if _, err := sys.AddApp(bad); err == nil {
+		t.Fatal("malformed app accepted")
+	}
 
 	b, err := sys.AddApp(tinyApp("b", workload.BE, 200, 0))
 	if err != nil {

@@ -60,7 +60,7 @@ func (s *System) Report() Report {
 		SlowCapacity:  slow.Capacity(),
 		SlowUsed:      slow.Used(),
 		CFI:           s.cfi.Index(),
-		Mechanisms:    s.mechanisms(),
+		Mechanisms:    s.Mechanisms(),
 		AuditOK:       audit.Ok(),
 		AuditProblems: audit.Errors,
 	}

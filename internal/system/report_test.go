@@ -189,20 +189,6 @@ func TestSystemAccessors(t *testing.T) {
 	}
 }
 
-func TestMechanismOverride(t *testing.T) {
-	override := Mechanisms{OptimizedPrep: true}
-	sys := New(Config{
-		Machine:           tinyMachine(256, 2048),
-		Apps:              []workload.AppConfig{tinyApp("a", workload.LC, 500, 0)},
-		EpochLength:       10 * sim.Millisecond,
-		Policy:            NullPolicy{}, // declares no mechanisms
-		MechanismOverride: &override,
-	})
-	if got := sys.Mechanisms(); got != override {
-		t.Fatalf("override ignored: %+v", got)
-	}
-}
-
 func TestChargeStallNegativePanics(t *testing.T) {
 	sys := New(Config{
 		Machine:     tinyMachine(256, 2048),

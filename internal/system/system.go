@@ -30,11 +30,6 @@ type Config struct {
 	// implement ProfilerFactory (default: Vulcan's hybrid).
 	NewProfiler func(app *App) profile.Profiler
 
-	// MechanismOverride, when non-nil, replaces the policy's declared
-	// Mechanisms — used by ablation experiments to switch individual
-	// optimizations on or off.
-	MechanismOverride *Mechanisms
-
 	// DisableTHP turns off transparent huge pages. By default every
 	// app's RSS is mapped as 2MiB huge pages for TLB coverage and split
 	// into base pages when migration touches a group (§3.5).
@@ -569,14 +564,6 @@ func (s *System) Run(d sim.Duration) {
 // utilization estimate.
 func (s *System) BandwidthUtil() [mem.NumTiers]float64 { return s.bwUtil }
 
-// mechanisms resolves the engine-level optimization set: the config
-// override wins, otherwise the policy's declaration applies.
-func (s *System) mechanisms() Mechanisms {
-	if s.cfg.MechanismOverride != nil {
-		return *s.cfg.MechanismOverride
-	}
-	return s.policy.Mechanisms()
-}
-
-// Mechanisms returns the optimization set in effect.
-func (s *System) Mechanisms() Mechanisms { return s.mechanisms() }
+// Mechanisms returns the optimization set in effect: the policy's
+// declaration.
+func (s *System) Mechanisms() Mechanisms { return s.policy.Mechanisms() }

@@ -13,7 +13,7 @@ import (
 
 func sampleTrace(t *testing.T, n int) *Trace {
 	t.Helper()
-	g := workload.NewKeyValue(1000, workload.KeyValueParams{}, sim.NewRNG(3))
+	g := workload.NewKeyValue(1000, sim.NewRNG(3))
 	return Capture(g, n)
 }
 

@@ -10,58 +10,26 @@ import "vulcan/internal/sim"
 type KeyValue struct {
 	pages    int
 	hotPages int
-	hotProb  float64
-	setFrac  float64
-	hotHit   float64
-	coldHit  float64
 	rng      *sim.RNG
 }
 
-// KeyValueParams tunes a KeyValue generator; zero values select the
-// paper's defaults.
-type KeyValueParams struct {
-	HotFraction float64 // of pages in the hot set (default 0.10)
-	HotProb     float64 // of accesses hitting the hot set (default 0.90)
-	SetFraction float64 // writes (default 0.10: 90% GETs / 10% SETs)
-	HotLLCHit   float64 // default 0.70
-	ColdLLCHit  float64 // default 0.05
-}
-
-func (p *KeyValueParams) defaults() {
-	if p.HotFraction == 0 {
-		p.HotFraction = 0.10
-	}
-	if p.HotProb == 0 {
-		p.HotProb = 0.90
-	}
-	if p.SetFraction == 0 {
-		p.SetFraction = 0.10
-	}
-	if p.HotLLCHit == 0 {
-		p.HotLLCHit = 0.70
-	}
-	if p.ColdLLCHit == 0 {
-		p.ColdLLCHit = 0.05
-	}
-}
+// KeyValue's access mix: the paper's memcached defaults.
+const (
+	kvHotFraction float64 = 0.10 // of pages in the hot set
+	kvHotProb     float64 = 0.90 // of accesses hitting the hot set
+	kvSetFraction float64 = 0.10 // writes: 90% GETs / 10% SETs
+	kvHotLLCHit   float64 = 0.70
+	kvColdLLCHit  float64 = 0.05
+)
 
 // NewKeyValue builds the generator over pages pages.
-func NewKeyValue(pages int, params KeyValueParams, rng *sim.RNG) *KeyValue {
+func NewKeyValue(pages int, rng *sim.RNG) *KeyValue {
 	checkRegion(pages, 0)
-	params.defaults()
-	hot := int(float64(pages) * params.HotFraction)
+	hot := int(float64(pages) * kvHotFraction)
 	if hot < 1 {
 		hot = 1
 	}
-	return &KeyValue{
-		pages:    pages,
-		hotPages: hot,
-		hotProb:  params.HotProb,
-		setFrac:  params.SetFraction,
-		hotHit:   params.HotLLCHit,
-		coldHit:  params.ColdLLCHit,
-		rng:      rng,
-	}
+	return &KeyValue{pages: pages, hotPages: hot, rng: rng}
 }
 
 // Name implements Generator.
@@ -75,15 +43,15 @@ func (k *KeyValue) HotPages() int { return k.hotPages }
 
 // Next implements Generator.
 func (k *KeyValue) Next() Ref {
-	write := k.rng.Bool(k.setFrac)
-	if k.rng.Bool(k.hotProb) {
+	write := k.rng.Bool(kvSetFraction)
+	if k.rng.Bool(kvHotProb) {
 		// Hot keys are roughly equally popular: every hot page matters,
 		// so losing part of the hot set to the slow tier hurts
 		// proportionally (the cold-page dilemma's victim profile).
-		return Ref{Page: k.rng.Intn(k.hotPages), Write: write, LLCHitProb: k.hotHit}
+		return Ref{Page: k.rng.Intn(k.hotPages), Write: write, LLCHitProb: kvHotLLCHit}
 	}
 	cold := k.hotPages + k.rng.Intn(k.pages-k.hotPages)
-	return Ref{Page: cold, Write: write, LLCHitProb: k.coldHit}
+	return Ref{Page: cold, Write: write, LLCHitProb: kvColdLLCHit}
 }
 
 // GraphWalk models PageRank-style graph processing: streaming reads of

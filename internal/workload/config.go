@@ -63,32 +63,36 @@ type AppConfig struct {
 	PremapFraction float64
 }
 
-// Validate panics on malformed configs; returning errors would just move
-// the crash to the first epoch.
+// Check reports the first malformed field of c. Configs that arrive from
+// outside the program (scenario files, control-API admits) are checked
+// with it so a bad value surfaces as an error, not a crash.
+func (c AppConfig) Check() error {
+	switch {
+	case c.Name == "":
+		return fmt.Errorf("workload: app without a name")
+	case c.Threads <= 0:
+		return fmt.Errorf("workload: app %s with %d threads", c.Name, c.Threads)
+	case c.RSSPages <= 0:
+		return fmt.Errorf("workload: app %s with RSS %d", c.Name, c.RSSPages)
+	case c.SharedFraction < 0 || c.SharedFraction > 1:
+		return fmt.Errorf("workload: app %s shared fraction %v", c.Name, c.SharedFraction)
+	case c.ComputeNs < 0:
+		return fmt.Errorf("workload: app %s negative compute", c.Name)
+	case c.OpsPerSec < 0:
+		return fmt.Errorf("workload: app %s negative ops rate", c.Name)
+	case c.PremapFraction < 0 || c.PremapFraction > 1:
+		return fmt.Errorf("workload: app %s premap fraction %v", c.Name, c.PremapFraction)
+	case c.NewGen == nil:
+		return fmt.Errorf("workload: app %s without a generator", c.Name)
+	}
+	return nil
+}
+
+// Validate panics on malformed configs built inside the program, where a
+// returned error would just move the crash to the first epoch.
 func (c AppConfig) Validate() {
-	if c.Name == "" {
-		panic("workload: app without a name")
-	}
-	if c.Threads <= 0 {
-		panic(fmt.Sprintf("workload: app %s with %d threads", c.Name, c.Threads))
-	}
-	if c.RSSPages <= 0 {
-		panic(fmt.Sprintf("workload: app %s with RSS %d", c.Name, c.RSSPages))
-	}
-	if c.SharedFraction < 0 || c.SharedFraction > 1 {
-		panic(fmt.Sprintf("workload: app %s shared fraction %v", c.Name, c.SharedFraction))
-	}
-	if c.ComputeNs < 0 {
-		panic(fmt.Sprintf("workload: app %s negative compute", c.Name))
-	}
-	if c.OpsPerSec < 0 {
-		panic(fmt.Sprintf("workload: app %s negative ops rate", c.Name))
-	}
-	if c.PremapFraction < 0 || c.PremapFraction > 1 {
-		panic(fmt.Sprintf("workload: app %s premap fraction %v", c.Name, c.PremapFraction))
-	}
-	if c.NewGen == nil {
-		panic(fmt.Sprintf("workload: app %s without a generator", c.Name))
+	if err := c.Check(); err != nil {
+		panic(err.Error())
 	}
 }
 
@@ -177,7 +181,7 @@ func MemcachedConfig() AppConfig {
 		ComputeNs:      100 * sim.Nanosecond,
 		OpsPerSec:      1.2e6,
 		NewGen: func(pages int, rng *sim.RNG) Generator {
-			return NewKeyValue(pages, KeyValueParams{}, rng)
+			return NewKeyValue(pages, rng)
 		},
 	}
 }

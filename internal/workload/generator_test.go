@@ -84,7 +84,7 @@ func TestRegionValidation(t *testing.T) {
 }
 
 func TestKeyValueHotSetConcentration(t *testing.T) {
-	g := NewKeyValue(1000, KeyValueParams{}, sim.NewRNG(5))
+	g := NewKeyValue(1000, sim.NewRNG(5))
 	if g.HotPages() != 100 {
 		t.Fatalf("hot pages = %d, want 100", g.HotPages())
 	}
@@ -102,7 +102,7 @@ func TestKeyValueHotSetConcentration(t *testing.T) {
 }
 
 func TestKeyValueLLCLocality(t *testing.T) {
-	g := NewKeyValue(1000, KeyValueParams{}, sim.NewRNG(6))
+	g := NewKeyValue(1000, sim.NewRNG(6))
 	for i := 0; i < 1000; i++ {
 		r := g.Next()
 		if r.Page < g.HotPages() && r.LLCHitProb != 0.70 {
@@ -115,7 +115,7 @@ func TestKeyValueLLCLocality(t *testing.T) {
 }
 
 func TestKeyValueWriteMix(t *testing.T) {
-	g := NewKeyValue(100, KeyValueParams{}, sim.NewRNG(7))
+	g := NewKeyValue(100, sim.NewRNG(7))
 	writes := 0
 	const n = 100_000
 	for i := 0; i < n; i++ {
@@ -258,7 +258,7 @@ func TestGeneratorNames(t *testing.T) {
 		{NewUniform(10, 0, 0, rng), "uniform"},
 		{NewZipfian(10, 1, 0, 0, rng), "zipfian"},
 		{NewScan(10, 0, 0, rng), "scan"},
-		{NewKeyValue(10, KeyValueParams{}, rng), "keyvalue"},
+		{NewKeyValue(10, rng), "keyvalue"},
 		{NewGraphWalk(10, rng), "graphwalk"},
 		{NewMLTrain(64, rng), "mltrain"},
 		{NewNomadMicro(10, 5, 0, rng), "nomad-micro"},

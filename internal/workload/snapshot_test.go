@@ -21,7 +21,7 @@ func generatorPairs() map[string][2]Generator {
 		"zipf":    mk(func(r *sim.RNG) Generator { return NewZipfian(pages, 0.99, 0.2, 0.1, r) }),
 		"scan":    mk(func(r *sim.RNG) Generator { return NewScan(pages, 0.3, 0.1, r) }),
 		"keyvalue": mk(func(r *sim.RNG) Generator {
-			return NewKeyValue(pages, KeyValueParams{}, r)
+			return NewKeyValue(pages, r)
 		}),
 		"graph":   mk(func(r *sim.RNG) Generator { return NewGraphWalk(pages, r) }),
 		"mltrain": mk(func(r *sim.RNG) Generator { return NewMLTrain(pages, r) }),
