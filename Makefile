@@ -48,13 +48,15 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs two native fuzz targets for ten seconds each: the
-# journal decoder (FuzzReadJournal) and the scenario loader
-# (FuzzResolve). Their seed corpora also run in every `go test`; a
-# failing input lands in the package's testdata/fuzz/ for replay.
+# fuzz-smoke runs three native fuzz targets for ten seconds each: the
+# journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve)
+# and the radix selection (FuzzSelect). Their seed corpora also run in
+# every `go test`; a failing input lands in the package's testdata/fuzz/
+# for replay.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzReadJournal -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzResolve -fuzztime 10s
+	$(GO) test ./internal/radix -run '^$$' -fuzz FuzzSelect -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

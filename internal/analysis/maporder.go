@@ -13,8 +13,8 @@ import (
 // loop perturbs replay unless the collected results are deterministically
 // sorted afterwards — the analyzer recognizes a subsequent sort.* /
 // slices.Sort* call on the collected slice and stays quiet for that
-// common fix (see policy.RankBuf.MergedRanking for the canonical
-// pattern).
+// common fix (policy.rankMinor shows the canonical tie-break: heat,
+// then app index, then page number).
 //
 // Order-independent bodies — filling another map or set, integer
 // counting, finding a max — are legal and not flagged.

@@ -12,6 +12,45 @@ import (
 	"vulcan/internal/workload"
 )
 
+// hashJoin models an analytics hash join with two phases that alternate
+// every phaseLength references: build streams a relation while writing
+// a hash-table region randomly, probe streams another while reading it.
+// The hash table is the first fifth of the pages, the build relation
+// the second.
+type hashJoin struct {
+	pages, hashPages, buildPages, phaseLength int
+
+	emitted, buildC, probeC int
+	rng                     *sim.RNG
+}
+
+func newHashJoin(pages, phaseLength int, rng *sim.RNG) *hashJoin {
+	return &hashJoin{pages: pages, hashPages: pages / 5, buildPages: pages / 5,
+		phaseLength: phaseLength, rng: rng}
+}
+
+func (h *hashJoin) Name() string { return "hashjoin" }
+func (h *hashJoin) Pages() int   { return h.pages }
+
+func (h *hashJoin) Next() workload.Ref {
+	build := (h.emitted/h.phaseLength)%2 == 0
+	h.emitted++
+	if h.rng.Bool(0.5) {
+		return workload.Ref{Page: h.rng.Intn(h.hashPages), Write: build, LLCHitProb: 0.20}
+	}
+	if build {
+		p := h.hashPages + h.buildC
+		h.buildC = (h.buildC + 1) % h.buildPages
+		return workload.Ref{Page: p, LLCHitProb: 0.03}
+	}
+	base := h.hashPages + h.buildPages
+	p := base + h.probeC
+	if h.probeC++; base+h.probeC >= h.pages {
+		h.probeC = 0
+	}
+	return workload.Ref{Page: p, LLCHitProb: 0.03}
+}
+
 // TestVulcanAdaptsToPhaseChange runs the hash-join workload, whose hash
 // region flips between write-intensive (build) and read-intensive
 // (probe), and checks that the biased classification follows the phase —
@@ -24,12 +63,12 @@ func TestVulcanAdaptsToPhaseChange(t *testing.T) {
 
 	// Each thread draws from its own generator instance at 800 samples
 	// per epoch, so a phase of 8000 refs spans 10 epochs per thread.
-	var join *workload.HashJoin
+	var join *hashJoin
 	app := workload.AppConfig{
 		Name: "join", Class: workload.BE, Threads: 2, RSSPages: 4000,
 		SharedFraction: 1.0, ComputeNs: 50 * sim.Nanosecond,
 		NewGen: func(p int, rng *sim.RNG) workload.Generator {
-			join = workload.NewHashJoin(p, 8000, rng)
+			join = newHashJoin(p, 8000, rng)
 			return join
 		},
 	}
@@ -48,7 +87,7 @@ func TestVulcanAdaptsToPhaseChange(t *testing.T) {
 	meanHashWriteFrac := func() float64 {
 		a := sys.App("join")
 		sum, n := 0.0, 0
-		for vp := 0; vp < join.HashPages(); vp++ {
+		for vp := 0; vp < join.hashPages; vp++ {
 			if h := a.Profiler.Heat(pagetable.VPage(vp)); h > 0 {
 				sum += a.Profiler.WriteFraction(pagetable.VPage(vp))
 				n++

@@ -84,10 +84,9 @@ type Vulcan struct {
 
 	// Per-epoch scratch, reused so enforcement allocates nothing in
 	// steady state.
-	rank      policy.RankBuf               //vulcan:nosnap per-epoch ranking scratch, rebuilt every enforce pass
-	topHeat   radix.TopK[profile.PageHeat] //vulcan:nosnap per-epoch candidate selection scratch
-	radHeat   radix.Buf[profile.PageHeat]  //vulcan:nosnap per-epoch candidate sort scratch
-	syncBatch []migrate.Move               //vulcan:nosnap per-epoch sync-migration scratch, reused buffer
+	rank      policy.RankBuf                 //vulcan:nosnap per-epoch ranking scratch, rebuilt every enforce pass
+	selHeat   radix.Select[profile.PageHeat] //vulcan:nosnap per-epoch candidate selection scratch
+	syncBatch []migrate.Move                 //vulcan:nosnap per-epoch sync-migration scratch, reused buffer
 }
 
 // New builds Vulcan with opts (zero value = full system, defaults).
@@ -250,7 +249,7 @@ func (v *Vulcan) enforce(sys *system.System, st *QoSState) {
 	if cur > st.Alloc {
 		// Over quota: demote the coldest pages; shadow remaps make the
 		// clean ones nearly free.
-		victims := v.rank.ColdestFastPages(app, cur-st.Alloc, nil)
+		victims := v.rank.ColdestFastPages(app, cur-st.Alloc)
 		if obs.Enabled(sys.Obs(), obs.EvDecision) {
 			e := obs.E(obs.EvDecision, app.Name(), "policy", 0,
 				obs.F("over", float64(cur-st.Alloc)),
@@ -342,7 +341,7 @@ func (v *Vulcan) swapWithinQuota(sys *system.System, app *system.App, budget flo
 		app.Async.RunEpoch(budget, app.WriteProbability)
 		return
 	}
-	victims := v.rank.ColdestFastPages(app, len(candidates), nil)
+	victims := v.rank.ColdestFastPages(app, len(candidates))
 	// Pair hottest candidates with coldest victims; swap only when the
 	// candidate is clearly hotter (hysteresis against thrash — a fresh
 	// streaming spike must not displace a steadily warm page).
@@ -377,22 +376,7 @@ func (v *Vulcan) swapWithinQuota(sys *system.System, app *system.App, budget flo
 // slowCandidates returns up to limit of app's hottest slow-resident
 // pages.
 func (v *Vulcan) slowCandidates(app *system.App, limit int) []profile.PageHeat {
-	// Bounded selection — heat descending, then page number — over the
-	// unsorted page list; equals the old "sorted snapshot, first limit
-	// slow-resident entries" without sorting the whole snapshot.
-	t := &v.topHeat
-	t.Reset(limit)
-	for _, ph := range app.Profiler.HeatPages() {
-		if p, ok := app.Table.Lookup(ph.VP); ok && p.Frame().Tier == mem.TierSlow {
-			t.Offer(radix.FloatKeyDesc(ph.Heat), uint64(ph.VP), ph)
-		}
-	}
-	k := len(t.Val)
-	major, minor := v.radHeat.Keys(k)
-	copy(major, t.Maj)
-	copy(minor, t.Min)
-	t.Val = v.radHeat.Sort(t.Val, major, minor)
-	return t.Val
+	return policy.HottestSlowPages(&v.selHeat, app, limit, func(ph profile.PageHeat) profile.PageHeat { return ph })
 }
 
 func min(a, b int) int {

@@ -172,12 +172,13 @@ func (a *AsyncMigrator) Stats() AsyncStats { return a.stats }
 // before the page's migration is aborted for this epoch.
 func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetable.VPage) float64) EpochResult {
 	var res EpochResult
-	for len(a.pending) > 0 && res.Cycles < budgetCycles {
-		n := a.cfg.BatchPages
-		if n > len(a.pending) {
-			n = len(a.pending)
-		}
-		batch := a.pending[:n]
+	// head is the consumed prefix of the backlog; it is compacted away
+	// once after the loop instead of after every batch.
+	head := 0
+	for head < len(a.pending) && res.Cycles < budgetCycles {
+		n := min(a.cfg.BatchPages, len(a.pending)-head)
+		batch := a.pending[head : head+n]
+		head += n
 
 		// Transactional filter: each copy attempt is invalidated with the
 		// page's write probability; after MaxRetries invalidated retries
@@ -237,12 +238,11 @@ func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetab
 		for _, mv := range batch {
 			a.queued.Delete(uint64(mv.VP))
 		}
-		// Compact the consumed prefix in place so the backlog's backing
-		// array is pooled across epochs instead of re-allocated as the
-		// window slides.
-		a.pending = a.pending[:copy(a.pending, a.pending[n:])]
 	}
-	// Reindex the dedup map after consuming a prefix.
+	// Compact the consumed prefix in place so the backlog's backing
+	// array is pooled across epochs instead of re-allocated as the
+	// window slides, then reindex the dedup map.
+	a.pending = a.pending[:copy(a.pending, a.pending[head:])]
 	for i, mv := range a.pending {
 		a.queued.Set(uint64(mv.VP), uint64(i)+1)
 	}

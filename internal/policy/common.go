@@ -10,24 +10,51 @@ import (
 	"vulcan/internal/mem"
 	"vulcan/internal/migrate"
 	"vulcan/internal/pagetable"
+	"vulcan/internal/profile"
 	"vulcan/internal/radix"
 	"vulcan/internal/system"
 )
 
-// GlobalPage is one page in a cross-application ranking. Heat is weighted
-// by the owning app's sample weight so that absolute access rates are
-// comparable across apps of different intensity — exactly the
-// normalization-free ranking that produces the cold-page dilemma.
+// GlobalPage is one page in a cross-application ranking: a demotion
+// victim or a promotion pick.
 type GlobalPage struct {
-	App  *system.App
-	VP   pagetable.VPage
-	Heat float64
-}
-
-// GlobalVictim is one demotion candidate in a cross-app cold ranking.
-type GlobalVictim struct {
 	App *system.App
 	VP  pagetable.VPage
+}
+
+// PageSet is a dense set of one app's virtual pages, one bit per page
+// number up to the highest page added. Reset keeps the storage, so a
+// set rebuilt every epoch allocates only at a new high-water page.
+type PageSet struct {
+	bits []uint64
+	n    int
+}
+
+// Add inserts vp.
+func (s *PageSet) Add(vp pagetable.VPage) {
+	w := int(vp >> 6)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
+	if bit := uint64(1) << (vp & 63); s.bits[w]&bit == 0 {
+		s.bits[w] |= bit
+		s.n++
+	}
+}
+
+// Has reports whether vp is in the set.
+func (s *PageSet) Has(vp pagetable.VPage) bool {
+	w := int(vp >> 6)
+	return w < len(s.bits) && s.bits[w]&(1<<(vp&63)) != 0
+}
+
+// Len returns the number of pages in the set.
+func (s *PageSet) Len() int { return s.n }
+
+// Reset empties the set, keeping its storage.
+func (s *PageSet) Reset() {
+	clear(s.bits)
+	s.n = 0
 }
 
 // RankBuf holds reusable ranking buffers so a policy's per-epoch
@@ -37,17 +64,11 @@ type GlobalVictim struct {
 // epochs. Policies embed one RankBuf per instance (systems are
 // single-threaded; sweep workers each own a policy instance).
 type RankBuf struct {
-	global []GlobalPage
-	vps    []pagetable.VPage
-	moves  []migrate.Move
+	moves []migrate.Move
 
-	radGlobal radix.Buf[GlobalPage]
-	radSel    radix.Buf[pagetable.VPage]
-	radSlow   radix.Buf[pagetable.VPage]
-	radGVic   radix.Buf[GlobalVictim]
-	topCand   radix.TopK[pagetable.VPage]
-	topSlow   radix.TopK[pagetable.VPage]
-	topVictim radix.TopK[GlobalVictim]
+	selCold   radix.Select[pagetable.VPage]
+	selSlow   radix.Select[pagetable.VPage]
+	selVictim radix.Select[GlobalPage]
 }
 
 // rankMinor packs the (app, page) tie-break into one radix key: app
@@ -57,118 +78,69 @@ func rankMinor(appIndex int, vp pagetable.VPage) uint64 {
 	return uint64(appIndex)<<36 | uint64(vp)
 }
 
-// MergedRanking returns every profiled page of every started app, hottest
-// first, with app-intensity weighting.
-func (b *RankBuf) MergedRanking(sys *system.System) []GlobalPage {
-	all := b.global[:0]
-	for _, a := range sys.StartedApps() {
-		w := a.SampleWeight()
-		// The merged order comes entirely from the composite sort below,
-		// so the per-app inputs can stay unsorted.
-		for _, ph := range a.Profiler.HeatPages() {
-			all = append(all, GlobalPage{App: a, VP: ph.VP, Heat: ph.Heat * w})
-		}
-	}
-	// Heat descending, then app index, then page number — the same total
-	// order the previous comparison sort produced, via composite radix
-	// keys.
-	major, minor := b.radGlobal.Keys(len(all))
-	for i := range all {
-		major[i] = radix.FloatKeyDesc(all[i].Heat)
-		minor[i] = rankMinor(all[i].App.Index, all[i].VP)
-	}
-	all = b.radGlobal.Sort(all, major, minor)
-	b.global = all
-	return all
-}
-
 // ColdestFastPages returns up to n of app's fast-tier pages ordered by
-// ascending profiled heat (unprofiled pages count as coldest), skipping
-// pages in keep.
-func (b *RankBuf) ColdestFastPages(a *system.App, n int, keep map[pagetable.VPage]bool) []pagetable.VPage {
+// ascending profiled heat, then page number (unprofiled pages count as
+// coldest).
+func (b *RankBuf) ColdestFastPages(a *system.App, n int) []pagetable.VPage {
 	if n <= 0 {
 		return nil
 	}
-	// Stream candidates through a bounded selection — heat ascending,
-	// then page number — instead of sorting every fast page: only the n
-	// returned victims need ordering, and the composite key's total
-	// order makes the selected prefix identical to a full sort's.
-	t := &b.topCand
-	t.Reset(n)
+	sel := &b.selCold
+	sel.Reset(n)
 	a.Table.Range(func(vp pagetable.VPage, p pagetable.PTE) bool {
-		if p.Frame().Tier != mem.TierFast {
-			return true
+		if p.Frame().Tier == mem.TierFast {
+			sel.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)), uint64(vp), vp)
 		}
-		if keep != nil && keep[vp] {
-			return true
-		}
-		t.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)), uint64(vp), vp)
 		return true
 	})
-	k := len(t.Val)
-	major, minor := b.radSel.Keys(k)
-	copy(major, t.Maj)
-	copy(minor, t.Min)
-	t.Val = b.radSel.Sort(t.Val, major, minor)
-	return t.Val
+	return sel.Sorted()
 }
 
 // GlobalColdestFastPages returns up to n fast-resident pages across all
-// started apps, coldest first by intensity-weighted heat — the victim
-// order of a global (fairness-blind) reclaim pass. Pages in keep[app]
-// are skipped.
-func (b *RankBuf) GlobalColdestFastPages(sys *system.System, n int, keep map[*system.App]map[pagetable.VPage]bool) []GlobalVictim {
+// started apps, coldest first by intensity-weighted heat, then app
+// index, then page number — the victim order of a global
+// (fairness-blind) reclaim pass. Pages in keep[app.Index] are skipped;
+// keep may be nil or shorter than the app list.
+func (b *RankBuf) GlobalColdestFastPages(sys *system.System, n int, keep []PageSet) []GlobalPage {
 	if n <= 0 {
 		return nil
 	}
-	// Stream candidates through a bounded selection — heat ascending,
-	// then app index, then page number — instead of sorting every fast
-	// page in the system; the selected-and-sorted n victims are exactly
-	// the prefix a full sort would emit.
-	t := &b.topVictim
-	t.Reset(n)
+	sel := &b.selVictim
+	sel.Reset(n)
 	for _, a := range sys.StartedApps() {
 		w := a.SampleWeight()
-		ka := keep[a]
 		idx := a.Index
+		var ka *PageSet
+		if idx < len(keep) {
+			ka = &keep[idx]
+		}
 		a.Table.Range(func(vp pagetable.VPage, p pagetable.PTE) bool {
-			if p.Frame().Tier != mem.TierFast {
-				return true
+			if p.Frame().Tier == mem.TierFast && (ka == nil || !ka.Has(vp)) {
+				sel.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)*w), rankMinor(idx, vp), GlobalPage{a, vp})
 			}
-			if ka != nil && ka[vp] {
-				return true
-			}
-			t.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)*w), rankMinor(idx, vp), GlobalVictim{a, vp})
 			return true
 		})
 	}
-	k := len(t.Val)
-	major, minor := b.radGVic.Keys(k)
-	copy(major, t.Maj)
-	copy(minor, t.Min)
-	t.Val = b.radGVic.Sort(t.Val, major, minor)
-	return t.Val
+	return sel.Sorted()
 }
 
 // SlowPagesWithHeat returns app pages resident in the slow tier that have
 // nonzero profiled heat, hottest first, capped at limit.
 func (b *RankBuf) SlowPagesWithHeat(a *system.App, limit int) []pagetable.VPage {
-	// Bounded selection over the unsorted page list — heat descending,
-	// then page number — matches the old "sorted snapshot, first limit
-	// slow-resident entries" exactly, without sorting the whole snapshot.
-	t := &b.topSlow
-	t.Reset(limit)
+	return HottestSlowPages(&b.selSlow, a, limit, func(ph profile.PageHeat) pagetable.VPage { return ph.VP })
+}
+
+// HottestSlowPages selects up to limit of app's profiled pages resident
+// in the slow tier, hottest first, then by page number. It returns val
+// of each page, in sel's reusable buffer.
+func HottestSlowPages[T any](sel *radix.Select[T], a *system.App, limit int, val func(profile.PageHeat) T) []T {
+	sel.Reset(limit)
 	for _, ph := range a.Profiler.HeatPages() {
 		if p, ok := a.Table.Lookup(ph.VP); ok && p.Frame().Tier == mem.TierSlow {
-			t.Offer(radix.FloatKeyDesc(ph.Heat), uint64(ph.VP), ph.VP)
+			sel.Offer(radix.FloatKeyDesc(ph.Heat), uint64(ph.VP), val(ph))
 		}
 	}
-	k := len(t.Val)
-	major, minor := b.radSlow.Keys(k)
-	copy(major, t.Maj)
-	copy(minor, t.Min)
-	t.Val = b.radSlow.Sort(t.Val, major, minor)
-	return t.Val
+	return sel.Sorted()
 }
 
 // PromoteMoves builds fast-tier moves for the given pages in the reusable
@@ -183,7 +155,7 @@ func (b *RankBuf) PromoteMoves(vps []pagetable.VPage) []migrate.Move {
 }
 
 // EnqueueVictims spreads demotions onto each victim's own app queue.
-func EnqueueVictims(victims []GlobalVictim) {
+func EnqueueVictims(victims []GlobalPage) {
 	for _, v := range victims {
 		v.App.Async.EnqueueOne(migrate.Move{VP: v.VP, To: mem.TierSlow})
 	}

@@ -3,8 +3,8 @@ package policy
 import (
 	"vulcan/internal/mem"
 	"vulcan/internal/migrate"
-	"vulcan/internal/pagetable"
 	"vulcan/internal/profile"
+	"vulcan/internal/radix"
 	"vulcan/internal/system"
 )
 
@@ -23,17 +23,16 @@ import (
 // cold-page dilemma of §2.2 reproduces directly from this logic.
 type Memtis struct {
 	// Per-epoch scratch, reused across epochs so the classification pass
-	// allocates nothing in steady state. hotByApp's inner sets are
-	// cleared, not reallocated; promote is truncated.
+	// allocates nothing in steady state: the ranking keys and their
+	// radix buffers, the hot set of each app (indexed by App.Index),
+	// and the promotion and victim picks.
 	rank     RankBuf
-	hotByApp map[*system.App]map[pagetable.VPage]bool
-	promote  []memtisPromo
-}
-
-// memtisPromo is one staged promotion in Memtis's per-epoch scratch.
-type memtisPromo struct {
-	app *system.App
-	vp  pagetable.VPage
+	keys     radix.Buf[struct{}]
+	pages    [][]profile.PageHeat
+	hot      []PageSet
+	selPromo radix.Select[GlobalPage]
+	promote  []GlobalPage
+	victims  []GlobalPage
 }
 
 // Memtis's representative tuning.
@@ -75,71 +74,23 @@ func (m *Memtis) AppStarted(*system.System, *system.App) {}
 
 // EndEpoch implements system.Tiering.
 func (m *Memtis) EndEpoch(sys *system.System) {
-	ranking := m.rank.MergedRanking(sys)
-	capacity := sys.Tiers().Fast().Capacity()
-	target := int(float64(capacity) * (1 - headroom))
-
-	// The hot set: globally hottest pages up to fast capacity. Pages
-	// below the resulting hotness threshold are classified cold — they
-	// are demoted even when the fast tier has room, exactly like
-	// Memtis's histogram-threshold split.
-	if m.hotByApp == nil {
-		m.hotByApp = make(map[*system.App]map[pagetable.VPage]bool)
-	}
-	for _, set := range m.hotByApp {
-		clear(set)
-	}
-	hotByApp := m.hotByApp
-	promote := m.promote[:0]
-	count := 0
-	hotInFast := 0
-	for _, gp := range ranking {
-		if count >= target {
-			break
-		}
-		count++
-		set := hotByApp[gp.App]
-		if set == nil {
-			set = make(map[pagetable.VPage]bool)
-			hotByApp[gp.App] = set
-		}
-		set[gp.VP] = true
-		if p, ok := gp.App.Table.Lookup(gp.VP); ok {
-			if p.Frame().Tier == mem.TierFast {
-				hotInFast++
-			} else if len(promote) < maxMovesPerEpoch {
-				promote = append(promote, memtisPromo{gp.App, gp.VP})
-			}
-		}
-	}
-	m.promote = promote
+	m.classify(sys)
 
 	// Record each app's hot/cold classification so Figure 1 can plot the
 	// dilemma: pages in the global hot set vs the rest of the RSS.
-	for _, a := range sys.StartedApps() {
-		hot := len(hotByApp[a])
+	apps := sys.StartedApps()
+	for _, a := range apps {
+		hot := m.hot[a.Index].Len()
 		sys.Recorder().Record(a.Name()+".memtis_hot", float64(hot))
 		sys.Recorder().Record(a.Name()+".memtis_cold", float64(a.RSSMapped()-hot))
 	}
-
-	// Demote every fast page classified cold (not in the hot set),
-	// coldest first — Memtis's ranking is system-wide and fairness-blind,
-	// so a tenant whose pages rank low loses them regardless of who it
-	// is.
-	coldInFast := sys.Tiers().Fast().Used() - hotInFast
-	if coldInFast > maxMovesPerEpoch {
-		coldInFast = maxMovesPerEpoch
-	}
-	if coldInFast > 0 {
-		EnqueueVictims(m.rank.GlobalColdestFastPages(sys, coldInFast, hotByApp))
-	}
-	for _, p := range promote {
-		p.app.Async.EnqueueOne(migrate.Move{VP: p.vp, To: mem.TierFast})
+	EnqueueVictims(m.victims)
+	for _, p := range m.promote {
+		p.App.Async.EnqueueOne(migrate.Move{VP: p.VP, To: mem.TierFast})
 	}
 
 	// kmigrated works the queues within its budget, demotions and
 	// promotions interleaved per app (split budget by backlog share).
-	apps := sys.StartedApps()
 	totalBacklog := 0
 	for _, a := range apps {
 		totalBacklog += a.Async.Backlog()
@@ -152,4 +103,76 @@ func (m *Memtis) EndEpoch(sys *system.System) {
 		share := budget * float64(a.Async.Backlog()) / float64(totalBacklog)
 		a.Async.RunEpoch(share, a.WriteProbability)
 	}
+}
+
+// classify splits every profiled page into Memtis's hot and cold sets
+// and picks this epoch's moves: m.hot holds each app's hot set, and
+// m.promote and m.victims the promotions and demotions in queue order.
+//
+// The hot set is the globally hottest pages, by intensity-weighted heat
+// then app index then page number, up to fast capacity less headroom.
+// Pages below the resulting hotness threshold are classified cold: they
+// are demoted even when the fast tier has room, exactly like Memtis's
+// histogram-threshold split. A radix select finds the threshold key;
+// only the slow-tier hot pages, the promotion candidates, are ordered.
+func (m *Memtis) classify(sys *system.System) {
+	apps := sys.StartedApps()
+	target := int(float64(sys.Tiers().Fast().Capacity()) * (1 - headroom))
+
+	pages := m.pages[:0]
+	n := 0
+	for _, a := range apps {
+		ph := a.Profiler.HeatPages()
+		pages = append(pages, ph)
+		n += len(ph)
+	}
+	m.pages = pages
+	major, minor := m.keys.Keys(n)
+	i := 0
+	for j, a := range apps {
+		w := a.SampleWeight()
+		for _, ph := range pages[j] {
+			major[i] = radix.FloatKeyDesc(ph.Heat * w)
+			minor[i] = rankMinor(a.Index, ph.VP)
+			i++
+		}
+	}
+	cut := m.keys.Cut(major, minor, target)
+
+	for len(m.hot) < len(sys.Apps()) {
+		m.hot = append(m.hot, PageSet{})
+	}
+	for j := range m.hot {
+		m.hot[j].Reset()
+	}
+	sel := &m.selPromo
+	sel.Reset(maxMovesPerEpoch)
+	hotInFast := 0
+	i = 0
+	for j, a := range apps {
+		set := &m.hot[a.Index]
+		for _, ph := range pages[j] {
+			maj, mnr := major[i], minor[i]
+			i++
+			if !cut.Admit(maj, mnr) {
+				continue
+			}
+			set.Add(ph.VP)
+			if p, ok := a.Table.Lookup(ph.VP); ok {
+				if p.Frame().Tier == mem.TierFast {
+					hotInFast++
+				} else {
+					sel.Offer(maj, mnr, GlobalPage{a, ph.VP})
+				}
+			}
+		}
+	}
+	m.promote = sel.Sorted()
+
+	// Demote every fast page classified cold (not in the hot set),
+	// coldest first — Memtis's ranking is system-wide and fairness-blind,
+	// so a tenant whose pages rank low loses them regardless of who it
+	// is.
+	coldInFast := min(sys.Tiers().Fast().Used()-hotInFast, maxMovesPerEpoch)
+	m.victims = m.rank.GlobalColdestFastPages(sys, coldInFast, m.hot)
 }

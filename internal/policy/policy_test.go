@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"vulcan/internal/machine"
@@ -188,26 +190,165 @@ func TestPolicyCharacters(t *testing.T) {
 	}
 }
 
+// refPage is one page of the tests' full-sort reference rankings.
+type refPage struct {
+	app  *system.App
+	vp   pagetable.VPage
+	heat float64
+}
+
+// refOrder orders reference pages by heat (descending when desc), then
+// app index, then page number: the composite order Memtis's selections
+// must reproduce, here by comparison sort.
+func refOrder(desc bool) func(x, y refPage) int {
+	return func(x, y refPage) int {
+		if x.heat != y.heat {
+			if (x.heat > y.heat) == desc {
+				return -1
+			}
+			return 1
+		}
+		if x.app.Index != y.app.Index {
+			return x.app.Index - y.app.Index
+		}
+		return cmp.Compare(x.vp, y.vp)
+	}
+}
+
+// refRanking is every profiled page of every started app, hottest first
+// by intensity-weighted heat.
+func refRanking(sys *system.System) []refPage {
+	var all []refPage
+	for _, a := range sys.StartedApps() {
+		for _, ph := range a.Profiler.HeatPages() {
+			all = append(all, refPage{a, ph.VP, ph.Heat * a.SampleWeight()})
+		}
+	}
+	slices.SortFunc(all, refOrder(true))
+	return all
+}
+
+// memtisRef is what Memtis decides in one epoch.
+type memtisRef struct {
+	hot     map[int]int // hot-set size by app index
+	promote []GlobalPage
+	victims []GlobalPage
+}
+
+// memtisReference recomputes one Memtis epoch's decisions the way the
+// policy first did: fully sort every profiled page, take the first
+// target as the hot set, promote its slow pages in rank order, and
+// demote the coldest fast pages outside it, by a second full sort.
+func memtisReference(sys *system.System) memtisRef {
+	ref := memtisRef{hot: map[int]int{}}
+	hot := map[GlobalPage]bool{}
+	ranking := refRanking(sys)
+	target := int(float64(sys.Tiers().Fast().Capacity()) * (1 - headroom))
+	hotInFast := 0
+	for _, rp := range ranking[:min(target, len(ranking))] {
+		hot[GlobalPage{rp.app, rp.vp}] = true
+		ref.hot[rp.app.Index]++
+		if p, ok := rp.app.Table.Lookup(rp.vp); ok {
+			if p.Frame().Tier == mem.TierFast {
+				hotInFast++
+			} else if len(ref.promote) < maxMovesPerEpoch {
+				ref.promote = append(ref.promote, GlobalPage{rp.app, rp.vp})
+			}
+		}
+	}
+	var cold []refPage
+	for _, a := range sys.StartedApps() {
+		a.Table.Range(func(vp pagetable.VPage, p pagetable.PTE) bool {
+			if p.Frame().Tier == mem.TierFast && !hot[GlobalPage{a, vp}] {
+				cold = append(cold, refPage{a, vp, a.Profiler.Heat(vp) * a.SampleWeight()})
+			}
+			return true
+		})
+	}
+	slices.SortFunc(cold, refOrder(false))
+	n := min(sys.Tiers().Fast().Used()-hotInFast, maxMovesPerEpoch)
+	for _, rp := range cold[:max(0, min(n, len(cold)))] {
+		ref.victims = append(ref.victims, GlobalPage{rp.app, rp.vp})
+	}
+	return ref
+}
+
+// checkedMemtis runs Memtis and compares every epoch's decisions with
+// the full-sort reference computed from the same state.
+type checkedMemtis struct {
+	*Memtis
+	t                 *testing.T
+	promoted, demoted int
+}
+
+func (c *checkedMemtis) EndEpoch(sys *system.System) {
+	want := memtisReference(sys)
+	c.Memtis.EndEpoch(sys)
+	for _, a := range sys.StartedApps() {
+		if got := c.hot[a.Index].Len(); got != want.hot[a.Index] {
+			c.t.Fatalf("epoch %d app %s: %d hot pages, reference %d", sys.Epoch(), a.Name(), got, want.hot[a.Index])
+		}
+	}
+	if !slices.Equal(c.promote, want.promote) {
+		c.t.Fatalf("epoch %d: promotion order diverges from the reference (%d vs %d picks)", sys.Epoch(), len(c.promote), len(want.promote))
+	}
+	if !slices.Equal(c.victims, want.victims) {
+		c.t.Fatalf("epoch %d: victims diverge from the reference (%d vs %d picks)", sys.Epoch(), len(c.victims), len(want.victims))
+	}
+	c.promoted += len(c.promote)
+	c.demoted += len(c.victims)
+}
+
+// TestMemtisMatchesFullSortReference pins Memtis's selections to the
+// full sort they replace: over 20 epochs of a three-app system, the hot
+// counts, the promotion order and the victims are identical.
+func TestMemtisMatchesFullSortReference(t *testing.T) {
+	pol := &checkedMemtis{Memtis: NewMemtis(), t: t}
+	mcfg := machine.DefaultConfig()
+	mcfg.Cores = 8
+	mcfg.Tiers[mem.TierFast].CapacityPages = 1024
+	mcfg.Tiers[mem.TierSlow].CapacityPages = 1 << 15
+	kv := func(p int, rng *sim.RNG) workload.Generator { return workload.NewKeyValue(p, rng) }
+	sys := system.New(system.Config{
+		Machine: mcfg,
+		Apps: []workload.AppConfig{
+			{Name: "lc", Class: workload.LC, Threads: 2, RSSPages: 3000, SharedFraction: 0.9,
+				ComputeNs: 100 * sim.Nanosecond, OpsPerSec: 1e5, NewGen: kv},
+			{Name: "be", Class: workload.BE, Threads: 2, RSSPages: 6000, SharedFraction: 0.9,
+				ComputeNs: 25 * sim.Nanosecond,
+				NewGen:    func(p int, rng *sim.RNG) workload.Generator { return workload.NewMLTrain(p, rng) }},
+			{Name: "kv", Class: workload.LC, Threads: 2, RSSPages: 2000, SharedFraction: 0.5,
+				ComputeNs: 50 * sim.Nanosecond, OpsPerSec: 3e5, NewGen: kv},
+		},
+		Policy:           pol,
+		EpochLength:      20 * sim.Millisecond,
+		SamplesPerThread: 800,
+		Seed:             11,
+		DisableTHP:       true,
+	})
+	for i := 0; i < 20; i++ {
+		sys.RunEpoch()
+	}
+	if pol.promoted == 0 || pol.demoted == 0 {
+		t.Fatalf("test did not exercise both paths: %d promotions, %d victims", pol.promoted, pol.demoted)
+	}
+}
+
 func TestMergedRankingWeightsByIntensity(t *testing.T) {
 	sys := colo(t, NewMemtis(), 1024)
 	for i := 0; i < 5; i++ {
 		sys.RunEpoch()
 	}
-	var b RankBuf
-	ranking := b.MergedRanking(sys)
+	// Memtis's hot set is this ranking's prefix
+	// (TestMemtisMatchesFullSortReference), so the weighting shows here.
+	ranking := refRanking(sys)
 	if len(ranking) == 0 {
 		t.Fatal("empty merged ranking")
 	}
-	// Descending heat.
-	for i := 1; i < len(ranking); i++ {
-		if ranking[i-1].Heat < ranking[i].Heat {
-			t.Fatal("ranking not sorted by descending heat")
-		}
-	}
 	// The high-intensity BE app must dominate the head of the ranking.
 	beAtHead := 0
-	for _, gp := range ranking[:min(len(ranking), 100)] {
-		if gp.App.Name() == "be" {
+	for _, rp := range ranking[:min(len(ranking), 100)] {
+		if rp.app.Name() == "be" {
 			beAtHead++
 		}
 	}
@@ -221,7 +362,7 @@ func TestColdestFastPagesOrdering(t *testing.T) {
 	sys.RunEpoch()
 	lc := sys.App("lc")
 	var b RankBuf
-	cold := append([]pagetable.VPage(nil), b.ColdestFastPages(lc, 10, nil)...)
+	cold := b.ColdestFastPages(lc, 10)
 	if len(cold) != 10 {
 		t.Fatalf("got %d victims", len(cold))
 	}
@@ -235,14 +376,6 @@ func TestColdestFastPagesOrdering(t *testing.T) {
 		p, ok := lc.Table.Lookup(vp)
 		if !ok || p.Frame().Tier != mem.TierFast {
 			t.Fatal("victim not fast-resident")
-		}
-	}
-	// Keep-set is honored.
-	keep := map[pagetable.VPage]bool{cold[0]: true}
-	cold2 := b.ColdestFastPages(lc, 10, keep)
-	for _, vp := range cold2 {
-		if vp == cold[0] {
-			t.Fatal("kept page selected as victim")
 		}
 	}
 }
@@ -259,6 +392,15 @@ func TestGlobalColdestSkipsKeepAndOrders(t *testing.T) {
 		p, ok := v.App.Table.Lookup(v.VP)
 		if !ok || p.Frame().Tier != mem.TierFast {
 			t.Fatal("global victim not fast-resident")
+		}
+	}
+	// Keep-sets, indexed by app, are honored.
+	first := victims[0]
+	keep := make([]PageSet, first.App.Index+1)
+	keep[first.App.Index].Add(first.VP)
+	for _, v := range b.GlobalColdestFastPages(sys, 50, keep) {
+		if v == first {
+			t.Fatal("kept page selected as victim")
 		}
 	}
 	if b.GlobalColdestFastPages(sys, 0, nil) != nil {
@@ -300,11 +442,4 @@ func TestSlowPagesWithHeatLimit(t *testing.T) {
 			t.Fatal("candidate has no heat")
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
-// Package radix provides a stable LSD radix sort over parallel key
-// arrays, used by the per-epoch ranking paths (policy candidate
-// selection, promotion-queue ordering) in place of comparison sorts.
+// Package radix provides a stable LSD radix sort and an exact MSD radix
+// select over parallel key arrays, used by the per-epoch ranking paths
+// (policy candidate selection, promotion-queue ordering) in place of
+// comparison sorts.
 //
 // Callers express their comparator as a composite (major, minor) uint64
 // key pair per element; the sort orders by major ascending, then minor
@@ -8,7 +9,8 @@
 // order (heat, then owner app, then page number), the composite key
 // reproduces the comparison sort's output exactly — no reliance on input
 // order or stability subtleties. Descending float orders are expressed
-// through the key transforms below.
+// through the key transforms below. Rankings that consume only a prefix
+// select it (Cut, Select) instead of sorting everything.
 package radix
 
 import (
@@ -72,11 +74,7 @@ func (b *Buf[T]) Sort(a []T, major, minor []uint64) []T {
 		return a
 	}
 	if cap(b.spare) < n {
-		c := cap(b.major)
-		if c < n {
-			c = n
-		}
-		b.spare = make([]T, c)
+		b.spare = make([]T, max(n, cap(b.major)))
 	}
 	out := b.spare[:n]
 	ka, kb := minor, b.minorSpare[:n]
@@ -138,110 +136,179 @@ func (b *Buf[T]) Sort(a []T, major, minor []uint64) []T {
 	return a
 }
 
-// TopK selects the k smallest elements of a stream under the composite
-// (major, minor) key order without materializing or sorting the whole
-// stream: a bounded binary max-heap holds the running k smallest, so
-// once it fills, an offer that is not among them costs one comparison.
-// Rankings that consume only a bounded prefix (demotion victim picks)
-// use this in place of a full sort; because the composite key is a
-// total order over distinct elements, the selected set — and, after the
-// caller sorts it — the emitted prefix is exactly the one a full sort
-// would have produced.
-//
-// Maj, Min and Val are parallel arrays forming the heap; after offers
-// complete, callers typically copy the keys into a Buf's Keys arrays
-// and Sort Val by them.
-type TopK[T any] struct {
-	Maj []uint64
-	Min []uint64
-	Val []T
-	k   int
+// fitSpares grows the spare key arrays to hold n keys, to at least the
+// live arrays' capacity so all four grow together at each high-water
+// mark.
+func (b *Buf[T]) fitSpares(n int) {
+	if cap(b.majorSpare) < n || cap(b.minorSpare) < n {
+		c := max(n, cap(b.major), cap(b.minor))
+		b.majorSpare = make([]uint64, c) //vulcan:allowalloc grow-once scratch, reused across epochs
+		b.minorSpare = make([]uint64, c) //vulcan:allowalloc grow-once scratch, reused across epochs
+	}
+}
+
+// Cutoff is the boundary of a stable sort's first k elements: the k-th
+// smallest composite key, and how many of the elements carrying exactly
+// that key the prefix includes (the earliest Eq of them in input order).
+type Cutoff struct {
+	Maj, Min uint64
+	Eq       int
+}
+
+// Admit reports whether an element with key (maj, min) belongs to the
+// prefix, for elements visited in their input order: every key below
+// the cutoff does, and so do the first Eq keys equal to it. Admit counts
+// those down, so each element must be visited exactly once; once Eq is
+// zero it admits exactly the keys strictly below the cutoff.
+func (c *Cutoff) Admit(maj, min uint64) bool {
+	if maj != c.Maj {
+		return maj < c.Maj
+	}
+	if min != c.Min {
+		return min < c.Min
+	}
+	if c.Eq > 0 {
+		c.Eq--
+		return true
+	}
+	return false
+}
+
+// Cut finds the boundary of the first k elements of a stable Sort by
+// (major, minor) without sorting: an MSD radix select that histograms
+// one key byte at a time, most significant first, and keeps only the
+// bucket holding the k-th smallest key. The first pass reads every key;
+// each later pass touches only the surviving bucket, which it filters
+// into the buffer's spare arrays (a byte the survivors share is skipped
+// without copying). major and minor are left unchanged, so the caller
+// can classify its elements against the result with Cutoff.Admit. k is
+// clamped to [0, len(major)]; at k = 0 the cutoff admits nothing.
+func (b *Buf[T]) Cut(major, minor []uint64, k int) Cutoff {
+	n := len(major)
+	if k <= 0 || n == 0 {
+		return Cutoff{}
+	}
+	k = min(k, n)
+	b.fitSpares(n)
+	maj, mnr := major, minor
+	var counts [256]int
+	// Digits 15..8 are the major key's bytes, 7..0 the minor's. One
+	// survivor is the k-th smallest key itself.
+	for d := 15; d >= 0 && len(maj) > 1; d-- {
+		keys, shift := mnr, uint(d*8)
+		if d >= 8 {
+			keys, shift = maj, uint(d-8)*8
+		}
+		clear(counts[:])
+		for _, x := range keys {
+			counts[x>>shift&0xFF]++
+		}
+		bucket := 0
+		for k > counts[bucket] {
+			k -= counts[bucket]
+			bucket++
+		}
+		m := counts[bucket]
+		if m == len(keys) {
+			continue
+		}
+		// Filtering keeps input order, so the survivors' ties stay in
+		// stable-sort order. It may run in place: the write index never
+		// passes the read index.
+		outMaj, outMin := b.majorSpare[:m], b.minorSpare[:m]
+		j := 0
+		for i, x := range keys {
+			if x>>shift&0xFF == uint64(bucket) {
+				outMaj[j], outMin[j] = maj[i], mnr[i]
+				j++
+			}
+		}
+		maj, mnr = outMaj, outMin
+	}
+	// Every survivor carries the cut key; k is now its rank among them.
+	return Cutoff{Maj: maj[0], Min: mnr[0], Eq: k}
+}
+
+// Select keeps the k smallest elements of a stream under the composite
+// (major, minor) key order, ties in input order, and returns them
+// sorted: exactly the first k elements a stable Sort of the whole stream
+// would emit. Offers append to a buffer; when it holds 2k elements, Cut
+// shrinks it back to the k smallest, and from then on an offer at or
+// above the cutoff costs one comparison. The buffers grow with the
+// number of elements actually admitted, never with k, so a generous k
+// over a short stream costs no memory. Each owner carries its own
+// instance; call Reset before the first Offer of every stream.
+type Select[T any] struct {
+	buf     Buf[T]
+	val     []T
+	k       int
+	bounded bool   // only keys strictly below cut are admitted
+	cut     Cutoff // with Eq zero whenever bounded
 }
 
 // Reset prepares the selector to keep the k smallest of a new stream,
 // reusing the backing arrays.
-func (t *TopK[T]) Reset(k int) {
-	if k < 0 {
-		k = 0
-	}
-	t.k = k
-	if k == 0 {
-		t.Maj, t.Min, t.Val = t.Maj[:0], t.Min[:0], t.Val[:0]
-		return
-	}
-	if cap(t.Maj) < k {
-		c := 1 << bits.Len(uint(k-1))
-		t.Maj = make([]uint64, 0, c) //vulcan:allowalloc grow-once selection buffer, reused across epochs
-		t.Min = make([]uint64, 0, c) //vulcan:allowalloc grow-once selection buffer, reused across epochs
-		t.Val = make([]T, 0, c)      //vulcan:allowalloc grow-once selection buffer, reused across epochs
-	}
-	t.Maj, t.Min, t.Val = t.Maj[:0], t.Min[:0], t.Val[:0]
+func (s *Select[T]) Reset(k int) {
+	s.k = max(k, 0)
+	s.val = s.val[:0]
+	s.buf.major, s.buf.minor = s.buf.major[:0], s.buf.minor[:0]
+	// A zero cutoff admits nothing, which is all k = 0 keeps.
+	s.bounded, s.cut = s.k == 0, Cutoff{}
 }
 
-// greater reports whether heap element i orders after element j.
-func (t *TopK[T]) greater(i, j int) bool {
-	if t.Maj[i] != t.Maj[j] {
-		return t.Maj[i] > t.Maj[j]
-	}
-	return t.Min[i] > t.Min[j]
-}
-
-func (t *TopK[T]) swap(i, j int) {
-	t.Maj[i], t.Maj[j] = t.Maj[j], t.Maj[i]
-	t.Min[i], t.Min[j] = t.Min[j], t.Min[i]
-	t.Val[i], t.Val[j] = t.Val[j], t.Val[i]
-}
-
-func (t *TopK[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.greater(i, parent) {
-			break
-		}
-		t.swap(i, parent)
-		i = parent
-	}
-}
-
-func (t *TopK[T]) down(i int) {
-	n := len(t.Val)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && t.greater(r, l) {
-			big = r
-		}
-		if !t.greater(big, i) {
-			return
-		}
-		t.swap(i, big)
-		i = big
-	}
-}
-
-// Offer considers one element. It keeps the element iff it is among the
-// k smallest seen so far.
+// Offer considers one element. It is admitted unless k elements already
+// seen are known to order before it.
 //
 //vulcan:hotpath
-func (t *TopK[T]) Offer(maj, min uint64, v T) {
-	if t.k == 0 {
+func (s *Select[T]) Offer(maj, min uint64, v T) {
+	if s.bounded && !s.cut.Admit(maj, min) {
 		return
 	}
-	if len(t.Val) < t.k {
-		t.Maj = append(t.Maj, maj)
-		t.Min = append(t.Min, min)
-		t.Val = append(t.Val, v)
-		t.up(len(t.Val) - 1)
-		return
+	if len(s.val) == cap(s.val) {
+		s.grow()
 	}
-	// Heap full: replace the current maximum iff the new element orders
-	// strictly before it.
-	if maj > t.Maj[0] || (maj == t.Maj[0] && min >= t.Min[0]) {
-		return
+	s.buf.major = append(s.buf.major, maj)
+	s.buf.minor = append(s.buf.minor, min)
+	s.val = append(s.val, v)
+	if len(s.val) >= 2*s.k {
+		s.shrink()
 	}
-	t.Maj[0], t.Min[0], t.Val[0] = maj, min, v
-	t.down(0)
+}
+
+// grow doubles the buffers' capacity. Like Keys, it jumps by powers of
+// two, so a slowly rising candidate count reallocates rarely.
+func (s *Select[T]) grow() {
+	c := max(64, 2*cap(s.val))
+	s.val = append(make([]T, 0, c), s.val...)                  //vulcan:allowalloc grow-once selection buffer, reused across epochs
+	s.buf.major = append(make([]uint64, 0, c), s.buf.major...) //vulcan:allowalloc grow-once selection buffer, reused across epochs
+	s.buf.minor = append(make([]uint64, 0, c), s.buf.minor...) //vulcan:allowalloc grow-once selection buffer, reused across epochs
+}
+
+// shrink cuts the buffer back to its k smallest elements, in input
+// order, and bounds later offers by their cutoff.
+func (s *Select[T]) shrink() {
+	b := &s.buf
+	c := b.Cut(b.major, b.minor, s.k)
+	j := 0
+	for i := range s.val {
+		if c.Admit(b.major[i], b.minor[i]) {
+			b.major[j], b.minor[j], s.val[j] = b.major[i], b.minor[i], s.val[i]
+			j++
+		}
+	}
+	b.major, b.minor, s.val = b.major[:j], b.minor[:j], s.val[:j]
+	s.bounded, s.cut = true, c // Admit has counted c.Eq down to zero
+}
+
+// Sorted returns the selected elements in (major, minor) order. The
+// slice aliases the selector's buffers: it is valid until the next Reset
+// and must not be retained across streams.
+func (s *Select[T]) Sorted() []T {
+	if len(s.val) > s.k {
+		s.shrink()
+	}
+	b := &s.buf
+	b.fitSpares(len(s.val))
+	s.val = b.Sort(s.val, b.major, b.minor)
+	return s.val
 }

@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -86,49 +87,165 @@ func TestSortMatchesComparisonSort(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesSortPrefix pins the selection contract: Reset(k),
-// Offer everything, sort the survivors — the result must equal the
-// first k elements of a full sort under the same composite key.
-func TestTopKMatchesSortPrefix(t *testing.T) {
+// key is one element's composite key in the selection tests; elements
+// are identified by their input position, so a result that reorders
+// equal keys differs from the stable reference.
+type key struct{ maj, min uint64 }
+
+// checkSelect pins the selection contract on one input: Sort is the
+// stable sort, Select returns its first k elements in order, and Cut's
+// cutoff admits exactly those elements while leaving the keys intact.
+func checkSelect(tb testing.TB, keys []key, k int, b *Buf[int], sel *Select[int]) {
+	tb.Helper()
+	n := len(keys)
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	want := slices.Clone(ids)
+	slices.SortStableFunc(want, func(x, y int) int {
+		if c := cmp.Compare(keys[x].maj, keys[y].maj); c != 0 {
+			return c
+		}
+		return cmp.Compare(keys[x].min, keys[y].min)
+	})
+	prefix := want[:min(max(k, 0), n)]
+
+	major, minor := b.Keys(n)
+	for i, kk := range keys {
+		major[i], minor[i] = kk.maj, kk.min
+	}
+	if got := b.Sort(slices.Clone(ids), major, minor); !slices.Equal(got, want) {
+		tb.Fatalf("n=%d: Sort is not the stable sort: got %v want %v", n, got, want)
+	}
+
+	sel.Reset(k)
+	for i, kk := range keys {
+		sel.Offer(kk.maj, kk.min, i)
+	}
+	if got := sel.Sorted(); !slices.Equal(got, prefix) {
+		tb.Fatalf("n=%d k=%d: Select = %v, want stable prefix %v", n, k, got, prefix)
+	}
+
+	major, minor = b.Keys(n)
+	for i, kk := range keys {
+		major[i], minor[i] = kk.maj, kk.min
+	}
+	c := b.Cut(major, minor, k)
+	inPrefix := make([]bool, n)
+	for _, id := range prefix {
+		inPrefix[id] = true
+	}
+	for i, kk := range keys {
+		if major[i] != kk.maj || minor[i] != kk.min {
+			tb.Fatalf("n=%d k=%d: Cut modified key %d", n, k, i)
+		}
+		if got := c.Admit(kk.maj, kk.min); got != inPrefix[i] {
+			tb.Fatalf("n=%d k=%d: cutoff %+v admits element %d = %v, want %v", n, k, c, i, got, inPrefix[i])
+		}
+	}
+}
+
+// decodeKeys turns arbitrary bytes into keys, three bytes an element:
+// the first places the other two at any byte position of the major and
+// minor keys, so every radix digit sees traffic and duplicates are
+// common.
+func decodeKeys(data []byte) []key {
+	keys := make([]key, 0, len(data)/3)
+	for ; len(data) >= 3; data = data[3:] {
+		keys = append(keys, key{
+			maj: uint64(data[1]) << (8 * (data[0] & 7)),
+			min: uint64(data[2]) << (8 * (data[0] >> 3 & 7)),
+		})
+	}
+	return keys
+}
+
+// selectCases are the property test's inputs, also the fuzz seeds:
+// duplicate keys, all-equal keys, one element, and streams long enough
+// to make the selector cut several times.
+func selectCases() [][]byte {
 	s := uint64(0x2545f4914f6cdd1d)
-	next := func() uint64 {
+	next := func() byte {
 		s ^= s << 13
 		s ^= s >> 7
 		s ^= s << 17
-		return s
+		return byte(s)
 	}
-	var sel TopK[el]
-	var buf Buf[el]
-	for _, n := range []int{0, 1, 5, 257, 2048} {
-		for _, k := range []int{1, 3, 64, n + 7} {
-			items := make([]el, n)
-			for i := range items {
-				heats := []float64{0, 1, 1, 2.5, 7, 7}
-				items[i] = el{
-					heat: heats[next()%uint64(len(heats))],
-					app:  int(next() % 3),
-					vp:   next() % 100_000,
-				}
-			}
-			want := slices.Clone(items)
-			slices.SortFunc(want, refOrder)
-			if k < len(want) {
-				want = want[:k]
-			}
-
-			sel.Reset(k)
-			for _, it := range items {
-				sel.Offer(FloatKeyDesc(it.heat), uint64(it.app)<<36|it.vp, it)
-			}
-			got := len(sel.Val)
-			major, minor := buf.Keys(got)
-			copy(major, sel.Maj)
-			copy(minor, sel.Min)
-			sel.Val = buf.Sort(sel.Val, major, minor)
-			if !slices.Equal(sel.Val, want) {
-				t.Fatalf("n=%d k=%d: selection diverges from sort prefix", n, k)
-			}
+	random := func(n int, mask byte) []byte {
+		out := make([]byte, 3*n)
+		for i := range out {
+			out[i] = next() & mask
 		}
+		return out
+	}
+	return [][]byte{
+		nil,
+		{1, 2, 3},
+		random(2, 0xFF),
+		make([]byte, 3*40), // all keys equal (zero)
+		random(40, 0x01),   // two values per byte: heavy duplication
+		random(257, 0x07),  // duplicates across low digits
+		random(300, 0xFF),  // mostly distinct
+		random(2048, 0x3F), // long stream, many cuts
+		random(2048, 0xFF),
+	}
+}
+
+// TestSelectMatchesSortPrefix pins the selection contract: Cut, Select
+// and the stable sort's first k agree, for every k from 0 past n.
+func TestSelectMatchesSortPrefix(t *testing.T) {
+	var b Buf[int]
+	var sel Select[int]
+	for _, data := range selectCases() {
+		keys := decodeKeys(data)
+		n := len(keys)
+		for _, k := range []int{-1, 0, 1, 2, 3, n / 3, n/2 + 1, n - 1, n, n + 7} {
+			checkSelect(t, keys, k, &b, &sel)
+		}
+	}
+	// Real ranking keys: heat descending, then app, then page.
+	s := uint64(0x9e3779b97f4a7c15)
+	var keys []key
+	for i := 0; i < 5000; i++ {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		heat := []float64{0, 1, 1, 2.5, 7, 7, 1e-9, 3e5}[s%8]
+		keys = append(keys, key{FloatKeyDesc(heat), (s>>8)%3<<36 | (s>>16)%100_000})
+	}
+	for _, k := range []int{1, 64, 1300, 2600, 4999} {
+		checkSelect(t, keys, k, &b, &sel)
+	}
+}
+
+// FuzzSelect checks the selection contract on arbitrary keys and k.
+func FuzzSelect(f *testing.F) {
+	for i, data := range selectCases() {
+		f.Add(data, uint16(i*7))
+	}
+	var b Buf[int]
+	var sel Select[int]
+	f.Fuzz(func(t *testing.T, data []byte, k uint16) {
+		keys := decodeKeys(data)
+		checkSelect(t, keys, int(k)%(len(keys)+3)-1, &b, &sel)
+	})
+}
+
+func TestSelectReusesBuffers(t *testing.T) {
+	var sel Select[el]
+	const n, k = 4096, 300
+	allocs := testing.AllocsPerRun(20, func() {
+		sel.Reset(k)
+		for i := 0; i < n; i++ {
+			sel.Offer(FloatKeyDesc(float64(i*7919%n)), uint64(i), el{vp: uint64(i)})
+		}
+		if got := sel.Sorted(); len(got) != k {
+			t.Fatalf("selected %d, want %d", len(got), k)
+		}
+	})
+	if allocs > 0.5 {
+		t.Fatalf("steady-state Select allocates %.1f times per run, want 0", allocs)
 	}
 }
 

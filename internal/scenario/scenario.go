@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"vulcan/internal/cluster"
@@ -126,6 +127,19 @@ type HostOverride struct {
 	Cores     int `json:"cores,omitempty"`
 	FastPages int `json:"fast_pages,omitempty"`
 	SlowPages int `json:"slow_pages,omitempty"`
+}
+
+// apply reshapes m as the override's host.
+func (ov HostOverride) apply(m *machine.Config) {
+	if ov.Cores > 0 {
+		m.Cores = ov.Cores
+	}
+	if ov.FastPages > 0 {
+		m.Tiers[mem.TierFast].CapacityPages = ov.FastPages
+	}
+	if ov.SlowPages > 0 {
+		m.Tiers[mem.TierSlow].CapacityPages = ov.SlowPages
+	}
 }
 
 // Faults selects a fault plan: either a named profile (off, light,
@@ -264,6 +278,12 @@ func Resolve(f File) (*Parsed, error) {
 		}
 	}
 
+	for t, tc := range mcfg.Tiers {
+		if tc.CapacityPages < 1 {
+			return nil, fmt.Errorf("scenario: machine's %s tier has %d pages (scale %d)", mem.TierID(t), tc.CapacityPages, f.Scale)
+		}
+	}
+
 	p := &Parsed{
 		Policy:   f.Policy,
 		Duration: sim.Duration(f.Seconds) * sim.Second,
@@ -286,12 +306,23 @@ func Resolve(f File) (*Parsed, error) {
 		}
 		p.Apps = append(p.Apps, cfg)
 	}
+	if f.Fleet == nil {
+		// Every app of a single-host scenario is co-resident (stop_at_s
+		// is fleet-only), so together they must fit in physical memory.
+		rss := 0
+		for _, a := range p.Apps {
+			rss += a.RSSPages
+		}
+		if total := machinePages(mcfg); rss > total {
+			return nil, fmt.Errorf("scenario: apps' summed RSS %d pages exceeds the machine's %d (fast + slow)", rss, total)
+		}
+	}
 	plan, err := resolveFaults(f.Faults)
 	if err != nil {
 		return nil, err
 	}
 	p.Faults = plan
-	fp, err := resolveFleet(f.Fleet, f.Apps, p.Apps)
+	fp, err := resolveFleet(f.Fleet, mcfg, f.Apps, p.Apps)
 	if err != nil {
 		return nil, err
 	}
@@ -399,17 +430,8 @@ func (fp *FleetPlan) ClusterConfig(p *Parsed, epoch sim.Duration, samples int) c
 		HostOverride: func(h int, cfg *system.Config) {
 			cfg.Faults = faults
 			for _, ov := range overrides {
-				if ov.Host != h {
-					continue
-				}
-				if ov.Cores > 0 {
-					cfg.Machine.Cores = ov.Cores
-				}
-				if ov.FastPages > 0 {
-					cfg.Machine.Tiers[mem.TierFast].CapacityPages = ov.FastPages
-				}
-				if ov.SlowPages > 0 {
-					cfg.Machine.Tiers[mem.TierSlow].CapacityPages = ov.SlowPages
+				if ov.Host == h {
+					ov.apply(&cfg.Machine)
 				}
 			}
 		},
@@ -424,7 +446,7 @@ func (fp *FleetPlan) ClusterConfig(p *Parsed, epoch sim.Duration, samples int) c
 // resolveFleet compiles the fleet block into a placement plan. The
 // scenario's apps become the job list; arrival and departure epochs
 // come from start_at_s / stop_at_s (fleet epochs are one second).
-func resolveFleet(fb *Fleet, src []App, apps []workload.AppConfig) (*FleetPlan, error) {
+func resolveFleet(fb *Fleet, mcfg machine.Config, src []App, apps []workload.AppConfig) (*FleetPlan, error) {
 	if fb == nil {
 		return nil, nil
 	}
@@ -460,6 +482,17 @@ func resolveFleet(fb *Fleet, src []App, apps []workload.AppConfig) (*FleetPlan, 
 			return nil, fmt.Errorf("scenario: fleet override for host %d changes nothing", ov.Host)
 		}
 	}
+	// A scheduler may place a job on any host with free cores, so each
+	// job must fit the smallest host's physical memory on its own.
+	hostPages := math.MaxInt
+	if len(fb.Overrides) < fb.Hosts {
+		hostPages = machinePages(mcfg)
+	}
+	for _, ov := range fb.Overrides {
+		m := mcfg
+		ov.apply(&m)
+		hostPages = min(hostPages, machinePages(m))
+	}
 	names := make(map[string]bool)
 	fp := &FleetPlan{
 		Hosts:          fb.Hosts,
@@ -473,11 +506,20 @@ func resolveFleet(fb *Fleet, src []App, apps []workload.AppConfig) (*FleetPlan, 
 			return nil, fmt.Errorf("scenario: fleet job %d: duplicate app name %q", i, cfg.Name)
 		}
 		names[cfg.Name] = true
+		if cfg.RSSPages > hostPages {
+			return nil, fmt.Errorf("scenario: fleet job %d: RSS %d pages exceeds the smallest host's %d (fast + slow)", i, cfg.RSSPages, hostPages)
+		}
 		job := cluster.JobSpec{App: cfg, Arrive: src[i].StartAtS, Depart: src[i].StopAtS}
 		job.App.StartAt = 0 // arrival epoch drives placement instead
 		fp.Jobs = append(fp.Jobs, job)
 	}
 	return fp, nil
+}
+
+// machinePages returns a machine's physical memory, fast plus slow
+// pages.
+func machinePages(m machine.Config) int {
+	return m.Tiers[mem.TierFast].CapacityPages + m.Tiers[mem.TierSlow].CapacityPages
 }
 
 // resolveFaults compiles the faults block to a fault plan. A nil block,

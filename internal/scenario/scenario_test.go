@@ -88,7 +88,7 @@ func TestLoadedScenarioRuns(t *testing.T) {
 func TestMachineOverride(t *testing.T) {
 	p, err := Load(strings.NewReader(`{
 	  "apps": [{"preset": "memcached"}],
-	  "machine": {"cores": 16, "fast_pages": 1234, "slow_pages": 99999}
+	  "machine": {"cores": 16, "fast_pages": 1234, "slow_pages": 299999}
 	}`))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestMachineOverride(t *testing.T) {
 	if p.Machine.Cores != 16 {
 		t.Fatalf("cores = %d", p.Machine.Cores)
 	}
-	if p.Machine.Tiers[0].CapacityPages != 1234 || p.Machine.Tiers[1].CapacityPages != 99999 {
+	if p.Machine.Tiers[0].CapacityPages != 1234 || p.Machine.Tiers[1].CapacityPages != 299999 {
 		t.Fatalf("tier override: %+v", p.Machine.Tiers)
 	}
 }
@@ -127,6 +127,12 @@ var loadErrorCases = map[string]string{
 	"preset premap 3":   `{"apps":[{"preset":"memcached","premap_fraction":3}]}`,
 	"custom premap 3":   `{"apps":[{"name":"x","rss_pages":10,"premap_fraction":3}]}`,
 	"scaled to no rss":  `{"scale":1000000000,"apps":[{"preset":"memcached"}]}`,
+
+	"scaled to no fast tier": `{"scale":200000,"apps":[{"preset":"memcached"}]}`,
+	"app past memory":        `{"machine":{"fast_pages":64,"slow_pages":4096},"apps":[{"preset":"memcached"}]}`,
+	"apps sum past memory":   `{"machine":{"fast_pages":64,"slow_pages":4096},"apps":[{"name":"a","rss_pages":3000},{"name":"b","rss_pages":3000}]}`,
+	"fleet job past host":    `{"machine":{"fast_pages":64,"slow_pages":4096},"apps":[{"preset":"memcached"}],"fleet":{"hosts":2}}`,
+	"fleet job past a host":  `{"apps":[{"name":"a","rss_pages":5000}],"fleet":{"hosts":2,"overrides":[{"host":1,"fast_pages":64,"slow_pages":64}]}}`,
 
 	"unknown fault field":      `{"apps":[{"preset":"memcached"}],"faults":{"kind":"pebs"}}`,
 	"unknown fault profile":    `{"apps":[{"preset":"memcached"}],"faults":{"profile":"apocalyptic"}}`,

@@ -165,26 +165,3 @@ func (w *WebServer) Snapshot(e *checkpoint.Encoder) { w.rng.Snapshot(e) }
 
 // Restore implements checkpoint.Snapshotter.
 func (w *WebServer) Restore(d *checkpoint.Decoder) error { return w.rng.Restore(d) }
-
-// Snapshot implements checkpoint.Snapshotter.
-func (h *HashJoin) Snapshot(e *checkpoint.Encoder) {
-	e.Int(h.emitted)
-	e.Int(h.buildC)
-	e.Int(h.probeC)
-	h.rng.Snapshot(e)
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (h *HashJoin) Restore(d *checkpoint.Decoder) error {
-	emitted, buildC, probeC := d.Int(), d.Int(), d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if emitted < 0 || buildC < 0 || probeC < 0 ||
-		buildC >= h.buildPages || h.hashPages+h.buildPages+probeC >= h.pages {
-		return fmt.Errorf("workload: hashjoin cursors (%d,%d,%d) out of range",
-			emitted, buildC, probeC)
-	}
-	h.emitted, h.buildC, h.probeC = emitted, buildC, probeC
-	return h.rng.Restore(d)
-}

@@ -27,9 +27,6 @@ func generatorPairs() map[string][2]Generator {
 		"mltrain": mk(func(r *sim.RNG) Generator { return NewMLTrain(pages, r) }),
 		"web":     mk(func(r *sim.RNG) Generator { return NewWebServer(pages, r) }),
 		"micro":   mk(func(r *sim.RNG) Generator { return NewNomadMicro(pages, 64, 0.2, r) }),
-		"hashjoin": mk(func(r *sim.RNG) Generator {
-			return NewHashJoin(pages, 100, r)
-		}),
 	}
 }
 
