@@ -48,15 +48,17 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs three native fuzz targets for ten seconds each: the
-# journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve)
-# and the radix selection (FuzzSelect). Their seed corpora also run in
+# fuzz-smoke runs four native fuzz targets for ten seconds each: the
+# journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
+# the radix selection (FuzzSelect) and the page-table checkpoint decoder
+# (FuzzReplicatedRestore). Their seed corpora also run in
 # every `go test`; a failing input lands in the package's testdata/fuzz/
 # for replay.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzReadJournal -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzResolve -fuzztime 10s
 	$(GO) test ./internal/radix -run '^$$' -fuzz FuzzSelect -fuzztime 10s
+	$(GO) test ./internal/pagetable -run '^$$' -fuzz FuzzReplicatedRestore -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

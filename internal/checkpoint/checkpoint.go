@@ -386,6 +386,19 @@ func (r *Reader) Section(name string, want uint32) (*Decoder, error) {
 	return NewDecoder(p), nil
 }
 
+// Restore restores s from the named section (see Section) and verifies
+// that it consumed the whole payload (see Decoder.Close).
+func (r *Reader) Restore(name string, version uint32, s Snapshotter) error {
+	d, err := r.Section(name, version)
+	if err != nil {
+		return err
+	}
+	if err := s.Restore(d); err != nil {
+		return err
+	}
+	return d.Close()
+}
+
 // Close verifies a fully-consumed section: a Restore that leaves
 // unread bytes (or hit a sticky error) indicates an encode/decode
 // mismatch and must not be trusted.

@@ -234,3 +234,48 @@ func TestDuplicateSectionPanicsOnWrite(t *testing.T) {
 	w.Section("x", 1)
 	w.Section("x", 1)
 }
+
+// ints is a Snapshotter that restores a fixed number of Int fields.
+type ints struct {
+	want int
+	got  []int
+}
+
+func (s *ints) Snapshot(e *Encoder) {
+	for _, v := range s.got {
+		e.Int(v)
+	}
+}
+
+func (s *ints) Restore(d *Decoder) error {
+	s.got = s.got[:0]
+	for i := 0; i < s.want; i++ {
+		s.got = append(s.got, d.Int())
+	}
+	return d.Err()
+}
+
+func TestReaderRestore(t *testing.T) {
+	r, err := NewReader(bytes.NewReader(buildBlob(t)))
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	s := &ints{want: 1}
+	if err := r.Restore("beta", 3, s); err != nil || len(s.got) != 1 || s.got[0] != 12345 {
+		t.Fatalf("Restore = %v, got %v", err, s.got)
+	}
+	for name, c := range map[string]struct {
+		section string
+		version uint32
+		reads   int
+	}{
+		"missing section": {"gamma", 3, 1},
+		"wrong version":   {"beta", 2, 1},
+		"unread bytes":    {"beta", 3, 0},
+		"overrun":         {"beta", 3, 2},
+	} {
+		if err := r.Restore(c.section, c.version, &ints{want: c.reads}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

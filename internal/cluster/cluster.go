@@ -390,7 +390,9 @@ func (f *Fleet) RunEpoch() error {
 			if j.app == nil || !j.app.Started() {
 				continue
 			}
-			if !f.canFitAfterEvict(mv.To, j) {
+			// The mover's own threads only free capacity on its current
+			// host, so the destination must fit it as it stands.
+			if !f.CanFit(mv.To, j) {
 				continue
 			}
 			pages, err := f.evict(j)
@@ -431,11 +433,6 @@ func (f *Fleet) RunEpoch() error {
 	f.epoch++
 	return nil
 }
-
-// canFitAfterEvict reports whether j fits on host to; the mover's own
-// threads only free capacity on its current host, so this is the plain
-// CanFit check spelled out for the rebalance path.
-func (f *Fleet) canFitAfterEvict(to int, j *Job) bool { return f.CanFit(to, j) }
 
 // Run advances the fleet n epochs.
 func (f *Fleet) Run(n int) error {

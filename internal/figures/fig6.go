@@ -40,7 +40,6 @@ func Fig6() []Fig6Row {
 		threads := threadCounts[i]
 		shared := pagetable.New()
 		vulcanT := pagetable.NewReplicated(threads)
-		full := pagetable.NewFullyReplicated(threads)
 		for vp := pagetable.VPage(0); vp < Fig6MappedPages; vp++ {
 			pte := pagetable.NewPTE(mem.Frame{Tier: mem.TierFast, Index: uint32(vp)}, 0)
 			if err := shared.Map(vp, pte); err != nil {
@@ -49,11 +48,13 @@ func Fig6() []Fig6Row {
 			if err := vulcanT.Map(int(vp)%threads, vp, pte); err != nil {
 				panic(err)
 			}
-			if err := full.Map(int(vp)%threads, vp, pte); err != nil {
-				panic(err)
-			}
 		}
-		s, v, f := shared.TableCount(), vulcanT.TotalTables(), full.TotalTables()
+		// Full replication (RadixVM-style) needs no simulation: every
+		// per-thread replica and the canonical tree hold the same mapping
+		// as the shared table, so it costs threads+1 copies of its tables,
+		// and every PTE store is broadcast to each of the threads' replicas.
+		s, v := shared.TableCount(), vulcanT.TotalTables()
+		f := (threads + 1) * s
 		return Fig6Row{
 			Threads:          threads,
 			SharedTables:     s,
@@ -62,7 +63,7 @@ func Fig6() []Fig6Row {
 			VulcanOverheadPc: 100 * (float64(v)/float64(s) - 1),
 			FullOverheadPc:   100 * (float64(f)/float64(s) - 1),
 			VulcanPTEWrites:  uint64(Fig6MappedPages),
-			FullPTEWrites:    full.PTEWrites(),
+			FullPTEWrites:    uint64(Fig6MappedPages * threads),
 		}
 	})
 }

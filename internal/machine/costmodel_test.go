@@ -160,7 +160,7 @@ func TestMigrationBreakdownNegativePanics(t *testing.T) {
 }
 
 func TestMachineConstruction(t *testing.T) {
-	m := NewDefault()
+	m := New(DefaultConfig())
 	if m.Cores() != 32 {
 		t.Fatalf("Cores = %d, want 32", m.Cores())
 	}

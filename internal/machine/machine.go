@@ -53,9 +53,6 @@ func New(cfg Config) *Machine {
 	}
 }
 
-// NewDefault builds the default 32-core paper machine.
-func NewDefault() *Machine { return New(DefaultConfig()) }
-
 // Cores returns the machine's core count.
 func (m *Machine) Cores() int { return m.cores }
 

@@ -37,14 +37,6 @@ func (s *Series) Len() int { return len(s.points) }
 // At returns point i.
 func (s *Series) At(i int) Point { return s.points[i] }
 
-// Last returns the most recent point; ok is false for an empty series.
-func (s *Series) Last() (Point, bool) {
-	if len(s.points) == 0 {
-		return Point{}, false
-	}
-	return s.points[len(s.points)-1], true
-}
-
 // Mean returns the average of the values.
 func (s *Series) Mean() float64 {
 	if len(s.points) == 0 {

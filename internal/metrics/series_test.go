@@ -18,9 +18,8 @@ func TestSeriesAddAndQuery(t *testing.T) {
 	if p := s.At(1); p.T != 100 || p.V != 0.7 {
 		t.Fatalf("At(1) = %+v", p)
 	}
-	last, ok := s.Last()
-	if !ok || last.T != 100 {
-		t.Fatalf("Last = %+v, %v", last, ok)
+	if last := s.At(s.Len() - 1); last.T != 100 {
+		t.Fatalf("last point = %+v", last)
 	}
 	if m := s.Mean(); m < 0.63 || m > 0.64 {
 		t.Fatalf("Mean = %v", m)
@@ -29,8 +28,8 @@ func TestSeriesAddAndQuery(t *testing.T) {
 
 func TestSeriesEmpty(t *testing.T) {
 	s := NewSeries("x")
-	if _, ok := s.Last(); ok {
-		t.Fatal("empty Last ok")
+	if s.Len() != 0 {
+		t.Fatal("empty series has points")
 	}
 	if s.Mean() != 0 {
 		t.Fatal("empty Mean nonzero")
@@ -62,8 +61,8 @@ func TestRecorder(t *testing.T) {
 	if r.Series("a").Len() != 2 {
 		t.Fatal("series a wrong length")
 	}
-	last, _ := r.Series("a").Last()
-	if last.T != 10 || last.V != 3 {
+	a := r.Series("a")
+	if last := a.At(a.Len() - 1); last.T != 10 || last.V != 3 {
 		t.Fatalf("series a last = %+v", last)
 	}
 }

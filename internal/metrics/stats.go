@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates count/mean/variance/min/max in one pass (Welford).
@@ -103,34 +102,6 @@ func (e *EMA) Update(x float64) float64 {
 
 // Value returns the current smoothed value (0 before any update).
 func (e *EMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one observation arrived.
-func (e *EMA) Primed() bool { return e.primed }
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of xs using linear
-// interpolation. It copies and sorts; xs is unmodified. Empty input
-// returns 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := p * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
 
 // Histogram is a fixed-bucket histogram over [min, max); out-of-range
 // observations clamp into the edge buckets.

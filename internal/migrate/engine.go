@@ -22,34 +22,11 @@ import (
 	"vulcan/internal/sim"
 )
 
-// Mapper is the page-table surface the engine manipulates. Both
-// *pagetable.Table and *pagetable.Replicated satisfy it.
-type Mapper interface {
-	Lookup(vp pagetable.VPage) (pagetable.PTE, bool)
-	Update(vp pagetable.VPage, fn func(pagetable.PTE) pagetable.PTE) (pagetable.PTE, bool)
-	Unmap(vp pagetable.VPage) (pagetable.PTE, bool)
-}
-
-// Scoper is optionally implemented by mappers that can bound the TLB
-// shootdown scope of a page (pagetable.Replicated). Without it the engine
-// falls back to process-wide shootdowns.
-type Scoper interface {
-	ShootdownScope(vp pagetable.VPage) []int
-}
-
-// ScopeAppender is the allocation-free refinement of Scoper: the scope
-// is appended into a caller-owned buffer so the engine can reuse one
-// scratch slice across a whole batch. pagetable.Replicated implements
-// it; the engine prefers it over Scoper when available.
-type ScopeAppender interface {
-	AppendShootdownScope(dst []int, vp pagetable.VPage) []int
-}
-
 // Config parameterizes an Engine.
 type Config struct {
 	Cost  machine.CostModel
 	Tiers *mem.Tiers
-	Table Mapper
+	Table *pagetable.Replicated
 
 	// Cpus is the machine's core count, which drives baseline migration
 	// preparation cost (Figure 2).
@@ -62,8 +39,7 @@ type Config struct {
 	// instead of the kernel's global on_each_cpu synchronization.
 	OptimizedPrep bool
 	// TargetedShootdown uses per-thread page-table ownership (§3.4) to
-	// IPI only the page's sharing threads. Requires Table to implement
-	// Scoper; silently falls back to process-wide otherwise.
+	// IPI only the page's sharing threads instead of the whole process.
 	TargetedShootdown bool
 	// Shadowing retains slow-tier copies of promoted pages so that clean
 	// pages demote by remap alone (§3.5, borrowed from Nomad).
@@ -252,19 +228,11 @@ func (e *Engine) Shadows() ShadowStats { return e.shadows.stats() }
 // addScope ors vp's shootdown scope into the batch's scope bitmap.
 func (e *Engine) addScope(vp pagetable.VPage) {
 	if e.cfg.TargetedShootdown {
-		switch t := e.cfg.Table.(type) {
-		case ScopeAppender:
-			e.scopeBuf = t.AppendShootdownScope(e.scopeBuf[:0], vp)
-			for _, tid := range e.scopeBuf {
-				e.scopeBits[tid>>6] |= 1 << (tid & 63)
-			}
-			return
-		case Scoper:
-			for _, tid := range t.ShootdownScope(vp) {
-				e.scopeBits[tid>>6] |= 1 << (tid & 63)
-			}
-			return
+		e.scopeBuf = e.cfg.Table.AppendShootdownScope(e.scopeBuf[:0], vp)
+		for _, tid := range e.scopeBuf {
+			e.scopeBits[tid>>6] |= 1 << (tid & 63)
 		}
+		return
 	}
 	for tid := 0; tid < e.cfg.ProcessThreads; tid++ {
 		e.scopeBits[tid>>6] |= 1 << (tid & 63)
@@ -513,55 +481,16 @@ func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID
 	return newPTE, Moved
 }
 
-// mustRemap reinstalls a PTE for a page the engine itself unmapped; the
-// page cannot have disappeared in between in a single-owner simulation.
+// mustRemap reinstalls the exact PTE p — owner, accessed and dirty bits
+// included — for a page the engine itself unmapped; the page cannot have
+// disappeared in between in a single-owner simulation.
 func (e *Engine) mustRemap(vp pagetable.VPage, p pagetable.PTE) {
-	if err := e.remap(vp, p); err != nil {
+	tid := 0
+	if owner := p.Owner(); owner != pagetable.OwnerShared {
+		tid = int(owner)
+	}
+	if err := e.cfg.Table.Install(tid, vp, p); err != nil {
 		panic(fmt.Sprintf("migrate: remap of %#x failed: %v", uint64(vp), err))
-	}
-}
-
-func (e *Engine) remap(vp pagetable.VPage, p pagetable.PTE) error {
-	type installer interface {
-		Install(tid int, vp pagetable.VPage, p pagetable.PTE) error
-	}
-	type mapper interface {
-		Map(tid int, vp pagetable.VPage, p pagetable.PTE) error
-	}
-	type plainMapper interface {
-		Map(vp pagetable.VPage, p pagetable.PTE) error
-	}
-	switch m := e.cfg.Table.(type) {
-	case installer:
-		// Exact-PTE reinstall (pagetable.Replicated): one call, no
-		// ownership-restoring Update closure — the closure capture was a
-		// heap allocation on every remap in the hot path.
-		owner := p.Owner()
-		tid := 0
-		if owner != pagetable.OwnerShared {
-			tid = int(owner)
-		}
-		return m.Install(tid, vp, p)
-	case mapper:
-		owner := p.Owner()
-		tid := 0
-		if owner != pagetable.OwnerShared {
-			tid = int(owner)
-		}
-		if err := m.Map(tid, vp, p); err != nil {
-			return err
-		}
-		// Map stamps the mapping thread as owner; restore the true
-		// ownership (possibly shared).
-		//vulcan:allowalloc non-Replicated fallback; the hot configuration takes the Install path above
-		e.cfg.Table.Update(vp, func(cur pagetable.PTE) pagetable.PTE {
-			return cur.WithOwner(owner).WithAccessed(p.Accessed()).WithDirty(p.Dirty())
-		})
-		return nil
-	case plainMapper:
-		return m.Map(vp, p)
-	default:
-		return fmt.Errorf("migrate: table type %T lacks Map", e.cfg.Table) //vulcan:allowalloc misconfiguration error path, aborts the batch
 	}
 }
 

@@ -295,7 +295,7 @@ func TestEngineConfigValidation(t *testing.T) {
 		mem.TierFast: {Name: "f", CapacityPages: 1, UnloadedLatency: 1, BandwidthGBs: 1},
 		mem.TierSlow: {Name: "s", CapacityPages: 1, UnloadedLatency: 1, BandwidthGBs: 1},
 	})
-	tbl := pagetable.New()
+	tbl := pagetable.NewReplicated(1)
 	cases := map[string]Config{
 		"nil tiers":   {Table: tbl, Cpus: 1, ProcessThreads: 1},
 		"nil table":   {Tiers: tiers, Cpus: 1, ProcessThreads: 1},
@@ -311,29 +311,6 @@ func TestEngineConfigValidation(t *testing.T) {
 			}()
 			NewEngine(cfg)
 		}()
-	}
-}
-
-func TestEngineWithPlainTable(t *testing.T) {
-	// The engine must also drive a conventional process-wide table.
-	tiers := mem.NewTiers([mem.NumTiers]mem.TierConfig{
-		mem.TierFast: {Name: "f", CapacityPages: 8, UnloadedLatency: 70, BandwidthGBs: 205},
-		mem.TierSlow: {Name: "s", CapacityPages: 8, UnloadedLatency: 162, BandwidthGBs: 25},
-	})
-	tbl := pagetable.New()
-	f, _ := tiers.Alloc(mem.TierSlow)
-	tbl.Map(0, pagetable.NewPTE(f, 0))
-	e := NewEngine(Config{
-		Cost: machine.DefaultCostModel(), Tiers: tiers, Table: tbl,
-		Cpus: 4, ProcessThreads: 2,
-	})
-	res := e.MigrateSync([]Move{{VP: 0, To: mem.TierFast}})
-	if res.Moved != 1 {
-		t.Fatalf("moved = %d", res.Moved)
-	}
-	p, _ := tbl.Lookup(0)
-	if p.Frame().Tier != mem.TierFast {
-		t.Fatal("plain table page not promoted")
 	}
 }
 

@@ -232,13 +232,6 @@ type Sink interface {
 // A nil sink short-circuits before any allocation.
 func Enabled(s Sink, t EventType) bool { return s != nil && s.Enabled(t) }
 
-// Emit sends e to s if s is non-nil and wants the type.
-func Emit(s Sink, e Event) {
-	if s != nil && s.Enabled(e.Type) {
-		s.Event(e)
-	}
-}
-
 // RegistryOf returns the metrics registry behind a sink, or nil when
 // the sink is nil or carries none. Layers that maintain counters and
 // gauges use it so a bare event sink (or no sink) costs nothing.

@@ -21,9 +21,6 @@ func (s *threadSet) count() int {
 	}
 	return n
 }
-func (s *threadSet) members() []int {
-	return s.appendMembers(make([]int, 0, 4))
-}
 
 // appendMembers appends the set's thread ids to dst in ascending order
 // and returns it, so hot callers can reuse one buffer across pages.
@@ -181,9 +178,8 @@ func (r *Replicated) Map(tid int, vp VPage, p PTE) error {
 
 // Install reinstalls vp's mapping with the exact PTE p — owner,
 // accessed and dirty bits preserved — linking the shared leaf into
-// tid's private tree. It is the allocation-free remap path used by the
-// migration engine: Map would stamp tid as owner and force a follow-up
-// Update closure to restore the true ownership.
+// tid's private tree. It is the migration engine's remap path: Map
+// would stamp tid as owner, losing a shared page's ownership.
 func (r *Replicated) Install(tid int, vp VPage, p PTE) error {
 	r.checkTid(tid)
 	if err := r.proc.Map(vp, p); err != nil {
@@ -230,18 +226,13 @@ func (r *Replicated) Touch(tid int, vp VPage, write bool) (TouchResult, bool) {
 // like real page tables, empty leaves are not eagerly torn down.
 func (r *Replicated) Unmap(vp VPage) (PTE, bool) { return r.proc.Unmap(vp) }
 
-// ShootdownScope returns the thread ids whose TLBs may cache vp's
-// translation and therefore must receive invalidations when it changes:
-// just the owner for private pages, or every thread that linked the
-// page's leaf for shared pages. This is insight ❸ of the paper — the
-// basis of Vulcan's targeted (non-global) TLB shootdowns.
-func (r *Replicated) ShootdownScope(vp VPage) []int {
-	return r.AppendShootdownScope(nil, vp)
-}
-
-// AppendShootdownScope appends vp's shootdown scope to dst (ascending
-// thread order) and returns it, so the migration engine can reuse one
-// scratch buffer across a batch instead of allocating per page.
+// AppendShootdownScope appends to dst the thread ids whose TLBs may cache
+// vp's translation and therefore must receive invalidations when it
+// changes: just the owner for private pages, or every thread that linked
+// the page's leaf for shared pages (ascending thread order). This is
+// insight ❸ of the paper — the basis of Vulcan's targeted (non-global)
+// TLB shootdowns. Appending lets the migration engine reuse one scratch
+// buffer across a batch instead of allocating per page.
 func (r *Replicated) AppendShootdownScope(dst []int, vp VPage) []int {
 	p, ok := r.Lookup(vp)
 	if !ok {

@@ -84,7 +84,7 @@ func TestShootdownScopePrivate(t *testing.T) {
 	vp := VPage(7)
 	r.Map(5, vp, NewPTE(fastFrame(0), 0))
 	r.Touch(5, vp, false)
-	scope := r.ShootdownScope(vp)
+	scope := r.AppendShootdownScope(nil, vp)
 	if !reflect.DeepEqual(scope, []int{5}) {
 		t.Fatalf("private scope = %v, want [5]", scope)
 	}
@@ -96,7 +96,7 @@ func TestShootdownScopeShared(t *testing.T) {
 	r.Map(1, vp, NewPTE(fastFrame(0), 0))
 	r.Touch(4, vp, false)
 	r.Touch(6, vp, false)
-	scope := r.ShootdownScope(vp)
+	scope := r.AppendShootdownScope(nil, vp)
 	if !reflect.DeepEqual(scope, []int{1, 4, 6}) {
 		t.Fatalf("shared scope = %v, want [1 4 6]", scope)
 	}
@@ -110,7 +110,7 @@ func TestShootdownScopeLeafGranularity(t *testing.T) {
 	r.Map(0, VPage(10), NewPTE(fastFrame(0), 0))
 	r.Map(2, VPage(20), NewPTE(fastFrame(1), 0)) // same leaf (pages 0..511)
 	r.Touch(1, VPage(10), false)                 // page 10 becomes shared
-	scope := r.ShootdownScope(VPage(10))
+	scope := r.AppendShootdownScope(nil, VPage(10))
 	if !reflect.DeepEqual(scope, []int{0, 1, 2}) {
 		t.Fatalf("scope = %v, want [0 1 2]", scope)
 	}
@@ -118,7 +118,7 @@ func TestShootdownScopeLeafGranularity(t *testing.T) {
 
 func TestShootdownScopeUnmapped(t *testing.T) {
 	r := NewReplicated(2)
-	if s := r.ShootdownScope(VPage(1)); s != nil {
+	if s := r.AppendShootdownScope(nil, VPage(1)); s != nil {
 		t.Fatalf("scope of unmapped page = %v, want nil", s)
 	}
 }
@@ -239,8 +239,8 @@ func TestThreadSet(t *testing.T) {
 	if s.count() != 4 {
 		t.Fatalf("count = %d, want 4", s.count())
 	}
-	if !reflect.DeepEqual(s.members(), []int{0, 63, 64, 126}) {
-		t.Fatalf("members = %v", s.members())
+	if !reflect.DeepEqual(s.appendMembers(nil), []int{0, 63, 64, 126}) {
+		t.Fatalf("members = %v", s.appendMembers(nil))
 	}
 	if s.has(1) || !s.has(64) {
 		t.Fatal("membership wrong")
@@ -248,5 +248,46 @@ func TestThreadSet(t *testing.T) {
 	s.add(63) // idempotent
 	if s.count() != 4 {
 		t.Fatal("duplicate add changed count")
+	}
+}
+
+// TestFigure6MemoryComparison quantifies the paper's Figure 6 design
+// rationale: for a multi-thread address space, full per-thread
+// replication multiplies page-table memory by roughly the thread count,
+// while Vulcan's shared-leaf replication adds only small per-thread
+// upper levels.
+func TestFigure6MemoryComparison(t *testing.T) {
+	const threads = 8
+	// 128 leaves worth of mappings (256MB): the regime the paper argues
+	// from, where last-level tables are the bulk of page-table memory.
+	const pages = 65536
+
+	shared := New()
+	vulcanStyle := NewReplicated(threads)
+	for vp := VPage(0); vp < pages; vp++ {
+		pte := NewPTE(fastFrame(uint32(vp)), 0)
+		if err := shared.Map(vp, pte); err != nil {
+			t.Fatal(err)
+		}
+		if err := vulcanStyle.Map(int(vp)%threads, vp, pte); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	procTables := shared.TableCount()
+	vulcanTables := vulcanStyle.TotalTables()
+	// Full replication keeps a copy of the process-wide tree per thread
+	// plus a canonical one.
+	fullTables := (threads + 1) * procTables
+
+	// Vulcan's shared leaves keep the overhead well under 2x, because
+	// leaves are the majority of table memory.
+	if vulcanTables >= procTables*2 {
+		t.Fatalf("shared-leaf replication %d tables >= 2x process-wide %d",
+			vulcanTables, procTables)
+	}
+	if vulcanTables >= fullTables/3 {
+		t.Fatalf("shared-leaf %d not clearly cheaper than full %d",
+			vulcanTables, fullTables)
 	}
 }

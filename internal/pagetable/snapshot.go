@@ -74,10 +74,12 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 			return fmt.Errorf("pagetable: leaf indices out of order (%d after %d)", li, prevLeaf)
 		}
 		prevLeaf = li
-		base := VPage(li) << 9
-		if base > MaxVPage {
+		// Range-check the index before shifting it: a shift would drop
+		// its high bits and alias another leaf.
+		if li > LeafIndex(MaxVPage) {
 			return fmt.Errorf("pagetable: leaf index %d out of range", li)
 		}
+		base := VPage(li) << 9
 		if set.count() == 0 {
 			return fmt.Errorf("pagetable: leaf %d with no linking threads", li)
 		}

@@ -11,7 +11,7 @@ import (
 
 // buildReplicated populates a replicated table with a mix of shared and
 // thread-private mappings across several leaves.
-func buildReplicated(t *testing.T, nthreads int) *Replicated {
+func buildReplicated(t testing.TB, nthreads int) *Replicated {
 	t.Helper()
 	r := NewReplicated(nthreads)
 	for i := 0; i < 900; i++ {
@@ -80,7 +80,7 @@ func TestReplicatedSnapshotRoundTrip(t *testing.T) {
 	// decide future IPI fan-out.
 	for i := 0; i < 900; i += 17 {
 		vp := VPage(i * 7)
-		a, b := src.ShootdownScope(vp), dst.ShootdownScope(vp)
+		a, b := src.AppendShootdownScope(nil, vp), dst.AppendShootdownScope(nil, vp)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("shootdown scope for %d: %v != %v", vp, a, b)
 		}
@@ -103,4 +103,53 @@ func TestReplicatedRestoreRejectsBadSnapshots(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// FuzzReplicatedRestore feeds Replicated.Restore arbitrary bytes for a
+// table of 1..MaxThreads threads. Restore must never panic, and a blob
+// it accepts — Restore and Close both succeed — must re-encode
+// byte-identically through Snapshot: the decoder admits exactly the
+// states the encoder writes. Every 24-byte leaf record can make each
+// linking thread allocate two 4 KiB upper-level tables, so blobs
+// claiming more than 16 leaves are skipped to keep one execution's
+// memory in the megabytes.
+func FuzzReplicatedRestore(f *testing.F) {
+	for _, n := range []int{4, 6} {
+		e := &checkpoint.Encoder{}
+		buildReplicated(f, n).Snapshot(e)
+		blob := e.Bytes()
+		f.Add(uint8(n-1), blob)
+		f.Add(uint8(2*n-1), blob) // thread-count mismatch
+		for cut := 0; cut < len(blob); cut += 97 {
+			f.Add(uint8(n-1), blob[:cut])
+		}
+	}
+	// Two leaf indices whose base pages differ only above MaxVPage.
+	e := &checkpoint.Encoder{}
+	e.Int(1)
+	e.Int(2)
+	for _, li := range []uint64{0, 1 << 55} {
+		e.U64(li)
+		e.U64(1)
+		e.U64(0)
+	}
+	e.Int(0)
+	f.Add(uint8(0), e.Bytes())
+	f.Fuzz(func(t *testing.T, threads uint8, blob []byte) {
+		head := checkpoint.NewDecoder(blob)
+		head.Int() // thread count
+		if head.Int() > 16 {
+			return
+		}
+		r := NewReplicated(int(threads)%MaxThreads + 1)
+		d := checkpoint.NewDecoder(blob)
+		if r.Restore(d) != nil || d.Close() != nil {
+			return
+		}
+		e := &checkpoint.Encoder{}
+		r.Snapshot(e)
+		if !bytes.Equal(e.Bytes(), blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
+		}
+	})
 }

@@ -1,10 +1,10 @@
 package profile
 
 import (
-	"math"
 	"math/bits"
 
 	"vulcan/internal/pagetable"
+	"vulcan/internal/radix"
 )
 
 // This file implements the dense struct-of-arrays page stores that back
@@ -63,20 +63,18 @@ type heatStore struct {
 	decay float64
 	// trackedPages counts live entries across all chunks.
 	trackedPages int
-	// snapScratch backs snapshot(); the returned slice is valid only
-	// until the next snapshot() call.
-	snapScratch []PageHeat  //vulcan:nosnap scratch, rebuilt by endEpoch or snapshot()
-	snapSort    []PageHeat  //vulcan:nosnap radix-sort spare buffer, swapped with snapScratch
-	sortBufs    sortScratch //vulcan:nosnap radix-sort key buffers, dead between calls
+	// snapScratch backs pages() and snapshot(); the returned slice is
+	// valid only until the next call of either.
+	snapScratch []PageHeat          //vulcan:nosnap scratch, rebuilt by endEpoch, pages() or snapshot()
+	sortBuf     radix.Buf[PageHeat] //vulcan:nosnap snapshot() sort buffers, dead between calls
 	// snapValid marks snapScratch as holding every tracked page's current
-	// stats (collected for free during endEpoch's decay sweep);
-	// snapSorted additionally marks it hottest-first. Any mutation clears
-	// both, forcing snapshot() back to a full sweep. snapWanted records
-	// that snapshot() has been consumed at least once, so stores that are
-	// only ever queried pointwise skip the collection work entirely.
+	// stats in ascending page order (collected for free during endEpoch's
+	// decay sweep). Any mutation clears it, forcing pages() back to a
+	// full sweep. snapWanted records that the collection has been
+	// consumed at least once, so stores that are only ever queried
+	// pointwise skip the collection work entirely.
 	snapValid  bool //vulcan:nosnap cache flag over scratch state
-	snapSorted bool //vulcan:nosnap cache flag over scratch state
-	snapWanted bool //vulcan:nosnap set on first snapshot() call
+	snapWanted bool //vulcan:nosnap set on first pages() call
 }
 
 func newHeatStore(decay float64) *heatStore {
@@ -131,7 +129,6 @@ func (h *heatStore) ensureChunk(vp pagetable.VPage) *heatChunk {
 //vulcan:hotpath
 func (h *heatStore) record(vp pagetable.VPage, write bool, weight float64) {
 	h.snapValid = false
-	h.snapSorted = false
 	c := h.ensureChunk(vp)
 	i := int(vp) & chunkMask
 	if c.heat[i] == 0 {
@@ -152,9 +149,9 @@ func (h *heatStore) record(vp pagetable.VPage, write bool, weight float64) {
 
 // endEpoch ages every tracked page and evicts entries whose heat decayed
 // to noise — one linear sweep per live chunk instead of a map walk. When
-// this store's snapshot is consumed (snapWanted), the sweep also collects
-// the surviving entries into snapScratch, so the following snapshot()
-// call skips its own full sweep and only has to sort.
+// this store's collection is consumed (snapWanted), the sweep also
+// collects the surviving entries into snapScratch, so the following
+// pages() call skips its own full sweep.
 //
 //vulcan:hotpath
 func (h *heatStore) endEpoch() {
@@ -223,12 +220,8 @@ func (h *heatStore) endEpoch() {
 	}
 	if collect {
 		h.snapScratch = out
-		h.snapValid = true
-		h.snapSorted = false
-	} else {
-		h.snapValid = false
-		h.snapSorted = false
 	}
+	h.snapValid = collect
 }
 
 //vulcan:hotpath
@@ -255,67 +248,35 @@ func (h *heatStore) writeFraction(vp pagetable.VPage) float64 {
 }
 
 // snapshot returns all tracked pages hottest-first (ties broken by
-// ascending page number). The slice is scratch owned by the store: it
-// is valid only until the store is next mutated and must not be
-// retained or modified by the caller. When the preceding endEpoch
-// already collected the entries (and nothing mutated the store since),
-// only the sort runs here; repeated calls within one epoch return the
-// cached sorted slice directly.
+// ascending page number). The slice is scratch owned by the store, with
+// the same lifetime as pages().
 func (h *heatStore) snapshot() []PageHeat {
-	h.snapWanted = true
-	if !h.snapValid {
-		if cap(h.snapScratch) < h.trackedPages {
-			// Jump straight to a power-of-two above the live-page count: one
-			// high-water allocation instead of O(log n) append regrowths.
-			h.snapScratch = make([]PageHeat, 0, 1<<bits.Len(uint(h.trackedPages-1))) //vulcan:allowalloc grow-once scratch, amortized across epochs
-		}
-		out := h.snapScratch[:0]
-		for hi, blk := range h.l1 {
-			if blk == nil {
-				continue
-			}
-			for ci, c := range blk {
-				if c == nil || c.live == 0 {
-					continue
-				}
-				base := chunkBase(hi, ci)
-				for i := range c.heat {
-					v := c.heat[i]
-					if v == 0 {
-						continue
-					}
-					total := c.reads[i] + c.writes[i]
-					wf := 0.0
-					if total > 0 {
-						wf = c.writes[i] / total
-					}
-					out = append(out, PageHeat{VP: base | pagetable.VPage(i), Heat: v, WriteFrac: wf})
-				}
-			}
-		}
-		h.snapScratch = out
-		h.snapValid = true
-		h.snapSorted = false
+	ph := h.pages()
+	major, minor := h.sortBuf.Keys(len(ph))
+	for i, p := range ph {
+		major[i] = radix.FloatKeyDesc(p.Heat)
+		minor[i] = uint64(p.VP)
 	}
-	if !h.snapSorted {
-		sorted, spare := sortHeatDesc(h.snapScratch, h.snapSort, &h.sortBufs)
-		h.snapScratch = sorted
-		h.snapSort = spare
-		h.snapSorted = true
-	}
+	// The sort permutes the collection, and its result may live in the
+	// buffer's spare: keep that as the scratch (so the spare stays the
+	// other array) and make the next pages() collect afresh.
+	h.snapScratch = h.sortBuf.Sort(ph, major, minor)
+	h.snapValid = false
 	return h.snapScratch
 }
 
-// pages returns all tracked pages without ordering them: the cached
-// collection as-is when valid (ascending page order after an endEpoch
-// collection, hottest-first if a snapshot() sort already ran), else a
-// fresh ascending sweep. Consumers must therefore be order-independent.
+// pages returns all tracked pages in ascending page order: the cached
+// collection when valid, else a fresh sweep. The slice is scratch owned
+// by the store: it is valid only until the store is next mutated or
+// queried and must not be retained or modified by the caller.
 func (h *heatStore) pages() []PageHeat {
 	h.snapWanted = true
 	if h.snapValid {
 		return h.snapScratch
 	}
 	if cap(h.snapScratch) < h.trackedPages {
+		// Jump straight to a power-of-two above the live-page count: one
+		// high-water allocation instead of O(log n) append regrowths.
 		h.snapScratch = make([]PageHeat, 0, 1<<bits.Len(uint(h.trackedPages-1))) //vulcan:allowalloc grow-once scratch, amortized across epochs
 	}
 	out := h.snapScratch[:0]
@@ -344,7 +305,6 @@ func (h *heatStore) pages() []PageHeat {
 	}
 	h.snapScratch = out
 	h.snapValid = true
-	h.snapSorted = false
 	return out
 }
 
@@ -355,14 +315,12 @@ func (h *heatStore) reset() {
 	h.l1 = nil
 	h.trackedPages = 0
 	h.snapValid = false
-	h.snapSorted = false
 }
 
 // setRaw installs restored per-page stats verbatim. heat must be
 // nonzero (the caller validates); the cell must currently be empty.
 func (h *heatStore) setRaw(vp pagetable.VPage, heat, reads, writes float64) bool {
 	h.snapValid = false
-	h.snapSorted = false
 	c := h.ensureChunk(vp)
 	i := int(vp) & chunkMask
 	if c.heat[i] != 0 {
@@ -499,91 +457,4 @@ func (b *pageBitmap) forEach(fn func(vp pagetable.VPage)) {
 			}
 		}
 	}
-}
-
-// heatKey maps a heat value to a uint64 whose ascending order is the
-// heat's descending order (monotone float-bits transform, safe for the
-// full float64 range including negatives).
-//
-//vulcan:hotpath
-func heatKey(f float64) uint64 {
-	k := math.Float64bits(f)
-	if k>>63 == 1 {
-		k = ^k
-	} else {
-		k ^= 1 << 63
-	}
-	return ^k
-}
-
-// sortHeatDesc sorts a hottest-first with a stable LSD radix sort, using
-// spare as the ping-pong buffer. Stability is the tie-break contract:
-// callers emit entries in ascending page order, so equal-heat pages stay
-// ascending — the same total order the previous comparison sort produced,
-// at O(n) per pass instead of O(n log n) comparisons. Returns the sorted
-// slice and the now-free spare buffer (the two may have swapped roles).
-//
-// sortScratch bundles the radix sort's reusable buffers. Each owner (one
-// heatStore, one policy ranking) carries its own instance: lab workers
-// run whole simulations in parallel, so package-level scratch would race.
-type sortScratch struct {
-	keys, keySpare []uint64 //vulcan:nosnap transient sort scratch, dead between calls
-}
-
-//vulcan:hotpath
-func sortHeatDesc(a, spare []PageHeat, sc *sortScratch) (sorted, unused []PageHeat) {
-	n := len(a)
-	if n < 2 {
-		return a, spare
-	}
-	if cap(spare) < n {
-		// Power-of-two growth: a slowly creeping page count must not
-		// reallocate these buffers every epoch.
-		spare = make([]PageHeat, 1<<bits.Len(uint(n-1))) //vulcan:allowalloc grow-once spare buffer, reused across epochs
-	}
-	if cap(sc.keys) < n {
-		c := 1 << bits.Len(uint(n-1))
-		sc.keys = make([]uint64, c)     //vulcan:allowalloc grow-once key buffer, reused across calls
-		sc.keySpare = make([]uint64, c) //vulcan:allowalloc grow-once key buffer, reused across calls
-	}
-	b := spare[:n]
-	// Materialize each element's radix key once; the passes then stream
-	// the key array instead of recomputing the float transform per pass.
-	// The OR/AND fold finds the bytes that actually vary — a byte is
-	// uniform exactly when its OR and AND agree, and a uniform byte's
-	// pass would be an identity copy, so only varying bytes get a pass.
-	ka, kb := sc.keys[:n], sc.keySpare[:n]
-	orK, andK := uint64(0), ^uint64(0)
-	for i := range a {
-		k := heatKey(a[i].Heat)
-		ka[i] = k
-		orK |= k
-		andK &= k
-	}
-	varying := orK ^ andK
-	var counts [256]int
-	for shift := 0; shift < 64; shift += 8 {
-		if (varying>>shift)&0xFF == 0 {
-			continue
-		}
-		clear(counts[:])
-		for _, k := range ka {
-			counts[(k>>shift)&0xFF]++
-		}
-		sum := 0
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for i, k := range ka {
-			j := counts[(k>>shift)&0xFF]
-			counts[(k>>shift)&0xFF] = j + 1
-			b[j] = a[i]
-			kb[j] = k
-		}
-		a, b = b, a
-		ka, kb = kb, ka
-	}
-	return a, b
 }

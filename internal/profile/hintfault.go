@@ -11,7 +11,7 @@ import (
 // real latency — the mechanism's signature drawback.
 type HintFault struct {
 	heat  *heatStore
-	table Table
+	table *pagetable.Replicated
 
 	// poisoned is the active poison window as a paged bitmap; Record
 	// probes it on every access, so membership must be a couple of loads.
@@ -38,7 +38,7 @@ type HintFault struct {
 
 // NewHintFault builds a hint-fault profiler poisoning windowPages per
 // epoch.
-func NewHintFault(table Table, windowPages int, faultCycles float64) *HintFault {
+func NewHintFault(table *pagetable.Replicated, windowPages int, faultCycles float64) *HintFault {
 	if table == nil {
 		panic("profile: HintFault requires a table")
 	}

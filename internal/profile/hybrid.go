@@ -12,7 +12,7 @@ import (
 // tracking" at the cost of the scan.
 type Hybrid struct {
 	heat  *heatStore
-	table Table
+	table *pagetable.Replicated
 	rng   *sim.RNG
 
 	sampleRate   int
@@ -29,7 +29,7 @@ type Hybrid struct {
 }
 
 // NewHybrid builds the hybrid profiler with the default decay.
-func NewHybrid(table Table, sampleRate int, seed uint64) *Hybrid {
+func NewHybrid(table *pagetable.Replicated, sampleRate int, seed uint64) *Hybrid {
 	return NewHybridWithDecay(table, sampleRate, DefaultDecay, seed)
 }
 
@@ -37,7 +37,7 @@ func NewHybrid(table Table, sampleRate int, seed uint64) *Hybrid {
 // decay (e.g. 0.9) makes steadily re-accessed pages outrank one-shot
 // streaming spikes, which is what lets the migration policy distinguish
 // genuine working sets from scan traffic.
-func NewHybridWithDecay(table Table, sampleRate int, decay float64, seed uint64) *Hybrid {
+func NewHybridWithDecay(table *pagetable.Replicated, sampleRate int, decay float64, seed uint64) *Hybrid {
 	if table == nil {
 		panic("profile: Hybrid requires a table")
 	}

@@ -25,13 +25,8 @@ type PEBS struct {
 // a prime period to avoid phase-locking with loops).
 const DefaultPEBSSampleRate = 199
 
-// NewPEBS builds a PEBS profiler with the given sampling period and the
-// default heat decay.
-func NewPEBS(sampleRate int, seed uint64) *PEBS {
-	return NewPEBSWithDecay(sampleRate, DefaultDecay, seed)
-}
-
-// NewPEBSWithDecay additionally selects the per-epoch heat aging factor.
+// NewPEBSWithDecay builds a PEBS profiler with the given sampling period
+// and per-epoch heat aging factor.
 // Systems with long cooling periods (Memtis halves counts only every few
 // migration rounds) retain heat across many epochs, which is what lets a
 // streaming workload's entire footprint register as warm.

@@ -42,16 +42,6 @@ type EpochReport struct {
 	Tracked int
 }
 
-// Table is the page-table surface the table-reading profilers need:
-// iteration plus a batched read-modify-write pass for harvesting and
-// clearing accessed/dirty bits in one walk. Both *pagetable.Table and
-// *pagetable.Replicated satisfy it.
-type Table interface {
-	Range(fn func(vp pagetable.VPage, p pagetable.PTE) bool)
-	RangeFrom(start pagetable.VPage, fn func(vp pagetable.VPage, p pagetable.PTE) bool)
-	RangeMut(fn func(vp pagetable.VPage, p pagetable.PTE) pagetable.PTE)
-}
-
 // Profiler estimates page heat from an access stream.
 type Profiler interface {
 	// Name identifies the mechanism ("pebs", "hybrid" or "hintfault").
@@ -70,14 +60,14 @@ type Profiler interface {
 	// HeatSnapshot returns all tracked pages, hottest first (ties broken
 	// by ascending page number for determinism). The returned slice is
 	// scratch owned by the profiler: it is valid until the next
-	// HeatSnapshot call and must not be retained across epochs.
+	// HeatSnapshot or HeatPages call and must not be retained across
+	// epochs.
 	HeatSnapshot() []PageHeat
-	// HeatPages returns all tracked pages like HeatSnapshot but in no
-	// particular order, skipping the hottest-first sort. The order is
-	// deterministic for a given call history but otherwise unspecified:
-	// consumers must be order-independent — re-sorting or selecting by a
-	// total-order key (heat, then page number) as the ranking helpers
-	// do. Same scratch-ownership rules as HeatSnapshot.
+	// HeatPages returns all tracked pages like HeatSnapshot but in
+	// ascending page order, skipping the hottest-first sort. Rankings
+	// re-sort or select by a total-order key (heat, then page number), so
+	// they do not depend on it. Same scratch-ownership rules as
+	// HeatSnapshot.
 	HeatPages() []PageHeat
 	// Tracked returns the number of pages with live heat state.
 	Tracked() int

@@ -56,6 +56,19 @@ func TestHeatStoreSnapshotOrdering(t *testing.T) {
 	if snap[0].VP != 1 || snap[1].VP != 2 || snap[2].VP != 3 {
 		t.Fatalf("ordering wrong: %v", snap)
 	}
+	// The sorted view must not leak into the unordered one: pages()
+	// stays ascending after a snapshot, before and after an epoch.
+	h.record(3, false, 9) // now the hottest, out of page order
+	for round := 0; round < 2; round++ {
+		h.snapshot()
+		ph := h.pages()
+		for i := 1; i < len(ph); i++ {
+			if ph[i-1].VP >= ph[i].VP {
+				t.Fatalf("round %d: pages not ascending: %v", round, ph)
+			}
+		}
+		h.endEpoch()
+	}
 }
 
 func TestHeatStoreBadDecayPanics(t *testing.T) {
@@ -81,7 +94,7 @@ func TestIsWriteIntensive(t *testing.T) {
 }
 
 func TestPEBSUnbiasedHeat(t *testing.T) {
-	p := NewPEBS(100, 1)
+	p := NewPEBSWithDecay(100, DefaultDecay, 1)
 	feed(p, 7, 100_000, false)
 	// Expected heat ≈ 100000 regardless of sampling (weight corrects).
 	if h := p.Heat(7); h < 60_000 || h > 140_000 {
@@ -90,7 +103,7 @@ func TestPEBSUnbiasedHeat(t *testing.T) {
 }
 
 func TestPEBSRanksBySampledFrequency(t *testing.T) {
-	p := NewPEBS(10, 2)
+	p := NewPEBSWithDecay(10, DefaultDecay, 2)
 	feed(p, 1, 50_000, false)
 	feed(p, 2, 5_000, false)
 	feed(p, 3, 500, false)
@@ -106,7 +119,7 @@ func TestPEBSRanksBySampledFrequency(t *testing.T) {
 func TestPEBSMissesColdPages(t *testing.T) {
 	// A page touched once in a 1/199 sampler is almost never seen —
 	// the mechanism's false-negative behaviour.
-	p := NewPEBS(DefaultPEBSSampleRate, 3)
+	p := NewPEBSWithDecay(DefaultPEBSSampleRate, DefaultDecay, 3)
 	missed := 0
 	for vp := pagetable.VPage(0); vp < 100; vp++ {
 		p.Record(Access{VP: vp})
@@ -120,7 +133,7 @@ func TestPEBSMissesColdPages(t *testing.T) {
 }
 
 func TestPEBSEpochReport(t *testing.T) {
-	p := NewPEBS(1, 4) // sample everything
+	p := NewPEBSWithDecay(1, DefaultDecay, 4) // sample everything
 	feed(p, 1, 10, false)
 	rep := p.EndEpoch()
 	if rep.OverheadCycles <= 0 {
@@ -134,18 +147,18 @@ func TestPEBSEpochReport(t *testing.T) {
 func TestPEBSValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewPEBS(0) did not panic")
+			t.Fatal("NewPEBSWithDecay(0) did not panic")
 		}
 	}()
-	NewPEBS(0, 1)
+	NewPEBSWithDecay(0, DefaultDecay, 1)
 }
 
 // buildTable makes a table with n mapped pages and returns it.
-func buildTable(t *testing.T, n int) *pagetable.Table {
+func buildTable(t *testing.T, n int) *pagetable.Replicated {
 	t.Helper()
-	tbl := pagetable.New()
+	tbl := pagetable.NewReplicated(1)
 	for vp := pagetable.VPage(0); vp < pagetable.VPage(n); vp++ {
-		err := tbl.Map(vp, pagetable.NewPTE(mem.Frame{Tier: mem.TierSlow, Index: uint32(vp)}, 0))
+		err := tbl.Map(0, vp, pagetable.NewPTE(mem.Frame{Tier: mem.TierSlow, Index: uint32(vp)}, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +166,7 @@ func buildTable(t *testing.T, n int) *pagetable.Table {
 	return tbl
 }
 
-func touch(tbl *pagetable.Table, vp pagetable.VPage, write bool) {
+func touch(tbl *pagetable.Replicated, vp pagetable.VPage, write bool) {
 	tbl.Update(vp, func(p pagetable.PTE) pagetable.PTE {
 		p = p.WithAccessed(true)
 		if write {
@@ -326,7 +339,7 @@ func TestProfilerNames(t *testing.T) {
 		p    Profiler
 		want string
 	}{
-		{NewPEBS(10, 1), "pebs"},
+		{NewPEBSWithDecay(10, DefaultDecay, 1), "pebs"},
 		{NewHintFault(tbl, 1, 0), "hintfault"},
 		{NewHybrid(tbl, 10, 1), "hybrid"},
 	} {

@@ -31,7 +31,7 @@ func profilerPair(kind string) (live, fresh Profiler, liveTbl, freshTbl *pagetab
 		tbl := newProfileTable()
 		switch kind {
 		case "pebs":
-			return NewPEBS(4, 9), tbl
+			return NewPEBSWithDecay(4, DefaultDecay, 9), tbl
 		case "hybrid":
 			return NewHybrid(tbl, 4, 9), tbl
 		case "hintfault":
@@ -114,7 +114,7 @@ func TestProfilerSnapshotRoundTrip(t *testing.T) {
 // TestRestoreProfilerRejectsWrongKind restores a PEBS snapshot into a
 // Hybrid profiler and expects a tag error, plus truncation robustness.
 func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
-	p := NewPEBS(4, 9)
+	p := NewPEBSWithDecay(4, DefaultDecay, 9)
 	for i := 0; i < 200; i++ {
 		p.Record(Access{VP: pagetable.VPage(i % 64), Thread: 0})
 	}
@@ -127,7 +127,7 @@ func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
 		t.Fatal("pebs snapshot restored into hybrid profiler")
 	}
 	for cut := 0; cut < len(blob); cut += 9 {
-		if err := RestoreProfiler(checkpoint.NewDecoder(blob[:cut]), NewPEBS(4, 9), SnapshotVersion); err == nil {
+		if err := RestoreProfiler(checkpoint.NewDecoder(blob[:cut]), NewPEBSWithDecay(4, DefaultDecay, 9), SnapshotVersion); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -139,7 +139,7 @@ func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
 // with an error, never a panic.
 func TestRestoreProfilerRejectsUnknownVersion(t *testing.T) {
 	e := &checkpoint.Encoder{}
-	SnapshotProfiler(e, NewPEBS(4, 9))
+	SnapshotProfiler(e, NewPEBSWithDecay(4, DefaultDecay, 9))
 	for _, version := range []uint32{0, 1, 3} {
 		func() {
 			defer func() {
@@ -147,7 +147,7 @@ func TestRestoreProfilerRejectsUnknownVersion(t *testing.T) {
 					t.Errorf("version %d: restore panicked: %v", version, r)
 				}
 			}()
-			if err := RestoreProfiler(checkpoint.NewDecoder(e.Bytes()), NewPEBS(4, 9), version); err == nil {
+			if err := RestoreProfiler(checkpoint.NewDecoder(e.Bytes()), NewPEBSWithDecay(4, DefaultDecay, 9), version); err == nil {
 				t.Errorf("version %d snapshot accepted", version)
 			}
 		}()

@@ -12,11 +12,11 @@ import (
 // allocate. Record runs once per simulated memory access, so a single
 // stray allocation here dominates the whole simulation's garbage.
 
-func warmTable(t *testing.T, pages int) *pagetable.Table {
+func warmTable(t *testing.T, pages int) *pagetable.Replicated {
 	t.Helper()
-	tbl := pagetable.New()
+	tbl := pagetable.NewReplicated(1)
 	for vp := pagetable.VPage(0); vp < pagetable.VPage(pages); vp++ {
-		if err := tbl.Map(vp, pagetable.NewPTE(mem.Frame{Tier: mem.TierSlow, Index: uint32(vp)}, 0)); err != nil {
+		if err := tbl.Map(0, vp, pagetable.NewPTE(mem.Frame{Tier: mem.TierSlow, Index: uint32(vp)}, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func pinRecord(t *testing.T, name string, p Profiler, a Access) {
 func TestPEBSRecordZeroAlloc(t *testing.T) {
 	// sampleRate 1 makes every access take the sampling path, so the
 	// measurement covers the heat-map update, not just the rng draw.
-	pinRecord(t, "PEBS", NewPEBS(1, 42), Access{VP: 3, Write: true, Fast: true})
+	pinRecord(t, "PEBS", NewPEBSWithDecay(1, DefaultDecay, 42), Access{VP: 3, Write: true, Fast: true})
 }
 
 func TestHybridRecordZeroAlloc(t *testing.T) {
@@ -75,7 +75,7 @@ func TestHintFaultRecordZeroAlloc(t *testing.T) {
 func TestFaultyRecordZeroAlloc(t *testing.T) {
 	// Wrap a sampling inner profiler with a fault stream that drops every
 	// other sample so both the dropped and forwarded branches run.
-	f := NewFaulty(NewPEBS(1, 42), &scriptedFaults{dropEvery: 2})
+	f := NewFaulty(NewPEBSWithDecay(1, DefaultDecay, 42), &scriptedFaults{dropEvery: 2})
 	pinRecord(t, "Faulty", f, Access{VP: 3, Write: true, Fast: true})
 }
 

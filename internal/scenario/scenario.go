@@ -623,6 +623,13 @@ func resolveCustom(a App) (workload.AppConfig, error) {
 	if skew == 0 {
 		skew = 0.99
 	}
+	// The generator constructors panic on these; Check builds one.
+	if skew < 0 {
+		return cfg, fmt.Errorf("zipf_skew %v is negative", skew)
+	}
+	if a.WriteFrac < 0 || a.WriteFrac > 1 {
+		return cfg, fmt.Errorf("write_frac %v outside [0,1]", a.WriteFrac)
+	}
 	gen, err := generatorFactory(a.Generator, skew, a.WriteFrac, llc, a.WSSPages)
 	if err != nil {
 		return cfg, err

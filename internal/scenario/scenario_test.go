@@ -114,19 +114,22 @@ func TestDefaults(t *testing.T) {
 // loadErrorCases are scenarios Load must reject; FuzzResolve seeds from
 // them too.
 var loadErrorCases = map[string]string{
-	"garbage":           `{`,
-	"unknown field":     `{"bogus": 1, "apps":[{"preset":"memcached"}]}`,
-	"no apps":           `{"policy":"tpp"}`,
-	"unknown policy":    `{"policy":"bogus","apps":[{"preset":"memcached"}]}`,
-	"bad preset":        `{"apps":[{"preset":"redis"}]}`,
-	"custom no name":    `{"apps":[{"generator":"zipf","rss_pages":10}]}`,
-	"bad class":         `{"apps":[{"name":"x","class":"MEDIUM","rss_pages":10}]}`,
-	"bad generator":     `{"apps":[{"name":"x","rss_pages":10,"generator":"lru"}]}`,
-	"micro without wss": `{"apps":[{"name":"x","rss_pages":10,"generator":"micro"}]}`,
-	"custom zero rss":   `{"apps":[{"name":"x","rss_pages":0}]}`,
-	"preset premap 3":   `{"apps":[{"preset":"memcached","premap_fraction":3}]}`,
-	"custom premap 3":   `{"apps":[{"name":"x","rss_pages":10,"premap_fraction":3}]}`,
-	"scaled to no rss":  `{"scale":1000000000,"apps":[{"preset":"memcached"}]}`,
+	"garbage":            `{`,
+	"unknown field":      `{"bogus": 1, "apps":[{"preset":"memcached"}]}`,
+	"no apps":            `{"policy":"tpp"}`,
+	"unknown policy":     `{"policy":"bogus","apps":[{"preset":"memcached"}]}`,
+	"bad preset":         `{"apps":[{"preset":"redis"}]}`,
+	"custom no name":     `{"apps":[{"generator":"zipf","rss_pages":10}]}`,
+	"bad class":          `{"apps":[{"name":"x","class":"MEDIUM","rss_pages":10}]}`,
+	"bad generator":      `{"apps":[{"name":"x","rss_pages":10,"generator":"lru"}]}`,
+	"micro without wss":  `{"apps":[{"name":"x","rss_pages":10,"generator":"micro"}]}`,
+	"custom zero rss":    `{"apps":[{"name":"x","rss_pages":0}]}`,
+	"preset premap 3":    `{"apps":[{"preset":"memcached","premap_fraction":3}]}`,
+	"write_frac 1.5":     `{"apps":[{"name":"x","rss_pages":100,"write_frac":1.5}]}`,
+	"negative zipf_skew": `{"apps":[{"name":"x","rss_pages":100,"zipf_skew":-1}]}`,
+	"custom premap 3":    `{"apps":[{"name":"x","rss_pages":10,"premap_fraction":3}]}`,
+	"scaled to no rss":   `{"scale":1000000000,"apps":[{"preset":"memcached"}]}`,
+	"scaled to one page": `{"scale":100000,"machine":{"fast_pages":64,"slow_pages":4096},"apps":[{"preset":"memcached"}]}`,
 
 	"scaled to no fast tier": `{"scale":200000,"apps":[{"preset":"memcached"}]}`,
 	"app past memory":        `{"machine":{"fast_pages":64,"slow_pages":4096},"apps":[{"preset":"memcached"}]}`,

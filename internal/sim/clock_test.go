@@ -50,8 +50,8 @@ func TestCycleConversionRoundTrip(t *testing.T) {
 	if d != 100*Microsecond {
 		t.Fatalf("CyclesToDuration(300000) = %v, want 100µs", d)
 	}
-	if got := DurationToCycles(d); got != 300_000 {
-		t.Fatalf("DurationToCycles = %v, want 300000", got)
+	if got := float64(d) * CyclesPerNs; got != 300_000 {
+		t.Fatalf("100µs = %v cycles, want 300000", got)
 	}
 }
 

@@ -63,6 +63,12 @@ var (
 func zipfTableFor(n int, s float64) *zipfTable {
 	zipfMu.Lock()
 	defer zipfMu.Unlock()
+	if n == 1 {
+		// One rank takes all the mass whatever the skew: one table
+		// serves every skew, so probing generators at one page
+		// (workload.AppConfig.Check) cannot grow the cache.
+		s = 1
+	}
 	key := zipfKey{n: n, s: s}
 	if t, ok := zipfTables[key]; ok {
 		return t

@@ -245,34 +245,13 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 
 	// Substrate overlays. Tiers go wholesale after admissions so the
 	// free-list order — part of the determinism contract — is exact.
-	clk, err := cr.Section("clock", clockVersion)
-	if err != nil {
+	if err := cr.Restore("clock", clockVersion, s.m.Clock); err != nil {
 		return nil, err
 	}
-	if err := s.m.Clock.Restore(clk); err != nil {
+	if err := cr.Restore("machine", machineVersion, s.m.RNG); err != nil {
 		return nil, err
 	}
-	if err := clk.Close(); err != nil {
-		return nil, err
-	}
-	mrng, err := cr.Section("machine", machineVersion)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.m.RNG.Restore(mrng); err != nil {
-		return nil, err
-	}
-	if err := mrng.Close(); err != nil {
-		return nil, err
-	}
-	tiers, err := cr.Section("mem", memVersion)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.tiers.Restore(tiers); err != nil {
-		return nil, err
-	}
-	if err := tiers.Close(); err != nil {
+	if err := cr.Restore("mem", memVersion, s.tiers); err != nil {
 		return nil, err
 	}
 
@@ -308,53 +287,25 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 		if !ok {
 			return nil, fmt.Errorf("system: checkpoint carries %q policy state, policy cannot restore it", ckptPolicy)
 		}
-		pd, err := cr.Section("policy", policyVersion)
-		if err != nil {
-			return nil, err
-		}
-		if err := ps.Restore(pd); err != nil {
-			return nil, err
-		}
-		if err := pd.Close(); err != nil {
+		if err := cr.Restore("policy", policyVersion, ps); err != nil {
 			return nil, err
 		}
 	}
 
 	if s.inj != nil && cr.Has("fault") {
-		fd, err := cr.Section("fault", faultVersion)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.inj.Restore(fd); err != nil {
-			return nil, err
-		}
-		if err := fd.Close(); err != nil {
+		if err := cr.Restore("fault", faultVersion, s.inj); err != nil {
 			return nil, err
 		}
 	}
 
 	// Telemetry goes last: nothing emitted while rebuilding may survive
 	// into the restored buffers.
-	md, err := cr.Section("metrics", metricsVersion)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.recorder.Restore(md); err != nil {
-		return nil, err
-	}
-	if err := md.Close(); err != nil {
+	if err := cr.Restore("metrics", metricsVersion, s.recorder); err != nil {
 		return nil, err
 	}
 	if cr.Has("obs") {
 		if rec, ok := s.obs.(checkpoint.Snapshotter); ok {
-			od, err := cr.Section("obs", obsVersion)
-			if err != nil {
-				return nil, err
-			}
-			if err := rec.Restore(od); err != nil {
-				return nil, err
-			}
-			if err := od.Close(); err != nil {
+			if err := cr.Restore("obs", obsVersion, rec); err != nil {
 				return nil, err
 			}
 		}

@@ -85,7 +85,26 @@ func (c AppConfig) Check() error {
 	case c.NewGen == nil:
 		return fmt.Errorf("workload: app %s without a generator", c.Name)
 	}
+	// The generator's kind, not the region size, decides how small a
+	// region it can draw from, so a one-page probe names it. (Every
+	// one-page sim.Zipf shares one cached table, so probes add none.)
+	need := minPages(c.NewGen(1, sim.NewRNG(1)))
+	shared, private := c.regions()
+	if shared < need || (private > 0 && private < need) {
+		return fmt.Errorf("workload: app %s regions too small for its generator: %d-page shared, %d-page private, needs %d",
+			c.Name, shared, private, need)
+	}
 	return nil
+}
+
+// regions returns the sizes BuildThreads gives c's shared region and
+// each thread's private slice (0 when the threads share everything).
+func (c AppConfig) regions() (shared, private int) {
+	shared = int(float64(c.RSSPages) * c.SharedFraction)
+	if shared < 1 {
+		shared = 1
+	}
+	return shared, (c.RSSPages - shared) / c.Threads
 }
 
 // Validate panics on malformed configs built inside the program, where a
@@ -122,11 +141,7 @@ func (t *Thread) Next() Ref {
 // thread gets independent RNG streams forked from rng.
 func BuildThreads(cfg AppConfig, rng *sim.RNG) []*Thread {
 	cfg.Validate()
-	sharedPages := int(float64(cfg.RSSPages) * cfg.SharedFraction)
-	if sharedPages < 1 {
-		sharedPages = 1
-	}
-	privPer := (cfg.RSSPages - sharedPages) / cfg.Threads
+	sharedPages, privPer := cfg.regions()
 	// One backing array each for the threads and their RNG streams; the
 	// per-thread fork order (shared, thread, private) is the determinism
 	// contract and must not change.

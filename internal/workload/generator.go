@@ -134,6 +134,21 @@ func (s *Scan) Next() Ref {
 	return Ref{Page: p, Write: s.rng.Bool(s.writeFrac), LLCHitProb: s.llcHit}
 }
 
+// minPages returns the smallest region g's kind of generator can draw
+// from. Generators that split their region into sub-ranges need a page
+// in each: KeyValue a hot and a cold range, GraphWalk vertex state and
+// edge lists, MLTrain and WebServer three ranges each. The rest draw
+// from any nonempty region.
+func minPages(g Generator) int {
+	switch g.(type) {
+	case *KeyValue, *GraphWalk:
+		return 2
+	case *MLTrain, *WebServer:
+		return 3
+	}
+	return 1
+}
+
 func checkRegion(pages int, writeFrac float64) {
 	if pages <= 0 {
 		panic(fmt.Sprintf("workload: region of %d pages", pages))
