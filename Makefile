@@ -26,12 +26,12 @@ A ?= ./...
 lint:
 	$(GO) run ./cmd/vulcanvet $(A)
 
-# vet-sarif runs the same analyzers but also writes the SARIF and JSON
-# reports CI uploads to code scanning. Artifacts land in out/
-# (gitignored); the SARIF is written even on a clean run.
+# vet-sarif runs the same analyzers but also writes the SARIF report CI
+# uploads to code scanning. It lands in out/ (gitignored) and is written
+# even on a clean run.
 vet-sarif:
 	@mkdir -p out
-	$(GO) run ./cmd/vulcanvet -sarif out/vulcanvet.sarif -json out/vulcanvet.json $(A)
+	$(GO) run ./cmd/vulcanvet -sarif out/vulcanvet.sarif $(A)
 
 test:
 	$(GO) test ./...
@@ -48,17 +48,18 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs four native fuzz targets for ten seconds each: the
+# fuzz-smoke runs five native fuzz targets for ten seconds each: the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
-# the radix selection (FuzzSelect) and the page-table checkpoint decoder
-# (FuzzReplicatedRestore). Their seed corpora also run in
-# every `go test`; a failing input lands in the package's testdata/fuzz/
-# for replay.
+# the radix selection (FuzzSelect), the page-table checkpoint decoder
+# (FuzzReplicatedRestore) and the trace reader (FuzzTraceRead). Their
+# seed corpora also run in every `go test`; a failing input lands in
+# the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzReadJournal -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzResolve -fuzztime 10s
 	$(GO) test ./internal/radix -run '^$$' -fuzz FuzzSelect -fuzztime 10s
 	$(GO) test ./internal/pagetable -run '^$$' -fuzz FuzzReplicatedRestore -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

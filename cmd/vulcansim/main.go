@@ -209,6 +209,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return fmt.Errorf("%s: %w", o.config, err)
 	}
+	if parsed.Arrivals != nil {
+		// Only a serving session drives churn; a batch run would
+		// silently simulate the static apps alone.
+		return usagef("%s: the arrivals block runs only under vulcand (vulcand -config %s -socket ... -journal ...)", o.config, o.config)
+	}
 	samples := 0 // the system default, as for every scenario file
 	if o.config == "" {
 		samples = figures.SamplesForScale(o.scale)

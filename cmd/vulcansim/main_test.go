@@ -157,6 +157,7 @@ func TestRunRejects(t *testing.T) {
 		{"fleet seeds", []string{"-fleet", "2", "-seeds", "2"}, "fleet runs support"},
 		{"fleet config", []string{"-fleet", "2", "-config", "testdata/single.json"}, "both define"},
 		{"config fleet series", []string{"-config", "testdata/fleet.json", "-series", "s.csv"}, "fleet runs support"},
+		{"config arrivals", []string{"-config", "../../testdata/serve/scenario.json"}, "runs only under vulcand"},
 		{"unknown scheduler", []string{"-fleet", "2", "-scheduler", "roundrobin"}, "roundrobin"},
 		{"seeds with checkpoint", []string{"-seeds", "2", "-checkpoint-out", "c.ckpt"}, "exclude -seeds"},
 		{"every without out", []string{"-checkpoint-every", "5"}, "needs -checkpoint-out"},

@@ -7,14 +7,12 @@
 //
 //	go run ./cmd/vulcanvet ./...
 //	go run ./cmd/vulcanvet -list
-//	go run ./cmd/vulcanvet -group ./internal/policy ./internal/core
-//	go run ./cmd/vulcanvet -sarif out/vulcanvet.sarif -json out/vulcanvet.json ./...
+//	go run ./cmd/vulcanvet -sarif out/vulcanvet.sarif ./...
 //
 // -sarif writes a SARIF 2.1.0 log (GitHub code scanning ingests it and
-// annotates findings inline on PRs); -json writes a flat machine-
-// readable report; either takes "-" for stdout. -group lists findings
-// grouped by contract instead of position order. Emitters always write,
-// even on a clean run — an empty SARIF log is CI's green artifact.
+// annotates findings inline on PRs), or to stdout for "-". It always
+// writes, even on a clean run — an empty SARIF log is CI's green
+// artifact.
 //
 // A finding can be suppressed where it is a deliberate exception with a
 // trailing "//vulcanvet:ok <analyzer>" comment on the same or preceding
@@ -41,11 +39,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vulcanvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	group := fs.Bool("group", false, "group findings by contract (analyzer) instead of position order")
 	sarifOut := fs.String("sarif", "", "write a SARIF 2.1.0 report to `file` (\"-\" for stdout)")
-	jsonOut := fs.String("json", "", "write a JSON report to `file` (\"-\" for stdout)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: vulcanvet [-list] [-group] [-sarif file] [-json file] package-pattern...\n")
+		fmt.Fprintf(stderr, "usage: vulcanvet [-list] [-sarif file] package-pattern...\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -85,21 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *jsonOut != "" {
-		if err := emit(*jsonOut, stdout, func(w io.Writer) error {
-			return driver.WriteJSON(w, root, findings)
-		}); err != nil {
-			fmt.Fprintln(stderr, "vulcanvet:", err)
-			return 2
-		}
-	}
-
-	if *group {
-		driver.WriteGrouped(stdout, suite, findings)
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "vulcanvet: %d finding(s) in %d package(s)\n",

@@ -2,19 +2,15 @@ package driver
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"vulcan/internal/analysis"
 )
 
 // This file renders findings for machines: SARIF 2.1.0 for GitHub code
-// scanning (inline PR annotations), a flat JSON form for ad-hoc
-// tooling, and a grouped listing that organizes findings by the
-// contract (analyzer) they violate.
+// scanning (inline PR annotations).
 
 const (
 	sarifSchema  = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
@@ -109,83 +105,6 @@ func WriteSARIF(w io.Writer, root string, analyzers []*analysis.Analyzer, findin
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sarifLog{Schema: sarifSchema, Version: sarifVersion, Runs: []sarifRun{run}})
-}
-
-// JSONFinding is the flat machine-readable form of one finding.
-type JSONFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// jsonReport is the top-level object WriteJSON emits.
-type jsonReport struct {
-	Count    int           `json:"count"`
-	Findings []JSONFinding `json:"findings"`
-}
-
-// WriteJSON renders findings as a single JSON object with repository-
-// relative paths, in the driver's deterministic position order.
-func WriteJSON(w io.Writer, root string, findings []Finding) error {
-	rep := jsonReport{Count: len(findings), Findings: make([]JSONFinding, 0, len(findings))}
-	for _, f := range findings {
-		rep.Findings = append(rep.Findings, JSONFinding{
-			Analyzer: f.Analyzer,
-			File:     relURI(root, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// WriteGrouped prints findings grouped by contract, in suite order,
-// with per-contract counts — the listing mode for working through a
-// backlog one invariant at a time. Analyzers with no findings are
-// summarized on one trailing line.
-func WriteGrouped(w io.Writer, analyzers []*analysis.Analyzer, findings []Finding) {
-	byName := make(map[string][]Finding)
-	for _, f := range findings {
-		byName[f.Analyzer] = append(byName[f.Analyzer], f)
-	}
-	var clean []string
-	for _, a := range analyzers {
-		group := byName[a.Name]
-		delete(byName, a.Name)
-		if len(group) == 0 {
-			clean = append(clean, a.Name)
-			continue
-		}
-		fmt.Fprintf(w, "%s: %d finding(s) — %s\n", a.Name, len(group), a.Doc)
-		for _, f := range group {
-			fmt.Fprintf(w, "  %s: %s\n", f.Pos, f.Message)
-		}
-	}
-	// Findings from analyzers outside the provided suite (defensive).
-	for _, a := range sortedKeys(byName) {
-		group := byName[a]
-		fmt.Fprintf(w, "%s: %d finding(s)\n", a, len(group))
-		for _, f := range group {
-			fmt.Fprintf(w, "  %s: %s\n", f.Pos, f.Message)
-		}
-	}
-	if len(clean) > 0 {
-		fmt.Fprintf(w, "clean: %s\n", strings.Join(clean, ", "))
-	}
-}
-
-func sortedKeys(m map[string][]Finding) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // relURI converts an absolute source path to a root-relative,

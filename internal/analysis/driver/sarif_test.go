@@ -110,40 +110,3 @@ func TestWriteSARIFEmptyIsValid(t *testing.T) {
 		t.Errorf("clean run should emit an empty results array:\n%s", buf.String())
 	}
 }
-
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := driver.WriteJSON(&buf, "/repo", testFindings()); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Count    int                  `json:"count"`
-		Findings []driver.JSONFinding `json:"findings"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("emitted JSON does not parse: %v\n%s", err, buf.String())
-	}
-	if rep.Count != 2 || len(rep.Findings) != 2 {
-		t.Fatalf("count = %d, findings = %d", rep.Count, len(rep.Findings))
-	}
-	f := rep.Findings[1]
-	if f.Analyzer != "snapfields" || f.File != "internal/system/app.go" || f.Line != 9 {
-		t.Errorf("finding 1 = %+v", f)
-	}
-}
-
-func TestWriteGrouped(t *testing.T) {
-	var buf bytes.Buffer
-	driver.WriteGrouped(&buf, analysis.Suite(), testFindings())
-	out := buf.String()
-	if !strings.Contains(out, "hotalloc: 1 finding(s)") ||
-		!strings.Contains(out, "snapfields: 1 finding(s)") {
-		t.Errorf("missing group headers:\n%s", out)
-	}
-	if !strings.Contains(out, "clean: determinism, maporder") {
-		t.Errorf("missing clean summary:\n%s", out)
-	}
-	if strings.Index(out, "hotalloc:") > strings.Index(out, "snapfields:") {
-		t.Errorf("groups not in suite order:\n%s", out)
-	}
-}

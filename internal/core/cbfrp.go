@@ -5,6 +5,10 @@ import (
 	"vulcan/internal/workload"
 )
 
+// cbfrpUnitPages is CBFRP's transfer quantum: a borrower gains at most
+// this many pages per transfer.
+const cbfrpUnitPages int = 512
+
 // TransferKind classifies one CBFRP quota movement.
 type TransferKind uint8
 
@@ -74,10 +78,6 @@ func (q *QoSController) CBFRP(fastCapacity int, rng *sim.RNG) {
 		return
 	}
 	gfmc := q.GFMC(fastCapacity)
-	unit := q.UnitPages
-	if unit <= 0 {
-		unit = 1
-	}
 
 	// Free pool: capacity not yet assigned to initialized workloads.
 	pool := fastCapacity
@@ -153,8 +153,8 @@ func (q *QoSController) CBFRP(fastCapacity int, rng *sim.RNG) {
 			return
 		}
 		step := b.Demand - b.Alloc
-		if step > unit {
-			step = unit
+		if step > cbfrpUnitPages {
+			step = cbfrpUnitPages
 		}
 		switch {
 		case pool > 0:

@@ -247,20 +247,20 @@ func TestCBFRPMinCreditDonorChosen(t *testing.T) {
 	// earns credits, equalizing over time).
 	q, sys := cbfrpFixture(t, map[string]int{"lc": 1000, "be1": 1000, "be2": 1000})
 	q.CBFRP(3000, sim.NewRNG(4))
-	q.State(sys.App("lc")).Demand = 1400
-	q.State(sys.App("be1")).Demand = 600
-	q.State(sys.App("be2")).Demand = 600
+	// The borrower needs exactly one transfer quantum.
+	q.State(sys.App("lc")).Demand = 1000 + cbfrpUnitPages
+	q.State(sys.App("be1")).Demand = 1000 - cbfrpUnitPages
+	q.State(sys.App("be2")).Demand = 1000 - cbfrpUnitPages
 	q.State(sys.App("be1")).Credits = 100
 	q.State(sys.App("be2")).Credits = 0
-	q.UnitPages = 400 // one transfer satisfies the borrower
 	q.CBFRP(3000, sim.NewRNG(4))
-	if got := q.State(sys.App("be2")).Credits; got != 400 {
-		t.Fatalf("low-credit donor earned %d, want 400", got)
+	if got := q.State(sys.App("be2")).Credits; got != cbfrpUnitPages {
+		t.Fatalf("low-credit donor earned %d, want %d", got, cbfrpUnitPages)
 	}
 	if got := q.State(sys.App("be1")).Credits; got != 100 {
 		t.Fatalf("high-credit donor credits changed: %d", got)
 	}
-	if got := q.State(sys.App("lc")).Alloc; got != 1400 {
-		t.Fatalf("lc alloc = %d, want 1400", got)
+	if got := q.State(sys.App("lc")).Alloc; got != 1000+cbfrpUnitPages {
+		t.Fatalf("lc alloc = %d, want %d", got, 1000+cbfrpUnitPages)
 	}
 }

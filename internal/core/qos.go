@@ -44,9 +44,6 @@ type QoSController struct {
 	states []*QoSState
 	byApp  map[*system.App]*QoSState
 
-	// UnitPages is CBFRP's transfer quantum.
-	UnitPages int
-
 	// Transfers records the latest CBFRP invocation's quota movements in
 	// execution order (reset on each call) — the qos-adapt telemetry
 	// feed and a debugging aid for partitioning behavior.
@@ -68,12 +65,9 @@ const (
 	holdEpochs              = 6
 )
 
-// NewQoSController returns an empty controller with defaults.
+// NewQoSController returns an empty controller.
 func NewQoSController() *QoSController {
-	return &QoSController{
-		byApp:     make(map[*system.App]*QoSState),
-		UnitPages: 512,
-	}
+	return &QoSController{byApp: make(map[*system.App]*QoSState)}
 }
 
 // Register admits a workload; its quota starts at the recomputed even

@@ -124,7 +124,7 @@ func (v *Vulcan) NewProfiler(app *system.App) profile.Profiler {
 	if app.Class() == workload.LC {
 		decay = lcHeatDecay
 	}
-	return profile.NewHybridWithDecay(app.Table, sampleRate, decay,
+	return profile.NewHybrid(app.Table, sampleRate, decay,
 		uint64(app.Index)*7919+3)
 }
 

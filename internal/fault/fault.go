@@ -107,9 +107,10 @@ type Rule struct {
 	Severity float64
 }
 
-// Plan is the declarative fault-injection configuration for one run,
-// plus the knobs of the resilience mechanisms that answer the faults.
-// The zero value of every knob selects the documented default.
+// Plan is the declarative fault-injection configuration for one run:
+// the rules that arm fault kinds and the seed that places them. The
+// mechanisms that answer the faults (migrate's bounded retry, the
+// system's confidence downgrade) are constants of their layers.
 type Plan struct {
 	// Seed decorrelates the fault schedule from the scenario seed; the
 	// injector mixes both, so the same plan produces different
@@ -118,58 +119,10 @@ type Plan struct {
 	Seed uint64
 	// Rules arm the fault kinds. An empty rule set injects nothing.
 	Rules []Rule
-
-	// Correlate couples migration failures to latency-spike windows,
-	// modeling the real-world pattern where both symptoms share one
-	// cause (a congested or misbehaving far-memory device): when on,
-	// MigrationFail can only fire during an epoch whose slow-tier
-	// LatencySpike window is open — both kinds key off that one shared
-	// per-window draw — and fires there with conditional probability
-	// min(1, rate_mf/rate_ls), preserving the marginal failure rate
-	// whenever rate_mf ≤ rate_ls. Off (the default) keeps the two
-	// schedules independent and is byte-identical to plans predating
-	// the knob. Needs both kinds armed to change anything.
-	Correlate bool
-
-	// RetryBudget caps transiently-failed-page retry attempts per app
-	// per epoch (default 128 pages).
-	RetryBudget int
-	// RetryMaxAttempts bounds retries per page before the migration is
-	// abandoned (default 4).
-	RetryMaxAttempts int
-	// RetryBackoffEpochs is the initial retry delay in epochs; each
-	// failed retry doubles it up to RetryBackoffCap (defaults 1 and 8).
-	RetryBackoffEpochs int
-	RetryBackoffCap    int
-
-	// DegradeBelow is the profiler-confidence threshold under which a
-	// policy should hold its prior placement instead of reacting to a
-	// starved profile (default 0.7).
-	DegradeBelow float64
-}
-
-// FillDefaults resolves zero-valued knobs to their documented defaults.
-func (p *Plan) FillDefaults() {
-	if p.RetryBudget == 0 {
-		p.RetryBudget = 128
-	}
-	if p.RetryMaxAttempts == 0 {
-		p.RetryMaxAttempts = 4
-	}
-	if p.RetryBackoffEpochs == 0 {
-		p.RetryBackoffEpochs = 1
-	}
-	if p.RetryBackoffCap == 0 {
-		p.RetryBackoffCap = 8
-	}
-	if p.DegradeBelow == 0 {
-		p.DegradeBelow = 0.7
-	}
 }
 
 // Validate rejects malformed plans: unknown kinds, rates outside [0,1],
-// negative severities, tier scopes that name no tier, and nonsensical
-// resilience knobs.
+// negative severities and tier scopes that name no tier.
 func (p *Plan) Validate() error {
 	for i, r := range p.Rules {
 		if r.Kind >= NumKinds {
@@ -191,12 +144,6 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("fault: rule %d (%s): severity %v outside [0,1]", i, r.Kind, r.Severity)
 			}
 		}
-	}
-	if p.RetryBudget < 0 || p.RetryMaxAttempts < 0 || p.RetryBackoffEpochs < 0 || p.RetryBackoffCap < 0 {
-		return fmt.Errorf("fault: negative retry knob")
-	}
-	if p.DegradeBelow < 0 || p.DegradeBelow > 1 {
-		return fmt.Errorf("fault: DegradeBelow %v outside [0,1]", p.DegradeBelow)
 	}
 	return nil
 }

@@ -20,8 +20,6 @@ func TestValidate(t *testing.T) {
 		{"bad tier scope", Plan{Rules: []Rule{{Kind: LatencySpike, Scope: "mid", Rate: 0.1}}}, "not a tier"},
 		{"tier scope ok", Plan{Rules: []Rule{{Kind: LatencySpike, Scope: "slow", Rate: 0.1, Severity: 0.5}}}, ""},
 		{"frac sev high", Plan{Rules: []Rule{{Kind: BandwidthDegrade, Rate: 0.1, Severity: 1.5}}}, "outside [0,1]"},
-		{"neg knob", Plan{RetryBudget: -1}, "negative retry knob"},
-		{"bad threshold", Plan{DegradeBelow: 2}, "DegradeBelow"},
 	}
 	for _, tc := range cases {
 		err := tc.plan.Validate()
@@ -34,23 +32,6 @@ func TestValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-func TestFillDefaults(t *testing.T) {
-	var p Plan
-	p.FillDefaults()
-	if p.RetryBudget != 128 || p.RetryMaxAttempts != 4 || p.RetryBackoffEpochs != 1 || p.RetryBackoffCap != 8 {
-		t.Errorf("retry defaults = %d/%d/%d/%d", p.RetryBudget, p.RetryMaxAttempts, p.RetryBackoffEpochs, p.RetryBackoffCap)
-	}
-	if p.DegradeBelow != 0.7 {
-		t.Errorf("DegradeBelow default = %v", p.DegradeBelow)
-	}
-	// Explicit values survive.
-	p2 := Plan{RetryBudget: 5, DegradeBelow: 0.3}
-	p2.FillDefaults()
-	if p2.RetryBudget != 5 || p2.DegradeBelow != 0.3 {
-		t.Errorf("explicit knobs overwritten: %+v", p2)
 	}
 }
 

@@ -11,16 +11,9 @@ import (
 // the mixed seed and the caller's simulation coordinates, so neither
 // query order nor lab worker count can perturb the schedule.
 type Injector struct {
-	plan  Plan
 	seed  uint64
 	sink  obs.Sink
 	rules [NumKinds][]compiledRule
-	// epoch is the current epoch coordinate, advanced by the system at
-	// each epoch start (BeginEpoch). It exists for correlated-window
-	// queries only: MigrationFails has no epoch argument of its own,
-	// but under Plan.Correlate must consult this epoch's latency-spike
-	// window. Set from the simulation clock, never from query order.
-	epoch uint64 //vulcan:nosnap re-synchronized by BeginEpoch at each epoch start
 	// injected counts faults actually fired, per kind (read by FigR and
 	// the report via Counts).
 	injected [NumKinds]uint64
@@ -41,17 +34,13 @@ func NewInjector(plan *Plan, scenarioSeed uint64, sink obs.Sink) *Injector {
 	if !plan.Armed() {
 		return nil
 	}
-	p := *plan
-	p.Rules = append([]Rule(nil), plan.Rules...)
-	p.FillDefaults()
 	inj := &Injector{
-		plan: p,
 		// Mix both seeds through one splitmix step so (seed, fault-seed)
 		// pairs that happen to XOR equal still diverge.
-		seed: mix(scenarioSeed ^ 0x6c62272e07bb0142 ^ p.Seed*0x100000001b3),
+		seed: mix(scenarioSeed ^ 0x6c62272e07bb0142 ^ plan.Seed*0x100000001b3),
 		sink: sink,
 	}
-	for _, r := range p.Rules {
+	for _, r := range plan.Rules {
 		if r.Rate <= 0 {
 			continue
 		}
@@ -66,10 +55,6 @@ func NewInjector(plan *Plan, scenarioSeed uint64, sink obs.Sink) *Injector {
 	}
 	return inj
 }
-
-// Plan returns the compiled plan (defaults resolved); callers use it
-// for the resilience knobs (retry budget, degradation threshold).
-func (inj *Injector) Plan() Plan { return inj.plan }
 
 // Counts returns per-kind totals of faults fired so far.
 func (inj *Injector) Counts() [NumKinds]uint64 {
@@ -157,45 +142,15 @@ func hashFieldless(scope string) float64 {
 
 // --- Per-layer queries -------------------------------------------------
 
-// BeginEpoch advances the injector's epoch coordinate; the system calls
-// it once per epoch before opening fault windows. Only correlated-
-// window queries consult it.
-func (inj *Injector) BeginEpoch(epoch uint64) {
-	if inj == nil {
-		return
-	}
-	inj.epoch = epoch
-}
-
 // MigrationFails reports whether the migration of virtual page vp for
 // app fails transiently in engine batch batchSeq. Keying by batch means
 // a page that failed once draws fresh on retry instead of failing
-// forever. Under Plan.Correlate the failure is additionally gated on
-// this epoch's slow-tier latency-spike window (see Plan.Correlate).
+// forever.
 func (inj *Injector) MigrationFails(app string, vp uint64, batchSeq uint64) bool {
 	if inj == nil {
 		return false
 	}
-	r, ok := inj.rule(MigrationFail, app)
-	if !ok {
-		return false
-	}
-	rate := r.rate
-	if inj.plan.Correlate {
-		lr, armed := inj.rule(LatencySpike, mem.TierSlow.String())
-		if armed && lr.rate > 0 {
-			// The shared per-window draw: exactly the epoch draw
-			// LatencyFactor makes, so a correlated failure can only land
-			// inside an open spike window.
-			if inj.u01(LatencySpike, lr.scopeHash, inj.epoch, 0x3c3) >= lr.rate {
-				return false
-			}
-			if rate = r.rate / lr.rate; rate > 1 {
-				rate = 1
-			}
-		}
-	}
-	fired := inj.u01(MigrationFail, r.scopeHash, vp, batchSeq) < rate
+	r, fired := inj.fires(MigrationFail, app, vp, batchSeq)
 	if fired {
 		inj.emit(MigrationFail, app, app, r.severity,
 			obs.F("vpage", float64(vp)), obs.F("batch", float64(batchSeq)))

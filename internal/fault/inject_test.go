@@ -324,90 +324,3 @@ func TestInjectEventsEmitted(t *testing.T) {
 		t.Errorf("coordinates missing: %+v", e.Fields)
 	}
 }
-
-// TestCorrelateOffIsByteIdentical pins the knob's default: a plan with
-// Correlate unset answers every migration-fail query exactly as the
-// pre-knob injector did.
-func TestCorrelateOffIsByteIdentical(t *testing.T) {
-	base := mustInjector(t, PlanAtRate(0.2), 9, nil)
-	off := PlanAtRate(0.2)
-	off.Correlate = false
-	same := mustInjector(t, off, 9, nil)
-	for epoch := uint64(0); epoch < 20; epoch++ {
-		base.BeginEpoch(epoch)
-		same.BeginEpoch(epoch)
-		for vp := uint64(0); vp < 200; vp++ {
-			if base.MigrationFails("app", vp, epoch) != same.MigrationFails("app", vp, epoch) {
-				t.Fatalf("Correlate=false diverged at epoch %d vp %d", epoch, vp)
-			}
-		}
-	}
-}
-
-// TestCorrelateGatesFailuresOnSpikeWindows checks the coupling: with
-// Correlate on, migration failures fire only in epochs whose slow-tier
-// latency-spike window is open, and the marginal failure rate stays
-// near the configured one.
-func TestCorrelateGatesFailuresOnSpikeWindows(t *testing.T) {
-	plan := &Plan{
-		Correlate: true,
-		Rules: []Rule{
-			{Kind: MigrationFail, Rate: 0.05},
-			{Kind: LatencySpike, Scope: "slow", Rate: 0.25, Severity: 0.5},
-		},
-	}
-	inj := mustInjector(t, plan, 4, nil)
-	const epochs, pages = 400, 100
-	spikeEpochs, fails, failsInSpike := 0, 0, 0
-	for e := uint64(0); e < epochs; e++ {
-		inj.BeginEpoch(e)
-		spiking := inj.LatencyFactor(mem.TierSlow, e) > 1
-		if spiking {
-			spikeEpochs++
-		}
-		for vp := uint64(0); vp < pages; vp++ {
-			if inj.MigrationFails("app", vp, e) {
-				fails++
-				if spiking {
-					failsInSpike++
-				}
-			}
-		}
-	}
-	if spikeEpochs == 0 {
-		t.Fatal("no spike windows opened; test is vacuous")
-	}
-	if fails == 0 {
-		t.Fatal("correlated plan never failed a migration")
-	}
-	if failsInSpike != fails {
-		t.Fatalf("%d of %d failures fired outside spike windows", fails-failsInSpike, fails)
-	}
-	// Marginal rate ~ rate_ls * min(1, rate_mf/rate_ls) = 0.05.
-	got := float64(fails) / float64(epochs*pages)
-	if got < 0.025 || got > 0.085 {
-		t.Errorf("marginal failure rate = %v, want ~0.05", got)
-	}
-}
-
-// TestCorrelateWithoutSpikeRuleFallsBack: correlation needs both kinds
-// armed; with no slow-tier spike rule the failure schedule reverts to
-// the independent draws.
-func TestCorrelateWithoutSpikeRuleFallsBack(t *testing.T) {
-	mk := func(correlate bool) *Injector {
-		return mustInjector(t, &Plan{
-			Correlate: correlate,
-			Rules:     []Rule{{Kind: MigrationFail, Rate: 0.3}},
-		}, 6, nil)
-	}
-	on, off := mk(true), mk(false)
-	for e := uint64(0); e < 10; e++ {
-		on.BeginEpoch(e)
-		off.BeginEpoch(e)
-		for vp := uint64(0); vp < 100; vp++ {
-			if on.MigrationFails("a", vp, e) != off.MigrationFails("a", vp, e) {
-				t.Fatalf("spike-less Correlate diverged at epoch %d vp %d", e, vp)
-			}
-		}
-	}
-}

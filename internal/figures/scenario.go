@@ -68,8 +68,6 @@ type ColocationConfig struct {
 	// Scale divides the workload RSS and tier capacities once more on
 	// top of mem.Scale, to keep unit tests fast. 1 = full scaled size.
 	Scale int
-	// SamplesPerThread overrides the system default when nonzero.
-	SamplesPerThread int
 	// Obs, when non-nil, receives the run's structured telemetry (see
 	// internal/obs) — the figures runner's hookup for trace/metrics
 	// export alongside the usual series CSV.
@@ -198,9 +196,6 @@ func (cfg ColocationConfig) normalized() ColocationConfig {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.SamplesPerThread == 0 {
-		cfg.SamplesPerThread = SamplesForScale(cfg.Scale)
-	}
 	return cfg
 }
 
@@ -212,7 +207,7 @@ func (cfg ColocationConfig) systemConfig(pol system.Tiering) system.Config {
 		Apps:             Table2Apps(cfg.Scale, cfg.Staggered),
 		Policy:           pol,
 		Seed:             cfg.Seed,
-		SamplesPerThread: cfg.SamplesPerThread,
+		SamplesPerThread: SamplesForScale(cfg.Scale),
 		Obs:              cfg.Obs,
 		Faults:           cfg.Faults,
 		Prof:             cfg.Prof,

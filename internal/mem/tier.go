@@ -60,30 +60,12 @@ var NilFrame = Frame{Tier: NumTiers}
 // IsNil reports whether f is the sentinel non-frame.
 func (f Frame) IsNil() bool { return f.Tier >= NumTiers }
 
-// LatencyModel selects how access latency grows with bandwidth
-// utilization.
-type LatencyModel uint8
-
-// Latency models.
-const (
-	// LatencyQuadratic ramps latency quadratically to 3x unloaded at
-	// saturation — a smooth closed form adequate when tiers run well
-	// below saturation.
-	LatencyQuadratic LatencyModel = iota
-	// LatencyMM1 uses the M/M/1 queueing form L = L0/(1-ρ), capped at
-	// 10x unloaded: the right shape when workloads genuinely contend for
-	// a tier's bandwidth (e.g. CXL links near saturation).
-	LatencyMM1
-)
-
 // TierConfig describes one memory tier.
 type TierConfig struct {
 	Name            string
 	CapacityPages   int          // number of 4KiB frames
 	UnloadedLatency sim.Duration // idle access latency
 	BandwidthGBs    float64      // peak sustainable bandwidth, GB/s
-	// Model selects the loaded-latency curve (default LatencyQuadratic).
-	Model LatencyModel
 }
 
 // Tier is one memory tier with a frame free list and usage accounting.
@@ -190,10 +172,10 @@ func (t *Tier) ResetEpoch() {
 }
 
 // LoadedLatency returns the access latency under the given bandwidth
-// utilization in [0,1], using the tier's configured LatencyModel: a
-// quadratic ramp to 3x unloaded (default), or an M/M/1 queueing curve
-// capped at 10x. Either way the policies see the same qualitative signal
-// — the tier gets slower as it saturates.
+// utilization in [0,1]: a quadratic ramp to 3x unloaded at saturation, a
+// smooth closed form adequate when tiers run well below saturation. The
+// policies see the signal they need — the tier gets slower as it
+// saturates.
 func (t *Tier) LoadedLatency(bwUtil float64) sim.Duration {
 	if bwUtil < 0 {
 		bwUtil = 0
@@ -201,17 +183,6 @@ func (t *Tier) LoadedLatency(bwUtil float64) sim.Duration {
 	if bwUtil > 1 {
 		bwUtil = 1
 	}
-	var factor float64
-	switch t.cfg.Model {
-	case LatencyMM1:
-		const cap = 10.0
-		if bwUtil >= 1-1/cap {
-			factor = cap
-		} else {
-			factor = 1 / (1 - bwUtil)
-		}
-	default:
-		factor = 1.0 + 2.0*bwUtil*bwUtil
-	}
+	factor := 1.0 + 2.0*bwUtil*bwUtil
 	return sim.Duration(float64(t.cfg.UnloadedLatency) * factor)
 }

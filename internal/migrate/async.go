@@ -8,15 +8,18 @@ import (
 	"vulcan/internal/sim"
 )
 
+// asyncMaxRetries bounds transactional copy retries for a page dirtied
+// mid-copy before the migration is aborted (Nomad semantics).
+const asyncMaxRetries int = 3
+
+// asyncBatchPages is the largest batch submitted per engine call;
+// batching amortizes preparation and trap costs exactly as the kernel
+// does.
+const asyncBatchPages int = 64
+
 // AsyncConfig parameterizes an AsyncMigrator.
 type AsyncConfig struct {
 	Engine *Engine
-	// MaxRetries bounds transactional copy retries for a page dirtied
-	// mid-copy before the migration is aborted (Nomad semantics).
-	MaxRetries int
-	// BatchPages is the largest batch submitted per engine call; batching
-	// amortizes preparation and trap costs exactly as the kernel does.
-	BatchPages int
 	// MaxBacklog bounds the pending queue (0 = unbounded, the batch
 	// default). A full queue applies deterministic backpressure:
 	// promotions are shed (dropped — the page stays slow and can be
@@ -34,7 +37,7 @@ type AsyncStats struct {
 	Moved      uint64
 	Remapped   uint64
 	Retries    uint64
-	Aborted    uint64 // gave up after MaxRetries
+	Aborted    uint64 // gave up after asyncMaxRetries
 	Failed     uint64 // not mapped / destination full
 	Shed       uint64 // dropped by a full bounded queue
 	Displaced  uint64 // pending promotions evicted to admit demotions
@@ -79,12 +82,6 @@ func NewAsyncMigrator(cfg AsyncConfig) *AsyncMigrator {
 	if cfg.Engine == nil {
 		panic("migrate: AsyncConfig requires an Engine")
 	}
-	if cfg.MaxRetries < 0 {
-		panic("migrate: negative MaxRetries")
-	}
-	if cfg.BatchPages <= 0 {
-		cfg.BatchPages = 32
-	}
 	if cfg.RNG == nil {
 		cfg.RNG = sim.NewRNG(0)
 	}
@@ -93,7 +90,7 @@ func NewAsyncMigrator(cfg AsyncConfig) *AsyncMigrator {
 		// Backlogs routinely reach hundreds of moves; starting with room
 		// for a few batches skips the early append-growth ladder that
 		// otherwise repeats for every migrator instance in a sweep.
-		pending: make([]Move, 0, 8*cfg.BatchPages),
+		pending: make([]Move, 0, 8*asyncBatchPages),
 	}
 }
 
@@ -167,22 +164,23 @@ func (a *AsyncMigrator) Stats() AsyncStats { return a.stats }
 
 // RunEpoch spends up to budgetCycles of migration-thread time working
 // through the backlog. writeProb, when non-nil, gives each page's
-// probability of being written during one copy window; dirtied copies are
-// retried up to MaxRetries times (each retry costs another page copy)
-// before the page's migration is aborted for this epoch.
+// probability of being written during one copy window; dirtied copies
+// are retried up to asyncMaxRetries times (each retry costs another page
+// copy) before the page's migration is aborted for this epoch.
 func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetable.VPage) float64) EpochResult {
 	var res EpochResult
 	// head is the consumed prefix of the backlog; it is compacted away
 	// once after the loop instead of after every batch.
 	head := 0
 	for head < len(a.pending) && res.Cycles < budgetCycles {
-		n := min(a.cfg.BatchPages, len(a.pending)-head)
+		n := min(asyncBatchPages, len(a.pending)-head)
 		batch := a.pending[head : head+n]
 		head += n
 
 		// Transactional filter: each copy attempt is invalidated with the
-		// page's write probability; after MaxRetries invalidated retries
-		// the migration aborts and every attempted copy was wasted work.
+		// page's write probability; after asyncMaxRetries invalidated
+		// retries the migration aborts and every attempted copy was
+		// wasted work.
 		commit := a.commitBuf[:0]
 		extraCopies := 0
 		for _, mv := range batch {
@@ -191,7 +189,7 @@ func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetab
 				p = writeProb(mv.VP)
 			}
 			attempts, clean := 0, false
-			for attempts <= a.cfg.MaxRetries {
+			for attempts <= asyncMaxRetries {
 				attempts++
 				if !a.cfg.RNG.Bool(p) {
 					clean = true

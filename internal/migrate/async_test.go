@@ -8,15 +8,12 @@ import (
 	"vulcan/internal/sim"
 )
 
+// asyncEnv maps npages slow pages under a fast tier that can hold all
+// of them, so backlogs longer than one asyncBatchPages batch promote.
 func asyncEnv(t *testing.T, npages int) (*AsyncMigrator, *pagetable.Replicated, *mem.Tiers) {
 	t.Helper()
-	eng, rt, tiers := testEnv(t, 4, npages, nil)
-	return NewAsyncMigrator(AsyncConfig{
-		Engine:     eng,
-		MaxRetries: 3,
-		BatchPages: 8,
-		RNG:        sim.NewRNG(11),
-	}), rt, tiers
+	eng, rt, tiers := testEnvFast(t, 4, npages, max(64, npages), nil)
+	return NewAsyncMigrator(AsyncConfig{Engine: eng, RNG: sim.NewRNG(11)}), rt, tiers
 }
 
 func TestAsyncDrainsBacklogWithinBudget(t *testing.T) {
@@ -40,15 +37,16 @@ func TestAsyncDrainsBacklogWithinBudget(t *testing.T) {
 }
 
 func TestAsyncBudgetThrottles(t *testing.T) {
-	a, _, _ := asyncEnv(t, 64)
-	for vp := pagetable.VPage(0); vp < 64; vp++ {
+	const pages = 4 * asyncBatchPages
+	a, _, _ := asyncEnv(t, pages)
+	for vp := range pagetable.VPage(pages) {
 		a.Enqueue(Move{VP: vp, To: mem.TierFast})
 	}
-	// One batch of 8 costs well over 600K cycles (prep at 32 CPUs); give
-	// a budget that admits roughly one batch.
+	// One batch costs well over 700K cycles (prep at 32 CPUs), so this
+	// budget admits exactly one batch per epoch.
 	res := a.RunEpoch(700_000, nil)
-	if res.Moved == 0 {
-		t.Fatal("no progress within budget")
+	if res.Moved != asyncBatchPages {
+		t.Fatalf("moved %d in one epoch, want one batch of %d", res.Moved, asyncBatchPages)
 	}
 	if res.Backlog == 0 {
 		t.Fatal("entire backlog drained despite tiny budget")
@@ -58,8 +56,8 @@ func TestAsyncBudgetThrottles(t *testing.T) {
 	for i := 0; i < 100 && a.Backlog() > 0; i++ {
 		total += a.RunEpoch(700_000, nil).Moved
 	}
-	if total != 64 {
-		t.Fatalf("total moved = %d, want 64", total)
+	if total != pages {
+		t.Fatalf("total moved = %d, want %d", total, pages)
 	}
 }
 
@@ -161,21 +159,10 @@ func TestAsyncDropBacklog(t *testing.T) {
 }
 
 func TestAsyncConfigValidation(t *testing.T) {
-	eng, _, _ := testEnv(t, 2, 2, nil)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nil engine did not panic")
-			}
-		}()
-		NewAsyncMigrator(AsyncConfig{})
+	defer func() {
+		if recover() == nil {
+			t.Error("nil engine did not panic")
+		}
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative retries did not panic")
-			}
-		}()
-		NewAsyncMigrator(AsyncConfig{Engine: eng, MaxRetries: -1})
-	}()
+	NewAsyncMigrator(AsyncConfig{})
 }

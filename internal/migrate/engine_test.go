@@ -12,8 +12,14 @@ import (
 // nthreads and npages pages mapped into the slow tier by thread 0.
 func testEnv(t *testing.T, nthreads, npages int, opts func(*Config)) (*Engine, *pagetable.Replicated, *mem.Tiers) {
 	t.Helper()
+	return testEnvFast(t, nthreads, npages, 64, opts)
+}
+
+// testEnvFast is testEnv with a fast tier of fastPages frames.
+func testEnvFast(t *testing.T, nthreads, npages, fastPages int, opts func(*Config)) (*Engine, *pagetable.Replicated, *mem.Tiers) {
+	t.Helper()
 	tiers := mem.NewTiers([mem.NumTiers]mem.TierConfig{
-		mem.TierFast: {Name: "fast", CapacityPages: 64, UnloadedLatency: 70, BandwidthGBs: 205},
+		mem.TierFast: {Name: "fast", CapacityPages: fastPages, UnloadedLatency: 70, BandwidthGBs: 205},
 		mem.TierSlow: {Name: "slow", CapacityPages: 512, UnloadedLatency: 162, BandwidthGBs: 25},
 	})
 	rt := pagetable.NewReplicated(nthreads)

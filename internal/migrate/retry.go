@@ -6,20 +6,16 @@ import (
 	"vulcan/internal/sim"
 )
 
-// RetryConfig parameterizes a Retrier. Zero knobs select the defaults
-// of fault.Plan (budget 128 pages/epoch, 4 attempts, backoff 1..8
-// epochs).
-type RetryConfig struct {
-	Engine *Engine
-	// Budget caps pages retried per epoch.
-	Budget int
-	// MaxAttempts bounds retries per page before giving up.
-	MaxAttempts int
-	// BackoffBase is the initial retry delay in epochs; each further
-	// failure doubles it, capped at BackoffCap.
-	BackoffBase int
-	BackoffCap  int
-}
+// The retrier's bounds: at most retryBudget pages resubmitted per
+// epoch, retryMaxAttempts retries per page before it is abandoned, and a
+// delay that starts at retryBackoffBase epochs and doubles per failure up
+// to retryBackoffCap.
+const (
+	retryBudget      int = 128
+	retryMaxAttempts int = 4
+	retryBackoffBase int = 1
+	retryBackoffCap  int = 8
+)
 
 // RetryStats accumulates a Retrier's lifetime totals.
 type RetryStats struct {
@@ -55,7 +51,7 @@ type retryEntry struct {
 // as the engine's OnBusy callback and call RunEpoch once per system
 // epoch.
 type Retrier struct {
-	cfg     RetryConfig
+	eng     *Engine
 	now     uint64
 	pending []retryEntry
 	tracked map[pagetable.VPage]struct{}
@@ -67,23 +63,11 @@ type Retrier struct {
 }
 
 // NewRetrier builds a retrier over eng.
-func NewRetrier(cfg RetryConfig) *Retrier {
-	if cfg.Engine == nil {
-		panic("migrate: RetryConfig requires Engine")
+func NewRetrier(eng *Engine) *Retrier {
+	if eng == nil {
+		panic("migrate: NewRetrier requires an Engine")
 	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 128
-	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 1
-	}
-	if cfg.BackoffCap == 0 {
-		cfg.BackoffCap = 8
-	}
-	return &Retrier{cfg: cfg, tracked: make(map[pagetable.VPage]struct{})}
+	return &Retrier{eng: eng, tracked: make(map[pagetable.VPage]struct{})}
 }
 
 // NoteBusy enqueues a transiently-failed move for retry. Pages already
@@ -96,7 +80,7 @@ func (r *Retrier) NoteBusy(mv Move) {
 	}
 	r.tracked[mv.VP] = struct{}{}
 	r.stats.Noted++
-	r.pending = append(r.pending, retryEntry{mv: mv, due: r.now + uint64(r.cfg.BackoffBase)})
+	r.pending = append(r.pending, retryEntry{mv: mv, due: r.now + uint64(retryBackoffBase)})
 }
 
 // Pending returns the number of pages queued for retry.
@@ -123,7 +107,7 @@ func (r *Retrier) RunEpoch(epoch uint64) RetryEpoch {
 	r.batch = r.batch[:0]
 	keep := r.pending[:0]
 	for _, ent := range r.pending {
-		if ent.due <= epoch && len(r.moves) < r.cfg.Budget {
+		if ent.due <= epoch && len(r.moves) < retryBudget {
 			r.moves = append(r.moves, ent.mv)
 			r.batch = append(r.batch, ent)
 		} else {
@@ -135,7 +119,7 @@ func (r *Retrier) RunEpoch(epoch uint64) RetryEpoch {
 		return RetryEpoch{Pending: len(r.pending)}
 	}
 
-	eng := r.cfg.Engine
+	eng := r.eng
 	eng.ctx = ctxRetry
 	res := eng.MigrateSync(r.moves)
 	eng.ctx = ctxSync
@@ -144,16 +128,12 @@ func (r *Retrier) RunEpoch(epoch uint64) RetryEpoch {
 		switch res.Outcomes[i] {
 		case Busy:
 			ent.attempts++
-			if ent.attempts >= r.cfg.MaxAttempts {
+			if ent.attempts >= retryMaxAttempts {
 				delete(r.tracked, ent.mv.VP)
 				ep.GaveUp++
 				continue
 			}
-			backoff := r.cfg.BackoffBase << ent.attempts
-			if backoff > r.cfg.BackoffCap {
-				backoff = r.cfg.BackoffCap
-			}
-			ent.due = epoch + uint64(backoff)
+			ent.due = epoch + uint64(min(retryBackoffBase<<ent.attempts, retryBackoffCap))
 			r.pending = append(r.pending, ent)
 			ep.StillBusy++
 		case Moved, Remapped, AlreadyThere:
@@ -178,7 +158,7 @@ func (r *Retrier) RunEpoch(epoch uint64) RetryEpoch {
 
 // emit publishes the epoch's retry telemetry on the engine's sink.
 func (r *Retrier) emit(ep RetryEpoch) {
-	cfg := r.cfg.Engine.Config()
+	cfg := r.eng.Config()
 	if obs.Enabled(cfg.Obs, obs.EvMigrateRetry) {
 		cfg.Obs.Event(obs.E(obs.EvMigrateRetry, cfg.Owner, "migrate",
 			sim.CyclesToDuration(ep.Cycles),
@@ -191,6 +171,6 @@ func (r *Retrier) emit(ep RetryEpoch) {
 	if ep.GaveUp > 0 && obs.Enabled(cfg.Obs, obs.EvMigrateGiveup) {
 		cfg.Obs.Event(obs.E(obs.EvMigrateGiveup, cfg.Owner, "migrate", 0,
 			obs.F("pages", float64(ep.GaveUp)),
-			obs.F("max_attempts", float64(r.cfg.MaxAttempts))))
+			obs.F("max_attempts", float64(retryMaxAttempts))))
 	}
 }

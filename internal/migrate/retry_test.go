@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"slices"
 	"testing"
 
 	"vulcan/internal/mem"
@@ -102,7 +103,7 @@ func TestRetrierRecovers(t *testing.T) {
 		cfg.Inject = chaos
 		cfg.OnBusy = func(mv Move) { retrier.NoteBusy(mv) }
 	})
-	retrier = NewRetrier(RetryConfig{Engine: e, BackoffBase: 1, BackoffCap: 8, MaxAttempts: 4})
+	retrier = NewRetrier(e)
 
 	res := e.MigrateSync([]Move{{VP: 1, To: mem.TierFast}}) // batch 1
 	if res.Busy != 1 || retrier.Pending() != 1 {
@@ -150,21 +151,30 @@ func TestRetrierGivesUp(t *testing.T) {
 		cfg.Obs = rec
 		cfg.Owner = "app0"
 	})
-	retrier = NewRetrier(RetryConfig{Engine: e2, MaxAttempts: 2, BackoffBase: 1, BackoffCap: 1})
+	retrier = NewRetrier(e2)
 
 	e2.MigrateSync([]Move{{VP: 3, To: mem.TierFast}})
 	if retrier.Pending() != 1 {
 		t.Fatalf("pending = %d", retrier.Pending())
 	}
+	// Noted at epoch 0, the page is retried after backoffs of 1, 2, 4
+	// and 8 epochs, and abandoned on its retryMaxAttempts-th failure.
+	var retriedAt []uint64
 	gaveUp := 0
-	for epoch := uint64(1); epoch < 10; epoch++ {
+	for epoch := uint64(1); epoch < 20; epoch++ {
 		ep := retrier.RunEpoch(epoch)
+		if ep.Retried > 0 {
+			retriedAt = append(retriedAt, epoch)
+		}
 		gaveUp += ep.GaveUp
+	}
+	if want := []uint64{1, 3, 7, 15}; !slices.Equal(retriedAt, want) {
+		t.Fatalf("retried at epochs %v, want %v", retriedAt, want)
 	}
 	if gaveUp != 1 || retrier.Pending() != 0 {
 		t.Fatalf("gaveUp=%d pending=%d", gaveUp, retrier.Pending())
 	}
-	if st := retrier.Stats(); st.Retried != 2 || st.GaveUp != 1 {
+	if st := retrier.Stats(); st.Retried != uint64(retryMaxAttempts) || st.GaveUp != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// A page that gave up can be re-noted by a later policy decision.
@@ -189,31 +199,32 @@ func TestRetrierGivesUp(t *testing.T) {
 
 func TestRetrierBudget(t *testing.T) {
 	var retrier *Retrier
-	e, _, _ := testEnv(t, 4, 16, func(cfg *Config) {
+	const pages = retryBudget + 72
+	e, _, _ := testEnv(t, 4, pages, func(cfg *Config) {
 		cfg.Inject = &scriptedChaos{failAll: true}
 		cfg.OnBusy = func(mv Move) { retrier.NoteBusy(mv) }
 	})
-	retrier = NewRetrier(RetryConfig{Engine: e, Budget: 3, MaxAttempts: 100, BackoffBase: 1, BackoffCap: 1})
+	retrier = NewRetrier(e)
 	var moves []Move
-	for vp := pagetable.VPage(0); vp < 10; vp++ {
+	for vp := range pagetable.VPage(pages) {
 		moves = append(moves, Move{VP: vp, To: mem.TierFast})
 	}
 	e.MigrateSync(moves)
-	if retrier.Pending() != 10 {
+	if retrier.Pending() != pages {
 		t.Fatalf("pending = %d", retrier.Pending())
 	}
 	ep := retrier.RunEpoch(1)
-	if ep.Retried != 3 {
-		t.Fatalf("budget not enforced: retried %d", ep.Retried)
+	if ep.Retried != retryBudget {
+		t.Fatalf("budget not enforced: retried %d, want %d", ep.Retried, retryBudget)
 	}
-	if ep.Pending != 10 {
-		t.Fatalf("pending after budgeted pass = %d (3 rescheduled + 7 deferred)", ep.Pending)
+	if ep.Pending != pages {
+		t.Fatalf("pending after budgeted pass = %d (%d rescheduled + 72 deferred)", ep.Pending, retryBudget)
 	}
 }
 
 func TestRetrierDedup(t *testing.T) {
 	e, _, _ := testEnv(t, 4, 8, nil)
-	r := NewRetrier(RetryConfig{Engine: e})
+	r := NewRetrier(e)
 	mv := Move{VP: 5, To: mem.TierFast}
 	r.NoteBusy(mv)
 	r.NoteBusy(mv)

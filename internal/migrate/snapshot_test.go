@@ -43,7 +43,7 @@ func newSnapshotHarness() *snapshotHarness {
 		Cpus: 4, ProcessThreads: 2, Shadowing: true,
 	})
 	h.async = NewAsyncMigrator(AsyncConfig{Engine: h.eng, RNG: sim.NewRNG(77)})
-	h.retr = NewRetrier(RetryConfig{Engine: h.eng})
+	h.retr = NewRetrier(h.eng)
 	return h
 }
 

@@ -105,7 +105,7 @@ func TestObsEnabledNilSinkZeroAlloc(t *testing.T) {
 // EnqueueOne must not allocate Move batches.
 func TestAsyncEnqueueOneSteadyStateAllocs(t *testing.T) {
 	e, _, _ := testEnv(t, 4, 32, nil)
-	a := NewAsyncMigrator(AsyncConfig{Engine: e, BatchPages: 8})
+	a := NewAsyncMigrator(AsyncConfig{Engine: e})
 	// Warm up: grow pending/queued, then drain.
 	for vp := pagetable.VPage(0); vp < 16; vp++ {
 		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})

@@ -28,16 +28,12 @@ type Hybrid struct {
 	scanned int //vulcan:nosnap per-epoch scratch, reset by EndEpoch
 }
 
-// NewHybrid builds the hybrid profiler with the default decay.
-func NewHybrid(table *pagetable.Replicated, sampleRate int, seed uint64) *Hybrid {
-	return NewHybridWithDecay(table, sampleRate, DefaultDecay, seed)
-}
-
-// NewHybridWithDecay selects the per-epoch heat aging factor. A slow
-// decay (e.g. 0.9) makes steadily re-accessed pages outrank one-shot
-// streaming spikes, which is what lets the migration policy distinguish
-// genuine working sets from scan traffic.
-func NewHybridWithDecay(table *pagetable.Replicated, sampleRate int, decay float64, seed uint64) *Hybrid {
+// NewHybrid builds the hybrid profiler over table, sampling one access
+// in sampleRate. decay is the per-epoch heat aging factor: a slow decay
+// (e.g. 0.9) makes steadily re-accessed pages outrank one-shot streaming
+// spikes, which is what lets the migration policy distinguish genuine
+// working sets from scan traffic.
+func NewHybrid(table *pagetable.Replicated, sampleRate int, decay float64, seed uint64) *Hybrid {
 	if table == nil {
 		panic("profile: Hybrid requires a table")
 	}

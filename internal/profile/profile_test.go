@@ -180,8 +180,8 @@ func TestScanOverheadScalesWithPages(t *testing.T) {
 	// Hybrid's epoch sweep visits every mapped PTE. With no samples taken
 	// its overhead is the sweep alone, so it grows in proportion to the
 	// table.
-	small := NewHybrid(buildTable(t, 8), 10, 1).EndEpoch()
-	big := NewHybrid(buildTable(t, 800), 10, 1).EndEpoch()
+	small := NewHybrid(buildTable(t, 8), 10, DefaultDecay, 1).EndEpoch()
+	big := NewHybrid(buildTable(t, 800), 10, DefaultDecay, 1).EndEpoch()
 	if small.ScannedPages != 8 || big.ScannedPages != 800 {
 		t.Fatalf("scanned %d and %d pages, want 8 and 800", small.ScannedPages, big.ScannedPages)
 	}
@@ -278,7 +278,7 @@ func TestHintFaultValidation(t *testing.T) {
 
 func TestHybridBackfillsSamplingMisses(t *testing.T) {
 	tbl := buildTable(t, 64)
-	h := NewHybrid(tbl, 1_000_000, 5) // sampling effectively blind
+	h := NewHybrid(tbl, 1_000_000, DefaultDecay, 5) // sampling effectively blind
 	// Touch pages through the table (accessed bits) without samples.
 	for vp := pagetable.VPage(0); vp < 10; vp++ {
 		touch(tbl, vp, vp%2 == 0)
@@ -296,7 +296,7 @@ func TestHybridBackfillsSamplingMisses(t *testing.T) {
 
 func TestHybridPrefersSampleSignal(t *testing.T) {
 	tbl := buildTable(t, 4)
-	h := NewHybrid(tbl, 1, 6) // sample everything
+	h := NewHybrid(tbl, 1, DefaultDecay, 6) // sample everything
 	feed(h, 0, 1000, false)
 	touch(tbl, 0, false)
 	touch(tbl, 1, false)
@@ -308,7 +308,7 @@ func TestHybridPrefersSampleSignal(t *testing.T) {
 
 func TestHybridClearsBits(t *testing.T) {
 	tbl := buildTable(t, 4)
-	h := NewHybrid(tbl, 10, 7)
+	h := NewHybrid(tbl, 10, DefaultDecay, 7)
 	touch(tbl, 2, true)
 	h.EndEpoch()
 	p, _ := tbl.Lookup(2)
@@ -319,8 +319,8 @@ func TestHybridClearsBits(t *testing.T) {
 
 func TestHybridValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"nil table": func() { NewHybrid(nil, 10, 1) },
-		"bad rate":  func() { NewHybrid(buildTable(t, 1), 0, 1) },
+		"nil table": func() { NewHybrid(nil, 10, DefaultDecay, 1) },
+		"bad rate":  func() { NewHybrid(buildTable(t, 1), 0, DefaultDecay, 1) },
 	} {
 		func() {
 			defer func() {
@@ -341,7 +341,7 @@ func TestProfilerNames(t *testing.T) {
 	}{
 		{NewPEBSWithDecay(10, DefaultDecay, 1), "pebs"},
 		{NewHintFault(tbl, 1, 0), "hintfault"},
-		{NewHybrid(tbl, 10, 1), "hybrid"},
+		{NewHybrid(tbl, 10, DefaultDecay, 1), "hybrid"},
 	} {
 		if tc.p.Name() != tc.want {
 			t.Errorf("Name = %q, want %q", tc.p.Name(), tc.want)

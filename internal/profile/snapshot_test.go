@@ -33,7 +33,7 @@ func profilerPair(kind string) (live, fresh Profiler, liveTbl, freshTbl *pagetab
 		case "pebs":
 			return NewPEBSWithDecay(4, DefaultDecay, 9), tbl
 		case "hybrid":
-			return NewHybrid(tbl, 4, 9), tbl
+			return NewHybrid(tbl, 4, DefaultDecay, 9), tbl
 		case "hintfault":
 			return NewHintFault(tbl, 64, 1000), tbl
 		}
@@ -123,7 +123,7 @@ func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
 	SnapshotProfiler(e, p)
 	blob := e.Bytes()
 
-	if err := RestoreProfiler(checkpoint.NewDecoder(blob), NewHybrid(newProfileTable(), 4, 9), SnapshotVersion); err == nil {
+	if err := RestoreProfiler(checkpoint.NewDecoder(blob), NewHybrid(newProfileTable(), 4, DefaultDecay, 9), SnapshotVersion); err == nil {
 		t.Fatal("pebs snapshot restored into hybrid profiler")
 	}
 	for cut := 0; cut < len(blob); cut += 9 {

@@ -45,7 +45,7 @@ func TestPEBSRecordZeroAlloc(t *testing.T) {
 
 func TestHybridRecordZeroAlloc(t *testing.T) {
 	tbl := warmTable(t, 8)
-	pinRecord(t, "Hybrid", NewHybrid(tbl, 1, 42), Access{VP: 3, Write: true, Fast: true})
+	pinRecord(t, "Hybrid", NewHybrid(tbl, 1, DefaultDecay, 42), Access{VP: 3, Write: true, Fast: true})
 }
 
 func TestHintFaultRecordZeroAlloc(t *testing.T) {

@@ -279,26 +279,18 @@ func (a *App) admit(sys *System, placer Placer) {
 	eng := migrate.NewEngine(engCfg)
 	a.Engine = eng
 	if sys.inj != nil {
-		plan := sys.inj.Plan()
-		a.Retry = migrate.NewRetrier(migrate.RetryConfig{
-			Engine:      eng,
-			Budget:      plan.RetryBudget,
-			MaxAttempts: plan.RetryMaxAttempts,
-			BackoffBase: plan.RetryBackoffEpochs,
-			BackoffCap:  plan.RetryBackoffCap,
-		})
+		a.Retry = migrate.NewRetrier(eng)
 	}
 	a.Async = migrate.NewAsyncMigrator(migrate.AsyncConfig{
 		Engine:     eng,
-		MaxRetries: 3,
-		BatchPages: 64,
 		MaxBacklog: sys.cfg.AsyncMaxBacklog,
 		RNG:        a.rng.Fork(),
 	})
 	if pf, ok := sys.policy.(ProfilerFactory); ok {
 		a.Profiler = pf.NewProfiler(a)
 	} else {
-		a.Profiler = sys.cfg.NewProfiler(a)
+		// Policies without a profiler of their own get Vulcan's hybrid.
+		a.Profiler = profile.NewHybrid(a.Table, 8, profile.DefaultDecay, a.rng.Uint64())
 	}
 	if sys.inj != nil {
 		if sf := sys.inj.Profile(a.Cfg.Name); sf != nil {

@@ -60,6 +60,12 @@ type chaosPolicy struct{}
 func (chaosPolicy) Name() string                     { return "chaos" }
 func (chaosPolicy) Mechanisms() Mechanisms           { return Mechanisms{Shadowing: true} }
 func (chaosPolicy) AppStarted(sys *System, app *App) {}
+
+// NewProfiler implements ProfilerFactory with the adversarial profiler.
+func (chaosPolicy) NewProfiler(app *App) profile.Profiler {
+	return &adversarialProfiler{rng: app.rng.Fork(), extent: app.Cfg.RSSPages}
+}
+
 func (chaosPolicy) EndEpoch(sys *System) {
 	for i, a := range sys.StartedApps() {
 		snap := a.Profiler.HeatSnapshot()
@@ -91,10 +97,7 @@ func TestAdversarialProfilerDoesNotCorruptState(t *testing.T) {
 		},
 		EpochLength: 10 * sim.Millisecond,
 		Policy:      chaosPolicy{},
-		NewProfiler: func(app *App) profile.Profiler {
-			return &adversarialProfiler{rng: app.rng.Fork(), extent: app.Cfg.RSSPages}
-		},
-		Seed: 13,
+		Seed:        13,
 	})
 	for i := 0; i < 25; i++ {
 		sys.RunEpoch()

@@ -26,9 +26,6 @@ type Config struct {
 	// SamplesPerThread is the number of representative accesses simulated
 	// per thread per epoch (default 400).
 	SamplesPerThread int
-	// NewProfiler builds each app's profiler when the policy does not
-	// implement ProfilerFactory (default: Vulcan's hybrid).
-	NewProfiler func(app *App) profile.Profiler
 
 	// DisableTHP turns off transparent huge pages. By default every
 	// app's RSS is mapped as 2MiB huge pages for TLB coverage and split
@@ -96,11 +93,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.SamplesPerThread == 0 {
 		c.SamplesPerThread = 400
-	}
-	if c.NewProfiler == nil {
-		c.NewProfiler = func(app *App) profile.Profiler {
-			return profile.NewHybrid(app.Table, 8, app.rng.Uint64())
-		}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -505,7 +497,6 @@ func (s *System) applyFaultWindows() {
 	s.pressure = s.pressure[:0]
 
 	epoch := uint64(s.epoch)
-	s.inj.BeginEpoch(epoch)
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
 		s.latSpike[t] = s.inj.LatencyFactor(t, epoch)
 		s.bwFault[t] = s.inj.BandwidthFactor(t, epoch)
@@ -521,6 +512,11 @@ func (s *System) applyFaultWindows() {
 	}
 }
 
+// degradeBelow is the profiler confidence under which an app's profile
+// counts as too starved to act on: a policy holds its prior placement
+// instead of reacting to it.
+const degradeBelow float64 = 0.7
+
 // checkProfileConfidence latches whether the app's profile is too
 // starved (injected sample loss) to act on this epoch, and emits the
 // degradation event. No-op on fault-free runs, where profilers are
@@ -531,7 +527,7 @@ func (s *System) checkProfileConfidence(a *App) {
 		return
 	}
 	conf := fp.Confidence()
-	a.profileDegraded = conf < s.inj.Plan().DegradeBelow
+	a.profileDegraded = conf < degradeBelow
 	if a.profileDegraded && obs.Enabled(s.obs, obs.EvProfileDegraded) {
 		overflow := 0.0
 		if fp.Overflowed() {

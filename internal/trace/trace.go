@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"vulcan/internal/workload"
 )
@@ -25,6 +26,11 @@ import (
 var magic = [4]byte{'V', 'T', 'R', 'C'}
 
 const version = 1
+
+// maxPrealloc caps the refs Read reserves up front from the header's
+// count, so a count the body cannot back fails at EOF instead of
+// allocating for refs that never arrive.
+const maxPrealloc = 1 << 16
 
 // Trace is an in-memory page-reference stream.
 type Trace struct {
@@ -170,12 +176,15 @@ func Read(r io.Reader) (*Trace, error) {
 	if pages == 0 {
 		return nil, errors.New("trace: zero-page region")
 	}
+	if pages > math.MaxInt {
+		return nil, fmt.Errorf("trace: region of %d pages overflows int", pages)
+	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: count: %w", err)
 	}
 	t := New(int(pages))
-	t.refs = make([]workload.Ref, 0, count)
+	t.refs = make([]workload.Ref, 0, min(count, maxPrealloc))
 	prev := 0
 	for i := uint64(0); i < count; i++ {
 		delta, err := binary.ReadVarint(br)

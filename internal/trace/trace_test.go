@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,6 +16,15 @@ func sampleTrace(t *testing.T, n int) *Trace {
 	t.Helper()
 	g := workload.NewKeyValue(1000, sim.NewRNG(3))
 	return Capture(g, n)
+}
+
+func mustHex(tb testing.TB, s string) []byte {
+	tb.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
 }
 
 func TestCaptureBasics(t *testing.T) {
@@ -100,6 +110,11 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"bad magic":   []byte("NOPE\x01"),
 		"bad version": {'V', 'T', 'R', 'C', 99},
 		"truncated":   {'V', 'T', 'R', 'C', 1, 10},
+		// pages 10, count 2^62 with no body: the count must not size an
+		// allocation before the refs arrive.
+		"count beyond body": mustHex(t, "56545243010a808080808080808040"),
+		// pages 2^63 does not fit an int.
+		"pages overflow int": mustHex(t, "5654524301808080808080808080010a"),
 	}
 	for name, data := range cases {
 		if _, err := Read(bytes.NewReader(data)); err == nil {
@@ -250,4 +265,43 @@ func TestCompactness(t *testing.T) {
 	if perRef > 2.5 {
 		t.Fatalf("sequential trace uses %.2f bytes/ref, want ~2", perRef)
 	}
+}
+
+// FuzzTraceRead feeds Read arbitrary bytes. Read must never panic, and a
+// trace it accepts must survive WriteTo and Read ref for ref.
+func FuzzTraceRead(f *testing.F) {
+	var buf bytes.Buffer
+	if _, err := Capture(workload.NewKeyValue(1000, sim.NewRNG(3)), 64).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	blob := buf.Bytes()
+	f.Add(blob)
+	for cut := 0; cut < len(blob); cut += 7 {
+		f.Add(blob[:cut])
+	}
+	f.Add(mustHex(f, "56545243010a808080808080808040"))
+	f.Add(mustHex(f, "5654524301808080808080808080010a"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := tr.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-read of an accepted trace failed: %v", err)
+		}
+		if back.Pages() != tr.Pages() || back.Len() != tr.Len() {
+			t.Fatalf("round trip changed shape: %d pages %d refs -> %d pages %d refs",
+				tr.Pages(), tr.Len(), back.Pages(), back.Len())
+		}
+		for i := range tr.Len() {
+			if back.At(i) != tr.At(i) {
+				t.Fatalf("ref %d: %+v -> %+v", i, tr.At(i), back.At(i))
+			}
+		}
+	})
 }

@@ -207,8 +207,8 @@ func NewTraceReplayer(t *Trace) *TraceReplayer { return trace.NewReplayer(t) }
 // burst memory pressure on a seed-derived schedule; a nil or unarmed
 // plan leaves the run byte-identical to a fault-free build.
 type (
-	// FaultPlan declares what to inject, how often, and how the system
-	// may respond (retry budget, backoff, confidence threshold).
+	// FaultPlan declares what to inject and how often: rules that arm
+	// fault kinds, plus a seed that places them.
 	FaultPlan = fault.Plan
 	// FaultRule is one (kind, scope, rate, severity) injection rule.
 	FaultRule = fault.Rule
