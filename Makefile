@@ -48,10 +48,11 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs five native fuzz targets for ten seconds each: the
+# fuzz-smoke runs six native fuzz targets for ten seconds each: the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
-# (FuzzReplicatedRestore) and the trace reader (FuzzTraceRead). Their
+# (FuzzReplicatedRestore), the trace reader (FuzzTraceRead) and the
+# tier checkpoint decoder (FuzzTiersRestore). Their
 # seed corpora also run in every `go test`; a failing input lands in
 # the package's testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -60,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/radix -run '^$$' -fuzz FuzzSelect -fuzztime 10s
 	$(GO) test ./internal/pagetable -run '^$$' -fuzz FuzzReplicatedRestore -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s
+	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzTiersRestore -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

@@ -41,6 +41,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,84 +58,115 @@ import (
 	"vulcan/internal/serve"
 )
 
+// flags is vulcand's validated command line.
+type flags struct {
+	socket, postPath, getPath, data string // client mode when postPath or getPath is set
+	configPath                      string
+	resume                          bool
+	speed                           float64
+	reportOut                       string
+	jsonOut                         bool
+	opts                            serve.Options // Scenario is loaded by main
+}
+
+// client reports whether the command line asks for one API call
+// instead of serving.
+func (f *flags) client() bool { return f.postPath != "" || f.getPath != "" }
+
+// parseFlags parses and validates vulcand's arguments. Every rejection
+// is a flag combination that would otherwise be ignored or misread.
+func parseFlags(args []string) (*flags, error) {
+	var f flags
+	fs := flag.NewFlagSet("vulcand", flag.ContinueOnError)
+	fs.StringVar(&f.configPath, "config", "", "scenario JSON file (see internal/scenario); required to serve")
+	fs.StringVar(&f.socket, "socket", "", "unix socket path for the control API (required)")
+	fs.StringVar(&f.opts.Journal, "journal", "", "command journal path (required to serve; the run's reproducibility record)")
+	fs.StringVar(&f.opts.TraceOut, "trace-out", "", "stream a Chrome trace-event JSON file as the run advances")
+	fs.StringVar(&f.opts.MetricsOut, "metrics-out", "", "stream per-epoch metric samples as CSV")
+	fs.StringVar(&f.reportOut, "report-out", "", "write the final report to this file (default stdout)")
+	fs.BoolVar(&f.jsonOut, "json", false, "emit the final report as JSON")
+	fs.StringVar(&f.opts.CheckpointBase, "checkpoint-base", "", "rolling checkpoint base path (images land at base.tNNN.ext)")
+	fs.IntVar(&f.opts.CheckpointEvery, "checkpoint-every", 0, "write a rolling checkpoint every N epochs (needs -checkpoint-base)")
+	fs.IntVar(&f.opts.CheckpointRetain, "checkpoint-retain", 2, "keep the newest N rolling checkpoints (0 = all)")
+	fs.Float64Var(&f.speed, "speed", 1, "epochs per wall-clock second; 0 = manual stepping via POST /v1/step")
+	fs.IntVar(&f.opts.MaxBacklog, "max-backlog", 0, "bound the async migration backlog (0 = unbounded)")
+	fs.BoolVar(&f.opts.Rescore, "rescore", false, "use the incremental rescore path")
+	fs.BoolVar(&f.resume, "resume", false, "recover a killed or suspended run from its journal and newest rolling checkpoint")
+	fs.StringVar(&f.postPath, "post", "", "client mode: POST this API path over -socket and print the reply")
+	fs.StringVar(&f.getPath, "get", "", "client mode: GET this API path over -socket and print the reply")
+	fs.StringVar(&f.data, "data", "", "client mode: JSON request body for -post")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	if f.socket == "" {
+		return nil, errors.New("-socket is required")
+	}
+	if f.client() {
+		if f.postPath != "" && f.getPath != "" {
+			return nil, errors.New("-post and -get are mutually exclusive")
+		}
+		return &f, nil
+	}
+
+	if f.opts.Journal == "" {
+		return nil, errors.New("-journal is required: the journal is the run's reproducibility record")
+	}
+	if f.opts.CheckpointEvery < 0 || f.opts.CheckpointRetain < 0 {
+		return nil, errors.New("-checkpoint-every and -checkpoint-retain must be >= 0")
+	}
+	if f.opts.CheckpointEvery > 0 && f.opts.CheckpointBase == "" {
+		return nil, errors.New("-checkpoint-every needs -checkpoint-base")
+	}
+	if f.speed < 0 {
+		return nil, errors.New("-speed must be >= 0")
+	}
+	if f.opts.MaxBacklog < 0 {
+		return nil, errors.New("-max-backlog must be >= 0")
+	}
+	if f.resume {
+		// The journal header carries the scenario and simulation knobs;
+		// a flag here that sets them would be ignored, which should not
+		// pass silently.
+		if f.configPath != "" {
+			return nil, errors.New("-resume reads the scenario from the journal header; drop -config")
+		}
+		var set []string
+		fs.Visit(func(fl *flag.Flag) {
+			if fl.Name == "rescore" || fl.Name == "max-backlog" {
+				set = append(set, "-"+fl.Name)
+			}
+		})
+		if len(set) > 0 {
+			return nil, fmt.Errorf("-resume reads %s from the journal header; drop it", strings.Join(set, " and "))
+		}
+	} else if f.configPath == "" {
+		return nil, errors.New("-config is required (or -resume to continue an existing journal)")
+	}
+	return &f, nil
+}
+
 func main() {
-	var (
-		configPath = flag.String("config", "", "scenario JSON file (see internal/scenario); required to serve")
-		socket     = flag.String("socket", "", "unix socket path for the control API (required)")
-		journal    = flag.String("journal", "", "command journal path (required to serve; the run's reproducibility record)")
-		traceOut   = flag.String("trace-out", "", "stream a Chrome trace-event JSON file as the run advances")
-		metricsOut = flag.String("metrics-out", "", "stream per-epoch metric samples as CSV")
-		reportOut  = flag.String("report-out", "", "write the final report to this file (default stdout)")
-		jsonOut    = flag.Bool("json", false, "emit the final report as JSON")
-		ckptBase   = flag.String("checkpoint-base", "", "rolling checkpoint base path (images land at base.tNNN.ext)")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "write a rolling checkpoint every N epochs (needs -checkpoint-base)")
-		ckptRetain = flag.Int("checkpoint-retain", 2, "keep the newest N rolling checkpoints (0 = all)")
-		speed      = flag.Float64("speed", 1, "epochs per wall-clock second; 0 = manual stepping via POST /v1/step")
-		maxBacklog = flag.Int("max-backlog", 0, "bound the async migration backlog (0 = unbounded)")
-		rescore    = flag.Bool("rescore", false, "use the incremental rescore path")
-		resume     = flag.Bool("resume", false, "recover a killed or suspended run from its journal and newest rolling checkpoint")
-		postPath   = flag.String("post", "", "client mode: POST this API path over -socket and print the reply")
-		getPath    = flag.String("get", "", "client mode: GET this API path over -socket and print the reply")
-		data       = flag.String("data", "", "client mode: JSON request body for -post")
-	)
-	flag.Parse()
-
-	if *socket == "" {
-		log.Fatal("-socket is required")
+	f, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if *postPath != "" || *getPath != "" {
-		if *postPath != "" && *getPath != "" {
-			log.Fatal("-post and -get are mutually exclusive")
-		}
-		os.Exit(client(*socket, *postPath, *getPath, *data))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if f.client() {
+		os.Exit(client(f.socket, f.postPath, f.getPath, f.data))
 	}
 
-	if *journal == "" {
-		log.Fatal("-journal is required: the journal is the run's reproducibility record")
-	}
-	if *ckptEvery < 0 || *ckptRetain < 0 {
-		log.Fatal("-checkpoint-every and -checkpoint-retain must be >= 0")
-	}
-	if *ckptEvery > 0 && *ckptBase == "" {
-		log.Fatal("-checkpoint-every needs -checkpoint-base")
-	}
-	if *speed < 0 {
-		log.Fatal("-speed must be >= 0")
-	}
-
-	opts := serve.Options{
-		TraceOut:         *traceOut,
-		MetricsOut:       *metricsOut,
-		Journal:          *journal,
-		CheckpointBase:   *ckptBase,
-		CheckpointEvery:  *ckptEvery,
-		CheckpointRetain: *ckptRetain,
-		MaxBacklog:       *maxBacklog,
-		Rescore:          *rescore,
-	}
-
+	opts := f.opts
 	var s *serve.Session
-	var err error
-	if *resume {
-		// The journal header carries the scenario and simulation knobs; a
-		// -config here would be ignored, which should not pass silently.
-		if *configPath != "" {
-			log.Fatal("-resume reads the scenario from the journal header; drop -config")
-		}
+	if f.resume {
 		if s, err = serve.Recover(opts); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "recovered %s at epoch %d/%d\n", *journal, s.Epoch(), s.Target())
+		fmt.Fprintf(os.Stderr, "recovered %s at epoch %d/%d\n", opts.Journal, s.Epoch(), s.Target())
 	} else {
-		if *configPath == "" {
-			log.Fatal("-config is required (or -resume to continue an existing journal)")
-		}
-		f, err := os.Open(*configPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		file, err := scenario.LoadFile(f)
-		f.Close()
+		file, err := loadScenario(f.configPath)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -148,16 +180,16 @@ func main() {
 	// simulation tree below internal/serve stays deterministic and
 	// sleep-free, and tests inject channel-metered pacers instead.
 	var pace func()
-	if *speed > 0 {
-		interval := time.Duration(float64(time.Second) / *speed)
+	if f.speed > 0 {
+		interval := time.Duration(float64(time.Second) / f.speed)
 		pace = func() { time.Sleep(interval) }
 	}
 
-	d, err := serve.NewDaemon(s, *socket, pace)
+	d, err := serve.NewDaemon(s, f.socket, pace)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(*socket)
+	defer os.Remove(f.socket)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -169,10 +201,10 @@ func main() {
 
 	mode := "manual (POST /v1/step)"
 	if pace != nil {
-		mode = fmt.Sprintf("%g epochs/s", *speed)
+		mode = fmt.Sprintf("%g epochs/s", f.speed)
 	}
 	fmt.Fprintf(os.Stderr, "vulcand serving on %s, epoch %d/%d, pacing %s\n",
-		*socket, s.Epoch(), s.Target(), mode)
+		f.socket, s.Epoch(), s.Target(), mode)
 	if err := d.Run(); err != nil {
 		log.Fatal(err)
 	}
@@ -182,17 +214,27 @@ func main() {
 		return
 	}
 	out := os.Stdout
-	if *reportOut != "" {
-		f, err := os.Create(*reportOut)
+	if f.reportOut != "" {
+		rf, err := os.Create(f.reportOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		out = f
+		defer rf.Close()
+		out = rf
 	}
-	if err := s.WriteReport(out, *jsonOut); err != nil {
+	if err := s.WriteReport(out, f.jsonOut); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// loadScenario reads the scenario file a fresh session serves.
+func loadScenario(path string) (scenario.File, error) {
+	r, err := os.Open(path)
+	if err != nil {
+		return scenario.File{}, err
+	}
+	defer r.Close()
+	return scenario.LoadFile(r)
 }
 
 // client performs one API call over the unix socket and prints the

@@ -135,7 +135,7 @@ func runSnapFields(pass *Pass) error {
 
 	// Coverage: every field referenced by selector inside a contract
 	// body counts as encoded (delegation like e.shadows.Snapshot(enc)
-	// and nested reads like a.stats.Enqueued both mark their fields).
+	// and nested reads like a.stats.Moved both mark their fields).
 	covered := make(map[*types.Var]bool)
 	for fd := range contractBodies {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {

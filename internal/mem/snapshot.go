@@ -6,11 +6,11 @@ import (
 	"vulcan/internal/checkpoint"
 )
 
-// Snapshot appends the tier's durable state: the free stack (order
-// matters — the LIFO hand-out order is part of the determinism
-// contract) and the usage/access counters. The configuration is not
-// serialized; it is reconstructed from the run's Config, and Restore
-// validates that the capacities agree.
+// Snapshot appends the tier's durable state: the usage count and the
+// free stack (order matters — the LIFO hand-out order is part of the
+// determinism contract). The configuration is not serialized; it is
+// reconstructed from the run's Config, and Restore validates that the
+// capacities agree.
 func (t *Tier) Snapshot(e *checkpoint.Encoder) {
 	e.Int(t.cfg.CapacityPages)
 	e.Int(t.used)
@@ -18,13 +18,11 @@ func (t *Tier) Snapshot(e *checkpoint.Encoder) {
 	for _, idx := range t.free {
 		e.U32(idx)
 	}
-	e.U64(t.epochReads)
-	e.U64(t.epochWrites)
-	e.U64(t.totalReads)
-	e.U64(t.totalWrites)
 }
 
-// Restore reads the tier state back in place.
+// Restore reads the tier state back in place. Every free frame must be
+// in range and listed once: a repeated frame would later be handed out
+// to two owners.
 func (t *Tier) Restore(d *checkpoint.Decoder) error {
 	capacity := d.Int()
 	used := d.Int()
@@ -41,22 +39,24 @@ func (t *Tier) Restore(d *checkpoint.Decoder) error {
 			t.id, used, n, capacity)
 	}
 	free := make([]uint32, n)
+	seen := make([]uint64, (capacity+63)/64) // sized by the configuration, never by the input
 	for i := range free {
-		free[i] = d.U32()
-		if d.Err() == nil && int(free[i]) >= capacity {
-			return fmt.Errorf("mem: tier %s free frame %d out of range", t.id, free[i])
+		idx := d.U32()
+		if d.Err() != nil {
+			return d.Err()
 		}
-	}
-	if d.Err() != nil {
-		return d.Err()
+		if int(idx) >= capacity {
+			return fmt.Errorf("mem: tier %s free frame %d out of range", t.id, idx)
+		}
+		if seen[idx/64]&(1<<(idx%64)) != 0 {
+			return fmt.Errorf("mem: tier %s free frame %d listed twice", t.id, idx)
+		}
+		seen[idx/64] |= 1 << (idx % 64)
+		free[i] = idx
 	}
 	t.used = used
 	t.free = free
-	t.epochReads = d.U64()
-	t.epochWrites = d.U64()
-	t.totalReads = d.U64()
-	t.totalWrites = d.U64()
-	return d.Err()
+	return nil
 }
 
 // Snapshot appends every tier in ID order.

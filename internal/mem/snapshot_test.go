@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"vulcan/internal/checkpoint"
@@ -15,8 +16,7 @@ func tinyConfig() [NumTiers]TierConfig {
 }
 
 // scramble drives the tier set into a mid-run state: interleaved
-// allocations, frees (building a non-trivial LIFO free stack) and
-// access accounting.
+// allocations and frees, building a non-trivial LIFO free stack.
 func scramble(ts *Tiers) []Frame {
 	var live []Frame
 	for i := 0; i < 48; i++ {
@@ -25,7 +25,6 @@ func scramble(ts *Tiers) []Frame {
 			break
 		}
 		live = append(live, f)
-		ts.RecordAccess(f, i%3 == 0)
 	}
 	kept := live[:0]
 	for i, f := range live {
@@ -59,7 +58,7 @@ func tiersRoundTrip(t *testing.T, src, dst *Tiers) error {
 
 // TestTiersSnapshotRoundTrip asserts the determinism contract: a
 // restored tier set hands out the exact same frame sequence as the
-// original, and every counter survives.
+// original, and the usage count survives.
 func TestTiersSnapshotRoundTrip(t *testing.T) {
 	src := NewTiers(tinyConfig())
 	scramble(src)
@@ -74,16 +73,6 @@ func TestTiersSnapshotRoundTrip(t *testing.T) {
 		if a.Used() != b.Used() || a.FreePages() != b.FreePages() {
 			t.Fatalf("tier %s: used/free %d/%d != %d/%d",
 				id, a.Used(), a.FreePages(), b.Used(), b.FreePages())
-		}
-		ar, aw := a.TotalAccesses()
-		br, bw := b.TotalAccesses()
-		if ar != br || aw != bw {
-			t.Fatalf("tier %s: accesses %d/%d != %d/%d", id, ar, aw, br, bw)
-		}
-		er, ew := a.EpochAccesses()
-		fr, fw := b.EpochAccesses()
-		if er != fr || ew != fw {
-			t.Fatalf("tier %s: epoch accesses diverged", id)
 		}
 	}
 
@@ -115,9 +104,9 @@ func TestTiersRestoreCapacityMismatch(t *testing.T) {
 	}
 }
 
-// TestTierRestoreCorruptionErrors walks every truncation point and a
-// frame-out-of-range corruption through Restore; all must error, never
-// panic.
+// TestTierRestoreCorruptionErrors walks every truncation point, a
+// frame-out-of-range corruption and a repeated free frame through
+// Restore; all must error, never panic.
 func TestTierRestoreCorruptionErrors(t *testing.T) {
 	src := NewTiers(tinyConfig())
 	scramble(src)
@@ -142,4 +131,65 @@ func TestTierRestoreCorruptionErrors(t *testing.T) {
 	if err := dst.Fast().Restore(checkpoint.NewDecoder(bad)); err == nil {
 		t.Fatal("out-of-range free frame accepted")
 	}
+
+	dst = NewTiers(tinyConfig())
+	err := dst.Fast().Restore(checkpoint.NewDecoder(repeatedFreeFrame()))
+	if err == nil || !strings.Contains(err.Error(), "tier fast") {
+		t.Fatalf("repeated free frame: err = %v, want an error naming the tier", err)
+	}
+}
+
+// repeatedFreeFrame encodes a fast-tier section whose free list names
+// frame 0 four times: the range and used+free==capacity checks pass,
+// but Alloc would then hand frame 0 to four owners.
+func repeatedFreeFrame() []byte {
+	e := &checkpoint.Encoder{}
+	e.Int(64) // capacity
+	e.Int(60) // used
+	e.Int(4)  // free count
+	for i := 0; i < 4; i++ {
+		e.U32(0)
+	}
+	return e.Bytes()
+}
+
+// FuzzTiersRestore feeds arbitrary bytes to Tiers.Restore. It must
+// never panic, and an accepted blob must re-encode byte for byte with
+// every free frame distinct.
+func FuzzTiersRestore(f *testing.F) {
+	src := NewTiers(tinyConfig())
+	scramble(src)
+	e := &checkpoint.Encoder{}
+	src.Snapshot(e)
+	blob := e.Bytes()
+	f.Add(blob)
+	for cut := 0; cut < len(blob); cut += 29 {
+		f.Add(blob[:cut])
+	}
+	slow := &checkpoint.Encoder{}
+	src.Slow().Snapshot(slow)
+	f.Add(append(repeatedFreeFrame(), slow.Bytes()...))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		ts := NewTiers(tinyConfig())
+		d := checkpoint.NewDecoder(blob)
+		if ts.Restore(d) != nil || d.Close() != nil {
+			return
+		}
+		e := &checkpoint.Encoder{}
+		ts.Snapshot(e)
+		if !bytes.Equal(e.Bytes(), blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
+		}
+		for id := TierID(0); id < NumTiers; id++ {
+			tr := ts.Tier(id)
+			seen := make(map[uint32]bool, tr.FreePages())
+			for range tr.FreePages() {
+				idx, _ := tr.Alloc()
+				if seen[idx] {
+					t.Fatalf("tier %s hands out frame %d twice", id, idx)
+				}
+				seen[idx] = true
+			}
+		}
+	})
 }

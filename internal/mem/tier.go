@@ -74,13 +74,6 @@ type Tier struct {
 	id   TierID
 	free []uint32 // LIFO free stack
 	used int
-
-	// Access accounting for the current epoch, reset by ResetEpoch.
-	epochReads  uint64
-	epochWrites uint64
-	// Cumulative accounting over the whole run.
-	totalReads  uint64
-	totalWrites uint64
 }
 
 // NewTier builds a tier with all frames free.
@@ -112,11 +105,6 @@ func (t *Tier) Used() int { return t.used }
 // FreePages returns the number of free frames.
 func (t *Tier) FreePages() int { return len(t.free) }
 
-// Utilization returns used/capacity in [0,1].
-func (t *Tier) Utilization() float64 {
-	return float64(t.used) / float64(t.cfg.CapacityPages)
-}
-
 // Alloc removes a frame from the free list. ok is false when the tier is
 // full.
 func (t *Tier) Alloc() (idx uint32, ok bool) {
@@ -141,34 +129,6 @@ func (t *Tier) Free(idx uint32) {
 	}
 	t.free = append(t.free, idx)
 	t.used--
-}
-
-// RecordAccess accounts one access against the tier's epoch and lifetime
-// counters.
-func (t *Tier) RecordAccess(write bool) {
-	if write {
-		t.epochWrites++
-		t.totalWrites++
-	} else {
-		t.epochReads++
-		t.totalReads++
-	}
-}
-
-// EpochAccesses returns the read and write counts since the last
-// ResetEpoch.
-func (t *Tier) EpochAccesses() (reads, writes uint64) {
-	return t.epochReads, t.epochWrites
-}
-
-// TotalAccesses returns lifetime read and write counts.
-func (t *Tier) TotalAccesses() (reads, writes uint64) {
-	return t.totalReads, t.totalWrites
-}
-
-// ResetEpoch zeroes the per-epoch access counters.
-func (t *Tier) ResetEpoch() {
-	t.epochReads, t.epochWrites = 0, 0
 }
 
 // LoadedLatency returns the access latency under the given bandwidth

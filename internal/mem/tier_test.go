@@ -95,28 +95,8 @@ func TestTierUtilization(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Alloc()
 	}
-	if u := tr.Utilization(); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-}
-
-func TestTierAccessCounters(t *testing.T) {
-	tr := testTier(4)
-	tr.RecordAccess(false)
-	tr.RecordAccess(false)
-	tr.RecordAccess(true)
-	r, w := tr.EpochAccesses()
-	if r != 2 || w != 1 {
-		t.Fatalf("epoch = %d/%d, want 2/1", r, w)
-	}
-	tr.ResetEpoch()
-	r, w = tr.EpochAccesses()
-	if r != 0 || w != 0 {
-		t.Fatalf("epoch after reset = %d/%d", r, w)
-	}
-	r, w = tr.TotalAccesses()
-	if r != 2 || w != 1 {
-		t.Fatalf("totals = %d/%d, want 2/1", r, w)
+	if tr.Used() != 5 || tr.FreePages() != 5 {
+		t.Fatalf("used/free = %d/%d, want 5/5", tr.Used(), tr.FreePages())
 	}
 }
 

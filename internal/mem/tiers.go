@@ -84,47 +84,3 @@ func (ts *Tiers) Free(f Frame) {
 	}
 	ts.Tier(f.Tier).Free(f.Index)
 }
-
-// RecordAccess accounts one access to the frame's tier.
-func (ts *Tiers) RecordAccess(f Frame, write bool) {
-	ts.Tier(f.Tier).RecordAccess(write)
-}
-
-// ResetEpoch clears per-epoch counters on all tiers.
-func (ts *Tiers) ResetEpoch() {
-	for _, t := range ts.tiers {
-		t.ResetEpoch()
-	}
-}
-
-// TotalCapacity returns the total number of frames across tiers.
-func (ts *Tiers) TotalCapacity() int {
-	n := 0
-	for _, t := range ts.tiers {
-		n += t.Capacity()
-	}
-	return n
-}
-
-// EpochBandwidthUtil estimates each tier's bandwidth utilization over an
-// epoch of the given length, from the epoch access counters (PageSize
-// bytes per access is an upper bound; real accesses touch a cache line,
-// but the ratio across tiers — which is what the latency ramp consumes —
-// is unaffected by the constant).
-func (ts *Tiers) EpochBandwidthUtil(epoch sim.Duration) [NumTiers]float64 {
-	var out [NumTiers]float64
-	if epoch <= 0 {
-		return out
-	}
-	for id, t := range ts.tiers {
-		r, w := t.EpochAccesses()
-		// 64B per access (one cache line).
-		bytes := float64(r+w) * 64
-		gbPerS := bytes / epoch.Seconds() / 1e9
-		out[id] = gbPerS / t.Config().BandwidthGBs
-		if out[id] > 1 {
-			out[id] = 1
-		}
-	}
-	return out
-}

@@ -93,50 +93,3 @@ func TestNilFrame(t *testing.T) {
 		t.Fatalf("frame string = %q", f.String())
 	}
 }
-
-func TestRecordAccessRouting(t *testing.T) {
-	ts := smallTiers()
-	ff, _ := ts.Alloc(TierFast)
-	sf, _ := ts.Alloc(TierSlow)
-	ts.RecordAccess(ff, false)
-	ts.RecordAccess(sf, true)
-	ts.RecordAccess(sf, true)
-	fr, fw := ts.Fast().EpochAccesses()
-	sr, sw := ts.Slow().EpochAccesses()
-	if fr != 1 || fw != 0 || sr != 0 || sw != 2 {
-		t.Fatalf("routing wrong: fast %d/%d slow %d/%d", fr, fw, sr, sw)
-	}
-	ts.ResetEpoch()
-	fr, _ = ts.Fast().EpochAccesses()
-	sr, _ = ts.Slow().EpochAccesses()
-	if fr != 0 || sr != 0 {
-		t.Fatal("ResetEpoch missed a tier")
-	}
-}
-
-func TestEpochBandwidthUtil(t *testing.T) {
-	ts := smallTiers()
-	f, _ := ts.Alloc(TierSlow)
-	// 25 GB/s slow tier; drive ~12.5GB/s over 1ms: 12.5e9 B/s * 1e-3 s
-	// = 12.5e6 B at 64 B/access ≈ 195312 accesses.
-	for i := 0; i < 195312; i++ {
-		ts.RecordAccess(f, false)
-	}
-	util := ts.EpochBandwidthUtil(1 * sim.Millisecond)
-	if util[TierSlow] < 0.45 || util[TierSlow] > 0.55 {
-		t.Fatalf("slow utilization = %v, want ~0.5", util[TierSlow])
-	}
-	if util[TierFast] != 0 {
-		t.Fatalf("fast utilization = %v, want 0", util[TierFast])
-	}
-	// Zero epoch must not divide by zero.
-	if u := ts.EpochBandwidthUtil(0); u[TierSlow] != 0 {
-		t.Fatal("zero epoch produced nonzero utilization")
-	}
-}
-
-func TestTotalCapacity(t *testing.T) {
-	if got := smallTiers().TotalCapacity(); got != 72 {
-		t.Fatalf("TotalCapacity = %d, want 72", got)
-	}
-}

@@ -12,8 +12,6 @@ func (r *Running) Snapshot(e *checkpoint.Encoder) {
 	e.Int(r.n)
 	e.F64(r.mean)
 	e.F64(r.m2)
-	e.F64(r.min)
-	e.F64(r.max)
 }
 
 // Restore reads the accumulator back in place.
@@ -21,8 +19,6 @@ func (r *Running) Restore(d *checkpoint.Decoder) error {
 	r.n = d.Int()
 	r.mean = d.F64()
 	r.m2 = d.F64()
-	r.min = d.F64()
-	r.max = d.F64()
 	if d.Err() != nil {
 		return d.Err()
 	}

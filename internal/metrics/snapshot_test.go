@@ -38,9 +38,8 @@ func TestRunningSnapshotRoundTrip(t *testing.T) {
 func TestRunningRestoreRejectsNegativeCount(t *testing.T) {
 	e := &checkpoint.Encoder{}
 	e.Int(-1)
-	for i := 0; i < 4; i++ {
-		e.F64(0)
-	}
+	e.F64(0)
+	e.F64(0)
 	var r Running
 	if err := r.Restore(checkpoint.NewDecoder(e.Bytes())); err == nil {
 		t.Fatal("negative observation count accepted")

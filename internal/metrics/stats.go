@@ -9,26 +9,15 @@ import (
 	"math"
 )
 
-// Running accumulates count/mean/variance/min/max in one pass (Welford).
+// Running accumulates count/mean/variance in one pass (Welford).
 type Running struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add incorporates one observation.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
@@ -50,12 +39,6 @@ func (r *Running) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest observation (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 when empty).
-func (r *Running) Max() float64 { return r.max }
 
 // CI95 returns the half-width of the normal-approximation 95% confidence
 // interval of the mean — the error bars of Figures 8 and 10.

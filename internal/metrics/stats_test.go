@@ -21,9 +21,6 @@ func TestRunningBasics(t *testing.T) {
 	if math.Abs(r.Var()-32.0/7) > 1e-9 {
 		t.Fatalf("Var = %v, want %v", r.Var(), 32.0/7)
 	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", r.Min(), r.Max())
-	}
 	if r.CI95() <= 0 {
 		t.Fatal("CI95 not positive")
 	}
@@ -38,7 +35,7 @@ func TestRunningEmptyAndSingle(t *testing.T) {
 	if r.Var() != 0 || r.CI95() != 0 {
 		t.Fatal("single-sample variance nonzero")
 	}
-	if r.Mean() != 3 || r.Min() != 3 || r.Max() != 3 {
+	if r.Mean() != 3 {
 		t.Fatal("single-sample summary wrong")
 	}
 }

@@ -33,14 +33,10 @@ type AsyncConfig struct {
 
 // AsyncStats accumulates lifetime counters for an AsyncMigrator.
 type AsyncStats struct {
-	Enqueued   uint64
 	Moved      uint64
 	Remapped   uint64
-	Retries    uint64
 	Aborted    uint64 // gave up after asyncMaxRetries
 	Failed     uint64 // not mapped / destination full
-	Shed       uint64 // dropped by a full bounded queue
-	Displaced  uint64 // pending promotions evicted to admit demotions
 	CyclesUsed float64
 }
 
@@ -119,7 +115,6 @@ func (a *AsyncMigrator) EnqueueOne(mv Move) {
 	}
 	a.queued.Set(uint64(mv.VP), uint64(len(a.pending))+1)
 	a.pending = append(a.pending, mv)
-	a.stats.Enqueued++
 }
 
 // admitUnderPressure applies the bounded queue's shed/defer policy to a
@@ -129,7 +124,6 @@ func (a *AsyncMigrator) EnqueueOne(mv Move) {
 // Cold path: the hot enqueue only ever branches on the length check.
 func (a *AsyncMigrator) admitUnderPressure(mv Move) bool {
 	if mv.To == mem.TierFast {
-		a.stats.Shed++
 		a.epochShed++
 		return false
 	}
@@ -141,7 +135,6 @@ func (a *AsyncMigrator) admitUnderPressure(mv Move) bool {
 		}
 	}
 	if victim < 0 {
-		a.stats.Shed++
 		a.epochShed++
 		return false
 	}
@@ -151,7 +144,6 @@ func (a *AsyncMigrator) admitUnderPressure(mv Move) bool {
 	for i := victim; i < len(a.pending); i++ {
 		a.queued.Set(uint64(a.pending[i].VP), uint64(i)+1)
 	}
-	a.stats.Displaced++
 	a.epochDisplaced++
 	return true
 }
@@ -198,7 +190,6 @@ func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetab
 			}
 			retries := attempts - 1
 			res.Retries += retries
-			a.stats.Retries += uint64(retries)
 			if !clean {
 				// Aborted: all attempts were wasted copies.
 				extraCopies += attempts
@@ -268,11 +259,4 @@ func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetab
 			obs.F("backlog", float64(res.Backlog))))
 	}
 	return res
-}
-
-// DropBacklog clears all pending moves (used when a policy epoch
-// invalidates prior decisions).
-func (a *AsyncMigrator) DropBacklog() {
-	a.pending = a.pending[:0]
-	a.queued.Clear()
 }

@@ -136,25 +136,11 @@ func TestAsyncStatsAccumulate(t *testing.T) {
 	a.Enqueue(Move{VP: 1, To: mem.TierFast})
 	a.RunEpoch(1e9, nil)
 	st := a.Stats()
-	if st.Enqueued != 2 || st.Moved != 2 {
-		t.Fatalf("stats = %+v", st)
+	if a.Backlog() != 0 || st.Moved != 2 {
+		t.Fatalf("backlog = %d, stats = %+v", a.Backlog(), st)
 	}
 	if st.CyclesUsed <= 0 {
 		t.Fatal("cycles not accumulated")
-	}
-}
-
-func TestAsyncDropBacklog(t *testing.T) {
-	a, _, _ := asyncEnv(t, 8)
-	a.Enqueue(Move{VP: 0, To: mem.TierFast})
-	a.DropBacklog()
-	if a.Backlog() != 0 {
-		t.Fatal("backlog survived drop")
-	}
-	// Page can be re-enqueued after a drop.
-	a.Enqueue(Move{VP: 0, To: mem.TierFast})
-	if a.Backlog() != 1 {
-		t.Fatal("re-enqueue after drop failed")
 	}
 }
 

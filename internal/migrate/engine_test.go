@@ -255,7 +255,7 @@ func TestShadowStatsAndDrop(t *testing.T) {
 	e, _, tiers := testEnv(t, 2, 4, func(c *Config) { c.Shadowing = true })
 	e.MigrateSync([]Move{{VP: 0, To: mem.TierFast}, {VP: 1, To: mem.TierFast}})
 	st := e.Shadows()
-	if st.Live != 2 || st.Created != 2 {
+	if st.Live+int(st.Consumed+st.Dropped) != 2 || st.Live != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 	e.DropAllShadows()

@@ -19,11 +19,9 @@ const (
 
 // RetryStats accumulates a Retrier's lifetime totals.
 type RetryStats struct {
-	Noted     uint64 // busy pages handed to the retrier
 	Retried   uint64 // retry attempts issued
 	Recovered uint64 // pages eventually migrated (or resolved)
 	GaveUp    uint64 // pages abandoned after exhausting attempts
-	Cycles    float64
 }
 
 // RetryEpoch reports one RunEpoch pass.
@@ -79,7 +77,6 @@ func (r *Retrier) NoteBusy(mv Move) {
 		return
 	}
 	r.tracked[mv.VP] = struct{}{}
-	r.stats.Noted++
 	r.pending = append(r.pending, retryEntry{mv: mv, due: r.now + uint64(retryBackoffBase)})
 }
 
@@ -151,7 +148,6 @@ func (r *Retrier) RunEpoch(epoch uint64) RetryEpoch {
 	r.stats.Retried += uint64(ep.Retried)
 	r.stats.Recovered += uint64(ep.Recovered)
 	r.stats.GaveUp += uint64(ep.GaveUp)
-	r.stats.Cycles += ep.Cycles
 	r.emit(ep)
 	return ep
 }

@@ -20,7 +20,6 @@ import (
 type shadowStore struct {
 	frames dense.Map // vp -> packed frame (see packFrame)
 	// lifetime counters
-	created  uint64
 	consumed uint64
 	dropped  uint64
 }
@@ -39,7 +38,6 @@ func unpackFrame(w uint64) mem.Frame {
 // ShadowStats summarizes shadow activity.
 type ShadowStats struct {
 	Live     int
-	Created  uint64
 	Consumed uint64 // demotions satisfied by remap
 	Dropped  uint64 // invalidated by writes or replacement
 }
@@ -51,7 +49,6 @@ func newShadowStore() *shadowStore {
 //vulcan:hotpath
 func (s *shadowStore) put(vp pagetable.VPage, f mem.Frame) {
 	s.frames.Set(uint64(vp), packFrame(f))
-	s.created++
 }
 
 // take removes and returns vp's shadow. The caller owns the frame.
@@ -101,7 +98,6 @@ func (s *shadowStore) drain() []mem.Frame {
 func (s *shadowStore) stats() ShadowStats {
 	return ShadowStats{
 		Live:     s.frames.Len(),
-		Created:  s.created,
 		Consumed: s.consumed,
 		Dropped:  s.dropped,
 	}

@@ -34,7 +34,6 @@ func (s *shadowStore) Snapshot(e *checkpoint.Encoder) {
 		e.U8(uint8(f.Tier))
 		e.U32(f.Index)
 	})
-	e.U64(s.created)
 	e.U64(s.consumed)
 	e.U64(s.dropped)
 }
@@ -60,7 +59,6 @@ func (s *shadowStore) Restore(d *checkpoint.Decoder) error {
 		}
 		s.frames.Set(uint64(vp), packFrame(f))
 	}
-	s.created = d.U64()
 	s.consumed = d.U64()
 	s.dropped = d.U64()
 	return d.Err()
@@ -76,14 +74,10 @@ func (a *AsyncMigrator) Snapshot(e *checkpoint.Encoder) {
 		e.U64(uint64(mv.VP))
 		e.U8(uint8(mv.To))
 	}
-	e.U64(a.stats.Enqueued)
 	e.U64(a.stats.Moved)
 	e.U64(a.stats.Remapped)
-	e.U64(a.stats.Retries)
 	e.U64(a.stats.Aborted)
 	e.U64(a.stats.Failed)
-	e.U64(a.stats.Shed)
-	e.U64(a.stats.Displaced)
 	e.F64(a.stats.CyclesUsed)
 	e.Int(a.epochShed)
 	e.Int(a.epochDisplaced)
@@ -115,14 +109,10 @@ func (a *AsyncMigrator) Restore(d *checkpoint.Decoder) error {
 		a.queued.Set(uint64(mv.VP), uint64(len(a.pending))+1)
 		a.pending = append(a.pending, mv)
 	}
-	a.stats.Enqueued = d.U64()
 	a.stats.Moved = d.U64()
 	a.stats.Remapped = d.U64()
-	a.stats.Retries = d.U64()
 	a.stats.Aborted = d.U64()
 	a.stats.Failed = d.U64()
-	a.stats.Shed = d.U64()
-	a.stats.Displaced = d.U64()
 	a.stats.CyclesUsed = d.F64()
 	a.epochShed = d.Int()
 	a.epochDisplaced = d.Int()
@@ -141,11 +131,9 @@ func (r *Retrier) Snapshot(e *checkpoint.Encoder) {
 		e.Int(en.attempts)
 		e.U64(en.due)
 	}
-	e.U64(r.stats.Noted)
 	e.U64(r.stats.Retried)
 	e.U64(r.stats.Recovered)
 	e.U64(r.stats.GaveUp)
-	e.F64(r.stats.Cycles)
 }
 
 // Restore reads the retrier state back in place.
@@ -175,10 +163,8 @@ func (r *Retrier) Restore(d *checkpoint.Decoder) error {
 		r.tracked[en.mv.VP] = struct{}{}
 		r.pending = append(r.pending, en)
 	}
-	r.stats.Noted = d.U64()
 	r.stats.Retried = d.U64()
 	r.stats.Recovered = d.U64()
 	r.stats.GaveUp = d.U64()
-	r.stats.Cycles = d.F64()
 	return d.Err()
 }

@@ -101,16 +101,12 @@ func TestObsEnabledNilSinkZeroAlloc(t *testing.T) {
 }
 
 // TestAsyncEnqueueOneSteadyStateAllocs pins the per-access enqueue path
-// used by policies: once the backlog's backing array has grown,
-// EnqueueOne must not allocate Move batches.
+// used by policies: on a fresh migrator, whose constructor presizes the
+// backlog, EnqueueOne must not allocate Move batches. AllocsPerRun's
+// warm-up call absorbs the dedup map's first chunk.
 func TestAsyncEnqueueOneSteadyStateAllocs(t *testing.T) {
 	e, _, _ := testEnv(t, 4, 32, nil)
 	a := NewAsyncMigrator(AsyncConfig{Engine: e})
-	// Warm up: grow pending/queued, then drain.
-	for vp := pagetable.VPage(0); vp < 16; vp++ {
-		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})
-	}
-	a.DropBacklog()
 	vp := pagetable.VPage(0)
 	allocs := testing.AllocsPerRun(8, func() {
 		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})

@@ -205,14 +205,6 @@ func (p *Profiler) AddBudget(cycles float64) {
 	p.budget += cycles
 }
 
-// Budget returns the cumulative credited budget.
-func (p *Profiler) Budget() float64 {
-	if p == nil {
-		return 0
-	}
-	return p.budget
-}
-
 // FlushEpoch closes one epoch's books: every account's delta since the
 // last flush becomes a Row, followed by the epoch's "total" row (budget
 // delta + mechanism-plane delta) and "unattributed" residual. The

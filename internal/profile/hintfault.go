@@ -24,7 +24,7 @@ type HintFault struct {
 	// faultBoost is the heat credited per observed fault.
 	faultBoost float64
 
-	faultsThisEpoch int
+	faultsThisEpoch int //vulcan:nosnap per-epoch scratch, reset by EndEpoch
 
 	// rebuildFn and wrapFn are the window-rebuild callbacks, bound once
 	// at construction so EndEpoch passes stored func values instead of

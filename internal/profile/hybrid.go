@@ -19,7 +19,7 @@ type Hybrid struct {
 	sampleWeight float64
 	scanBoost    float64
 	scanCost     float64
-	samples      uint64
+	samples      uint64 //vulcan:nosnap per-epoch scratch, reset by EndEpoch
 
 	// scanFn is the epoch-sweep callback, bound once at construction so
 	// EndEpoch passes a stored func value instead of allocating a closure.

@@ -18,7 +18,7 @@ type PEBS struct {
 	// observed.
 	sampleRate   int
 	sampleWeight float64
-	samples      uint64
+	samples      uint64 //vulcan:nosnap per-epoch scratch, reset by EndEpoch
 }
 
 // DefaultPEBSSampleRate mirrors common PEBS configurations (~1/199,

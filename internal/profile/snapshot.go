@@ -11,7 +11,9 @@ import (
 // only one RestoreProfiler reads (the "app.N.profiler" checkpoint section
 // version). Version 2 encodes the dense stores, most notably run-length
 // heat entries; the version-1 map layout is no longer readable.
-const SnapshotVersion = 2
+// Version 3 drops the per-epoch sample and fault counters, which are
+// zero at every epoch boundary.
+const SnapshotVersion = 3
 
 // SnapshotProfiler appends p's durable state, tagged with the profiler
 // name so RestoreProfiler can verify the constructed profiler matches.
@@ -247,7 +249,6 @@ func (h *heatStore) Restore(d *checkpoint.Decoder) error {
 // Snapshot implements checkpoint.Snapshotter.
 func (p *PEBS) Snapshot(e *checkpoint.Encoder) {
 	p.rng.Snapshot(e)
-	e.U64(p.samples)
 	p.heat.Snapshot(e)
 }
 
@@ -256,14 +257,12 @@ func (p *PEBS) Restore(d *checkpoint.Decoder) error {
 	if err := p.rng.Restore(d); err != nil {
 		return err
 	}
-	p.samples = d.U64()
 	return p.heat.Restore(d)
 }
 
 // Snapshot implements checkpoint.Snapshotter.
 func (h *Hybrid) Snapshot(e *checkpoint.Encoder) {
 	h.rng.Snapshot(e)
-	e.U64(h.samples)
 	h.heat.Snapshot(e)
 }
 
@@ -272,13 +271,11 @@ func (h *Hybrid) Restore(d *checkpoint.Decoder) error {
 	if err := h.rng.Restore(d); err != nil {
 		return err
 	}
-	h.samples = d.U64()
 	return h.heat.Restore(d)
 }
 
 // Snapshot implements checkpoint.Snapshotter: the heat runs, then the
-// poison window as a count and ascending pages, the cursor and the
-// in-flight fault count.
+// poison window as a count and ascending pages, then the cursor.
 func (h *HintFault) Snapshot(e *checkpoint.Encoder) {
 	h.heat.Snapshot(e)
 	e.Int(h.poisoned.count)
@@ -286,7 +283,6 @@ func (h *HintFault) Snapshot(e *checkpoint.Encoder) {
 		e.U64(uint64(vp))
 	})
 	e.U64(uint64(h.cursor))
-	e.Int(h.faultsThisEpoch)
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -312,6 +308,5 @@ func (h *HintFault) Restore(d *checkpoint.Decoder) error {
 		}
 	}
 	h.cursor = pagetable.VPage(d.U64())
-	h.faultsThisEpoch = d.Int()
 	return d.Err()
 }

@@ -135,12 +135,13 @@ func TestRestoreProfilerRejectsWrongKind(t *testing.T) {
 
 // TestRestoreProfilerRejectsUnknownVersion feeds a valid blob through the
 // version gate under every version but SnapshotVersion: the retired
-// version-1 map layout, an unassigned 0, and a future 3. Each must fail
-// with an error, never a panic.
+// version-1 map layout, the retired version 2 with its per-epoch
+// counters, an unassigned 0, and a future version. Each must fail with
+// an error, never a panic.
 func TestRestoreProfilerRejectsUnknownVersion(t *testing.T) {
 	e := &checkpoint.Encoder{}
 	SnapshotProfiler(e, NewPEBSWithDecay(4, DefaultDecay, 9))
-	for _, version := range []uint32{0, 1, 3} {
+	for _, version := range []uint32{0, 1, SnapshotVersion - 1, SnapshotVersion + 1} {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {

@@ -502,7 +502,6 @@ func (a *App) runEpochAccesses(samples int, epochCycles float64, bwUtil [mem.Num
 				})
 				a.epochEventCyc += rc
 				recordCyc += rc
-				a.sys.tiers.RecordAccess(frame, ref.Write)
 				if fast {
 					a.epochFastSamples++
 				} else {

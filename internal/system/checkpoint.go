@@ -18,15 +18,19 @@ const (
 	metaVersion    = 1
 	clockVersion   = 1
 	machineVersion = 1
-	memVersion     = 1
+	// memVersion 2 drops the per-tier access counters.
+	memVersion = 2
 	// systemVersion 2 appends the stop log (dynamic-eviction chronology);
 	// appVersion 2 adds the stopped flag and a retired app's durable
 	// summary statistics.
 	systemVersion  = 2
 	metricsVersion = 1
 	// appVersion 3 appends the async-migrator backpressure tallies and the
-	// dynamic intensity override.
-	appVersion = 3
+	// dynamic intensity override; appVersion 4 drops the lifetime tallies
+	// nothing reads (async enqueued/retries/shed/displaced, retrier
+	// noted/cycles, shadows created), the TLB flush count, the perf
+	// summary's min/max and the trace replayer's loop count.
+	appVersion = 4
 	// profilerVersion tracks the profile package's snapshot layout.
 	profilerVersion = profile.SnapshotVersion
 	policyVersion   = 1

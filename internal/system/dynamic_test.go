@@ -215,3 +215,29 @@ func TestDynamicCheckpointCorruptionNeverPanics(t *testing.T) {
 		}
 	}
 }
+
+// TestDynamicCheckpointReencodesIdentically resumes a checkpoint cut
+// past a StopApp and requires the resumed system to checkpoint to the
+// same bytes: every field restored lands where the next Snapshot reads
+// it.
+func TestDynamicCheckpointReencodesIdentically(t *testing.T) {
+	for _, split := range []int{5, 7, 10} {
+		sys := New(dynConfig(appsAddedBy(0)...))
+		dynScript(t, sys, 0, split)
+		var blob bytes.Buffer
+		if err := sys.Checkpoint(&blob); err != nil {
+			t.Fatalf("split %d: checkpoint: %v", split, err)
+		}
+		resumed, err := Resume(bytes.NewReader(blob.Bytes()), dynConfig(appsAddedBy(split)...))
+		if err != nil {
+			t.Fatalf("split %d: resume: %v", split, err)
+		}
+		var again bytes.Buffer
+		if err := resumed.Checkpoint(&again); err != nil {
+			t.Fatalf("split %d: re-checkpoint: %v", split, err)
+		}
+		if !bytes.Equal(blob.Bytes(), again.Bytes()) {
+			t.Fatalf("split %d: re-encoded checkpoint differs (%d vs %d bytes)", split, blob.Len(), again.Len())
+		}
+	}
+}

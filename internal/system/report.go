@@ -143,12 +143,3 @@ func (r Report) WriteText(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// TierUtilization returns fast-tier used fraction, a convenience for
-// dashboards.
-func (r Report) TierUtilization() float64 {
-	if r.FastCapacity == 0 {
-		return 0
-	}
-	return float64(r.FastUsed) / float64(r.FastCapacity)
-}

@@ -51,11 +51,8 @@ func TestReportContents(t *testing.T) {
 	if late.Started || late.RSSPages != 0 {
 		t.Fatalf("unstarted app leaked data: %+v", late)
 	}
-	if u := r.TierUtilization(); u != 1.0 {
-		t.Fatalf("utilization = %v", u)
-	}
-	if (Report{}).TierUtilization() != 0 {
-		t.Fatal("zero-capacity utilization not 0")
+	if r.FastCapacity == 0 || r.FastUsed != r.FastCapacity {
+		t.Fatalf("fast used %d of %d, want full", r.FastUsed, r.FastCapacity)
 	}
 }
 

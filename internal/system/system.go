@@ -311,7 +311,6 @@ func (s *System) RunEpoch() {
 	}
 
 	// Access simulation against last epoch's bandwidth picture.
-	s.tiers.ResetEpoch()
 	epochCycles := s.EpochCycles()
 	for _, a := range s.apps {
 		if a.started {

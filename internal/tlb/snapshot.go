@@ -17,7 +17,6 @@ func (t *TLB) Snapshot(e *checkpoint.Encoder) {
 	e.U64(t.stats.Hits)
 	e.U64(t.stats.Misses)
 	e.U64(t.stats.Invalidations)
-	e.U64(t.stats.Flushes)
 	e.U64(t.stats.DelayedAcks)
 }
 
@@ -37,7 +36,6 @@ func (t *TLB) Restore(d *checkpoint.Decoder) error {
 	t.stats.Hits = d.U64()
 	t.stats.Misses = d.U64()
 	t.stats.Invalidations = d.U64()
-	t.stats.Flushes = d.U64()
 	t.stats.DelayedAcks = d.U64()
 	return d.Err()
 }

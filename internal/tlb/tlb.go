@@ -22,7 +22,6 @@ type Stats struct {
 	Hits          uint64
 	Misses        uint64
 	Invalidations uint64 // entries actually evicted by Invalidate
-	Flushes       uint64
 	// DelayedAcks counts shootdown IPIs whose acknowledgment was
 	// delayed by an injected fault (internal/fault's IPIDelay kind);
 	// always 0 on a well-behaved substrate.
@@ -36,7 +35,6 @@ func (s Stats) Merge(o Stats) Stats {
 		Hits:          s.Hits + o.Hits,
 		Misses:        s.Misses + o.Misses,
 		Invalidations: s.Invalidations + o.Invalidations,
-		Flushes:       s.Flushes + o.Flushes,
 		DelayedAcks:   s.DelayedAcks + o.DelayedAcks,
 	}
 }
@@ -88,12 +86,6 @@ func (t *TLB) Access(vp pagetable.VPage) bool {
 	return false
 }
 
-// Contains reports whether vp is currently cached, without perturbing
-// stats or contents.
-func (t *TLB) Contains(vp pagetable.VPage) bool {
-	return t.tags[t.slot(vp)] == uint64(vp)+1
-}
-
 // Invalidate removes vp's translation if present, reporting whether an
 // entry was evicted. This is the per-page invalidation a shootdown IPI
 // performs on its target CPU.
@@ -107,17 +99,6 @@ func (t *TLB) Invalidate(vp pagetable.VPage) bool {
 	return false
 }
 
-// Flush empties the TLB (a full CR3 reload without PCID).
-func (t *TLB) Flush() {
-	for i := range t.tags {
-		t.tags[i] = 0
-	}
-	t.stats.Flushes++
-}
-
-// Entries returns the TLB capacity.
-func (t *TLB) Entries() int { return len(t.tags) }
-
 // Stats returns the cumulative counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
@@ -125,6 +106,3 @@ func (t *TLB) Stats() Stats { return t.stats }
 // delayed by an injected fault (the cycle cost is charged by the
 // migration engine; this only keeps the counter visible per thread).
 func (t *TLB) NoteDelayedAck() { t.stats.DelayedAcks++ }
-
-// ResetStats zeroes the counters, keeping contents.
-func (t *TLB) ResetStats() { t.stats = Stats{} }

@@ -25,14 +25,8 @@ func TestInvalidate(t *testing.T) {
 	tb := New(64)
 	vp := pagetable.VPage(7)
 	tb.Access(vp)
-	if !tb.Contains(vp) {
-		t.Fatal("entry missing after insert")
-	}
 	if !tb.Invalidate(vp) {
 		t.Fatal("invalidate of cached entry returned false")
-	}
-	if tb.Contains(vp) {
-		t.Fatal("entry survived invalidation")
 	}
 	if tb.Invalidate(vp) {
 		t.Fatal("double invalidate returned true")
@@ -42,28 +36,12 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	tb := New(64)
-	for vp := pagetable.VPage(0); vp < 32; vp++ {
-		tb.Access(vp)
-	}
-	tb.Flush()
-	for vp := pagetable.VPage(0); vp < 32; vp++ {
-		if tb.Contains(vp) {
-			t.Fatalf("vp %d survived flush", vp)
-		}
-	}
-	if tb.Stats().Flushes != 1 {
-		t.Fatal("flush not counted")
-	}
-}
-
 func TestCapacityRounding(t *testing.T) {
-	if got := New(100).Entries(); got != 128 {
-		t.Fatalf("Entries = %d, want 128", got)
+	if got := len(New(100).tags); got != 128 {
+		t.Fatalf("entries = %d, want 128", got)
 	}
-	if got := New(64).Entries(); got != 64 {
-		t.Fatalf("Entries = %d, want 64", got)
+	if got := len(New(64).tags); got != 64 {
+		t.Fatalf("entries = %d, want 64", got)
 	}
 }
 
@@ -73,14 +51,16 @@ func TestConflictEviction(t *testing.T) {
 	for vp := pagetable.VPage(0); vp < 1024; vp++ {
 		tb.Access(vp)
 	}
-	resident := 0
+	// A second pass hits only pages still resident, at most one per
+	// slot: a miss refills its slot, so no slot hits twice.
+	hits := 0
 	for vp := pagetable.VPage(0); vp < 1024; vp++ {
-		if tb.Contains(vp) {
-			resident++
+		if tb.Access(vp) {
+			hits++
 		}
 	}
-	if resident > 16 {
-		t.Fatalf("%d residents in a 16-entry TLB", resident)
+	if hits > 16 {
+		t.Fatalf("%d residents in a 16-entry TLB", hits)
 	}
 }
 
@@ -103,18 +83,6 @@ func TestHitRateZeroOnFresh(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	tb := New(8)
-	tb.Access(1)
-	tb.ResetStats()
-	if s := tb.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("stats after reset = %+v", s)
-	}
-	if !tb.Contains(1) {
-		t.Fatal("ResetStats dropped contents")
-	}
-}
-
 func TestNonPositiveEntriesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -134,9 +102,5 @@ func TestDelayedAcks(t *testing.T) {
 	merged := tb.Stats().Merge(Stats{DelayedAcks: 3})
 	if merged.DelayedAcks != 5 {
 		t.Fatalf("merged DelayedAcks = %d", merged.DelayedAcks)
-	}
-	tb.ResetStats()
-	if tb.Stats().DelayedAcks != 0 {
-		t.Fatal("reset kept DelayedAcks")
 	}
 }

@@ -11,21 +11,17 @@ import (
 // run configuration).
 func (r *Replayer) Snapshot(e *checkpoint.Encoder) {
 	e.Int(r.cursor)
-	e.Int(r.loops)
 }
 
 // Restore implements checkpoint.Snapshotter.
 func (r *Replayer) Restore(d *checkpoint.Decoder) error {
-	cursor, loops := d.Int(), d.Int()
+	cursor := d.Int()
 	if d.Err() != nil {
 		return d.Err()
 	}
 	if cursor < 0 || cursor >= len(r.t.refs) {
 		return fmt.Errorf("trace: replay cursor %d outside [0,%d)", cursor, len(r.t.refs))
 	}
-	if loops < 0 {
-		return fmt.Errorf("trace: negative loop count %d", loops)
-	}
-	r.cursor, r.loops = cursor, loops
+	r.cursor = cursor
 	return nil
 }

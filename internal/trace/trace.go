@@ -213,7 +213,6 @@ func Read(r io.Reader) (*Trace, error) {
 type Replayer struct {
 	t      *Trace
 	cursor int
-	loops  int
 }
 
 // NewReplayer builds a generator over a non-empty trace.
@@ -230,16 +229,12 @@ func (r *Replayer) Name() string { return "trace-replay" }
 // Pages implements workload.Generator.
 func (r *Replayer) Pages() int { return r.t.pages }
 
-// Loops returns how many times the trace has wrapped.
-func (r *Replayer) Loops() int { return r.loops }
-
 // Next implements workload.Generator.
 func (r *Replayer) Next() workload.Ref {
 	ref := r.t.refs[r.cursor]
 	r.cursor++
 	if r.cursor == len(r.t.refs) {
 		r.cursor = 0
-		r.loops++
 	}
 	return ref
 }

@@ -192,9 +192,6 @@ func TestReplayerLoops(t *testing.T) {
 			t.Fatalf("replay order %v, want %v", got, want)
 		}
 	}
-	if r.Loops() != 2 {
-		t.Fatalf("loops = %d, want 2", r.Loops())
-	}
 }
 
 func TestReplayerAsAppGenerator(t *testing.T) {
