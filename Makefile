@@ -48,11 +48,12 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs six native fuzz targets for ten seconds each: the
+# fuzz-smoke runs seven native fuzz targets for ten seconds each: the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
-# (FuzzReplicatedRestore), the trace reader (FuzzTraceRead) and the
-# tier checkpoint decoder (FuzzTiersRestore). Their
+# (FuzzReplicatedRestore), the trace reader (FuzzTraceRead), the tier
+# checkpoint decoder (FuzzTiersRestore) and the profiler checkpoint
+# decoder (FuzzProfilerRestore). Their
 # seed corpora also run in every `go test`; a failing input lands in
 # the package's testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -62,6 +63,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pagetable -run '^$$' -fuzz FuzzReplicatedRestore -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzTiersRestore -fuzztime 10s
+	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzProfilerRestore -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

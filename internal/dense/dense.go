@@ -4,19 +4,20 @@
 // Go maps keyed by page number dominate allocation profiles under
 // insert/delete churn: deleted slots are never reclaimed, growth
 // reallocates bucket groups, and every access pays a hash. The stores
-// here mirror the two-level chunk directory used by the profiler heat
-// tables — keys index directly into 4096-entry chunks hanging off a
+// here use the same two-level chunk directory as the profiler heat
+// tables — keys index directly into 512-entry chunks hanging off a
 // 512-way directory — so lookups are three dereferences, iteration is
 // ascending by construction (no sort needed for deterministic replay),
 // and steady-state operation allocates nothing once a region's chunk
-// exists.
+// exists. A chunk is 4 KiB: the small per-tenant key sets these maps
+// hold (a few hundred pages) touch one or two of them.
 //
 // Value 0 is the "absent" sentinel; callers whose natural value range
 // includes 0 bias by one (index+1, packed-frame+1).
 package dense
 
 const (
-	chunkShift = 12
+	chunkShift = 9
 	chunkSize  = 1 << chunkShift // keys per chunk
 	chunkMask  = chunkSize - 1
 	dirShift   = 9
@@ -24,7 +25,7 @@ const (
 	dirMask    = dirSize - 1
 )
 
-// chunk holds one 4096-key region's values plus its live count, so
+// chunk holds one 512-key region's values plus its live count, so
 // sweeps skip fully-empty regions without touching the value array.
 type chunk struct {
 	v    [chunkSize]uint64
@@ -65,19 +66,19 @@ func (m *Map) Set(k, v uint64) {
 	}
 	hi := k >> (chunkShift + dirShift)
 	if hi >= uint64(len(m.l1)) {
-		grown := make([]*[dirSize]*chunk, hi+1) //vulcan:allowalloc directory growth, once per 2M-key region
+		grown := make([]*[dirSize]*chunk, hi+1) //vulcan:allowalloc directory growth, once per 256Ki-key region
 		copy(grown, m.l1)
 		m.l1 = grown
 	}
 	blk := m.l1[hi]
 	if blk == nil {
-		blk = new([dirSize]*chunk) //vulcan:allowalloc directory block, once per 2M-key region
+		blk = new([dirSize]*chunk) //vulcan:allowalloc directory block, once per 256Ki-key region
 		m.l1[hi] = blk
 	}
 	ci := k >> chunkShift & dirMask
 	c := blk[ci]
 	if c == nil {
-		c = new(chunk) //vulcan:allowalloc chunk allocation, once per 4096-key region
+		c = new(chunk) //vulcan:allowalloc chunk allocation, once per 512-key region
 		blk[ci] = c
 	}
 	i := k & chunkMask

@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -125,5 +126,78 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady state allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestChunkAndDirectoryBoundaries pins Set, Delete, ForEach order and
+// Clear at the edges of 512-key chunks and 2^18-key directory blocks,
+// where a key's chunk or block index rolls over.
+func TestChunkAndDirectoryBoundaries(t *testing.T) {
+	const block = chunkSize * dirSize
+	if chunkSize != 512 || block != 1<<18 {
+		t.Fatalf("chunk %d keys, block %d keys; this test's edges assume 512 and 2^18", chunkSize, block)
+	}
+	keys := []uint64{
+		0, chunkSize - 1, chunkSize, 2*chunkSize - 1, 2 * chunkSize,
+		block - chunkSize - 1, block - chunkSize, block - 1, block, block + 1,
+		2*block - 1, 2 * block, 5*block + chunkSize - 1, 5*block + chunkSize,
+	}
+	var m Map
+	// Insert in descending order so ascending iteration cannot come
+	// from insertion order.
+	for i := len(keys) - 1; i >= 0; i-- {
+		m.Set(keys[i], keys[i]+1)
+	}
+	collect := func() []uint64 {
+		var got []uint64
+		m.ForEach(func(k, v uint64) {
+			if v != k+1 {
+				t.Fatalf("key %d holds %d, want %d", k, v, k+1)
+			}
+			got = append(got, k)
+		})
+		return got
+	}
+	if got := collect(); !reflect.DeepEqual(got, keys) {
+		t.Fatalf("ForEach order %v, want %v", got, keys)
+	}
+	// Delete each chunk's edge key; its neighbour across the boundary
+	// must survive.
+	kept := []uint64{}
+	for i, k := range keys {
+		if i%2 == 0 {
+			if got := m.Delete(k); got != k+1 {
+				t.Fatalf("Delete(%d) = %d, want %d", k, got, k+1)
+			}
+			if got := m.Get(k); got != 0 {
+				t.Fatalf("Get(%d) after Delete = %d", k, got)
+			}
+			continue
+		}
+		kept = append(kept, k)
+	}
+	if got := collect(); !reflect.DeepEqual(got, kept) {
+		t.Fatalf("ForEach after deletes %v, want %v", got, kept)
+	}
+	if m.Len() != len(kept) {
+		t.Fatalf("Len = %d, want %d", m.Len(), len(kept))
+	}
+	m.Clear()
+	if got := collect(); len(got) != 0 || m.Len() != 0 {
+		t.Fatalf("after Clear: ForEach %v, Len %d", got, m.Len())
+	}
+	for _, k := range keys {
+		if got := m.Get(k); got != 0 {
+			t.Fatalf("Get(%d) after Clear = %d", k, got)
+		}
+	}
+	// Clear keeps every chunk: refilling the same keys allocates nothing.
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, k := range keys {
+			m.Set(k, k+1)
+		}
+		m.Clear()
+	}); allocs != 0 {
+		t.Fatalf("refilling cleared chunks allocated %.0f times", allocs)
 	}
 }

@@ -12,15 +12,6 @@ type threadSet struct {
 
 func (s *threadSet) add(tid int)      { s.bits[tid>>6] |= 1 << (tid & 63) }
 func (s *threadSet) has(tid int) bool { return s.bits[tid>>6]&(1<<(tid&63)) != 0 }
-func (s *threadSet) count() int {
-	n := 0
-	for _, w := range s.bits {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
 
 // appendMembers appends the set's thread ids to dst in ascending order
 // and returns it, so hot callers can reuse one buffer across pages.

@@ -236,9 +236,6 @@ func TestThreadSet(t *testing.T) {
 	for _, tid := range []int{0, 63, 64, 126} {
 		s.add(tid)
 	}
-	if s.count() != 4 {
-		t.Fatalf("count = %d, want 4", s.count())
-	}
 	if !reflect.DeepEqual(s.appendMembers(nil), []int{0, 63, 64, 126}) {
 		t.Fatalf("members = %v", s.appendMembers(nil))
 	}
@@ -246,8 +243,8 @@ func TestThreadSet(t *testing.T) {
 		t.Fatal("membership wrong")
 	}
 	s.add(63) // idempotent
-	if s.count() != 4 {
-		t.Fatal("duplicate add changed count")
+	if n := len(s.appendMembers(nil)); n != 4 {
+		t.Fatalf("duplicate add changed the member count to %d", n)
 	}
 }
 

@@ -59,10 +59,13 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 		r.tablesPerThread[i] = 1
 	}
 
+	// Decode and check every leaf record before building anything, so
+	// the upper-level tables the links need can be counted against what
+	// the section can back (see tableBudget).
 	nLeaves := d.Length(24)
-	prevLeaf := uint64(0)
+	leaves := make([]leafRecord, nLeaves)
 	tidBuf := make([]int, 0, MaxThreads) // reused across leaves
-	for i := 0; i < nLeaves; i++ {
+	for i := range leaves {
 		li := d.U64()
 		var set threadSet
 		set.bits[0] = d.U64()
@@ -70,30 +73,39 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		if i > 0 && li <= prevLeaf {
-			return fmt.Errorf("pagetable: leaf indices out of order (%d after %d)", li, prevLeaf)
+		if i > 0 && li <= leaves[i-1].li {
+			return fmt.Errorf("pagetable: leaf indices out of order (%d after %d)", li, leaves[i-1].li)
 		}
-		prevLeaf = li
 		// Range-check the index before shifting it: a shift would drop
 		// its high bits and alias another leaf.
 		if li > LeafIndex(MaxVPage) {
 			return fmt.Errorf("pagetable: leaf index %d out of range", li)
 		}
-		base := VPage(li) << 9
-		if set.count() == 0 {
+		members := set.appendMembers(tidBuf[:0])
+		if len(members) == 0 {
 			return fmt.Errorf("pagetable: leaf %d with no linking threads", li)
 		}
+		if tid := members[len(members)-1]; tid >= r.nthreads {
+			return fmt.Errorf("pagetable: leaf %d linked by thread %d of %d", li, tid, r.nthreads)
+		}
+		leaves[i] = leafRecord{li: li, set: set}
+	}
+	nPTE := d.Length(16)
+	if d.Err() != nil {
+		return d.Err()
+	}
+	if need, budget := r.privateTables(leaves), tableBudget(r.nthreads, nLeaves, nPTE); need > budget {
+		return fmt.Errorf("pagetable: leaf links need %d private tables, more than the %d that %d leaves and %d PTEs can back",
+			need, budget, nLeaves, nPTE)
+	}
+	for _, l := range leaves {
+		base := VPage(l.li) << 9
 		leaf, _ := r.proc.walk(base, true)
-		for _, tid := range set.appendMembers(tidBuf[:0]) {
-			if tid >= r.nthreads {
-				return fmt.Errorf("pagetable: leaf %d linked by thread %d of %d",
-					li, tid, r.nthreads)
-			}
+		for _, tid := range l.set.appendMembers(tidBuf[:0]) {
 			r.linkLeaf(tid, base, leaf)
 		}
 	}
 
-	nPTE := d.Length(16)
 	prevVP := VPage(0)
 	for i := 0; i < nPTE; i++ {
 		vp := VPage(d.U64())
@@ -117,4 +129,46 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 		}
 	}
 	return d.Err()
+}
+
+// leafRecord is one decoded (leaf, linking threads) snapshot entry.
+type leafRecord struct {
+	li  uint64
+	set threadSet
+}
+
+// privateTables counts the upper-level tables (beyond the roots) that
+// linking leaves, given in ascending order, builds in the threads'
+// private trees: per thread, one L3 table per distinct 512 GiB region
+// and one L2 table per distinct 1 GiB region among the leaves it links.
+func (r *Replicated) privateTables(leaves []leafRecord) int {
+	lastL2 := make([]uint64, r.nthreads) // L2 region+1 last linked, 0 for none
+	lastL3 := make([]uint64, r.nthreads)
+	tables := 0
+	tidBuf := make([]int, 0, MaxThreads)
+	for _, l := range leaves {
+		l2, l3 := l.li>>9+1, l.li>>18+1
+		for _, tid := range l.set.appendMembers(tidBuf[:0]) {
+			if lastL3[tid] != l3 {
+				lastL3[tid] = l3
+				tables++
+			}
+			if lastL2[tid] != l2 {
+				lastL2[tid] = l2
+				tables++
+			}
+		}
+	}
+	return tables
+}
+
+// tableBudget bounds the private upper-level tables a restore may build,
+// so a crafted section cannot make every one of up to MaxThreads threads
+// allocate two 4 KiB tables per 24-byte leaf record. Each thread may use
+// one L3 and one L2 table (every thread of a tenant under 1 GiB needs no
+// more), plus two tables per leaf or PTE record: a table that only
+// sparse links justify must be paid for in section bytes. Restore's
+// memory then grows with the section, not with threads × leaves.
+func tableBudget(nthreads, nLeaves, nPTE int) int {
+	return 2*nthreads + 2*(nLeaves+nPTE)
 }

@@ -3,6 +3,7 @@ package pagetable
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vulcan/internal/checkpoint"
@@ -105,14 +106,69 @@ func TestReplicatedRestoreRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
+// craftedLinks encodes a section whose leaves each sit in their own
+// 1 GiB region and are linked by every one of nthreads threads: each
+// 24-byte leaf record asks for a private L2 table per thread.
+func craftedLinks(nthreads, leaves int) []byte {
+	var set threadSet
+	for tid := 0; tid < nthreads; tid++ {
+		set.add(tid)
+	}
+	e := &checkpoint.Encoder{}
+	e.Int(nthreads)
+	e.Int(leaves)
+	for i := 0; i < leaves; i++ {
+		e.U64(uint64(i) << 9)
+		e.U64(set.bits[0])
+		e.U64(set.bits[1])
+	}
+	e.Int(0)
+	return e.Bytes()
+}
+
+// TestReplicatedRestoreBoundsPrivateTables pins the restore's table
+// budget: a 48 KB section claiming 2000 far-apart leaves linked by 127
+// threads (about 250,000 private tables, 1 GB) is rejected before any
+// table is built, while a table whose every thread links one shared
+// page — the most private tables per record a real run produces —
+// restores.
+func TestReplicatedRestoreBoundsPrivateTables(t *testing.T) {
+	blob := craftedLinks(127, 2000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := NewReplicated(127).Restore(checkpoint.NewDecoder(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("crafted link section accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("rejecting a %d-byte section allocated %d bytes", len(blob), grew)
+	}
+
+	src := NewReplicated(MaxThreads)
+	if err := src.Map(0, 7, NewPTE(mem.Frame{Tier: mem.TierFast, Index: 1}, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for tid := 1; tid < MaxThreads; tid++ {
+		src.Touch(tid, 7, false)
+	}
+	e := &checkpoint.Encoder{}
+	src.Snapshot(e)
+	dst := NewReplicated(MaxThreads)
+	if err := dst.Restore(checkpoint.NewDecoder(e.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if dst.TotalTables() != src.TotalTables() {
+		t.Fatalf("restored %d tables, want %d", dst.TotalTables(), src.TotalTables())
+	}
+}
+
 // FuzzReplicatedRestore feeds Replicated.Restore arbitrary bytes for a
 // table of 1..MaxThreads threads. Restore must never panic, and a blob
 // it accepts — Restore and Close both succeed — must re-encode
 // byte-identically through Snapshot: the decoder admits exactly the
-// states the encoder writes. Every 24-byte leaf record can make each
-// linking thread allocate two 4 KiB upper-level tables, so blobs
-// claiming more than 16 leaves are skipped to keep one execution's
-// memory in the megabytes.
+// states the encoder writes. The restore's table budget keeps one
+// execution's memory proportional to the blob.
 func FuzzReplicatedRestore(f *testing.F) {
 	for _, n := range []int{4, 6} {
 		e := &checkpoint.Encoder{}
@@ -135,12 +191,8 @@ func FuzzReplicatedRestore(f *testing.F) {
 	}
 	e.Int(0)
 	f.Add(uint8(0), e.Bytes())
+	f.Add(uint8(126), craftedLinks(127, 2000))
 	f.Fuzz(func(t *testing.T, threads uint8, blob []byte) {
-		head := checkpoint.NewDecoder(blob)
-		head.Int() // thread count
-		if head.Int() > 16 {
-			return
-		}
 		r := NewReplicated(int(threads)%MaxThreads + 1)
 		d := checkpoint.NewDecoder(blob)
 		if r.Restore(d) != nil || d.Close() != nil {

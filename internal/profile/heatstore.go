@@ -22,7 +22,13 @@ import (
 //     block), so the full 2^36-page virtual space is addressable without
 //     reserving memory for unused regions;
 //   - steady-state operation allocates nothing: chunks are allocated
-//     once when a page region is first touched and then reused forever.
+//     once when a page region is first touched and then reused forever;
+//   - each heat chunk keeps the span [lo, hi) that holds its live cells,
+//     so sweeps cost what a tenant tracks (a few hundred pages), not the
+//     chunk's 4096 cells;
+//   - a chunk allocates only its first 512 cells (chunkHeadPages) until
+//     a page beyond them is recorded: a tenant's pages are numbered from
+//     0, so a tenant under 512 pages never pays for the other 3584.
 //
 // Liveness is encoded in the heat field itself: every record weight is
 // positive and decay eviction zeroes all fields, so heat != 0 is exactly
@@ -31,9 +37,12 @@ const (
 	chunkShift = 12
 	chunkPages = 1 << chunkShift // pages per chunk
 	chunkMask  = chunkPages - 1
-	dirShift   = 9
-	dirSize    = 1 << dirShift // chunks per directory block
-	dirMask    = dirSize - 1
+	// chunkHeadPages is the cell count a chunk starts with when its first
+	// recorded page falls among them.
+	chunkHeadPages = 512
+	dirShift       = 9
+	dirSize        = 1 << dirShift // chunks per directory block
+	dirMask        = dirSize - 1
 )
 
 // chunkBase returns the first VPage covered by chunk (hi, ci).
@@ -43,12 +52,19 @@ func chunkBase(hi, ci int) pagetable.VPage {
 
 // heatChunk holds one 4096-page region's profiled state as parallel
 // arrays (struct-of-arrays): the decay sweep streams through heat[]
-// first and only touches reads[]/writes[] for live entries.
+// first and only touches reads[]/writes[] for live entries. The arrays
+// hold chunkHeadPages or chunkPages cells (see grow); a page past them
+// is untracked.
 type heatChunk struct {
-	heat   [chunkPages]float64
-	reads  [chunkPages]float64
-	writes [chunkPages]float64
+	heat   []float64
+	reads  []float64
+	writes []float64
 	live   int
+	// lo and hi bound the live cells: every i with heat[i] != 0 lies in
+	// [lo, hi), and cells outside it are zero in all three arrays, so
+	// sweeps walk only the span. record and setRaw widen it, endEpoch
+	// narrows it to the survivors; it is empty (lo == hi) when live is 0.
+	lo, hi int
 	// maxHeat upper-bounds every live cell's heat (exact after an epoch
 	// sweep, conservative between sweeps). When one more decay would
 	// push even the maximum below the eviction floor, the whole chunk is
@@ -100,8 +116,8 @@ func (h *heatStore) chunkAt(vp pagetable.VPage) *heatChunk {
 	return blk[uint64(vp)>>chunkShift&dirMask]
 }
 
-// ensureChunk returns the chunk covering vp, allocating the directory
-// path on first touch of the region.
+// ensureChunk returns the chunk covering vp with vp's cell allocated,
+// allocating the directory path on first touch of the region.
 func (h *heatStore) ensureChunk(vp pagetable.VPage) *heatChunk {
 	hi := uint64(vp) >> (chunkShift + dirShift)
 	if hi >= uint64(len(h.l1)) {
@@ -120,7 +136,64 @@ func (h *heatStore) ensureChunk(vp pagetable.VPage) *heatChunk {
 		c = new(heatChunk) //vulcan:allowalloc chunk allocation, once per 4096-page region
 		blk[ci] = c
 	}
+	if i := int(vp) & chunkMask; i >= len(c.heat) {
+		c.grow(i)
+	}
 	return c
+}
+
+// grow allocates the chunk's cells up to cell i: the first
+// chunkHeadPages when i is among them, else all chunkPages. Live cells
+// keep their values. A chunk grows at most twice.
+func (c *heatChunk) grow(i int) {
+	n := chunkPages
+	if i < chunkHeadPages {
+		n = chunkHeadPages
+	}
+	cells := make([]float64, 3*n) //vulcan:allowalloc chunk cells, at most twice per 4096-page region
+	heat, reads, writes := cells[:n:n], cells[n:2*n:2*n], cells[2*n:]
+	copy(heat, c.heat)
+	copy(reads, c.reads)
+	copy(writes, c.writes)
+	c.heat, c.reads, c.writes = heat, reads, writes
+}
+
+// span returns the three arrays over the live span, all of one length.
+//
+//vulcan:hotpath
+func (c *heatChunk) span() (heat, reads, writes []float64) {
+	lo, hi := c.lo, c.hi
+	return c.heat[lo:hi], c.reads[lo:hi:hi], c.writes[lo:hi:hi]
+}
+
+// widen extends the live span to cover cell i, which is about to turn
+// live.
+//
+//vulcan:hotpath
+func (c *heatChunk) widen(i int) {
+	switch {
+	case c.live == 0:
+		c.lo, c.hi = i, i+1
+	case i < c.lo:
+		c.lo = i
+	case i >= c.hi:
+		c.hi = i + 1
+	}
+}
+
+// narrow shrinks the live span past the dead cells at either end,
+// after a sweep evicted some.
+func (c *heatChunk) narrow() {
+	if c.live == 0 {
+		c.lo, c.hi = 0, 0
+		return
+	}
+	for c.heat[c.lo] == 0 {
+		c.lo++
+	}
+	for c.heat[c.hi-1] == 0 {
+		c.hi--
+	}
 }
 
 // record credits one observation. Weights are always positive, so a
@@ -132,6 +205,7 @@ func (h *heatStore) record(vp pagetable.VPage, write bool, weight float64) {
 	c := h.ensureChunk(vp)
 	i := int(vp) & chunkMask
 	if c.heat[i] == 0 {
+		c.widen(i)
 		c.live++
 		h.trackedPages++
 	}
@@ -174,48 +248,51 @@ func (h *heatStore) endEpoch() {
 			if c.maxHeat*h.decay < evictBelow {
 				// Every live cell is at or below maxHeat, so one more decay
 				// evicts them all: wipe the chunk wholesale.
+				heat, reads, writes := c.span()
 				h.trackedPages -= c.live
 				c.live = 0
 				c.maxHeat = 0
-				clear(c.heat[:])
-				clear(c.reads[:])
-				clear(c.writes[:])
+				clear(heat)
+				clear(reads)
+				clear(writes)
+				c.lo, c.hi = 0, 0
 				continue
 			}
-			base := chunkBase(hi, ci)
+			base := chunkBase(hi, ci) | pagetable.VPage(c.lo)
+			heat, reads, writes := c.span()
 			newMax := 0.0
-			for i := range c.heat {
-				v := c.heat[i]
+			for j, v := range heat {
 				if v == 0 {
 					continue
 				}
 				v *= h.decay
 				if v < evictBelow {
-					c.heat[i] = 0
-					c.reads[i] = 0
-					c.writes[i] = 0
+					heat[j] = 0
+					reads[j] = 0
+					writes[j] = 0
 					c.live--
 					h.trackedPages--
 				} else {
-					c.heat[i] = v
+					heat[j] = v
 					if v > newMax {
 						newMax = v
 					}
-					r := c.reads[i] * h.decay
-					w := c.writes[i] * h.decay
-					c.reads[i] = r
-					c.writes[i] = w
+					r := reads[j] * h.decay
+					w := writes[j] * h.decay
+					reads[j] = r
+					writes[j] = w
 					if collect {
 						total := r + w
 						wf := 0.0
 						if total > 0 {
 							wf = w / total
 						}
-						out = append(out, PageHeat{VP: base | pagetable.VPage(i), Heat: v, WriteFrac: wf}) //vulcan:allowalloc appends into grow-once snapScratch, amortized across epochs
+						out = append(out, PageHeat{VP: base + pagetable.VPage(j), Heat: v, WriteFrac: wf}) //vulcan:allowalloc appends into grow-once snapScratch, amortized across epochs
 					}
 				}
 			}
 			c.maxHeat = newMax
+			c.narrow()
 		}
 	}
 	if collect {
@@ -227,19 +304,20 @@ func (h *heatStore) endEpoch() {
 //vulcan:hotpath
 func (h *heatStore) heat(vp pagetable.VPage) float64 {
 	c := h.chunkAt(vp)
-	if c == nil {
+	i := int(vp) & chunkMask
+	if c == nil || i >= len(c.heat) {
 		return 0
 	}
-	return c.heat[int(vp)&chunkMask]
+	return c.heat[i]
 }
 
 //vulcan:hotpath
 func (h *heatStore) writeFraction(vp pagetable.VPage) float64 {
 	c := h.chunkAt(vp)
-	if c == nil {
+	i := int(vp) & chunkMask
+	if c == nil || i >= len(c.heat) {
 		return 0
 	}
-	i := int(vp) & chunkMask
 	total := c.reads[i] + c.writes[i]
 	if total == 0 {
 		return 0
@@ -288,18 +366,18 @@ func (h *heatStore) pages() []PageHeat {
 			if c == nil || c.live == 0 {
 				continue
 			}
-			base := chunkBase(hi, ci)
-			for i := range c.heat {
-				v := c.heat[i]
+			base := chunkBase(hi, ci) | pagetable.VPage(c.lo)
+			heat, reads, writes := c.span()
+			for j, v := range heat {
 				if v == 0 {
 					continue
 				}
-				total := c.reads[i] + c.writes[i]
+				total := reads[j] + writes[j]
 				wf := 0.0
 				if total > 0 {
-					wf = c.writes[i] / total
+					wf = writes[j] / total
 				}
-				out = append(out, PageHeat{VP: base | pagetable.VPage(i), Heat: v, WriteFrac: wf})
+				out = append(out, PageHeat{VP: base + pagetable.VPage(j), Heat: v, WriteFrac: wf})
 			}
 		}
 	}
@@ -326,6 +404,7 @@ func (h *heatStore) setRaw(vp pagetable.VPage, heat, reads, writes float64) bool
 	if c.heat[i] != 0 {
 		return false // duplicate entry
 	}
+	c.widen(i)
 	c.heat[i] = heat
 	c.reads[i] = reads
 	c.writes[i] = writes

@@ -1,0 +1,248 @@
+package profile
+
+import (
+	"bytes"
+	"reflect"
+	"sort"
+	"testing"
+
+	"vulcan/internal/checkpoint"
+	"vulcan/internal/pagetable"
+	"vulcan/internal/sim"
+)
+
+// refStat is one page's entry in the heat store's reference model.
+type refStat struct{ heat, reads, writes float64 }
+
+// refHeat is a map-backed model of heatStore: the same arithmetic, no
+// chunks, spans or caches.
+type refHeat map[pagetable.VPage]*refStat
+
+func (m refHeat) record(vp pagetable.VPage, write bool, weight float64) {
+	s := m[vp]
+	if s == nil {
+		s = &refStat{}
+		m[vp] = s
+	}
+	s.heat += weight
+	if write {
+		s.writes += weight
+	} else {
+		s.reads += weight
+	}
+}
+
+func (m refHeat) endEpoch(decay float64) {
+	for vp, s := range m {
+		v := s.heat * decay
+		if v < evictBelow {
+			delete(m, vp)
+			continue
+		}
+		s.heat = v
+		s.reads *= decay
+		s.writes *= decay
+	}
+}
+
+func (m refHeat) sortedPages() []pagetable.VPage {
+	vps := make([]pagetable.VPage, 0, len(m))
+	for vp := range m {
+		vps = append(vps, vp)
+	}
+	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
+	return vps
+}
+
+// pages mirrors heatStore.pages: ascending page order.
+func (m refHeat) pages() []PageHeat {
+	out := []PageHeat{}
+	for _, vp := range m.sortedPages() {
+		s := m[vp]
+		wf := 0.0
+		if total := s.reads + s.writes; total > 0 {
+			wf = s.writes / total
+		}
+		out = append(out, PageHeat{VP: vp, Heat: s.heat, WriteFrac: wf})
+	}
+	return out
+}
+
+// snapshot mirrors heatStore.snapshot: hottest first, ties by page.
+func (m refHeat) snapshot() []PageHeat {
+	out := m.pages()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Heat > out[j].Heat })
+	return out
+}
+
+// encode writes the run-length layout heatStore.Snapshot documents.
+func (m refHeat) encode() []byte {
+	vps := m.sortedPages()
+	var runs [][]pagetable.VPage
+	for i, vp := range vps {
+		if i == 0 || vp != vps[i-1]+1 {
+			runs = append(runs, nil)
+		}
+		runs[len(runs)-1] = append(runs[len(runs)-1], vp)
+	}
+	e := &checkpoint.Encoder{}
+	e.Int(len(vps))
+	e.Int(len(runs))
+	for _, run := range runs {
+		e.U64(uint64(run[0]))
+		e.Int(len(run))
+		for _, vp := range run {
+			s := m[vp]
+			e.F64(s.heat)
+			e.F64(s.reads)
+			e.F64(s.writes)
+		}
+	}
+	return e.Bytes()
+}
+
+// samePages compares two collections, treating nil and empty alike.
+func samePages(a, b []PageHeat) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// checkSpans asserts the live-span invariant on every chunk: the cells
+// are unallocated, the head or the whole chunk; lo <= hi; every nonzero
+// cell lies in [lo, hi); and live counts the nonzero heat cells.
+func checkSpans(t *testing.T, h *heatStore) {
+	t.Helper()
+	for hi, blk := range h.l1 {
+		if blk == nil {
+			continue
+		}
+		for ci, c := range blk {
+			if c == nil {
+				continue
+			}
+			if n := len(c.heat); n != 0 && n != chunkHeadPages && n != chunkPages ||
+				len(c.reads) != n || len(c.writes) != n {
+				t.Fatalf("chunk at page %d holds %d/%d/%d cells", chunkBase(hi, ci), n, len(c.reads), len(c.writes))
+			}
+			if c.lo < 0 || c.lo > c.hi || c.hi > len(c.heat) {
+				t.Fatalf("chunk at page %d: span [%d, %d) malformed", chunkBase(hi, ci), c.lo, c.hi)
+			}
+			live := 0
+			for i := range c.heat {
+				if c.heat[i] != 0 {
+					live++
+				}
+				inSpan := i >= c.lo && i < c.hi
+				if !inSpan && (c.heat[i] != 0 || c.reads[i] != 0 || c.writes[i] != 0) {
+					t.Fatalf("page %d holds state outside its chunk's span [%d, %d)",
+						chunkBase(hi, ci)|pagetable.VPage(i), c.lo, c.hi)
+				}
+			}
+			if live != c.live {
+				t.Fatalf("chunk at page %d: live = %d, %d nonzero cells", chunkBase(hi, ci), c.live, live)
+			}
+		}
+	}
+}
+
+// TestHeatStoreMatchesReference drives a heat store and its map model
+// through seeded random sequences of record, epoch decay (with chunks
+// going cold enough to be wiped wholesale), setRaw, Snapshot/Restore
+// and reset, over pages in several chunks and directory blocks. After
+// every step the store's collections, tracked count and checkpoint
+// bytes must equal the model's, and every chunk's live span must hold
+// all of its live cells.
+func TestHeatStoreMatchesReference(t *testing.T) {
+	// Windows around chunk-head, chunk and directory-block boundaries,
+	// plus a far block that forces directory growth.
+	const block = chunkPages * dirSize
+	windows := []pagetable.VPage{0, chunkHeadPages - 40, chunkPages - 40, 5*chunkPages + 100, block - 40, 3*block + 7}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		h := newHeatStore(DefaultDecay)
+		ref := refHeat{}
+		page := func() pagetable.VPage {
+			return windows[rng.Intn(len(windows))] + pagetable.VPage(rng.Intn(80))
+		}
+		for step := 0; step < 400; step++ {
+			op := rng.Intn(100)
+			switch {
+			case op < 55:
+				// A burst of records; small weights die within a few
+				// epochs, large ones keep their chunk alive.
+				weight := 0.01 + rng.Float64()
+				if rng.Intn(4) == 0 {
+					weight *= 1000
+				}
+				for n := rng.Intn(20); n >= 0; n-- {
+					vp, write := page(), rng.Intn(3) == 0
+					h.record(vp, write, weight)
+					ref.record(vp, write, weight)
+				}
+			case op < 85:
+				h.endEpoch()
+				ref.endEpoch(DefaultDecay)
+			case op < 92:
+				vp := page()
+				heat, reads, writes := 0.5+rng.Float64(), rng.Float64(), rng.Float64()
+				_, taken := ref[vp]
+				if ok := h.setRaw(vp, heat, reads, writes); ok == taken {
+					t.Fatalf("seed %d step %d: setRaw(%d) = %v with the page tracked = %v", seed, step, vp, ok, taken)
+				}
+				if !taken {
+					ref[vp] = &refStat{heat, reads, writes}
+				}
+			case op < 98:
+				e := &checkpoint.Encoder{}
+				h.Snapshot(e)
+				restored := newHeatStore(DefaultDecay)
+				d := checkpoint.NewDecoder(e.Bytes())
+				if err := restored.Restore(d); err != nil {
+					t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+				}
+				if err := d.Close(); err != nil {
+					t.Fatalf("seed %d step %d: restore left bytes: %v", seed, step, err)
+				}
+				h = restored
+			default:
+				h.reset()
+				ref = refHeat{}
+			}
+			checkSpans(t, h)
+			for n := 0; n < 4; n++ {
+				vp := page()
+				want, wantWF := 0.0, 0.0
+				if s := ref[vp]; s != nil {
+					want = s.heat
+					if total := s.reads + s.writes; total > 0 {
+						wantWF = s.writes / total
+					}
+				}
+				if got, gotWF := h.heat(vp), h.writeFraction(vp); got != want || gotWF != wantWF {
+					t.Fatalf("seed %d step %d: page %d heat %v write fraction %v, model %v and %v",
+						seed, step, vp, got, gotWF, want, wantWF)
+				}
+			}
+			if h.tracked() != len(ref) {
+				t.Fatalf("seed %d step %d: tracked = %d, model has %d", seed, step, h.tracked(), len(ref))
+			}
+			e := &checkpoint.Encoder{}
+			h.Snapshot(e)
+			if !bytes.Equal(e.Bytes(), ref.encode()) {
+				t.Fatalf("seed %d step %d: Snapshot bytes differ from the model's", seed, step)
+			}
+			// Alternate the query order: snapshot() invalidates the
+			// cached collection pages() may serve after an epoch.
+			if step%2 == 0 {
+				if got, want := h.pages(), ref.pages(); !samePages(got, want) {
+					t.Fatalf("seed %d step %d: pages() differs from the model:\n got %v\nwant %v", seed, step, got, want)
+				}
+			}
+			if got, want := h.snapshot(), ref.snapshot(); !samePages(got, want) {
+				t.Fatalf("seed %d step %d: snapshot() differs from the model:\n got %v\nwant %v", seed, step, got, want)
+			}
+			if got, want := h.pages(), ref.pages(); !samePages(got, want) {
+				t.Fatalf("seed %d step %d: pages() after snapshot() differs from the model", seed, step)
+			}
+		}
+	}
+}

@@ -62,15 +62,20 @@ func restoreTagged(tag string, d *checkpoint.Decoder, p Profiler) error {
 			if err := f.restoreSelf(d); err != nil {
 				return err
 			}
-			return restoreProfiler(d, f.inner)
+			p = f.inner
+		} else {
+			// Checkpoint was fault-wrapped, target is not: skip the
+			// wrapper fields and restore the inner profiler directly.
+			discardFaultyState(d)
 		}
-		// Checkpoint was fault-wrapped, target is not: skip the wrapper
-		// fields and restore the inner profiler directly.
-		discardFaultyState(d)
+		tag = d.String()
 		if d.Err() != nil {
 			return d.Err()
 		}
-		return restoreProfiler(d, p)
+		if tag == "faulty" {
+			// SnapshotProfiler never nests the wrapper.
+			return fmt.Errorf("profile: nested fault-wrapper state")
+		}
 	}
 	if f, ok := p.(*Faulty); ok {
 		// Target is fault-wrapped, checkpoint was not: the fresh wrapper
@@ -183,12 +188,12 @@ func (h *heatStore) forEachLive(fn func(vp pagetable.VPage, heat, reads, writes 
 			if c == nil || c.live == 0 {
 				continue
 			}
-			base := chunkBase(hi, ci)
-			for i := range c.heat {
-				if c.heat[i] == 0 {
-					continue
+			base := chunkBase(hi, ci) | pagetable.VPage(c.lo)
+			heat, reads, writes := c.span()
+			for j, v := range heat {
+				if v != 0 {
+					fn(base+pagetable.VPage(j), v, reads[j], writes[j])
 				}
-				fn(base|pagetable.VPage(i), c.heat[i], c.reads[i], c.writes[i])
 			}
 		}
 	}
@@ -215,8 +220,9 @@ func (h *heatStore) Restore(d *checkpoint.Decoder) error {
 		if n == 0 {
 			return fmt.Errorf("profile: empty heat run at page %d", start)
 		}
-		if !firstRun && start <= prevEnd {
-			return fmt.Errorf("profile: heat run at page %d overlaps previous run", start)
+		if !firstRun && start <= prevEnd+1 {
+			// Snapshot merges touching runs, so a gap always separates them.
+			return fmt.Errorf("profile: heat run at page %d overlaps or touches the previous run", start)
 		}
 		if start > pagetable.MaxVPage || pagetable.VPage(uint64(start)+uint64(n)-1) > pagetable.MaxVPage {
 			return fmt.Errorf("profile: heat run at page %d out of range", start)
@@ -295,6 +301,7 @@ func (h *HintFault) Restore(d *checkpoint.Decoder) error {
 		return d.Err()
 	}
 	h.poisoned = pageBitmap{}
+	prev := pagetable.VPage(0)
 	for i := 0; i < n; i++ {
 		vp := pagetable.VPage(d.U64())
 		if d.Err() != nil {
@@ -303,9 +310,12 @@ func (h *HintFault) Restore(d *checkpoint.Decoder) error {
 		if vp > pagetable.MaxVPage {
 			return fmt.Errorf("profile: poisoned page %d out of range", vp)
 		}
-		if !h.poisoned.set(vp) {
-			return fmt.Errorf("profile: duplicate poisoned page %d", vp)
+		if i > 0 && vp <= prev {
+			// Snapshot writes the window in ascending order.
+			return fmt.Errorf("profile: poisoned page %d duplicated or out of order", vp)
 		}
+		h.poisoned.set(vp)
+		prev = vp
 	}
 	h.cursor = pagetable.VPage(d.U64())
 	return d.Err()

@@ -8,6 +8,7 @@ import (
 	"vulcan/internal/checkpoint"
 	"vulcan/internal/mem"
 	"vulcan/internal/pagetable"
+	"vulcan/internal/sim"
 )
 
 // newProfileTable maps 256 pages so table-backed profilers have
@@ -153,4 +154,130 @@ func TestRestoreProfilerRejectsUnknownVersion(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// TestRestoreProfilerRejectsNonCanonical pins three layouts the encoder
+// never writes, each next to the canonical form of the same state: two
+// heat runs that touch (Snapshot merges them), a poison window out of
+// ascending order, and a fault wrapper nested in a fault wrapper. An
+// accepted non-canonical blob would re-encode to different bytes.
+func TestRestoreProfilerRejectsNonCanonical(t *testing.T) {
+	pebs := func(secondRun pagetable.VPage) []byte {
+		e := &checkpoint.Encoder{}
+		e.String("pebs")
+		sim.NewRNG(9).Snapshot(e)
+		e.Int(2) // entries
+		e.Int(2) // runs
+		for _, start := range []pagetable.VPage{0, secondRun} {
+			e.U64(uint64(start))
+			e.Int(1)
+			e.F64(1)
+			e.F64(1)
+			e.F64(0)
+		}
+		return e.Bytes()
+	}
+	hint := func(poisoned ...uint64) []byte {
+		e := &checkpoint.Encoder{}
+		e.String("hintfault")
+		e.Int(0) // heat entries
+		e.Int(0) // heat runs
+		e.Int(len(poisoned))
+		for _, vp := range poisoned {
+			e.U64(vp)
+		}
+		e.U64(0) // cursor
+		return e.Bytes()
+	}
+	wrapped := func(depth int) []byte {
+		e := &checkpoint.Encoder{}
+		for range depth {
+			e.String("faulty")
+			e.U64(0)
+			e.F64(1)
+			e.Bool(false)
+			e.U64(0)
+		}
+		return append(e.Bytes(), pebs(2)...)
+	}
+	for _, c := range []struct {
+		name      string
+		newTarget func() Profiler
+		canonical []byte
+		bad       []byte
+	}{
+		{"touching heat runs", func() Profiler { return NewPEBSWithDecay(4, DefaultDecay, 9) }, pebs(2), pebs(1)},
+		{"unordered poison window", func() Profiler { return NewHintFault(newProfileTable(), 64, 1000) }, hint(3, 5), hint(5, 3)},
+		{"nested fault wrapper", func() Profiler { return NewFaulty(NewPEBSWithDecay(4, DefaultDecay, 9), &scriptedFaults{}) }, wrapped(1), wrapped(2)},
+	} {
+		d := checkpoint.NewDecoder(c.canonical)
+		if err := RestoreProfiler(d, c.newTarget(), SnapshotVersion); err != nil || d.Close() != nil {
+			t.Fatalf("%s: canonical blob rejected: %v", c.name, err)
+		}
+		if err := RestoreProfiler(checkpoint.NewDecoder(c.bad), c.newTarget(), SnapshotVersion); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// FuzzProfilerRestore feeds RestoreProfiler arbitrary bytes for a PEBS,
+// Hybrid or HintFault target, fault-wrapped when the blob's first tag
+// says so. Restore must never panic; a blob it accepts — restore and
+// Close both succeed — must re-encode byte for byte, since the decoder
+// admits exactly the states the encoder writes; and the restored heat
+// store must keep every live cell inside its chunk's span.
+func FuzzProfilerRestore(f *testing.F) {
+	kinds := []string{"pebs", "hybrid", "hintfault"}
+	for k, kind := range kinds {
+		live, _, tbl, _ := profilerPair(kind)
+		for r := 0; r < 3; r++ {
+			feedMix(live, tbl, r)
+		}
+		// Pages in a second chunk and a second directory block give the
+		// heat runs more than one chunk to land in.
+		for _, vp := range []pagetable.VPage{chunkPages + 3, chunkPages + 4, chunkPages * dirSize} {
+			live.Record(Access{VP: vp, Write: true, Fast: true})
+		}
+		for _, p := range []Profiler{live, NewFaulty(live, &scriptedFaults{dropEvery: 3})} {
+			e := &checkpoint.Encoder{}
+			SnapshotProfiler(e, p)
+			blob := e.Bytes()
+			f.Add(uint8(k), blob)
+			for cut := 0; cut < len(blob); cut += 41 {
+				f.Add(uint8(k), blob[:cut])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, blob []byte) {
+		var p Profiler
+		switch kinds[int(kind)%len(kinds)] {
+		case "pebs":
+			p = NewPEBSWithDecay(4, DefaultDecay, 9)
+		case "hybrid":
+			p = NewHybrid(newProfileTable(), 4, DefaultDecay, 9)
+		default:
+			p = NewHintFault(newProfileTable(), 64, 1000)
+		}
+		inner := p
+		if head := checkpoint.NewDecoder(blob); head.String() == "faulty" {
+			p = NewFaulty(inner, &scriptedFaults{})
+		}
+		d := checkpoint.NewDecoder(blob)
+		if RestoreProfiler(d, p, SnapshotVersion) != nil || d.Close() != nil {
+			return
+		}
+		e := &checkpoint.Encoder{}
+		SnapshotProfiler(e, p)
+		if !bytes.Equal(e.Bytes(), blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
+		}
+		switch in := inner.(type) {
+		case *PEBS:
+			checkSpans(t, in.heat)
+		case *Hybrid:
+			checkSpans(t, in.heat)
+		case *HintFault:
+			checkSpans(t, in.heat)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -21,16 +22,28 @@ type Zipf struct {
 // rejection-inversion method (Hörmann & Derflinger) that needs O(1) space.
 const zipfExactThreshold = 1 << 20
 
-// zipfIndexBuckets is the fan-out of the coarse CDF search index. Each
-// bucket b covers u in [b/B, (b+1)/B); the index pins the binary search
-// to the few ranks whose CDF mass straddles that interval, so hot
-// (high-mass) draws resolve in O(1) instead of O(log n). A power of two
-// keeps u*B exact in float64, which the bracketing proof relies on. The
-// fan-out only narrows the search bracket — the sampled rank is the CDF
-// lower bound for u under any bucket count — so it is purely a
-// speed/space knob; 32Ki buckets cost 128KiB per shared table and leave
-// most tail buckets spanning a handful of ranks.
-const zipfIndexBuckets = 32768
+// zipfMaxIndexBuckets caps the fan-out of the coarse CDF search index.
+// Each bucket b of a table with B buckets covers u in [b/B, (b+1)/B);
+// the index pins the binary search to the few ranks whose CDF mass
+// straddles that interval, so hot (high-mass) draws resolve in O(1)
+// instead of O(log n). B is a power of two, which keeps u*B exact in
+// float64 as the bracketing proof requires. The fan-out only narrows the
+// search bracket — the sampled rank is the CDF lower bound for u under
+// any bucket count — so it is purely a speed/space choice. A table gets
+// the smallest power of two at or above its rank count, capped here:
+// about one bucket per rank, so a 300-rank table's index is 2 KiB and
+// stays in cache, while the largest tables cost 128 KiB and leave most
+// tail buckets spanning a handful of ranks.
+const zipfMaxIndexBuckets = 32768
+
+// zipfIndexBuckets returns the search-index fan-out for an n-rank table:
+// min(zipfMaxIndexBuckets, the first power of two >= n).
+func zipfIndexBuckets(n int) int {
+	if n >= zipfMaxIndexBuckets {
+		return zipfMaxIndexBuckets
+	}
+	return 1 << bits.Len(uint(n-1))
+}
 
 // zipfTable is the immutable sampling table for one (n, s) pair: the
 // cumulative distribution plus a coarse index into it. Tables are pure
@@ -41,7 +54,9 @@ type zipfTable struct {
 	cdf []float64 // cumulative probabilities, len n
 	// idx[b] is the smallest rank r with cdf[r] >= b/B (capped at n-1);
 	// idx[b] and idx[b+1] bracket the answer for any u in bucket b.
-	idx [zipfIndexBuckets + 1]int32
+	// len(idx) is B+1 with B = zipfIndexBuckets(n).
+	idx     []int32
+	buckets float64 // B, the bucket count, as the u scale
 }
 
 type zipfKey struct {
@@ -83,9 +98,12 @@ func zipfTableFor(n int, s float64) *zipfTable {
 	for k := range t.cdf {
 		t.cdf[k] *= inv
 	}
+	nb := zipfIndexBuckets(n)
+	t.idx = make([]int32, nb+1)
+	t.buckets = float64(nb)
 	r := 0
-	for b := 0; b <= zipfIndexBuckets; b++ {
-		threshold := float64(b) / zipfIndexBuckets
+	for b := 0; b <= nb; b++ {
+		threshold := float64(b) / t.buckets
 		for r < n-1 && t.cdf[r] < threshold {
 			r++
 		}
@@ -138,12 +156,13 @@ func (z *Zipf) Next() int {
 		u := z.rng.Float64()
 		// u*B is exact (power-of-two scale), so b/B <= u < (b+1)/B and
 		// idx brackets the CDF binary search to the bucket's ranks.
-		b := int(u * zipfIndexBuckets)
-		if b >= zipfIndexBuckets {
-			b = zipfIndexBuckets - 1
+		tab := z.tab
+		b := int(u * tab.buckets)
+		if b >= len(tab.idx)-1 {
+			b = len(tab.idx) - 2
 		}
-		cdf := z.tab.cdf
-		lo, hi := int(z.tab.idx[b]), int(z.tab.idx[b+1])
+		cdf := tab.cdf
+		lo, hi := int(tab.idx[b]), int(tab.idx[b+1])
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if cdf[mid] < u {
