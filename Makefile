@@ -48,12 +48,13 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs seven native fuzz targets for ten seconds each: the
+# fuzz-smoke runs eight native fuzz targets for ten seconds each: the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
 # (FuzzReplicatedRestore), the trace reader (FuzzTraceRead), the tier
-# checkpoint decoder (FuzzTiersRestore) and the profiler checkpoint
-# decoder (FuzzProfilerRestore). Their
+# checkpoint decoder (FuzzTiersRestore), the profiler checkpoint
+# decoder (FuzzProfilerRestore) and the telemetry checkpoint decoder
+# (FuzzRecorderRestore). Their
 # seed corpora also run in every `go test`; a failing input lands in
 # the package's testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -64,6 +65,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzTiersRestore -fuzztime 10s
 	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzProfilerRestore -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRecorderRestore -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.
@@ -175,43 +177,41 @@ checkpoint-demo: $(VULCANSIM)
 
 # prof-demo is the executable determinism contract for the
 # cycle-attribution profiler (DESIGN.md "Cost attribution"): one canned
-# scenario profiled twice and once more on a 3-seed sweep at two worker
-# counts; every cost artifact (pprof protobuf, folded stacks, breakdown
-# CSV) must be byte-identical, and the pprof file must parse with
-# `go tool pprof`. Artifacts land in out/prof-demo/ (gitignored);
-# cost.folded feeds flamegraph.pl / speedscope directly.
+# scenario profiled twice and once more on a 3-seed sweep at three worker
+# counts; both cost artifacts (pprof protobuf, breakdown CSV) must be
+# byte-identical, the profiler must leave the trace bytes alone, and the
+# pprof file must parse with `go tool pprof`. Artifacts land in
+# out/prof-demo/ (gitignored); `go tool pprof -http` draws
+# cost.pb.gz's flame graph.
 PROF_DEMO_FLAGS = -policy vulcan -seconds 20 -scale 8 -seed 7
 prof-demo: $(VULCANSIM)
 	@mkdir -p out/prof-demo
 	$(VULCANSIM) $(PROF_DEMO_FLAGS) \
-		-costprofile out/prof-demo/cost.pb.gz -cost-folded out/prof-demo/cost.folded \
-		-cost-csv out/prof-demo/cost.csv > out/prof-demo/report.txt
+		-costprofile out/prof-demo/cost.pb.gz -cost-csv out/prof-demo/cost.csv \
+		-trace-out out/prof-demo/trace.json > out/prof-demo/report.txt
 	$(VULCANSIM) $(PROF_DEMO_FLAGS) \
-		-costprofile out/prof-demo/cost2.pb.gz -cost-folded out/prof-demo/cost2.folded \
-		-cost-csv out/prof-demo/cost2.csv > out/prof-demo/report2.txt
+		-costprofile out/prof-demo/cost2.pb.gz -cost-csv out/prof-demo/cost2.csv \
+		> out/prof-demo/report2.txt
+	$(VULCANSIM) $(PROF_DEMO_FLAGS) \
+		-trace-out out/prof-demo/trace-plain.json > out/prof-demo/report-plain.txt
 	cmp out/prof-demo/cost.pb.gz out/prof-demo/cost2.pb.gz
-	cmp out/prof-demo/cost.folded out/prof-demo/cost2.folded
 	cmp out/prof-demo/cost.csv out/prof-demo/cost2.csv
 	cmp out/prof-demo/report.txt out/prof-demo/report2.txt
+	cmp out/prof-demo/trace.json out/prof-demo/trace-plain.json
 	$(VULCANSIM) $(PROF_DEMO_FLAGS) -seeds 3 -parallel 1 \
-		-costprofile out/prof-demo/s.pb.gz -cost-folded out/prof-demo/s.folded \
-		-cost-csv out/prof-demo/s.csv > /dev/null
+		-costprofile out/prof-demo/s.pb.gz -cost-csv out/prof-demo/s.csv > /dev/null
 	$(VULCANSIM) $(PROF_DEMO_FLAGS) -seeds 3 -parallel 2 \
-		-costprofile out/prof-demo/w2.pb.gz -cost-folded out/prof-demo/w2.folded \
-		-cost-csv out/prof-demo/w2.csv > /dev/null
+		-costprofile out/prof-demo/w2.pb.gz -cost-csv out/prof-demo/w2.csv > /dev/null
 	$(VULCANSIM) $(PROF_DEMO_FLAGS) -seeds 3 -parallel 7 \
-		-costprofile out/prof-demo/w7.pb.gz -cost-folded out/prof-demo/w7.folded \
-		-cost-csv out/prof-demo/w7.csv > /dev/null
+		-costprofile out/prof-demo/w7.pb.gz -cost-csv out/prof-demo/w7.csv > /dev/null
 	for s in 7 8 9; do \
 		cmp out/prof-demo/s.pb.seed$$s.gz out/prof-demo/w2.pb.seed$$s.gz && \
 		cmp out/prof-demo/s.pb.seed$$s.gz out/prof-demo/w7.pb.seed$$s.gz && \
-		cmp out/prof-demo/s.seed$$s.folded out/prof-demo/w2.seed$$s.folded && \
-		cmp out/prof-demo/s.seed$$s.folded out/prof-demo/w7.seed$$s.folded && \
 		cmp out/prof-demo/s.seed$$s.csv out/prof-demo/w2.seed$$s.csv && \
 		cmp out/prof-demo/s.seed$$s.csv out/prof-demo/w7.seed$$s.csv || exit 1; \
 	done
 	$(GO) tool pprof -top out/prof-demo/cost.pb.gz | head -20
-	@echo "prof-demo: cost artifacts byte-identical across replays and workers 1/2/7"
+	@echo "prof-demo: cost artifacts byte-identical across replays and workers 1/2/7; trace unchanged by the profiler"
 
 # fleet-demo is the executable determinism contract for the fleet layer
 # (DESIGN.md "Fleet simulation"): the same 6-host fleet under the

@@ -25,7 +25,7 @@ var goldenCases = []struct {
 }{
 	{"flags-artifacts", [][]string{{"-scale", "16", "-seconds", "6", "-seed", "3",
 		"-series", "$D/series.csv", "-trace-out", "$D/trace.json", "-metrics-out", "$D/metrics.csv",
-		"-costprofile", "$D/cost.pb.gz", "-cost-folded", "$D/cost.folded", "-cost-csv", "$D/cost.csv"}}},
+		"-costprofile", "$D/cost.pb.gz", "-cost-csv", "$D/cost.csv"}}},
 	{"staggered", [][]string{{"-policy", "memtis", "-scale", "16", "-seconds", "6", "-staggered", "-json",
 		"-checkpoint-out", "$D/run.ckpt"}}},
 	{"seeds2-faults", [][]string{{"-scale", "16", "-seconds", "6", "-seed", "7", "-seeds", "2",

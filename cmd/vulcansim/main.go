@@ -45,13 +45,15 @@
 // varies the fault schedule without touching the workload seed. An
 // armed flag plan overrides a -config file's faults block.
 //
-// Cost profiling (-costprofile, -cost-folded, -cost-csv) attributes
-// every simulated cycle to a (subsystem, app, tier) account and exports
-// the result as a go-tool-pprof-readable profile, folded flamegraph
-// stacks, or a per-epoch breakdown CSV (see internal/obs/prof). The
+// Cost profiling (-costprofile, -cost-csv) attributes every simulated
+// cycle to a (subsystem, app, tier) account and exports the result as a
+// go-tool-pprof-readable profile (`go tool pprof -http` draws its flame
+// graph) or a per-epoch breakdown CSV (see internal/obs/prof). The
 // artifacts are deterministic: byte-identical across replays and at any
-// -parallel value. -cpuprofile/-memprofile profile the simulator
-// process itself (wall-clock plane) with runtime/pprof.
+// -parallel value. The profiler only observes: a run's report, series,
+// trace and metrics bytes are the same with or without it.
+// -cpuprofile/-memprofile profile the simulator process itself
+// (wall-clock plane) with runtime/pprof.
 //
 // Checkpoint/restore (-checkpoint-out, -checkpoint-every, -resume):
 //
@@ -110,15 +112,14 @@ func usagef(format string, args ...any) error {
 	return usageError{fmt.Errorf(format, args...)}
 }
 
-// costFlags bundles the three simulated-cost artifact paths.
+// costFlags bundles the two simulated-cost artifact paths.
 type costFlags struct {
-	pb     string // gzipped pprof protobuf
-	folded string // folded stacks (flamegraph.pl / speedscope input)
-	csv    string // per-epoch breakdown CSV
+	pb  string // gzipped pprof protobuf
+	csv string // per-epoch breakdown CSV
 }
 
 // wanted reports whether any cost artifact was requested.
-func (c costFlags) wanted() bool { return c.pb != "" || c.folded != "" || c.csv != "" }
+func (c costFlags) wanted() bool { return c.pb != "" || c.csv != "" }
 
 // options is the parsed command line.
 type options struct {
@@ -258,7 +259,6 @@ func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.resume, "resume", "", "resume from a checkpoint blob; -seconds then counts additional simulated time")
 	fs.StringVar(&o.replay, "replay-journal", "", "replay a vulcand command journal through the batch pipeline and exit")
 	fs.StringVar(&o.cost.pb, "costprofile", "", "write the simulated-cycle cost profile as gzipped pprof protobuf (go tool pprof readable)")
-	fs.StringVar(&o.cost.folded, "cost-folded", "", "write the cost profile as folded stacks (flamegraph.pl / speedscope input)")
 	fs.StringVar(&o.cost.csv, "cost-csv", "", "write the per-epoch cost breakdown as CSV")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the simulator process itself to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile of the simulator process itself to this file (taken after the run)")
@@ -433,7 +433,6 @@ func runSeed(o *options, parsed *scenario.Parsed, samples int, i uint64, secs in
 	cfg.Prof = p
 	if rec != nil {
 		cfg.Obs = rec
-		rec.AttachCostProfiler(p)
 	}
 	sys, err := runSystem(cfg, secs, o, stderr)
 	if err != nil {
@@ -459,7 +458,6 @@ func runSeed(o *options, parsed *scenario.Parsed, samples int, i uint64, secs in
 		{o.trace, "chrome trace", rec.WriteChromeTrace},
 		{o.metrics, "metric samples", rec.WriteMetricsCSV},
 		{o.cost.pb, "cost profile", p.WritePprof},
-		{o.cost.folded, "folded cost stacks", p.WriteFolded},
 		{o.cost.csv, "cost breakdown", p.WriteBreakdownCSV},
 	} {
 		if a.path != "" {

@@ -123,7 +123,7 @@ func TestBuildCostProfiler(t *testing.T) {
 	if p := buildCostProfiler(costFlags{}); p != nil {
 		t.Fatalf("no cost flags: profiler = %v, want nil", p)
 	}
-	for _, c := range []costFlags{{pb: "c.pb.gz"}, {folded: "c.folded"}, {csv: "c.csv"}} {
+	for _, c := range []costFlags{{pb: "c.pb.gz"}, {csv: "c.csv"}} {
 		if buildCostProfiler(c) == nil {
 			t.Errorf("%+v: want a profiler", c)
 		}
@@ -227,5 +227,31 @@ func TestFlagsAreScenarioSugar(t *testing.T) {
 				t.Fatalf("flag run and scenario file diverge:\n--- flags\n%s--- file\n%s", &fromFlags, &fromFile)
 			}
 		})
+	}
+}
+
+// TestCostProfilerLeavesTraceAlone: the cost profiler is an observer
+// only, so a run's -trace-out bytes are the same with and without the
+// cost artifact flags.
+func TestCostProfilerLeavesTraceAlone(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-scale", "16", "-seconds", "6", "-seed", "3"}
+	trace := func(name string, extra ...string) []byte {
+		path := filepath.Join(dir, name)
+		args := append(append([]string{"-trace-out", path}, base...), extra...)
+		if err := run(args, io.Discard, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	plain := trace("plain.json")
+	costed := trace("costed.json",
+		"-costprofile", filepath.Join(dir, "cost.pb.gz"), "-cost-csv", filepath.Join(dir, "cost.csv"))
+	if len(plain) == 0 || !bytes.Equal(plain, costed) {
+		t.Fatalf("trace moved under the cost profiler: %d bytes without, %d with", len(plain), len(costed))
 	}
 }

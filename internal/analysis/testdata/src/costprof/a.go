@@ -1,7 +1,7 @@
 // Package costprof is a vulcanvet fixture shaped like the
-// cycle-attribution profiler of internal/obs/prof, which this PR brings
-// under the determinism contract: profile artifacts (pprof protobuf,
-// folded stacks, breakdown CSV) must be byte-identical across replays,
+// cycle-attribution profiler of internal/obs/prof, which lives under
+// the determinism contract: profile artifacts (pprof protobuf and
+// breakdown CSV) must be byte-identical across replays,
 // so the profiler must never stamp samples from the wall clock, salt
 // output with global rand, or vary by host environment.
 package costprof

@@ -13,9 +13,8 @@ import (
 
 // replayDump runs one co-location scenario and serializes everything
 // observable about it: the full JSON report, every recorded time series
-// as CSV, both telemetry exports (Chrome trace with cost counter
-// tracks, metric samples), and all three cost-profile artifacts (pprof
-// protobuf, folded stacks, breakdown CSV). Byte-identity of two dumps
+// as CSV, both telemetry exports (Chrome trace, metric samples), and
+// both cost-profile artifacts (pprof protobuf, breakdown CSV). Byte-identity of two dumps
 // is the determinism contract the vulcanvet analyzers exist to protect
 // — this test is the golden replay guard for the dynamic behavior no
 // static check can prove.
@@ -23,7 +22,6 @@ func replayDump(t *testing.T, policy string, seed uint64, plan *fault.Plan) []by
 	t.Helper()
 	rec := obs.NewRecorder()
 	p := prof.New()
-	rec.AttachCostProfiler(p)
 	res := RunColocation(ColocationConfig{
 		Policy:   policy,
 		Duration: 30 * sim.Second,
@@ -53,9 +51,6 @@ func replayDump(t *testing.T, policy string, seed uint64, plan *fault.Plan) []by
 	}
 	if err := p.WritePprof(&buf); err != nil {
 		t.Fatalf("cost pprof: %v", err)
-	}
-	if err := p.WriteFolded(&buf); err != nil {
-		t.Fatalf("cost folded: %v", err)
 	}
 	if err := p.WriteBreakdownCSV(&buf); err != nil {
 		t.Fatalf("cost csv: %v", err)

@@ -82,9 +82,9 @@ func observerDump(t *testing.T, p *prof.Profiler) []byte {
 }
 
 // TestCostProfilerIsObserverOnly pins the disabled-path guarantee from
-// the other side: a run with a profiler charging every subsystem (but
-// detached from the trace exporter) emits exactly the bytes of a run
-// with no profiler at all. Attribution must never feed back into the
+// the other side: a run with a profiler charging every subsystem emits
+// exactly the report, series, trace and metrics bytes of a run with no
+// profiler at all. Attribution must never feed back into the
 // simulation.
 func TestCostProfilerIsObserverOnly(t *testing.T) {
 	without := observerDump(t, nil)
@@ -95,8 +95,8 @@ func TestCostProfilerIsObserverOnly(t *testing.T) {
 }
 
 // TestCostArtifactsWorkerInvariant runs a three-seed sweep under 1, 2
-// and 7 lab workers and requires every cost artifact to be
-// byte-identical: profile bytes must depend only on the scenario, never
+// and 7 lab workers and requires both cost artifacts (pprof and the
+// breakdown CSV) to be byte-identical: profile bytes must depend only on the scenario, never
 // on host parallelism.
 func TestCostArtifactsWorkerInvariant(t *testing.T) {
 	sweep := func(workers int) []byte {
@@ -112,7 +112,6 @@ func TestCostArtifactsWorkerInvariant(t *testing.T) {
 			var buf bytes.Buffer
 			for _, write := range []func(*bytes.Buffer) error{
 				func(b *bytes.Buffer) error { return p.WritePprof(b) },
-				func(b *bytes.Buffer) error { return p.WriteFolded(b) },
 				func(b *bytes.Buffer) error { return p.WriteBreakdownCSV(b) },
 			} {
 				if err := write(&buf); err != nil {

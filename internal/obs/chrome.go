@@ -11,35 +11,14 @@ import (
 // chrome://tracing.
 //
 // The batch path is a replay through TraceStream: events go out in
-// emission order, and each recorded flush boundary (FlushEpoch) emits
-// that epoch's cost counter samples, exactly as a live daemon streaming
-// the same session would. Buffered events past the last flush mark and
-// any remaining counter rows trail the marked segments. Because both
-// paths share one record emitter, a journaled daemon session replayed
-// through this exporter reproduces the streamed artifact byte for byte.
-//
-// When a cost profiler is attached (AttachCostProfiler), each epoch's
-// per-(app, subsystem) cycle totals appear as counter ("C") events —
-// Perfetto renders them as one "cost.<subsystem>" counter track per
-// process. Without an attached profiler the emitted bytes are exactly
-// the counter-free format.
+// emission order, exactly as a live daemon streaming the same session
+// would write them. Because both paths share one record emitter, a
+// journaled daemon session replayed through this exporter reproduces
+// the streamed artifact byte for byte.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	ts := NewTraceStream(w)
-	counters := r.cost.CounterRows() // nil profiler -> no rows
-	ei, ci := 0, 0
-	for _, m := range r.marks {
-		for ; ei < m.Events && ei < len(r.events); ei++ {
-			ts.Event(r.events[ei])
-		}
-		for ; ci < len(counters) && counters[ci].Epoch <= m.Epoch; ci++ {
-			ts.Counter(counters[ci])
-		}
-	}
-	for ; ei < len(r.events); ei++ {
-		ts.Event(r.events[ei])
-	}
-	for ; ci < len(counters); ci++ {
-		ts.Counter(counters[ci])
+	for _, e := range r.events {
+		ts.Event(e)
 	}
 	return ts.Close()
 }

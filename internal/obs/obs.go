@@ -26,7 +26,7 @@ import (
 // EventType enumerates the event taxonomy. The set mirrors the cost
 // phenomena the paper argues about: migration decisions and phases, TLB
 // shootdown scope, profiling epochs, queue/QoS adaptation, faults, and
-// THP state changes.
+// THP splits.
 type EventType uint8
 
 // The event taxonomy (DESIGN.md §8).
@@ -61,9 +61,6 @@ const (
 	// EvTHPSplit aggregates huge-page splits forced by migration over
 	// one epoch.
 	EvTHPSplit
-	// EvTHPCollapse is reserved for huge-page collapse; the current
-	// model only splits, but the taxonomy names both directions.
-	EvTHPCollapse
 	// EvFaultInject is one injected fault from internal/fault: the note
 	// names the fault kind, fields carry kind/severity and the
 	// kind-specific coordinates (page, epoch, batch).
@@ -103,7 +100,6 @@ var eventTypeNames = [NumEventTypes]string{
 	EvDemandFault:     "demand-fault",
 	EvHintFault:       "hint-fault",
 	EvTHPSplit:        "thp-split",
-	EvTHPCollapse:     "thp-collapse",
 	EvFaultInject:     "fault.inject",
 	EvMigrateRetry:    "migrate.retry",
 	EvMigrateGiveup:   "migrate.giveup",

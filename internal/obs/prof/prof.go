@@ -123,7 +123,7 @@ const (
 
 // Profiler is the cost-accounting root: an account registry, the
 // application budget ledger, and the per-epoch flushed delta rows the
-// CSV exporter and Perfetto counter tracks read. The zero value is not
+// CSV exporter reads. The zero value is not
 // usable; call New. A nil *Profiler is the disabled profiler — every
 // method no-ops (or returns a nil Account) without allocating.
 type Profiler struct {
@@ -275,91 +275,6 @@ func (p *Profiler) Totals() (total, attributed, unattributed float64) {
 	}
 	total = p.budget + mech
 	return total, attributed, total - attributed
-}
-
-// CounterRow is one Perfetto counter-track sample: an epoch's cycle
-// total for one (app, root subsystem) pair.
-type CounterRow struct {
-	Epoch  int
-	T      sim.Time
-	App    string
-	Root   string
-	Cycles float64
-}
-
-// CounterRows aggregates the flushed rows to per-epoch, per-app,
-// per-root-subsystem cycle totals, sorted by (epoch, app, root) — the
-// series the Chrome trace exporter renders as counter tracks. The
-// closing pseudo-rows are excluded.
-func (p *Profiler) CounterRows() []CounterRow {
-	if p == nil {
-		return nil
-	}
-	return aggregateCounterRows(p.rows)
-}
-
-// CounterRowsForEpoch aggregates one epoch's flushed rows to per-app,
-// per-root-subsystem cycle totals — the samples a streaming trace sink
-// appends at that epoch's flush boundary. Rows flush in epoch order, so
-// the concatenation over successive epochs equals CounterRows.
-func (p *Profiler) CounterRowsForEpoch(epoch int) []CounterRow {
-	if p == nil {
-		return nil
-	}
-	lo := sort.Search(len(p.rows), func(i int) bool { return p.rows[i].Epoch >= epoch })
-	hi := lo
-	for hi < len(p.rows) && p.rows[hi].Epoch == epoch {
-		hi++
-	}
-	if lo == hi {
-		return nil
-	}
-	return aggregateCounterRows(p.rows[lo:hi])
-}
-
-func aggregateCounterRows(rows []Row) []CounterRow {
-	type key struct {
-		epoch int
-		app   string
-		root  string
-	}
-	agg := make(map[key]*CounterRow)
-	order := make([]key, 0, 16)
-	for _, r := range rows {
-		if r.Path == TotalPath || r.Path == UnattributedPath {
-			continue
-		}
-		root := r.Path
-		for i := 0; i < len(root); i++ {
-			if root[i] == '/' {
-				root = root[:i]
-				break
-			}
-		}
-		k := key{epoch: r.Epoch, app: r.App, root: root}
-		c := agg[k]
-		if c == nil {
-			c = &CounterRow{Epoch: r.Epoch, T: r.T, App: r.App, Root: root}
-			agg[k] = c
-			order = append(order, k)
-		}
-		c.Cycles += r.Cycles
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.epoch != b.epoch {
-			return a.epoch < b.epoch
-		}
-		if a.app != b.app {
-			return a.app < b.app
-		}
-		return a.root < b.root
-	})
-	out := make([]CounterRow, len(order))
-	for i, k := range order {
-		out[i] = *agg[k]
-	}
-	return out
 }
 
 // MigrationAccounts itemizes one migration execution context's phase

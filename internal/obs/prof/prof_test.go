@@ -125,7 +125,7 @@ func TestNilProfilerSafe(t *testing.T) {
 	if total != 0 || attributed != 0 || unattr != 0 {
 		t.Error("nil profiler reported non-zero totals")
 	}
-	if p.Rows() != nil || p.Accounts() != nil || p.CounterRows() != nil {
+	if p.Rows() != nil || p.Accounts() != nil {
 		t.Error("nil profiler reported rows")
 	}
 	var buf bytes.Buffer
@@ -162,54 +162,5 @@ func TestBreakdownCSV(t *testing.T) {
 	build().WriteBreakdownCSV(&buf2)
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("breakdown CSV not byte-identical across rebuilds")
-	}
-}
-
-func TestFolded(t *testing.T) {
-	p := build()
-	var buf bytes.Buffer
-	if err := p.WriteFolded(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"machine;access;app=memcached;tier=fast 750\n",
-		"migrate;sync;copy;app=memcached 80\n",
-		"system;compute;app=memcached 800\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("folded output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, UnattributedPath) {
-		t.Errorf("fully-attributed profile emitted an unattributed line:\n%s", out)
-	}
-	// Residual line appears once the books don't close.
-	p.AddBudget(500)
-	buf.Reset()
-	p.WriteFolded(&buf)
-	if !strings.Contains(buf.String(), "unattributed 500\n") {
-		t.Errorf("missing unattributed residual:\n%s", buf.String())
-	}
-}
-
-func TestCounterRows(t *testing.T) {
-	p := build()
-	rows := p.CounterRows()
-	// Epoch 0 roots: machine, migrate, system, tlb; epoch 1: machine, system.
-	if len(rows) != 6 {
-		t.Fatalf("counter rows = %d, want 6: %v", len(rows), rows)
-	}
-	wantRoots := []string{"machine", "migrate", "system", "tlb", "machine", "system"}
-	for i, r := range rows {
-		if r.Root != wantRoots[i] {
-			t.Errorf("row %d root = %q, want %q", i, r.Root, wantRoots[i])
-		}
-	}
-	if rows[0].Cycles != 550 { // machine epoch 0: 350 fast + 200 slow
-		t.Errorf("machine epoch 0 cycles = %v, want 550", rows[0].Cycles)
-	}
-	if rows[2].Cycles != 450 { // system epoch 0: 300 + 100 + 50
-		t.Errorf("system epoch 0 cycles = %v, want 450", rows[2].Cycles)
 	}
 }

@@ -4,17 +4,16 @@ import (
 	"io"
 	"strconv"
 
-	"vulcan/internal/obs/prof"
 	"vulcan/internal/sim"
 )
 
 // Recorder is the standard Sink. In batch mode (the default) it buffers
-// events, hosts the metrics registry, snapshots the registry once per
-// epoch for the CSV exporter, and records each flush boundary so the
-// batch exporters can replay the session through the streaming sinks.
-// In streaming mode (StreamTo) nothing is buffered: events forward
-// straight to a TraceStream and each epoch flush appends the registry
-// rows to a CSVStream — the long-running daemon's memory-bounded path.
+// events, hosts the metrics registry and snapshots the registry once
+// per epoch; the batch exporters replay both through the streaming
+// sinks. In streaming mode (StreamTo) nothing is buffered: events
+// forward straight to a TraceStream and each epoch flush appends the
+// registry rows to a CSVStream — the long-running daemon's
+// memory-bounded path.
 // All timestamps come from the bound sim.Clock; a recorder with no
 // clock stamps t=0 (useful in unit tests that set Event.Time
 // explicitly).
@@ -25,28 +24,10 @@ type Recorder struct {
 	reg     *Registry
 	samples []epochSample
 
-	// marks are the flush boundaries recorded in batch mode: how many
-	// events were buffered when each epoch flushed. The Chrome trace
-	// replay emits each epoch's counter samples at its mark, mirroring
-	// the streamed layout byte for byte.
-	marks []flushMark
-
 	// trace/csv, when set (StreamTo), switch the recorder to streaming
 	// mode.
 	trace *TraceStream //vulcan:nosnap streaming sink wiring; recovery resumes streams from their own snapshots
 	csv   *CSVStream   //vulcan:nosnap streaming sink wiring; recovery resumes streams from their own snapshots
-
-	// cost, when attached, merges the cycle-attribution profiler's
-	// per-epoch subsystem totals into the Chrome trace as counter
-	// tracks. Detached (nil) recorders emit exactly the pre-profiler
-	// trace bytes.
-	cost *prof.Profiler //vulcan:nosnap observer-only cost accounting, rebuilt per run
-}
-
-// flushMark is one recorded epoch-flush boundary.
-type flushMark struct {
-	Epoch  int
-	Events int // events buffered when the epoch flushed
 }
 
 // epochSample is one per-epoch registry snapshot row.
@@ -100,11 +81,6 @@ func (r *Recorder) Event(e Event) {
 	r.events = append(r.events, e)
 }
 
-// AttachCostProfiler merges p's per-epoch cost series into the Chrome
-// trace export as counter tracks (one "cost.<subsystem>" counter per
-// app). A nil p detaches.
-func (r *Recorder) AttachCostProfiler(p *prof.Profiler) { r.cost = p }
-
 // Metrics returns the registry (see RegistryOf).
 func (r *Recorder) Metrics() *Registry { return r.reg }
 
@@ -123,12 +99,11 @@ func (r *Recorder) EventCount(t EventType) int {
 }
 
 // FlushEpoch closes one epoch's telemetry. In batch mode it snapshots
-// every registry instrument as one CSV row set and records the flush
-// boundary. In streaming mode the rows append to the CSV stream, the
-// epoch's cost counter samples append to the trace stream, and both
-// streams flush — the explicit boundary at which the on-disk artifacts
-// are consistent. The system calls it at each epoch boundary, before
-// the clock advances, so rows carry the epoch's start time.
+// every registry instrument as one CSV row set. In streaming mode the
+// rows append to the CSV stream and both streams flush — the explicit
+// boundary at which the on-disk artifacts are consistent. The system
+// calls it at each epoch boundary, before the clock advances, so rows
+// carry the epoch's start time.
 func (r *Recorder) FlushEpoch(epoch int) {
 	var t sim.Time
 	if r.clock != nil {
@@ -142,9 +117,6 @@ func (r *Recorder) FlushEpoch(epoch int) {
 			r.csv.Flush()
 		}
 		if r.trace != nil {
-			for _, c := range r.cost.CounterRowsForEpoch(epoch) {
-				r.trace.Counter(c)
-			}
 			r.trace.Flush()
 		}
 		return
@@ -152,7 +124,6 @@ func (r *Recorder) FlushEpoch(epoch int) {
 	for _, row := range r.reg.snapshot(nil) {
 		r.samples = append(r.samples, epochSample{Epoch: epoch, T: t, Row: row})
 	}
-	r.marks = append(r.marks, flushMark{Epoch: epoch, Events: len(r.events)})
 }
 
 // formatVal renders a metric value in the shortest round-trippable

@@ -10,8 +10,8 @@ import (
 
 // Snapshot appends the recorder's buffered telemetry: the type filter,
 // the event buffer in emission order, the per-epoch registry samples,
-// the recorded flush boundaries, and the registry itself. The clock
-// binding is construction wiring and is kept by the restoring recorder.
+// and the registry itself. The clock binding is construction wiring and
+// is kept by the restoring recorder.
 func (r *Recorder) Snapshot(e *checkpoint.Encoder) {
 	e.U32(uint32(r.filter))
 	e.Int(len(r.events))
@@ -24,11 +24,6 @@ func (r *Recorder) Snapshot(e *checkpoint.Encoder) {
 		e.I64(int64(s.T))
 		e.String(s.Row.ID)
 		e.F64(s.Row.Val)
-	}
-	e.Int(len(r.marks))
-	for _, m := range r.marks {
-		e.Int(m.Epoch)
-		e.Int(m.Events)
 	}
 	r.reg.Snapshot(e)
 }
@@ -61,18 +56,6 @@ func (r *Recorder) Restore(d *checkpoint.Decoder) error {
 			return d.Err()
 		}
 		r.samples = append(r.samples, s)
-	}
-	n = d.Length(16)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	r.marks = make([]flushMark, 0, n)
-	for i := 0; i < n; i++ {
-		m := flushMark{Epoch: d.Int(), Events: d.Int()}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		r.marks = append(r.marks, m)
 	}
 	return r.reg.Restore(d)
 }
@@ -142,8 +125,10 @@ func (r *Registry) Snapshot(e *checkpoint.Encoder) {
 }
 
 // Restore reads the instruments back in place, replacing any existing
-// ones.
+// ones. Each kind's identities must be strictly ascending, the order
+// Snapshot writes, so an accepted blob re-encodes byte for byte.
 func (r *Registry) Restore(d *checkpoint.Decoder) error {
+	var prev string
 	n := d.Length(12)
 	if d.Err() != nil {
 		return d.Err()
@@ -155,9 +140,10 @@ func (r *Registry) Restore(d *checkpoint.Decoder) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		if _, dup := r.counters[id]; dup {
-			return fmt.Errorf("obs: duplicate counter %q in checkpoint", id)
+		if i > 0 && id <= prev {
+			return fmt.Errorf("obs: counter %q out of order in checkpoint", id)
 		}
+		prev = id
 		if v < 0 {
 			return fmt.Errorf("obs: counter %q negative in checkpoint", id)
 		}
@@ -174,9 +160,10 @@ func (r *Registry) Restore(d *checkpoint.Decoder) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		if _, dup := r.gauges[id]; dup {
-			return fmt.Errorf("obs: duplicate gauge %q in checkpoint", id)
+		if i > 0 && id <= prev {
+			return fmt.Errorf("obs: gauge %q out of order in checkpoint", id)
 		}
+		prev = id
 		r.gauges[id] = &Gauge{v: v}
 	}
 	n = d.Length(28)
@@ -189,9 +176,10 @@ func (r *Registry) Restore(d *checkpoint.Decoder) error {
 		if d.Err() != nil {
 			return d.Err()
 		}
-		if _, dup := r.histos[id]; dup {
-			return fmt.Errorf("obs: duplicate histogram %q in checkpoint", id)
+		if i > 0 && id <= prev {
+			return fmt.Errorf("obs: histogram %q out of order in checkpoint", id)
 		}
+		prev = id
 		h, err := metrics.RestoreHistogram(d)
 		if err != nil {
 			return err

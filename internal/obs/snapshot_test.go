@@ -122,3 +122,58 @@ func TestObsRestoreTruncatedErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryRestoreRejectsUnsortedIDs: Snapshot writes each kind's
+// identities in ascending order, so Restore accepts only that order —
+// a blob listing gauges "b" then "a" would otherwise restore and
+// re-encode to different bytes. Repeats are rejected the same way.
+func TestRegistryRestoreRejectsUnsortedIDs(t *testing.T) {
+	gauges := func(ids ...string) []byte {
+		e := &checkpoint.Encoder{}
+		e.Int(0) // counters
+		e.Int(len(ids))
+		for i, id := range ids {
+			e.String(id)
+			e.F64(float64(i))
+		}
+		e.Int(0) // histograms
+		return e.Bytes()
+	}
+	if err := NewRegistry().Restore(checkpoint.NewDecoder(gauges("a", "b"))); err != nil {
+		t.Fatalf("ascending gauges rejected: %v", err)
+	}
+	for _, ids := range [][]string{{"b", "a"}, {"a", "a"}} {
+		if err := NewRegistry().Restore(checkpoint.NewDecoder(gauges(ids...))); err == nil {
+			t.Errorf("gauges %q accepted", ids)
+		}
+	}
+}
+
+// FuzzRecorderRestore: decoding an arbitrary obs blob never panics, and
+// a blob the recorder accepts re-encodes byte for byte. The corpus is
+// a batch recorder's snapshot after a short run (events, samples,
+// counters, gauges, a histogram) and a truncation ladder over it.
+func FuzzRecorderRestore(f *testing.F) {
+	var clock sim.Clock
+	r := populatedRecorder(&clock)
+	r.Metrics().Gauge("fast_util", Tier("slow")).Set(0.25)
+	e := &checkpoint.Encoder{}
+	r.Snapshot(e)
+	blob := e.Bytes()
+	f.Add(blob)
+	for cut := 0; cut < len(blob); cut += 37 {
+		f.Add(blob[:cut])
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		r := NewRecorder()
+		d := checkpoint.NewDecoder(blob)
+		if r.Restore(d) != nil || d.Close() != nil {
+			return
+		}
+		e := &checkpoint.Encoder{}
+		r.Snapshot(e)
+		if !bytes.Equal(e.Bytes(), blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
+		}
+	})
+}

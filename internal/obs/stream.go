@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"vulcan/internal/checkpoint"
-	"vulcan/internal/obs/prof"
 	"vulcan/internal/sim"
 )
 
@@ -179,18 +178,6 @@ func (ts *TraceStream) Event(e Event) {
 		ts.j.raw(`:` + formatVal(f.Val))
 	}
 	ts.j.raw(`}}`)
-}
-
-// Counter writes one cost counter ("C") sample — Perfetto renders the
-// series as a "cost.<subsystem>" counter track on the app's process.
-func (ts *TraceStream) Counter(c prof.CounterRow) {
-	p := ts.pid(c.App)
-	ts.sep()
-	ts.j.raw(`{"name":`)
-	ts.j.str("cost." + c.Root)
-	ts.j.raw(`,"ph":"C","pid":` + strconv.Itoa(p) + `,"tid":0`)
-	ts.j.raw(`,"ts":` + microseconds(int64(c.T)))
-	ts.j.raw(`,"args":{"cycles":` + formatVal(c.Cycles) + `}}`)
 }
 
 // Flush pushes buffered bytes to the underlying writer — the explicit

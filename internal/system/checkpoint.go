@@ -35,8 +35,10 @@ const (
 	profilerVersion = profile.SnapshotVersion
 	policyVersion   = 1
 	faultVersion    = 1
-	// obsVersion 2 appends the recorder's flush-boundary marks.
-	obsVersion = 2
+	// obsVersion 3 drops the recorder's flush-boundary marks (the trace
+	// no longer interleaves cost counter samples, so nothing reads them)
+	// and renumbers the event types after the deleted THP-collapse slot.
+	obsVersion = 3
 )
 
 // Checkpoint serializes the full simulation state to w as one versioned

@@ -475,9 +475,6 @@ func (s *System) observeEpoch() {
 		reg.Gauge("bw_util", obs.Tier("fast")).Set(s.bwUtil[mem.TierFast])
 		reg.Gauge("bw_util", obs.Tier("slow")).Set(s.bwUtil[mem.TierSlow])
 	}
-	// The cost profiler closes its books first so a streaming sink sees
-	// this epoch's counter rows at its flush boundary; the batch
-	// exporters are insensitive to the order.
 	s.prof.FlushEpoch(s.epoch)
 	if f, ok := s.obs.(interface{ FlushEpoch(int) }); ok {
 		f.FlushEpoch(s.epoch)
