@@ -48,13 +48,14 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs eight native fuzz targets for ten seconds each: the
+# fuzz-smoke runs nine native fuzz targets for ten seconds each: the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
 # (FuzzReplicatedRestore), the trace reader (FuzzTraceRead), the tier
 # checkpoint decoder (FuzzTiersRestore), the profiler checkpoint
-# decoder (FuzzProfilerRestore) and the telemetry checkpoint decoder
-# (FuzzRecorderRestore). Their
+# decoder (FuzzProfilerRestore), the telemetry checkpoint decoder
+# (FuzzRecorderRestore) and the system checkpoint section
+# (FuzzSystemSection). Their
 # seed corpora also run in every `go test`; a failing input lands in
 # the package's testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -66,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzTiersRestore -fuzztime 10s
 	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzProfilerRestore -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRecorderRestore -fuzztime 10s
+	$(GO) test ./internal/system -run '^$$' -fuzz FuzzSystemSection -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

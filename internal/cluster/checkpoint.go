@@ -182,8 +182,9 @@ func Resume(r io.Reader, cfg Config) (*Fleet, error) {
 
 	// Rebuild each host: its historical app list (every placement,
 	// moved-away and departed instances included) comes from the
-	// placement log; the embedded blob then replays admissions and
-	// stops and overlays the live state.
+	// placement log; the embedded blob then rebuilds the running
+	// instances, restores the stopped ones' summaries and overlays the
+	// live state.
 	for h := 0; h < cfg.Hosts; h++ {
 		hd, err := cr.Section(fmt.Sprintf("host.%d", h), fleetHostVersion)
 		if err != nil {

@@ -131,7 +131,7 @@ type Host struct {
 
 // placeRec is one AddApp call on one host, in order — the append-only
 // log a fleet checkpoint needs to rebuild the host's historical app
-// list (stopped instances included) before system.Resume can replay it.
+// list (stopped instances included) before system.Resume can restore it.
 type placeRec struct {
 	jobIdx int
 	gen    int

@@ -8,14 +8,13 @@ import (
 	"vulcan/internal/pagetable"
 )
 
-// Snapshot appends Vulcan's durable state: the CBFRP RNG, the Colloid
-// gate, the QoS controller epoch, and per workload (in admission order)
+// Snapshot appends Vulcan's durable state: the CBFRP RNG, the QoS
+// controller epoch, and per workload (in admission order)
 // the QoS state, the first-touch placement count, and the MLFQ wait
 // memory. The queue contents themselves are rebuilt from scratch every
 // epoch and carry nothing across epochs except lastHeat.
 func (v *Vulcan) Snapshot(e *checkpoint.Encoder) {
 	v.rng.Snapshot(e)
-	e.Bool(v.colloidSuspended)
 	e.Int(v.qos.epoch)
 	e.Int(len(v.qos.states))
 	for _, st := range v.qos.states {
@@ -40,7 +39,6 @@ func (v *Vulcan) Restore(d *checkpoint.Decoder) error {
 	if err := v.rng.Restore(d); err != nil {
 		return err
 	}
-	v.colloidSuspended = d.Bool()
 	v.qos.epoch = d.Int()
 	n := d.Int()
 	if d.Err() != nil {

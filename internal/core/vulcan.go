@@ -29,14 +29,6 @@ type Options struct {
 	DisableOptimizedPrep bool
 	// DisableShadowing drops Nomad-style shadow copies (§3.5).
 	DisableShadowing bool
-
-	// ColloidGate enables the §3.6 Colloid integration: migrations are
-	// suspended for an epoch when bandwidth contention erases the fast
-	// tier's latency advantage.
-	ColloidGate bool
-	// ColloidThreshold is the fast/slow loaded-latency ratio above which
-	// migration is pointless (default 0.85).
-	ColloidThreshold float64
 }
 
 // Vulcan's tuning.
@@ -66,12 +58,6 @@ const (
 	cbfrpSeed uint64 = 99
 )
 
-func (o *Options) fillDefaults() {
-	if o.ColloidThreshold == 0 {
-		o.ColloidThreshold = 0.85
-	}
-}
-
 // Vulcan is the paper's tiering framework as a system.Tiering policy.
 type Vulcan struct {
 	opts   Options
@@ -79,8 +65,6 @@ type Vulcan struct {
 	queues map[*system.App]*PromotionQueues
 	placed map[*system.App]int
 	rng    *sim.RNG
-
-	colloidSuspended bool
 
 	// Per-epoch scratch, reused so enforcement allocates nothing in
 	// steady state.
@@ -91,7 +75,6 @@ type Vulcan struct {
 
 // New builds Vulcan with opts (zero value = full system, defaults).
 func New(opts Options) *Vulcan {
-	opts.fillDefaults()
 	return &Vulcan{
 		opts:   opts,
 		qos:    NewQoSController(),
@@ -169,20 +152,6 @@ func (v *Vulcan) Place(sys *system.System, app *system.App) mem.TierID {
 // CBFRP, then enforce quotas per app through the biased migration policy,
 // all executed by per-app migration threads (no global synchronization).
 func (v *Vulcan) EndEpoch(sys *system.System) {
-	if v.opts.ColloidGate {
-		v.colloidSuspended = colloidSuspend(sys, sys.BandwidthUtil(), v.opts.ColloidThreshold)
-		if v.colloidSuspended {
-			// Bandwidth contention has erased the fast tier's advantage:
-			// hold quotas and skip all migration this epoch.
-			if obs.Enabled(sys.Obs(), obs.EvQoSAdapt) {
-				e := obs.E(obs.EvQoSAdapt, "", "qos", 0,
-					obs.F("bw_fast", sys.BandwidthUtil()[mem.TierFast]))
-				e.Note = "colloid-suspend"
-				sys.Obs().Event(e)
-			}
-			return
-		}
-	}
 	fastCap := sys.Tiers().Fast().Capacity()
 	v.qos.UpdateDemands(fastCap)
 	if v.opts.DisableCBFRP {

@@ -51,7 +51,7 @@ const (
 	// and MLFQ escalations.
 	EvQueueAdapt
 	// EvQoSAdapt reports QoS controller activity: CBFRP partitions,
-	// credit transfers, probe-shrink moves, Colloid suspension.
+	// credit transfers, probe-shrink moves and rescores.
 	EvQoSAdapt
 	// EvDemandFault aggregates an app's demand faults over one epoch.
 	EvDemandFault

@@ -264,9 +264,9 @@ func open(opts Options, jd *JournalData, image string, batch bool) (_ *Session, 
 // the recorded offset (dropping any tail written after the checkpoint)
 // and continued from there. The system resumes against a config whose
 // app list is the scenario's own followed by the journal's
-// pre-checkpoint admissions in execution order (system.Resume replays
-// admissions and stops from its internal chronology); their scheduled
-// departures are re-derived.
+// pre-checkpoint admissions in execution order (system.Resume rebuilds
+// the apps still running and restores the stopped ones' summaries);
+// their scheduled departures are re-derived.
 func (s *Session) restore(image string, jd *JournalData, cfg system.Config) (int, error) {
 	f, err := os.Open(image)
 	if err != nil {

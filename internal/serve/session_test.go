@@ -372,6 +372,50 @@ func TestEnqueueRejectsPremapAdmit(t *testing.T) {
 	}
 }
 
+// TestAdmitLargerThanMachineRejected: an admit whose RSS exceeds the
+// machine's fast and slow tiers together lands in Errs instead of
+// panicking at admission, is never journaled, and the journal replay
+// still matches the live run.
+func TestAdmitLargerThanMachineRejected(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Scenario: testScenario(4), Journal: filepath.Join(dir, "run.journal")}
+	s, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := Cmd{Op: "admit", App: &scenario.App{Name: "big", Threads: 1,
+		RSSPages: 4194304, Generator: "uniform"}}
+	if err := s.Enqueue(big); err != nil {
+		t.Fatal(err)
+	}
+	for !s.Finished() {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.Errs()) != 1 || !strings.Contains(s.Errs()[0], "big") {
+		t.Fatalf("errs = %v, want the rejected admit", s.Errs())
+	}
+
+	r, err := Replay(opts.Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var live, replayed bytes.Buffer
+	if err := s.WriteReport(&live, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteReport(&replayed, true); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live.Bytes(), replayed.Bytes()) {
+		t.Fatal("journal replay report differs from the live session's")
+	}
+}
+
 // TestUnknownPolicyErrors: a scenario naming a policy outside
 // figures.PolicyNames fails every constructor with an error instead of
 // panicking inside the policy factory.

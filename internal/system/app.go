@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 
 	"vulcan/internal/machine"
 	"vulcan/internal/mem"
@@ -34,10 +35,11 @@ type App struct {
 	sys     *System //vulcan:nosnap construction wiring, bound when the system admits the app
 	rng     *sim.RNG
 	started bool
-	// stopped marks an app evicted by StopApp: its frames are freed and
-	// it never runs again, but it keeps its slot (indices, recorder
-	// series and fairness history stay stable) and its durable summary
-	// statistics for reporting.
+	// stopped marks an app evicted by StopApp: its frames are freed, its
+	// runtime state (table, TLBs, threads, engines, profiler, THP
+	// overlay) is dropped and it never runs again, but it keeps its slot
+	// (indices, recorder series and fairness history stay stable) and
+	// its durable summary statistics for reporting.
 	stopped bool
 	huge    *HugeSet // nil when THP disabled
 
@@ -303,6 +305,8 @@ func (a *App) admit(sys *System, placer Placer) {
 		a.huge = NewHugeSet(a.rssMapped)
 	}
 	a.started = true
+	i, _ := slices.BinarySearchFunc(sys.live, a.Index, byIndex)
+	sys.live = slices.Insert(sys.live, i, a)
 }
 
 // splitTHP breaks the huge mapping covering a page about to migrate,
@@ -353,17 +357,7 @@ func (a *App) noteDelayedAcks(threads []int) {
 // demand-fault as the access stream reaches them, growing the resident
 // set over time.
 func (a *App) premap(placer Placer) {
-	sharedPages := int(float64(a.Cfg.RSSPages) * a.Cfg.SharedFraction)
-	if sharedPages < 1 {
-		sharedPages = 1
-	}
-	privPer := (a.Cfg.RSSPages - sharedPages) / a.Cfg.Threads
-	mapped := sharedPages + privPer*a.Cfg.Threads
-	frac := a.Cfg.PremapFraction
-	if frac == 0 {
-		frac = 1
-	}
-	mapped = int(float64(mapped) * frac)
+	sharedPages, privPer, mapped := a.premapLayout()
 	for vp := 0; vp < mapped; vp++ {
 		tid := 0
 		if vp < sharedPages {
@@ -374,6 +368,22 @@ func (a *App) premap(placer Placer) {
 		a.mapNewPage(pagetable.VPage(vp), tid, placer)
 	}
 	a.rssMapped = a.Table.Mapped()
+}
+
+// premapLayout returns the shared region's size, each thread's private
+// slice and how many pages premap maps (the configured fraction of the
+// two together).
+func (a *App) premapLayout() (shared, privPer, mapped int) {
+	shared = int(float64(a.Cfg.RSSPages) * a.Cfg.SharedFraction)
+	if shared < 1 {
+		shared = 1
+	}
+	privPer = (a.Cfg.RSSPages - shared) / a.Cfg.Threads
+	frac := a.Cfg.PremapFraction
+	if frac == 0 {
+		frac = 1
+	}
+	return shared, privPer, int(float64(shared+privPer*a.Cfg.Threads) * frac)
 }
 
 // mapNewPage allocates a frame (policy placement with fast-first

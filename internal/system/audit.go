@@ -54,10 +54,7 @@ func (s *System) Audit() AuditReport {
 		seen[f] = o
 	}
 
-	for _, a := range s.apps {
-		if !a.started {
-			continue
-		}
+	for _, a := range s.live {
 		a.Table.Range(func(vp pagetable.VPage, p pagetable.PTE) bool {
 			f := p.Frame()
 			if f.IsNil() {

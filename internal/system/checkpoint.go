@@ -6,6 +6,7 @@ import (
 
 	"vulcan/internal/checkpoint"
 	"vulcan/internal/mem"
+	"vulcan/internal/metrics"
 	"vulcan/internal/migrate"
 	"vulcan/internal/pagetable"
 	"vulcan/internal/profile"
@@ -20,10 +21,10 @@ const (
 	machineVersion = 1
 	// memVersion 2 drops the per-tier access counters.
 	memVersion = 2
-	// systemVersion 2 appends the stop log (dynamic-eviction chronology);
-	// appVersion 2 adds the stopped flag and a retired app's durable
-	// summary statistics.
-	systemVersion  = 2
+	// systemVersion 3 drops the stop log: a retired app is its summary,
+	// so the admission order lists only running apps and Resume rebuilds
+	// only those, with no stop chronology to replay.
+	systemVersion  = 3
 	metricsVersion = 1
 	// appVersion 3 appends the async-migrator backpressure tallies and the
 	// dynamic intensity override; appVersion 4 drops the lifetime tallies
@@ -33,8 +34,9 @@ const (
 	appVersion = 4
 	// profilerVersion tracks the profile package's snapshot layout.
 	profilerVersion = profile.SnapshotVersion
-	policyVersion   = 1
-	faultVersion    = 1
+	// policyVersion 2 drops Vulcan's Colloid-gate flag with the gate.
+	policyVersion = 2
+	faultVersion  = 1
 	// obsVersion 3 drops the recorder's flush-boundary marks (the trace
 	// no longer interleaves cost counter samples, so nothing reads them)
 	// and renumbers the event types after the deleted THP-collapse slot.
@@ -81,11 +83,6 @@ func (s *System) Checkpoint(w io.Writer) error {
 		sys.U32(f.Index)
 	}
 	s.cfi.Snapshot(sys)
-	sys.Int(len(s.stopLog))
-	for _, ev := range s.stopLog {
-		sys.Int(ev.idx)
-		sys.Int(ev.afterAdmits)
-	}
 
 	s.tiers.Snapshot(cw.Section("mem", memVersion))
 	s.recorder.Snapshot(cw.Section("metrics", metricsVersion))
@@ -137,7 +134,7 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 	ckptPolicy := meta.String()
 	seed := meta.U64()
 	nApps := meta.Int()
-	meta.Int() // completed epochs; informational, restored from "system"
+	metaEpoch := meta.Int()
 	if err := meta.Close(); err != nil {
 		return nil, err
 	}
@@ -170,10 +167,10 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 	if sys.Err() != nil {
 		return nil, sys.Err()
 	}
-	if s.epoch < 0 {
-		return nil, fmt.Errorf("system: negative epoch %d in checkpoint", s.epoch)
+	if s.epoch < 0 || s.epoch != metaEpoch {
+		return nil, fmt.Errorf("system: epoch %d in checkpoint, manifest says %d", s.epoch, metaEpoch)
 	}
-	admitted := make(map[int]bool, nAdmit)
+	admitted := make([]bool, len(s.apps))
 	for i := 0; i < nAdmit; i++ {
 		idx := sys.Int()
 		if sys.Err() != nil {
@@ -194,59 +191,37 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 		if sys.Err() != nil {
 			return nil, sys.Err()
 		}
-		if f.IsNil() {
-			return nil, fmt.Errorf("system: pressure frame on invalid tier in checkpoint")
+		if f.IsNil() || int(f.Index) >= s.tiers.Tier(f.Tier).Capacity() {
+			return nil, fmt.Errorf("system: pressure frame %v out of range in checkpoint", f)
 		}
 		s.pressure = append(s.pressure, f)
 	}
 	if err := s.cfi.Restore(sys); err != nil {
 		return nil, err
 	}
-	nStops := sys.Length(16)
-	if sys.Err() != nil {
-		return nil, sys.Err()
-	}
-	stoppedSet := make(map[int]bool, nStops)
-	lastAfter := 0
-	for i := 0; i < nStops; i++ {
-		ev := stopEvent{idx: sys.Int(), afterAdmits: sys.Int()}
-		if sys.Err() != nil {
-			return nil, sys.Err()
-		}
-		if ev.idx < 0 || ev.idx >= len(s.apps) || !admitted[ev.idx] || stoppedSet[ev.idx] {
-			return nil, fmt.Errorf("system: bad stop entry %d in checkpoint", ev.idx)
-		}
-		if ev.afterAdmits < 1 || ev.afterAdmits > nAdmit || ev.afterAdmits < lastAfter {
-			return nil, fmt.Errorf("system: stop entry %d out of chronology in checkpoint", ev.idx)
-		}
-		lastAfter = ev.afterAdmits
-		stoppedSet[ev.idx] = true
-		s.stopLog = append(s.stopLog, ev)
-	}
 	if err := sys.Close(); err != nil {
 		return nil, err
 	}
 
-	// Replay admissions in the recorded order, so policies register
-	// workloads in the same sequence as the checkpointed run, with stops
-	// interleaved at their recorded chronology — a stop that freed
-	// capacity for a later admission must free it during replay too, or
-	// the replayed premaps would exceed physical memory. Placement and
-	// RNG side effects of the replay are overwritten by the overlays
-	// below.
-	si := 0
-	for n, idx := range s.admitOrder {
+	// Replay the running apps' admissions in the recorded order, so
+	// policies register workloads in the same sequence as the
+	// checkpointed run. Retired apps are not rebuilt: their app sections
+	// restore the summary directly. Placement and RNG side effects of
+	// the replay are overwritten by the overlays below. The running apps
+	// held their premaps at once, so a list whose premaps exceed the
+	// machine is corrupt (and would exhaust memory mid-replay).
+	premapped := 0
+	for _, idx := range s.admitOrder {
+		_, _, n := s.apps[idx].premapLayout()
+		premapped += n
+	}
+	if capacity := s.tiers.Fast().Capacity() + s.tiers.Slow().Capacity(); premapped > capacity {
+		return nil, fmt.Errorf("system: checkpoint admits %d premapped pages, the machine has %d", premapped, capacity)
+	}
+	for _, idx := range s.admitOrder {
 		a := s.apps[idx]
 		a.admit(s, s.placer)
 		s.policy.AppStarted(s, a)
-		for si < len(s.stopLog) && s.stopLog[si].afterAdmits <= n+1 {
-			victim := s.apps[s.stopLog[si].idx]
-			if !victim.started {
-				return nil, fmt.Errorf("system: checkpoint stops app %q before its admission", victim.Cfg.Name)
-			}
-			s.retire(victim)
-			si++
-		}
 	}
 
 	// Substrate overlays. Tiers go wholesale after admissions so the
@@ -329,9 +304,8 @@ func (a *App) snapshot(e *checkpoint.Encoder) {
 	e.Bool(a.started)
 	e.Bool(a.stopped)
 	if a.stopped {
-		// A retired app keeps only its reporting summary: the runtime
-		// state (table, engine, profiler) was torn down by StopApp and
-		// the replay reconstructs and re-tears it deterministically.
+		// A retired app is its reporting summary: StopApp dropped the
+		// runtime state (table, engine, profiler) for good.
 		a.fthr.Snapshot(e)
 		a.perfSeries.Snapshot(e)
 		e.F64(a.sampleWeight)
@@ -392,14 +366,15 @@ func (a *App) restore(d *checkpoint.Decoder) error {
 	if name != a.Cfg.Name {
 		return fmt.Errorf("system: checkpoint app %q, config app %q", name, a.Cfg.Name)
 	}
-	if ckptStarted != a.started || ckptStopped != a.stopped {
+	// The system section's admission order decided which apps Resume
+	// rebuilt; a retired app must not be among them.
+	if ckptStarted != a.started || ckptStopped && a.started {
 		return fmt.Errorf("system: app %q admission state disagrees with checkpoint manifest", name)
 	}
 	if ckptStopped {
-		if a.fthr == nil {
-			// Defensive: the stop replay built these during admit.
-			return fmt.Errorf("system: app %q stopped in checkpoint but never admitted here", name)
-		}
+		a.stopped = true
+		a.fthr = metrics.NewEMA(FTHRAlpha)
+		a.perfSeries = &metrics.Running{}
 		if err := a.fthr.Restore(d); err != nil {
 			return err
 		}

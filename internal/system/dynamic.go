@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 
 	"vulcan/internal/obs"
 	"vulcan/internal/pagetable"
@@ -15,16 +16,6 @@ import (
 // only ever walk StartedApps need no implementation.
 type AppStopper interface {
 	AppStopped(sys *System, app *App)
-}
-
-// stopEvent is one StopApp call in the system's lifecycle chronology:
-// which app stopped, and after how many admissions. Interleaving the
-// two logs lets a checkpoint replay reproduce the resident set the
-// original run held at every point, so replayed premaps never exceed
-// physical capacity that was only freed by an intervening stop.
-type stopEvent struct {
-	idx         int
-	afterAdmits int
 }
 
 // LiveThreads counts the threads of every app that is running or still
@@ -50,8 +41,10 @@ func (s *System) liveThreads() int {
 // set StartAt at or before the current clock). The system must have
 // been built with AllowDynamic; names must be unique (recorder series,
 // telemetry labels and policy registries are keyed by them), the config
-// must pass AppConfig.Check, and the newcomer's threads must fit
-// alongside every non-stopped app's.
+// must pass AppConfig.Check, the newcomer's threads must fit alongside
+// every non-stopped app's, and its RSS must fit the machine's fast and
+// slow tiers together (an app larger than the machine could never be
+// mapped).
 func (s *System) AddApp(ac workload.AppConfig) (*App, error) {
 	if !s.cfg.AllowDynamic {
 		return nil, fmt.Errorf("system: AddApp on a static system (Config.AllowDynamic is off)")
@@ -65,6 +58,10 @@ func (s *System) AddApp(ac workload.AppConfig) (*App, error) {
 	if live := s.liveThreads(); live+ac.Threads > s.cores {
 		return nil, fmt.Errorf("system: app %q needs %d threads, %d of %d cores already committed",
 			ac.Name, ac.Threads, live, s.cores)
+	}
+	if capacity := s.tiers.Fast().Capacity() + s.tiers.Slow().Capacity(); ac.RSSPages > capacity {
+		return nil, fmt.Errorf("system: app %q needs %d pages, the machine has %d",
+			ac.Name, ac.RSSPages, capacity)
 	}
 	a := &App{
 		Cfg: ac, Index: len(s.apps), rng: s.rng.Fork(),
@@ -81,10 +78,11 @@ func (s *System) AddApp(ac workload.AppConfig) (*App, error) {
 // (AppStopper implementations drop their registration state), then
 // every frame the app holds — mapped pages and shadow copies alike —
 // is returned to its tier, and the app is retired in place. Its slot,
-// recorder series and cumulative fairness contribution survive; only
-// its future does not. Must be called between epochs (the same
-// boundary contract as Checkpoint). Stopping is permanent: a retired
-// name can only come back as a fresh AddApp instance under a new name.
+// recorder series, cumulative fairness contribution and reporting
+// summary survive; its runtime state and its future do not. Must be
+// called between epochs (the same boundary contract as Checkpoint).
+// Stopping is permanent: a retired name can only come back as a fresh
+// AddApp instance under a new name.
 func (s *System) StopApp(a *App) error {
 	if !s.cfg.AllowDynamic {
 		return fmt.Errorf("system: StopApp on a static system (Config.AllowDynamic is off)")
@@ -98,7 +96,6 @@ func (s *System) StopApp(a *App) error {
 	if !a.started {
 		return fmt.Errorf("system: app %q not admitted yet", a.Cfg.Name)
 	}
-	s.stopLog = append(s.stopLog, stopEvent{idx: a.Index, afterAdmits: len(s.admitOrder)})
 	s.retire(a)
 	if obs.Enabled(s.obs, obs.EvAppStop) {
 		s.obs.Event(obs.E(obs.EvAppStop, a.Cfg.Name, "", 0,
@@ -144,31 +141,35 @@ func (s *System) rescore(dirty []*App) {
 	}
 }
 
-// retire is the shared teardown of StopApp and checkpoint stop-replay:
-// policy notification, frame release, and the flag flip. It emits no
-// telemetry — replay must not re-emit events the original run already
-// recorded.
+// retire tears a stopped app down to its durable summary: policy
+// notification, frame release, removal from the live list and the
+// admission order, and the flag flip. What remains — name, FTHR, perf
+// series, sample weight and op counts — is exactly what the report and
+// the app's checkpoint section carry.
 func (s *System) retire(a *App) {
 	if ps, ok := s.policy.(AppStopper); ok {
 		ps.AppStopped(s, a)
 	}
-	// Unmap every present page and free its frame. Page numbers are
-	// collected first: Unmap mutates the trees Range walks.
-	vps := make([]pagetable.VPage, 0, a.Table.Mapped())
-	a.Table.Range(func(vp pagetable.VPage, _ pagetable.PTE) bool {
-		vps = append(vps, vp)
+	// The table is discarded with the app, so its frames are freed in
+	// walk order without unmapping.
+	a.Table.Range(func(_ pagetable.VPage, pte pagetable.PTE) bool {
+		s.tiers.Free(pte.Frame())
 		return true
 	})
-	for _, vp := range vps {
-		if pte, ok := a.Table.Unmap(vp); ok {
-			s.tiers.Free(pte.Frame())
-		}
-	}
 	// Shadow copies of promoted pages hold slow-tier frames of their own.
 	a.Engine.DropAllShadows()
+	i, _ := slices.BinarySearchFunc(s.live, a.Index, byIndex)
+	s.live = slices.Delete(s.live, i, i+1)
+	s.admitOrder = slices.DeleteFunc(s.admitOrder, func(idx int) bool { return idx == a.Index })
+	a.Table, a.TLBs, a.Threads = nil, nil, nil
+	a.Engine, a.Async, a.Retry, a.Profiler = nil, nil, nil, nil
+	a.huge, a.acct = nil, appAccounts{}
 	a.started = false
 	a.stopped = true
 	a.fastPages = 0
 	a.rssMapped = 0
 	a.pendingStall = 0
 }
+
+// byIndex orders apps by their slot index (the live list's order).
+func byIndex(a *App, idx int) int { return a.Index - idx }

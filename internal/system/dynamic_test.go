@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"vulcan/internal/checkpoint"
+	"vulcan/internal/mem"
 	"vulcan/internal/obs"
 	"vulcan/internal/sim"
 	"vulcan/internal/workload"
@@ -50,6 +52,11 @@ func TestAddAppLifecycle(t *testing.T) {
 	big.Threads = 7
 	if _, err := sys.AddApp(big); err == nil {
 		t.Fatal("over-capacity app accepted")
+	}
+	// Memory capacity: the tiers hold 256+4096 pages; a larger app could
+	// never be mapped.
+	if _, err := sys.AddApp(tinyApp("huge", workload.BE, 256+4096+1, 0)); err == nil {
+		t.Fatal("app larger than the machine accepted")
 	}
 	// A malformed config is an error, not a panic.
 	bad := tinyApp("bad", workload.BE, 100, 0)
@@ -105,6 +112,11 @@ func TestStopAppFreesFrames(t *testing.T) {
 	if a.TotalOps() != opsBefore {
 		t.Fatal("stop changed the durable ops summary")
 	}
+	// A retired app is its summary: the runtime state is gone.
+	if a.Table != nil || a.TLBs != nil || a.Threads != nil || a.Engine != nil ||
+		a.Async != nil || a.Retry != nil || a.Profiler != nil || a.Huge() != nil {
+		t.Fatal("stopped app kept runtime state")
+	}
 	if len(sys.StartedApps()) != 1 {
 		t.Fatalf("started = %d after stop, want 1", len(sys.StartedApps()))
 	}
@@ -130,114 +142,277 @@ func TestStopAppFreesFrames(t *testing.T) {
 	}
 }
 
-// dynScript drives one deterministic add/stop schedule: the same calls
-// at the same epoch boundaries, whatever system it is handed. Epochs
-// are absolute (the schedule is consulted before each RunEpoch), so a
-// resumed system continues mid-script.
-func dynScript(t *testing.T, sys *System, from, to int) {
+// dynCase is one deterministic add/stop schedule on one machine: app
+// a (300 pages) runs from the start, b (200) is added at epoch 2, a
+// stops at 4, and c (cPages) is added at 6. Epochs are absolute (the
+// schedule is consulted before each RunEpoch), so a resumed system
+// continues mid-script.
+type dynCase struct {
+	name       string
+	fast, slow int
+	cPages     int
+}
+
+var dynCases = []dynCase{
+	{"roomy", 256, 4096, 250},
+	// c fits only in the frames a's stop freed: 300+200+400 pages
+	// exceed the 128+512 the machine has.
+	{"reuse", 128, 512, 400},
+}
+
+func (c dynCase) script(t testing.TB, sys *System, from, to int) {
 	t.Helper()
 	for e := from; e < to; e++ {
 		switch e {
 		case 2:
 			if _, err := sys.AddApp(tinyApp("b", workload.BE, 200, 0)); err != nil {
-				t.Fatalf("add b: %v", err)
+				t.Fatalf("%s: add b: %v", c.name, err)
 			}
 		case 4:
 			if err := sys.StopApp(sys.App("a")); err != nil {
-				t.Fatalf("stop a: %v", err)
+				t.Fatalf("%s: stop a: %v", c.name, err)
 			}
 		case 6:
-			if _, err := sys.AddApp(tinyApp("c", workload.LC, 250, 0)); err != nil {
-				t.Fatalf("add c: %v", err)
+			if _, err := sys.AddApp(tinyApp("c", workload.LC, c.cPages, 0)); err != nil {
+				t.Fatalf("%s: add c: %v", c.name, err)
 			}
 		}
 		sys.RunEpoch()
 	}
 }
 
-// appsAddedBy returns the cfg.Apps list a resume at epoch `split` must
-// present: every app the script has added before that boundary, in
-// AddApp order.
-func appsAddedBy(split int) []workload.AppConfig {
+// config returns the Config a run (split 0) or a resume at epoch split
+// must present: every app the script has added before that boundary,
+// in AddApp order.
+func (c dynCase) config(split int) Config {
 	apps := []workload.AppConfig{tinyApp("a", workload.LC, 300, 0)}
 	if split > 2 {
 		apps = append(apps, tinyApp("b", workload.BE, 200, 0))
 	}
 	if split > 6 {
-		apps = append(apps, tinyApp("c", workload.LC, 250, 0))
+		apps = append(apps, tinyApp("c", workload.LC, c.cPages, 0))
 	}
-	return apps
+	cfg := dynConfig(apps...)
+	cfg.Machine = tinyMachine(c.fast, c.slow)
+	return cfg
 }
 
+// TestDynamicCheckpointResumeByteIdentical resumes each schedule before
+// the stop, after it, and after the later admission, and requires the
+// resumed run's output to equal the uninterrupted run's.
 func TestDynamicCheckpointResumeByteIdentical(t *testing.T) {
 	const total = 10
-	for _, split := range []int{3, 5, 7} {
-		golden := New(dynConfig(appsAddedBy(0)...))
-		dynScript(t, golden, 0, total)
+	for _, c := range dynCases {
+		golden := New(c.config(0))
+		c.script(t, golden, 0, total)
 		want := dump(t, golden)
-
-		first := New(dynConfig(appsAddedBy(0)...))
-		dynScript(t, first, 0, split)
-		var blob bytes.Buffer
-		if err := first.Checkpoint(&blob); err != nil {
-			t.Fatalf("split %d: checkpoint: %v", split, err)
-		}
-		resumed, err := Resume(bytes.NewReader(blob.Bytes()), dynConfig(appsAddedBy(split)...))
-		if err != nil {
-			t.Fatalf("split %d: resume: %v", split, err)
-		}
-		dynScript(t, resumed, split, total)
-		got := dump(t, resumed)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("split %d: resumed dynamic run diverged (%d vs %d bytes)", split, len(want), len(got))
+		for _, split := range []int{3, 5, 7} {
+			first := New(c.config(0))
+			c.script(t, first, 0, split)
+			var blob bytes.Buffer
+			if err := first.Checkpoint(&blob); err != nil {
+				t.Fatalf("%s split %d: checkpoint: %v", c.name, split, err)
+			}
+			resumed, err := Resume(bytes.NewReader(blob.Bytes()), c.config(split))
+			if err != nil {
+				t.Fatalf("%s split %d: resume: %v", c.name, split, err)
+			}
+			c.script(t, resumed, split, total)
+			got := dump(t, resumed)
+			if !bytes.Equal(want, got) {
+				t.Fatalf("%s split %d: resumed dynamic run diverged (%d vs %d bytes)",
+					c.name, split, len(want), len(got))
+			}
 		}
 	}
 }
 
 func TestDynamicCheckpointCorruptionNeverPanics(t *testing.T) {
-	sys := New(dynConfig(appsAddedBy(0)...))
-	dynScript(t, sys, 0, 5) // past the stop at epoch 4
+	c := dynCases[0]
+	sys := New(c.config(0))
+	c.script(t, sys, 0, 5) // past the stop at epoch 4
 	var blob bytes.Buffer
 	if err := sys.Checkpoint(&blob); err != nil {
 		t.Fatal(err)
 	}
 	raw := blob.Bytes()
 	for n := 0; n < len(raw); n += 7 {
-		if _, err := Resume(bytes.NewReader(raw[:n]), dynConfig(appsAddedBy(5)...)); err == nil {
+		if _, err := Resume(bytes.NewReader(raw[:n]), c.config(5)); err == nil {
 			t.Fatalf("truncation at %d accepted", n)
 		}
 	}
 	for i := 0; i < len(raw); i += 11 {
 		mut := append([]byte(nil), raw...)
 		mut[i] ^= 0x5a
-		if _, err := Resume(bytes.NewReader(mut), dynConfig(appsAddedBy(5)...)); err == nil {
+		if _, err := Resume(bytes.NewReader(mut), c.config(5)); err == nil {
 			t.Fatalf("corruption at byte %d accepted", i)
 		}
 	}
 }
 
-// TestDynamicCheckpointReencodesIdentically resumes a checkpoint cut
-// past a StopApp and requires the resumed system to checkpoint to the
+// TestDynamicCheckpointReencodesIdentically resumes checkpoints cut
+// around a StopApp and requires the resumed system to checkpoint to the
 // same bytes: every field restored lands where the next Snapshot reads
 // it.
 func TestDynamicCheckpointReencodesIdentically(t *testing.T) {
-	for _, split := range []int{5, 7, 10} {
-		sys := New(dynConfig(appsAddedBy(0)...))
-		dynScript(t, sys, 0, split)
-		var blob bytes.Buffer
-		if err := sys.Checkpoint(&blob); err != nil {
-			t.Fatalf("split %d: checkpoint: %v", split, err)
+	for _, c := range dynCases {
+		for _, split := range []int{3, 5, 7, 10} {
+			sys := New(c.config(0))
+			c.script(t, sys, 0, split)
+			var blob bytes.Buffer
+			if err := sys.Checkpoint(&blob); err != nil {
+				t.Fatalf("%s split %d: checkpoint: %v", c.name, split, err)
+			}
+			resumed, err := Resume(bytes.NewReader(blob.Bytes()), c.config(split))
+			if err != nil {
+				t.Fatalf("%s split %d: resume: %v", c.name, split, err)
+			}
+			if audit := resumed.Audit(); !audit.Ok() {
+				t.Fatalf("%s split %d: resumed audit: %v", c.name, split, audit.Errors)
+			}
+			var again bytes.Buffer
+			if err := resumed.Checkpoint(&again); err != nil {
+				t.Fatalf("%s split %d: re-checkpoint: %v", c.name, split, err)
+			}
+			if !bytes.Equal(blob.Bytes(), again.Bytes()) {
+				t.Fatalf("%s split %d: re-encoded checkpoint differs (%d vs %d bytes)",
+					c.name, split, blob.Len(), again.Len())
+			}
 		}
-		resumed, err := Resume(bytes.NewReader(blob.Bytes()), dynConfig(appsAddedBy(split)...))
+	}
+}
+
+// ckptSection is one section of a checkpoint blob, payload copied out.
+type ckptSection struct {
+	name    string
+	version uint32
+	payload []byte
+}
+
+// splitCheckpoint decodes blob into its sections, in blob order.
+func splitCheckpoint(t testing.TB, blob []byte) []ckptSection {
+	t.Helper()
+	cr, err := checkpoint.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []ckptSection
+	for _, info := range cr.Manifest() {
+		d, err := cr.Section(info.Name, info.Version)
 		if err != nil {
-			t.Fatalf("split %d: resume: %v", split, err)
+			t.Fatal(err)
+		}
+		p := make([]byte, 0, info.Size)
+		for d.Remaining() > 0 {
+			p = append(p, d.U8())
+		}
+		out = append(out, ckptSection{info.Name, info.Version, p})
+	}
+	return out
+}
+
+// joinCheckpoint re-emits sections as one blob with fresh checksums,
+// the system section's payload replaced by sysPayload.
+func joinCheckpoint(sections []ckptSection, sysPayload []byte) []byte {
+	w := checkpoint.NewWriter()
+	for _, sec := range sections {
+		p := sec.payload
+		if sec.name == "system" {
+			p = sysPayload
+		}
+		e := w.Section(sec.name, sec.version)
+		for _, b := range p {
+			e.U8(b)
+		}
+	}
+	var out bytes.Buffer
+	w.WriteTo(&out)
+	return out.Bytes()
+}
+
+// withAdmitOrder rewrites a system payload's admission order.
+func withAdmitOrder(t testing.TB, payload []byte, order []int) []byte {
+	t.Helper()
+	d := checkpoint.NewDecoder(payload)
+	if err := sim.NewRNG(1).Restore(d); err != nil {
+		t.Fatal(err)
+	}
+	d.Int() // epoch
+	for i := 0; i < 3*int(mem.NumTiers); i++ {
+		d.F64()
+	}
+	head := len(payload) - d.Remaining()
+	for n := d.Int(); n > 0; n-- {
+		d.Int()
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	e := &checkpoint.Encoder{}
+	for _, b := range payload[:head] {
+		e.U8(b)
+	}
+	e.Int(len(order))
+	for _, idx := range order {
+		e.Int(idx)
+	}
+	for _, b := range payload[len(payload)-d.Remaining():] {
+		e.U8(b)
+	}
+	return e.Bytes()
+}
+
+// FuzzSystemSection: the fuzz input replaces the system section's
+// payload in a real dynamic checkpoint cut past a StopApp and a later
+// admission that reuses the stopped app's frames; every other section
+// is re-emitted byte for byte, so the checksums stay valid. Resume
+// never panics, and an accepted blob resumes to a system that passes
+// Audit and re-checkpoints to the same bytes.
+func FuzzSystemSection(f *testing.F) {
+	c := dynCases[1]
+	const split = 7 // a (index 0) stopped at 4; b and c running
+	sys := New(c.config(0))
+	c.script(f, sys, 0, split)
+	var blob bytes.Buffer
+	if err := sys.Checkpoint(&blob); err != nil {
+		f.Fatal(err)
+	}
+	sections := splitCheckpoint(f, blob.Bytes())
+	var real []byte
+	for _, sec := range sections {
+		if sec.name == "system" {
+			real = sec.payload
+		}
+	}
+	f.Add(real)
+	for cut := 0; cut < len(real); cut += 13 {
+		f.Add(real[:cut])
+	}
+	for _, order := range [][]int{
+		{0, 1, 2}, // the stopped app, whose premap no longer fits
+		{0, 1},    // the stopped app, fitting
+		{2, 1},    // the running apps out of order
+		{1, 99},   // out of range
+		{1, 1},    // duplicate
+		{1},       // a running app missing
+	} {
+		f.Add(withAdmitOrder(f, real, order))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		in := joinCheckpoint(sections, payload)
+		resumed, err := Resume(bytes.NewReader(in), c.config(split))
+		if err != nil {
+			return
+		}
+		if audit := resumed.Audit(); !audit.Ok() {
+			t.Fatalf("accepted payload resumes to a failing audit: %v", audit.Errors)
 		}
 		var again bytes.Buffer
 		if err := resumed.Checkpoint(&again); err != nil {
-			t.Fatalf("split %d: re-checkpoint: %v", split, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(blob.Bytes(), again.Bytes()) {
-			t.Fatalf("split %d: re-encoded checkpoint differs (%d vs %d bytes)", split, blob.Len(), again.Len())
+		if !bytes.Equal(again.Bytes(), in) {
+			t.Fatalf("accepted payload re-checkpoints differently:\n in  %x", payload)
 		}
-	}
+	})
 }

@@ -116,19 +116,16 @@ type System struct {
 	prof     *prof.Profiler //vulcan:nosnap observer-only cost accounting, rebuilt per run
 	epoch    int
 
-	// admitOrder records app indices in admission order. Policies keep
-	// per-workload state in registration order, so a checkpoint must
-	// replay admissions in this order, not index order (staggered starts
-	// make the two differ).
+	// admitOrder records the running apps' indices in admission order.
+	// Policies keep per-workload state in registration order, so a
+	// checkpoint must replay admissions in this order, not index order
+	// (staggered starts make the two differ). StopApp removes the
+	// retired app's entry.
 	admitOrder []int
 
-	// stopLog records StopApp calls in order, each tagged with how many
-	// admissions preceded it. A checkpoint replays admissions and stops
-	// interleaved in this chronology, so the replayed resident set never
-	// exceeds what the original run held at the same point (a stop that
-	// freed capacity for a later admission must free it during replay
-	// too). Empty on every non-dynamic run.
-	stopLog []stopEvent
+	// live holds the running apps in index order: admit inserts, retire
+	// removes. The epoch loops walk it, and StartedApps returns it.
+	live []*App //vulcan:nosnap derived from the apps' started flags, rebuilt by Resume's admissions
 
 	// bwUtil carries the previous epoch's measured bandwidth utilization
 	// into the next epoch's latency model.
@@ -148,12 +145,6 @@ type System struct {
 	// tiers and cost are aliases of the machine's fields for brevity.
 	tiers *mem.Tiers
 	cost  machine.CostModel
-
-	// startedScratch backs StartedApps; the filter is rebuilt on every
-	// call so policies can hold the returned slice through an epoch (the
-	// started set only changes at epoch boundaries, and reentrant calls
-	// rewrite identical contents in place).
-	startedScratch []*App //vulcan:nosnap derived view, rebuilt by every StartedApps call
 }
 
 // New validates cfg and builds the system; apps are admitted lazily at
@@ -221,17 +212,10 @@ func New(cfg Config) *System {
 // Apps returns every configured app (started or not).
 func (s *System) Apps() []*App { return s.apps }
 
-// StartedApps returns the currently admitted apps.
-func (s *System) StartedApps() []*App {
-	out := s.startedScratch[:0]
-	for _, a := range s.apps {
-		if a.started {
-			out = append(out, a)
-		}
-	}
-	s.startedScratch = out
-	return out
-}
+// StartedApps returns the currently admitted apps in index order. The
+// slice is the system's own and changes only at epoch boundaries, so
+// policies may hold it through an epoch but must not modify it.
+func (s *System) StartedApps() []*App { return s.live }
 
 // App returns the app with the given name, or nil.
 func (s *System) App(name string) *App {
@@ -312,47 +296,43 @@ func (s *System) RunEpoch() {
 
 	// Access simulation against last epoch's bandwidth picture.
 	epochCycles := s.EpochCycles()
-	for _, a := range s.apps {
-		if a.started {
-			samples := s.cfg.SamplesPerThread
-			if a.intensityMilli != 0 && a.intensityMilli != 1000 {
-				// Intensity overrides scale the per-thread sample count in
-				// integer arithmetic, so default runs are untouched.
-				samples = samples * a.intensityMilli / 1000
-				if samples < 1 {
-					samples = 1
-				}
+	for _, a := range s.live {
+		samples := s.cfg.SamplesPerThread
+		if a.intensityMilli != 0 && a.intensityMilli != 1000 {
+			// Intensity overrides scale the per-thread sample count in
+			// integer arithmetic, so default runs are untouched.
+			samples = samples * a.intensityMilli / 1000
+			if samples < 1 {
+				samples = 1
 			}
-			a.runEpochAccesses(samples, epochCycles, s.bwUtil)
-			if a.epochDemandFaults > 0 && obs.Enabled(s.obs, obs.EvDemandFault) {
-				s.obs.Event(obs.E(obs.EvDemandFault, a.Cfg.Name, "faults", 0,
-					obs.F("count", float64(a.epochDemandFaults)),
-					obs.F("cycles", float64(a.epochDemandFaults)*s.cost.MinorFaultCycles)))
-			}
+		}
+		a.runEpochAccesses(samples, epochCycles, s.bwUtil)
+		if a.epochDemandFaults > 0 && obs.Enabled(s.obs, obs.EvDemandFault) {
+			s.obs.Event(obs.E(obs.EvDemandFault, a.Cfg.Name, "faults", 0,
+				obs.F("count", float64(a.epochDemandFaults)),
+				obs.F("cycles", float64(a.epochDemandFaults)*s.cost.MinorFaultCycles)))
 		}
 	}
 
 	// Profiler harvest; overhead lands on the app's next epoch.
-	for _, a := range s.apps {
-		if a.started {
-			rep := a.Profiler.EndEpoch()
-			a.ChargeStall(rep.OverheadCycles)
-			// Mechanism-plane view of the harvest cost; the same cycles
-			// surface on the use plane as next epoch's system/stall.
-			a.acct.profEpoch.Charge(rep.OverheadCycles)
-			s.checkProfileConfidence(a)
-			if obs.Enabled(s.obs, obs.EvProfileEpoch) {
-				s.obs.Event(obs.E(obs.EvProfileEpoch, a.Cfg.Name, "profile",
-					sim.CyclesToDuration(rep.OverheadCycles),
-					obs.F("overhead_cycles", rep.OverheadCycles),
-					obs.F("scanned_pages", float64(rep.ScannedPages)),
-					obs.F("faults", float64(rep.Faults)),
-					obs.F("tracked", float64(rep.Tracked))))
-			}
-			if rep.Faults > 0 && obs.Enabled(s.obs, obs.EvHintFault) {
-				s.obs.Event(obs.E(obs.EvHintFault, a.Cfg.Name, "faults", 0,
-					obs.F("count", float64(rep.Faults))))
-			}
+	for _, a := range s.live {
+		rep := a.Profiler.EndEpoch()
+		a.ChargeStall(rep.OverheadCycles)
+		// Mechanism-plane view of the harvest cost; the same cycles
+		// surface on the use plane as next epoch's system/stall.
+		a.acct.profEpoch.Charge(rep.OverheadCycles)
+		s.checkProfileConfidence(a)
+		if obs.Enabled(s.obs, obs.EvProfileEpoch) {
+			s.obs.Event(obs.E(obs.EvProfileEpoch, a.Cfg.Name, "profile",
+				sim.CyclesToDuration(rep.OverheadCycles),
+				obs.F("overhead_cycles", rep.OverheadCycles),
+				obs.F("scanned_pages", float64(rep.ScannedPages)),
+				obs.F("faults", float64(rep.Faults)),
+				obs.F("tracked", float64(rep.Tracked))))
+		}
+		if rep.Faults > 0 && obs.Enabled(s.obs, obs.EvHintFault) {
+			s.obs.Event(obs.E(obs.EvHintFault, a.Cfg.Name, "faults", 0,
+				obs.F("count", float64(rep.Faults))))
 		}
 	}
 
@@ -362,8 +342,8 @@ func (s *System) RunEpoch() {
 	// Bounded retry of transiently-failed migrations (chaos runs only):
 	// the retry batch is background migration work, charged like any
 	// other stall against the app's next epoch.
-	for _, a := range s.apps {
-		if a.started && a.Retry != nil {
+	for _, a := range s.live {
+		if a.Retry != nil {
 			ep := a.Retry.RunEpoch(uint64(s.epoch))
 			a.ChargeStall(ep.Cycles)
 		}
@@ -371,10 +351,7 @@ func (s *System) RunEpoch() {
 
 	// Post-migration accounting.
 	var weighted [mem.NumTiers]float64
-	for _, a := range s.apps {
-		if !a.started {
-			continue
-		}
+	for _, a := range s.live {
 		a.refreshCensus()
 		s.cfi.Observe(a.Index, float64(a.fastPages), a.FTHR())
 		s.recorder.Record(a.keyFastPages, float64(a.fastPages))
