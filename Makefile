@@ -48,10 +48,11 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs nine native fuzz targets for ten seconds each: the
+# fuzz-smoke runs ten native fuzz targets for ten seconds each: the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
-# (FuzzReplicatedRestore), the trace reader (FuzzTraceRead), the tier
+# (FuzzReplicatedRestore), page-table operation sequences against the
+# leaf masks (FuzzTableOps), the trace reader (FuzzTraceRead), the tier
 # checkpoint decoder (FuzzTiersRestore), the profiler checkpoint
 # decoder (FuzzProfilerRestore), the telemetry checkpoint decoder
 # (FuzzRecorderRestore) and the system checkpoint section
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzResolve -fuzztime 10s
 	$(GO) test ./internal/radix -run '^$$' -fuzz FuzzSelect -fuzztime 10s
 	$(GO) test ./internal/pagetable -run '^$$' -fuzz FuzzReplicatedRestore -fuzztime 10s
+	$(GO) test ./internal/pagetable -run '^$$' -fuzz FuzzTableOps -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzTiersRestore -fuzztime 10s
 	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzProfilerRestore -fuzztime 10s

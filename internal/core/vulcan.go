@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math/bits"
+
 	"vulcan/internal/mem"
 	"vulcan/internal/migrate"
 	"vulcan/internal/obs"
+	"vulcan/internal/pagetable"
 	"vulcan/internal/policy"
 	"vulcan/internal/profile"
 	"vulcan/internal/radix"
@@ -52,8 +55,11 @@ const (
 	// decay so scan residue cools quickly.
 	lcHeatDecay float64 = 0.9
 	beHeatDecay float64 = profile.DefaultDecay
-	// swapLimit caps per-epoch within-quota rebalancing swaps.
+	// swapLimit caps per-epoch within-quota rebalancing swaps; it is a
+	// power of two, so swapWithinQuota's doubling rank size meets it.
 	swapLimit = 1024
+	// minSwapRank is swapWithinQuota's smallest rank size.
+	minSwapRank = 64
 	// cbfrpSeed drives CBFRP's random BE selection.
 	cbfrpSeed uint64 = 99
 )
@@ -71,6 +77,10 @@ type Vulcan struct {
 	rank      policy.RankBuf                 //vulcan:nosnap per-epoch ranking scratch, rebuilt every enforce pass
 	selHeat   radix.Select[profile.PageHeat] //vulcan:nosnap per-epoch candidate selection scratch
 	syncBatch []migrate.Move                 //vulcan:nosnap per-epoch sync-migration scratch, reused buffer
+	// swapRank is each app's last swap count, swapWithinQuota's rank
+	// size hint. Any hint yields the same swaps, so it is a cost memo,
+	// not state.
+	swapRank map[*system.App]int //vulcan:nosnap cost hint; every value gives identical swaps
 }
 
 // New builds Vulcan with opts (zero value = full system, defaults).
@@ -81,6 +91,8 @@ func New(opts Options) *Vulcan {
 		queues: make(map[*system.App]*PromotionQueues),
 		placed: make(map[*system.App]int),
 		rng:    sim.NewRNG(cbfrpSeed),
+
+		swapRank: make(map[*system.App]int),
 	}
 }
 
@@ -127,6 +139,7 @@ func (v *Vulcan) AppStopped(sys *system.System, app *system.App) {
 	v.qos.Unregister(app)
 	delete(v.queues, app)
 	delete(v.placed, app)
+	delete(v.swapRank, app)
 }
 
 // Place implements system.Placer: first-touch allocation respects the
@@ -304,24 +317,49 @@ func (v *Vulcan) enforce(sys *system.System, st *QoSState) {
 
 // swapWithinQuota demotes the coldest fast pages to admit strictly
 // hotter slow candidates, without changing the app's allocation.
+//
+// Pairs swap from the top of both rankings until the first pair that
+// does not, so only a prefix of each ranking matters. Both rankings are
+// total orders (heat, then page), so ranking k pages yields exactly the
+// first k of the full swapLimit ranking. The rank size starts at the
+// power of two above the app's last swap count (the full swapLimit
+// before its first swap) and doubles only while every ranked pair
+// swaps; the swaps are those of a full ranking. Each pass scans every
+// candidate, so the hint is what keeps a steady epoch to one pass.
 func (v *Vulcan) swapWithinQuota(sys *system.System, app *system.App, budget float64) {
-	candidates := v.slowCandidates(app, swapLimit)
-	if len(candidates) == 0 {
-		app.Async.RunEpoch(budget, app.WriteProbability)
-		return
-	}
-	victims := v.rank.ColdestFastPages(app, len(candidates))
 	// Pair hottest candidates with coldest victims; swap only when the
 	// candidate is clearly hotter (hysteresis against thrash — a fresh
 	// streaming spike must not displace a steadily warm page).
 	const swapMargin = 4.0
+	k := swapLimit // no swap count yet: rank fully, in one pass
+	if last, ok := v.swapRank[app]; ok {
+		k = min(max(1<<bits.Len(uint(last)), minSwapRank), swapLimit)
+	}
+	var candidates []profile.PageHeat
+	var victims []pagetable.VPage
 	n := 0
-	for n < len(candidates) && n < len(victims) {
-		if candidates[n].Heat <= app.Profiler.Heat(victims[n])*swapMargin {
+	for {
+		candidates = v.slowCandidates(app, k)
+		if len(candidates) == 0 {
+			app.Async.RunEpoch(budget, app.WriteProbability)
+			return
+		}
+		victims = v.rank.ColdestFastPages(app, len(candidates))
+		n = 0
+		for n < len(candidates) && n < len(victims) {
+			if candidates[n].Heat <= app.Profiler.Heat(victims[n])*swapMargin {
+				break
+			}
+			n++
+		}
+		// n < k: a break, or a list shorter than k (the whole ranking),
+		// stops the full ranking at the same pair.
+		if n < k || k == swapLimit {
 			break
 		}
-		n++
+		k *= 2
 	}
+	v.swapRank[app] = n
 	if n > 0 {
 		if obs.Enabled(sys.Obs(), obs.EvDecision) {
 			e := obs.E(obs.EvDecision, app.Name(), "policy", 0,
@@ -346,11 +384,4 @@ func (v *Vulcan) swapWithinQuota(sys *system.System, app *system.App, budget flo
 // pages.
 func (v *Vulcan) slowCandidates(app *system.App, limit int) []profile.PageHeat {
 	return policy.HottestSlowPages(&v.selHeat, app, limit, func(ph profile.PageHeat) profile.PageHeat { return ph })
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -17,7 +17,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"vulcan/internal/sim"
@@ -236,15 +235,4 @@ func RegistryOf(s Sink) *Registry {
 		return p.Metrics()
 	}
 	return nil
-}
-
-// sortedKeys returns m's keys in ascending order; the only sanctioned
-// way for this package to walk a map.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -28,6 +28,8 @@ type Recorder struct {
 	// mode.
 	trace *TraceStream //vulcan:nosnap streaming sink wiring; recovery resumes streams from their own snapshots
 	csv   *CSVStream   //vulcan:nosnap streaming sink wiring; recovery resumes streams from their own snapshots
+
+	rows []metricRow //vulcan:nosnap FlushEpoch's registry row buffer, dead between flushes
 }
 
 // epochSample is one per-epoch registry snapshot row.
@@ -103,17 +105,19 @@ func (r *Recorder) EventCount(t EventType) int {
 // rows append to the CSV stream and both streams flush — the explicit
 // boundary at which the on-disk artifacts are consistent. The system
 // calls it at each epoch boundary, before the clock advances, so rows
-// carry the epoch's start time.
+// carry the epoch's start time. A streaming flush over a fixed
+// instrument set allocates nothing.
+//
+//vulcan:hotpath
 func (r *Recorder) FlushEpoch(epoch int) {
 	var t sim.Time
 	if r.clock != nil {
 		t = r.clock.Now()
 	}
+	r.rows = r.reg.snapshot(r.rows[:0])
 	if r.trace != nil || r.csv != nil {
 		if r.csv != nil {
-			for _, row := range r.reg.snapshot(nil) {
-				r.csv.Row(epoch, t, row.ID, row.Val)
-			}
+			r.csv.rows(epoch, t, r.rows)
 			r.csv.Flush()
 		}
 		if r.trace != nil {
@@ -121,8 +125,8 @@ func (r *Recorder) FlushEpoch(epoch int) {
 		}
 		return
 	}
-	for _, row := range r.reg.snapshot(nil) {
-		r.samples = append(r.samples, epochSample{Epoch: epoch, T: t, Row: row})
+	for _, row := range r.rows {
+		r.samples = append(r.samples, epochSample{Epoch: epoch, T: t, Row: row}) //vulcan:allowalloc batch mode keeps every sample; growth amortized
 	}
 }
 

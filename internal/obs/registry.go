@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -79,10 +80,43 @@ func (g *Gauge) value() float64 { return g.v }
 // and fixed-bucket histograms, each optionally labeled per app and per
 // tier. Lookup is create-on-first-use, so instrumentation sites never
 // pre-register. The zero Registry is not usable; call NewRegistry.
+//
+// Beside each kind's lookup map, the registry keeps the kind's
+// identities in ascending order with their instruments, from
+// registration and Restore onward, so the per-epoch export walks
+// slices instead of sorting map keys.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	histos   map[string]*metrics.Histogram
+
+	counterList sortedIDs[*Counter]
+	gaugeList   sortedIDs[*Gauge]
+	histoList   sortedIDs[histoRows]
+}
+
+// sortedIDs holds instrument identities in ascending order, each with
+// its value at the same index.
+type sortedIDs[T any] struct {
+	ids  []string
+	vals []T
+}
+
+// insert adds an identity not yet present at its sorted position.
+func (s *sortedIDs[T]) insert(id string, v T) {
+	i, _ := slices.BinarySearch(s.ids, id)
+	s.ids = slices.Insert(s.ids, i, id)
+	s.vals = slices.Insert(s.vals, i, v)
+}
+
+// histoRows is a histogram with its four exported row names.
+type histoRows struct {
+	h    *metrics.Histogram
+	rows [4]string // id.count, id.p50, id.p95, id.p99
+}
+
+func newHistoRows(id string, h *metrics.Histogram) histoRows {
+	return histoRows{h: h, rows: [4]string{id + ".count", id + ".p50", id + ".p95", id + ".p99"}}
 }
 
 // NewRegistry returns an empty registry.
@@ -101,6 +135,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if c == nil {
 		c = &Counter{}
 		r.counters[id] = c
+		r.counterList.insert(id, c)
 	}
 	return c
 }
@@ -112,6 +147,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if g == nil {
 		g = &Gauge{}
 		r.gauges[id] = g
+		r.gaugeList.insert(id, g)
 	}
 	return g
 }
@@ -125,37 +161,40 @@ func (r *Registry) Histogram(name string, min, max float64, n int, labels ...Lab
 	if h == nil {
 		h = metrics.NewHistogram(min, max, n)
 		r.histos[id] = h
+		r.histoList.insert(id, newHistoRows(id, h))
 	}
 	return h
 }
 
 // CounterIDs returns every counter identity, sorted.
-func (r *Registry) CounterIDs() []string { return sortedKeys(r.counters) }
+func (r *Registry) CounterIDs() []string { return slices.Clone(r.counterList.ids) }
 
 // GaugeIDs returns every gauge identity, sorted.
-func (r *Registry) GaugeIDs() []string { return sortedKeys(r.gauges) }
+func (r *Registry) GaugeIDs() []string { return slices.Clone(r.gaugeList.ids) }
 
 // HistogramIDs returns every histogram identity, sorted.
-func (r *Registry) HistogramIDs() []string { return sortedKeys(r.histos) }
+func (r *Registry) HistogramIDs() []string { return slices.Clone(r.histoList.ids) }
 
 // snapshot appends one row per instrument to out, in sorted-identity
 // order: counters and gauges by value, histograms expanded to
 // count/p50/p95/p99 via metrics.HistSummary. This is the registry's
 // only export path, shared by the CSV exporter.
+//
+//vulcan:hotpath
 func (r *Registry) snapshot(out []metricRow) []metricRow {
-	for _, id := range r.CounterIDs() {
-		out = append(out, metricRow{ID: id, Val: r.counters[id].value()})
+	for i, c := range r.counterList.vals {
+		out = append(out, metricRow{ID: r.counterList.ids[i], Val: c.value()})
 	}
-	for _, id := range r.GaugeIDs() {
-		out = append(out, metricRow{ID: id, Val: r.gauges[id].value()})
+	for i, g := range r.gaugeList.vals {
+		out = append(out, metricRow{ID: r.gaugeList.ids[i], Val: g.value()})
 	}
-	for _, id := range r.HistogramIDs() {
-		s := r.histos[id].Summary()
+	for _, hr := range r.histoList.vals {
+		s := hr.h.Summary()
 		out = append(out,
-			metricRow{ID: id + ".count", Val: float64(s.Count)},
-			metricRow{ID: id + ".p50", Val: s.P50},
-			metricRow{ID: id + ".p95", Val: s.P95},
-			metricRow{ID: id + ".p99", Val: s.P99},
+			metricRow{ID: hr.rows[0], Val: float64(s.Count)},
+			metricRow{ID: hr.rows[1], Val: s.P50},
+			metricRow{ID: hr.rows[2], Val: s.P95},
+			metricRow{ID: hr.rows[3], Val: s.P99},
 		)
 	}
 	return out

@@ -104,23 +104,20 @@ func restoreEvent(d *checkpoint.Decoder) (Event, error) {
 
 // Snapshot appends every instrument in sorted-identity order.
 func (r *Registry) Snapshot(e *checkpoint.Encoder) {
-	ids := r.CounterIDs()
-	e.Int(len(ids))
-	for _, id := range ids {
+	e.Int(len(r.counterList.ids))
+	for i, id := range r.counterList.ids {
 		e.String(id)
-		e.F64(r.counters[id].value())
+		e.F64(r.counterList.vals[i].value())
 	}
-	ids = r.GaugeIDs()
-	e.Int(len(ids))
-	for _, id := range ids {
+	e.Int(len(r.gaugeList.ids))
+	for i, id := range r.gaugeList.ids {
 		e.String(id)
-		e.F64(r.gauges[id].value())
+		e.F64(r.gaugeList.vals[i].value())
 	}
-	ids = r.HistogramIDs()
-	e.Int(len(ids))
-	for _, id := range ids {
+	e.Int(len(r.histoList.ids))
+	for i, id := range r.histoList.ids {
 		e.String(id)
-		r.histos[id].Snapshot(e)
+		r.histoList.vals[i].h.Snapshot(e)
 	}
 }
 
@@ -134,6 +131,7 @@ func (r *Registry) Restore(d *checkpoint.Decoder) error {
 		return d.Err()
 	}
 	r.counters = make(map[string]*Counter, n)
+	r.counterList = sortedIDs[*Counter]{}
 	for i := 0; i < n; i++ {
 		id := d.String()
 		v := d.F64()
@@ -147,13 +145,16 @@ func (r *Registry) Restore(d *checkpoint.Decoder) error {
 		if v < 0 {
 			return fmt.Errorf("obs: counter %q negative in checkpoint", id)
 		}
-		r.counters[id] = &Counter{v: v}
+		c := &Counter{v: v}
+		r.counters[id] = c
+		r.counterList.insert(id, c)
 	}
 	n = d.Length(12)
 	if d.Err() != nil {
 		return d.Err()
 	}
 	r.gauges = make(map[string]*Gauge, n)
+	r.gaugeList = sortedIDs[*Gauge]{}
 	for i := 0; i < n; i++ {
 		id := d.String()
 		v := d.F64()
@@ -164,13 +165,16 @@ func (r *Registry) Restore(d *checkpoint.Decoder) error {
 			return fmt.Errorf("obs: gauge %q out of order in checkpoint", id)
 		}
 		prev = id
-		r.gauges[id] = &Gauge{v: v}
+		g := &Gauge{v: v}
+		r.gauges[id] = g
+		r.gaugeList.insert(id, g)
 	}
 	n = d.Length(28)
 	if d.Err() != nil {
 		return d.Err()
 	}
 	r.histos = make(map[string]*metrics.Histogram, n)
+	r.histoList = sortedIDs[histoRows]{}
 	for i := 0; i < n; i++ {
 		id := d.String()
 		if d.Err() != nil {
@@ -185,6 +189,7 @@ func (r *Registry) Restore(d *checkpoint.Decoder) error {
 			return err
 		}
 		r.histos[id] = h
+		r.histoList.insert(id, newHistoRows(id, h))
 	}
 	return nil
 }

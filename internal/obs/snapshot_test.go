@@ -150,7 +150,8 @@ func TestRegistryRestoreRejectsUnsortedIDs(t *testing.T) {
 }
 
 // FuzzRecorderRestore: decoding an arbitrary obs blob never panics, and
-// a blob the recorder accepts re-encodes byte for byte. The corpus is
+// a blob the recorder accepts re-encodes byte for byte, with its
+// registry's identity lists in sorted order. The corpus is
 // a batch recorder's snapshot after a short run (events, samples,
 // counters, gauges, a histogram) and a truncation ladder over it.
 func FuzzRecorderRestore(f *testing.F) {
@@ -175,5 +176,6 @@ func FuzzRecorderRestore(f *testing.F) {
 		if !bytes.Equal(e.Bytes(), blob) {
 			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
 		}
+		checkIDLists(t, r.reg)
 	})
 }

@@ -288,35 +288,51 @@ type CSVStream struct {
 	w   *bufio.Writer
 	n   int64
 	err error
+	buf []byte // row formatting scratch, reused across rows
 }
 
 // NewCSVStream opens a metrics CSV stream on w, writing the header.
 func NewCSVStream(w io.Writer) *CSVStream {
 	s := &CSVStream{w: bufio.NewWriter(w)}
-	s.write("epoch,t_ns,metric,value\n")
+	s.buf = append(s.buf, "epoch,t_ns,metric,value\n"...)
+	s.write(s.buf)
 	return s
 }
 
-func (s *CSVStream) write(str string) {
+//vulcan:hotpath
+func (s *CSVStream) write(b []byte) {
 	if s.err != nil {
 		return
 	}
 	var k int
-	k, s.err = s.w.WriteString(str)
+	k, s.err = s.w.Write(b)
 	s.n += int64(k)
 }
 
 // Row appends one sample row: epoch, sim time (ns), metric identity,
 // shortest-round-trip value.
 func (s *CSVStream) Row(epoch int, t sim.Time, id string, val float64) {
-	s.write(strconv.Itoa(epoch))
-	s.write(",")
-	s.write(strconv.FormatInt(int64(t), 10))
-	s.write(",")
-	s.write(id)
-	s.write(",")
-	s.write(formatVal(val))
-	s.write("\n")
+	s.rows(epoch, t, []metricRow{{ID: id, Val: val}})
+}
+
+// rows appends one row per metric, all at one epoch and time: the
+// "epoch,t_ns," prefix is formatted once, and each row is appended to
+// the reused scratch buffer with strconv's Append functions.
+//
+//vulcan:hotpath
+func (s *CSVStream) rows(epoch int, t sim.Time, rows []metricRow) {
+	s.buf = strconv.AppendInt(s.buf[:0], int64(epoch), 10)
+	s.buf = append(s.buf, ',')
+	s.buf = strconv.AppendInt(s.buf, int64(t), 10)
+	s.buf = append(s.buf, ',')
+	prefix := len(s.buf)
+	for _, row := range rows {
+		s.buf = append(s.buf[:prefix], row.ID...)
+		s.buf = append(s.buf, ',')
+		s.buf = strconv.AppendFloat(s.buf, row.Val, 'g', -1, 64)
+		s.buf = append(s.buf, '\n')
+		s.write(s.buf)
+	}
 }
 
 // Flush pushes buffered bytes to the underlying writer.

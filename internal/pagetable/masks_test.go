@@ -1,0 +1,175 @@
+package pagetable
+
+import (
+	"slices"
+	"testing"
+
+	"vulcan/internal/mem"
+	"vulcan/internal/sim"
+)
+
+// opsThreads and opsPages shape the tables runTableOps builds: a few
+// threads, and pages over four leaves so walks cross leaf boundaries.
+const (
+	opsThreads = 4
+	opsPages   = 4*EntriesPerTable - 100
+)
+
+// runTableOps decodes data, four bytes per operation, into a sequence of
+// Map, Install, Touch, Update, Unmap and SweepAccessed calls on a fresh
+// table, checking the leaf masks against the PTEs after every one.
+func runTableOps(t *testing.T, data []byte) {
+	r := NewReplicated(opsThreads)
+	for ; len(data) >= 4; data = data[4:] {
+		op, tid := data[0]%6, int(data[0]/6)%opsThreads
+		vp := VPage(uint16(data[1])|uint16(data[2])<<8) % opsPages
+		arg := data[3]
+		frame := mem.Frame{Tier: mem.TierID(arg & 1), Index: uint32(arg)}
+		switch op {
+		case 0:
+			r.Map(tid, vp, NewPTE(frame, 0))
+		case 1:
+			p := NewPTE(frame, uint8(arg>>4)%opsThreads).WithAccessed(arg&2 != 0).WithDirty(arg&4 != 0)
+			r.Install(tid, vp, p)
+		case 2:
+			r.Touch(tid, vp, arg&2 != 0)
+		case 3:
+			r.Update(vp, func(p PTE) PTE {
+				switch arg >> 6 {
+				case 0:
+					return p.WithFrame(frame)
+				case 1:
+					return p.WithAccessed(arg&2 != 0).WithDirty(arg&4 != 0)
+				case 2:
+					return 0
+				}
+				return p
+			})
+		case 4:
+			r.Unmap(vp)
+		case 5:
+			// Clear the A/D bits of every other page the sweep visits.
+			r.SweepAccessed(func(vp VPage, p PTE) PTE {
+				if vp&1 == VPage(arg&1) {
+					return p.WithAccessed(false).WithDirty(false)
+				}
+				return p
+			})
+		}
+		checkTableMasks(t, r)
+	}
+}
+
+// checkTableMasks asserts the leaf masks agree with the PTEs: CheckMasks
+// passes, RangeFast visits exactly Range's present fast-tier pages, a
+// SweepAccessed that changes nothing visits exactly the PTEs with A or
+// D set, and a cursor finds what Lookup finds.
+func checkTableMasks(t *testing.T, r *Replicated) {
+	t.Helper()
+	if err := r.CheckMasks(); err != nil {
+		t.Fatal(err)
+	}
+	var fast, ad, mapped []VPage
+	r.Range(func(vp VPage, p PTE) bool {
+		mapped = append(mapped, vp)
+		if p.Frame().Tier == mem.TierFast {
+			fast = append(fast, vp)
+		}
+		if p.Accessed() || p.Dirty() {
+			ad = append(ad, vp)
+		}
+		return true
+	})
+	var gotFast, gotAD []VPage
+	r.RangeFast(func(vp VPage) { gotFast = append(gotFast, vp) })
+	r.SweepAccessed(func(vp VPage, p PTE) PTE {
+		gotAD = append(gotAD, vp)
+		return p
+	})
+	if !slices.Equal(gotFast, fast) {
+		t.Fatalf("RangeFast visited %v, fast pages are %v", gotFast, fast)
+	}
+	if len(fast) != r.FastMapped() {
+		t.Fatalf("FastMapped = %d, %d fast pages", r.FastMapped(), len(fast))
+	}
+	if !slices.Equal(gotAD, ad) {
+		t.Fatalf("SweepAccessed visited %v, A/D pages are %v", gotAD, ad)
+	}
+	cur := r.Cursor()
+	for _, vp := range mapped {
+		want, _ := r.Lookup(vp)
+		if got, ok := cur.Lookup(vp); !ok || got != want {
+			t.Fatalf("cursor lookup %#x = %v,%t, want %v", uint64(vp), got, ok, want)
+		}
+		if _, ok := cur.Lookup(vp + 1); ok != slices.Contains(mapped, vp+1) {
+			t.Fatalf("cursor lookup %#x: ok = %t", uint64(vp+1), ok)
+		}
+	}
+}
+
+// TestLeafMasksDifferential runs seeded random operation sequences
+// through runTableOps.
+func TestLeafMasksDifferential(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		data := make([]byte, 4*600)
+		for i := range data {
+			data[i] = byte(rng.Uint64())
+		}
+		runTableOps(t, data)
+	}
+}
+
+// FuzzTableOps feeds runTableOps arbitrary operation sequences.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 6, 1, 0, 2, 5, 0, 0, 0})
+	f.Add([]byte{1, 0xff, 1, 0x37, 2, 0xff, 1, 0, 3, 0xff, 1, 0x81, 5, 0, 0, 1, 4, 0xff, 1, 0})
+	f.Fuzz(runTableOps)
+}
+
+// TestSweepAccessedRejectsOtherChanges pins SweepAccessed's contract:
+// the callback may only clear A/D bits.
+func TestSweepAccessedRejectsOtherChanges(t *testing.T) {
+	r := NewReplicated(1)
+	r.Map(0, 3, NewPTE(fastFrame(1), 0))
+	r.Touch(0, 3, false)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("remapping sweep did not panic")
+		}
+	}()
+	r.SweepAccessed(func(_ VPage, p PTE) PTE { return p.WithFrame(fastFrame(2)) })
+}
+
+// TestMaskWalksAllocateNothing pins the zero-alloc contract of the
+// mask walks and the cursor.
+func TestMaskWalksAllocateNothing(t *testing.T) {
+	r := NewReplicated(2)
+	for vp := VPage(0); vp < 3*EntriesPerTable; vp += 3 {
+		r.Map(int(vp)%2, vp, NewPTE(mem.Frame{Tier: mem.TierID(vp % 2), Index: uint32(vp)}, 0))
+	}
+	n := 0
+	if a := testing.AllocsPerRun(20, func() { r.RangeFast(func(VPage) { n++ }) }); a != 0 {
+		t.Errorf("RangeFast: %v allocs/run", a)
+	}
+	touchAndSweep := func() {
+		for vp := VPage(0); vp < 3*EntriesPerTable; vp += 7 {
+			r.Touch(0, vp, vp%2 == 0)
+		}
+		r.SweepAccessed(func(_ VPage, p PTE) PTE { return p.WithAccessed(false).WithDirty(false) })
+	}
+	if a := testing.AllocsPerRun(20, touchAndSweep); a != 0 {
+		t.Errorf("SweepAccessed: %v allocs/run", a)
+	}
+	lookups := func() {
+		cur := r.Cursor()
+		for vp := VPage(0); vp < 3*EntriesPerTable; vp++ {
+			if _, ok := cur.Lookup(vp); ok {
+				n++
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(20, lookups); a != 0 {
+		t.Errorf("Cursor.Lookup: %v allocs/run", a)
+	}
+}

@@ -50,6 +50,7 @@ const (
 	pteMaskFrame = (uint64(1)<<32 - 1) << pteShiftFrame
 	pteMaskTier  = uint64(3) << pteShiftTier
 	pteMaskOwner = uint64(0x7F) << pteShiftOwner
+	pteMaskAD    = uint64(1)<<pteBitAccessed | uint64(1)<<pteBitDirty
 )
 
 // OwnerShared is the all-ones owner pattern marking a page shared by
@@ -95,6 +96,15 @@ func (p PTE) Frame() mem.Frame {
 		Index: uint32((uint64(p) & pteMaskFrame) >> pteShiftFrame),
 	}
 }
+
+// fastTier reports whether the entry's tier field names the fast tier.
+// Callers test Present separately.
+func (p PTE) fastTier() bool {
+	return uint64(p)&pteMaskTier == uint64(mem.TierFast)<<pteShiftTier
+}
+
+// accessedOrDirty reports whether the accessed or dirty bit is set.
+func (p PTE) accessedOrDirty() bool { return uint64(p)&pteMaskAD != 0 }
 
 // Owner returns the owning thread id, or OwnerShared.
 func (p PTE) Owner() uint8 {

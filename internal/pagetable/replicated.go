@@ -103,12 +103,25 @@ func (r *Replicated) RangeFrom(start VPage, fn func(vp VPage, p PTE) bool) {
 	r.proc.RangeFrom(start, fn)
 }
 
-// RangeMut iterates like Range, writing fn's returned PTE back through
-// the shared leaves; both the process view and every thread view observe
-// the result.
+// RangeFast iterates present fast-tier PTEs in ascending VPage order.
 //
 //vulcan:hotpath
-func (r *Replicated) RangeMut(fn func(vp VPage, p PTE) PTE) { r.proc.RangeMut(fn) }
+func (r *Replicated) RangeFast(fn func(vp VPage)) { r.proc.RangeFast(fn) }
+
+// SweepAccessed harvests A/D bits through the shared leaves (see
+// Table.SweepAccessed); both the process view and every thread view
+// observe the result.
+//
+//vulcan:hotpath
+func (r *Replicated) SweepAccessed(fn func(vp VPage, p PTE) PTE) { r.proc.SweepAccessed(fn) }
+
+// Cursor returns a lookup cursor over the shared leaves.
+func (r *Replicated) Cursor() Cursor { return r.proc.Cursor() }
+
+// CheckMasks verifies the leaves' fast and A/D masks against their
+// PTEs: the masks are derived state, so a mismatch means some write
+// bypassed Leaf.SetPTE.
+func (r *Replicated) CheckMasks() error { return r.proc.checkMasks() }
 
 func (r *Replicated) checkTid(tid int) {
 	if tid < 0 || tid >= r.nthreads {
@@ -162,7 +175,7 @@ func (r *Replicated) Map(tid int, vp VPage, p PTE) error {
 	if err := r.proc.Map(vp, p.WithOwner(uint8(tid))); err != nil {
 		return err
 	}
-	leaf, _ := r.proc.walk(vp, false)
+	leaf, _ := r.proc.leafAt(vp)
 	r.linkLeaf(tid, vp, leaf)
 	return nil
 }
@@ -176,7 +189,7 @@ func (r *Replicated) Install(tid int, vp VPage, p PTE) error {
 	if err := r.proc.Map(vp, p); err != nil {
 		return err
 	}
-	leaf, _ := r.proc.walk(vp, false)
+	leaf, _ := r.proc.leafAt(vp)
 	r.linkLeaf(tid, vp, leaf)
 	return nil
 }
@@ -189,16 +202,17 @@ func (r *Replicated) Install(tid int, vp VPage, p PTE) error {
 // fault the caller must service by allocating and calling Map).
 func (r *Replicated) Touch(tid int, vp VPage, write bool) (TouchResult, bool) {
 	r.checkTid(tid)
-	leaf, i := r.proc.walk(vp, false)
+	leaf, i := r.proc.leafAt(vp)
 	if leaf == nil {
 		return TouchResult{}, false
 	}
-	p := leaf.PTE(i)
-	if !p.Present() {
+	old := leaf.PTE(i)
+	if !old.Present() {
 		return TouchResult{}, false
 	}
 	var res TouchResult
 	res.LinkedLeaf = r.linkLeaf(tid, vp, leaf)
+	p := old
 	if !p.Shared() && p.Owner() != uint8(tid) {
 		p = p.WithOwner(OwnerShared)
 		res.BecameShared = true
@@ -207,7 +221,10 @@ func (r *Replicated) Touch(tid int, vp VPage, write bool) (TouchResult, bool) {
 	if write {
 		p = p.WithDirty(true)
 	}
-	leaf.SetPTE(i, p)
+	// Most accesses find their bits already set; skip the store then.
+	if p != old {
+		leaf.SetPTE(i, p)
+	}
 	res.PTE = p
 	return res, true
 }
@@ -239,22 +256,22 @@ func (r *Replicated) AppendShootdownScope(dst []int, vp VPage) []int {
 	return set.appendMembers(dst)
 }
 
-// ThreadMapsLeaf reports whether tid has linked the leaf covering vp.
-func (r *Replicated) ThreadMapsLeaf(tid int, vp VPage) bool {
+// threadMapsLeaf reports whether tid has linked the leaf covering vp.
+func (r *Replicated) threadMapsLeaf(tid int, vp VPage) bool {
 	r.checkTid(tid)
 	set := r.leafThreads[LeafIndex(vp)]
 	return set != nil && set.has(tid)
 }
 
-// UpperTables returns the number of private upper-level tables held by
+// upperTables returns the number of private upper-level tables held by
 // tid, including its root.
-func (r *Replicated) UpperTables(tid int) int {
+func (r *Replicated) upperTables(tid int) int {
 	r.checkTid(tid)
 	return r.tablesPerThread[tid]
 }
 
-// SharedLeaves returns the number of shared last-level tables.
-func (r *Replicated) SharedLeaves() int { return len(r.leafThreads) }
+// sharedLeaves returns the number of shared last-level tables.
+func (r *Replicated) sharedLeaves() int { return len(r.leafThreads) }
 
 // TotalTables returns all page-table pages: shared leaves plus every
 // thread's private upper levels plus the process-wide upper levels. The

@@ -20,10 +20,10 @@ func TestReplicatedMapAndOwnership(t *testing.T) {
 	if p.Owner() != 2 {
 		t.Fatalf("owner = %d, want mapping thread 2", p.Owner())
 	}
-	if !r.ThreadMapsLeaf(2, vp) {
+	if !r.threadMapsLeaf(2, vp) {
 		t.Fatal("mapping thread does not hold the leaf")
 	}
-	if r.ThreadMapsLeaf(0, vp) {
+	if r.threadMapsLeaf(0, vp) {
 		t.Fatal("non-mapping thread holds the leaf")
 	}
 }
@@ -152,23 +152,23 @@ func TestReplicatedUpdateThroughSharedLeaf(t *testing.T) {
 
 func TestReplicatedTableAccounting(t *testing.T) {
 	r := NewReplicated(2)
-	if r.UpperTables(0) != 1 || r.UpperTables(1) != 1 {
+	if r.upperTables(0) != 1 || r.upperTables(1) != 1 {
 		t.Fatal("fresh threads should hold only a root")
 	}
 	r.Map(0, VPage(0), NewPTE(fastFrame(0), 0))
 	// Thread 0 gained l3+l2: root(1)+2 = 3.
-	if got := r.UpperTables(0); got != 3 {
-		t.Fatalf("UpperTables(0) = %d, want 3", got)
+	if got := r.upperTables(0); got != 3 {
+		t.Fatalf("upperTables(0) = %d, want 3", got)
 	}
-	if got := r.UpperTables(1); got != 1 {
-		t.Fatalf("UpperTables(1) = %d, want 1", got)
+	if got := r.upperTables(1); got != 1 {
+		t.Fatalf("upperTables(1) = %d, want 1", got)
 	}
-	if r.SharedLeaves() != 1 {
-		t.Fatalf("SharedLeaves = %d, want 1", r.SharedLeaves())
+	if r.sharedLeaves() != 1 {
+		t.Fatalf("sharedLeaves = %d, want 1", r.sharedLeaves())
 	}
 	r.Touch(1, VPage(0), false)
-	if got := r.UpperTables(1); got != 3 {
-		t.Fatalf("UpperTables(1) after touch = %d, want 3", got)
+	if got := r.upperTables(1); got != 3 {
+		t.Fatalf("upperTables(1) after touch = %d, want 3", got)
 	}
 	// Replication overhead: replicated structure holds strictly more
 	// tables than a process-wide one for the same mapping.
@@ -188,8 +188,8 @@ func TestReplicatedSharedLeafNotDuplicated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.SharedLeaves() != 1 {
-		t.Fatalf("SharedLeaves = %d, want 1", r.SharedLeaves())
+	if r.sharedLeaves() != 1 {
+		t.Fatalf("sharedLeaves = %d, want 1", r.sharedLeaves())
 	}
 	if r.Mapped() != 512 {
 		t.Fatalf("Mapped = %d, want 512", r.Mapped())

@@ -100,7 +100,7 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 	}
 	for _, l := range leaves {
 		base := VPage(l.li) << 9
-		leaf, _ := r.proc.walk(base, true)
+		leaf, _ := r.proc.walk(base)
 		for _, tid := range l.set.appendMembers(tidBuf[:0]) {
 			r.linkLeaf(tid, base, leaf)
 		}

@@ -71,10 +71,10 @@ func TestReplicatedSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(dumpTable(src), dumpTable(dst)) {
 		t.Fatal("PTE contents diverged")
 	}
-	if src.Mapped() != dst.Mapped() || src.SharedLeaves() != dst.SharedLeaves() ||
+	if src.Mapped() != dst.Mapped() || src.sharedLeaves() != dst.sharedLeaves() ||
 		src.TotalTables() != dst.TotalTables() {
 		t.Fatalf("structure: mapped %d/%d leaves %d/%d tables %d/%d",
-			src.Mapped(), dst.Mapped(), src.SharedLeaves(), dst.SharedLeaves(),
+			src.Mapped(), dst.Mapped(), src.sharedLeaves(), dst.sharedLeaves(),
 			src.TotalTables(), dst.TotalTables())
 	}
 	// Shootdown scopes (the per-leaf thread links) must survive — they
@@ -166,8 +166,9 @@ func TestReplicatedRestoreBoundsPrivateTables(t *testing.T) {
 // FuzzReplicatedRestore feeds Replicated.Restore arbitrary bytes for a
 // table of 1..MaxThreads threads. Restore must never panic, and a blob
 // it accepts — Restore and Close both succeed — must re-encode
-// byte-identically through Snapshot: the decoder admits exactly the
-// states the encoder writes. The restore's table budget keeps one
+// byte-identically through Snapshot, and its rebuilt leaf masks must
+// agree with its PTEs: the decoder admits exactly the states the
+// encoder writes. The restore's table budget keeps one
 // execution's memory proportional to the blob.
 func FuzzReplicatedRestore(f *testing.F) {
 	for _, n := range []int{4, 6} {
@@ -203,5 +204,6 @@ func FuzzReplicatedRestore(f *testing.F) {
 		if !bytes.Equal(e.Bytes(), blob) {
 			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
 		}
+		checkTableMasks(t, r)
 	})
 }

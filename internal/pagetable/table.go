@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vulcan/internal/mem"
 )
@@ -10,15 +11,29 @@ import (
 // region. Leaves are the unit shared between threads in Vulcan's
 // replicated design, because they "constitute the majority of the page
 // table structure" (paper §3.4).
+//
+// Two masks mirror one PTE predicate each per slot: fast marks a
+// present entry whose frame is in the fast tier, ad a present entry
+// with the accessed or dirty bit set. SetPTE is the only writer of
+// ptes and keeps both exact, so the policy's fast-page walks and the
+// profiler's A/D sweep visit only the slots they need instead of every
+// mapped PTE. The masks are derived state: a checkpoint carries the
+// PTEs, and restore rebuilds the masks through Map.
 type Leaf struct {
 	ptes [EntriesPerTable]PTE
 	live int // number of present entries
+	fast leafMask
+	ad   leafMask
 }
+
+// leafMask holds one bit per leaf slot.
+type leafMask [EntriesPerTable / 64]uint64
 
 // PTE returns the entry at slot i.
 func (l *Leaf) PTE(i int) PTE { return l.ptes[i] }
 
-// SetPTE stores an entry at slot i, maintaining the live-entry count.
+// SetPTE stores an entry at slot i, maintaining the live-entry count
+// and the fast and A/D masks.
 func (l *Leaf) SetPTE(i int, p PTE) {
 	was, is := l.ptes[i].Present(), p.Present()
 	l.ptes[i] = p
@@ -27,6 +42,17 @@ func (l *Leaf) SetPTE(i int, p PTE) {
 		l.live++
 	case was && !is:
 		l.live--
+	}
+	w, bit := i>>6, uint64(1)<<(i&63)
+	l.fast[w] &^= bit
+	l.ad[w] &^= bit
+	if is {
+		if p.fastTier() {
+			l.fast[w] |= bit
+		}
+		if p.accessedOrDirty() {
+			l.ad[w] |= bit
+		}
 	}
 }
 
@@ -78,18 +104,14 @@ func (t *Table) FastMapped() int { return t.fastMapped }
 func (t *Table) TableCount() int { return t.tables }
 
 // walk descends to the leaf covering vp, allocating intermediate tables
-// when create is set. Returns the leaf and the final-level index, or nil
-// when the path does not exist.
-func (t *Table) walk(vp VPage, create bool) (*Leaf, int) {
+// and the leaf as needed. Returns the leaf and the final-level index.
+func (t *Table) walk(vp VPage) (*Leaf, int) {
 	if vp > MaxVPage {
 		panic(fmt.Sprintf("pagetable: vpage %#x out of range", uint64(vp)))
 	}
 	i4, i3, i2, i1 := splitVPage(vp)
 	l3 := t.root.l3s[i4]
 	if l3 == nil {
-		if !create {
-			return nil, 0
-		}
 		l3 = &tableL3{}
 		t.root.l3s[i4] = l3
 		t.root.live++
@@ -97,9 +119,6 @@ func (t *Table) walk(vp VPage, create bool) (*Leaf, int) {
 	}
 	l2 := l3.l2s[i3]
 	if l2 == nil {
-		if !create {
-			return nil, 0
-		}
 		l2 = &tableL2{}
 		l3.l2s[i3] = l2
 		l3.live++
@@ -107,9 +126,6 @@ func (t *Table) walk(vp VPage, create bool) (*Leaf, int) {
 	}
 	leaf := l2.leaves[i2]
 	if leaf == nil {
-		if !create {
-			return nil, 0
-		}
 		leaf = &Leaf{}
 		l2.leaves[i2] = leaf
 		l2.live++
@@ -118,9 +134,27 @@ func (t *Table) walk(vp VPage, create bool) (*Leaf, int) {
 	return leaf, i1
 }
 
+// leafAt returns the leaf covering vp and the final-level index, or a
+// nil leaf when the path does not exist. It never allocates.
+func (t *Table) leafAt(vp VPage) (*Leaf, int) {
+	if vp > MaxVPage {
+		panic(fmt.Sprintf("pagetable: vpage %#x out of range", uint64(vp)))
+	}
+	i4, i3, i2, i1 := splitVPage(vp)
+	l3 := t.root.l3s[i4]
+	if l3 == nil {
+		return nil, 0
+	}
+	l2 := l3.l2s[i3]
+	if l2 == nil {
+		return nil, 0
+	}
+	return l2.leaves[i2], i1
+}
+
 // Lookup returns the PTE for vp; ok is false when nothing is mapped.
 func (t *Table) Lookup(vp VPage) (PTE, bool) {
-	leaf, i := t.walk(vp, false)
+	leaf, i := t.leafAt(vp)
 	if leaf == nil {
 		return 0, false
 	}
@@ -135,7 +169,7 @@ func (t *Table) Map(vp VPage, p PTE) error {
 	if !p.Present() {
 		return fmt.Errorf("pagetable: mapping non-present PTE at %#x", uint64(vp))
 	}
-	leaf, i := t.walk(vp, true)
+	leaf, i := t.walk(vp)
 	if leaf.PTE(i).Present() {
 		return fmt.Errorf("pagetable: vpage %#x already mapped", uint64(vp))
 	}
@@ -150,7 +184,7 @@ func (t *Table) Map(vp VPage, p PTE) error {
 // Unmap clears the PTE for vp, returning the prior entry. ok is false when
 // nothing was mapped.
 func (t *Table) Unmap(vp VPage) (PTE, bool) {
-	leaf, i := t.walk(vp, false)
+	leaf, i := t.leafAt(vp)
 	if leaf == nil {
 		return 0, false
 	}
@@ -170,7 +204,7 @@ func (t *Table) Unmap(vp VPage) (PTE, bool) {
 // when the page is not mapped. Update is how access/dirty bits are set and
 // how migration remaps entries.
 func (t *Table) Update(vp VPage, fn func(PTE) PTE) (PTE, bool) {
-	leaf, i := t.walk(vp, false)
+	leaf, i := t.leafAt(vp)
 	if leaf == nil {
 		return 0, false
 	}
@@ -195,36 +229,47 @@ func (t *Table) Update(vp VPage, fn func(PTE) PTE) (PTE, bool) {
 	return np, true
 }
 
-// Range calls fn for every present PTE in ascending VPage order. fn may
-// return false to stop early. Range is the substrate for page-table
-// scanning profilers.
-func (t *Table) Range(fn func(vp VPage, p PTE) bool) {
-	for i4, l3 := range t.root.l3s {
+// leafWalk visits a table's allocated leaves in ascending VPage order,
+// starting at the leaf position (i4, i3, i2) it is built with.
+type leafWalk struct {
+	t          *Table
+	i4, i3, i2 int
+}
+
+// next returns the next leaf and its first VPage; ok is false once the
+// walk is past the last leaf. The position lives in locals while it
+// scans, so the empty slots it skips cost no stores.
+//
+//vulcan:hotpath
+func (w *leafWalk) next() (base VPage, leaf *Leaf, ok bool) {
+	root := w.t.root
+	i4, i3, i2 := w.i4, w.i3, w.i2
+	for ; i4 < EntriesPerTable; i4, i3 = i4+1, 0 {
+		l3 := root.l3s[i4]
 		if l3 == nil {
 			continue
 		}
-		for i3, l2 := range l3.l2s {
+		for ; i3 < EntriesPerTable; i3, i2 = i3+1, 0 {
+			l2 := l3.l2s[i3]
 			if l2 == nil {
 				continue
 			}
-			for i2, leaf := range l2.leaves {
-				if leaf == nil || leaf.Live() == 0 {
-					continue
-				}
-				base := VPage(i4)<<27 | VPage(i3)<<18 | VPage(i2)<<9
-				for i1 := 0; i1 < EntriesPerTable; i1++ {
-					p := leaf.PTE(i1)
-					if !p.Present() {
-						continue
-					}
-					if !fn(base|VPage(i1), p) {
-						return
-					}
+			for ; i2 < EntriesPerTable; i2++ {
+				if leaf := l2.leaves[i2]; leaf != nil {
+					w.i4, w.i3, w.i2 = i4, i3, i2+1
+					return VPage(i4)<<27 | VPage(i3)<<18 | VPage(i2)<<9, leaf, true
 				}
 			}
 		}
 	}
+	w.i4 = EntriesPerTable
+	return 0, nil, false
 }
+
+// Range calls fn for every present PTE in ascending VPage order. fn may
+// return false to stop early. Range is the substrate for page-table
+// scanning profilers.
+func (t *Table) Range(fn func(vp VPage, p PTE) bool) { t.RangeFrom(0, fn) }
 
 // RangeFrom calls fn for every present PTE with vp >= start in ascending
 // VPage order, stopping when fn returns false. Cursor-based scanners use
@@ -237,93 +282,119 @@ func (t *Table) RangeFrom(start VPage, fn func(vp VPage, p PTE) bool) {
 		return
 	}
 	s4, s3, s2, s1 := splitVPage(start)
-	for i4 := s4; i4 < EntriesPerTable; i4++ {
-		l3 := t.root.l3s[i4]
-		if l3 == nil {
+	w := leafWalk{t: t, i4: s4, i3: s3, i2: s2}
+	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
+		if leaf.Live() == 0 {
 			continue
 		}
-		j3 := 0
-		if i4 == s4 {
-			j3 = s3
+		i1 := 0
+		if base == start&^(EntriesPerTable-1) {
+			i1 = s1
 		}
-		for i3 := j3; i3 < EntriesPerTable; i3++ {
-			l2 := l3.l2s[i3]
-			if l2 == nil {
-				continue
-			}
-			j2 := 0
-			if i4 == s4 && i3 == s3 {
-				j2 = s2
-			}
-			for i2 := j2; i2 < EntriesPerTable; i2++ {
-				leaf := l2.leaves[i2]
-				if leaf == nil || leaf.Live() == 0 {
-					continue
-				}
-				j1 := 0
-				if i4 == s4 && i3 == s3 && i2 == s2 {
-					j1 = s1
-				}
-				base := VPage(i4)<<27 | VPage(i3)<<18 | VPage(i2)<<9
-				for i1 := j1; i1 < EntriesPerTable; i1++ {
-					p := leaf.PTE(i1)
-					if !p.Present() {
-						continue
-					}
-					if !fn(base|VPage(i1), p) {
-						return
-					}
-				}
+		for ; i1 < EntriesPerTable; i1++ {
+			p := leaf.ptes[i1]
+			if p.Present() && !fn(base|VPage(i1), p) {
+				return
 			}
 		}
 	}
 }
 
-// RangeMut calls fn for every present PTE in ascending VPage order and
-// stores the returned entry back in place, adjusting the mapped count
-// if the present bit changes. It exists for epoch-boundary scanners
-// that harvest and clear accessed/dirty bits: a read-modify-write pass
-// over the whole table costs one walk instead of one Range plus one
-// full walk per touched page through Update.
+// RangeFast calls fn for every present fast-tier PTE in ascending VPage
+// order, reading the leaves' fast masks instead of every entry: the
+// cold-page rankers' walk costs the fast residents, not the mapping.
 //
 //vulcan:hotpath
-func (t *Table) RangeMut(fn func(vp VPage, p PTE) PTE) {
-	for i4, l3 := range t.root.l3s {
-		if l3 == nil {
-			continue
-		}
-		for i3, l2 := range l3.l2s {
-			if l2 == nil {
-				continue
-			}
-			for i2, leaf := range l2.leaves {
-				if leaf == nil || leaf.Live() == 0 {
-					continue
-				}
-				base := VPage(i4)<<27 | VPage(i3)<<18 | VPage(i2)<<9
-				for i1 := 0; i1 < EntriesPerTable; i1++ {
-					p := leaf.PTE(i1)
-					if !p.Present() {
-						continue
-					}
-					np := fn(base|VPage(i1), p)
-					if np != p {
-						leaf.SetPTE(i1, np)
-						if !np.Present() {
-							t.mapped--
-						}
-						wasFast := p.Frame().Tier == mem.TierFast
-						isFast := np.Present() && np.Frame().Tier == mem.TierFast
-						if wasFast != isFast {
-							if isFast {
-								t.fastMapped++
-							} else {
-								t.fastMapped--
-							}
-						}
-					}
-				}
+func (t *Table) RangeFast(fn func(vp VPage)) {
+	w := leafWalk{t: t}
+	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
+		for i, word := range leaf.fast {
+			for ; word != 0; word &= word - 1 {
+				fn(base | VPage(i<<6|bits.TrailingZeros64(word)))
 			}
 		}
 	}
+}
+
+// SweepAccessed calls fn for every present PTE with the accessed or
+// dirty bit set, in ascending VPage order, and stores the returned
+// entry back in place. It is the epoch-boundary harvest of A/D bits:
+// the leaves' A/D masks skip the entries no access touched since the
+// last sweep. fn may only clear the accessed and dirty bits; any other
+// change panics, because the sweep maintains no mapped or tier counts.
+//
+//vulcan:hotpath
+func (t *Table) SweepAccessed(fn func(vp VPage, p PTE) PTE) {
+	w := leafWalk{t: t}
+	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
+		for i, word := range leaf.ad {
+			for ; word != 0; word &= word - 1 {
+				i1 := i<<6 | bits.TrailingZeros64(word)
+				p := leaf.ptes[i1]
+				np := fn(base|VPage(i1), p)
+				if np == p {
+					continue
+				}
+				if uint64(np)&^uint64(p) != 0 || uint64(np^p)&^pteMaskAD != 0 {
+					panic("pagetable: SweepAccessed callback changed more than A/D bits")
+				}
+				leaf.SetPTE(i1, np)
+			}
+		}
+	}
+}
+
+// Cursor looks PTEs up through the last leaf it reached, so a run of
+// lookups within one leaf — a page list in ascending order — pays one
+// 4-level walk per leaf instead of one per page. Get one from
+// Table.Cursor or Replicated.Cursor. A cursor is a short-lived reader:
+// it stays valid while the table is mutated (leaves are never freed),
+// but not across a Restore, which rebuilds the tree.
+type Cursor struct {
+	t    *Table
+	li   uint64
+	leaf *Leaf
+}
+
+// Cursor returns a lookup cursor over t.
+func (t *Table) Cursor() Cursor { return Cursor{t: t} }
+
+// Lookup returns the PTE for vp, like Table.Lookup.
+//
+//vulcan:hotpath
+func (c *Cursor) Lookup(vp VPage) (PTE, bool) {
+	if li := LeafIndex(vp); c.leaf == nil || li != c.li {
+		leaf, _ := c.t.leafAt(vp)
+		if leaf == nil {
+			return 0, false
+		}
+		c.leaf, c.li = leaf, li
+	}
+	p := c.leaf.ptes[vp&(EntriesPerTable-1)]
+	return p, p.Present()
+}
+
+// checkMasks verifies every leaf's fast and A/D masks against its
+// PTEs, returning the first disagreement.
+func (t *Table) checkMasks() error {
+	w := leafWalk{t: t}
+	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
+		var fast, ad leafMask
+		for i, p := range leaf.ptes {
+			bit := uint64(1) << (i & 63)
+			if p.Present() && p.fastTier() {
+				fast[i>>6] |= bit
+			}
+			if p.Present() && p.accessedOrDirty() {
+				ad[i>>6] |= bit
+			}
+		}
+		if fast != leaf.fast {
+			return fmt.Errorf("pagetable: leaf at %#x: fast mask %x, PTEs say %x", uint64(base), leaf.fast, fast)
+		}
+		if ad != leaf.ad {
+			return fmt.Errorf("pagetable: leaf at %#x: A/D mask %x, PTEs say %x", uint64(base), leaf.ad, ad)
+		}
+	}
+	return nil
 }

@@ -87,11 +87,8 @@ func (b *RankBuf) ColdestFastPages(a *system.App, n int) []pagetable.VPage {
 	}
 	sel := &b.selCold
 	sel.Reset(n)
-	a.Table.Range(func(vp pagetable.VPage, p pagetable.PTE) bool {
-		if p.Frame().Tier == mem.TierFast {
-			sel.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)), uint64(vp), vp)
-		}
-		return true
+	a.Table.RangeFast(func(vp pagetable.VPage) {
+		sel.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)), uint64(vp), vp)
 	})
 	return sel.Sorted()
 }
@@ -114,11 +111,10 @@ func (b *RankBuf) GlobalColdestFastPages(sys *system.System, n int, keep []PageS
 		if idx < len(keep) {
 			ka = &keep[idx]
 		}
-		a.Table.Range(func(vp pagetable.VPage, p pagetable.PTE) bool {
-			if p.Frame().Tier == mem.TierFast && (ka == nil || !ka.Has(vp)) {
+		a.Table.RangeFast(func(vp pagetable.VPage) {
+			if ka == nil || !ka.Has(vp) {
 				sel.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)*w), rankMinor(idx, vp), GlobalPage{a, vp})
 			}
-			return true
 		})
 	}
 	return sel.Sorted()
@@ -132,11 +128,13 @@ func (b *RankBuf) SlowPagesWithHeat(a *system.App, limit int) []pagetable.VPage 
 
 // HottestSlowPages selects up to limit of app's profiled pages resident
 // in the slow tier, hottest first, then by page number. It returns val
-// of each page, in sel's reusable buffer.
+// of each page, in sel's reusable buffer. HeatPages is in ascending page
+// order, so a table cursor walks each leaf once.
 func HottestSlowPages[T any](sel *radix.Select[T], a *system.App, limit int, val func(profile.PageHeat) T) []T {
 	sel.Reset(limit)
+	cur := a.Table.Cursor()
 	for _, ph := range a.Profiler.HeatPages() {
-		if p, ok := a.Table.Lookup(ph.VP); ok && p.Frame().Tier == mem.TierSlow {
+		if p, ok := cur.Lookup(ph.VP); ok && p.Frame().Tier == mem.TierSlow {
 			sel.Offer(radix.FloatKeyDesc(ph.Heat), uint64(ph.VP), val(ph))
 		}
 	}

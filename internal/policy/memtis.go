@@ -151,6 +151,7 @@ func (m *Memtis) classify(sys *system.System) {
 	i = 0
 	for j, a := range apps {
 		set := &m.hot[a.Index]
+		cur := a.Table.Cursor() // pages[j] is in ascending page order
 		for _, ph := range pages[j] {
 			maj, mnr := major[i], minor[i]
 			i++
@@ -158,7 +159,7 @@ func (m *Memtis) classify(sys *system.System) {
 				continue
 			}
 			set.Add(ph.VP)
-			if p, ok := a.Table.Lookup(ph.VP); ok {
+			if p, ok := cur.Lookup(ph.VP); ok {
 				if p.Frame().Tier == mem.TierFast {
 					hotInFast++
 				} else {

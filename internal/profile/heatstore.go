@@ -282,10 +282,12 @@ func (h *heatStore) endEpoch() {
 					reads[j] = r
 					writes[j] = w
 					if collect {
-						total := r + w
+						// With w == 0 the fraction is +0 whatever r is;
+						// otherwise r + w >= w > 0, so the division is
+						// defined. Reads-only pages skip the divide.
 						wf := 0.0
-						if total > 0 {
-							wf = w / total
+						if w != 0 {
+							wf = w / (r + w)
 						}
 						out = append(out, PageHeat{VP: base + pagetable.VPage(j), Heat: v, WriteFrac: wf}) //vulcan:allowalloc appends into grow-once snapScratch, amortized across epochs
 					}

@@ -24,8 +24,6 @@ type Hybrid struct {
 	// scanFn is the epoch-sweep callback, bound once at construction so
 	// EndEpoch passes a stored func value instead of allocating a closure.
 	scanFn func(vp pagetable.VPage, p pagetable.PTE) pagetable.PTE //vulcan:nosnap constructor wiring
-	// scanned counts pages visited by the in-flight sweep.
-	scanned int //vulcan:nosnap per-epoch scratch, reset by EndEpoch
 }
 
 // NewHybrid builds the hybrid profiler over table, sampling one access
@@ -71,26 +69,25 @@ func (h *Hybrid) Record(a Access) float64 {
 	return 0
 }
 
-// visit handles one PTE during the epoch sweep: backfill pages sampling
-// missed entirely (pages with PEBS-derived heat already carry a better
-// frequency signal), then clear A/D bits in place so next epoch's bits
-// are fresh. The backfill test reads only vp's own heat cell, so
-// recording inline during the walk matches the previous two-pass
-// collect-then-record behavior bit for bit.
+// visit handles one accessed or dirty PTE during the epoch sweep:
+// backfill pages sampling missed entirely (pages with PEBS-derived heat
+// already carry a better frequency signal), then clear A/D bits in
+// place so next epoch's bits are fresh. The backfill test reads only
+// vp's own heat cell, so recording inline during the walk matches the
+// previous two-pass collect-then-record behavior bit for bit.
 //
 //vulcan:hotpath
 func (h *Hybrid) visit(vp pagetable.VPage, p pagetable.PTE) pagetable.PTE {
-	h.scanned++
 	if p.Accessed() && h.heat.heat(vp) == 0 {
 		h.heat.record(vp, p.Dirty(), h.scanBoost)
 	}
-	if p.Accessed() || p.Dirty() {
-		return p.WithAccessed(false).WithDirty(false)
-	}
-	return p
+	return p.WithAccessed(false).WithDirty(false)
 }
 
 // EndEpoch sweeps accessed bits to backfill sampling misses, then ages.
+// The modeled kernel scans every mapped PTE, so ScannedPages and the
+// scan cost count the whole mapping, while the host walks only the
+// entries with A or D set.
 //
 //vulcan:hotpath
 func (h *Hybrid) EndEpoch() EpochReport {
@@ -98,9 +95,8 @@ func (h *Hybrid) EndEpoch() EpochReport {
 	rep.OverheadCycles = float64(h.samples) * 40
 	h.samples = 0
 
-	h.scanned = 0
-	h.table.RangeMut(h.scanFn)
-	rep.ScannedPages = h.scanned
+	h.table.SweepAccessed(h.scanFn)
+	rep.ScannedPages = h.table.Mapped()
 	rep.OverheadCycles += float64(rep.ScannedPages) * h.scanCost
 	h.heat.endEpoch()
 	rep.Tracked = h.heat.tracked()

@@ -526,3 +526,31 @@ func TestRecoverStreamMismatch(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionAuditsEveryEpoch drives the scripted serve scenario (the
+// one vulcanbench serves: arrivals, an admit, a stop) and audits the
+// system after every epoch, so frame ownership and the page-table leaf
+// masks hold at each boundary, across admissions and retirements.
+func TestSessionAuditsEveryEpoch(t *testing.T) {
+	s, err := NewSession(Options{Scenario: testScenario(24)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := testScript()
+	for !s.Finished() {
+		for _, c := range script[s.Epoch()] {
+			if err := s.Enqueue(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if rep := s.System().Audit(); !rep.Ok() {
+			t.Fatalf("epoch %d: %v: %v", s.Epoch(), rep, rep.Errors)
+		}
+	}
+	if len(s.Errs()) != 0 {
+		t.Fatalf("scripted session rejected commands: %v", s.Errs())
+	}
+}

@@ -33,7 +33,9 @@ func (r AuditReport) String() string {
 // exactly one application, or held as exactly one shadow copy — and
 // nothing else. Any migration-engine bug that leaks, double-frees or
 // double-maps a frame surfaces here. Audit is O(total frames) and meant
-// for tests and debugging, not the simulation hot path.
+// for tests and debugging, not the simulation hot path. It also checks
+// every live app's page-table leaf masks (fast tier, A/D) against the
+// PTEs they mirror.
 func (s *System) Audit() AuditReport {
 	var rep AuditReport
 
@@ -72,6 +74,9 @@ func (s *System) Audit() AuditReport {
 			return true
 		})
 		rep.ShadowFrames += a.Engine.Shadows().Live
+		if err := a.Table.CheckMasks(); err != nil {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", a.Cfg.Name, err))
+		}
 	}
 
 	// Accounting identity per tier: used == claimed (mapped + shadows are
