@@ -48,17 +48,17 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs ten native fuzz targets for ten seconds each: the
+# fuzz-smoke runs eleven native fuzz targets for ten seconds each: the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
 # (FuzzReplicatedRestore), page-table operation sequences against the
 # leaf masks (FuzzTableOps), the trace reader (FuzzTraceRead), the tier
 # checkpoint decoder (FuzzTiersRestore), the profiler checkpoint
 # decoder (FuzzProfilerRestore), the telemetry checkpoint decoder
-# (FuzzRecorderRestore) and the system checkpoint section
-# (FuzzSystemSection). Their
-# seed corpora also run in every `go test`; a failing input lands in
-# the package's testdata/fuzz/ for replay.
+# (FuzzRecorderRestore), the system checkpoint section
+# (FuzzSystemSection) and the workload thread decoder
+# (FuzzThreadRestore). Their seed corpora also run in every `go test`;
+# a failing input lands in the package's testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzReadJournal -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzResolve -fuzztime 10s
@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzProfilerRestore -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRecorderRestore -fuzztime 10s
 	$(GO) test ./internal/system -run '^$$' -fuzz FuzzSystemSection -fuzztime 10s
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzThreadRestore -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). Every simulated component draws
 // from its own RNG stream forked off a scenario seed, so experiments are
@@ -77,3 +79,35 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
+
+// Prob is a probability in units of 2^-53, the resolution of Float64:
+// Draw returns a uniform Prob in [0, ProbOne), and an event of
+// threshold t happens when the draw is below t.
+type Prob uint64
+
+// ProbOne is probability 1, 2^53 (written out: the ptebits analyzer
+// reserves integer shifts by 52-58 for the page-table owner bits).
+const ProbOne Prob = 0x20_0000_0000_0000
+
+// NewProb returns the threshold t = ceil(p·2^53), clamped to
+// [0, ProbOne], for which Hit(t) draws exactly what Bool(p) draws.
+// Bool compares u = k/2^53 (k the 53-bit draw) against p; scaling by
+// 2^53 is exact, so u < p iff k < p·2^53, and for an integer k that is
+// k < ceil(p·2^53). p ≤ 0 and NaN never hit; p ≥ 1 always does.
+func NewProb(p float64) Prob {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return ProbOne
+	}
+	return Prob(math.Ceil(p * 0x1p53))
+}
+
+// Draw returns a uniform Prob in [0, ProbOne): the 53 bits Float64
+// scales into [0, 1).
+func (r *RNG) Draw() Prob { return Prob(r.Uint64() >> 11) }
+
+// Hit returns true with probability t/2^53; Hit(NewProb(p)) consumes
+// and returns exactly what Bool(p) does, with an integer compare.
+func (r *RNG) Hit(t Prob) bool { return r.Draw() < t }

@@ -176,3 +176,63 @@ func TestRNGBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.3) hit rate %v", frac)
 	}
 }
+
+// probEdgeCases lists the probabilities TestProbHitMatchesBool checks:
+// the clamps, NaN, subnormals, every constant probability the workload
+// generators draw (write fractions, shared/private picks and the
+// region-pick ladders), and k/2^53 with its float neighbours, where
+// the ceiling in NewProb decides the answer.
+func probEdgeCases() []float64 {
+	ps := []float64{
+		0, math.Copysign(0, -1), 1, -0.1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-60, 0x1p-53, 0x1p-54,
+		0.02, 0.05, 0.1, 0.10, 0.2, 0.3, 0.30, 0.35, 0.40, 0.45, 0.5,
+		0.80, 0.85, 0.90, 0.98, 0.99, 1.0 / 3, 2.0 / 3,
+	}
+	for _, k := range []uint64{1, 2, 3, 1 << 20, 0x0010_0000_0000_0000, uint64(ProbOne) - 1} {
+		p := float64(k) / 0x1p53
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+	}
+	return ps
+}
+
+// TestProbHitMatchesBool pins Hit(NewProb(p)) ≡ Bool(p): on mirrored
+// RNGs every draw agrees, and at the threshold itself, where random
+// draws rarely land, the integer compare agrees with the float one for
+// each draw around it.
+func TestProbHitMatchesBool(t *testing.T) {
+	for _, p := range probEdgeCases() {
+		r := NewRNG(math.Float64bits(p))
+		mirror := *r
+		th := NewProb(p)
+		if th > ProbOne {
+			t.Fatalf("NewProb(%v) = %d above ProbOne", p, th)
+		}
+		for i := 0; i < 20_000; i++ {
+			if got, want := r.Hit(th), mirror.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: Hit=%v, Bool=%v", p, i, got, want)
+			}
+		}
+		lo := uint64(th)
+		if lo >= 2 {
+			lo -= 2
+		}
+		for d := lo; d <= uint64(th)+2 && d < uint64(ProbOne); d++ {
+			if got, want := Prob(d) < th, float64(d)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v (threshold %d) draw %d: integer %v, float %v", p, th, d, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkRNGHit(b *testing.B) {
+	r := NewRNG(11)
+	th := NewProb(0.9)
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if r.Hit(th) {
+			hits++
+		}
+	}
+	_ = hits
+}

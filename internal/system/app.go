@@ -424,7 +424,25 @@ func (a *App) runEpochAccesses(samples int, epochCycles float64, bwUtil [mem.Num
 
 	cost := a.sys.cost
 	computeCyc := float64(a.Cfg.ComputeNs) * sim.CyclesPerNs
-	fastTier := a.sys.tiers.Fast()
+
+	// The memory term is a pure function of (tier, TLB hit) within an
+	// epoch: bandwidth and spikes are fixed at its start. Tabulate it
+	// once, with the same calls the per-sample path made, so every sum
+	// adds the same floats in the same order.
+	var memTab, degTab [mem.NumTiers][2]float64
+	var spiked [mem.NumTiers]bool
+	for t := mem.TierID(0); t < mem.NumTiers; t++ {
+		tier := a.sys.tiers.Tier(t)
+		spike := a.sys.latSpike[t]
+		spiked[t] = spike > 1
+		for h, hit := range [2]bool{false, true} {
+			memTab[t][h] = cost.AccessCycles(tier, hit, bwUtil[t])
+			if spiked[t] {
+				degTab[t][h] = cost.AccessCyclesDegraded(tier, hit, bwUtil[t], spike)
+			}
+		}
+	}
+	idealMemCyc := cost.AccessCycles(a.sys.tiers.Fast(), true, bwUtil[mem.TierFast])
 
 	// Cost-attribution accumulators (pure local float adds; charged once
 	// at the end of the epoch, so the disabled profiler costs nothing on
@@ -478,16 +496,18 @@ func (a *App) runEpochAccesses(samples int, epochCycles float64, bwUtil [mem.Num
 				if a.huge.IsHuge(vp) {
 					tag = hugeTLBTag(vp)
 				}
-				hit := tlbT.Access(tag)
-				tier := a.sys.tiers.Tier(frame.Tier)
+				h := 0
+				if tlbT.Access(tag) {
+					h = 1
+				}
 				// An injected latency spike stretches the memory term;
 				// the guard keeps fault-free epochs (spike 0 or 1) on
 				// the untouched baseline expression. The all-fast ideal
 				// is deliberately unfaulted — it is the no-chaos
 				// reference the slowdown is measured against.
-				memCyc := cost.AccessCycles(tier, hit, bwUtil[frame.Tier])
-				if spike := a.sys.latSpike[frame.Tier]; spike > 1 {
-					deg := cost.AccessCyclesDegraded(tier, hit, bwUtil[frame.Tier], spike)
+				memCyc := memTab[frame.Tier][h]
+				if spiked[frame.Tier] {
+					deg := degTab[frame.Tier][h]
 					actual += deg
 					// The stretch beyond the unfaulted baseline is the
 					// injected fault's bill, not the memory tier's.
@@ -504,7 +524,7 @@ func (a *App) runEpochAccesses(samples int, epochCycles float64, bwUtil [mem.Num
 				} else {
 					accSlowCyc += memCyc
 				}
-				ideal += cost.AccessCycles(fastTier, true, bwUtil[mem.TierFast])
+				ideal += idealMemCyc
 				// A profiling fault (hint-fault poisoning) fires once per
 				// poisoned page, not once per operation: epoch overhead.
 				rc := a.Profiler.Record(profile.Access{

@@ -10,6 +10,8 @@ import "vulcan/internal/sim"
 type KeyValue struct {
 	pages    int
 	hotPages int
+	set      sim.Prob
+	hot      sim.Prob
 	rng      *sim.RNG
 }
 
@@ -29,7 +31,13 @@ func NewKeyValue(pages int, rng *sim.RNG) *KeyValue {
 	if hot < 1 {
 		hot = 1
 	}
-	return &KeyValue{pages: pages, hotPages: hot, rng: rng}
+	return &KeyValue{
+		pages:    pages,
+		hotPages: hot,
+		set:      sim.NewProb(kvSetFraction),
+		hot:      sim.NewProb(kvHotProb),
+		rng:      rng,
+	}
 }
 
 // Name implements Generator.
@@ -38,13 +46,10 @@ func (k *KeyValue) Name() string { return "keyvalue" }
 // Pages implements Generator.
 func (k *KeyValue) Pages() int { return k.pages }
 
-// HotPages returns the size of the hot key region.
-func (k *KeyValue) HotPages() int { return k.hotPages }
-
 // Next implements Generator.
 func (k *KeyValue) Next() Ref {
-	write := k.rng.Bool(kvSetFraction)
-	if k.rng.Bool(kvHotProb) {
+	write := k.rng.Hit(k.set)
+	if k.rng.Hit(k.hot) {
 		// Hot keys are roughly equally popular: every hot page matters,
 		// so losing part of the hot set to the slow tier hurts
 		// proportionally (the cold-page dilemma's victim profile).
@@ -62,8 +67,8 @@ func (k *KeyValue) Next() Ref {
 type GraphWalk struct {
 	pages       int
 	vertexPages int
-	vertexProb  float64
-	vertexWrite float64
+	vertexProb  sim.Prob
+	vertexWrite sim.Prob
 	vertexZipf  *sim.Zipf
 	edgeCursor  int
 	rng         *sim.RNG
@@ -80,8 +85,8 @@ func NewGraphWalk(pages int, rng *sim.RNG) *GraphWalk {
 	return &GraphWalk{
 		pages:       pages,
 		vertexPages: v,
-		vertexProb:  0.45,
-		vertexWrite: 0.30,
+		vertexProb:  sim.NewProb(0.45),
+		vertexWrite: sim.NewProb(0.30),
 		vertexZipf:  sim.NewZipf(rng, v, 0.75),
 		rng:         rng,
 	}
@@ -93,17 +98,14 @@ func (g *GraphWalk) Name() string { return "graphwalk" }
 // Pages implements Generator.
 func (g *GraphWalk) Pages() int { return g.pages }
 
-// VertexPages returns the size of the vertex-state region.
-func (g *GraphWalk) VertexPages() int { return g.vertexPages }
-
 // Next implements Generator.
 func (g *GraphWalk) Next() Ref {
-	if g.rng.Bool(g.vertexProb) {
+	if g.rng.Hit(g.vertexProb) {
 		// Vertex access: power-law popularity (high in-degree vertices),
 		// moderately cache-resident.
 		return Ref{
 			Page:       g.vertexZipf.Next(),
-			Write:      g.rng.Bool(g.vertexWrite),
+			Write:      g.rng.Hit(g.vertexWrite),
 			LLCHitProb: 0.45,
 		}
 	}
@@ -129,6 +131,11 @@ type MLTrain struct {
 	weightPages int
 	activePages int
 	dataCursor  int
+	// The region-pick ladder (weights below 0.10, the active set below
+	// 0.40, streaming above) and the weight write fraction.
+	weightPick  sim.Prob
+	activePick  sim.Prob
+	weightWrite sim.Prob
 	rng         *sim.RNG
 }
 
@@ -151,6 +158,9 @@ func NewMLTrain(pages int, rng *sim.RNG) *MLTrain {
 		pages:       pages,
 		weightPages: w,
 		activePages: active,
+		weightPick:  sim.NewProb(0.10),
+		activePick:  sim.NewProb(0.40),
+		weightWrite: sim.NewProb(0.5),
 		rng:         rng,
 	}
 }
@@ -161,24 +171,18 @@ func (m *MLTrain) Name() string { return "mltrain" }
 // Pages implements Generator.
 func (m *MLTrain) Pages() int { return m.pages }
 
-// WeightPages returns the size of the model region.
-func (m *MLTrain) WeightPages() int { return m.weightPages }
-
-// ActivePages returns the size of the shrinking active set.
-func (m *MLTrain) ActivePages() int { return m.activePages }
-
 // Next implements Generator.
 func (m *MLTrain) Next() Ref {
-	r := m.rng.Float64()
+	r := m.rng.Draw()
 	switch {
-	case r < 0.10:
+	case r < m.weightPick:
 		// Model updates: cache-resident, write-heavy.
 		return Ref{
 			Page:       m.rng.Intn(m.weightPages),
-			Write:      m.rng.Bool(0.5),
+			Write:      m.rng.Hit(m.weightWrite),
 			LLCHitProb: 0.90,
 		}
-	case r < 0.40:
+	case r < m.activePick:
 		// Active-set revisits: random, too large for the LLC, rewarding
 		// fast-tier placement.
 		return Ref{
@@ -203,11 +207,12 @@ func (m *MLTrain) Next() Ref {
 // wssPages inside the rssPages region is accessed with a Zipfian
 // distribution, and the read/write mix is configurable.
 type NomadMicro struct {
-	rssPages  int
-	wssPages  int
-	writeFrac float64
-	wssZipf   *sim.Zipf
-	rng       *sim.RNG
+	rssPages int
+	wssPages int
+	wssPick  sim.Prob
+	write    sim.Prob
+	wssZipf  *sim.Zipf
+	rng      *sim.RNG
 }
 
 // NewNomadMicro builds the generator. wssPages must not exceed rssPages.
@@ -217,11 +222,12 @@ func NewNomadMicro(rssPages, wssPages int, writeFrac float64, rng *sim.RNG) *Nom
 		panic("workload: WSS must be in (0, RSS]")
 	}
 	return &NomadMicro{
-		rssPages:  rssPages,
-		wssPages:  wssPages,
-		writeFrac: writeFrac,
-		wssZipf:   sim.NewZipf(rng, wssPages, 0.99),
-		rng:       rng,
+		rssPages: rssPages,
+		wssPages: wssPages,
+		wssPick:  sim.NewProb(0.98),
+		write:    sim.NewProb(writeFrac),
+		wssZipf:  sim.NewZipf(rng, wssPages, 0.99),
+		rng:      rng,
 	}
 }
 
@@ -231,22 +237,19 @@ func (n *NomadMicro) Name() string { return "nomad-micro" }
 // Pages implements Generator.
 func (n *NomadMicro) Pages() int { return n.rssPages }
 
-// WSSPages returns the working-set size.
-func (n *NomadMicro) WSSPages() int { return n.wssPages }
-
 // Next implements Generator.
 func (n *NomadMicro) Next() Ref {
 	// 98% of accesses hit the working set, Zipf-distributed.
-	if n.rng.Bool(0.98) {
+	if n.rng.Hit(n.wssPick) {
 		return Ref{
 			Page:       n.wssZipf.Next(),
-			Write:      n.rng.Bool(n.writeFrac),
+			Write:      n.rng.Hit(n.write),
 			LLCHitProb: 0.15,
 		}
 	}
 	return Ref{
 		Page:       n.rng.Intn(n.rssPages),
-		Write:      n.rng.Bool(n.writeFrac),
+		Write:      n.rng.Hit(n.write),
 		LLCHitProb: 0.02,
 	}
 }

@@ -122,14 +122,14 @@ type Thread struct {
 	ID          int
 	shared      Generator
 	private     Generator
-	sharedProb  float64
+	sharedProb  sim.Prob
 	privateBase int
 	rng         *sim.RNG
 }
 
 // Next returns the next reference in app page space.
 func (t *Thread) Next() Ref {
-	if t.private == nil || t.rng.Bool(t.sharedProb) {
+	if t.private == nil || t.rng.Hit(t.sharedProb) {
 		return t.shared.Next()
 	}
 	r := t.private.Next()
@@ -159,13 +159,13 @@ func BuildThreads(cfg AppConfig, rng *sim.RNG) []*Thread {
 		t := &backing[i]
 		t.ID = i
 		t.shared = cfg.NewGen(sharedPages, fork())
-		t.sharedProb = cfg.SharedFraction
+		t.sharedProb = sim.NewProb(cfg.SharedFraction)
 		t.rng = fork()
 		if privPer > 0 {
 			t.private = cfg.NewGen(privPer, fork())
 			t.privateBase = sharedPages + i*privPer
 		} else {
-			t.sharedProb = 1
+			t.sharedProb = sim.ProbOne
 		}
 		threads[i] = t
 	}

@@ -138,13 +138,13 @@ func TestNomadMicroConfig(t *testing.T) {
 	if !ok {
 		t.Fatalf("generator type %T", g)
 	}
-	if nm.WSSPages() != 2000 {
-		t.Fatalf("WSS = %d", nm.WSSPages())
+	if nm.wssPages != 2000 {
+		t.Fatalf("WSS = %d", nm.wssPages)
 	}
 	// WSS clamps to the region when the factory gets a smaller region.
 	small := cfg.NewGen(500, sim.NewRNG(5)).(*NomadMicro)
-	if small.WSSPages() != 500 {
-		t.Fatalf("clamped WSS = %d, want 500", small.WSSPages())
+	if small.wssPages != 500 {
+		t.Fatalf("clamped WSS = %d, want 500", small.wssPages)
 	}
 }
 

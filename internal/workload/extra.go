@@ -11,6 +11,12 @@ type WebServer struct {
 	pages        int
 	sessionPages int
 	cachePages   int
+	// The region-pick ladder (sessions below 0.45, the cache below
+	// 0.80, content above) and each region's write fraction.
+	sessionPick  sim.Prob
+	cachePick    sim.Prob
+	sessionWrite sim.Prob
+	cacheWrite   sim.Prob
 	sessionZipf  *sim.Zipf
 	rng          *sim.RNG
 }
@@ -34,6 +40,10 @@ func NewWebServer(pages int, rng *sim.RNG) *WebServer {
 		pages:        pages,
 		sessionPages: sessions,
 		cachePages:   cache,
+		sessionPick:  sim.NewProb(0.45),
+		cachePick:    sim.NewProb(0.80),
+		sessionWrite: sim.NewProb(0.35),
+		cacheWrite:   sim.NewProb(0.05),
 		sessionZipf:  sim.NewZipf(rng, sessions, 1.1),
 		rng:          rng,
 	}
@@ -45,25 +55,22 @@ func (w *WebServer) Name() string { return "webserver" }
 // Pages implements Generator.
 func (w *WebServer) Pages() int { return w.pages }
 
-// SessionPages returns the session-record region size.
-func (w *WebServer) SessionPages() int { return w.sessionPages }
-
 // Next implements Generator.
 func (w *WebServer) Next() Ref {
-	r := w.rng.Float64()
+	r := w.rng.Draw()
 	switch {
-	case r < 0.45:
+	case r < w.sessionPick:
 		// Session read/update: popular sessions, frequent writes.
 		return Ref{
 			Page:       w.sessionZipf.Next(),
-			Write:      w.rng.Bool(0.35),
+			Write:      w.rng.Hit(w.sessionWrite),
 			LLCHitProb: 0.55,
 		}
-	case r < 0.80:
+	case r < w.cachePick:
 		// Cache lookups: mostly LLC-resident.
 		return Ref{
 			Page:       w.sessionPages + w.rng.Intn(w.cachePages),
-			Write:      w.rng.Bool(0.05),
+			Write:      w.rng.Hit(w.cacheWrite),
 			LLCHitProb: 0.80,
 		}
 	default:

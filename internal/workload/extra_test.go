@@ -9,8 +9,8 @@ import (
 
 func TestWebServerRegions(t *testing.T) {
 	g := NewWebServer(2000, sim.NewRNG(1))
-	if g.SessionPages() != 100 {
-		t.Fatalf("session pages = %d, want 100", g.SessionPages())
+	if g.sessionPages != 100 {
+		t.Fatalf("session pages = %d, want 100", g.sessionPages)
 	}
 	session, cache, content := 0, 0, 0
 	const n = 50_000
@@ -43,7 +43,7 @@ func TestWebServerSessionSkew(t *testing.T) {
 	g := NewWebServer(2000, sim.NewRNG(2))
 	counts := make(map[int]int)
 	for i := 0; i < 50_000; i++ {
-		if r := g.Next(); r.Page < g.SessionPages() {
+		if r := g.Next(); r.Page < g.sessionPages {
 			counts[r.Page]++
 		}
 	}

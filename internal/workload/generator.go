@@ -36,16 +36,16 @@ type Generator interface {
 
 // Uniform references every page with equal probability.
 type Uniform struct {
-	pages     int
-	writeFrac float64
-	llcHit    float64
-	rng       *sim.RNG
+	pages  int
+	write  sim.Prob
+	llcHit float64
+	rng    *sim.RNG
 }
 
 // NewUniform builds a uniform generator over pages pages.
 func NewUniform(pages int, writeFrac, llcHit float64, rng *sim.RNG) *Uniform {
 	checkRegion(pages, writeFrac)
-	return &Uniform{pages: pages, writeFrac: writeFrac, llcHit: llcHit, rng: rng}
+	return &Uniform{pages: pages, write: sim.NewProb(writeFrac), llcHit: llcHit, rng: rng}
 }
 
 // Name implements Generator.
@@ -58,7 +58,7 @@ func (u *Uniform) Pages() int { return u.pages }
 func (u *Uniform) Next() Ref {
 	return Ref{
 		Page:       u.rng.Intn(u.pages),
-		Write:      u.rng.Bool(u.writeFrac),
+		Write:      u.rng.Hit(u.write),
 		LLCHitProb: u.llcHit,
 	}
 }
@@ -67,22 +67,22 @@ func (u *Uniform) Next() Ref {
 // rank 0 (the hottest) is page 0, matching the paper's microbenchmarks
 // that allocate hot data contiguously.
 type Zipfian struct {
-	pages     int
-	writeFrac float64
-	llcHit    float64
-	zipf      *sim.Zipf
-	rng       *sim.RNG
+	pages  int
+	write  sim.Prob
+	llcHit float64
+	zipf   *sim.Zipf
+	rng    *sim.RNG
 }
 
 // NewZipfian builds a Zipfian generator.
 func NewZipfian(pages int, skew, writeFrac, llcHit float64, rng *sim.RNG) *Zipfian {
 	checkRegion(pages, writeFrac)
 	return &Zipfian{
-		pages:     pages,
-		writeFrac: writeFrac,
-		llcHit:    llcHit,
-		zipf:      sim.NewZipf(rng, pages, skew),
-		rng:       rng,
+		pages:  pages,
+		write:  sim.NewProb(writeFrac),
+		llcHit: llcHit,
+		zipf:   sim.NewZipf(rng, pages, skew),
+		rng:    rng,
 	}
 }
 
@@ -96,7 +96,7 @@ func (z *Zipfian) Pages() int { return z.pages }
 func (z *Zipfian) Next() Ref {
 	return Ref{
 		Page:       z.zipf.Next(),
-		Write:      z.rng.Bool(z.writeFrac),
+		Write:      z.rng.Hit(z.write),
 		LLCHitProb: z.llcHit,
 	}
 }
@@ -105,17 +105,17 @@ func (z *Zipfian) Next() Ref {
 // pattern of dataset passes. Sequential streams have near-zero LLC
 // residence by construction.
 type Scan struct {
-	pages     int
-	writeFrac float64
-	llcHit    float64
-	cursor    int
-	rng       *sim.RNG
+	pages  int
+	write  sim.Prob
+	llcHit float64
+	cursor int
+	rng    *sim.RNG
 }
 
 // NewScan builds a sequential scan generator.
 func NewScan(pages int, writeFrac, llcHit float64, rng *sim.RNG) *Scan {
 	checkRegion(pages, writeFrac)
-	return &Scan{pages: pages, writeFrac: writeFrac, llcHit: llcHit, rng: rng}
+	return &Scan{pages: pages, write: sim.NewProb(writeFrac), llcHit: llcHit, rng: rng}
 }
 
 // Name implements Generator.
@@ -131,7 +131,7 @@ func (s *Scan) Next() Ref {
 	if s.cursor >= s.pages {
 		s.cursor = 0
 	}
-	return Ref{Page: p, Write: s.rng.Bool(s.writeFrac), LLCHitProb: s.llcHit}
+	return Ref{Page: p, Write: s.rng.Hit(s.write), LLCHitProb: s.llcHit}
 }
 
 // minPages returns the smallest region g's kind of generator can draw

@@ -85,13 +85,13 @@ func TestRegionValidation(t *testing.T) {
 
 func TestKeyValueHotSetConcentration(t *testing.T) {
 	g := NewKeyValue(1000, sim.NewRNG(5))
-	if g.HotPages() != 100 {
-		t.Fatalf("hot pages = %d, want 100", g.HotPages())
+	if g.hotPages != 100 {
+		t.Fatalf("hot pages = %d, want 100", g.hotPages)
 	}
 	hot := 0
 	const n = 100_000
 	for i := 0; i < n; i++ {
-		if g.Next().Page < g.HotPages() {
+		if g.Next().Page < g.hotPages {
 			hot++
 		}
 	}
@@ -105,10 +105,10 @@ func TestKeyValueLLCLocality(t *testing.T) {
 	g := NewKeyValue(1000, sim.NewRNG(6))
 	for i := 0; i < 1000; i++ {
 		r := g.Next()
-		if r.Page < g.HotPages() && r.LLCHitProb != 0.70 {
+		if r.Page < g.hotPages && r.LLCHitProb != 0.70 {
 			t.Fatalf("hot access LLC prob = %v", r.LLCHitProb)
 		}
-		if r.Page >= g.HotPages() && r.LLCHitProb != 0.05 {
+		if r.Page >= g.hotPages && r.LLCHitProb != 0.05 {
 			t.Fatalf("cold access LLC prob = %v", r.LLCHitProb)
 		}
 	}
@@ -130,14 +130,14 @@ func TestKeyValueWriteMix(t *testing.T) {
 
 func TestGraphWalkRegions(t *testing.T) {
 	g := NewGraphWalk(1000, sim.NewRNG(8))
-	if g.VertexPages() != 200 {
-		t.Fatalf("vertex pages = %d, want 200", g.VertexPages())
+	if g.vertexPages != 200 {
+		t.Fatalf("vertex pages = %d, want 200", g.vertexPages)
 	}
 	vertexAccesses, edgeWrites := 0, 0
 	const n = 50_000
 	for i := 0; i < n; i++ {
 		r := g.Next()
-		if r.Page < g.VertexPages() {
+		if r.Page < g.vertexPages {
 			vertexAccesses++
 		} else if r.Write {
 			edgeWrites++
@@ -154,20 +154,20 @@ func TestGraphWalkRegions(t *testing.T) {
 
 func TestMLTrainRegions(t *testing.T) {
 	g := NewMLTrain(3200, sim.NewRNG(9))
-	if g.WeightPages() != 100 {
-		t.Fatalf("weight pages = %d, want 100", g.WeightPages())
+	if g.weightPages != 100 {
+		t.Fatalf("weight pages = %d, want 100", g.weightPages)
 	}
-	if g.ActivePages() != 640 {
-		t.Fatalf("active pages = %d, want 640", g.ActivePages())
+	if g.activePages != 640 {
+		t.Fatalf("active pages = %d, want 640", g.activePages)
 	}
-	streamBase := g.WeightPages() + g.ActivePages()
+	streamBase := g.weightPages + g.activePages
 	lastStream := -1
 	weight, active, stream := 0, 0, 0
 	const n = 20_000
 	for i := 0; i < n; i++ {
 		r := g.Next()
 		switch {
-		case r.Page < g.WeightPages():
+		case r.Page < g.weightPages:
 			weight++
 		case r.Page < streamBase:
 			active++
@@ -198,7 +198,7 @@ func TestMLTrainDataIsColdInCache(t *testing.T) {
 	g := NewMLTrain(3200, sim.NewRNG(10))
 	for i := 0; i < 1000; i++ {
 		r := g.Next()
-		if r.Page >= g.WeightPages() && r.LLCHitProb > 0.05 {
+		if r.Page >= g.weightPages && r.LLCHitProb > 0.05 {
 			t.Fatalf("data access with LLC prob %v", r.LLCHitProb)
 		}
 	}
@@ -207,8 +207,8 @@ func TestMLTrainDataIsColdInCache(t *testing.T) {
 func TestMLTrainTinyRegion(t *testing.T) {
 	// Degenerate sizes must still partition sanely.
 	g := NewMLTrain(3, sim.NewRNG(11))
-	if g.WeightPages() < 1 || g.ActivePages() < 1 {
-		t.Fatalf("regions: w=%d a=%d", g.WeightPages(), g.ActivePages())
+	if g.weightPages < 1 || g.activePages < 1 {
+		t.Fatalf("regions: w=%d a=%d", g.weightPages, g.activePages)
 	}
 	for i := 0; i < 100; i++ {
 		if p := g.Next().Page; p < 0 || p >= 3 {
@@ -222,7 +222,7 @@ func TestNomadMicroWSSConcentration(t *testing.T) {
 	inWSS := 0
 	const n = 50_000
 	for i := 0; i < n; i++ {
-		if g.Next().Page < g.WSSPages() {
+		if g.Next().Page < g.wssPages {
 			inWSS++
 		}
 	}
@@ -269,5 +269,29 @@ func TestGeneratorNames(t *testing.T) {
 		if tc.g.Pages() <= 0 {
 			t.Errorf("%s Pages = %d", tc.want, tc.g.Pages())
 		}
+	}
+}
+
+// TestThreadNextAllocatesNothing pins the sampled-access front end: a
+// thread's draw allocates nothing for any generator kind.
+func TestThreadNextAllocatesNothing(t *testing.T) {
+	for kind := range genKinds {
+		th := BuildThreads(threadConfig(kind, 0.5), sim.NewRNG(2))[0]
+		if a := testing.AllocsPerRun(1000, func() { th.Next() }); a != 0 {
+			t.Errorf("%s: Thread.Next allocates %v per draw", genKinds[kind].name, a)
+		}
+	}
+}
+
+func BenchmarkThreadNext(b *testing.B) {
+	for kind := range genKinds {
+		b.Run(genKinds[kind].name, func(b *testing.B) {
+			th := BuildThreads(threadConfig(kind, 0.85), sim.NewRNG(4))[0]
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += th.Next().Page
+			}
+			_ = sink
+		})
 	}
 }

@@ -128,7 +128,7 @@ func (g *GraphWalk) Restore(d *checkpoint.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if cursor < 0 || g.vertexPages+cursor >= g.pages {
+	if cursor < 0 || cursor >= g.pages-g.vertexPages {
 		return fmt.Errorf("workload: graphwalk edge cursor %d out of range", cursor)
 	}
 	g.edgeCursor = cursor
@@ -147,7 +147,7 @@ func (m *MLTrain) Restore(d *checkpoint.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if cursor < 0 || m.weightPages+m.activePages+cursor >= m.pages {
+	if cursor < 0 || cursor >= m.pages-m.weightPages-m.activePages {
 		return fmt.Errorf("workload: mltrain data cursor %d out of range", cursor)
 	}
 	m.dataCursor = cursor
