@@ -160,8 +160,12 @@ chaos-golden: $(VULCANSIM)
 # checkpointed and resumed for 10 more simulated seconds must produce
 # report, trace and metrics bytes identical to a single uninterrupted
 # 20-second run. Note `-seconds` after `-resume` counts additional
-# simulated time. Artifacts land in out/ckpt-demo/ (gitignored).
+# simulated time. The same split runs a second time under
+# `-faults moderate`, so the checkpoint carries each app's sample-fault
+# stream (the app.N.faults section) through the resume. Artifacts land
+# in out/ckpt-demo/ (gitignored).
 CKPT_DEMO_FLAGS = -policy vulcan -scale 8 -seed 7
+CKPT_CHAOS_FLAGS = $(CKPT_DEMO_FLAGS) -faults moderate
 checkpoint-demo: $(VULCANSIM)
 	@mkdir -p out/ckpt-demo
 	$(VULCANSIM) $(CKPT_DEMO_FLAGS) -seconds 20 \
@@ -178,7 +182,21 @@ checkpoint-demo: $(VULCANSIM)
 	cmp out/ckpt-demo/trace.json out/ckpt-demo/trace-resumed.json
 	cmp out/ckpt-demo/metrics.csv out/ckpt-demo/metrics-resumed.csv
 	cmp out/ckpt-demo/report.txt out/ckpt-demo/report-resumed.txt
-	@echo "checkpoint-demo: resume-then-finish byte-identical to the uninterrupted run"
+	$(VULCANSIM) $(CKPT_CHAOS_FLAGS) -seconds 20 \
+		-trace-out out/ckpt-demo/chaos-trace.json -metrics-out out/ckpt-demo/chaos-metrics.csv \
+		> out/ckpt-demo/chaos-report.txt
+	$(VULCANSIM) $(CKPT_CHAOS_FLAGS) -seconds 10 \
+		-checkpoint-out out/ckpt-demo/chaos-mid.ckpt \
+		-trace-out out/ckpt-demo/chaos-trace-first.json -metrics-out out/ckpt-demo/chaos-metrics-first.csv \
+		> out/ckpt-demo/chaos-report-first.txt
+	$(VULCANSIM) $(CKPT_CHAOS_FLAGS) -seconds 10 \
+		-resume out/ckpt-demo/chaos-mid.ckpt \
+		-trace-out out/ckpt-demo/chaos-trace-resumed.json -metrics-out out/ckpt-demo/chaos-metrics-resumed.csv \
+		> out/ckpt-demo/chaos-report-resumed.txt
+	cmp out/ckpt-demo/chaos-trace.json out/ckpt-demo/chaos-trace-resumed.json
+	cmp out/ckpt-demo/chaos-metrics.csv out/ckpt-demo/chaos-metrics-resumed.csv
+	cmp out/ckpt-demo/chaos-report.txt out/ckpt-demo/chaos-report-resumed.txt
+	@echo "checkpoint-demo: resume-then-finish byte-identical to the uninterrupted run, fault-free and under -faults moderate"
 
 # prof-demo is the executable determinism contract for the
 # cycle-attribution profiler (DESIGN.md "Cost attribution"): one canned

@@ -19,9 +19,9 @@ import (
 // whose name starts with Snapshot/snapshot taking a *...Encoder first
 // parameter, paired with a Restore/restore taking a *...Decoder and
 // returning error. That shape covers the exported Snapshotter
-// implementations, system.App's unexported snapshot/restore pair, and
-// profile.Faulty's snapshotSelf/restoreSelf, and lets fixtures declare
-// a local Encoder/Decoder instead of importing the real package.
+// implementations and system.App's unexported snapshot/restore pair,
+// and lets fixtures declare a local Encoder/Decoder instead of
+// importing the real package.
 //
 // "Written during simulation" means a selector assignment, IncDec, or
 // compound assignment anywhere in the package outside contract-method

@@ -287,19 +287,11 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// SectionInfo describes one manifest entry.
-type SectionInfo struct {
-	Name    string
-	Version uint32
-	Size    int
-}
-
 // Reader parses a checkpoint blob, verifying the container version and
 // every section checksum up front.
 type Reader struct {
 	payloads map[string][]byte
 	versions map[string]uint32
-	order    []SectionInfo
 }
 
 // NewReader reads the whole blob from r and validates it: magic, the
@@ -351,7 +343,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 		}
 		rd.payloads[name] = payload
 		rd.versions[name] = version
-		rd.order = append(rd.order, SectionInfo{Name: name, Version: version, Size: len(payload)})
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -361,9 +352,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	return rd, nil
 }
-
-// Manifest returns the section list in blob order.
-func (r *Reader) Manifest() []SectionInfo { return r.order }
 
 // Has reports whether the blob contains a section.
 func (r *Reader) Has(name string) bool {

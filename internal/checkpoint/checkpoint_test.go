@@ -38,7 +38,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("NewReader: %v", err)
 	}
 	if !r.Has("alpha") || !r.Has("beta") || r.Has("gamma") {
-		t.Fatalf("Has() wrong: %v", r.Manifest())
+		t.Fatalf("Has() wrong: %v", r.versions)
 	}
 	d, err := r.Section("alpha", 1)
 	if err != nil {

@@ -164,9 +164,9 @@ func hostPressure(f *Fleet, h int) float64 {
 	}
 	for _, a := range sys.StartedApps() {
 		// Known defect, kept so fleet outputs stay put (ROADMAP "Decouple
-		// fleet control from telemetry", step 2): a profiler that is not
-		// fault-wrapped has no confidence and scores as 0, so every
-		// tenant on a fault-free host adds a full point.
+		// fleet control from telemetry", step 2): a tenant with no
+		// sample-fault stream has no confidence and scores as 0, so
+		// every tenant on a fault-free host adds a full point.
 		if conf, _ := a.ProfileConfidence(); conf < 0.5 {
 			score += 1.0
 		}

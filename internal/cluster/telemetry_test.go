@@ -70,7 +70,7 @@ func TestSchedulerIgnoresTelemetry(t *testing.T) {
 				t.Fatalf("%s/%s: departed=%d moves=%d, want both > 0", tc.name, s.name, r.Departed, r.Moves)
 			}
 			if tc.plan != nil && !readsConfidence(f) {
-				t.Fatalf("%s/%s: no tenant has a fault-wrapped profiler", tc.name, s.name)
+				t.Fatalf("%s/%s: no tenant has a sample-fault stream", tc.name, s.name)
 			}
 			got := dump(t, f)
 			if want == nil {
@@ -102,8 +102,8 @@ func TestSchedulerIgnoresTelemetry(t *testing.T) {
 	}
 }
 
-// readsConfidence reports whether some running tenant exposes a
-// fault-wrapped profiler's confidence — the input hostPressure reads.
+// readsConfidence reports whether some running tenant exposes its
+// sample-fault stream's confidence — the input hostPressure reads.
 func readsConfidence(f *Fleet) bool {
 	for h := 0; h < f.NumHosts(); h++ {
 		for _, a := range f.Host(h).Sys.StartedApps() {

@@ -8,9 +8,9 @@
 // bandwidth contention windows, latency spikes, delayed shootdown IPI
 // acknowledgments, external memory-pressure bursts) so that policies
 // can be stressed — and the resilience mechanisms in internal/migrate
-// (bounded retry with capped backoff) and internal/profile (confidence
-// downgrade) exercised — without giving up the byte-identical replay
-// contract of DESIGN.md §7.
+// (bounded retry with capped backoff) and internal/system (profile
+// confidence downgrade) exercised — without giving up the
+// byte-identical replay contract of DESIGN.md §7.
 //
 // Determinism: the Injector draws nothing from a stateful stream shared
 // with the simulation. Each decision hashes (plan seed ⊕ scenario seed,

@@ -224,9 +224,9 @@ func (inj *Injector) PressurePages(epoch uint64, fastCap int) int {
 	return pages
 }
 
-// Profile returns the per-app profiler fault state, or nil when neither
-// PEBS fault kind is armed for the app. The returned value wraps one
-// app's sampling stream (see profile.NewFaulty).
+// Profile returns the per-app sampling fault stream, opened at epoch 0
+// with confidence 1, or nil when neither PEBS fault kind is armed for
+// the app.
 func (inj *Injector) Profile(app string) *ProfileFaults {
 	if inj == nil {
 		return nil
@@ -236,35 +236,35 @@ func (inj *Injector) Profile(app string) *ProfileFaults {
 	if !drops && !overflows {
 		return nil
 	}
-	return &ProfileFaults{inj: inj, app: app}
+	return &ProfileFaults{inj: inj, app: app, confidence: 1}
 }
 
 // ProfileFaults is the per-app sampling fault stream: it decides which
-// PEBS samples are lost and derives the epoch's profiler confidence.
+// PEBS samples are lost and derives each epoch's profiler confidence.
 // Unlike the Injector's window queries it is intentionally stateful
-// (sample index, kept/dropped tallies) — but the state is owned by one
-// app's serial sampling loop, so determinism is preserved.
+// (epoch and sample index, kept/dropped tallies) — but the state is
+// owned by one app's serial sampling loop, so determinism is preserved.
 type ProfileFaults struct {
-	inj     *Injector
-	app     string
-	epoch   uint64
-	sample  uint64
-	kept    uint64
-	dropped uint64
-}
+	inj *Injector
+	app string
 
-// BeginEpoch resets the per-epoch tallies and pre-draws whether this
-// epoch's ring buffer overflows.
-func (pf *ProfileFaults) BeginEpoch(epoch uint64) {
-	pf.epoch = epoch
-	pf.sample = 0
-	pf.kept = 0
-	pf.dropped = 0
+	// The open epoch: its index, the next sample's index and the tallies.
+	epoch   uint64
+	sample  uint64 //vulcan:nosnap per-epoch tally, zero at epoch boundaries
+	kept    uint64 //vulcan:nosnap per-epoch tally, zero at epoch boundaries
+	dropped uint64 //vulcan:nosnap per-epoch tally, zero at epoch boundaries
+
+	// The last closed epoch, latched by EndEpoch.
+	confidence float64
+	overflowed bool
+	lost       uint64
 }
 
 // DropSample reports whether the next profiler sample is lost. The
 // per-sample draw keys on (epoch, sample index) so streams replay
 // identically regardless of how many samples other apps take.
+//
+//vulcan:hotpath
 func (pf *ProfileFaults) DropSample() bool {
 	i := pf.sample
 	pf.sample++
@@ -284,29 +284,45 @@ func (pf *ProfileFaults) DropSample() bool {
 	return false
 }
 
-// EndEpoch closes the epoch: it returns the confidence (fraction of
-// samples that survived; 1 when no samples were attempted), whether the
-// ring buffer overflowed, and how many samples were dropped. Fired
-// faults are emitted here as one aggregate event per kind per epoch
-// rather than per sample.
-func (pf *ProfileFaults) EndEpoch() (confidence float64, overflowed bool, dropped uint64) {
-	confidence = 1
-	total := pf.kept + pf.dropped
-	if total > 0 {
-		confidence = float64(pf.kept) / float64(total)
+// EndEpoch closes the open epoch and opens the next one. It latches the
+// closed epoch's confidence (fraction of samples that survived; 1 when
+// no samples were attempted), whether its ring buffer overflowed, and
+// how many samples it dropped. Fired faults are emitted here as one
+// aggregate event per kind per epoch rather than per sample.
+func (pf *ProfileFaults) EndEpoch() {
+	pf.confidence = 1
+	if total := pf.kept + pf.dropped; total > 0 {
+		pf.confidence = float64(pf.kept) / float64(total)
 	}
-	_, overflowed = pf.inj.fires(PEBSOverflow, pf.app, pf.epoch, 0x5e5)
-	dropped = pf.dropped
-	if dropped > 0 {
+	_, pf.overflowed = pf.inj.fires(PEBSOverflow, pf.app, pf.epoch, 0x5e5)
+	pf.lost = pf.dropped
+	if pf.lost > 0 {
 		kind := PEBSDrop
-		if overflowed {
+		if pf.overflowed {
 			kind = PEBSOverflow
 		}
 		r, _ := pf.inj.rule(kind, pf.app)
 		pf.inj.emit(kind, pf.app, pf.app, r.severity,
 			obs.F("epoch", float64(pf.epoch)),
-			obs.F("dropped", float64(dropped)),
+			obs.F("dropped", float64(pf.lost)),
 			obs.F("kept", float64(pf.kept)))
 	}
-	return confidence, overflowed, dropped
+	pf.open(pf.epoch + 1)
 }
+
+// open starts epoch with empty tallies.
+func (pf *ProfileFaults) open(epoch uint64) {
+	pf.epoch = epoch
+	pf.sample, pf.kept, pf.dropped = 0, 0, 0
+}
+
+// Confidence returns the fraction of the last closed epoch's samples
+// that survived injection (1 before any epoch has closed).
+func (pf *ProfileFaults) Confidence() float64 { return pf.confidence }
+
+// Overflowed reports whether the last closed epoch hit a ring-buffer
+// overflow window.
+func (pf *ProfileFaults) Overflowed() bool { return pf.overflowed }
+
+// Dropped returns how many samples the last closed epoch lost.
+func (pf *ProfileFaults) Dropped() uint64 { return pf.lost }

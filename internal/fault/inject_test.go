@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vulcan/internal/checkpoint"
 	"vulcan/internal/mem"
 	"vulcan/internal/obs"
 )
@@ -216,6 +217,24 @@ func TestPressurePages(t *testing.T) {
 	}
 }
 
+// drain draws n samples from pf and returns how many were dropped.
+func drain(pf *ProfileFaults, n int) int {
+	dropped := 0
+	for i := 0; i < n; i++ {
+		if pf.DropSample() {
+			dropped++
+		}
+	}
+	return dropped
+}
+
+// advance closes empty epochs until pf's open epoch is epoch.
+func advance(pf *ProfileFaults, epoch uint64) {
+	for pf.epoch < epoch {
+		pf.EndEpoch()
+	}
+}
+
 func TestProfileFaults(t *testing.T) {
 	inj := mustInjector(t, &Plan{Rules: []Rule{
 		{Kind: PEBSDrop, Scope: "a", Rate: 0.3},
@@ -227,21 +246,24 @@ func TestProfileFaults(t *testing.T) {
 	if pf == nil {
 		t.Fatal("no profile faults for scoped app")
 	}
-	pf.BeginEpoch(4)
-	dropped := 0
-	const n = 5000
-	for i := 0; i < n; i++ {
-		if pf.DropSample() {
-			dropped++
-		}
+	if pf.epoch != 0 || pf.Confidence() != 1 || pf.Overflowed() || pf.Dropped() != 0 {
+		t.Fatalf("fresh stream at epoch %d, confidence %v, overflow %v, dropped %d; want 0, 1, false, 0",
+			pf.epoch, pf.Confidence(), pf.Overflowed(), pf.Dropped())
 	}
-	conf, overflowed, gotDropped := pf.EndEpoch()
-	if overflowed {
+	advance(pf, 4)
+	const n = 5000
+	dropped := drain(pf, n)
+	pf.EndEpoch()
+	if pf.epoch != 5 {
+		t.Errorf("EndEpoch opened epoch %d, want 5", pf.epoch)
+	}
+	if pf.Overflowed() {
 		t.Error("overflow fired with no PEBSOverflow rule")
 	}
-	if int(gotDropped) != dropped {
-		t.Errorf("EndEpoch dropped = %d, want %d", gotDropped, dropped)
+	if int(pf.Dropped()) != dropped {
+		t.Errorf("Dropped = %d, want %d", pf.Dropped(), dropped)
 	}
+	conf := pf.Confidence()
 	want := 1 - float64(dropped)/n
 	if math.Abs(conf-want) > 1e-12 {
 		t.Errorf("confidence %v, want %v", conf, want)
@@ -252,21 +274,38 @@ func TestProfileFaults(t *testing.T) {
 
 	// Replay of the same epoch is identical.
 	pf2 := inj.Profile("a")
-	pf2.BeginEpoch(4)
-	d2 := 0
-	for i := 0; i < n; i++ {
-		if pf2.DropSample() {
-			d2++
-		}
-	}
-	if d2 != dropped {
+	advance(pf2, 4)
+	if d2 := drain(pf2, n); d2 != dropped {
 		t.Errorf("replayed epoch dropped %d, first run %d", d2, dropped)
 	}
 
-	// An empty epoch has full confidence.
-	pf.BeginEpoch(5)
-	if conf, _, _ := pf.EndEpoch(); conf != 1 {
-		t.Errorf("empty epoch confidence %v", conf)
+	// An empty epoch has full confidence and resets the latched loss.
+	pf.EndEpoch()
+	if pf.Confidence() != 1 || pf.Dropped() != 0 {
+		t.Errorf("empty epoch confidence %v, dropped %d", pf.Confidence(), pf.Dropped())
+	}
+}
+
+// TestSampleLossLatches checks what a closed epoch leaves behind for
+// the profile-confidence check: a stream that loses every sample
+// latches zero confidence and the full dropped count with no overflow
+// flag, and the next epoch, empty, latches full confidence again.
+func TestSampleLossLatches(t *testing.T) {
+	all := mustInjector(t, &Plan{Rules: []Rule{{Kind: PEBSDrop, Rate: 1}}}, 21, nil).Profile("a")
+	if got := drain(all, 10); got != 10 {
+		t.Fatalf("rate-1 stream dropped %d of 10", got)
+	}
+	all.EndEpoch()
+	if all.Confidence() != 0 || all.Dropped() != 10 {
+		t.Errorf("all-lost epoch confidence %v, dropped %d; want 0, 10", all.Confidence(), all.Dropped())
+	}
+	if all.Overflowed() {
+		t.Error("overflow flag set without a PEBSOverflow rule")
+	}
+	all.EndEpoch()
+	if all.Confidence() != 1 || all.Dropped() != 0 || all.epoch != 2 {
+		t.Errorf("empty epoch after loss: confidence %v, dropped %d, open epoch %d; want 1, 0, 2",
+			all.Confidence(), all.Dropped(), all.epoch)
 	}
 }
 
@@ -277,25 +316,81 @@ func TestOverflowEpochs(t *testing.T) {
 	pf := inj.Profile("a")
 	sawOverflow, sawQuiet := false, false
 	for e := uint64(0); e < 64 && !(sawOverflow && sawQuiet); e++ {
-		pf.BeginEpoch(e)
-		for i := 0; i < 500; i++ {
-			pf.DropSample()
-		}
-		conf, overflowed, _ := pf.EndEpoch()
-		if overflowed {
+		drain(pf, 500)
+		pf.EndEpoch()
+		conf := pf.Confidence()
+		if pf.Overflowed() {
 			sawOverflow = true
 			if conf > 0.25 {
 				t.Errorf("epoch %d overflowed but confidence %v (severity 0.9)", e, conf)
 			}
 		} else {
 			sawQuiet = true
-			if conf != 1 {
-				t.Errorf("quiet epoch %d lost samples: confidence %v", e, conf)
+			if conf != 1 || pf.Dropped() != 0 {
+				t.Errorf("quiet epoch %d lost samples: confidence %v, dropped %d", e, conf, pf.Dropped())
 			}
 		}
 	}
 	if !sawOverflow || !sawQuiet {
 		t.Errorf("epoch mix not exercised (overflow=%v quiet=%v)", sawOverflow, sawQuiet)
+	}
+}
+
+// TestOverflowLatches checks that an overflow in every epoch at full
+// severity loses every sample and latches the overflow flag with zero
+// confidence.
+func TestOverflowLatches(t *testing.T) {
+	full := mustInjector(t, &Plan{Rules: []Rule{
+		{Kind: PEBSOverflow, Rate: 1, Severity: 1},
+	}}, 33, nil).Profile("a")
+	drain(full, 10)
+	full.EndEpoch()
+	if !full.Overflowed() || full.Confidence() != 0 || full.Dropped() != 10 {
+		t.Errorf("full overflow: overflow %v, confidence %v, dropped %d; want true, 0, 10",
+			full.Overflowed(), full.Confidence(), full.Dropped())
+	}
+}
+
+// TestDropSampleZeroAlloc pins the //vulcan:hotpath contract: the
+// system consults DropSample once per sampled LLC miss, so it must not
+// allocate on either branch.
+func TestDropSampleZeroAlloc(t *testing.T) {
+	pf := mustInjector(t, PlanAtRate(0.5), 5, nil).Profile("a")
+	if allocs := testing.AllocsPerRun(200, func() { pf.DropSample() }); allocs != 0 {
+		t.Errorf("DropSample allocated %.0f objects/op, want 0", allocs)
+	}
+	if pf.kept == 0 || pf.dropped == 0 {
+		t.Fatalf("kept %d, dropped %d: both branches must run", pf.kept, pf.dropped)
+	}
+}
+
+// TestProfileFaultsSnapshot round-trips a stream mid-run and requires
+// the restored twin to drop the same samples from then on.
+func TestProfileFaultsSnapshot(t *testing.T) {
+	inj := mustInjector(t, PlanAtRate(0.3), 8, nil)
+	live := inj.Profile("a")
+	for range 3 {
+		drain(live, 400)
+		live.EndEpoch()
+	}
+	e := &checkpoint.Encoder{}
+	live.Snapshot(e)
+	twin := inj.Profile("a")
+	d := checkpoint.NewDecoder(e.Bytes())
+	if err := twin.Restore(d); err != nil || d.Close() != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if *twin != *live {
+		t.Fatalf("restored stream %+v, want %+v", *twin, *live)
+	}
+	for range 3 {
+		for i := 0; i < 400; i++ {
+			if live.DropSample() != twin.DropSample() {
+				t.Fatalf("epoch %d sample %d: streams diverged", live.epoch, i)
+			}
+		}
+		live.EndEpoch()
+		twin.EndEpoch()
 	}
 }
 

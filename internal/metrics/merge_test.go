@@ -21,15 +21,15 @@ func TestHistogramMerge(t *testing.T) {
 		t.Fatalf("merged count = %d, want %d", got, want)
 	}
 	// Bucket 0: a's {0, 0.5} plus b's clamped -5.
-	if got := a.Bucket(0); got != 3 {
+	if got := a.buckets[0]; got != 3 {
 		t.Errorf("bucket 0 = %d, want 3", got)
 	}
 	// Bucket 3: a's 3.2 plus b's 3.7.
-	if got := a.Bucket(3); got != 2 {
+	if got := a.buckets[3]; got != 2 {
 		t.Errorf("bucket 3 = %d, want 2", got)
 	}
 	// Top bucket: a's 9.99 plus b's clamped 42.
-	if got := a.Bucket(9); got != 2 {
+	if got := a.buckets[9]; got != 2 {
 		t.Errorf("bucket 9 = %d, want 2", got)
 	}
 }

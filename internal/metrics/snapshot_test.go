@@ -71,13 +71,13 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dst.Count() != src.Count() || dst.Buckets() != src.Buckets() {
+	if dst.Count() != src.Count() || len(dst.buckets) != len(src.buckets) {
 		t.Fatalf("shape: count %d/%d buckets %d/%d",
-			dst.Count(), src.Count(), dst.Buckets(), src.Buckets())
+			dst.Count(), src.Count(), len(dst.buckets), len(src.buckets))
 	}
-	for i := 0; i < src.Buckets(); i++ {
-		if src.Bucket(i) != dst.Bucket(i) {
-			t.Fatalf("bucket %d: %d != %d", i, src.Bucket(i), dst.Bucket(i))
+	for i := 0; i < len(src.buckets); i++ {
+		if src.buckets[i] != dst.buckets[i] {
+			t.Fatalf("bucket %d: %d != %d", i, src.buckets[i], dst.buckets[i])
 		}
 	}
 	if src.Quantile(0.9) != dst.Quantile(0.9) {

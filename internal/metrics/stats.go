@@ -139,12 +139,6 @@ func (h *Histogram) Merge(other *Histogram) error {
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Buckets returns the bucket count.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
 // HistSummary condenses a histogram into the percentiles dashboards and
 // the obs registry exporter report.
 type HistSummary struct {

@@ -122,8 +122,8 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("Count = %d", h.Count())
 	}
 	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Fatalf("bucket %d = %d, want 1", i, h.Bucket(i))
+		if h.buckets[i] != 1 {
+			t.Fatalf("bucket %d = %d, want 1", i, h.buckets[i])
 		}
 	}
 	med := h.Quantile(0.5)
@@ -136,7 +136,7 @@ func TestHistogramClamping(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	h.Add(-100)
 	h.Add(100)
-	if h.Bucket(0) != 1 || h.Bucket(4) != 1 {
+	if h.buckets[0] != 1 || h.buckets[4] != 1 {
 		t.Fatal("out-of-range values not clamped to edge buckets")
 	}
 }

@@ -76,7 +76,7 @@ func TestRecorderFilterDropsEvents(t *testing.T) {
 	if n := len(r.Events()); n != 1 {
 		t.Fatalf("recorded %d events, want 1", n)
 	}
-	if r.EventCount(EvShootdown) != 1 {
+	if r.events[0].Type != EvShootdown {
 		t.Fatal("shootdown not recorded")
 	}
 }
@@ -93,7 +93,7 @@ func TestRegistryLabelsAndIdentity(t *testing.T) {
 	if c2.value() != 4 {
 		t.Fatalf("counter = %v", c2.value())
 	}
-	ids := reg.CounterIDs()
+	ids := reg.counterList.ids
 	if len(ids) != 1 || ids[0] != "pages_moved{app=memcached,tier=fast}" {
 		t.Fatalf("ids = %v", ids)
 	}

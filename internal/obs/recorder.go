@@ -89,17 +89,6 @@ func (r *Recorder) Metrics() *Registry { return r.reg }
 // Events returns the buffered events in emission order.
 func (r *Recorder) Events() []Event { return r.events }
 
-// EventCount returns the number of buffered events of type t.
-func (r *Recorder) EventCount(t EventType) int {
-	n := 0
-	for _, e := range r.events {
-		if e.Type == t {
-			n++
-		}
-	}
-	return n
-}
-
 // FlushEpoch closes one epoch's telemetry. In batch mode it snapshots
 // every registry instrument as one CSV row set. In streaming mode the
 // rows append to the CSV stream and both streams flush — the explicit

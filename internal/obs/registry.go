@@ -166,15 +166,6 @@ func (r *Registry) Histogram(name string, min, max float64, n int, labels ...Lab
 	return h
 }
 
-// CounterIDs returns every counter identity, sorted.
-func (r *Registry) CounterIDs() []string { return slices.Clone(r.counterList.ids) }
-
-// GaugeIDs returns every gauge identity, sorted.
-func (r *Registry) GaugeIDs() []string { return slices.Clone(r.gaugeList.ids) }
-
-// HistogramIDs returns every histogram identity, sorted.
-func (r *Registry) HistogramIDs() []string { return slices.Clone(r.histoList.ids) }
-
 // snapshot appends one row per instrument to out, in sorted-identity
 // order: counters and gauges by value, histograms expanded to
 // count/p50/p95/p99 via metrics.HistSummary. This is the registry's

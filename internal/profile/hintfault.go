@@ -131,9 +131,6 @@ func (h *HintFault) EndEpoch() EpochReport {
 	return rep
 }
 
-// PoisonedPages returns the number of currently poisoned pages.
-func (h *HintFault) PoisonedPages() int { return h.poisoned.count }
-
 // Heat implements Profiler.
 func (h *HintFault) Heat(vp pagetable.VPage) float64 { return h.heat.heat(vp) }
 

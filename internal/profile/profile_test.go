@@ -195,8 +195,8 @@ func TestHintFaultPoisonAndFire(t *testing.T) {
 	tbl := buildTable(t, 8)
 	h := NewHintFault(tbl, 4, 2500)
 	h.EndEpoch() // establish the first poison window
-	if h.PoisonedPages() != 4 {
-		t.Fatalf("poisoned = %d, want 4", h.PoisonedPages())
+	if h.poisoned.count != 4 {
+		t.Fatalf("poisoned = %d, want 4", h.poisoned.count)
 	}
 	// First access to a poisoned page faults and is charged.
 	cost := h.Record(Access{VP: 0})
@@ -248,8 +248,8 @@ func TestHintFaultWrapsAround(t *testing.T) {
 	h := NewHintFault(tbl, 4, 100)
 	h.EndEpoch() // poisons 0..3
 	h.EndEpoch() // poisons 4,5 + wraps to 0,1
-	if h.PoisonedPages() != 4 {
-		t.Fatalf("wrapped window = %d, want 4", h.PoisonedPages())
+	if h.poisoned.count != 4 {
+		t.Fatalf("wrapped window = %d, want 4", h.poisoned.count)
 	}
 	if c := h.Record(Access{VP: 5}); c == 0 {
 		t.Fatal("page 5 not poisoned after wrap")

@@ -17,15 +17,7 @@ const SnapshotVersion = 3
 
 // SnapshotProfiler appends p's durable state, tagged with the profiler
 // name so RestoreProfiler can verify the constructed profiler matches.
-// The Faulty decorator gets its own tag ("faulty") ahead of the inner
-// profiler's, because Faulty.Name() deliberately reports the inner name.
 func SnapshotProfiler(e *checkpoint.Encoder, p Profiler) {
-	if f, ok := p.(*Faulty); ok {
-		e.String("faulty")
-		f.snapshotSelf(e)
-		SnapshotProfiler(e, f.inner)
-		return
-	}
 	s, ok := p.(checkpoint.Snapshotter)
 	if !ok {
 		panic(fmt.Sprintf("profile: profiler %q is not snapshottable", p.Name()))
@@ -37,50 +29,14 @@ func SnapshotProfiler(e *checkpoint.Encoder, p Profiler) {
 // RestoreProfiler reads state written by SnapshotProfiler back into p,
 // a freshly-constructed profiler. version is the section version
 // recorded in the checkpoint container; anything but SnapshotVersion is
-// rejected. The fault decoration may differ between writer and reader
-// (a clean warm-up resumed under fault injection, or vice versa):
-// wrapper state that has no destination is discarded, and a fresh
-// wrapper keeps its construction-time state.
+// rejected, as is a tag naming another profiler.
 func RestoreProfiler(d *checkpoint.Decoder, p Profiler, version uint32) error {
 	if version != SnapshotVersion {
 		return fmt.Errorf("profile: unsupported profiler snapshot version %d", version)
 	}
-	return restoreProfiler(d, p)
-}
-
-func restoreProfiler(d *checkpoint.Decoder, p Profiler) error {
 	tag := d.String()
 	if d.Err() != nil {
 		return d.Err()
-	}
-	return restoreTagged(tag, d, p)
-}
-
-func restoreTagged(tag string, d *checkpoint.Decoder, p Profiler) error {
-	if tag == "faulty" {
-		if f, ok := p.(*Faulty); ok {
-			if err := f.restoreSelf(d); err != nil {
-				return err
-			}
-			p = f.inner
-		} else {
-			// Checkpoint was fault-wrapped, target is not: skip the
-			// wrapper fields and restore the inner profiler directly.
-			discardFaultyState(d)
-		}
-		tag = d.String()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if tag == "faulty" {
-			// SnapshotProfiler never nests the wrapper.
-			return fmt.Errorf("profile: nested fault-wrapper state")
-		}
-	}
-	if f, ok := p.(*Faulty); ok {
-		// Target is fault-wrapped, checkpoint was not: the fresh wrapper
-		// keeps its construction-time state (epoch 0, confidence 1).
-		return restoreTagged(tag, d, f.inner)
 	}
 	if tag != p.Name() {
 		return fmt.Errorf("profile: checkpoint holds a %q profiler, restoring into %q",
@@ -91,38 +47,6 @@ func restoreTagged(tag string, d *checkpoint.Decoder, p Profiler) error {
 		return fmt.Errorf("profile: profiler %q is not snapshottable", p.Name())
 	}
 	return s.Restore(d)
-}
-
-// snapshotSelf appends the wrapper's own durable fields (the inner tag
-// and state follow, written by SnapshotProfiler).
-func (f *Faulty) snapshotSelf(e *checkpoint.Encoder) {
-	e.U64(f.epoch)
-	e.F64(f.confidence)
-	e.Bool(f.overflowed)
-	e.U64(f.dropped)
-}
-
-// restoreSelf restores the wrapper fields and re-opens the fault
-// stream at the restored epoch: ProfileFaults derives every draw from
-// pure hashes of (epoch, sample index), so BeginEpoch fully
-// re-synchronizes it.
-func (f *Faulty) restoreSelf(d *checkpoint.Decoder) error {
-	f.epoch = d.U64()
-	f.confidence = d.F64()
-	f.overflowed = d.Bool()
-	f.dropped = d.U64()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	f.faults.BeginEpoch(f.epoch)
-	return nil
-}
-
-func discardFaultyState(d *checkpoint.Decoder) {
-	_ = d.U64()
-	_ = d.F64()
-	_ = d.Bool()
-	_ = d.U64()
 }
 
 // Snapshot appends the heat store's tracked pages as runs of

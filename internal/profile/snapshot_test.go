@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vulcan/internal/checkpoint"
@@ -156,11 +157,11 @@ func TestRestoreProfilerRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
-// TestRestoreProfilerRejectsNonCanonical pins three layouts the encoder
+// TestRestoreProfilerRejectsNonCanonical pins two layouts the encoder
 // never writes, each next to the canonical form of the same state: two
-// heat runs that touch (Snapshot merges them), a poison window out of
-// ascending order, and a fault wrapper nested in a fault wrapper. An
-// accepted non-canonical blob would re-encode to different bytes.
+// heat runs that touch (Snapshot merges them) and a poison window out
+// of ascending order. An accepted non-canonical blob would re-encode to
+// different bytes.
 func TestRestoreProfilerRejectsNonCanonical(t *testing.T) {
 	pebs := func(secondRun pagetable.VPage) []byte {
 		e := &checkpoint.Encoder{}
@@ -189,17 +190,6 @@ func TestRestoreProfilerRejectsNonCanonical(t *testing.T) {
 		e.U64(0) // cursor
 		return e.Bytes()
 	}
-	wrapped := func(depth int) []byte {
-		e := &checkpoint.Encoder{}
-		for range depth {
-			e.String("faulty")
-			e.U64(0)
-			e.F64(1)
-			e.Bool(false)
-			e.U64(0)
-		}
-		return append(e.Bytes(), pebs(2)...)
-	}
 	for _, c := range []struct {
 		name      string
 		newTarget func() Profiler
@@ -208,7 +198,6 @@ func TestRestoreProfilerRejectsNonCanonical(t *testing.T) {
 	}{
 		{"touching heat runs", func() Profiler { return NewPEBSWithDecay(4, DefaultDecay, 9) }, pebs(2), pebs(1)},
 		{"unordered poison window", func() Profiler { return NewHintFault(newProfileTable(), 64, 1000) }, hint(3, 5), hint(5, 3)},
-		{"nested fault wrapper", func() Profiler { return NewFaulty(NewPEBSWithDecay(4, DefaultDecay, 9), &scriptedFaults{}) }, wrapped(1), wrapped(2)},
 	} {
 		d := checkpoint.NewDecoder(c.canonical)
 		if err := RestoreProfiler(d, c.newTarget(), SnapshotVersion); err != nil || d.Close() != nil {
@@ -220,9 +209,36 @@ func TestRestoreProfilerRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// legacyFaultTagged encodes p in the chaos layout that once wrapped the
+// profiler in a sample-fault decorator: a "faulty" tag and the stream's
+// epoch, confidence, overflow flag and dropped count ahead of the
+// profiler's own tag. Sample loss is now the app's fault stream, with a
+// checkpoint section of its own.
+func legacyFaultTagged(p Profiler) []byte {
+	e := &checkpoint.Encoder{}
+	e.String("faulty")
+	e.U64(7)
+	e.F64(0.5)
+	e.Bool(false)
+	e.U64(3)
+	SnapshotProfiler(e, p)
+	return e.Bytes()
+}
+
+// TestRestoreProfilerRejectsLegacyFaultTag: the name check must reject
+// a legacy fault-tagged section and name the tag, rather than misread
+// the stream's values as profiler state.
+func TestRestoreProfilerRejectsLegacyFaultTag(t *testing.T) {
+	blob := legacyFaultTagged(NewPEBSWithDecay(4, DefaultDecay, 9))
+	err := RestoreProfiler(checkpoint.NewDecoder(blob), NewPEBSWithDecay(4, DefaultDecay, 9), SnapshotVersion)
+	if err == nil || !strings.Contains(err.Error(), `"faulty"`) {
+		t.Fatalf("legacy fault-wrapped section: err = %v, want one naming the \"faulty\" tag", err)
+	}
+}
+
 // FuzzProfilerRestore feeds RestoreProfiler arbitrary bytes for a PEBS,
-// Hybrid or HintFault target, fault-wrapped when the blob's first tag
-// says so. Restore must never panic; a blob it accepts — restore and
+// Hybrid or HintFault target, seeded with real snapshots and with the
+// same snapshots in the legacy fault-tagged layout. Restore must never panic; a blob it accepts — restore and
 // Close both succeed — must re-encode byte for byte, since the decoder
 // admits exactly the states the encoder writes; and the restored heat
 // store must keep every live cell inside its chunk's span.
@@ -238,10 +254,9 @@ func FuzzProfilerRestore(f *testing.F) {
 		for _, vp := range []pagetable.VPage{chunkPages + 3, chunkPages + 4, chunkPages * dirSize} {
 			live.Record(Access{VP: vp, Write: true, Fast: true})
 		}
-		for _, p := range []Profiler{live, NewFaulty(live, &scriptedFaults{dropEvery: 3})} {
-			e := &checkpoint.Encoder{}
-			SnapshotProfiler(e, p)
-			blob := e.Bytes()
+		e := &checkpoint.Encoder{}
+		SnapshotProfiler(e, live)
+		for _, blob := range [][]byte{e.Bytes(), legacyFaultTagged(live)} {
 			f.Add(uint8(k), blob)
 			for cut := 0; cut < len(blob); cut += 41 {
 				f.Add(uint8(k), blob[:cut])
@@ -258,10 +273,6 @@ func FuzzProfilerRestore(f *testing.F) {
 		default:
 			p = NewHintFault(newProfileTable(), 64, 1000)
 		}
-		inner := p
-		if head := checkpoint.NewDecoder(blob); head.String() == "faulty" {
-			p = NewFaulty(inner, &scriptedFaults{})
-		}
 		d := checkpoint.NewDecoder(blob)
 		if RestoreProfiler(d, p, SnapshotVersion) != nil || d.Close() != nil {
 			return
@@ -271,7 +282,7 @@ func FuzzProfilerRestore(f *testing.F) {
 		if !bytes.Equal(e.Bytes(), blob) {
 			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
 		}
-		switch in := inner.(type) {
+		switch in := p.(type) {
 		case *PEBS:
 			checkSpans(t, in.heat)
 		case *Hybrid:

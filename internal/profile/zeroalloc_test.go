@@ -72,13 +72,6 @@ func TestHintFaultRecordZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestFaultyRecordZeroAlloc(t *testing.T) {
-	// Wrap a sampling inner profiler with a fault stream that drops every
-	// other sample so both the dropped and forwarded branches run.
-	f := NewFaulty(NewPEBSWithDecay(1, DefaultDecay, 42), &scriptedFaults{dropEvery: 2})
-	pinRecord(t, "Faulty", f, Access{VP: 3, Write: true, Fast: true})
-}
-
 func TestHeatStoreRecordZeroAlloc(t *testing.T) {
 	// The store itself, below any profiler: steady-state updates of an
 	// existing cell (and the maxHeat maintenance) must not allocate.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"vulcan/internal/fault"
 	"vulcan/internal/machine"
 	"vulcan/internal/mem"
 	"vulcan/internal/metrics"
@@ -31,6 +32,9 @@ type App struct {
 	// Retry is the bounded-retry queue for transiently-failed
 	// migrations; nil on fault-free runs.
 	Retry *migrate.Retrier
+	// sampleFaults is the app's injected PEBS sample-loss stream: a
+	// dropped sample never reaches the profiler. nil on fault-free runs.
+	sampleFaults *fault.ProfileFaults //vulcan:nosnap snapshotted at the system layer as the app.N.faults section
 
 	sys     *System //vulcan:nosnap construction wiring, bound when the system admits the app
 	rng     *sim.RNG
@@ -165,13 +169,13 @@ func (a *App) ProfileDegraded() bool { return a.profileDegraded }
 
 // ProfileConfidence returns the fraction of the app's profiler samples
 // that survived fault injection in the last finished epoch, and whether
-// the profiler is fault-wrapped at all (false on fault-free runs, where
-// no confidence is computed).
+// the app has a sample-fault stream at all (false on fault-free runs,
+// where no confidence is computed).
 func (a *App) ProfileConfidence() (float64, bool) {
-	if fp, ok := a.Profiler.(*profile.Faulty); ok {
-		return fp.Confidence(), true
+	if a.sampleFaults == nil {
+		return 0, false
 	}
-	return 0, false
+	return a.sampleFaults.Confidence(), true
 }
 
 // WriteProbability estimates the chance that a page is written during
@@ -294,11 +298,7 @@ func (a *App) admit(sys *System, placer Placer) {
 		// Policies without a profiler of their own get Vulcan's hybrid.
 		a.Profiler = profile.NewHybrid(a.Table, 8, profile.DefaultDecay, a.rng.Uint64())
 	}
-	if sys.inj != nil {
-		if sf := sys.inj.Profile(a.Cfg.Name); sf != nil {
-			a.Profiler = profile.NewFaulty(a.Profiler, sf)
-		}
-	}
+	a.sampleFaults = sys.inj.Profile(a.Cfg.Name)
 
 	a.premap(placer)
 	if !sys.cfg.DisableTHP {
@@ -525,13 +525,18 @@ func (a *App) runEpochAccesses(samples int, epochCycles float64, bwUtil [mem.Num
 					accSlowCyc += memCyc
 				}
 				ideal += idealMemCyc
-				// A profiling fault (hint-fault poisoning) fires once per
-				// poisoned page, not once per operation: epoch overhead.
-				rc := a.Profiler.Record(profile.Access{
-					VP: vp, Thread: tid, Write: ref.Write, Fast: fast,
-				})
-				a.epochEventCyc += rc
-				recordCyc += rc
+				// A lost sample costs the thread nothing: the hardware
+				// never delivered it, and the profiler never sees it.
+				if a.sampleFaults == nil || !a.sampleFaults.DropSample() {
+					// A profiling fault (hint-fault poisoning) fires once
+					// per poisoned page, not once per operation: epoch
+					// overhead.
+					rc := a.Profiler.Record(profile.Access{
+						VP: vp, Thread: tid, Write: ref.Write, Fast: fast,
+					})
+					a.epochEventCyc += rc
+					recordCyc += rc
+				}
 				if fast {
 					a.epochFastSamples++
 				} else {

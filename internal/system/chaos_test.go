@@ -8,6 +8,7 @@ import (
 	"vulcan/internal/migrate"
 	"vulcan/internal/obs"
 	"vulcan/internal/pagetable"
+	"vulcan/internal/profile"
 	"vulcan/internal/sim"
 	"vulcan/internal/workload"
 )
@@ -124,12 +125,17 @@ func TestFaultedRunDeterminism(t *testing.T) {
 
 // TestFaultedRunMachinery checks the resilience path actually engages:
 // faults are injected and visible as events, busy migrations flow into
-// the retrier, and the profiler wrapper reports its confidence.
+// the retrier, and every app's sample-fault stream reports its
+// confidence.
 func TestFaultedRunMachinery(t *testing.T) {
 	rec := obs.NewRecorder()
 	sys, _ := chaosRun(t, fault.PlanAtRate(0.2), rec)
+	events := map[obs.EventType]int{}
+	for _, e := range rec.Events() {
+		events[e.Type]++
+	}
 
-	if n := rec.EventCount(obs.EvFaultInject); n == 0 {
+	if events[obs.EvFaultInject] == 0 {
 		t.Error("no fault.inject events recorded")
 	}
 	counts := sys.FaultInjector().Counts()
@@ -142,13 +148,16 @@ func TestFaultedRunMachinery(t *testing.T) {
 		if app.Retry == nil {
 			t.Fatalf("app %s has no retrier on a faulted run", name)
 		}
+		if _, ok := app.ProfileConfidence(); !ok {
+			t.Errorf("app %s reports no profile confidence on a faulted run", name)
+		}
 		retried += app.Retry.Stats().Retried
 		pending += uint64(app.Retry.Pending())
 	}
 	if retried+pending == 0 {
 		t.Error("no busy pages reached the retriers")
 	}
-	if retried > 0 && rec.EventCount(obs.EvMigrateRetry) == 0 {
+	if retried > 0 && events[obs.EvMigrateRetry] == 0 {
 		t.Error("retries ran but no migrate.retry events recorded")
 	}
 }
@@ -165,6 +174,9 @@ func TestFaultFreeRunHasNoChaosState(t *testing.T) {
 		if app.Retry != nil {
 			t.Errorf("app %s has a retrier without a plan", name)
 		}
+		if app.sampleFaults != nil {
+			t.Errorf("app %s has a sample-fault stream without a plan", name)
+		}
 		if app.ProfileDegraded() {
 			t.Errorf("app %s profile degraded without faults", name)
 		}
@@ -172,8 +184,75 @@ func TestFaultFreeRunHasNoChaosState(t *testing.T) {
 			t.Errorf("app %s has delayed acks without faults", name)
 		}
 	}
-	if sys.PressureHeld() != 0 {
+	if len(sys.pressure) != 0 {
 		t.Error("pressure frames held without faults")
+	}
+}
+
+// recordCounter counts the samples that reach the profiler it wraps.
+type recordCounter struct {
+	profile.Profiler
+	n *int
+}
+
+func (r recordCounter) Record(a profile.Access) float64 {
+	*r.n++
+	return r.Profiler.Record(a)
+}
+
+// countingPolicy is the static baseline with every app's profiler
+// behind one shared recordCounter.
+type countingPolicy struct {
+	NullPolicy
+	records int
+}
+
+func (p *countingPolicy) NewProfiler(a *App) profile.Profiler {
+	return recordCounter{profile.NewHybrid(a.Table, 8, profile.DefaultDecay, 1), &p.records}
+}
+
+// TestDroppedSamplesNeverReachProfiler checks the sample-loss contract
+// at the access loop: every sampled LLC miss either reaches Record or
+// is counted as dropped by the app's fault stream, never both. A
+// stream that drops everything starves the profiler completely, and a
+// fault-free run records every sample.
+func TestDroppedSamplesNeverReachProfiler(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rate float64
+	}{{"fault-free", 0}, {"drop 0.3", 0.3}, {"drop all", 1}} {
+		var plan *fault.Plan
+		if c.rate > 0 {
+			plan = &fault.Plan{Rules: []fault.Rule{{Kind: fault.PEBSDrop, Rate: c.rate}}}
+		}
+		pol := &countingPolicy{}
+		cfg := ckptConfig(plan)
+		cfg.Policy = pol
+		sys := New(cfg)
+		var samples, dropped float64
+		for range 8 {
+			sys.RunEpoch()
+			for _, a := range sys.StartedApps() {
+				samples += a.epochFastSamples + a.epochSlowSamples
+				if a.sampleFaults != nil {
+					dropped += float64(a.sampleFaults.Dropped())
+				}
+			}
+		}
+		if samples == 0 {
+			t.Fatalf("%s: no sampled LLC misses", c.name)
+		}
+		if float64(pol.records)+dropped != samples {
+			t.Errorf("%s: %d recorded + %.0f dropped != %.0f sampled", c.name, pol.records, dropped, samples)
+		}
+		switch {
+		case c.rate == 0 && dropped != 0:
+			t.Errorf("%s: %.0f samples dropped", c.name, dropped)
+		case c.rate == 1 && pol.records != 0:
+			t.Errorf("%s: %d samples reached the profiler", c.name, pol.records)
+		case c.rate > 0 && c.rate < 1 && (dropped == 0 || pol.records == 0):
+			t.Errorf("%s: %d recorded, %.0f dropped; want both > 0", c.name, pol.records, dropped)
+		}
 	}
 }
 
@@ -195,7 +274,7 @@ func TestMemPressureSeizesAndReleases(t *testing.T) {
 	sawHeld := false
 	for i := 0; i < 30; i++ {
 		sys.RunEpoch()
-		if held := sys.PressureHeld(); held > 0 {
+		if held := len(sys.pressure); held > 0 {
 			sawHeld = true
 			if held > 26 { // 10% of 256, ceiling slack
 				t.Fatalf("burst seized %d frames, severity 0.1 of 256", held)

@@ -37,6 +37,8 @@ const (
 	// policyVersion 2 drops Vulcan's Colloid-gate flag with the gate.
 	policyVersion = 2
 	faultVersion  = 1
+	// appFaultsVersion tracks fault.ProfileFaults' snapshot layout.
+	appFaultsVersion = 1
 	// obsVersion 3 drops the recorder's flush-boundary marks (the trace
 	// no longer interleaves cost counter samples, so nothing reads them)
 	// and renumbers the event types after the deleted THP-collapse slot.
@@ -92,6 +94,9 @@ func (s *System) Checkpoint(w io.Writer) error {
 		if a.started {
 			profile.SnapshotProfiler(
 				cw.Section(fmt.Sprintf("app.%d.profiler", i), profilerVersion), a.Profiler)
+			if a.sampleFaults != nil {
+				a.sampleFaults.Snapshot(cw.Section(fmt.Sprintf("app.%d.faults", i), appFaultsVersion))
+			}
 		}
 	}
 
@@ -112,10 +117,10 @@ func (s *System) Checkpoint(w io.Writer) error {
 // Resume rebuilds a system from a checkpoint written by Checkpoint.
 // cfg must describe the same experiment (seed, machine shape, app
 // list); the policy may differ — that is the branch-from-snapshot path.
-// When it does, the checkpointed policy and profiler state is skipped
-// and the new policy starts cold, so every branch forks from identical
-// substrate state and none inherits another policy's learned placement
-// hints.
+// When it does, the checkpointed policy, profiler and sample-fault
+// state is skipped and the new policy starts cold, so every branch
+// forks from identical substrate state and none inherits another
+// policy's learned placement hints.
 //
 // The restored system continues exactly where the checkpointed one
 // stopped: with the same cfg (policy included), running it to the
@@ -236,8 +241,10 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	// Per-app overlays; profiler state only when the policy (and hence
-	// the profiler construction) matches the checkpointed run.
+	// Per-app overlays; profiler and sample-fault state only when the
+	// policy (and hence the profiler construction) matches the
+	// checkpointed run. A sample-fault stream restores only when both
+	// runs have one; otherwise it keeps its fresh state.
 	for i, a := range s.apps {
 		d, err := cr.Section(fmt.Sprintf("app.%d", i), appVersion)
 		if err != nil {
@@ -259,6 +266,12 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 			}
 			if err := pd.Close(); err != nil {
 				return nil, err
+			}
+			name := fmt.Sprintf("app.%d.faults", i)
+			if a.sampleFaults != nil && cr.Has(name) {
+				if err := cr.Restore(name, appFaultsVersion, a.sampleFaults); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}

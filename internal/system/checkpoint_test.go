@@ -2,6 +2,8 @@ package system
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"vulcan/internal/fault"
@@ -105,6 +107,111 @@ func TestResumeIntoFaultedBranchDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Fatal("faulted branch from clean snapshot is not deterministic")
+	}
+}
+
+// TestResumeFaultPlanMatrix checkpoints under each fault plan and
+// resumes under each plan and under the same or another policy. The
+// app's sample-fault stream restores only when both runs have one and
+// the policy matches; otherwise it starts fresh. Every resume must
+// succeed and replay byte for byte, and a resume under the
+// checkpoint's own plan and policy must match the uninterrupted run.
+func TestResumeFaultPlanMatrix(t *testing.T) {
+	const split, total = 5, 10
+	plans := []struct {
+		name string
+		plan func() *fault.Plan
+	}{
+		{"clean", func() *fault.Plan { return nil }},
+		{"faulted", func() *fault.Plan { return fault.PlanAtRate(0.1) }},
+	}
+	policies := []struct {
+		name   string
+		policy func() Tiering
+	}{
+		{"same", func() Tiering { return nil }},
+		{"other", func() Tiering { return &churnPolicy{} }},
+	}
+	for _, from := range plans {
+		golden := New(ckptConfig(from.plan()))
+		runEpochs(golden, total)
+		want := dump(t, golden)
+
+		first := New(ckptConfig(from.plan()))
+		runEpochs(first, split)
+		var blob bytes.Buffer
+		if err := first.Checkpoint(&blob); err != nil {
+			t.Fatalf("%s: checkpoint: %v", from.name, err)
+		}
+		for _, to := range plans {
+			for _, pol := range policies {
+				cell := from.name + "->" + to.name + "/" + pol.name
+				resume := func() []byte {
+					cfg := ckptConfig(to.plan())
+					cfg.Policy = pol.policy()
+					sys, err := Resume(bytes.NewReader(blob.Bytes()), cfg)
+					if err != nil {
+						t.Fatalf("%s: resume: %v", cell, err)
+					}
+					runEpochs(sys, total-split)
+					return dump(t, sys)
+				}
+				got := resume()
+				if !bytes.Equal(got, resume()) {
+					t.Errorf("%s: two resumes of one checkpoint diverged", cell)
+				}
+				if from.name == to.name && pol.name == "same" && !bytes.Equal(got, want) {
+					t.Errorf("%s: resumed run diverged from the uninterrupted run (%d vs %d bytes)",
+						cell, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestResumeRejectsBadSampleFaults resumes a faulted checkpoint whose
+// app.1.faults section is cut short at every length, or carries a
+// confidence that is not a fraction; each resume must fail with an
+// error. The intact section must resume.
+func TestResumeRejectsBadSampleFaults(t *testing.T) {
+	sys := New(ckptConfig(fault.PlanAtRate(0.1)))
+	runEpochs(sys, 5)
+	var blob bytes.Buffer
+	if err := sys.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	sections := splitCheckpoint(t, blob.Bytes())
+	const name = "app.1.faults"
+	var real []byte
+	for _, sec := range sections {
+		if sec.name == name {
+			real = sec.payload
+		}
+	}
+	if real == nil {
+		t.Fatalf("faulted checkpoint has no %s section", name)
+	}
+	resume := func(payload []byte) error {
+		_, err := Resume(bytes.NewReader(joinCheckpoint(sections, name, payload)), ckptConfig(fault.PlanAtRate(0.1)))
+		return err
+	}
+	if err := resume(real); err != nil {
+		t.Fatalf("intact %s rejected: %v", name, err)
+	}
+	for cut := 0; cut < len(real); cut++ {
+		if resume(real[:cut]) == nil {
+			t.Errorf("%s cut to %d of %d bytes accepted", name, cut, len(real))
+		}
+	}
+	if resume(append(bytes.Clone(real), 0)) == nil {
+		t.Errorf("%s with a trailing byte accepted", name)
+	}
+	for _, conf := range []float64{math.NaN(), -0.1, 1.5} {
+		bad := bytes.Clone(real)
+		binary.LittleEndian.PutUint64(bad[8:], math.Float64bits(conf))
+		if resume(bad) == nil {
+			t.Errorf("%s with confidence %v accepted", name, conf)
+		}
 	}
 }
 

@@ -289,36 +289,39 @@ type ckptSection struct {
 	payload []byte
 }
 
-// splitCheckpoint decodes blob into its sections, in blob order.
+// splitCheckpoint decodes blob into its sections, in blob order. It
+// walks the container layout Writer.WriteTo writes — magic, format
+// version, section count, then per section its name, version, payload
+// and checksum — after NewReader has verified the checksums.
 func splitCheckpoint(t testing.TB, blob []byte) []ckptSection {
 	t.Helper()
-	cr, err := checkpoint.NewReader(bytes.NewReader(blob))
-	if err != nil {
+	if _, err := checkpoint.NewReader(bytes.NewReader(blob)); err != nil {
 		t.Fatal(err)
 	}
+	d := checkpoint.NewDecoder(blob[len(checkpoint.Magic):])
+	d.U32() // format version
 	var out []ckptSection
-	for _, info := range cr.Manifest() {
-		d, err := cr.Section(info.Name, info.Version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := make([]byte, 0, info.Size)
-		for d.Remaining() > 0 {
-			p = append(p, d.U8())
-		}
-		out = append(out, ckptSection{info.Name, info.Version, p})
+	for n := d.U32(); n > 0; n-- {
+		name := d.String()
+		version := d.U32()
+		payload := bytes.Clone(d.Bytes64())
+		d.U64() // checksum
+		out = append(out, ckptSection{name, version, payload})
+	}
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	return out
 }
 
 // joinCheckpoint re-emits sections as one blob with fresh checksums,
-// the system section's payload replaced by sysPayload.
-func joinCheckpoint(sections []ckptSection, sysPayload []byte) []byte {
+// the named section's payload replaced by payload.
+func joinCheckpoint(sections []ckptSection, name string, payload []byte) []byte {
 	w := checkpoint.NewWriter()
 	for _, sec := range sections {
 		p := sec.payload
-		if sec.name == "system" {
-			p = sysPayload
+		if sec.name == name {
+			p = payload
 		}
 		e := w.Section(sec.name, sec.version)
 		for _, b := range p {
@@ -399,7 +402,7 @@ func FuzzSystemSection(f *testing.F) {
 		f.Add(withAdmitOrder(f, real, order))
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		in := joinCheckpoint(sections, payload)
+		in := joinCheckpoint(sections, "system", payload)
 		resumed, err := Resume(bytes.NewReader(in), c.config(split))
 		if err != nil {
 			return

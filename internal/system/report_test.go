@@ -177,7 +177,7 @@ func TestSystemAccessors(t *testing.T) {
 	if a.SampleWeight() <= 0 {
 		t.Fatal("SampleWeight accessor wrong")
 	}
-	util := sys.BandwidthUtil()
+	util := sys.bwUtil
 	if util[0] < 0 || util[1] < 0 {
 		t.Fatal("BandwidthUtil negative")
 	}

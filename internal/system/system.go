@@ -9,7 +9,6 @@ import (
 	"vulcan/internal/metrics"
 	"vulcan/internal/obs"
 	"vulcan/internal/obs/prof"
-	"vulcan/internal/profile"
 	"vulcan/internal/sim"
 	"vulcan/internal/workload"
 )
@@ -316,6 +315,9 @@ func (s *System) RunEpoch() {
 
 	// Profiler harvest; overhead lands on the app's next epoch.
 	for _, a := range s.live {
+		if a.sampleFaults != nil {
+			a.sampleFaults.EndEpoch()
+		}
 		rep := a.Profiler.EndEpoch()
 		a.ChargeStall(rep.OverheadCycles)
 		// Mechanism-plane view of the harvest cost; the same cycles
@@ -492,23 +494,22 @@ const degradeBelow float64 = 0.7
 
 // checkProfileConfidence latches whether the app's profile is too
 // starved (injected sample loss) to act on this epoch, and emits the
-// degradation event. No-op on fault-free runs, where profilers are
-// never wrapped.
+// degradation event. No-op for apps without a sample-fault stream.
 func (s *System) checkProfileConfidence(a *App) {
-	fp, ok := a.Profiler.(*profile.Faulty)
-	if !ok {
+	sf := a.sampleFaults
+	if sf == nil {
 		return
 	}
-	conf := fp.Confidence()
+	conf := sf.Confidence()
 	a.profileDegraded = conf < degradeBelow
 	if a.profileDegraded && obs.Enabled(s.obs, obs.EvProfileDegraded) {
 		overflow := 0.0
-		if fp.Overflowed() {
+		if sf.Overflowed() {
 			overflow = 1
 		}
 		s.obs.Event(obs.E(obs.EvProfileDegraded, a.Cfg.Name, "profile", 0,
 			obs.F("confidence", conf),
-			obs.F("dropped", float64(fp.Dropped())),
+			obs.F("dropped", float64(sf.Dropped())),
 			obs.F("overflow", overflow)))
 	}
 }
@@ -517,10 +518,6 @@ func (s *System) checkProfileConfidence(a *App) {
 // run is fault-free.
 func (s *System) FaultInjector() *fault.Injector { return s.inj }
 
-// PressureHeld returns how many fast-tier frames are currently seized
-// by an injected memory-pressure burst.
-func (s *System) PressureHeld() int { return len(s.pressure) }
-
 // Run advances the simulation for d of simulated time.
 func (s *System) Run(d sim.Duration) {
 	deadline := s.m.Now() + sim.Time(d)
@@ -528,10 +525,6 @@ func (s *System) Run(d sim.Duration) {
 		s.RunEpoch()
 	}
 }
-
-// BandwidthUtil returns the previous epoch's per-tier bandwidth
-// utilization estimate.
-func (s *System) BandwidthUtil() [mem.NumTiers]float64 { return s.bwUtil }
 
 // Mechanisms returns the optimization set in effect: the policy's
 // declaration.
