@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: FORCE check build fmt vet lint vet-sarif test bench-test bench-smoke fuzz-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench
+.PHONY: FORCE check build fmt vet lint vet-sarif test bench-test bench-smoke fuzz-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench reach
 
 # check is the full gate, in fail-fast order: cheap static checks first,
 # then the test suites.
@@ -300,6 +300,14 @@ serve-demo: $(VULCANSIM)
 		cmp $(SD)/report.txt $(SD)/rreport$$w.txt || exit 1; \
 	done
 	@echo "serve-demo: suspended/resumed daemon artifacts byte-identical to journal replay at workers 1/2/7"
+
+# reach is the reachability census (scripts/reach.sh): it builds the
+# binaries, examples and vulcanbench with coverage, runs the shipped
+# command sets (the seven demos above among them) and lists the
+# functions none of them reached in out/reach/unreached.txt. A few
+# minutes long, so not part of check or CI.
+reach:
+	bash scripts/reach.sh
 
 # bench runs vulcanbench, the repo's benchmark, over all four workloads
 # (bench/README.md has its options and metrics). Figure values are

@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -28,37 +30,61 @@ import (
 	"vulcan/internal/sim"
 )
 
+// errUsage marks a command line that selects nothing or fails to parse;
+// main exits 2 on it, after the usage text.
+var errUsage = errors.New("usage")
+
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		log.Fatal(err)
+	}
+}
+
+// run parses args, regenerates the selected figures and tables and
+// writes them to stdout. Usage text and profile notes go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig       = flag.Int("fig", 0, "figure number to regenerate (1,2,3,4,6,7,8,9,10)")
-		table     = flag.Int("table", 0, "table number to regenerate (1,2)")
-		all       = flag.Bool("all", false, "regenerate everything")
-		ablations = flag.Bool("ablations", false, "run Vulcan mechanism ablations")
-		figR      = flag.Bool("figr", false, "run the fault-injection resilience comparison (Figure R)")
-		figF      = flag.Bool("figf", false, "run the fleet placement comparison (Figure F: scheduler × fleet size)")
-		csv       = flag.Bool("csv", false, "emit CSV instead of text tables")
-		trials    = flag.Int("trials", 3, "trials for Figure 10")
-		seconds   = flag.Int("seconds", 120, "simulated seconds for co-location figures")
-		scale     = flag.Int("scale", 4, "extra capacity scale divisor (1 = full 1/64 scale)")
-		seed      = flag.Uint64("seed", 1, "base random seed")
-		parallel  = flag.Int("parallel", 0, "worker goroutines for independent runs (0 = GOMAXPROCS); output is byte-identical at any value")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the figure generation to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile of the figure generation to this file (taken at exit)")
+		fig       = fs.Int("fig", 0, "figure number to regenerate (1,2,3,4,6,7,8,9,10)")
+		table     = fs.Int("table", 0, "table number to regenerate (1,2)")
+		all       = fs.Bool("all", false, "regenerate everything")
+		ablations = fs.Bool("ablations", false, "run Vulcan mechanism ablations")
+		figR      = fs.Bool("figr", false, "run the fault-injection resilience comparison (Figure R)")
+		figF      = fs.Bool("figf", false, "run the fleet placement comparison (Figure F: scheduler × fleet size)")
+		csv       = fs.Bool("csv", false, "emit CSV instead of text tables")
+		trials    = fs.Int("trials", 3, "trials for Figure 10")
+		seconds   = fs.Int("seconds", 120, "simulated seconds for co-location figures")
+		scale     = fs.Int("scale", 4, "extra capacity scale divisor (1 = full 1/64 scale)")
+		seed      = fs.Uint64("seed", 1, "base random seed")
+		parallel  = fs.Int("parallel", 0, "worker goroutines for independent runs (0 = GOMAXPROCS); output is byte-identical at any value")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the figure generation to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile of the figure generation to this file (taken at exit)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 	lab.SetDefaultWorkers(*parallel)
 
 	if *cpuProf != "" {
 		stop, err := prof.StartCPUProfile(*cpuProf)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer func() {
 			if err := stop(); err != nil {
 				log.Print(err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", *cpuProf)
+			fmt.Fprintf(stderr, "cpu profile written to %s\n", *cpuProf)
 		}()
 	}
 	if *memProf != "" {
@@ -67,7 +93,7 @@ func main() {
 				log.Print(err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memProf)
+			fmt.Fprintf(stderr, "heap profile written to %s\n", *memProf)
 		}()
 	}
 
@@ -75,9 +101,9 @@ func main() {
 	did := false
 	emit := func(text, csvText string) {
 		if *csv {
-			fmt.Print(csvText)
+			fmt.Fprint(stdout, csvText)
 		} else {
-			fmt.Println(text)
+			fmt.Fprintln(stdout, text)
 		}
 		did = true
 	}
@@ -140,7 +166,8 @@ func main() {
 	}
 
 	if !did {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
+	return nil
 }

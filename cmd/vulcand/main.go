@@ -89,7 +89,6 @@ func parseFlags(args []string) (*flags, error) {
 	fs.IntVar(&f.opts.CheckpointEvery, "checkpoint-every", 0, "write a rolling checkpoint every N epochs (needs -checkpoint-base)")
 	fs.IntVar(&f.opts.CheckpointRetain, "checkpoint-retain", 2, "keep the newest N rolling checkpoints (0 = all)")
 	fs.Float64Var(&f.speed, "speed", 1, "epochs per wall-clock second; 0 = manual stepping via POST /v1/step")
-	fs.IntVar(&f.opts.MaxBacklog, "max-backlog", 0, "bound the async migration backlog (0 = unbounded)")
 	fs.BoolVar(&f.opts.Rescore, "rescore", false, "use the incremental rescore path")
 	fs.BoolVar(&f.resume, "resume", false, "recover a killed or suspended run from its journal and newest rolling checkpoint")
 	fs.StringVar(&f.postPath, "post", "", "client mode: POST this API path over -socket and print the reply")
@@ -121,9 +120,6 @@ func parseFlags(args []string) (*flags, error) {
 	if f.speed < 0 {
 		return nil, errors.New("-speed must be >= 0")
 	}
-	if f.opts.MaxBacklog < 0 {
-		return nil, errors.New("-max-backlog must be >= 0")
-	}
 	if f.resume {
 		// The journal header carries the scenario and simulation knobs;
 		// a flag here that sets them would be ignored, which should not
@@ -131,14 +127,10 @@ func parseFlags(args []string) (*flags, error) {
 		if f.configPath != "" {
 			return nil, errors.New("-resume reads the scenario from the journal header; drop -config")
 		}
-		var set []string
-		fs.Visit(func(fl *flag.Flag) {
-			if fl.Name == "rescore" || fl.Name == "max-backlog" {
-				set = append(set, "-"+fl.Name)
-			}
-		})
-		if len(set) > 0 {
-			return nil, fmt.Errorf("-resume reads %s from the journal header; drop it", strings.Join(set, " and "))
+		rescoreSet := false
+		fs.Visit(func(fl *flag.Flag) { rescoreSet = rescoreSet || fl.Name == "rescore" })
+		if rescoreSet {
+			return nil, errors.New("-resume reads -rescore from the journal header; drop it")
 		}
 	} else if f.configPath == "" {
 		return nil, errors.New("-config is required (or -resume to continue an existing journal)")

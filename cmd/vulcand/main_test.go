@@ -26,14 +26,12 @@ func TestParseFlagsRejects(t *testing.T) {
 		{"negative checkpoint-retain", with(serve, "-config", "c.json", "-checkpoint-retain", "-1"), "must be >= 0"},
 		{"checkpoint-every without base", with(serve, "-config", "c.json", "-checkpoint-every", "5"), "needs -checkpoint-base"},
 		{"negative speed", with(serve, "-config", "c.json", "-speed", "-1"), "-speed must be >= 0"},
-		{"negative max-backlog", with(serve, "-config", "c.json", "-max-backlog", "-1"), "-max-backlog must be >= 0"},
 		{"no config", serve, "-config is required"},
 		{"resume with config", with(resume, "-config", "c.json"), "drop -config"},
 		{"resume with rescore", with(resume, "-rescore"), "-rescore"},
 		{"resume with rescore=false", with(resume, "-rescore=false"), "-rescore"},
-		{"resume with max-backlog", with(resume, "-max-backlog", "64"), "-max-backlog"},
-		{"resume with max-backlog 0", with(resume, "-max-backlog", "0"), "-max-backlog"},
 		{"unknown flag", with(serve, "-nope"), "not defined"},
+		{"max-backlog is unknown", with(serve, "-config", "c.json", "-max-backlog", "1"), "not defined"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,7 +47,7 @@ func TestParseFlagsRejects(t *testing.T) {
 // use, so a new rejection cannot catch them.
 func TestParseFlagsAccepts(t *testing.T) {
 	cases := [][]string{
-		{"-config", "c.json", "-socket", "s", "-journal", "j", "-speed", "0", "-max-backlog", "64", "-rescore"},
+		{"-config", "c.json", "-socket", "s", "-journal", "j", "-speed", "0", "-rescore"},
 		{"-config", "c.json", "-socket", "s", "-journal", "j", "-checkpoint-base", "run.ckpt", "-checkpoint-every", "30"},
 		{"-resume", "-socket", "s", "-journal", "j", "-checkpoint-base", "run.ckpt"},
 		{"-socket", "s", "-post", "/v1/step", "-data", `{"epochs":10}`},

@@ -76,7 +76,7 @@ func runLabOnly(pass *Pass) error {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			pass.Reportf(n.Pos(),
-				"go statement outside internal/lab lets goroutine scheduling into simulation state; fan independent runs out through lab.Map or lab.Sweep")
+				"go statement outside internal/lab lets goroutine scheduling into simulation state; fan independent runs out through lab.Map or lab.Collect")
 		case *ast.SelectorExpr:
 			if pkg := pass.PkgNameOf(n); concurrencyPkgs[pkg] {
 				reason, waived := waiverAt(pass, waivers, n.Pos())

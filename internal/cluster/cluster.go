@@ -291,9 +291,6 @@ func (f *Fleet) Jobs() []*Job { return f.jobs }
 // Epoch returns the number of completed fleet epochs.
 func (f *Fleet) Epoch() int { return f.epoch }
 
-// Scheduler returns the active placement policy.
-func (f *Fleet) Scheduler() Scheduler { return f.sched }
-
 // CFI returns the fleet-wide per-job fairness tracker.
 func (f *Fleet) CFI() *metrics.CFITracker { return f.cfi }
 

@@ -80,13 +80,21 @@ func queueApp(t *testing.T) (*system.App, *system.System) {
 	return sys.App("qa"), sys
 }
 
-// setOwner pins a page's ownership regardless of access history.
+// setOwner pins a page's ownership regardless of access history by
+// reinstalling its PTE with the owner field replaced. A private owner
+// links the page's leaf, as its own first access would have.
 func setOwner(t *testing.T, app *system.App, vp pagetable.VPage, owner uint8) {
 	t.Helper()
-	if _, ok := app.Table.Update(vp, func(p pagetable.PTE) pagetable.PTE {
-		return p.WithOwner(owner)
-	}); !ok {
+	p, ok := app.Table.Unmap(vp)
+	if !ok {
 		t.Fatalf("page %d not mapped", vp)
+	}
+	tid := 0
+	if owner != pagetable.OwnerShared {
+		tid = int(owner)
+	}
+	if err := app.Table.Install(tid, vp, p.WithOwner(owner)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -158,9 +158,3 @@ func (m *Map) Clear() {
 	}
 	m.live = 0
 }
-
-// Reset drops all state and backing memory.
-func (m *Map) Reset() {
-	m.l1 = nil
-	m.live = 0
-}

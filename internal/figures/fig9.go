@@ -44,6 +44,11 @@ func Fig9(duration sim.Duration, scale int, seed uint64) Fig9Result {
 	for _, a := range res.System.Apps() {
 		name := a.Name()
 		s := Fig9AppSeries{App: name}
+		if !a.Started() && !a.Stopped() {
+			// Never started: no series to read, rendered as such.
+			out.Apps = append(out.Apps, s)
+			continue
+		}
 		alloc := rec.Series(name + ".vulcan_alloc")
 		fast := rec.Series(name + ".fast_pages")
 		fthr := rec.Series(name + ".fthr")

@@ -214,10 +214,16 @@ func (cfg ColocationConfig) systemConfig(pol system.Tiering) system.Config {
 	}
 }
 
-// summarize folds a finished run into the figure-facing result.
+// summarize folds a finished run into the figure-facing result. An app
+// whose arrival falls after the run's end never started and has nothing
+// to summarize, so it is left out, as vulcansim's report lists it as
+// "(never started)" with no figures.
 func summarize(policy string, sys *system.System) ColocationResult {
 	res := ColocationResult{Policy: policy, System: sys, CFI: measuredCFI(sys)}
 	for _, a := range sys.Apps() {
+		if !a.Started() && !a.Stopped() {
+			continue
+		}
 		perf := a.NormalizedPerf()
 		res.Apps = append(res.Apps, AppResult{
 			Name:     a.Name(),

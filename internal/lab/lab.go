@@ -147,29 +147,3 @@ func Collect[R any](workers, n int, run func(i int) R, commit func(i int, r R)) 
 		commit(i, r)
 	}
 }
-
-// Sweep is an ordered collection of self-contained run specs — the
-// batch form of Map for call sites that assemble heterogeneous runs
-// incrementally. Specs execute in parallel; results come back in Add
-// order.
-type Sweep[R any] struct {
-	specs []func() R
-}
-
-// Add appends one run spec. The closure must own all mutable state it
-// touches (fork RNGs and build recorders before or inside the closure,
-// never share them across specs).
-func (s *Sweep[R]) Add(run func() R) {
-	s.specs = append(s.specs, run)
-}
-
-// Len returns the number of submitted specs.
-func (s *Sweep[R]) Len() int { return len(s.specs) }
-
-// Run executes every spec on up to workers goroutines (workers <= 0
-// means DefaultWorkers) and returns results in submission order.
-func (s *Sweep[R]) Run(workers int) []R {
-	return Map(workers, len(s.specs), func(i int) R {
-		return s.specs[i]()
-	})
-}

@@ -113,26 +113,6 @@ func TestCollectCommitOrder(t *testing.T) {
 	}
 }
 
-// TestSweep checks Add-order results and Len across worker counts.
-func TestSweep(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		var s Sweep[string]
-		for i := 0; i < 9; i++ {
-			i := i
-			s.Add(func() string { return fmt.Sprintf("run-%d", i) })
-		}
-		if s.Len() != 9 {
-			t.Fatalf("Len() = %d, want 9", s.Len())
-		}
-		got := s.Run(workers)
-		for i, r := range got {
-			if want := fmt.Sprintf("run-%d", i); r != want {
-				t.Fatalf("workers=%d: result[%d] = %q, want %q", workers, i, r, want)
-			}
-		}
-	}
-}
-
 // TestStress hammers the pool with many small tasks to give the race
 // detector (make race, CI) something to chew on.
 func TestStress(t *testing.T) {

@@ -90,9 +90,6 @@ func NewTier(id TierID, cfg TierConfig) *Tier {
 	return t
 }
 
-// ID returns the tier's identifier.
-func (t *Tier) ID() TierID { return t.id }
-
 // Config returns the tier's configuration.
 func (t *Tier) Config() TierConfig { return t.cfg }
 

@@ -2,7 +2,6 @@ package migrate
 
 import (
 	"vulcan/internal/dense"
-	"vulcan/internal/mem"
 	"vulcan/internal/obs"
 	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
@@ -20,13 +19,6 @@ const asyncBatchPages int = 64
 // AsyncConfig parameterizes an AsyncMigrator.
 type AsyncConfig struct {
 	Engine *Engine
-	// MaxBacklog bounds the pending queue (0 = unbounded, the batch
-	// default). A full queue applies deterministic backpressure:
-	// promotions are shed (dropped — the page stays slow and can be
-	// re-nominated next epoch), while demotions displace the oldest
-	// pending promotion, because capacity-relief work must never be the
-	// work a full queue throws away.
-	MaxBacklog int
 	// RNG drives the dirtied-during-copy draws.
 	RNG *sim.RNG
 }
@@ -42,15 +34,13 @@ type AsyncStats struct {
 
 // EpochResult reports one budgeted migration epoch.
 type EpochResult struct {
-	Moved     int
-	Remapped  int
-	Retries   int
-	Aborted   int
-	Failed    int
-	Shed      int // moves dropped by the bounded queue since the last epoch
-	Displaced int // pending promotions evicted for demotions since the last epoch
-	Cycles    float64
-	Backlog   int // moves still pending after the epoch
+	Moved    int
+	Remapped int
+	Retries  int
+	Aborted  int
+	Failed   int
+	Cycles   float64
+	Backlog  int // moves still pending after the epoch
 }
 
 // AsyncMigrator executes migrations off the critical path: callers
@@ -64,10 +54,6 @@ type AsyncMigrator struct {
 	pending []Move
 	queued  dense.Map // vp -> index+1 in pending (for dedup)
 	stats   AsyncStats
-	// epochShed/epochDisplaced tally this epoch's backpressure decisions
-	// for the migrate.shed event; RunEpoch harvests and zeroes them.
-	epochShed      int
-	epochDisplaced int
 	// commitBuf is the per-batch commit list, reused across epochs so a
 	// steady-state RunEpoch allocates no Move batches.
 	commitBuf []Move //vulcan:nosnap per-batch scratch, truncated before each use
@@ -90,17 +76,9 @@ func NewAsyncMigrator(cfg AsyncConfig) *AsyncMigrator {
 	}
 }
 
-// Enqueue adds moves to the backlog. A later request for a page already
-// pending replaces its destination rather than duplicating the entry.
-func (a *AsyncMigrator) Enqueue(moves ...Move) {
-	for _, mv := range moves {
-		a.EnqueueOne(mv)
-	}
-}
-
-// EnqueueOne adds a single move to the backlog with the same dedup
-// semantics as Enqueue but without the variadic slice allocation —
-// policies enqueueing page-at-a-time sit on the per-access hot path.
+// EnqueueOne adds a single move to the backlog. A later request for a
+// page already pending replaces its destination rather than duplicating
+// the entry, so the backlog holds at most one move per mapped page.
 //
 //vulcan:hotpath
 func (a *AsyncMigrator) EnqueueOne(mv Move) {
@@ -108,44 +86,8 @@ func (a *AsyncMigrator) EnqueueOne(mv Move) {
 		a.pending[w-1].To = mv.To
 		return
 	}
-	if a.cfg.MaxBacklog > 0 && len(a.pending) >= a.cfg.MaxBacklog {
-		if !a.admitUnderPressure(mv) {
-			return
-		}
-	}
 	a.queued.Set(uint64(mv.VP), uint64(len(a.pending))+1)
 	a.pending = append(a.pending, mv)
-}
-
-// admitUnderPressure applies the bounded queue's shed/defer policy to a
-// new move arriving at a full backlog, reporting whether room was made.
-// Promotions are shed outright. A demotion displaces the oldest pending
-// promotion; if the backlog is all demotions, the newcomer is shed too.
-// Cold path: the hot enqueue only ever branches on the length check.
-func (a *AsyncMigrator) admitUnderPressure(mv Move) bool {
-	if mv.To == mem.TierFast {
-		a.epochShed++
-		return false
-	}
-	victim := -1
-	for i, p := range a.pending {
-		if p.To == mem.TierFast {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		a.epochShed++
-		return false
-	}
-	a.queued.Delete(uint64(a.pending[victim].VP))
-	copy(a.pending[victim:], a.pending[victim+1:])
-	a.pending = a.pending[:len(a.pending)-1]
-	for i := victim; i < len(a.pending); i++ {
-		a.queued.Set(uint64(a.pending[i].VP), uint64(i)+1)
-	}
-	a.epochDisplaced++
-	return true
 }
 
 // Backlog returns the number of pending moves.
@@ -236,9 +178,6 @@ func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetab
 		a.queued.Set(uint64(mv.VP), uint64(i)+1)
 	}
 	res.Backlog = len(a.pending)
-	res.Shed = a.epochShed
-	res.Displaced = a.epochDisplaced
-	a.epochShed, a.epochDisplaced = 0, 0
 	eng := a.cfg.Engine
 	if res.Cycles > 0 && obs.Enabled(eng.cfg.Obs, obs.EvMigrateAsync) {
 		eng.cfg.Obs.Event(obs.E(obs.EvMigrateAsync, eng.cfg.Owner, "migrate",
@@ -249,13 +188,6 @@ func (a *AsyncMigrator) RunEpoch(budgetCycles float64, writeProb func(vp pagetab
 			obs.F("aborted", float64(res.Aborted)),
 			obs.F("failed", float64(res.Failed)),
 			obs.F("cycles", res.Cycles),
-			obs.F("backlog", float64(res.Backlog))))
-	}
-	if (res.Shed > 0 || res.Displaced > 0) && obs.Enabled(eng.cfg.Obs, obs.EvMigrateShed) {
-		eng.cfg.Obs.Event(obs.E(obs.EvMigrateShed, eng.cfg.Owner, "migrate", 0,
-			obs.F("shed", float64(res.Shed)),
-			obs.F("displaced", float64(res.Displaced)),
-			obs.F("max_backlog", float64(a.cfg.MaxBacklog)),
 			obs.F("backlog", float64(res.Backlog))))
 	}
 	return res

@@ -19,7 +19,7 @@ func asyncEnv(t *testing.T, npages int) (*AsyncMigrator, *pagetable.Replicated, 
 func TestAsyncDrainsBacklogWithinBudget(t *testing.T) {
 	a, rt, _ := asyncEnv(t, 16)
 	for vp := pagetable.VPage(0); vp < 16; vp++ {
-		a.Enqueue(Move{VP: vp, To: mem.TierFast})
+		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})
 	}
 	if a.Backlog() != 16 {
 		t.Fatalf("backlog = %d", a.Backlog())
@@ -40,7 +40,7 @@ func TestAsyncBudgetThrottles(t *testing.T) {
 	const pages = 4 * asyncBatchPages
 	a, _, _ := asyncEnv(t, pages)
 	for vp := range pagetable.VPage(pages) {
-		a.Enqueue(Move{VP: vp, To: mem.TierFast})
+		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})
 	}
 	// One batch costs well over 700K cycles (prep at 32 CPUs), so this
 	// budget admits exactly one batch per epoch.
@@ -63,13 +63,13 @@ func TestAsyncBudgetThrottles(t *testing.T) {
 
 func TestAsyncEnqueueDedup(t *testing.T) {
 	a, _, _ := asyncEnv(t, 4)
-	a.Enqueue(Move{VP: 1, To: mem.TierFast})
-	a.Enqueue(Move{VP: 1, To: mem.TierFast})
+	a.EnqueueOne(Move{VP: 1, To: mem.TierFast})
+	a.EnqueueOne(Move{VP: 1, To: mem.TierFast})
 	if a.Backlog() != 1 {
 		t.Fatalf("backlog = %d after duplicate enqueue", a.Backlog())
 	}
 	// Re-enqueue with a different destination replaces it.
-	a.Enqueue(Move{VP: 1, To: mem.TierSlow})
+	a.EnqueueOne(Move{VP: 1, To: mem.TierSlow})
 	if a.Backlog() != 1 {
 		t.Fatalf("backlog = %d after replace", a.Backlog())
 	}
@@ -82,7 +82,7 @@ func TestAsyncEnqueueDedup(t *testing.T) {
 func TestAsyncWriteHotPagesAbort(t *testing.T) {
 	a, rt, _ := asyncEnv(t, 8)
 	for vp := pagetable.VPage(0); vp < 8; vp++ {
-		a.Enqueue(Move{VP: vp, To: mem.TierFast})
+		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})
 	}
 	res := a.RunEpoch(1e12, func(pagetable.VPage) float64 { return 1.0 })
 	if res.Aborted != 8 || res.Moved != 0 {
@@ -104,7 +104,7 @@ func TestAsyncWriteHotPagesAbort(t *testing.T) {
 func TestAsyncModerateWritesRetryButCommit(t *testing.T) {
 	a, _, _ := asyncEnv(t, 32)
 	for vp := pagetable.VPage(0); vp < 32; vp++ {
-		a.Enqueue(Move{VP: vp, To: mem.TierFast})
+		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})
 	}
 	res := a.RunEpoch(1e12, func(pagetable.VPage) float64 { return 0.4 })
 	if res.Moved == 0 {
@@ -121,7 +121,7 @@ func TestAsyncModerateWritesRetryButCommit(t *testing.T) {
 func TestAsyncCleanPagesNeverRetry(t *testing.T) {
 	a, _, _ := asyncEnv(t, 8)
 	for vp := pagetable.VPage(0); vp < 8; vp++ {
-		a.Enqueue(Move{VP: vp, To: mem.TierFast})
+		a.EnqueueOne(Move{VP: vp, To: mem.TierFast})
 	}
 	res := a.RunEpoch(1e12, func(pagetable.VPage) float64 { return 0 })
 	if res.Retries != 0 || res.Aborted != 0 || res.Moved != 8 {
@@ -131,9 +131,9 @@ func TestAsyncCleanPagesNeverRetry(t *testing.T) {
 
 func TestAsyncStatsAccumulate(t *testing.T) {
 	a, _, _ := asyncEnv(t, 8)
-	a.Enqueue(Move{VP: 0, To: mem.TierFast})
+	a.EnqueueOne(Move{VP: 0, To: mem.TierFast})
 	a.RunEpoch(1e9, nil)
-	a.Enqueue(Move{VP: 1, To: mem.TierFast})
+	a.EnqueueOne(Move{VP: 1, To: mem.TierFast})
 	a.RunEpoch(1e9, nil)
 	st := a.Stats()
 	if a.Backlog() != 0 || st.Moved != 2 {

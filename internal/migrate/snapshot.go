@@ -79,8 +79,6 @@ func (a *AsyncMigrator) Snapshot(e *checkpoint.Encoder) {
 	e.U64(a.stats.Aborted)
 	e.U64(a.stats.Failed)
 	e.F64(a.stats.CyclesUsed)
-	e.Int(a.epochShed)
-	e.Int(a.epochDisplaced)
 }
 
 // Restore reads the migrator state back in place, rebuilding the
@@ -114,8 +112,6 @@ func (a *AsyncMigrator) Restore(d *checkpoint.Decoder) error {
 	a.stats.Aborted = d.U64()
 	a.stats.Failed = d.U64()
 	a.stats.CyclesUsed = d.F64()
-	a.epochShed = d.Int()
-	a.epochDisplaced = d.Int()
 	return d.Err()
 }
 

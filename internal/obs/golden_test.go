@@ -14,8 +14,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files from 
 
 // TestMetricsCSVGolden pins the metrics CSV export byte for byte: the
 // header spelling and column order, the sorted-identity row order
-// within an epoch (counters, then gauges, then histogram summaries,
-// each sorted with labels in key order), and the shortest-round-trip
+// within an epoch (gauges, then histogram summaries, each sorted with
+// labels in key order), and the shortest-round-trip
 // value rendering. Any byte change here is a telemetry format break —
 // regenerate with -update-golden only on purpose.
 func TestMetricsCSVGolden(t *testing.T) {
@@ -26,19 +26,19 @@ func TestMetricsCSVGolden(t *testing.T) {
 
 	// Register instruments in deliberately unsorted order: the export
 	// must sort by identity, not registration order.
-	promoted := reg.Counter("migrate.pages", App("pagerank"), L("dir", "promote"))
-	demoted := reg.Counter("migrate.pages", App("memcached"), L("dir", "demote"))
+	promoted := reg.Gauge("migrate.pages", Tier("fast"), App("pagerank"))
+	demoted := reg.Gauge("migrate.pages", App("memcached"), Tier("slow"))
 	fthr := reg.Gauge("app.fthr", App("memcached"))
 	lat := reg.Histogram("access.latency", 0, 1000, 10, Tier("fast"))
 
-	promoted.Add(128)
-	demoted.Add(32)
+	promoted.Set(128)
+	demoted.Set(32)
 	fthr.Set(0.625)
 	lat.Add(150)
 	rec.FlushEpoch(0)
 
 	clk.Advance(sim.Second)
-	promoted.Add(64)
+	promoted.Set(192)
 	fthr.Set(0.75)
 	lat.Add(850)
 	lat.Add(250)

@@ -1,6 +1,6 @@
 // Package obs is the simulator's deterministic telemetry substrate: a
 // structured event bus keyed to the sim clock, a registry of named
-// counters/gauges/histograms with per-app and per-tier labels, and
+// gauges/histograms with per-app and per-tier labels, and
 // exporters for Chrome trace-event JSON (Perfetto-loadable) and
 // per-epoch CSV time series.
 //
@@ -77,10 +77,6 @@ const (
 	// EvAppStop records an application's eviction (dynamic systems
 	// only: fleet-level departures and cross-host rebalances).
 	EvAppStop
-	// EvMigrateShed records a bounded async queue's backpressure
-	// decisions for one epoch: promotions shed at a full backlog and
-	// pending promotions displaced to admit demotions.
-	EvMigrateShed
 
 	// NumEventTypes bounds the enum.
 	NumEventTypes
@@ -104,7 +100,6 @@ var eventTypeNames = [NumEventTypes]string{
 	EvMigrateGiveup:   "migrate.giveup",
 	EvProfileDegraded: "profile.degraded",
 	EvAppStop:         "app-stop",
-	EvMigrateShed:     "migrate.shed",
 }
 
 // String returns the stable wire name used in traces and filters.
@@ -228,8 +223,8 @@ type Sink interface {
 func Enabled(s Sink, t EventType) bool { return s != nil && s.Enabled(t) }
 
 // RegistryOf returns the metrics registry behind a sink, or nil when
-// the sink is nil or carries none. Layers that maintain counters and
-// gauges use it so a bare event sink (or no sink) costs nothing.
+// the sink is nil or carries none. Layers that maintain gauges and
+// histograms use it so a bare event sink (or no sink) costs nothing.
 func RegistryOf(s Sink) *Registry {
 	if p, ok := s.(interface{ Metrics() *Registry }); ok {
 		return p.Metrics()

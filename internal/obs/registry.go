@@ -16,9 +16,6 @@ type Label struct {
 	Val string
 }
 
-// L builds one label.
-func L(key, val string) Label { return Label{Key: key, Val: val} }
-
 // App is the canonical per-application label.
 func App(name string) Label { return Label{Key: "app", Val: name} }
 
@@ -48,36 +45,19 @@ func metricID(name string, labels []Label) string {
 	return b.String()
 }
 
-// Counter is a monotonically accumulating value.
-type Counter struct{ v float64 }
-
-// Add accumulates delta (negative deltas panic: counters only go up).
-func (c *Counter) Add(delta float64) {
-	if delta < 0 {
-		panic("obs: negative counter delta")
-	}
-	c.v += delta
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// value returns the accumulated total. It is unexported on purpose:
-// only the exporters read instruments back, so control code cannot
-// depend on telemetry being enabled.
-func (c *Counter) value() float64 { return c.v }
-
 // Gauge is a set-to-current-value instrument.
 type Gauge struct{ v float64 }
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.v = v }
 
-// value returns the last set value (unexported, like Counter.value).
+// value returns the last set value. It is unexported on purpose: only
+// the exporters read instruments back, so control code cannot depend on
+// telemetry being enabled.
 func (g *Gauge) value() float64 { return g.v }
 
-// Registry is the simulator's metric namespace: named counters, gauges,
-// and fixed-bucket histograms, each optionally labeled per app and per
+// Registry is the simulator's metric namespace: named gauges and
+// fixed-bucket histograms, each optionally labeled per app and per
 // tier. Lookup is create-on-first-use, so instrumentation sites never
 // pre-register. The zero Registry is not usable; call NewRegistry.
 //
@@ -86,13 +66,11 @@ func (g *Gauge) value() float64 { return g.v }
 // registration and Restore onward, so the per-epoch export walks
 // slices instead of sorting map keys.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	histos   map[string]*metrics.Histogram
+	gauges map[string]*Gauge
+	histos map[string]*metrics.Histogram
 
-	counterList sortedIDs[*Counter]
-	gaugeList   sortedIDs[*Gauge]
-	histoList   sortedIDs[histoRows]
+	gaugeList sortedIDs[*Gauge]
+	histoList sortedIDs[histoRows]
 }
 
 // sortedIDs holds instrument identities in ascending order, each with
@@ -122,22 +100,9 @@ func newHistoRows(id string, h *metrics.Histogram) histoRows {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		histos:   make(map[string]*metrics.Histogram),
+		gauges: make(map[string]*Gauge),
+		histos: make(map[string]*metrics.Histogram),
 	}
-}
-
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	id := metricID(name, labels)
-	c := r.counters[id]
-	if c == nil {
-		c = &Counter{}
-		r.counters[id] = c
-		r.counterList.insert(id, c)
-	}
-	return c
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -167,15 +132,12 @@ func (r *Registry) Histogram(name string, min, max float64, n int, labels ...Lab
 }
 
 // snapshot appends one row per instrument to out, in sorted-identity
-// order: counters and gauges by value, histograms expanded to
+// order: gauges by value, histograms expanded to
 // count/p50/p95/p99 via metrics.HistSummary. This is the registry's
 // only export path, shared by the CSV exporter.
 //
 //vulcan:hotpath
 func (r *Registry) snapshot(out []metricRow) []metricRow {
-	for i, c := range r.counterList.vals {
-		out = append(out, metricRow{ID: r.counterList.ids[i], Val: c.value()})
-	}
 	for i, g := range r.gaugeList.vals {
 		out = append(out, metricRow{ID: r.gaugeList.ids[i], Val: g.value()})
 	}

@@ -29,14 +29,8 @@ func checkIDLists(t *testing.T, r *Registry) {
 			t.Fatalf("%s ids %v, sorted map keys %v", kind, got, want)
 		}
 	}
-	check("counter", r.counterList.ids, sortedKeys(r.counters))
 	check("gauge", r.gaugeList.ids, sortedKeys(r.gauges))
 	check("histogram", r.histoList.ids, sortedKeys(r.histos))
-	for i, id := range r.counterList.ids {
-		if r.counterList.vals[i] != r.counters[id] {
-			t.Fatalf("counter %s: list holds another instrument", id)
-		}
-	}
 	for i, id := range r.gaugeList.ids {
 		if r.gaugeList.vals[i] != r.gauges[id] {
 			t.Fatalf("gauge %s: list holds another instrument", id)
@@ -69,12 +63,9 @@ func TestRegistryIDListsStaySorted(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				labels = append(labels, Tier("fast"))
 			}
-			switch rng.Intn(3) {
-			case 0:
-				reg.Counter(name, labels...).Add(float64(i))
-			case 1:
+			if rng.Intn(2) == 0 {
 				reg.Gauge(name, labels...).Set(float64(i))
-			default:
+			} else {
 				reg.Histogram(name, 0, 1, 10, labels...).Add(float64(i%10) / 10)
 			}
 		}
@@ -83,7 +74,7 @@ func TestRegistryIDListsStaySorted(t *testing.T) {
 		e := &checkpoint.Encoder{}
 		reg.Snapshot(e)
 		back := NewRegistry()
-		back.Counter("stale").Inc() // Restore replaces what was there
+		back.Gauge("stale").Set(1) // Restore replaces what was there
 		if err := back.Restore(checkpoint.NewDecoder(e.Bytes())); err != nil {
 			t.Fatal(err)
 		}
@@ -104,15 +95,15 @@ func TestStreamingFlushAllocatesNothing(t *testing.T) {
 	r.StreamTo(nil, NewCSVStream(io.Discard))
 	reg := r.Metrics()
 	for _, app := range []string{"a", "b", "c"} {
-		reg.Counter("pages_moved", App(app), Tier("fast")).Add(3)
+		reg.Gauge("pages_moved", App(app), Tier("fast")).Set(3)
 		reg.Gauge("fthr", App(app)).Set(0.125)
 		reg.Histogram("epoch_perf", 0, 1, 20, App(app)).Add(0.5)
 	}
-	moved := reg.Counter("pages_moved", App("a"), Tier("fast"))
+	moved := reg.Gauge("pages_moved", App("a"), Tier("fast"))
 	r.FlushEpoch(0)
 	epoch := 1
 	allocs := testing.AllocsPerRun(50, func() {
-		moved.Inc()
+		moved.Set(float64(epoch))
 		r.FlushEpoch(epoch)
 		epoch++
 	})

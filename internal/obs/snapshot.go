@@ -104,11 +104,6 @@ func restoreEvent(d *checkpoint.Decoder) (Event, error) {
 
 // Snapshot appends every instrument in sorted-identity order.
 func (r *Registry) Snapshot(e *checkpoint.Encoder) {
-	e.Int(len(r.counterList.ids))
-	for i, id := range r.counterList.ids {
-		e.String(id)
-		e.F64(r.counterList.vals[i].value())
-	}
 	e.Int(len(r.gaugeList.ids))
 	for i, id := range r.gaugeList.ids {
 		e.String(id)
@@ -127,29 +122,6 @@ func (r *Registry) Snapshot(e *checkpoint.Encoder) {
 func (r *Registry) Restore(d *checkpoint.Decoder) error {
 	var prev string
 	n := d.Length(12)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	r.counters = make(map[string]*Counter, n)
-	r.counterList = sortedIDs[*Counter]{}
-	for i := 0; i < n; i++ {
-		id := d.String()
-		v := d.F64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if i > 0 && id <= prev {
-			return fmt.Errorf("obs: counter %q out of order in checkpoint", id)
-		}
-		prev = id
-		if v < 0 {
-			return fmt.Errorf("obs: counter %q negative in checkpoint", id)
-		}
-		c := &Counter{v: v}
-		r.counters[id] = c
-		r.counterList.insert(id, c)
-	}
-	n = d.Length(12)
 	if d.Err() != nil {
 		return d.Err()
 	}

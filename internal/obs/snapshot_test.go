@@ -10,12 +10,12 @@ import (
 
 // populatedRecorder builds a recorder holding every flavor of durable
 // telemetry: filtered events with fields, per-epoch registry samples,
-// and all three instrument types.
+// and both instrument types.
 func populatedRecorder(clock *sim.Clock) *Recorder {
 	r := NewRecorder()
 	r.BindClock(clock)
 	reg := r.Metrics()
-	faults := reg.Counter("faults_total", App("mc"))
+	faults := reg.Gauge("faults_total", App("mc"))
 	util := reg.Gauge("fast_util")
 	lat := reg.Histogram("latency_ns", 0, 1000, 16, Tier("fast"))
 	for epoch := 0; epoch < 8; epoch++ {
@@ -23,7 +23,7 @@ func populatedRecorder(clock *sim.Clock) *Recorder {
 		r.Event(E(EvEpoch, "", "system", sim.Millisecond, F("epoch", float64(epoch))))
 		r.Event(E(EvMigrateSync, "mc", "migrate", 0,
 			F("moved", float64(epoch*3)), F("cycles", 1e5)))
-		faults.Add(float64(epoch % 3))
+		faults.Set(float64(epoch % 3))
 		util.Set(0.5 + float64(epoch)/100)
 		lat.Add(float64(epoch * 70))
 		r.FlushEpoch(epoch)
@@ -56,7 +56,7 @@ func TestObsRecorderSnapshotRoundTrip(t *testing.T) {
 	clock2.Advance(sim.Duration(clock.Now()))
 	dst := NewRecorder()
 	dst.BindClock(&clock2)
-	dst.Metrics().Counter("stale") // must be discarded by Restore
+	dst.Metrics().Gauge("stale") // must be discarded by Restore
 	if err := dst.Restore(d); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestObsRecorderSnapshotRoundTrip(t *testing.T) {
 	for epoch := 8; epoch < 12; epoch++ {
 		for _, r := range []*Recorder{src, dst} {
 			r.Event(E(EvDecision, "mc", "policy", 0, F("promoted", float64(epoch))))
-			r.Metrics().Counter("faults_total", App("mc")).Inc()
+			r.Metrics().Gauge("faults_total", App("mc")).Set(float64(epoch))
 			r.FlushEpoch(epoch)
 		}
 		clock.Advance(sim.Millisecond)
@@ -139,7 +139,6 @@ func TestObsRestoreTruncatedErrors(t *testing.T) {
 func TestRegistryRestoreRejectsUnsortedIDs(t *testing.T) {
 	gauges := func(ids ...string) []byte {
 		e := &checkpoint.Encoder{}
-		e.Int(0) // counters
 		e.Int(len(ids))
 		for i, id := range ids {
 			e.String(id)
@@ -162,11 +161,12 @@ func TestRegistryRestoreRejectsUnsortedIDs(t *testing.T) {
 // a blob the recorder accepts re-encodes byte for byte, with its
 // registry's identity lists in sorted order. The corpus is
 // a batch recorder's snapshot after a short run (events, samples,
-// counters, gauges, a histogram) and a truncation ladder over it.
+// gauges, two histograms) and a truncation ladder over it.
 func FuzzRecorderRestore(f *testing.F) {
 	var clock sim.Clock
 	r := populatedRecorder(&clock)
 	r.Metrics().Gauge("fast_util", Tier("slow")).Set(0.25)
+	r.Metrics().Histogram("latency_ns", 0, 1000, 16, Tier("slow")).Add(700)
 	e := &checkpoint.Encoder{}
 	r.Snapshot(e)
 	blob := e.Bytes()

@@ -1,0 +1,21 @@
+package pagetable
+
+// has reports whether tid is in the set.
+func (s *threadSet) has(tid int) bool { return s.bits[tid>>6]&(1<<(tid&63)) != 0 }
+
+// threadMapsLeaf reports whether tid has linked the leaf covering vp.
+func (r *Replicated) threadMapsLeaf(tid int, vp VPage) bool {
+	r.checkTid(tid)
+	set := r.leafThreads[LeafIndex(vp)]
+	return set != nil && set.has(tid)
+}
+
+// upperTables returns the number of private upper-level tables held by
+// tid, including its root.
+func (r *Replicated) upperTables(tid int) int {
+	r.checkTid(tid)
+	return r.tablesPerThread[tid]
+}
+
+// sharedLeaves returns the number of shared last-level tables.
+func (r *Replicated) sharedLeaves() int { return len(r.leafThreads) }

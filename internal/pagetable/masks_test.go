@@ -16,12 +16,12 @@ const (
 )
 
 // runTableOps decodes data, four bytes per operation, into a sequence of
-// Map, Install, Touch, Update, Unmap and SweepAccessed calls on a fresh
+// Map, Install, Touch, Unmap and SweepAccessed calls on a fresh
 // table, checking the leaf masks against the PTEs after every one.
 func runTableOps(t *testing.T, data []byte) {
 	r := NewReplicated(opsThreads)
 	for ; len(data) >= 4; data = data[4:] {
-		op, tid := data[0]%6, int(data[0]/6)%opsThreads
+		op, tid := data[0]%5, int(data[0]/5)%opsThreads
 		vp := VPage(uint16(data[1])|uint16(data[2])<<8) % opsPages
 		arg := data[3]
 		frame := mem.Frame{Tier: mem.TierID(arg & 1), Index: uint32(arg)}
@@ -34,20 +34,8 @@ func runTableOps(t *testing.T, data []byte) {
 		case 2:
 			r.Touch(tid, vp, arg&2 != 0)
 		case 3:
-			r.Update(vp, func(p PTE) PTE {
-				switch arg >> 6 {
-				case 0:
-					return p.WithFrame(frame)
-				case 1:
-					return p.WithAccessed(arg&2 != 0).WithDirty(arg&4 != 0)
-				case 2:
-					return 0
-				}
-				return p
-			})
-		case 4:
 			r.Unmap(vp)
-		case 5:
+		case 4:
 			// Clear the A/D bits of every other page the sweep visits.
 			r.SweepAccessed(func(vp VPage, p PTE) PTE {
 				if vp&1 == VPage(arg&1) {
@@ -122,8 +110,8 @@ func TestLeafMasksDifferential(t *testing.T) {
 
 // FuzzTableOps feeds runTableOps arbitrary operation sequences.
 func FuzzTableOps(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 6, 1, 0, 2, 5, 0, 0, 0})
-	f.Add([]byte{1, 0xff, 1, 0x37, 2, 0xff, 1, 0, 3, 0xff, 1, 0x81, 5, 0, 0, 1, 4, 0xff, 1, 0})
+	f.Add([]byte{0, 1, 0, 0, 5, 1, 0, 2, 4, 0, 0, 0})
+	f.Add([]byte{1, 0xff, 1, 0x37, 2, 0xff, 1, 0, 4, 0, 0, 1, 3, 0xff, 1, 0})
 	f.Fuzz(runTableOps)
 }
 

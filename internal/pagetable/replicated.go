@@ -10,8 +10,7 @@ type threadSet struct {
 	bits [2]uint64
 }
 
-func (s *threadSet) add(tid int)      { s.bits[tid>>6] |= 1 << (tid & 63) }
-func (s *threadSet) has(tid int) bool { return s.bits[tid>>6]&(1<<(tid&63)) != 0 }
+func (s *threadSet) add(tid int) { s.bits[tid>>6] |= 1 << (tid & 63) }
 
 // appendMembers appends the set's thread ids to dst in ascending order
 // and returns it, so hot callers can reuse one buffer across pages.
@@ -85,12 +84,6 @@ func (r *Replicated) FastMapped() int { return r.proc.FastMapped() }
 
 // Lookup returns the PTE for vp from the shared leaves.
 func (r *Replicated) Lookup(vp VPage) (PTE, bool) { return r.proc.Lookup(vp) }
-
-// Update applies fn to vp's PTE through the shared leaf; both the process
-// view and every thread view observe the result.
-func (r *Replicated) Update(vp VPage, fn func(PTE) PTE) (PTE, bool) {
-	return r.proc.Update(vp, fn)
-}
 
 // Range iterates present PTEs in ascending VPage order.
 func (r *Replicated) Range(fn func(vp VPage, p PTE) bool) { r.proc.Range(fn) }
@@ -255,23 +248,6 @@ func (r *Replicated) AppendShootdownScope(dst []int, vp VPage) []int {
 	}
 	return set.appendMembers(dst)
 }
-
-// threadMapsLeaf reports whether tid has linked the leaf covering vp.
-func (r *Replicated) threadMapsLeaf(tid int, vp VPage) bool {
-	r.checkTid(tid)
-	set := r.leafThreads[LeafIndex(vp)]
-	return set != nil && set.has(tid)
-}
-
-// upperTables returns the number of private upper-level tables held by
-// tid, including its root.
-func (r *Replicated) upperTables(tid int) int {
-	r.checkTid(tid)
-	return r.tablesPerThread[tid]
-}
-
-// sharedLeaves returns the number of shared last-level tables.
-func (r *Replicated) sharedLeaves() int { return len(r.leafThreads) }
 
 // TotalTables returns all page-table pages: shared leaves plus every
 // thread's private upper levels plus the process-wide upper levels. The

@@ -143,7 +143,10 @@ func TestReplicatedUpdateThroughSharedLeaf(t *testing.T) {
 	r.Map(0, vp, NewPTE(fastFrame(1), 0))
 	r.Touch(1, vp, false)
 	nf := mem.Frame{Tier: mem.TierSlow, Index: 77}
-	r.Update(vp, func(p PTE) PTE { return p.WithFrame(nf) })
+	old, _ := r.Unmap(vp)
+	if err := r.Install(0, vp, old.WithFrame(nf)); err != nil {
+		t.Fatal(err)
+	}
 	res, ok := r.Touch(1, vp, false)
 	if !ok || res.PTE.Frame() != nf {
 		t.Fatal("update not visible through thread view")

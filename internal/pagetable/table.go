@@ -200,35 +200,6 @@ func (t *Table) Unmap(vp VPage) (PTE, bool) {
 	return p, true
 }
 
-// Update applies fn to the PTE for vp and stores the result. ok is false
-// when the page is not mapped. Update is how access/dirty bits are set and
-// how migration remaps entries.
-func (t *Table) Update(vp VPage, fn func(PTE) PTE) (PTE, bool) {
-	leaf, i := t.leafAt(vp)
-	if leaf == nil {
-		return 0, false
-	}
-	p := leaf.PTE(i)
-	if !p.Present() {
-		return 0, false
-	}
-	np := fn(p)
-	leaf.SetPTE(i, np)
-	wasFast := p.Frame().Tier == mem.TierFast
-	isFast := np.Present() && np.Frame().Tier == mem.TierFast
-	if !np.Present() {
-		t.mapped--
-	}
-	if wasFast != isFast {
-		if isFast {
-			t.fastMapped++
-		} else {
-			t.fastMapped--
-		}
-	}
-	return np, true
-}
-
 // leafWalk visits a table's allocated leaves in ascending VPage order,
 // starting at the leaf position (i4, i3, i2) it is built with.
 type leafWalk struct {

@@ -64,23 +64,6 @@ func TestTableUnmap(t *testing.T) {
 	}
 }
 
-func TestTableUpdate(t *testing.T) {
-	tbl := New()
-	vp := VPage(77)
-	tbl.Map(vp, NewPTE(fastFrame(1), 2))
-	p, ok := tbl.Update(vp, func(p PTE) PTE { return p.WithAccessed(true) })
-	if !ok || !p.Accessed() {
-		t.Fatalf("Update = %v,%v", p, ok)
-	}
-	got, _ := tbl.Lookup(vp)
-	if !got.Accessed() {
-		t.Fatal("update not persisted")
-	}
-	if _, ok := tbl.Update(VPage(1234), func(p PTE) PTE { return p }); ok {
-		t.Fatal("update of unmapped page succeeded")
-	}
-}
-
 func TestTableRangeOrderAndCompleteness(t *testing.T) {
 	tbl := New()
 	// Spread mappings across leaves and upper levels.

@@ -390,13 +390,6 @@ func (h *heatStore) pages() []PageHeat {
 
 func (h *heatStore) tracked() int { return h.trackedPages }
 
-// reset drops all state (used by Restore before loading entries).
-func (h *heatStore) reset() {
-	h.l1 = nil
-	h.trackedPages = 0
-	h.snapValid = false
-}
-
 // setRaw installs restored per-page stats verbatim. heat must be
 // nonzero (the caller validates); the cell must currently be empty.
 func (h *heatStore) setRaw(vp pagetable.VPage, heat, reads, writes float64) bool {
@@ -425,24 +418,6 @@ type bitmapChunk [chunkPages / 64]uint64
 type pageBitmap struct {
 	l1    []*[dirSize]*bitmapChunk
 	count int
-}
-
-//vulcan:hotpath
-func (b *pageBitmap) test(vp pagetable.VPage) bool {
-	hi := uint64(vp) >> (chunkShift + dirShift)
-	if hi >= uint64(len(b.l1)) {
-		return false
-	}
-	blk := b.l1[hi]
-	if blk == nil {
-		return false
-	}
-	c := blk[uint64(vp)>>chunkShift&dirMask]
-	if c == nil {
-		return false
-	}
-	i := int(vp) & chunkMask
-	return c[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
 // set marks vp; reports whether it was newly set.

@@ -246,3 +246,10 @@ func TestHeatStoreMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// reset drops all state, as a fresh store would have it.
+func (h *heatStore) reset() {
+	h.l1 = nil
+	h.trackedPages = 0
+	h.snapValid = false
+}

@@ -167,13 +167,7 @@ func buildTable(t *testing.T, n int) *pagetable.Replicated {
 }
 
 func touch(tbl *pagetable.Replicated, vp pagetable.VPage, write bool) {
-	tbl.Update(vp, func(p pagetable.PTE) pagetable.PTE {
-		p = p.WithAccessed(true)
-		if write {
-			p = p.WithDirty(true)
-		}
-		return p
-	})
+	tbl.Touch(0, vp, write)
 }
 
 func TestScanOverheadScalesWithPages(t *testing.T) {

@@ -23,8 +23,11 @@ import (
 	"vulcan/internal/scenario"
 )
 
-// journalVersion is the journal header's wire version.
-const journalVersion = 1
+// journalVersion is the journal header's wire version. Version 2 drops
+// the header's max_backlog knob with the bounded async backlog, so a
+// version-1 journal that recorded a bound never replays under different
+// arithmetic.
+const journalVersion = 2
 
 // Cmd is one daemon command, as executed and journaled. The journal is
 // the deterministic admission schedule: replaying it through the batch
@@ -53,10 +56,9 @@ type Cmd struct {
 type Header struct {
 	V        int           `json:"v"`
 	Scenario scenario.File `json:"scenario"`
-	// MaxBacklog and Rescore mirror the session knobs that change
-	// simulation arithmetic; a replay must run with the same values.
-	MaxBacklog int  `json:"max_backlog,omitempty"`
-	Rescore    bool `json:"rescore,omitempty"`
+	// Rescore mirrors the session knob that changes simulation
+	// arithmetic; a replay must run with the same value.
+	Rescore bool `json:"rescore,omitempty"`
 }
 
 // Batch is one epoch boundary's executed commands. Boundaries with no
@@ -79,8 +81,7 @@ type record struct {
 	Cmds     []Cmd          `json:"cmds,omitempty"`
 	Finish   *int           `json:"finish,omitempty"`
 
-	MaxBacklog int  `json:"max_backlog,omitempty"`
-	Rescore    bool `json:"rescore,omitempty"`
+	Rescore bool `json:"rescore,omitempty"`
 }
 
 // Journal is the append-side handle. Every record is one JSON line,
@@ -207,8 +208,7 @@ func parseJournal(path string, raw []byte) (*JournalData, error) {
 			if *rec.V != journalVersion {
 				return nil, fmt.Errorf("serve: journal %s version %d (want %d)", path, *rec.V, journalVersion)
 			}
-			d.Header = Header{V: *rec.V, Scenario: *rec.Scenario,
-				MaxBacklog: rec.MaxBacklog, Rescore: rec.Rescore}
+			d.Header = Header{V: *rec.V, Scenario: *rec.Scenario, Rescore: rec.Rescore}
 		case rec.Epoch != nil:
 			if d.Finished {
 				return nil, fmt.Errorf("serve: journal %s has a batch after the finish trailer", path)

@@ -15,8 +15,7 @@ func testHeader() Header {
 			Policy: "vulcan", Seconds: 10, Seed: 3,
 			Apps: []scenario.App{{Preset: "memcached"}},
 		},
-		MaxBacklog: 64,
-		Rescore:    true,
+		Rescore: true,
 	}
 }
 
@@ -48,7 +47,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Header.V != journalVersion || d.Header.MaxBacklog != 64 || !d.Header.Rescore {
+	if d.Header.V != journalVersion || !d.Header.Rescore {
 		t.Fatalf("header: %+v", d.Header)
 	}
 	if d.Header.Scenario.Policy != "vulcan" || len(d.Header.Scenario.Apps) != 1 {
@@ -134,7 +133,7 @@ func TestJournalCorruption(t *testing.T) {
 		}
 		return p
 	}
-	hdr := `{"v":1,"scenario":{"policy":"vulcan","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]}}` + "\n"
+	hdr := `{"v":2,"scenario":{"policy":"vulcan","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]}}` + "\n"
 	cases := map[string]string{
 		"garbage middle line": hdr + "not json\n" + `{"epoch":3,"cmds":[]}` + "\n",
 		"out of order epochs": hdr + `{"epoch":5,"cmds":[]}` + "\n" + `{"epoch":3,"cmds":[]}` + "\n",
@@ -152,6 +151,22 @@ func TestJournalCorruption(t *testing.T) {
 	// An empty file has no intact header either.
 	if _, err := ReadJournal(write("empty", "")); err == nil {
 		t.Error("empty journal accepted")
+	}
+}
+
+// TestJournalRejectsV1Header: a version-1 journal may have recorded a
+// backlog bound this version no longer models, so it fails with the
+// version error instead of replaying under different arithmetic.
+func TestJournalRejectsV1Header(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.journal")
+	v1 := `{"v":1,"scenario":{"policy":"vulcan","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]},"max_backlog":64}` + "\n" +
+		`{"epoch":3,"cmds":[]}` + "\n"
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadJournal(path)
+	if err == nil || !strings.Contains(err.Error(), "version 1 (want 2)") {
+		t.Fatalf("v1 journal: err = %v, want the version error", err)
 	}
 }
 
@@ -216,7 +231,7 @@ func FuzzReadJournal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	hdr := `{"v":1,"scenario":{"policy":"vulcan","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]}}` + "\n"
+	hdr := `{"v":2,"scenario":{"policy":"vulcan","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]}}` + "\n"
 	for _, seed := range []string{
 		string(roundTrip),
 		hdr + `{"epoch":1,"cmds":[{"op":"stop","name":"x","src":"api"}]}` + "\n" + `{"epoch":2,"cm`,

@@ -37,10 +37,9 @@ type Options struct {
 	CheckpointEvery  int
 	CheckpointRetain int
 
-	// MaxBacklog and Rescore mirror system.Config.AsyncMaxBacklog and
-	// IncrementalRescore; both are journaled so replays match.
-	MaxBacklog int
-	Rescore    bool
+	// Rescore mirrors system.Config.IncrementalRescore; it is journaled
+	// so replays match.
+	Rescore bool
 }
 
 // departure is one scheduled stop derived from an admit's Depart field,
@@ -159,7 +158,6 @@ func Recover(opts Options) (*Session, error) {
 func open(opts Options, jd *JournalData, image string, batch bool) (_ *Session, err error) {
 	if jd != nil {
 		opts.Scenario = jd.Header.Scenario
-		opts.MaxBacklog = jd.Header.MaxBacklog
 		opts.Rescore = jd.Header.Rescore
 	}
 	parsed, err := scenario.Resolve(opts.Scenario)
@@ -187,7 +185,6 @@ func open(opts Options, jd *JournalData, image string, batch bool) (_ *Session, 
 	// recovery must be byte-identical).
 	cfg := parsed.SystemConfig(0)
 	cfg.AllowDynamic = true
-	cfg.AsyncMaxBacklog = opts.MaxBacklog
 	cfg.IncrementalRescore = opts.Rescore
 	if batch || opts.TraceOut != "" || opts.MetricsOut != "" {
 		s.rec = obs.NewRecorder()
@@ -246,9 +243,8 @@ func open(opts Options, jd *JournalData, image string, batch bool) (_ *Session, 
 	case batch || opts.Journal == "":
 	case jd == nil:
 		s.journal, err = CreateJournal(opts.Journal, Header{
-			Scenario:   opts.Scenario,
-			MaxBacklog: opts.MaxBacklog,
-			Rescore:    opts.Rescore,
+			Scenario: opts.Scenario,
+			Rescore:  opts.Rescore,
 		})
 	default:
 		s.journal, err = openJournalAppend(opts.Journal, jd.CleanSize)

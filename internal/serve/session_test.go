@@ -97,7 +97,7 @@ func runLive(t *testing.T, dir string, opts Options) (trace, metrics, journal st
 // matches the live one.
 func TestStreamingParity(t *testing.T) {
 	dir := t.TempDir()
-	tracePath, metricsPath, journalPath := runLive(t, dir, Options{MaxBacklog: 256, Rescore: true})
+	tracePath, metricsPath, journalPath := runLive(t, dir, Options{Rescore: true})
 
 	jd, err := ReadJournal(journalPath)
 	if err != nil {
@@ -426,7 +426,7 @@ func TestUnknownPolicyErrors(t *testing.T) {
 	if _, err := NewSession(Options{Scenario: sc, Journal: filepath.Join(dir, "new.journal")}); err == nil {
 		t.Error("NewSession accepted policy \"bogus\"")
 	}
-	hdr := `{"v":1,"scenario":{"policy":"bogus","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]}}` + "\n"
+	hdr := `{"v":2,"scenario":{"policy":"bogus","seconds":5,"seed":1,"apps":[{"preset":"memcached"}]}}` + "\n"
 	journal := filepath.Join(dir, "bogus.journal")
 	if err := os.WriteFile(journal, []byte(hdr), 0o644); err != nil {
 		t.Fatal(err)

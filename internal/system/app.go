@@ -288,9 +288,8 @@ func (a *App) admit(sys *System, placer Placer) {
 		a.Retry = migrate.NewRetrier(eng)
 	}
 	a.Async = migrate.NewAsyncMigrator(migrate.AsyncConfig{
-		Engine:     eng,
-		MaxBacklog: sys.cfg.AsyncMaxBacklog,
-		RNG:        a.rng.Fork(),
+		Engine: eng,
+		RNG:    a.rng.Fork(),
 	})
 	if pf, ok := sys.policy.(ProfilerFactory); ok {
 		a.Profiler = pf.NewProfiler(a)

@@ -3,7 +3,6 @@ package system
 import (
 	"testing"
 
-	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
 	"vulcan/internal/workload"
 )
@@ -72,9 +71,10 @@ func TestAuditDetectsDoubleMapping(t *testing.T) {
 	sys.RunEpoch()
 	a := sys.App("a")
 	p0, _ := a.Table.Lookup(0)
-	a.Table.Update(1, func(p1 pagetable.PTE) pagetable.PTE {
-		return p1.WithFrame(p0.Frame())
-	})
+	p1, _ := a.Table.Unmap(1)
+	if err := a.Table.Install(0, 1, p1.WithFrame(p0.Frame())); err != nil {
+		t.Fatal(err)
+	}
 	rep := sys.Audit()
 	if rep.Ok() {
 		t.Fatal("audit missed a double-mapped frame")

@@ -30,8 +30,9 @@ const (
 	// dynamic intensity override; appVersion 4 drops the lifetime tallies
 	// nothing reads (async enqueued/retries/shed/displaced, retrier
 	// noted/cycles, shadows created), the TLB flush count, the perf
-	// summary's min/max and the trace replayer's loop count.
-	appVersion = 4
+	// summary's min/max and the trace replayer's loop count; appVersion 5
+	// drops the backpressure tallies with the bounded async backlog.
+	appVersion = 5
 	// profilerVersion tracks the profile package's snapshot layout.
 	profilerVersion = profile.SnapshotVersion
 	// policyVersion 2 drops Vulcan's Colloid-gate flag with the gate.
@@ -41,8 +42,10 @@ const (
 	appFaultsVersion = 1
 	// obsVersion 3 drops the recorder's flush-boundary marks (the trace
 	// no longer interleaves cost counter samples, so nothing reads them)
-	// and renumbers the event types after the deleted THP-collapse slot.
-	obsVersion = 3
+	// and renumbers the event types after the deleted THP-collapse slot;
+	// obsVersion 4 drops the registry's counter block with the counter
+	// kind.
+	obsVersion = 4
 )
 
 // Checkpoint serializes the full simulation state to w as one versioned

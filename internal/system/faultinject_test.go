@@ -74,7 +74,7 @@ func (chaosPolicy) EndEpoch(sys *System) {
 			if (i+j)%2 == 0 {
 				to = mem.TierSlow
 			}
-			a.Async.Enqueue(migrate.Move{VP: ph.VP, To: to})
+			a.Async.EnqueueOne(migrate.Move{VP: ph.VP, To: to})
 		}
 		a.Async.RunEpoch(sys.EpochCycles(), a.WriteProbability)
 		// Also hammer the sync path with the hottest claims.

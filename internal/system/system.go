@@ -63,13 +63,6 @@ type Config struct {
 	// is byte-identical to one built without the subsystem.
 	Faults *fault.Plan
 
-	// AsyncMaxBacklog bounds each app's async migration queue (0 =
-	// unbounded, the batch default). Long-running daemons set it so an
-	// admission burst cannot grow a departed tenant's backlog without
-	// limit; the queue sheds and displaces deterministically (see
-	// migrate.AsyncConfig.MaxBacklog).
-	AsyncMaxBacklog int
-
 	// IncrementalRescore lets a policy implementing Rescorer re-evaluate
 	// only the dirty app set on admissions, departures and intensity
 	// changes, instead of waiting for the next whole-epoch recompute.
