@@ -48,7 +48,8 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs eleven native fuzz targets for ten seconds each: the
+# fuzz-smoke runs twelve native fuzz targets for ten seconds each: the
+# checkpoint container (FuzzCheckpointReader), the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
 # (FuzzReplicatedRestore), page-table operation sequences against the
@@ -60,6 +61,7 @@ bench-smoke:
 # (FuzzThreadRestore). Their seed corpora also run in every `go test`;
 # a failing input lands in the package's testdata/fuzz/ for replay.
 fuzz-smoke:
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzCheckpointReader -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzReadJournal -fuzztime 10s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzResolve -fuzztime 10s
 	$(GO) test ./internal/radix -run '^$$' -fuzz FuzzSelect -fuzztime 10s

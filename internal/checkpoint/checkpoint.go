@@ -25,7 +25,9 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"io/fs"
 	"math"
+	"slices"
 )
 
 // Magic identifies a checkpoint blob; Version is the container format
@@ -41,6 +43,54 @@ const maxSectionName = 256
 
 // crcTable is the ECMA polynomial table shared by writer and reader.
 var crcTable = crc64.MakeTable(crc64.ECMA)
+
+// xPow0 is the polynomial 1 (x^0) in crc64's reflected bit order, where
+// bit 63 holds x^0 and bit 63-i holds x^i.
+const xPow0 = uint64(1) << 63
+
+// zeroOps[k] is the GF(2) operator that appends 2^k zero bytes to a
+// CRC-64/ECMA register, stored as the polynomial x^(8·2^k) mod P in the
+// reflected bit order. Built once: deriving the operators per call
+// costs as much as checksumming the payload.
+var zeroOps = func() (ops [63]uint64) {
+	ops[0] = xPow0 >> 8 // x^8
+	for k := 1; k < len(ops); k++ {
+		ops[k] = gfMul(ops[k-1], ops[k-1])
+	}
+	return ops
+}()
+
+// gfMul multiplies two polynomials modulo the ECMA polynomial, both in
+// crc64's reflected bit order.
+func gfMul(a, b uint64) uint64 {
+	var p uint64
+	for m := xPow0; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc64.ECMA
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// crcCombine returns crc64.Checksum(a‖b) from crcA = Checksum(a),
+// crcB = Checksum(b) and lenB = len(b), without touching the bytes:
+// crcA is advanced over lenB zero bytes, one operator per set bit of
+// lenB, and crcB added. The pre- and post-inversions of CRC-64/ECMA
+// cancel in the sum, as in zlib's crc32_combine.
+func crcCombine(crcA, crcB uint64, lenB int) uint64 {
+	op := xPow0
+	for k := 0; lenB > 0; k, lenB = k+1, lenB>>1 {
+		if lenB&1 != 0 {
+			op = gfMul(zeroOps[k], op)
+		}
+	}
+	return gfMul(op, crcA) ^ crcB
+}
 
 // Snapshotter is the uniform per-layer contract: Snapshot appends the
 // type's durable state to e; Restore reads it back in the same order,
@@ -62,6 +112,10 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Grow reserves room for n more bytes, so a snapshot whose size is
+// known up front fills one allocation instead of doubling from empty.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -271,20 +325,50 @@ func (w *Writer) Section(name string, version uint32) *Encoder {
 // WriteTo implements io.WriterTo. A trailing CRC-64 over the whole
 // body protects the manifest itself (names, versions, lengths) — the
 // per-section checksums only cover payloads.
+//
+// Payloads go to out straight from the section encoders, each read
+// once, to checksum it, before it is written. The body checksum is
+// derived from the section checksums by crcCombine rather than
+// recomputed, and a destination that can grow (bytes.Buffer) is grown
+// once to the blob's size.
 func (w *Writer) WriteTo(out io.Writer) (int64, error) {
-	var e Encoder
+	if g, ok := out.(interface{ Grow(int) }); ok {
+		size := len(Magic) + 4 + 4 + 8
+		for _, s := range w.sections {
+			size += 8 + len(s.name) + 4 + 8 + len(s.enc.buf) + 8
+		}
+		g.Grow(size)
+	}
+	// e holds the manifest bytes between two payloads: the previous
+	// section's checksum and the next section's name, version and length.
+	e := Encoder{buf: make([]byte, 0, len(Magic)+4+4+8+maxSectionName+4+8)}
 	e.buf = append(e.buf, Magic...)
 	e.U32(Version)
 	e.U32(uint32(len(w.sections)))
+	var body uint64
+	var written int64
+	write := func(b []byte) error {
+		n, err := out.Write(b)
+		written += int64(n)
+		return err
+	}
 	for _, s := range w.sections {
 		e.String(s.name)
 		e.U32(s.version)
-		e.Bytes64(s.enc.buf)
-		e.U64(crc64.Checksum(s.enc.buf, crcTable))
+		e.U64(uint64(len(s.enc.buf)))
+		sum := crc64.Checksum(s.enc.buf, crcTable)
+		body = crcCombine(crc64.Update(body, crcTable, e.buf), sum, len(s.enc.buf))
+		if err := write(e.buf); err != nil {
+			return written, err
+		}
+		if err := write(s.enc.buf); err != nil {
+			return written, err
+		}
+		e.buf = e.buf[:0]
+		e.U64(sum)
 	}
-	e.U64(crc64.Checksum(e.buf, crcTable))
-	n, err := out.Write(e.buf)
-	return int64(n), err
+	e.U64(crc64.Update(body, crcTable, e.buf))
+	return written, write(e.buf)
 }
 
 // Reader parses a checkpoint blob, verifying the container version and
@@ -297,8 +381,14 @@ type Reader struct {
 // NewReader reads the whole blob from r and validates it: magic, the
 // whole-body checksum, the container version, then every section
 // checksum.
+//
+// Each byte is checksummed once: the walk over the manifest checks
+// every section and derives the body checksum from the section
+// checksums. Only a walk that fails falls back to checksumming the
+// whole body, so that a corrupt body is still reported as such before
+// any structural error its corruption caused.
 func NewReader(r io.Reader) (*Reader, error) {
-	blob, err := io.ReadAll(r)
+	blob, err := readBlob(r)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: reading blob: %w", err)
 	}
@@ -306,13 +396,56 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("checkpoint: bad magic (not a checkpoint blob)")
 	}
 	body, trailer := blob[:len(blob)-8], blob[len(blob)-8:]
-	if crc64.Checksum(body, crcTable) != binary.LittleEndian.Uint64(trailer) {
+	want := binary.LittleEndian.Uint64(trailer)
+	rd, sum, err := walk(body)
+	if err == nil && sum == want {
+		return rd, nil
+	}
+	// A complete walk derives exactly crc64.Checksum(body), so only a
+	// failed walk needs the plain checksum to rank its error.
+	if err == nil || crc64.Checksum(body, crcTable) != want {
 		return nil, fmt.Errorf("checkpoint: body checksum mismatch (corrupt or truncated blob)")
 	}
+	return nil, err
+}
+
+// readBlob reads r to EOF. A reader that reports its size — Len on
+// bytes.Reader and bytes.Buffer, Stat on a regular *os.File — fills
+// one buffer of that size; any other reader grows as io.ReadAll does.
+func readBlob(r io.Reader) ([]byte, error) {
+	size := -1
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, size)
+	n, err := io.ReadFull(r, buf)
+	switch err {
+	case nil: // the size was a lower bound; read on to EOF
+	case io.EOF, io.ErrUnexpectedEOF:
+		return buf[:n], nil
+	default:
+		return nil, err
+	}
+	rest, err := io.ReadAll(r)
+	return append(buf, rest...), err
+}
+
+// walk parses and checks the body's manifest — container version,
+// section count, names, lengths, duplicates and section checksums, in
+// that order — and returns the body checksum it derives on the way.
+func walk(body []byte) (*Reader, uint64, error) {
 	d := NewDecoder(body)
 	d.take(len(Magic))
 	if v := d.U32(); d.err == nil && v != Version {
-		return nil, fmt.Errorf("checkpoint: unsupported format version %d (want %d)", v, Version)
+		return nil, 0, fmt.Errorf("checkpoint: unsupported format version %d (want %d)", v, Version)
 	}
 	n := d.U32()
 	if d.err == nil && uint64(n) > uint64(d.Remaining()) {
@@ -322,6 +455,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		payloads: make(map[string][]byte),
 		versions: make(map[string]uint32),
 	}
+	var bodySum uint64
+	done := 0 // body bytes folded into bodySum
 	for i := 0; d.err == nil && i < int(n); i++ {
 		nameLen := d.U64()
 		if d.err == nil && nameLen > maxSectionName {
@@ -336,21 +471,24 @@ func NewReader(r io.Reader) (*Reader, error) {
 			break
 		}
 		if _, dup := rd.payloads[name]; dup {
-			return nil, fmt.Errorf("checkpoint: duplicate section %q", name)
+			return nil, 0, fmt.Errorf("checkpoint: duplicate section %q", name)
 		}
-		if got := crc64.Checksum(payload, crcTable); got != sum {
-			return nil, fmt.Errorf("checkpoint: section %q checksum mismatch (corrupt blob)", name)
+		if crc64.Checksum(payload, crcTable) != sum {
+			return nil, 0, fmt.Errorf("checkpoint: section %q checksum mismatch (corrupt blob)", name)
 		}
+		start := d.off - 8 - len(payload)
+		bodySum = crcCombine(crc64.Update(bodySum, crcTable, body[done:start]), sum, len(payload))
+		done = start + len(payload)
 		rd.payloads[name] = payload
 		rd.versions[name] = version
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, 0, d.err
 	}
 	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes after last section", d.Remaining())
+		return nil, 0, fmt.Errorf("checkpoint: %d trailing bytes after last section", d.Remaining())
 	}
-	return rd, nil
+	return rd, crc64.Update(bodySum, crcTable, body[done:]), nil
 }
 
 // Has reports whether the blob contains a section.

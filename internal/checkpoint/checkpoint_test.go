@@ -10,7 +10,7 @@ import (
 )
 
 // buildBlob writes a two-section blob used by the decode tests.
-func buildBlob(t *testing.T) []byte {
+func buildBlob(t testing.TB) []byte {
 	t.Helper()
 	w := NewWriter()
 	e := w.Section("alpha", 1)

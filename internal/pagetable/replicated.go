@@ -165,10 +165,10 @@ func (r *Replicated) linkLeaf(tid int, vp VPage, leaf *Leaf) bool {
 // unmapped pages", paper §4).
 func (r *Replicated) Map(tid int, vp VPage, p PTE) error {
 	r.checkTid(tid)
-	if err := r.proc.Map(vp, p.WithOwner(uint8(tid))); err != nil {
+	leaf, err := r.proc.mapLeaf(vp, p.WithOwner(uint8(tid)))
+	if err != nil {
 		return err
 	}
-	leaf, _ := r.proc.leafAt(vp)
 	r.linkLeaf(tid, vp, leaf)
 	return nil
 }
@@ -179,10 +179,10 @@ func (r *Replicated) Map(tid int, vp VPage, p PTE) error {
 // would stamp tid as owner, losing a shared page's ownership.
 func (r *Replicated) Install(tid int, vp VPage, p PTE) error {
 	r.checkTid(tid)
-	if err := r.proc.Map(vp, p); err != nil {
+	leaf, err := r.proc.mapLeaf(vp, p)
+	if err != nil {
 		return err
 	}
-	leaf, _ := r.proc.leafAt(vp)
 	r.linkLeaf(tid, vp, leaf)
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 // neither is ever deallocated, so the (leaf, linkers) relation plus the
 // PTE contents reconstruct the structure exactly.
 func (r *Replicated) Snapshot(e *checkpoint.Encoder) {
+	e.Grow(r.SnapshotSize())
 	e.Int(r.nthreads)
 
 	leaves := make([]uint64, 0, len(r.leafThreads))
@@ -36,6 +37,12 @@ func (r *Replicated) Snapshot(e *checkpoint.Encoder) {
 		e.U64(uint64(p))
 		return true
 	})
+}
+
+// SnapshotSize is the number of bytes Snapshot appends: three counts,
+// 24 per leaf and 16 per present PTE.
+func (r *Replicated) SnapshotSize() int {
+	return 8 + 8 + 24*len(r.leafThreads) + 8 + 16*r.proc.Mapped()
 }
 
 // Restore rebuilds the table in place from a snapshot. The receiver

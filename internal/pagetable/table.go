@@ -166,19 +166,26 @@ func (t *Table) Lookup(vp VPage) (PTE, bool) {
 // error: replacing a live translation without an unmap (and shootdown) is
 // exactly the bug class tiering code must not hide.
 func (t *Table) Map(vp VPage, p PTE) error {
+	_, err := t.mapLeaf(vp, p)
+	return err
+}
+
+// mapLeaf is Map that also returns the leaf it wrote, so a caller that
+// links the leaf elsewhere does not walk to it again.
+func (t *Table) mapLeaf(vp VPage, p PTE) (*Leaf, error) {
 	if !p.Present() {
-		return fmt.Errorf("pagetable: mapping non-present PTE at %#x", uint64(vp))
+		return nil, fmt.Errorf("pagetable: mapping non-present PTE at %#x", uint64(vp))
 	}
 	leaf, i := t.walk(vp)
 	if leaf.PTE(i).Present() {
-		return fmt.Errorf("pagetable: vpage %#x already mapped", uint64(vp))
+		return nil, fmt.Errorf("pagetable: vpage %#x already mapped", uint64(vp))
 	}
 	leaf.SetPTE(i, p)
 	t.mapped++
 	if p.Frame().Tier == mem.TierFast {
 		t.fastMapped++
 	}
-	return nil
+	return leaf, nil
 }
 
 // Unmap clears the PTE for vp, returning the prior entry. ok is false when

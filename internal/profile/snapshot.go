@@ -55,51 +55,36 @@ func RestoreProfiler(d *checkpoint.Decoder, p Profiler, version uint32) error {
 // working sets compress to a handful of run headers, and restore can
 // validate monotonicity structurally.
 func (h *heatStore) Snapshot(e *checkpoint.Encoder) {
-	runs := 0
+	// The first pass measures the runs, so the second can write each
+	// run's header before its stats; the store is immutable between the
+	// passes, so the two always agree.
+	var runs []int
 	prev := pagetable.VPage(0)
-	first := true
 	h.forEachLive(func(vp pagetable.VPage, _, _, _ float64) {
-		if first || vp != prev+1 {
-			runs++
+		if len(runs) == 0 || vp != prev+1 {
+			runs = append(runs, 0)
 		}
-		first = false
+		runs[len(runs)-1]++
 		prev = vp
 	})
 	// trackedPages is exactly the live-entry count forEachLive visits.
+	e.Grow(8 + 8 + 16*len(runs) + 24*h.trackedPages)
 	e.Int(h.trackedPages)
-	e.Int(runs)
+	e.Int(len(runs))
 
-	// Second pass emits the runs; the store is immutable between the
-	// passes, so the counts always agree. A run's length is known only at
-	// its end, so each run's stats are buffered until the next boundary.
-	started := false
-	var runLen int
-	var runStart pagetable.VPage
-	prev = 0
-	runStats := make([]float64, 0, 64)
-	flush := func() {
-		if !started {
-			return
-		}
-		e.U64(uint64(runStart))
-		e.Int(runLen)
-		for _, v := range runStats {
-			e.F64(v)
-		}
-	}
+	run, left := 0, 0
 	h.forEachLive(func(vp pagetable.VPage, heat, reads, writes float64) {
-		if !started || vp != prev+1 {
-			flush()
-			started = true
-			runStart = vp
-			runLen = 0
-			runStats = runStats[:0]
+		if left == 0 {
+			left = runs[run]
+			run++
+			e.U64(uint64(vp))
+			e.Int(left)
 		}
-		runLen++
-		runStats = append(runStats, heat, reads, writes)
-		prev = vp
+		left--
+		e.F64(heat)
+		e.F64(reads)
+		e.F64(writes)
 	})
-	flush()
 }
 
 // forEachLive calls fn for every tracked page in ascending order.

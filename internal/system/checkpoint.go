@@ -333,6 +333,13 @@ func (a *App) snapshot(e *checkpoint.Encoder) {
 	if !a.started {
 		return
 	}
+	// The table and the TLBs are nearly all of the section: reserve them
+	// at once, so the encoder does not regrow and copy across them.
+	n := a.Table.SnapshotSize()
+	for _, t := range a.TLBs {
+		n += t.SnapshotSize()
+	}
+	e.Grow(n)
 	a.rng.Snapshot(e)
 	a.Table.Snapshot(e)
 	e.Int(len(a.TLBs))

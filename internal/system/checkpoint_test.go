@@ -3,7 +3,9 @@ package system
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"vulcan/internal/fault"
@@ -266,5 +268,39 @@ func TestResumeCorruptionNeverPanics(t *testing.T) {
 		if _, err := Resume(bytes.NewReader(mut), ckptConfig(fault.PlanAtRate(0.05))); err == nil {
 			t.Fatalf("corruption at byte %d accepted", i)
 		}
+	}
+}
+
+// TestCheckpointAllocatesLittle pins System.Checkpoint's allocation
+// to at most twice the blob it writes, for a warmed run without
+// telemetry (the shape figures.WarmStart checkpoints). The big
+// snapshots reserve their exact size and WriteTo streams the sections
+// to the destination, so the sections are about the only allocation;
+// encoders that doubled from empty cost about six times the blob.
+// A race build is skipped: it compiles out the append-of-make
+// optimization slices.Grow relies on, so each reservation allocates
+// twice.
+func TestCheckpointAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	cfg := ckptConfig(nil)
+	cfg.Obs = nil
+	sys := New(cfg)
+	runEpochs(sys, 40)
+	var blob bytes.Buffer
+	if err := sys.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err := sys.Checkpoint(io.Discard)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(blob.Len()) {
+		t.Fatalf("checkpoint of a %d-byte blob allocated %d bytes, more than twice the blob", blob.Len(), got)
 	}
 }

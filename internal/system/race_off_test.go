@@ -1,0 +1,7 @@
+//go:build !race
+
+package system
+
+// raceEnabled reports a race-detector build, whose instrumentation
+// changes what the runtime allocates.
+const raceEnabled = false

@@ -20,6 +20,10 @@ func (t *TLB) Snapshot(e *checkpoint.Encoder) {
 	e.U64(t.stats.DelayedAcks)
 }
 
+// SnapshotSize is the number of bytes Snapshot appends: the entry
+// count, the tags and four counters.
+func (t *TLB) SnapshotSize() int { return 8 + 8*len(t.tags) + 4*8 }
+
 // Restore reads the TLB state back in place. The entry count must match
 // the constructed TLB (it is fixed by configuration, not state).
 func (t *TLB) Restore(d *checkpoint.Decoder) error {
