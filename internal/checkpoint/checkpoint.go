@@ -261,6 +261,12 @@ func (d *Decoder) Bytes64() []byte {
 	return d.take(int(n))
 }
 
+// Fixed reads the next n bytes: a run of fixed-width records the caller
+// decodes itself (little-endian, as the Encoder wrote them), so the run
+// pays one bounds check instead of one per field. The returned slice
+// aliases the decoder's buffer.
+func (d *Decoder) Fixed(n int) []byte { return d.take(n) }
+
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.Bytes64()) }
 

@@ -182,6 +182,23 @@ func TestDecoderStickyError(t *testing.T) {
 	}
 }
 
+// TestDecoderFixed reads a run of fixed-width fields in one call: the
+// bytes are the ones the field readers would have consumed, and a
+// short run fails like any truncated read.
+func TestDecoderFixed(t *testing.T) {
+	var e Encoder
+	e.U64(7)
+	e.U32(9)
+	e.U8(1)
+	d := NewDecoder(e.Bytes())
+	if got := d.Fixed(12); !bytes.Equal(got, e.Bytes()[:12]) {
+		t.Fatalf("Fixed(12) = %x", got)
+	}
+	if d.Fixed(2) != nil || d.Err() == nil {
+		t.Fatal("Fixed past the end succeeded")
+	}
+}
+
 func TestBadBoolByte(t *testing.T) {
 	d := NewDecoder([]byte{2})
 	_ = d.Bool()

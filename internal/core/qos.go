@@ -83,9 +83,9 @@ func (q *QoSController) Register(app *system.App) *QoSState {
 }
 
 // Unregister removes a stopped workload. The states slice keeps its
-// admission order (minus the departed entry), so a checkpoint replay
-// that re-registers the survivors in admission order reconstructs the
-// same sequence. Unknown apps are a no-op.
+// admission order (minus the departed entry), so a resume that
+// re-registers the survivors in admission order reconstructs the same
+// sequence. Unknown apps are a no-op.
 func (q *QoSController) Unregister(app *system.App) {
 	if _, ok := q.byApp[app]; !ok {
 		return

@@ -146,19 +146,29 @@ func (v *Vulcan) AppStopped(sys *system.System, app *system.App) {
 // app's fast-tier quota so one tenant cannot monopolize the fast tier at
 // admission time.
 func (v *Vulcan) Place(sys *system.System, app *system.App) mem.TierID {
-	quota := 0
-	if st := v.qos.State(app); st != nil && st.Alloc > 0 {
-		quota = st.Alloc
-	} else {
-		// Not yet partitioned (premap during admission): provisional even
-		// share counting this app.
-		quota = sys.Tiers().Fast().Capacity() / (len(v.qos.States()) + 1)
-	}
-	if v.placed[app] < quota {
+	if v.placed[app] < v.placeQuota(sys, app) {
 		v.placed[app]++
 		return mem.TierFast
 	}
 	return mem.TierSlow
+}
+
+// Premapped implements system.PremapPlacer. An admission's premap calls
+// Place once per page with a fixed quota, the provisional share (the
+// app registers after its premap), so it leaves the smaller of the two
+// counted.
+func (v *Vulcan) Premapped(sys *system.System, app *system.App, pages int) {
+	v.placed[app] = min(pages, v.placeQuota(sys, app))
+}
+
+// placeQuota is the fast-tier page count first-touch placement grants
+// app: its partitioned allocation, or before partitioning a
+// provisional even share counting this app.
+func (v *Vulcan) placeQuota(sys *system.System, app *system.App) int {
+	if st := v.qos.State(app); st != nil && st.Alloc > 0 {
+		return st.Alloc
+	}
+	return sys.Tiers().Fast().Capacity() / (len(v.qos.States()) + 1)
 }
 
 // EndEpoch implements system.Tiering: update QoS targets, partition with

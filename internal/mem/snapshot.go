@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"vulcan/internal/checkpoint"
@@ -40,11 +41,9 @@ func (t *Tier) Restore(d *checkpoint.Decoder) error {
 	}
 	free := make([]uint32, n)
 	seen := make([]uint64, (capacity+63)/64) // sized by the configuration, never by the input
+	recs := d.Fixed(4 * n)                   // Length checked that the section holds them
 	for i := range free {
-		idx := d.U32()
-		if d.Err() != nil {
-			return d.Err()
-		}
+		idx := binary.LittleEndian.Uint32(recs[4*i:])
 		if int(idx) >= capacity {
 			return fmt.Errorf("mem: tier %s free frame %d out of range", t.id, idx)
 		}

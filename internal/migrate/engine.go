@@ -225,16 +225,11 @@ func (e *Engine) Config() Config { return e.cfg }
 // Shadows exposes shadow-store statistics.
 func (e *Engine) Shadows() ShadowStats { return e.shadows.stats() }
 
-// addScope ors vp's shootdown scope into the batch's scope bitmap.
+// addScope ors vp's targeted shootdown scope into the batch's scope
+// bitmap.
 func (e *Engine) addScope(vp pagetable.VPage) {
-	if e.cfg.TargetedShootdown {
-		e.scopeBuf = e.cfg.Table.AppendShootdownScope(e.scopeBuf[:0], vp)
-		for _, tid := range e.scopeBuf {
-			e.scopeBits[tid>>6] |= 1 << (tid & 63)
-		}
-		return
-	}
-	for tid := 0; tid < e.cfg.ProcessThreads; tid++ {
+	e.scopeBuf = e.cfg.Table.AppendShootdownScope(e.scopeBuf[:0], vp)
+	for _, tid := range e.scopeBuf {
 		e.scopeBits[tid>>6] |= 1 << (tid & 63)
 	}
 }
@@ -291,9 +286,19 @@ func (e *Engine) MigrateSync(moves []Move) Result {
 			splitCycles += e.cfg.PreMigrate(mv.VP)
 		}
 		attempted++
-		e.addScope(mv.VP)
+		if e.cfg.TargetedShootdown {
+			e.addScope(mv.VP)
+		}
 		old, _ := e.cfg.Table.Unmap(mv.VP)
 		e.batch = append(e.batch, staged{idx: i, vp: mv.VP, old: old, to: mv.To})
+	}
+
+	// A non-targeted shootdown reaches every process thread, whatever
+	// the pages: one full mask for the batch.
+	if !e.cfg.TargetedShootdown && attempted > 0 {
+		for tid := 0; tid < e.cfg.ProcessThreads; tid++ {
+			e.scopeBits[tid>>6] |= 1 << (tid & 63)
+		}
 	}
 
 	// TLB shootdown over the union scope. Decoding the bitmap yields

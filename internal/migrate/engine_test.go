@@ -168,6 +168,12 @@ func TestMigrateTargetedShootdownScope(t *testing.T) {
 	if res2.Breakdown.TLB <= res.Breakdown.TLB {
 		t.Fatal("targeted shootdown not cheaper")
 	}
+
+	// A batch that unmaps nothing sends no IPI, targeted or not.
+	res3 := e2.MigrateSync([]Move{{VP: 1, To: mem.TierSlow}, {VP: 99, To: mem.TierFast}})
+	if res3.Targets != 0 {
+		t.Fatalf("untargeted batch with no attempted page: targets = %d, want 0", res3.Targets)
+	}
 }
 
 func TestMigrateSharedPageScopeWidens(t *testing.T) {

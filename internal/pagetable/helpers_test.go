@@ -1,8 +1,5 @@
 package pagetable
 
-// has reports whether tid is in the set.
-func (s *threadSet) has(tid int) bool { return s.bits[tid>>6]&(1<<(tid&63)) != 0 }
-
 // threadMapsLeaf reports whether tid has linked the leaf covering vp.
 func (r *Replicated) threadMapsLeaf(tid int, vp VPage) bool {
 	r.checkTid(tid)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"vulcan/internal/checkpoint"
 	"vulcan/internal/mem"
 	"vulcan/internal/sim"
 )
@@ -16,12 +17,13 @@ const (
 )
 
 // runTableOps decodes data, four bytes per operation, into a sequence of
-// Map, Install, Touch, Unmap and SweepAccessed calls on a fresh
-// table, checking the leaf masks against the PTEs after every one.
+// Map, Install, Touch, Unmap, SweepAccessed and Snapshot/Restore calls
+// on a fresh table, checking the leaf masks against the PTEs after
+// every one, and every Touch against touchReference.
 func runTableOps(t *testing.T, data []byte) {
 	r := NewReplicated(opsThreads)
 	for ; len(data) >= 4; data = data[4:] {
-		op, tid := data[0]%5, int(data[0]/5)%opsThreads
+		op, tid := data[0]%6, int(data[0]/6)%opsThreads
 		vp := VPage(uint16(data[1])|uint16(data[2])<<8) % opsPages
 		arg := data[3]
 		frame := mem.Frame{Tier: mem.TierID(arg & 1), Index: uint32(arg)}
@@ -32,7 +34,15 @@ func runTableOps(t *testing.T, data []byte) {
 			p := NewPTE(frame, uint8(arg>>4)%opsThreads).WithAccessed(arg&2 != 0).WithDirty(arg&4 != 0)
 			r.Install(tid, vp, p)
 		case 2:
-			r.Touch(tid, vp, arg&2 != 0)
+			write := arg&2 != 0
+			want, wantOK := touchReference(r, tid, vp, write)
+			got, ok := r.Touch(tid, vp, write)
+			if ok != wantOK || got != want {
+				t.Fatalf("Touch(%d, %#x) = %+v,%t, want %+v,%t", tid, uint64(vp), got, ok, want, wantOK)
+			}
+			if p, _ := r.Lookup(vp); ok && p != got.PTE {
+				t.Fatalf("Touch(%d, %#x) returned %v, the table holds %v", tid, uint64(vp), got.PTE, p)
+			}
 		case 3:
 			r.Unmap(vp)
 		case 4:
@@ -43,13 +53,47 @@ func runTableOps(t *testing.T, data []byte) {
 				}
 				return p
 			})
+		case 5:
+			// Round-trip through a checkpoint in place: Restore
+			// rebuilds every leaf, so no Touch memo may survive it.
+			tables := r.TotalTables()
+			e := &checkpoint.Encoder{}
+			r.Snapshot(e)
+			d := checkpoint.NewDecoder(e.Bytes())
+			if err := r.Restore(d); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if r.TotalTables() != tables {
+				t.Fatalf("restore built %d tables, the table had %d", r.TotalTables(), tables)
+			}
 		}
 		checkTableMasks(t, r)
 	}
 }
 
-// checkTableMasks asserts the leaf masks agree with the PTEs: CheckMasks
-// passes, RangeFast visits exactly Range's present fast-tier pages, a
+// touchReference is what Touch(tid, vp, write) returns, computed
+// without the leaf memo from Lookup and the leaf's link set before the
+// call.
+func touchReference(r *Replicated, tid int, vp VPage, write bool) (TouchResult, bool) {
+	p, ok := r.Lookup(vp)
+	if !ok {
+		return TouchResult{}, false
+	}
+	res := TouchResult{LinkedLeaf: !r.threadMapsLeaf(tid, vp)}
+	if !p.Shared() && p.Owner() != uint8(tid) {
+		p = p.WithOwner(OwnerShared)
+		res.BecameShared = true
+	}
+	res.PTE = p.WithAccessed(true).WithDirty(p.Dirty() || write)
+	return res, true
+}
+
+// checkTableMasks asserts the leaf masks and counts agree with the
+// PTEs: CheckMasks passes, RangeFast visits exactly Range's present
+// fast-tier pages, Mapped and FastMapped match a recount, a
 // SweepAccessed that changes nothing visits exactly the PTEs with A or
 // D set, and a cursor finds what Lookup finds.
 func checkTableMasks(t *testing.T, r *Replicated) {
@@ -76,6 +120,9 @@ func checkTableMasks(t *testing.T, r *Replicated) {
 	})
 	if !slices.Equal(gotFast, fast) {
 		t.Fatalf("RangeFast visited %v, fast pages are %v", gotFast, fast)
+	}
+	if len(mapped) != r.Mapped() {
+		t.Fatalf("Mapped = %d, %d present pages", r.Mapped(), len(mapped))
 	}
 	if len(fast) != r.FastMapped() {
 		t.Fatalf("FastMapped = %d, %d fast pages", r.FastMapped(), len(fast))

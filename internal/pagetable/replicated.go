@@ -12,6 +12,9 @@ type threadSet struct {
 
 func (s *threadSet) add(tid int) { s.bits[tid>>6] |= 1 << (tid & 63) }
 
+// has reports whether tid is in the set.
+func (s *threadSet) has(tid int) bool { return s.bits[tid>>6]&(1<<(tid&63)) != 0 }
+
 // appendMembers appends the set's thread ids to dst in ascending order
 // and returns it, so hot callers can reuse one buffer across pages.
 func (s *threadSet) appendMembers(dst []int) []int {
@@ -51,6 +54,18 @@ type Replicated struct {
 	// tablesPerThread counts upper-level tables allocated per thread
 	// (including the root), the replication memory overhead of §3.6.
 	tablesPerThread []int
+	// memo holds, per thread, the L2 table of the thread's own tree
+	// that its last linking Touch went through. A leaf in one of its
+	// slots is linked into that thread's tree by definition. Tables and
+	// leaves are never freed and links never removed, so an entry stays
+	// exact until Restore rebuilds the trees and clears them all.
+	memo []touchMemo
+}
+
+// touchMemo is one thread's Touch memo; a nil l2 is empty.
+type touchMemo struct {
+	region uint64 // the 1 GiB region l2 covers: LeafIndex >> 9
+	l2     *tableL2
 }
 
 // NewReplicated builds an empty replicated table for nthreads threads.
@@ -64,6 +79,7 @@ func NewReplicated(nthreads int) *Replicated {
 		roots:           make([]*tableL4, nthreads),
 		leafThreads:     make(map[uint64]*threadSet),
 		tablesPerThread: make([]int, nthreads),
+		memo:            make([]touchMemo, nthreads),
 	}
 	for i := range r.roots {
 		r.roots[i] = &tableL4{}
@@ -124,8 +140,9 @@ func (r *Replicated) checkTid(tid int) {
 
 // linkLeaf ensures the shared leaf covering vp is reachable from tid's
 // private upper levels, allocating private intermediate tables as needed.
-// It reports whether a new link was established (a minor fault).
-func (r *Replicated) linkLeaf(tid int, vp VPage, leaf *Leaf) bool {
+// It returns tid's L2 table holding the link and reports whether a new
+// link was established (a minor fault).
+func (r *Replicated) linkLeaf(tid int, vp VPage, leaf *Leaf) (*tableL2, bool) {
 	i4, i3, i2, _ := splitVPage(vp)
 	root := r.roots[tid]
 	l3 := root.l3s[i4]
@@ -143,7 +160,7 @@ func (r *Replicated) linkLeaf(tid int, vp VPage, leaf *Leaf) bool {
 		r.tablesPerThread[tid]++
 	}
 	if l2.leaves[i2] == leaf {
-		return false
+		return l2, false
 	}
 	if l2.leaves[i2] != nil {
 		panic("pagetable: conflicting leaf link")
@@ -157,19 +174,48 @@ func (r *Replicated) linkLeaf(tid int, vp VPage, leaf *Leaf) bool {
 		r.leafThreads[li] = set
 	}
 	set.add(tid)
-	return true
+	return l2, true
 }
 
 // Map installs the first mapping for vp on behalf of thread tid, which
 // becomes the page's owner ("creates new mappings with thread ID for
 // unmapped pages", paper §4).
 func (r *Replicated) Map(tid int, vp VPage, p PTE) error {
-	r.checkTid(tid)
-	leaf, err := r.proc.mapLeaf(vp, p.WithOwner(uint8(tid)))
+	c := r.MapCursor()
+	return c.Map(tid, vp, p)
+}
+
+// MapCursor maps pages through the last leaf it reached and remembers
+// which threads it linked there, so a run of Map calls in ascending
+// page order walks the process tree once per leaf and links each
+// (thread, leaf) pair once. Like Cursor it is short-lived: valid while
+// the table is mutated, but not across a Restore.
+type MapCursor struct {
+	r          *Replicated
+	c          mapCursor
+	linkedLeaf *Leaf
+	linked     threadSet // threads this cursor linked into linkedLeaf
+}
+
+// MapCursor returns a mapping cursor over the table.
+func (r *Replicated) MapCursor() MapCursor {
+	return MapCursor{r: r, c: mapCursor{t: r.proc}}
+}
+
+// Map is Replicated.Map through the cursor.
+func (m *MapCursor) Map(tid int, vp VPage, p PTE) error {
+	m.r.checkTid(tid)
+	leaf, err := m.c.mapLeaf(vp, p.WithOwner(uint8(tid)))
 	if err != nil {
 		return err
 	}
-	r.linkLeaf(tid, vp, leaf)
+	if leaf != m.linkedLeaf {
+		m.linkedLeaf, m.linked = leaf, threadSet{}
+	}
+	if !m.linked.has(tid) {
+		m.r.linkLeaf(tid, vp, leaf)
+		m.linked.add(tid)
+	}
 	return nil
 }
 
@@ -193,18 +239,33 @@ func (r *Replicated) Install(tid int, vp VPage, p PTE) error {
 // absent and flipping the owner field to the shared pattern when a second
 // thread touches a private page. ok is false when vp is unmapped (a major
 // fault the caller must service by allocating and calling Map).
+//
+// A touch of a leaf in the thread's memoized L2 table skips both
+// walks: that leaf is already linked into tid's tree, so LinkedLeaf is
+// false.
 func (r *Replicated) Touch(tid int, vp VPage, write bool) (TouchResult, bool) {
 	r.checkTid(tid)
-	leaf, i := r.proc.leafAt(vp)
-	if leaf == nil {
-		return TouchResult{}, false
+	li, m := LeafIndex(vp), &r.memo[tid]
+	var leaf *Leaf
+	if m.l2 != nil && m.region == li>>9 {
+		leaf = m.l2.leaves[li&(EntriesPerTable-1)]
 	}
+	hit := leaf != nil
+	if !hit {
+		if leaf, _ = r.proc.leafAt(vp); leaf == nil {
+			return TouchResult{}, false
+		}
+	}
+	i := int(vp & (EntriesPerTable - 1))
 	old := leaf.PTE(i)
 	if !old.Present() {
 		return TouchResult{}, false
 	}
 	var res TouchResult
-	res.LinkedLeaf = r.linkLeaf(tid, vp, leaf)
+	if !hit {
+		m.l2, res.LinkedLeaf = r.linkLeaf(tid, vp, leaf)
+		m.region = li >> 9
+	}
 	p := old
 	if !p.Shared() && p.Owner() != uint8(tid) {
 		p = p.WithOwner(OwnerShared)

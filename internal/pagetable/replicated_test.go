@@ -291,3 +291,47 @@ func TestFigure6MemoryComparison(t *testing.T) {
 			vulcanTables, fullTables)
 	}
 }
+
+// TestTouchMissDoesNotMemoizeUnlinkedLeaf: a touch that finds vp's leaf
+// but no present entry links nothing, so the leaf must not become the
+// thread's memo — the thread's next touch there still links it.
+func TestTouchMissDoesNotMemoizeUnlinkedLeaf(t *testing.T) {
+	r := NewReplicated(2)
+	if err := r.Map(0, 0, NewPTE(mem.Frame{Index: 1}, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Touch(1, 1, false); ok {
+		t.Fatal("touch of an unmapped page succeeded")
+	}
+	res, ok := r.Touch(1, 0, false)
+	if !ok || !res.LinkedLeaf || !r.threadMapsLeaf(1, 0) {
+		t.Fatalf("thread 1's first touch of a mapped page: %+v,%t, linked %t", res, ok, r.threadMapsLeaf(1, 0))
+	}
+	if res, _ := r.Touch(1, 0, true); res.LinkedLeaf {
+		t.Fatal("second touch linked the leaf again")
+	}
+}
+
+// TestTouchMemoAcrossRegions: the memo covers one 1 GiB region of the
+// thread's tree, so a touch in another region must walk, link and
+// return that region's entry, and a touch back must not link again.
+func TestTouchMemoAcrossRegions(t *testing.T) {
+	r := NewReplicated(2)
+	near, far := VPage(5), VPage(1<<18+5) // same slot, regions 0 and 1
+	for i, vp := range []VPage{near, far} {
+		if err := r.Map(0, vp, NewPTE(mem.Frame{Index: uint32(i + 1)}, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct {
+		vp     VPage
+		frame  uint32
+		linked bool
+	}{{near, 1, true}, {far, 2, true}, {near, 1, false}, {far, 2, false}} {
+		res, ok := r.Touch(1, step.vp, false)
+		if !ok || res.PTE.Frame().Index != step.frame || res.LinkedLeaf != step.linked {
+			t.Fatalf("Touch(1, %#x) = %+v,%t, want frame %d, linked %t",
+				uint64(step.vp), res, ok, step.frame, step.linked)
+		}
+	}
+}

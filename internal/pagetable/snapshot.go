@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -65,6 +66,7 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 		r.roots[i] = &tableL4{}
 		r.tablesPerThread[i] = 1
 	}
+	clear(r.memo)
 
 	// Decode and check every leaf record before building anything, so
 	// the upper-level tables the links need can be counted against what
@@ -113,25 +115,29 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 		}
 	}
 
+	// The PTEs arrive in ascending order, so one cursor walks to each
+	// leaf once, and the leaf's link check runs once per leaf. Length
+	// checked that the section holds every record.
+	recs := d.Fixed(16 * nPTE)
+	c := mapCursor{t: r.proc}
 	prevVP := VPage(0)
 	for i := 0; i < nPTE; i++ {
-		vp := VPage(d.U64())
-		p := PTE(d.U64())
-		if d.Err() != nil {
-			return d.Err()
-		}
+		vp := VPage(binary.LittleEndian.Uint64(recs[16*i:]))
+		p := PTE(binary.LittleEndian.Uint64(recs[16*i+8:]))
 		if i > 0 && vp <= prevVP {
 			return fmt.Errorf("pagetable: vpages out of order (%d after %d)", vp, prevVP)
 		}
 		prevVP = vp
-		if _, ok := r.leafThreads[LeafIndex(vp)]; !ok {
-			return fmt.Errorf("pagetable: PTE at %#x in unlinked leaf", uint64(vp))
+		if li := LeafIndex(vp); !c.at(li) {
+			if _, ok := r.leafThreads[li]; !ok {
+				return fmt.Errorf("pagetable: PTE at %#x in unlinked leaf", uint64(vp))
+			}
 		}
 		if !p.Shared() && int(p.Owner()) >= r.nthreads {
 			return fmt.Errorf("pagetable: PTE at %#x owned by thread %d of %d",
 				uint64(vp), p.Owner(), r.nthreads)
 		}
-		if err := r.proc.Map(vp, p); err != nil {
+		if _, err := c.mapLeaf(vp, p); err != nil {
 			return fmt.Errorf("pagetable: restoring PTE: %w", err)
 		}
 	}

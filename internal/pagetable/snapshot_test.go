@@ -8,6 +8,7 @@ import (
 
 	"vulcan/internal/checkpoint"
 	"vulcan/internal/mem"
+	"vulcan/internal/sim"
 )
 
 // buildReplicated populates a replicated table with a mix of shared and
@@ -168,8 +169,9 @@ func TestReplicatedRestoreBoundsPrivateTables(t *testing.T) {
 // it accepts — Restore and Close both succeed — must re-encode
 // byte-identically through Snapshot, and its rebuilt leaf masks must
 // agree with its PTEs: the decoder admits exactly the states the
-// encoder writes. The restore's table budget keeps one
-// execution's memory proportional to the blob.
+// encoder writes; its Mapped and FastMapped counts match a recount of
+// the restored PTEs (checkTableMasks). The restore's table budget keeps
+// one execution's memory proportional to the blob.
 func FuzzReplicatedRestore(f *testing.F) {
 	for _, n := range []int{4, 6} {
 		e := &checkpoint.Encoder{}
@@ -206,4 +208,83 @@ func FuzzReplicatedRestore(f *testing.F) {
 		}
 		checkTableMasks(t, r)
 	})
+}
+
+// TestReplicatedRestoreErrorTexts pins Restore's PTE-loop errors, in
+// the order it checks them, across leaves: the link check runs once
+// per leaf, so a PTE in an unlinked leaf after a linked one must still
+// fail.
+func TestReplicatedRestoreErrorTexts(t *testing.T) {
+	section := func(ptes ...uint64) []byte {
+		e := &checkpoint.Encoder{}
+		e.Int(1)
+		e.Int(2) // leaves 0 and 2, both linked by thread 0
+		for _, li := range []uint64{0, 2} {
+			e.U64(li)
+			e.U64(1)
+			e.U64(0)
+		}
+		e.Int(len(ptes) / 2)
+		for _, v := range ptes {
+			e.U64(v)
+		}
+		return e.Bytes()
+	}
+	pte := func(owner uint8) uint64 { return uint64(NewPTE(mem.Frame{Index: 1}, owner)) }
+	for _, c := range []struct {
+		blob []byte
+		want string
+	}{
+		{section(5, pte(0), 3, pte(0)), "pagetable: vpages out of order (3 after 5)"},
+		{section(5, pte(0), 0x201, pte(0)), "pagetable: PTE at 0x201 in unlinked leaf"},
+		{section(0x201, pte(0)), "pagetable: PTE at 0x201 in unlinked leaf"},
+		{section(5, pte(0), 6, pte(0), 0x403, pte(5)), "pagetable: PTE at 0x403 owned by thread 5 of 1"},
+		{section(5, pte(0), 0x400, 0), "pagetable: restoring PTE: pagetable: mapping non-present PTE at 0x400"},
+	} {
+		err := NewReplicated(1).Restore(checkpoint.NewDecoder(c.blob))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Restore error = %v, want %q", err, c.want)
+		}
+	}
+}
+
+// TestMapCursorMatchesMap maps the same page sequence — runs within
+// leaves, steps across them, a jump back, repeats and non-present
+// entries — through Map and through one MapCursor: every error and the
+// resulting table must agree.
+func TestMapCursorMatchesMap(t *testing.T) {
+	rng := sim.NewRNG(3)
+	want, got := NewReplicated(opsThreads), NewReplicated(opsThreads)
+	c := got.MapCursor()
+	vp := VPage(0)
+	for i := 0; i < 3000; i++ {
+		vp += VPage(rng.Intn(3))
+		if i == 2000 {
+			vp -= 1500
+		}
+		tid := rng.Intn(opsThreads)
+		p := NewPTE(mem.Frame{Tier: mem.TierID(i & 1), Index: uint32(i)}, 0)
+		if i%97 == 0 {
+			p = 0
+		}
+		errWant, errGot := want.Map(tid, vp, p), c.Map(tid, vp, p)
+		if (errWant == nil) != (errGot == nil) || errWant != nil && errWant.Error() != errGot.Error() {
+			t.Fatalf("map %d at %#x: cursor error %v, Map error %v", i, uint64(vp), errGot, errWant)
+		}
+	}
+	ew, eg := &checkpoint.Encoder{}, &checkpoint.Encoder{}
+	want.Snapshot(ew)
+	got.Snapshot(eg)
+	if !bytes.Equal(ew.Bytes(), eg.Bytes()) {
+		t.Fatal("cursor-mapped table snapshots differently")
+	}
+	for tid := 0; tid < opsThreads; tid++ {
+		if got.upperTables(tid) != want.upperTables(tid) {
+			t.Fatalf("thread %d: %d upper tables, want %d", tid, got.upperTables(tid), want.upperTables(tid))
+		}
+	}
+	if got.TotalTables() != want.TotalTables() || got.Mapped() != want.Mapped() || got.FastMapped() != want.FastMapped() {
+		t.Fatal("cursor-mapped table counts differ")
+	}
+	checkTableMasks(t, got)
 }

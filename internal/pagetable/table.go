@@ -173,19 +173,8 @@ func (t *Table) Map(vp VPage, p PTE) error {
 // mapLeaf is Map that also returns the leaf it wrote, so a caller that
 // links the leaf elsewhere does not walk to it again.
 func (t *Table) mapLeaf(vp VPage, p PTE) (*Leaf, error) {
-	if !p.Present() {
-		return nil, fmt.Errorf("pagetable: mapping non-present PTE at %#x", uint64(vp))
-	}
-	leaf, i := t.walk(vp)
-	if leaf.PTE(i).Present() {
-		return nil, fmt.Errorf("pagetable: vpage %#x already mapped", uint64(vp))
-	}
-	leaf.SetPTE(i, p)
-	t.mapped++
-	if p.Frame().Tier == mem.TierFast {
-		t.fastMapped++
-	}
-	return leaf, nil
+	c := mapCursor{t: t}
+	return c.mapLeaf(vp, p)
 }
 
 // Unmap clears the PTE for vp, returning the prior entry. ok is false when
@@ -350,6 +339,41 @@ func (c *Cursor) Lookup(vp VPage) (PTE, bool) {
 	}
 	p := c.leaf.ptes[vp&(EntriesPerTable-1)]
 	return p, p.Present()
+}
+
+// mapCursor maps PTEs through the last leaf it reached, so mapping a
+// run of pages in ascending order walks the tree once per leaf instead
+// of once per page. Like Cursor it is short-lived: it stays valid while
+// the table is mutated, but not across a Restore.
+type mapCursor struct {
+	t    *Table
+	li   uint64
+	leaf *Leaf
+}
+
+// at reports whether the cursor rests on leaf li.
+func (c *mapCursor) at(li uint64) bool { return c.leaf != nil && c.li == li }
+
+// mapLeaf installs p at vp, like Table.Map, and returns the leaf it
+// wrote.
+func (c *mapCursor) mapLeaf(vp VPage, p PTE) (*Leaf, error) {
+	if !p.Present() {
+		return nil, fmt.Errorf("pagetable: mapping non-present PTE at %#x", uint64(vp))
+	}
+	if li := LeafIndex(vp); !c.at(li) {
+		c.leaf, _ = c.t.walk(vp)
+		c.li = li
+	}
+	i := int(vp & (EntriesPerTable - 1))
+	if c.leaf.PTE(i).Present() {
+		return nil, fmt.Errorf("pagetable: vpage %#x already mapped", uint64(vp))
+	}
+	c.leaf.SetPTE(i, p)
+	c.t.mapped++
+	if p.Frame().Tier == mem.TierFast {
+		c.t.fastMapped++
+	}
+	return c.leaf, nil
 }
 
 // checkMasks verifies every leaf's fast and A/D masks against its

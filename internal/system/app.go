@@ -247,6 +247,15 @@ func newAppAccounts(p *prof.Profiler, app string) appAccounts {
 // first-touch placement (the paper's workloads are warmed before
 // measurement).
 func (a *App) admit(sys *System, placer Placer) {
+	a.build(sys)
+	a.premap(placer)
+}
+
+// build constructs the app's runtime objects — engine, migrators,
+// profiler, TLBs, threads and the THP overlay — and makes it live, with
+// nothing mapped. Resume stops here: the checkpoint's overlays supply
+// what premap would have produced (DESIGN.md §11).
+func (a *App) build(sys *System) {
 	a.sys = sys
 	a.acct = newAppAccounts(sys.prof, a.Cfg.Name)
 	a.Table = pagetable.NewReplicated(a.Cfg.Threads)
@@ -299,9 +308,11 @@ func (a *App) admit(sys *System, placer Placer) {
 	}
 	a.sampleFaults = sys.inj.Profile(a.Cfg.Name)
 
-	a.premap(placer)
 	if !sys.cfg.DisableTHP {
-		a.huge = NewHugeSet(a.rssMapped)
+		// Premap maps exactly the layout's pages, so this is the
+		// resident set the premap leaves.
+		_, _, mapped := a.premapLayout()
+		a.huge = NewHugeSet(mapped)
 	}
 	a.started = true
 	i, _ := slices.BinarySearchFunc(sys.live, a.Index, byIndex)
@@ -357,6 +368,7 @@ func (a *App) noteDelayedAcks(threads []int) {
 // set over time.
 func (a *App) premap(placer Placer) {
 	sharedPages, privPer, mapped := a.premapLayout()
+	c := a.Table.MapCursor()
 	for vp := 0; vp < mapped; vp++ {
 		tid := 0
 		if vp < sharedPages {
@@ -364,7 +376,7 @@ func (a *App) premap(placer Placer) {
 		} else {
 			tid = (vp - sharedPages) / privPer
 		}
-		a.mapNewPage(pagetable.VPage(vp), tid, placer)
+		a.mapNewPage(&c, pagetable.VPage(vp), tid, placer)
 	}
 	a.rssMapped = a.Table.Mapped()
 }
@@ -386,8 +398,8 @@ func (a *App) premapLayout() (shared, privPer, mapped int) {
 }
 
 // mapNewPage allocates a frame (policy placement with fast-first
-// fallback) and installs the mapping with tid as owner.
-func (a *App) mapNewPage(vp pagetable.VPage, tid int, placer Placer) {
+// fallback) and installs the mapping with tid as owner through c.
+func (a *App) mapNewPage(c *pagetable.MapCursor, vp pagetable.VPage, tid int, placer Placer) {
 	var frame mem.Frame
 	var ok bool
 	if placer != nil {
@@ -407,7 +419,7 @@ func (a *App) mapNewPage(vp pagetable.VPage, tid int, placer Placer) {
 		panic(fmt.Sprintf("system: out of physical memory mapping %s page %d",
 			a.Cfg.Name, vp))
 	}
-	if err := a.Table.Map(tid, vp, pagetable.NewPTE(frame, uint8(tid))); err != nil {
+	if err := c.Map(tid, vp, pagetable.NewPTE(frame, uint8(tid))); err != nil {
 		panic(fmt.Sprintf("system: premap collision: %v", err))
 	}
 }
@@ -461,7 +473,8 @@ func (a *App) runEpochAccesses(samples int, epochCycles float64, bwUtil [mem.Num
 			if !ok {
 				// Beyond the premapped region (integer division slack):
 				// demand-fault it in.
-				a.mapNewPage(vp, tid, a.sys.placer)
+				c := a.Table.MapCursor()
+				a.mapNewPage(&c, vp, tid, a.sys.placer)
 				res, _ = a.Table.Touch(tid, vp, ref.Write)
 				a.epochEventCyc += cost.MinorFaultCycles
 				a.epochDemandFaults++

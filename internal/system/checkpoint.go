@@ -130,6 +130,25 @@ func (s *System) Checkpoint(w io.Writer) error {
 // original end time produces report, trace and metrics output
 // byte-identical to the uninterrupted run.
 func Resume(r io.Reader, cfg Config) (*System, error) {
+	return resume(r, cfg, (*System).rebuild)
+}
+
+// rebuild brings back one app the checkpointed run had admitted: its
+// runtime objects and its policy registration, never its premap. The
+// overlays Resume applies next supply the frames, tables and RNG state;
+// a placer that counts its placements is told what the premap's Place
+// calls would have left (DESIGN.md §11).
+func (s *System) rebuild(a *App) {
+	a.build(s)
+	if pp, ok := s.placer.(PremapPlacer); ok {
+		_, _, n := a.premapLayout()
+		pp.Premapped(s, a, n)
+	}
+	s.policy.AppStarted(s, a)
+}
+
+// resume is Resume with the per-app admission step as a parameter.
+func resume(r io.Reader, cfg Config, admit func(*System, *App)) (*System, error) {
 	cr, err := checkpoint.NewReader(r)
 	if err != nil {
 		return nil, err
@@ -211,25 +230,12 @@ func Resume(r io.Reader, cfg Config) (*System, error) {
 		return nil, err
 	}
 
-	// Replay the running apps' admissions in the recorded order, so
-	// policies register workloads in the same sequence as the
-	// checkpointed run. Retired apps are not rebuilt: their app sections
-	// restore the summary directly. Placement and RNG side effects of
-	// the replay are overwritten by the overlays below. The running apps
-	// held their premaps at once, so a list whose premaps exceed the
-	// machine is corrupt (and would exhaust memory mid-replay).
-	premapped := 0
+	// Rebuild the running apps in the recorded order, so policies
+	// register workloads in the same sequence as the checkpointed run.
+	// Retired apps are not rebuilt: their app sections restore the
+	// summary directly.
 	for _, idx := range s.admitOrder {
-		_, _, n := s.apps[idx].premapLayout()
-		premapped += n
-	}
-	if capacity := s.tiers.Fast().Capacity() + s.tiers.Slow().Capacity(); premapped > capacity {
-		return nil, fmt.Errorf("system: checkpoint admits %d premapped pages, the machine has %d", premapped, capacity)
-	}
-	for _, idx := range s.admitOrder {
-		a := s.apps[idx]
-		a.admit(s, s.placer)
-		s.policy.AppStarted(s, a)
+		admit(s, s.apps[idx])
 	}
 
 	// Substrate overlays. Tiers go wholesale after admissions so the

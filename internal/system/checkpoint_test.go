@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vulcan/internal/fault"
+	"vulcan/internal/mem"
 	"vulcan/internal/obs"
 	"vulcan/internal/sim"
 	"vulcan/internal/workload"
@@ -241,6 +242,49 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	bad.Apps[0].Name = "other"
 	if _, err := Resume(bytes.NewReader(blob.Bytes()), bad); err == nil {
 		t.Fatal("app-name mismatch accepted")
+	}
+}
+
+// countingPlacer is the static policy with a first-touch placer that
+// counts its calls.
+type countingPlacer struct {
+	NullPolicy
+	calls int
+}
+
+func (p *countingPlacer) Place(*System, *App) mem.TierID {
+	p.calls++
+	return mem.TierFast
+}
+
+// TestResumeNeverPlaces pins that Resume is a decode: it rebuilds the
+// admitted apps without premapping them, so the placer never runs.
+func TestResumeNeverPlaces(t *testing.T) {
+	config := func(p *countingPlacer) Config {
+		cfg := ckptConfig(nil)
+		cfg.Policy = p
+		return cfg
+	}
+	src := &countingPlacer{}
+	sys := New(config(src))
+	runEpochs(sys, 5) // both apps admitted
+	if src.calls == 0 {
+		t.Fatal("the admissions placed no page")
+	}
+	var blob bytes.Buffer
+	if err := sys.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	dst := &countingPlacer{}
+	resumed, err := Resume(bytes.NewReader(blob.Bytes()), config(dst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst.calls != 0 {
+		t.Fatalf("Resume placed %d pages", dst.calls)
+	}
+	if len(resumed.StartedApps()) != 2 {
+		t.Fatalf("Resume rebuilt %d apps, want 2", len(resumed.StartedApps()))
 	}
 }
 

@@ -110,7 +110,7 @@ type System struct {
 
 	// admitOrder records the running apps' indices in admission order.
 	// Policies keep per-workload state in registration order, so a
-	// checkpoint must replay admissions in this order, not index order
+	// resume must register the apps in this order, not index order
 	// (staggered starts make the two differ). StopApp removes the
 	// retired app's entry.
 	admitOrder []int

@@ -78,6 +78,16 @@ type Placer interface {
 	Place(sys *System, app *App) mem.TierID
 }
 
+// PremapPlacer is optionally implemented by placers whose Place keeps
+// per-app state. Resume never premaps: for each running app, in
+// admission order and before AppStarted, it calls Premapped with the
+// number of pages the app's admission premap placed, and the placer
+// sets the state those Place calls left.
+type PremapPlacer interface {
+	Placer
+	Premapped(sys *System, app *App, pages int)
+}
+
 // NullPolicy performs no migrations — the static first-touch baseline.
 type NullPolicy struct{}
 

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"vulcan/internal/checkpoint"
@@ -34,8 +35,9 @@ func (t *TLB) Restore(d *checkpoint.Decoder) error {
 	if n != len(t.tags) {
 		return fmt.Errorf("tlb: %d entries in checkpoint, %d configured", n, len(t.tags))
 	}
+	recs := d.Fixed(8 * n) // Length checked that the section holds them
 	for i := range t.tags {
-		t.tags[i] = d.U64()
+		t.tags[i] = binary.LittleEndian.Uint64(recs[8*i:])
 	}
 	t.stats.Hits = d.U64()
 	t.stats.Misses = d.U64()
