@@ -48,16 +48,17 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs twelve native fuzz targets for ten seconds each: the
+# fuzz-smoke runs thirteen native fuzz targets for ten seconds each: the
 # checkpoint container (FuzzCheckpointReader), the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
 # (FuzzReplicatedRestore), page-table operation sequences against the
 # leaf masks (FuzzTableOps), the trace reader (FuzzTraceRead), the tier
 # checkpoint decoder (FuzzTiersRestore), the profiler checkpoint
-# decoder (FuzzProfilerRestore), the telemetry checkpoint decoder
-# (FuzzRecorderRestore), the system checkpoint section
-# (FuzzSystemSection) and the workload thread decoder
+# decoder (FuzzProfilerRestore), the hint-fault window rebuild against
+# its per-PTE reference (FuzzHintFaultWindow), the telemetry
+# checkpoint decoder (FuzzRecorderRestore), the system checkpoint
+# section (FuzzSystemSection) and the workload thread decoder
 # (FuzzThreadRestore). Their seed corpora also run in every `go test`;
 # a failing input lands in the package's testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceRead -fuzztime 10s
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzTiersRestore -fuzztime 10s
 	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzProfilerRestore -fuzztime 10s
+	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzHintFaultWindow -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRecorderRestore -fuzztime 10s
 	$(GO) test ./internal/system -run '^$$' -fuzz FuzzSystemSection -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzThreadRestore -fuzztime 10s

@@ -1,5 +1,7 @@
 package pagetable
 
+import "math/bits"
+
 // threadMapsLeaf reports whether tid has linked the leaf covering vp.
 func (r *Replicated) threadMapsLeaf(tid int, vp VPage) bool {
 	r.checkTid(tid)
@@ -16,3 +18,12 @@ func (r *Replicated) upperTables(tid int) int {
 
 // sharedLeaves returns the number of shared last-level tables.
 func (r *Replicated) sharedLeaves() int { return len(r.leafThreads) }
+
+// Live returns the number of present entries in the leaf.
+func (l *Leaf) Live() int {
+	n := 0
+	for _, w := range l.present {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}

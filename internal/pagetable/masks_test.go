@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -92,10 +93,12 @@ func touchReference(r *Replicated, tid int, vp VPage, write bool) (TouchResult, 
 }
 
 // checkTableMasks asserts the leaf masks and counts agree with the
-// PTEs: CheckMasks passes, RangeFast visits exactly Range's present
-// fast-tier pages, Mapped and FastMapped match a recount, a
-// SweepAccessed that changes nothing visits exactly the PTEs with A or
-// D set, and a cursor finds what Lookup finds.
+// PTEs: CheckMasks passes, Range visits exactly the pages Lookup finds,
+// PresentFrom's words hold exactly Range's pages at or above a start,
+// RangeFast visits exactly Range's present fast-tier pages, Mapped and
+// FastMapped match a recount, a SweepAccessed that changes nothing
+// visits exactly the PTEs with A or D set, and a cursor finds what
+// Lookup finds.
 func checkTableMasks(t *testing.T, r *Replicated) {
 	t.Helper()
 	if err := r.CheckMasks(); err != nil {
@@ -112,6 +115,35 @@ func checkTableMasks(t *testing.T, r *Replicated) {
 		}
 		return true
 	})
+	var lookedUp []VPage
+	end := VPage(opsPages)
+	if n := len(mapped); n > 0 {
+		end = max(end, mapped[n-1]+1)
+	}
+	for vp := VPage(0); vp < end; vp++ {
+		if _, ok := r.Lookup(vp); ok {
+			lookedUp = append(lookedUp, vp)
+		}
+	}
+	if !slices.Equal(mapped, lookedUp) {
+		t.Fatalf("Range visited %v, Lookup finds %v", mapped, lookedUp)
+	}
+	for _, start := range []VPage{0, 1, 63, 64, EntriesPerTable + 130, opsPages - 1, opsPages + 5} {
+		var got []VPage
+		r.PresentFrom(start, func(base VPage, word uint64) bool {
+			if base&63 != 0 || word == 0 {
+				t.Fatalf("PresentFrom(%d) yielded word %#x at base %#x", start, word, uint64(base))
+			}
+			for ; word != 0; word &= word - 1 {
+				got = append(got, base+VPage(bits.TrailingZeros64(word)))
+			}
+			return true
+		})
+		i, _ := slices.BinarySearch(mapped, start)
+		if want := mapped[i:]; !slices.Equal(got, want) {
+			t.Fatalf("PresentFrom(%d) yielded %v, want %v", start, got, want)
+		}
+	}
 	var gotFast, gotAD []VPage
 	r.RangeFast(func(vp VPage) { gotFast = append(gotFast, vp) })
 	r.SweepAccessed(func(vp VPage, p PTE) PTE {

@@ -104,12 +104,12 @@ func (r *Replicated) Lookup(vp VPage) (PTE, bool) { return r.proc.Lookup(vp) }
 // Range iterates present PTEs in ascending VPage order.
 func (r *Replicated) Range(fn func(vp VPage, p PTE) bool) { r.proc.Range(fn) }
 
-// RangeFrom iterates present PTEs with vp >= start in ascending order
-// through the process view, stopping when fn returns false.
+// PresentFrom yields the present-mask words covering pages at or above
+// start in ascending order (see Table.PresentFrom).
 //
 //vulcan:hotpath
-func (r *Replicated) RangeFrom(start VPage, fn func(vp VPage, p PTE) bool) {
-	r.proc.RangeFrom(start, fn)
+func (r *Replicated) PresentFrom(start VPage, fn func(base VPage, word uint64) bool) {
+	r.proc.PresentFrom(start, fn)
 }
 
 // RangeFast iterates present fast-tier PTEs in ascending VPage order.
@@ -127,8 +127,8 @@ func (r *Replicated) SweepAccessed(fn func(vp VPage, p PTE) PTE) { r.proc.SweepA
 // Cursor returns a lookup cursor over the shared leaves.
 func (r *Replicated) Cursor() Cursor { return r.proc.Cursor() }
 
-// CheckMasks verifies the leaves' fast and A/D masks against their
-// PTEs: the masks are derived state, so a mismatch means some write
+// CheckMasks verifies the leaves' present, fast and A/D masks against
+// their PTEs: the masks are derived state, so a mismatch means some write
 // bypassed Leaf.SetPTE.
 func (r *Replicated) CheckMasks() error { return r.proc.checkMasks() }
 

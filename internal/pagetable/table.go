@@ -12,18 +12,19 @@ import (
 // replicated design, because they "constitute the majority of the page
 // table structure" (paper §3.4).
 //
-// Two masks mirror one PTE predicate each per slot: fast marks a
-// present entry whose frame is in the fast tier, ad a present entry
-// with the accessed or dirty bit set. SetPTE is the only writer of
-// ptes and keeps both exact, so the policy's fast-page walks and the
-// profiler's A/D sweep visit only the slots they need instead of every
-// mapped PTE. The masks are derived state: a checkpoint carries the
-// PTEs, and restore rebuilds the masks through Map.
+// Three masks mirror one PTE predicate each per slot: present marks a
+// present entry, fast a present entry whose frame is in the fast tier,
+// ad a present entry with the accessed or dirty bit set. SetPTE is the
+// only writer of ptes and keeps all three exact, so the walks over
+// mapped pages, the policy's fast-page walks and the profiler's A/D
+// sweep visit only the slots they need instead of every PTE slot. The
+// masks are derived state: a checkpoint carries the PTEs, and restore
+// rebuilds the masks through Map.
 type Leaf struct {
-	ptes [EntriesPerTable]PTE
-	live int // number of present entries
-	fast leafMask
-	ad   leafMask
+	ptes    [EntriesPerTable]PTE
+	present leafMask
+	fast    leafMask
+	ad      leafMask
 }
 
 // leafMask holds one bit per leaf slot.
@@ -32,21 +33,16 @@ type leafMask [EntriesPerTable / 64]uint64
 // PTE returns the entry at slot i.
 func (l *Leaf) PTE(i int) PTE { return l.ptes[i] }
 
-// SetPTE stores an entry at slot i, maintaining the live-entry count
-// and the fast and A/D masks.
+// SetPTE stores an entry at slot i, maintaining the present, fast and
+// A/D masks.
 func (l *Leaf) SetPTE(i int, p PTE) {
-	was, is := l.ptes[i].Present(), p.Present()
 	l.ptes[i] = p
-	switch {
-	case !was && is:
-		l.live++
-	case was && !is:
-		l.live--
-	}
 	w, bit := i>>6, uint64(1)<<(i&63)
+	l.present[w] &^= bit
 	l.fast[w] &^= bit
 	l.ad[w] &^= bit
-	if is {
+	if p.Present() {
+		l.present[w] |= bit
 		if p.fastTier() {
 			l.fast[w] |= bit
 		}
@@ -55,9 +51,6 @@ func (l *Leaf) SetPTE(i int, p PTE) {
 		}
 	}
 }
-
-// Live returns the number of present entries in the leaf.
-func (l *Leaf) Live() int { return l.live }
 
 // Upper-level tables. Distinct types per level keep walks branch-free and
 // make the replication boundary (upper levels private, leaves shared)
@@ -233,34 +226,47 @@ func (w *leafWalk) next() (base VPage, leaf *Leaf, ok bool) {
 	return 0, nil, false
 }
 
-// Range calls fn for every present PTE in ascending VPage order. fn may
-// return false to stop early. Range is the substrate for page-table
-// scanning profilers.
-func (t *Table) Range(fn func(vp VPage, p PTE) bool) { t.RangeFrom(0, fn) }
+// Range calls fn for every present PTE in ascending VPage order,
+// reading the leaves' present masks. fn may return false to stop early.
+// Range is the substrate for page-table scanning profilers.
+func (t *Table) Range(fn func(vp VPage, p PTE) bool) {
+	w := leafWalk{t: t}
+	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
+		for i, word := range leaf.present {
+			for ; word != 0; word &= word - 1 {
+				i1 := i<<6 | bits.TrailingZeros64(word)
+				if !fn(base|VPage(i1), leaf.ptes[i1]) {
+					return
+				}
+			}
+		}
+	}
+}
 
-// RangeFrom calls fn for every present PTE with vp >= start in ascending
-// VPage order, stopping when fn returns false. Cursor-based scanners use
-// it to resume a rotating walk without re-visiting the prefix below the
-// cursor.
+// PresentFrom calls fn with every nonzero word of the leaves' present
+// masks that covers a page at or above start, in ascending order: bit i
+// of word is page base+i, and the bits of pages below start are
+// cleared. It stops when fn returns false. Cursor-based scanners use it
+// to resume a rotating walk 64 pages at a time without re-visiting the
+// prefix below the cursor.
 //
 //vulcan:hotpath
-func (t *Table) RangeFrom(start VPage, fn func(vp VPage, p PTE) bool) {
+func (t *Table) PresentFrom(start VPage, fn func(base VPage, word uint64) bool) {
 	if start > MaxVPage {
 		return
 	}
-	s4, s3, s2, s1 := splitVPage(start)
+	s4, s3, s2, _ := splitVPage(start)
 	w := leafWalk{t: t, i4: s4, i3: s3, i2: s2}
 	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
-		if leaf.Live() == 0 {
-			continue
-		}
-		i1 := 0
-		if base == start&^(EntriesPerTable-1) {
-			i1 = s1
-		}
-		for ; i1 < EntriesPerTable; i1++ {
-			p := leaf.ptes[i1]
-			if p.Present() && !fn(base|VPage(i1), p) {
+		for i, word := range leaf.present {
+			wb := base | VPage(i<<6)
+			if wb+64 <= start {
+				continue
+			}
+			if wb < start {
+				word &^= 1<<(start-wb) - 1
+			}
+			if word != 0 && !fn(wb, word) {
 				return
 			}
 		}
@@ -376,20 +382,26 @@ func (c *mapCursor) mapLeaf(vp VPage, p PTE) (*Leaf, error) {
 	return c.leaf, nil
 }
 
-// checkMasks verifies every leaf's fast and A/D masks against its
-// PTEs, returning the first disagreement.
+// checkMasks verifies every leaf's present, fast and A/D masks against
+// its PTEs, returning the first disagreement.
 func (t *Table) checkMasks() error {
 	w := leafWalk{t: t}
 	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
-		var fast, ad leafMask
+		var present, fast, ad leafMask
 		for i, p := range leaf.ptes {
 			bit := uint64(1) << (i & 63)
+			if p.Present() {
+				present[i>>6] |= bit
+			}
 			if p.Present() && p.fastTier() {
 				fast[i>>6] |= bit
 			}
 			if p.Present() && p.accessedOrDirty() {
 				ad[i>>6] |= bit
 			}
+		}
+		if present != leaf.present {
+			return fmt.Errorf("pagetable: leaf at %#x: present mask %x, PTEs say %x", uint64(base), leaf.present, present)
 		}
 		if fast != leaf.fast {
 			return fmt.Errorf("pagetable: leaf at %#x: fast mask %x, PTEs say %x", uint64(base), leaf.fast, fast)

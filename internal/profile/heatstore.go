@@ -7,32 +7,34 @@ import (
 	"vulcan/internal/radix"
 )
 
-// This file implements the dense struct-of-arrays page stores that back
-// every profiler's hot path. The previous implementation kept per-page
-// state in Go maps (map[VPage]heatStat and siblings); map access cost
-// and per-epoch randomized walks with re-insertion dominated the figure
+// This file implements the dense page stores that back every
+// profiler's hot path. The previous implementation kept per-page state
+// in Go maps (map[VPage]heatStat and siblings); map access cost and
+// per-epoch randomized walks with re-insertion dominated the figure
 // benchmarks' cycle and allocation profiles. The stores here are paged
 // arrays indexed directly by virtual page number:
 //
 //   - pages are grouped into chunks of 4096 (chunkPages); each chunk
-//     holds the per-page fields as separate parallel arrays, so epoch
-//     sweeps (decay, evict-below compaction, snapshot collection) are
-//     branch-light linear passes over contiguous memory;
+//     holds one heatCell (heat, reads, writes) per page, so a sweep
+//     reads one cell per live page, and a live mask with one bit per
+//     page;
 //   - chunks hang off a two-level directory (512 chunk pointers per
 //     block), so the full 2^36-page virtual space is addressable without
 //     reserving memory for unused regions;
 //   - steady-state operation allocates nothing: chunks are allocated
 //     once when a page region is first touched and then reused forever;
-//   - each heat chunk keeps the span [lo, hi) that holds its live cells,
-//     so sweeps cost what a tenant tracks (a few hundred pages), not the
-//     chunk's 4096 cells;
+//   - epoch sweeps (decay, evict-below compaction, snapshot collection)
+//     visit the set bits of the live mask's words inside the span
+//     [lo, hi) that holds the chunk's live cells, so they cost the pages
+//     a tenant tracks, not the cells between them;
 //   - a chunk allocates only its first 512 cells (chunkHeadPages) until
 //     a page beyond them is recorded: a tenant's pages are numbered from
 //     0, so a tenant under 512 pages never pays for the other 3584.
 //
 // Liveness is encoded in the heat field itself: every record weight is
-// positive and decay eviction zeroes all fields, so heat != 0 is exactly
-// "this page is tracked". Restore validates that invariant on input.
+// positive and decay eviction zeroes the whole cell, so heat != 0 is
+// exactly "this page is tracked", and the live mask bit mirrors it.
+// Restore validates that invariant on input.
 const (
 	chunkShift = 12
 	chunkPages = 1 << chunkShift // pages per chunk
@@ -50,20 +52,24 @@ func chunkBase(hi, ci int) pagetable.VPage {
 	return pagetable.VPage(hi)<<(chunkShift+dirShift) | pagetable.VPage(ci)<<chunkShift
 }
 
-// heatChunk holds one 4096-page region's profiled state as parallel
-// arrays (struct-of-arrays): the decay sweep streams through heat[]
-// first and only touches reads[]/writes[] for live entries. The arrays
-// hold chunkHeadPages or chunkPages cells (see grow); a page past them
-// is untracked.
+// heatCell is one page's profiled state.
+type heatCell struct{ heat, reads, writes float64 }
+
+// heatChunk holds one 4096-page region's profiled state: one cell per
+// page, so the decay sweep reads a live page's three fields together,
+// and a live mask, so it never tests a dead cell. cells holds
+// chunkHeadPages or chunkPages entries (see grow); a page past them is
+// untracked.
 type heatChunk struct {
-	heat   []float64
-	reads  []float64
-	writes []float64
-	live   int
-	// lo and hi bound the live cells: every i with heat[i] != 0 lies in
-	// [lo, hi), and cells outside it are zero in all three arrays, so
-	// sweeps walk only the span. record and setRaw widen it, endEpoch
-	// narrows it to the survivors; it is empty (lo == hi) when live is 0.
+	cells []heatCell
+	live  int
+	// mask has bit i set exactly when cells[i].heat != 0. It is part of
+	// the chunk struct, so growing the cells stays one allocation.
+	mask bitmapChunk
+	// lo and hi bound the live cells: every i with heat != 0 lies in
+	// [lo, hi), and cells outside it are all-zero, so sweeps walk only
+	// the mask words over the span. markLive widens it, endEpoch narrows
+	// it to the survivors; it is empty (lo == hi) when live is 0.
 	lo, hi int
 	// maxHeat upper-bounds every live cell's heat (exact after an epoch
 	// sweep, conservative between sweeps). When one more decay would
@@ -136,7 +142,7 @@ func (h *heatStore) ensureChunk(vp pagetable.VPage) *heatChunk {
 		c = new(heatChunk) //vulcan:allowalloc chunk allocation, once per 4096-page region
 		blk[ci] = c
 	}
-	if i := int(vp) & chunkMask; i >= len(c.heat) {
+	if i := int(vp) & chunkMask; i >= len(c.cells) {
 		c.grow(i)
 	}
 	return c
@@ -150,27 +156,21 @@ func (c *heatChunk) grow(i int) {
 	if i < chunkHeadPages {
 		n = chunkHeadPages
 	}
-	cells := make([]float64, 3*n) //vulcan:allowalloc chunk cells, at most twice per 4096-page region
-	heat, reads, writes := cells[:n:n], cells[n:2*n:2*n], cells[2*n:]
-	copy(heat, c.heat)
-	copy(reads, c.reads)
-	copy(writes, c.writes)
-	c.heat, c.reads, c.writes = heat, reads, writes
+	cells := make([]heatCell, n) //vulcan:allowalloc chunk cells, at most twice per 4096-page region
+	copy(cells, c.cells)
+	c.cells = cells
 }
 
-// span returns the three arrays over the live span, all of one length.
+// words returns the range of mask words that covers the live span.
 //
 //vulcan:hotpath
-func (c *heatChunk) span() (heat, reads, writes []float64) {
-	lo, hi := c.lo, c.hi
-	return c.heat[lo:hi], c.reads[lo:hi:hi], c.writes[lo:hi:hi]
-}
+func (c *heatChunk) words() (lo, hi int) { return c.lo >> 6, (c.hi + 63) >> 6 }
 
-// widen extends the live span to cover cell i, which is about to turn
-// live.
+// markLive extends the live span to cover cell i, sets its live mask
+// bit and counts it; the cell is about to turn live.
 //
 //vulcan:hotpath
-func (c *heatChunk) widen(i int) {
+func (c *heatChunk) markLive(i int) {
 	switch {
 	case c.live == 0:
 		c.lo, c.hi = i, i+1
@@ -179,21 +179,27 @@ func (c *heatChunk) widen(i int) {
 	case i >= c.hi:
 		c.hi = i + 1
 	}
+	c.mask[i>>6] |= 1 << (i & 63)
+	c.live++
 }
 
-// narrow shrinks the live span past the dead cells at either end,
-// after a sweep evicted some.
+// narrow shrinks the live span to the first and last set bits of the
+// live mask, after a sweep evicted some cells.
 func (c *heatChunk) narrow() {
 	if c.live == 0 {
 		c.lo, c.hi = 0, 0
 		return
 	}
-	for c.heat[c.lo] == 0 {
-		c.lo++
+	w := c.lo >> 6
+	for c.mask[w] == 0 {
+		w++
 	}
-	for c.heat[c.hi-1] == 0 {
-		c.hi--
+	c.lo = w<<6 | bits.TrailingZeros64(c.mask[w])
+	w = (c.hi - 1) >> 6
+	for c.mask[w] == 0 {
+		w--
 	}
+	c.hi = w<<6 + 64 - bits.LeadingZeros64(c.mask[w])
 }
 
 // record credits one observation. Weights are always positive, so a
@@ -204,28 +210,29 @@ func (h *heatStore) record(vp pagetable.VPage, write bool, weight float64) {
 	h.snapValid = false
 	c := h.ensureChunk(vp)
 	i := int(vp) & chunkMask
-	if c.heat[i] == 0 {
-		c.widen(i)
-		c.live++
+	cell := &c.cells[i]
+	if cell.heat == 0 {
+		c.markLive(i)
 		h.trackedPages++
 	}
-	v := c.heat[i] + weight
-	c.heat[i] = v
+	v := cell.heat + weight
+	cell.heat = v
 	if v > c.maxHeat {
 		c.maxHeat = v
 	}
 	if write {
-		c.writes[i] += weight
+		cell.writes += weight
 	} else {
-		c.reads[i] += weight
+		cell.reads += weight
 	}
 }
 
 // endEpoch ages every tracked page and evicts entries whose heat decayed
-// to noise — one linear sweep per live chunk instead of a map walk. When
-// this store's collection is consumed (snapWanted), the sweep also
-// collects the surviving entries into snapScratch, so the following
-// pages() call skips its own full sweep.
+// to noise — one pass over the set bits of each live chunk's mask, in
+// ascending page order, instead of a map walk. When this store's
+// collection is consumed (snapWanted), the sweep also collects the
+// surviving entries into snapScratch, so the following pages() call
+// skips its own full sweep.
 //
 //vulcan:hotpath
 func (h *heatStore) endEpoch() {
@@ -248,50 +255,51 @@ func (h *heatStore) endEpoch() {
 			if c.maxHeat*h.decay < evictBelow {
 				// Every live cell is at or below maxHeat, so one more decay
 				// evicts them all: wipe the chunk wholesale.
-				heat, reads, writes := c.span()
+				wlo, whi := c.words()
+				clear(c.cells[c.lo:c.hi])
+				clear(c.mask[wlo:whi])
 				h.trackedPages -= c.live
 				c.live = 0
 				c.maxHeat = 0
-				clear(heat)
-				clear(reads)
-				clear(writes)
 				c.lo, c.hi = 0, 0
 				continue
 			}
-			base := chunkBase(hi, ci) | pagetable.VPage(c.lo)
-			heat, reads, writes := c.span()
+			base := chunkBase(hi, ci)
 			newMax := 0.0
-			for j, v := range heat {
-				if v == 0 {
-					continue
-				}
-				v *= h.decay
-				if v < evictBelow {
-					heat[j] = 0
-					reads[j] = 0
-					writes[j] = 0
-					c.live--
-					h.trackedPages--
-				} else {
-					heat[j] = v
+			wlo, whi := c.words()
+			for w := wlo; w < whi; w++ {
+				word := c.mask[w]
+				for rest := word; rest != 0; rest &= rest - 1 {
+					j := w<<6 | bits.TrailingZeros64(rest)
+					cell := &c.cells[j]
+					v := cell.heat * h.decay
+					if v < evictBelow {
+						*cell = heatCell{}
+						word &^= 1 << (j & 63)
+						c.live--
+						h.trackedPages--
+						continue
+					}
+					cell.heat = v
 					if v > newMax {
 						newMax = v
 					}
-					r := reads[j] * h.decay
-					w := writes[j] * h.decay
-					reads[j] = r
-					writes[j] = w
+					r := cell.reads * h.decay
+					wr := cell.writes * h.decay
+					cell.reads = r
+					cell.writes = wr
 					if collect {
-						// With w == 0 the fraction is +0 whatever r is;
-						// otherwise r + w >= w > 0, so the division is
+						// With wr == 0 the fraction is +0 whatever r is;
+						// otherwise r + wr >= wr > 0, so the division is
 						// defined. Reads-only pages skip the divide.
 						wf := 0.0
-						if w != 0 {
-							wf = w / (r + w)
+						if wr != 0 {
+							wf = wr / (r + wr)
 						}
-						out = append(out, PageHeat{VP: base + pagetable.VPage(j), Heat: v, WriteFrac: wf}) //vulcan:allowalloc appends into grow-once snapScratch, amortized across epochs
+						out = append(out, PageHeat{VP: base | pagetable.VPage(j), Heat: v, WriteFrac: wf}) //vulcan:allowalloc appends into grow-once snapScratch, amortized across epochs
 					}
 				}
+				c.mask[w] = word
 			}
 			c.maxHeat = newMax
 			c.narrow()
@@ -307,24 +315,25 @@ func (h *heatStore) endEpoch() {
 func (h *heatStore) heat(vp pagetable.VPage) float64 {
 	c := h.chunkAt(vp)
 	i := int(vp) & chunkMask
-	if c == nil || i >= len(c.heat) {
+	if c == nil || i >= len(c.cells) {
 		return 0
 	}
-	return c.heat[i]
+	return c.cells[i].heat
 }
 
 //vulcan:hotpath
 func (h *heatStore) writeFraction(vp pagetable.VPage) float64 {
 	c := h.chunkAt(vp)
 	i := int(vp) & chunkMask
-	if c == nil || i >= len(c.heat) {
+	if c == nil || i >= len(c.cells) {
 		return 0
 	}
-	total := c.reads[i] + c.writes[i]
+	cell := &c.cells[i]
+	total := cell.reads + cell.writes
 	if total == 0 {
 		return 0
 	}
-	return c.writes[i] / total
+	return cell.writes / total
 }
 
 // snapshot returns all tracked pages hottest-first (ties broken by
@@ -360,29 +369,14 @@ func (h *heatStore) pages() []PageHeat {
 		h.snapScratch = make([]PageHeat, 0, 1<<bits.Len(uint(h.trackedPages-1))) //vulcan:allowalloc grow-once scratch, amortized across epochs
 	}
 	out := h.snapScratch[:0]
-	for hi, blk := range h.l1 {
-		if blk == nil {
-			continue
+	h.forEachLive(func(vp pagetable.VPage, heat, reads, writes float64) {
+		total := reads + writes
+		wf := 0.0
+		if total > 0 {
+			wf = writes / total
 		}
-		for ci, c := range blk {
-			if c == nil || c.live == 0 {
-				continue
-			}
-			base := chunkBase(hi, ci) | pagetable.VPage(c.lo)
-			heat, reads, writes := c.span()
-			for j, v := range heat {
-				if v == 0 {
-					continue
-				}
-				total := reads[j] + writes[j]
-				wf := 0.0
-				if total > 0 {
-					wf = writes[j] / total
-				}
-				out = append(out, PageHeat{VP: base + pagetable.VPage(j), Heat: v, WriteFrac: wf})
-			}
-		}
-	}
+		out = append(out, PageHeat{VP: vp, Heat: heat, WriteFrac: wf})
+	})
 	h.snapScratch = out
 	h.snapValid = true
 	return out
@@ -396,32 +390,33 @@ func (h *heatStore) setRaw(vp pagetable.VPage, heat, reads, writes float64) bool
 	h.snapValid = false
 	c := h.ensureChunk(vp)
 	i := int(vp) & chunkMask
-	if c.heat[i] != 0 {
+	cell := &c.cells[i]
+	if cell.heat != 0 {
 		return false // duplicate entry
 	}
-	c.widen(i)
-	c.heat[i] = heat
-	c.reads[i] = reads
-	c.writes[i] = writes
+	c.markLive(i)
+	*cell = heatCell{heat, reads, writes}
 	if heat > c.maxHeat {
 		c.maxHeat = heat
 	}
-	c.live++
 	h.trackedPages++
 	return true
 }
 
-// pageBitmap is a paged bitmap over virtual page numbers (HintFault's
-// poison window). Same two-level directory shape as heatStore.
+// bitmapChunk holds one bit per page of a 4096-page chunk: a heat
+// chunk's live mask, or one chunk of a pageBitmap.
 type bitmapChunk [chunkPages / 64]uint64
 
+// pageBitmap is a paged bitmap over virtual page numbers (HintFault's
+// poison window). Same two-level directory shape as heatStore.
 type pageBitmap struct {
 	l1    []*[dirSize]*bitmapChunk
 	count int
 }
 
-// set marks vp; reports whether it was newly set.
-func (b *pageBitmap) set(vp pagetable.VPage) bool {
+// chunkFor returns the chunk covering vp, allocating the directory
+// path on first touch of the region.
+func (b *pageBitmap) chunkFor(vp pagetable.VPage) *bitmapChunk {
 	hi := uint64(vp) >> (chunkShift + dirShift)
 	if hi >= uint64(len(b.l1)) {
 		grown := make([]*[dirSize]*bitmapChunk, hi+1) //vulcan:allowalloc directory growth, once per 2M-page region
@@ -439,14 +434,24 @@ func (b *pageBitmap) set(vp pagetable.VPage) bool {
 		c = new(bitmapChunk) //vulcan:allowalloc chunk allocation, once per 4096-page region
 		blk[ci] = c
 	}
-	i := int(vp) & chunkMask
-	mask := uint64(1) << (uint(i) & 63)
-	if c[i>>6]&mask != 0 {
-		return false
+	return c
+}
+
+// orWord marks at most n of the pages whose bits are set in word, the
+// 64 pages from base (a multiple of 64): the lowest ones not marked
+// yet. It returns the word of the pages it newly marked.
+//
+//vulcan:hotpath
+func (b *pageBitmap) orWord(base pagetable.VPage, word uint64, n int) uint64 {
+	c := b.chunkFor(base)
+	p := &c[int(base)&chunkMask>>6]
+	word &^= *p
+	for k := bits.OnesCount64(word) - n; k > 0; k-- {
+		word &^= 1 << (63 - bits.LeadingZeros64(word))
 	}
-	c[i>>6] |= mask
-	b.count++
-	return true
+	*p |= word
+	b.count += bits.OnesCount64(word)
+	return word
 }
 
 // clearBit unmarks vp; reports whether it was set.

@@ -106,9 +106,11 @@ func samePages(a, b []PageHeat) bool {
 	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }
 
-// checkSpans asserts the live-span invariant on every chunk: the cells
-// are unallocated, the head or the whole chunk; lo <= hi; every nonzero
-// cell lies in [lo, hi); and live counts the nonzero heat cells.
+// checkSpans asserts the live-span and live-mask invariants on every
+// chunk: the cells are unallocated, the head or the whole chunk;
+// lo <= hi; every nonzero cell lies in [lo, hi); a mask bit is set
+// exactly when its cell's heat is nonzero; every dead cell is all-zero;
+// and live counts the live cells.
 func checkSpans(t *testing.T, h *heatStore) {
 	t.Helper()
 	for hi, blk := range h.l1 {
@@ -119,26 +121,35 @@ func checkSpans(t *testing.T, h *heatStore) {
 			if c == nil {
 				continue
 			}
-			if n := len(c.heat); n != 0 && n != chunkHeadPages && n != chunkPages ||
-				len(c.reads) != n || len(c.writes) != n {
-				t.Fatalf("chunk at page %d holds %d/%d/%d cells", chunkBase(hi, ci), n, len(c.reads), len(c.writes))
+			if n := len(c.cells); n != 0 && n != chunkHeadPages && n != chunkPages {
+				t.Fatalf("chunk at page %d holds %d cells", chunkBase(hi, ci), n)
 			}
-			if c.lo < 0 || c.lo > c.hi || c.hi > len(c.heat) {
+			if c.lo < 0 || c.lo > c.hi || c.hi > len(c.cells) {
 				t.Fatalf("chunk at page %d: span [%d, %d) malformed", chunkBase(hi, ci), c.lo, c.hi)
 			}
 			live := 0
-			for i := range c.heat {
-				if c.heat[i] != 0 {
-					live++
+			for i := 0; i < chunkPages; i++ {
+				vp := chunkBase(hi, ci) | pagetable.VPage(i)
+				var cell heatCell
+				if i < len(c.cells) {
+					cell = c.cells[i]
 				}
-				inSpan := i >= c.lo && i < c.hi
-				if !inSpan && (c.heat[i] != 0 || c.reads[i] != 0 || c.writes[i] != 0) {
-					t.Fatalf("page %d holds state outside its chunk's span [%d, %d)",
-						chunkBase(hi, ci)|pagetable.VPage(i), c.lo, c.hi)
+				bit := c.mask[i>>6]&(1<<(i&63)) != 0
+				if bit != (cell.heat != 0) {
+					t.Fatalf("page %d: live bit %t, heat %v", vp, bit, cell.heat)
+				}
+				if !bit && cell != (heatCell{}) {
+					t.Fatalf("dead page %d holds state %+v", vp, cell)
+				}
+				if bit {
+					live++
+					if i < c.lo || i >= c.hi {
+						t.Fatalf("page %d is live outside its chunk's span [%d, %d)", vp, c.lo, c.hi)
+					}
 				}
 			}
 			if live != c.live {
-				t.Fatalf("chunk at page %d: live = %d, %d nonzero cells", chunkBase(hi, ci), c.live, live)
+				t.Fatalf("chunk at page %d: live = %d, %d live cells", chunkBase(hi, ci), c.live, live)
 			}
 		}
 	}
@@ -179,8 +190,16 @@ func TestHeatStoreMatchesReference(t *testing.T) {
 					ref.record(vp, write, weight)
 				}
 			case op < 85:
-				h.endEpoch()
-				ref.endEpoch(DefaultDecay)
+				// Now and then a long idle stretch: every chunk goes cold
+				// and ends in the wholesale wipe.
+				n := 1
+				if rng.Intn(10) == 0 {
+					n = 24
+				}
+				for ; n > 0; n-- {
+					h.endEpoch()
+					ref.endEpoch(DefaultDecay)
+				}
 			case op < 92:
 				vp := page()
 				heat, reads, writes := 0.5+rng.Float64(), rng.Float64(), rng.Float64()

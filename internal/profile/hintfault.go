@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"math/bits"
+
 	"vulcan/internal/pagetable"
 )
 
@@ -26,14 +28,13 @@ type HintFault struct {
 
 	faultsThisEpoch int //vulcan:nosnap per-epoch scratch, reset by EndEpoch
 
-	// rebuildFn and wrapFn are the window-rebuild callbacks, bound once
-	// at construction so EndEpoch passes stored func values instead of
-	// allocating closures.
-	rebuildFn func(vp pagetable.VPage, p pagetable.PTE) bool //vulcan:nosnap constructor wiring
-	wrapFn    func(vp pagetable.VPage, p pagetable.PTE) bool //vulcan:nosnap constructor wiring
+	// poisonFn is the window-rebuild callback, bound once at
+	// construction so EndEpoch passes a stored func value instead of
+	// allocating a closure.
+	poisonFn func(base pagetable.VPage, word uint64) bool //vulcan:nosnap constructor wiring
 	// Window-rebuild scratch, reset by EndEpoch.
 	rebuildCount int             //vulcan:nosnap per-epoch scratch
-	wrapLimit    pagetable.VPage //vulcan:nosnap per-epoch scratch, cursor at rebuild start
+	walkEnd      pagetable.VPage //vulcan:nosnap per-epoch scratch, the first page the current walk stops at
 }
 
 // NewHintFault builds a hint-fault profiler poisoning windowPages per
@@ -52,8 +53,7 @@ func NewHintFault(table *pagetable.Replicated, windowPages int, faultCycles floa
 		faultCycles: faultCycles,
 		faultBoost:  96,
 	}
-	h.rebuildFn = h.rebuildVisit
-	h.wrapFn = h.wrapVisit
+	h.poisonFn = h.poisonWord
 	return h
 }
 
@@ -73,33 +73,23 @@ func (h *HintFault) Record(a Access) float64 {
 	return h.faultCycles
 }
 
-// rebuildVisit poisons one page for the next window during the forward
-// (cursor-onward) walk.
+// poisonWord poisons the lowest present pages of one present-mask word
+// below walkEnd that are not poisoned yet, up to the window's remaining
+// room, and moves the cursor past the last one.
 //
 //vulcan:hotpath
-func (h *HintFault) rebuildVisit(vp pagetable.VPage, p pagetable.PTE) bool {
-	if h.rebuildCount >= h.windowPages {
+func (h *HintFault) poisonWord(base pagetable.VPage, word uint64) bool {
+	if base >= h.walkEnd {
 		return false
 	}
-	h.poisoned.set(vp)
-	h.rebuildCount++
-	h.cursor = vp + 1
-	return true
-}
-
-// wrapVisit poisons pages below the rebuild-start cursor when the tail of
-// the address space came up short of a full window.
-//
-//vulcan:hotpath
-func (h *HintFault) wrapVisit(vp pagetable.VPage, p pagetable.PTE) bool {
-	if vp >= h.wrapLimit || h.rebuildCount >= h.windowPages {
-		return false
+	if h.walkEnd-base < 64 {
+		word &= 1<<(h.walkEnd-base) - 1
 	}
-	if h.poisoned.set(vp) {
-		h.rebuildCount++
-		h.cursor = vp + 1
+	if added := h.poisoned.orWord(base, word, h.windowPages-h.rebuildCount); added != 0 {
+		h.rebuildCount += bits.OnesCount64(added)
+		h.cursor = base + pagetable.VPage(64-bits.LeadingZeros64(added))
 	}
-	return true
+	return h.rebuildCount < h.windowPages
 }
 
 // EndEpoch rotates the poison window across the address space and ages
@@ -117,14 +107,17 @@ func (h *HintFault) EndEpoch() EpochReport {
 
 	// Rebuild the window: walk forward from the cursor, wrapping once.
 	// Resuming at the cursor (instead of scanning from page zero and
-	// skipping the prefix) keeps the rebuild O(window), not O(RSS).
+	// skipping the prefix) keeps the rebuild O(window), not O(RSS), and
+	// the walk takes the present pages 64 at a time.
 	h.poisoned.clearAll()
 	h.rebuildCount = 0
-	h.wrapLimit = h.cursor
-	h.table.RangeFrom(h.wrapLimit, h.rebuildFn)
+	start := h.cursor
+	h.walkEnd = pagetable.MaxVPage + 1
+	h.table.PresentFrom(start, h.poisonFn)
 	// Wrap around if the tail of the address space was short.
-	if h.rebuildCount < h.windowPages && h.wrapLimit > 0 {
-		h.table.Range(h.wrapFn)
+	if h.rebuildCount < h.windowPages && start > 0 {
+		h.walkEnd = start
+		h.table.PresentFrom(0, h.poisonFn)
 	}
 	h.heat.endEpoch()
 	rep.Tracked = h.heat.tracked()

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vulcan/internal/checkpoint"
 	"vulcan/internal/pagetable"
@@ -97,11 +98,13 @@ func (h *heatStore) forEachLive(fn func(vp pagetable.VPage, heat, reads, writes 
 			if c == nil || c.live == 0 {
 				continue
 			}
-			base := chunkBase(hi, ci) | pagetable.VPage(c.lo)
-			heat, reads, writes := c.span()
-			for j, v := range heat {
-				if v != 0 {
-					fn(base+pagetable.VPage(j), v, reads[j], writes[j])
+			base := chunkBase(hi, ci)
+			wlo, whi := c.words()
+			for w := wlo; w < whi; w++ {
+				for word := c.mask[w]; word != 0; word &= word - 1 {
+					j := w<<6 | bits.TrailingZeros64(word)
+					cell := &c.cells[j]
+					fn(base|pagetable.VPage(j), cell.heat, cell.reads, cell.writes)
 				}
 			}
 		}
@@ -223,7 +226,7 @@ func (h *HintFault) Restore(d *checkpoint.Decoder) error {
 			// Snapshot writes the window in ascending order.
 			return fmt.Errorf("profile: poisoned page %d duplicated or out of order", vp)
 		}
-		h.poisoned.set(vp)
+		h.poisoned.orWord(vp&^63, 1<<(vp&63), 1)
 		prev = vp
 	}
 	h.cursor = pagetable.VPage(d.U64())

@@ -128,3 +128,75 @@ func TestPEBSEpochCycleZeroAlloc(t *testing.T) {
 		t.Errorf("PEBS Record+EndEpoch cycle allocated %.0f objects/op in steady state, want 0", allocs)
 	}
 }
+
+func TestHintFaultEndEpochZeroAlloc(t *testing.T) {
+	// The window rebuild over three leaves, once with a window the
+	// forward walk fills in every measured epoch and once with one a page
+	// short of the mapping, so every epoch after the first wraps. The
+	// first epoch allocates the poison bitmap's chunk; every later
+	// rebuild must reuse it.
+	const pages = 3*pagetable.EntriesPerTable - 37
+	for _, tc := range []struct {
+		name   string
+		window int
+	}{{"forward", 10}, {"wrap", pages - 1}} {
+		h := NewHintFault(warmTable(t, pages), tc.window, 1000)
+		h.HeatPages() // consume once so endEpoch collects
+		h.EndEpoch()
+		wrapped := 0
+		if allocs := testing.AllocsPerRun(50, func() {
+			start := h.cursor
+			h.Record(Access{VP: start, Write: true})
+			h.EndEpoch()
+			if h.cursor <= start {
+				wrapped++
+			}
+		}); allocs != 0 {
+			t.Errorf("HintFault.EndEpoch (%s) allocated %.0f objects/op in steady state, want 0", tc.name, allocs)
+		}
+		if (wrapped > 0) != (tc.name == "wrap") {
+			t.Errorf("%s: %d of the measured rebuilds wrapped", tc.name, wrapped)
+		}
+	}
+}
+
+func TestHybridEndEpochZeroAlloc(t *testing.T) {
+	// The A/D harvest with scan backfill and the decay sweep with
+	// collection: touched pages get backfilled heat and their bits
+	// cleared every epoch.
+	tbl := warmTable(t, 2*pagetable.EntriesPerTable)
+	h := NewHybrid(tbl, 1_000_000, DefaultDecay, 42)
+	touchAll := func() {
+		for vp := pagetable.VPage(0); vp < 2*pagetable.EntriesPerTable; vp += 5 {
+			tbl.Touch(0, vp, vp%2 == 0)
+		}
+	}
+	h.HeatPages()
+	touchAll()
+	h.EndEpoch()
+	if allocs := testing.AllocsPerRun(50, func() {
+		touchAll()
+		h.EndEpoch()
+	}); allocs != 0 {
+		t.Errorf("Hybrid.EndEpoch allocated %.0f objects/op in steady state, want 0", allocs)
+	}
+	if h.Tracked() == 0 {
+		t.Fatal("no page tracked: the backfill path went unmeasured")
+	}
+}
+
+func TestHeatStorePagesAfterMutationZeroAlloc(t *testing.T) {
+	// A record invalidates the cached collection, so pages() takes its
+	// full sweep; once snapScratch has grown, that sweep must reuse it.
+	h := newHeatStore(DefaultDecay)
+	for vp := pagetable.VPage(0); vp < 64; vp++ {
+		h.record(vp*(chunkPages/4+1), vp%3 == 0, 1)
+	}
+	h.pages()
+	if allocs := testing.AllocsPerRun(200, func() {
+		h.record(3*(chunkPages/4+1), true, 1)
+		h.pages()
+	}); allocs != 0 {
+		t.Errorf("heatStore.pages after a record allocated %.0f objects/op, want 0", allocs)
+	}
+}
