@@ -48,7 +48,7 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs thirteen native fuzz targets for ten seconds each: the
+# fuzz-smoke runs fourteen native fuzz targets for ten seconds each: the
 # checkpoint container (FuzzCheckpointReader), the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
@@ -58,9 +58,11 @@ bench-smoke:
 # decoder (FuzzProfilerRestore), the hint-fault window rebuild against
 # its per-PTE reference (FuzzHintFaultWindow), the telemetry
 # checkpoint decoder (FuzzRecorderRestore), the system checkpoint
-# section (FuzzSystemSection) and the workload thread decoder
-# (FuzzThreadRestore). Their seed corpora also run in every `go test`;
-# a failing input lands in the package's testdata/fuzz/ for replay.
+# section (FuzzSystemSection), the workload thread decoder
+# (FuzzThreadRestore) and the migration decoders: engine shadows, async
+# queue and retry queue (FuzzMigrateRestore). Their seed corpora also
+# run in every `go test`; a failing input lands in the package's
+# testdata/fuzz/ for replay.
 fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzCheckpointReader -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzReadJournal -fuzztime 10s
@@ -75,6 +77,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRecorderRestore -fuzztime 10s
 	$(GO) test ./internal/system -run '^$$' -fuzz FuzzSystemSection -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzThreadRestore -fuzztime 10s
+	$(GO) test ./internal/migrate -run '^$$' -fuzz FuzzMigrateRestore -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

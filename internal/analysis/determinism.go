@@ -36,7 +36,7 @@ var simPackages = []string{
 	"sim", "machine", "mem", "pagetable", "tlb", "migrate", "policy",
 	"profile", "core", "system", "trace", "workload", "figures",
 	"scenario", "metrics", "obs", "obs/prof", "lab", "fault", "checkpoint",
-	"cluster", "serve",
+	"cluster", "serve", "dense",
 }
 
 // inSimTree reports whether pkgPath is one of the simulation packages

@@ -134,17 +134,21 @@ func runHotAlloc(pass *Pass) error {
 }
 
 // calledFunc resolves a call expression to the *types.Func it invokes
-// statically, or nil for builtins, conversions, and dynamic calls.
+// statically, or nil for builtins, conversions, and dynamic calls. A
+// call through an instantiation of a generic function or of a generic
+// type's method resolves to the declared generic one.
 func calledFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+	var f *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		f, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return f
+		f, _ = pass.TypesInfo.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		f, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return f
+		f, _ = pass.TypesInfo.Uses[fun.Sel].(*types.Func)
 	}
-	return nil
+	if f == nil {
+		return nil
+	}
+	return f.Origin()
 }
 
 // checkHotFunc reports every allocating construct in one hot function.

@@ -59,6 +59,16 @@ func helper(s *stats) {
 	_ = sink
 	_ = error(nil) // conversion of untyped nil: legal
 	deeper()
+	var b box[node]
+	_ = b.grow()
+}
+
+// box is a generic type: a call through its instantiation reaches the
+// declared method.
+type box[T any] struct{}
+
+func (b *box[T]) grow() *T {
+	return new(T) // want `new allocates in grow, reachable from //vulcan:hotpath root step`
 }
 
 // deeper is two call-graph hops from the root.

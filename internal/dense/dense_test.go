@@ -127,7 +127,8 @@ func TestSteadyStateNoAllocs(t *testing.T) {
 
 // TestChunkAndDirectoryBoundaries pins Set, Delete, ForEach order and
 // Clear at the edges of 512-key chunks and 2^18-key directory blocks,
-// where a key's chunk or block index rolls over.
+// where a key's chunk or block index rolls over, and the Dir under them:
+// the Next walk, Chunk misses and their allocation counts.
 func TestChunkAndDirectoryBoundaries(t *testing.T) {
 	const block = chunkSize * dirSize
 	if chunkSize != 512 || block != 1<<18 {
@@ -195,5 +196,57 @@ func TestChunkAndDirectoryBoundaries(t *testing.T) {
 		m.Clear()
 	}); allocs != 0 {
 		t.Fatalf("refilling cleared chunks allocated %.0f times", allocs)
+	}
+
+	// The directory under the map: Next visits the allocated chunks in
+	// ascending order across chunk and block edges, whether they hold
+	// keys or not, and a far key grows l1 to reach its block.
+	m.Set(40*block+3, 1)
+	if len(m.dir.l1) != 41 {
+		t.Fatalf("l1 holds %d blocks after a key in block 40, want 41", len(m.dir.l1))
+	}
+	chunks := []uint64{0, 1, 2, dirSize - 2, dirSize - 1, dirSize, 2*dirSize - 1, 2 * dirSize,
+		5 * dirSize, 5*dirSize + 1, 40 * dirSize}
+	var walked []uint64
+	for ci, c := m.dir.Next(0); c != nil; ci, c = m.dir.Next(ci + 1) {
+		if c != m.dir.Chunk(ci) {
+			t.Fatalf("Next returned chunk %d's pointer wrong", ci)
+		}
+		walked = append(walked, ci)
+	}
+	if !reflect.DeepEqual(walked, chunks) {
+		t.Fatalf("Next walk %v, want %v", walked, chunks)
+	}
+	for _, tc := range []struct{ from, want uint64 }{
+		{3, dirSize - 2}, {dirSize + 1, 2*dirSize - 1}, {2*dirSize + 1, 5 * dirSize},
+		{5*dirSize + 2, 40 * dirSize},
+	} {
+		if ci, c := m.dir.Next(tc.from); c == nil || ci != tc.want {
+			t.Fatalf("Next(%d) = %d (nil %t), want %d", tc.from, ci, c == nil, tc.want)
+		}
+	}
+	if _, c := m.dir.Next(40*dirSize + 1); c != nil {
+		t.Fatal("Next past the last chunk found one")
+	}
+	// Chunk never allocates: a miss in an allocated block, in a nil block
+	// and past the directory leaves l1 as it was.
+	for _, ci := range []uint64{3, 10 * dirSize, 1000 * dirSize} {
+		if c := m.dir.Chunk(ci); c != nil {
+			t.Fatalf("Chunk(%d) found an unallocated chunk", ci)
+		}
+	}
+	if len(m.dir.l1) != 41 {
+		t.Fatalf("Chunk misses changed l1 to %d blocks", len(m.dir.l1))
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		n := 0
+		for ci, c := m.dir.Next(0); c != nil; ci, c = m.dir.Next(ci + 1) {
+			n++
+		}
+		if n != len(chunks) || m.dir.Chunk(1000*dirSize) != nil || m.dir.Chunk(3) != nil {
+			t.Fatal("walk or miss changed")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a Next walk and Chunk misses allocated %.0f times", allocs)
 	}
 }

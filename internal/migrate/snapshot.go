@@ -45,19 +45,25 @@ func (s *shadowStore) Restore(d *checkpoint.Decoder) error {
 		return d.Err()
 	}
 	s.frames.Clear()
+	prev := pagetable.VPage(0)
 	for i := 0; i < n; i++ {
 		vp := pagetable.VPage(d.U64())
 		f := mem.Frame{Tier: mem.TierID(d.U8()), Index: d.U32()}
 		if d.Err() != nil {
 			return d.Err()
 		}
+		if vp > pagetable.MaxVPage {
+			return fmt.Errorf("migrate: shadow for page %d out of range", vp)
+		}
 		if f.IsNil() {
 			return fmt.Errorf("migrate: shadow for page %d on invalid tier", vp)
 		}
-		if s.frames.Get(uint64(vp)) != 0 {
-			return fmt.Errorf("migrate: duplicate shadow for page %d", vp)
+		if i > 0 && vp <= prev {
+			// Snapshot writes the shadows in ascending page order.
+			return fmt.Errorf("migrate: shadow for page %d duplicated or out of order", vp)
 		}
 		s.frames.Set(uint64(vp), packFrame(f))
+		prev = vp
 	}
 	s.consumed = d.U64()
 	s.dropped = d.U64()
@@ -97,6 +103,9 @@ func (a *AsyncMigrator) Restore(d *checkpoint.Decoder) error {
 		mv := Move{VP: pagetable.VPage(d.U64()), To: mem.TierID(d.U8())}
 		if d.Err() != nil {
 			return d.Err()
+		}
+		if mv.VP > pagetable.MaxVPage {
+			return fmt.Errorf("migrate: pending move for page %d out of range", mv.VP)
 		}
 		if !mv.To.Valid() {
 			return fmt.Errorf("migrate: pending move to invalid tier %d", mv.To)
@@ -149,6 +158,9 @@ func (r *Retrier) Restore(d *checkpoint.Decoder) error {
 		}
 		if d.Err() != nil {
 			return d.Err()
+		}
+		if en.mv.VP > pagetable.MaxVPage {
+			return fmt.Errorf("migrate: retry entry for page %d out of range", en.mv.VP)
 		}
 		if !en.mv.To.Valid() {
 			return fmt.Errorf("migrate: retry entry to invalid tier %d", en.mv.To)

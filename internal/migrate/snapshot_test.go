@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"vulcan/internal/checkpoint"
@@ -185,4 +186,139 @@ func TestMigrateRestoreRejectsCorruption(t *testing.T) {
 			}
 		}
 	}
+}
+
+// farPage lies far past pagetable.MaxVPage: a shadow accepted at it
+// would grow the dense map's directory toward 2^44 blocks, an
+// out-of-memory crash no recover catches.
+const farPage = 1 << 62
+
+// hostileBlobs returns, per component, a blob whose one entry names
+// page p, laid out as that component's Snapshot writes it.
+func hostileBlobs(p uint64) map[string][]byte {
+	eng := &checkpoint.Encoder{}
+	eng.U64(3) // batch sequence
+	eng.Int(1)
+	eng.U64(p)
+	eng.U8(uint8(mem.TierSlow))
+	eng.U32(7)
+	eng.U64(0)
+	eng.U64(0)
+
+	async := &checkpoint.Encoder{}
+	sim.NewRNG(1).Snapshot(async)
+	async.Int(1)
+	async.U64(p)
+	async.U8(uint8(mem.TierFast))
+	for range 4 {
+		async.U64(0)
+	}
+	async.F64(0)
+
+	retry := &checkpoint.Encoder{}
+	retry.U64(2) // epoch counter
+	retry.Int(1)
+	retry.U64(p)
+	retry.U8(uint8(mem.TierFast))
+	retry.Int(1)
+	retry.U64(3)
+	for range 3 {
+		retry.U64(0)
+	}
+	return map[string][]byte{"engine": eng.Bytes(), "async": async.Bytes(), "retry": retry.Bytes()}
+}
+
+// component returns the harness's engine, async migrator or retrier
+// by the name hostileBlobs keys it under.
+func (h *snapshotHarness) component(name string) checkpoint.Snapshotter {
+	switch name {
+	case "engine":
+		return h.eng
+	case "async":
+		return h.async
+	}
+	return h.retr
+}
+
+// TestMigrateRestoreRejectsFarPage feeds each decoder one entry at a
+// page past pagetable.MaxVPage: every one must fail with an error. The
+// same blobs at a page in range restore and re-encode unchanged, so
+// the rejection is the page check and not the layout.
+func TestMigrateRestoreRejectsFarPage(t *testing.T) {
+	for name, blob := range hostileBlobs(farPage) {
+		err := newSnapshotHarness().component(name).Restore(checkpoint.NewDecoder(blob))
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: page %d restored with error %v, want out of range", name, uint64(farPage), err)
+		}
+	}
+	for name, blob := range hostileBlobs(uint64(pagetable.MaxVPage)) {
+		obj := newSnapshotHarness().component(name)
+		d := checkpoint.NewDecoder(blob)
+		if err := obj.Restore(d); err != nil || d.Close() != nil {
+			t.Fatalf("%s: page MaxVPage rejected: %v", name, err)
+		}
+		e := &checkpoint.Encoder{}
+		obj.Snapshot(e)
+		if !bytes.Equal(e.Bytes(), blob) {
+			t.Errorf("%s: page MaxVPage re-encodes differently", name)
+		}
+	}
+}
+
+// TestShadowRestoreRejectsDisorder pins the shadow decoder to the
+// ascending order Snapshot writes: a repeated or descending page is an
+// error, so every accepted blob re-encodes byte for byte.
+func TestShadowRestoreRejectsDisorder(t *testing.T) {
+	for _, pages := range [][2]uint64{{9, 9}, {9, 4}} {
+		e := &checkpoint.Encoder{}
+		e.U64(0)
+		e.Int(2)
+		for _, vp := range pages {
+			e.U64(vp)
+			e.U8(uint8(mem.TierSlow))
+			e.U32(uint32(vp))
+		}
+		e.U64(0)
+		e.U64(0)
+		err := newSnapshotHarness().eng.Restore(checkpoint.NewDecoder(e.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "out of order") {
+			t.Errorf("shadows at pages %v restored with error %v", pages, err)
+		}
+	}
+}
+
+// FuzzMigrateRestore feeds the engine (shadow store), async migrator
+// and retrier decoders arbitrary bytes, seeded with real snapshots of a
+// driven stack, their truncations and the far-page blobs. Restore must
+// never panic, and a blob it accepts — Restore and Close both succeed —
+// must re-encode byte for byte.
+func FuzzMigrateRestore(f *testing.F) {
+	names := []string{"engine", "async", "retry"}
+	live := newSnapshotHarness()
+	for r := 0; r < 5; r++ {
+		drive(live, r)
+	}
+	hostile := hostileBlobs(farPage)
+	for k, name := range names {
+		e := &checkpoint.Encoder{}
+		live.component(name).Snapshot(e)
+		blob := e.Bytes()
+		f.Add(uint8(k), blob)
+		for cut := 0; cut < len(blob); cut += 23 {
+			f.Add(uint8(k), blob[:cut])
+		}
+		f.Add(uint8(k), hostile[name])
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, blob []byte) {
+		obj := newSnapshotHarness().component(names[int(kind)%len(names)])
+		d := checkpoint.NewDecoder(blob)
+		if obj.Restore(d) != nil || d.Close() != nil {
+			return
+		}
+		e := &checkpoint.Encoder{}
+		obj.Snapshot(e)
+		if !bytes.Equal(e.Bytes(), blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
+		}
+	})
 }

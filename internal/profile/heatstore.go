@@ -3,6 +3,7 @@ package profile
 import (
 	"math/bits"
 
+	"vulcan/internal/dense"
 	"vulcan/internal/pagetable"
 	"vulcan/internal/radix"
 )
@@ -18,15 +19,14 @@ import (
 //     holds one heatCell (heat, reads, writes) per page, so a sweep
 //     reads one cell per live page, and a live mask with one bit per
 //     page;
-//   - chunks hang off a two-level directory (512 chunk pointers per
-//     block), so the full 2^36-page virtual space is addressable without
-//     reserving memory for unused regions;
+//   - chunks are kept in a dense.Dir, the paged directory shared with
+//     dense.Map, so the full 2^36-page virtual space is addressable
+//     without reserving memory for unused regions;
 //   - steady-state operation allocates nothing: chunks are allocated
 //     once when a page region is first touched and then reused forever;
 //   - epoch sweeps (decay, evict-below compaction, snapshot collection)
-//     visit the set bits of the live mask's words inside the span
-//     [lo, hi) that holds the chunk's live cells, so they cost the pages
-//     a tenant tracks, not the cells between them;
+//     visit only the set bits of each chunk's live mask, so they cost
+//     the pages a tenant tracks, not the cells between them;
 //   - a chunk allocates only its first 512 cells (chunkHeadPages) until
 //     a page beyond them is recorded: a tenant's pages are numbered from
 //     0, so a tenant under 512 pages never pays for the other 3584.
@@ -42,15 +42,10 @@ const (
 	// chunkHeadPages is the cell count a chunk starts with when its first
 	// recorded page falls among them.
 	chunkHeadPages = 512
-	dirShift       = 9
-	dirSize        = 1 << dirShift // chunks per directory block
-	dirMask        = dirSize - 1
 )
 
-// chunkBase returns the first VPage covered by chunk (hi, ci).
-func chunkBase(hi, ci int) pagetable.VPage {
-	return pagetable.VPage(hi)<<(chunkShift+dirShift) | pagetable.VPage(ci)<<chunkShift
-}
+// chunkBase returns the first VPage covered by chunk ci.
+func chunkBase(ci uint64) pagetable.VPage { return pagetable.VPage(ci << chunkShift) }
 
 // heatCell is one page's profiled state.
 type heatCell struct{ heat, reads, writes float64 }
@@ -66,22 +61,11 @@ type heatChunk struct {
 	// mask has bit i set exactly when cells[i].heat != 0. It is part of
 	// the chunk struct, so growing the cells stays one allocation.
 	mask bitmapChunk
-	// lo and hi bound the live cells: every i with heat != 0 lies in
-	// [lo, hi), and cells outside it are all-zero, so sweeps walk only
-	// the mask words over the span. markLive widens it, endEpoch narrows
-	// it to the survivors; it is empty (lo == hi) when live is 0.
-	lo, hi int
-	// maxHeat upper-bounds every live cell's heat (exact after an epoch
-	// sweep, conservative between sweeps). When one more decay would
-	// push even the maximum below the eviction floor, the whole chunk is
-	// wiped with a clear instead of a per-cell sweep — multiplication by
-	// a positive decay is monotone, so every cell is guaranteed to evict.
-	maxHeat float64
 }
 
 // heatStore is the shared heat bookkeeping used by every profiler.
 type heatStore struct {
-	l1    []*[dirSize]*heatChunk
+	dir   dense.Dir[heatChunk]
 	decay float64
 	// trackedPages counts live entries across all chunks.
 	trackedPages int
@@ -106,46 +90,27 @@ func newHeatStore(decay float64) *heatStore {
 	return &heatStore{decay: decay}
 }
 
-// chunkAt returns the chunk covering vp, or nil when the region was
-// never touched.
+// liveCell returns vp's cell for a mutation, allocating its chunk and
+// cells on first touch of the region and dropping the cached
+// collection. A dead cell is marked live (mask bit set, counted) and
+// fresh reports it; the caller leaves the cell's heat nonzero.
 //
 //vulcan:hotpath
-func (h *heatStore) chunkAt(vp pagetable.VPage) *heatChunk {
-	hi := uint64(vp) >> (chunkShift + dirShift)
-	if hi >= uint64(len(h.l1)) {
-		return nil
-	}
-	blk := h.l1[hi]
-	if blk == nil {
-		return nil
-	}
-	return blk[uint64(vp)>>chunkShift&dirMask]
-}
-
-// ensureChunk returns the chunk covering vp with vp's cell allocated,
-// allocating the directory path on first touch of the region.
-func (h *heatStore) ensureChunk(vp pagetable.VPage) *heatChunk {
-	hi := uint64(vp) >> (chunkShift + dirShift)
-	if hi >= uint64(len(h.l1)) {
-		grown := make([]*[dirSize]*heatChunk, hi+1) //vulcan:allowalloc directory growth, once per 2M-page region
-		copy(grown, h.l1)
-		h.l1 = grown
-	}
-	blk := h.l1[hi]
-	if blk == nil {
-		blk = new([dirSize]*heatChunk) //vulcan:allowalloc directory block, once per 2M-page region
-		h.l1[hi] = blk
-	}
-	ci := uint64(vp) >> chunkShift & dirMask
-	c := blk[ci]
-	if c == nil {
-		c = new(heatChunk) //vulcan:allowalloc chunk allocation, once per 4096-page region
-		blk[ci] = c
-	}
-	if i := int(vp) & chunkMask; i >= len(c.cells) {
+func (h *heatStore) liveCell(vp pagetable.VPage) (cell *heatCell, fresh bool) {
+	h.snapValid = false
+	c := h.dir.Ensure(uint64(vp) >> chunkShift)
+	i := int(vp) & chunkMask
+	if i >= len(c.cells) {
 		c.grow(i)
 	}
-	return c
+	cell = &c.cells[i]
+	if cell.heat != 0 {
+		return cell, false
+	}
+	c.mask[i>>6] |= 1 << (i & 63)
+	c.live++
+	h.trackedPages++
+	return cell, true
 }
 
 // grow allocates the chunk's cells up to cell i: the first
@@ -161,65 +126,13 @@ func (c *heatChunk) grow(i int) {
 	c.cells = cells
 }
 
-// words returns the range of mask words that covers the live span.
-//
-//vulcan:hotpath
-func (c *heatChunk) words() (lo, hi int) { return c.lo >> 6, (c.hi + 63) >> 6 }
-
-// markLive extends the live span to cover cell i, sets its live mask
-// bit and counts it; the cell is about to turn live.
-//
-//vulcan:hotpath
-func (c *heatChunk) markLive(i int) {
-	switch {
-	case c.live == 0:
-		c.lo, c.hi = i, i+1
-	case i < c.lo:
-		c.lo = i
-	case i >= c.hi:
-		c.hi = i + 1
-	}
-	c.mask[i>>6] |= 1 << (i & 63)
-	c.live++
-}
-
-// narrow shrinks the live span to the first and last set bits of the
-// live mask, after a sweep evicted some cells.
-func (c *heatChunk) narrow() {
-	if c.live == 0 {
-		c.lo, c.hi = 0, 0
-		return
-	}
-	w := c.lo >> 6
-	for c.mask[w] == 0 {
-		w++
-	}
-	c.lo = w<<6 | bits.TrailingZeros64(c.mask[w])
-	w = (c.hi - 1) >> 6
-	for c.mask[w] == 0 {
-		w--
-	}
-	c.hi = w<<6 + 64 - bits.LeadingZeros64(c.mask[w])
-}
-
 // record credits one observation. Weights are always positive, so a
 // zero heat cell is exactly an untracked page.
 //
 //vulcan:hotpath
 func (h *heatStore) record(vp pagetable.VPage, write bool, weight float64) {
-	h.snapValid = false
-	c := h.ensureChunk(vp)
-	i := int(vp) & chunkMask
-	cell := &c.cells[i]
-	if cell.heat == 0 {
-		c.markLive(i)
-		h.trackedPages++
-	}
-	v := cell.heat + weight
-	cell.heat = v
-	if v > c.maxHeat {
-		c.maxHeat = v
-	}
+	cell, _ := h.liveCell(vp)
+	cell.heat += weight
 	if write {
 		cell.writes += weight
 	} else {
@@ -244,65 +157,43 @@ func (h *heatStore) endEpoch() {
 		}
 		out = h.snapScratch[:0]
 	}
-	for hi, blk := range h.l1 {
-		if blk == nil {
+	for ci, c := h.dir.Next(0); c != nil; ci, c = h.dir.Next(ci + 1) {
+		if c.live == 0 {
 			continue
 		}
-		for ci, c := range blk {
-			if c == nil || c.live == 0 {
+		base := chunkBase(ci)
+		for w, word := range &c.mask {
+			if word == 0 {
 				continue
 			}
-			if c.maxHeat*h.decay < evictBelow {
-				// Every live cell is at or below maxHeat, so one more decay
-				// evicts them all: wipe the chunk wholesale.
-				wlo, whi := c.words()
-				clear(c.cells[c.lo:c.hi])
-				clear(c.mask[wlo:whi])
-				h.trackedPages -= c.live
-				c.live = 0
-				c.maxHeat = 0
-				c.lo, c.hi = 0, 0
-				continue
-			}
-			base := chunkBase(hi, ci)
-			newMax := 0.0
-			wlo, whi := c.words()
-			for w := wlo; w < whi; w++ {
-				word := c.mask[w]
-				for rest := word; rest != 0; rest &= rest - 1 {
-					j := w<<6 | bits.TrailingZeros64(rest)
-					cell := &c.cells[j]
-					v := cell.heat * h.decay
-					if v < evictBelow {
-						*cell = heatCell{}
-						word &^= 1 << (j & 63)
-						c.live--
-						h.trackedPages--
-						continue
-					}
-					cell.heat = v
-					if v > newMax {
-						newMax = v
-					}
-					r := cell.reads * h.decay
-					wr := cell.writes * h.decay
-					cell.reads = r
-					cell.writes = wr
-					if collect {
-						// With wr == 0 the fraction is +0 whatever r is;
-						// otherwise r + wr >= wr > 0, so the division is
-						// defined. Reads-only pages skip the divide.
-						wf := 0.0
-						if wr != 0 {
-							wf = wr / (r + wr)
-						}
-						out = append(out, PageHeat{VP: base | pagetable.VPage(j), Heat: v, WriteFrac: wf}) //vulcan:allowalloc appends into grow-once snapScratch, amortized across epochs
-					}
+			for rest := word; rest != 0; rest &= rest - 1 {
+				j := w<<6 | bits.TrailingZeros64(rest)
+				cell := &c.cells[j]
+				v := cell.heat * h.decay
+				if v < evictBelow {
+					*cell = heatCell{}
+					word &^= 1 << (j & 63)
+					c.live--
+					h.trackedPages--
+					continue
 				}
-				c.mask[w] = word
+				cell.heat = v
+				r := cell.reads * h.decay
+				wr := cell.writes * h.decay
+				cell.reads = r
+				cell.writes = wr
+				if collect {
+					// With wr == 0 the fraction is +0 whatever r is;
+					// otherwise r + wr >= wr > 0, so the division is
+					// defined. Reads-only pages skip the divide.
+					wf := 0.0
+					if wr != 0 {
+						wf = wr / (r + wr)
+					}
+					out = append(out, PageHeat{VP: base | pagetable.VPage(j), Heat: v, WriteFrac: wf}) //vulcan:allowalloc appends into grow-once snapScratch, amortized across epochs
+				}
 			}
-			c.maxHeat = newMax
-			c.narrow()
+			c.mask[w] = word
 		}
 	}
 	if collect {
@@ -313,7 +204,7 @@ func (h *heatStore) endEpoch() {
 
 //vulcan:hotpath
 func (h *heatStore) heat(vp pagetable.VPage) float64 {
-	c := h.chunkAt(vp)
+	c := h.dir.Chunk(uint64(vp) >> chunkShift)
 	i := int(vp) & chunkMask
 	if c == nil || i >= len(c.cells) {
 		return 0
@@ -323,7 +214,7 @@ func (h *heatStore) heat(vp pagetable.VPage) float64 {
 
 //vulcan:hotpath
 func (h *heatStore) writeFraction(vp pagetable.VPage) float64 {
-	c := h.chunkAt(vp)
+	c := h.dir.Chunk(uint64(vp) >> chunkShift)
 	i := int(vp) & chunkMask
 	if c == nil || i >= len(c.cells) {
 		return 0
@@ -387,19 +278,11 @@ func (h *heatStore) tracked() int { return h.trackedPages }
 // setRaw installs restored per-page stats verbatim. heat must be
 // nonzero (the caller validates); the cell must currently be empty.
 func (h *heatStore) setRaw(vp pagetable.VPage, heat, reads, writes float64) bool {
-	h.snapValid = false
-	c := h.ensureChunk(vp)
-	i := int(vp) & chunkMask
-	cell := &c.cells[i]
-	if cell.heat != 0 {
+	cell, fresh := h.liveCell(vp)
+	if !fresh {
 		return false // duplicate entry
 	}
-	c.markLive(i)
 	*cell = heatCell{heat, reads, writes}
-	if heat > c.maxHeat {
-		c.maxHeat = heat
-	}
-	h.trackedPages++
 	return true
 }
 
@@ -408,33 +291,10 @@ func (h *heatStore) setRaw(vp pagetable.VPage, heat, reads, writes float64) bool
 type bitmapChunk [chunkPages / 64]uint64
 
 // pageBitmap is a paged bitmap over virtual page numbers (HintFault's
-// poison window). Same two-level directory shape as heatStore.
+// poison window), its chunks in a dense.Dir like the heat store's.
 type pageBitmap struct {
-	l1    []*[dirSize]*bitmapChunk
+	dir   dense.Dir[bitmapChunk]
 	count int
-}
-
-// chunkFor returns the chunk covering vp, allocating the directory
-// path on first touch of the region.
-func (b *pageBitmap) chunkFor(vp pagetable.VPage) *bitmapChunk {
-	hi := uint64(vp) >> (chunkShift + dirShift)
-	if hi >= uint64(len(b.l1)) {
-		grown := make([]*[dirSize]*bitmapChunk, hi+1) //vulcan:allowalloc directory growth, once per 2M-page region
-		copy(grown, b.l1)
-		b.l1 = grown
-	}
-	blk := b.l1[hi]
-	if blk == nil {
-		blk = new([dirSize]*bitmapChunk) //vulcan:allowalloc directory block, once per 2M-page region
-		b.l1[hi] = blk
-	}
-	ci := uint64(vp) >> chunkShift & dirMask
-	c := blk[ci]
-	if c == nil {
-		c = new(bitmapChunk) //vulcan:allowalloc chunk allocation, once per 4096-page region
-		blk[ci] = c
-	}
-	return c
 }
 
 // orWord marks at most n of the pages whose bits are set in word, the
@@ -443,7 +303,7 @@ func (b *pageBitmap) chunkFor(vp pagetable.VPage) *bitmapChunk {
 //
 //vulcan:hotpath
 func (b *pageBitmap) orWord(base pagetable.VPage, word uint64, n int) uint64 {
-	c := b.chunkFor(base)
+	c := b.dir.Ensure(uint64(base) >> chunkShift)
 	p := &c[int(base)&chunkMask>>6]
 	word &^= *p
 	for k := bits.OnesCount64(word) - n; k > 0; k-- {
@@ -458,15 +318,7 @@ func (b *pageBitmap) orWord(base pagetable.VPage, word uint64, n int) uint64 {
 //
 //vulcan:hotpath
 func (b *pageBitmap) clearBit(vp pagetable.VPage) bool {
-	hi := uint64(vp) >> (chunkShift + dirShift)
-	if hi >= uint64(len(b.l1)) {
-		return false
-	}
-	blk := b.l1[hi]
-	if blk == nil {
-		return false
-	}
-	c := blk[uint64(vp)>>chunkShift&dirMask]
+	c := b.dir.Chunk(uint64(vp) >> chunkShift)
 	if c == nil {
 		return false
 	}
@@ -484,37 +336,21 @@ func (b *pageBitmap) clearBit(vp pagetable.VPage) bool {
 //
 //vulcan:hotpath
 func (b *pageBitmap) clearAll() {
-	for _, blk := range b.l1 {
-		if blk == nil {
-			continue
-		}
-		for _, c := range blk {
-			if c == nil {
-				continue
-			}
-			clear(c[:])
-		}
+	for ci, c := b.dir.Next(0); c != nil; ci, c = b.dir.Next(ci + 1) {
+		clear(c[:])
 	}
 	b.count = 0
 }
 
 // forEach calls fn for every set page in ascending order.
 func (b *pageBitmap) forEach(fn func(vp pagetable.VPage)) {
-	for hi, blk := range b.l1 {
-		if blk == nil {
-			continue
-		}
-		for ci, c := range blk {
-			if c == nil {
-				continue
-			}
-			base := chunkBase(hi, ci)
-			for w, word := range c {
-				for word != 0 {
-					i := w<<6 | bits.TrailingZeros64(word)
-					fn(base | pagetable.VPage(i))
-					word &= word - 1
-				}
+	for ci, c := b.dir.Next(0); c != nil; ci, c = b.dir.Next(ci + 1) {
+		base := chunkBase(ci)
+		for w, word := range c {
+			for word != 0 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				fn(base | pagetable.VPage(i))
+				word &= word - 1
 			}
 		}
 	}

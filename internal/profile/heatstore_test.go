@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vulcan/internal/checkpoint"
+	"vulcan/internal/dense"
 	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
 )
@@ -15,7 +16,7 @@ import (
 type refStat struct{ heat, reads, writes float64 }
 
 // refHeat is a map-backed model of heatStore: the same arithmetic, no
-// chunks, spans or caches.
+// chunks, masks or caches.
 type refHeat map[pagetable.VPage]*refStat
 
 func (m refHeat) record(vp pagetable.VPage, write bool, weight float64) {
@@ -106,66 +107,51 @@ func samePages(a, b []PageHeat) bool {
 	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }
 
-// checkSpans asserts the live-span and live-mask invariants on every
-// chunk: the cells are unallocated, the head or the whole chunk;
-// lo <= hi; every nonzero cell lies in [lo, hi); a mask bit is set
+// checkChunks asserts the live-mask invariants on every chunk: the
+// cells are unallocated, the head or the whole chunk; a mask bit is set
 // exactly when its cell's heat is nonzero; every dead cell is all-zero;
 // and live counts the live cells.
-func checkSpans(t *testing.T, h *heatStore) {
+func checkChunks(t *testing.T, h *heatStore) {
 	t.Helper()
-	for hi, blk := range h.l1 {
-		if blk == nil {
-			continue
+	for ci, c := h.dir.Next(0); c != nil; ci, c = h.dir.Next(ci + 1) {
+		if n := len(c.cells); n != 0 && n != chunkHeadPages && n != chunkPages {
+			t.Fatalf("chunk at page %d holds %d cells", chunkBase(ci), n)
 		}
-		for ci, c := range blk {
-			if c == nil {
-				continue
+		live := 0
+		for i := 0; i < chunkPages; i++ {
+			vp := chunkBase(ci) | pagetable.VPage(i)
+			var cell heatCell
+			if i < len(c.cells) {
+				cell = c.cells[i]
 			}
-			if n := len(c.cells); n != 0 && n != chunkHeadPages && n != chunkPages {
-				t.Fatalf("chunk at page %d holds %d cells", chunkBase(hi, ci), n)
+			bit := c.mask[i>>6]&(1<<(i&63)) != 0
+			if bit != (cell.heat != 0) {
+				t.Fatalf("page %d: live bit %t, heat %v", vp, bit, cell.heat)
 			}
-			if c.lo < 0 || c.lo > c.hi || c.hi > len(c.cells) {
-				t.Fatalf("chunk at page %d: span [%d, %d) malformed", chunkBase(hi, ci), c.lo, c.hi)
+			if !bit && cell != (heatCell{}) {
+				t.Fatalf("dead page %d holds state %+v", vp, cell)
 			}
-			live := 0
-			for i := 0; i < chunkPages; i++ {
-				vp := chunkBase(hi, ci) | pagetable.VPage(i)
-				var cell heatCell
-				if i < len(c.cells) {
-					cell = c.cells[i]
-				}
-				bit := c.mask[i>>6]&(1<<(i&63)) != 0
-				if bit != (cell.heat != 0) {
-					t.Fatalf("page %d: live bit %t, heat %v", vp, bit, cell.heat)
-				}
-				if !bit && cell != (heatCell{}) {
-					t.Fatalf("dead page %d holds state %+v", vp, cell)
-				}
-				if bit {
-					live++
-					if i < c.lo || i >= c.hi {
-						t.Fatalf("page %d is live outside its chunk's span [%d, %d)", vp, c.lo, c.hi)
-					}
-				}
+			if bit {
+				live++
 			}
-			if live != c.live {
-				t.Fatalf("chunk at page %d: live = %d, %d live cells", chunkBase(hi, ci), c.live, live)
-			}
+		}
+		if live != c.live {
+			t.Fatalf("chunk at page %d: live = %d, %d live cells", chunkBase(ci), c.live, live)
 		}
 	}
 }
 
 // TestHeatStoreMatchesReference drives a heat store and its map model
 // through seeded random sequences of record, epoch decay (with chunks
-// going cold enough to be wiped wholesale), setRaw, Snapshot/Restore
+// going cold enough that every cell evicts), setRaw, Snapshot/Restore
 // and reset, over pages in several chunks and directory blocks. After
 // every step the store's collections, tracked count and checkpoint
-// bytes must equal the model's, and every chunk's live span must hold
-// all of its live cells.
+// bytes must equal the model's, and every chunk's live mask must mark
+// exactly its live cells.
 func TestHeatStoreMatchesReference(t *testing.T) {
 	// Windows around chunk-head, chunk and directory-block boundaries,
 	// plus a far block that forces directory growth.
-	const block = chunkPages * dirSize
+	const block = chunkPages * dense.DirBlock
 	windows := []pagetable.VPage{0, chunkHeadPages - 40, chunkPages - 40, 5*chunkPages + 100, block - 40, 3*block + 7}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := sim.NewRNG(seed)
@@ -190,8 +176,8 @@ func TestHeatStoreMatchesReference(t *testing.T) {
 					ref.record(vp, write, weight)
 				}
 			case op < 85:
-				// Now and then a long idle stretch: every chunk goes cold
-				// and ends in the wholesale wipe.
+				// Now and then a long idle stretch: chunks go cold and a
+				// sweep evicts every cell they hold.
 				n := 1
 				if rng.Intn(10) == 0 {
 					n = 24
@@ -226,7 +212,7 @@ func TestHeatStoreMatchesReference(t *testing.T) {
 				h.reset()
 				ref = refHeat{}
 			}
-			checkSpans(t, h)
+			checkChunks(t, h)
 			for n := 0; n < 4; n++ {
 				vp := page()
 				want, wantWF := 0.0, 0.0
@@ -268,7 +254,7 @@ func TestHeatStoreMatchesReference(t *testing.T) {
 
 // reset drops all state, as a fresh store would have it.
 func (h *heatStore) reset() {
-	h.l1 = nil
+	h.dir = dense.Dir[heatChunk]{}
 	h.trackedPages = 0
 	h.snapValid = false
 }

@@ -12,7 +12,7 @@ import (
 // set marks vp one bit at a time and reports whether it was newly set:
 // the per-page marking the word-wise orWord is checked against.
 func (b *pageBitmap) set(vp pagetable.VPage) bool {
-	c := b.chunkFor(vp)
+	c := b.dir.Ensure(uint64(vp) >> chunkShift)
 	i := int(vp) & chunkMask
 	mask := uint64(1) << (uint(i) & 63)
 	if c[i>>6]&mask != 0 {

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"vulcan/internal/checkpoint"
+	"vulcan/internal/dense"
 	"vulcan/internal/pagetable"
 )
 
@@ -90,22 +91,16 @@ func (h *heatStore) Snapshot(e *checkpoint.Encoder) {
 
 // forEachLive calls fn for every tracked page in ascending order.
 func (h *heatStore) forEachLive(fn func(vp pagetable.VPage, heat, reads, writes float64)) {
-	for hi, blk := range h.l1 {
-		if blk == nil {
+	for ci, c := h.dir.Next(0); c != nil; ci, c = h.dir.Next(ci + 1) {
+		if c.live == 0 {
 			continue
 		}
-		for ci, c := range blk {
-			if c == nil || c.live == 0 {
-				continue
-			}
-			base := chunkBase(hi, ci)
-			wlo, whi := c.words()
-			for w := wlo; w < whi; w++ {
-				for word := c.mask[w]; word != 0; word &= word - 1 {
-					j := w<<6 | bits.TrailingZeros64(word)
-					cell := &c.cells[j]
-					fn(base|pagetable.VPage(j), cell.heat, cell.reads, cell.writes)
-				}
+		base := chunkBase(ci)
+		for w, word := range &c.mask {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				cell := &c.cells[j]
+				fn(base|pagetable.VPage(j), cell.heat, cell.reads, cell.writes)
 			}
 		}
 	}
@@ -118,7 +113,7 @@ func (h *heatStore) Restore(d *checkpoint.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	h.l1 = nil
+	h.dir = dense.Dir[heatChunk]{}
 	h.trackedPages = 0
 	total := 0
 	prevEnd := pagetable.VPage(0)

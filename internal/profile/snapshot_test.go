@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vulcan/internal/checkpoint"
+	"vulcan/internal/dense"
 	"vulcan/internal/mem"
 	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
@@ -241,7 +242,7 @@ func TestRestoreProfilerRejectsLegacyFaultTag(t *testing.T) {
 // same snapshots in the legacy fault-tagged layout. Restore must never panic; a blob it accepts — restore and
 // Close both succeed — must re-encode byte for byte, since the decoder
 // admits exactly the states the encoder writes; and the restored heat
-// store must keep every live cell inside its chunk's span.
+// store's live masks must mark exactly its live cells.
 func FuzzProfilerRestore(f *testing.F) {
 	kinds := []string{"pebs", "hybrid", "hintfault"}
 	for k, kind := range kinds {
@@ -251,7 +252,7 @@ func FuzzProfilerRestore(f *testing.F) {
 		}
 		// Pages in a second chunk and a second directory block give the
 		// heat runs more than one chunk to land in.
-		for _, vp := range []pagetable.VPage{chunkPages + 3, chunkPages + 4, chunkPages * dirSize} {
+		for _, vp := range []pagetable.VPage{chunkPages + 3, chunkPages + 4, chunkPages * dense.DirBlock} {
 			live.Record(Access{VP: vp, Write: true, Fast: true})
 		}
 		e := &checkpoint.Encoder{}
@@ -284,11 +285,11 @@ func FuzzProfilerRestore(f *testing.F) {
 		}
 		switch in := p.(type) {
 		case *PEBS:
-			checkSpans(t, in.heat)
+			checkChunks(t, in.heat)
 		case *Hybrid:
-			checkSpans(t, in.heat)
+			checkChunks(t, in.heat)
 		case *HintFault:
-			checkSpans(t, in.heat)
+			checkChunks(t, in.heat)
 		}
 	})
 }

@@ -74,7 +74,7 @@ func TestHintFaultRecordZeroAlloc(t *testing.T) {
 
 func TestHeatStoreRecordZeroAlloc(t *testing.T) {
 	// The store itself, below any profiler: steady-state updates of an
-	// existing cell (and the maxHeat maintenance) must not allocate.
+	// existing cell must not allocate.
 	h := newHeatStore(0.5)
 	for i := 0; i < 8; i++ {
 		h.record(3, i%2 == 0, 1)
@@ -91,7 +91,7 @@ func TestHeatStoreEndEpochZeroAlloc(t *testing.T) {
 	// epoch grows snapScratch, every later epoch must reuse it. Pages are
 	// spread across several chunks and recorded hot enough to survive all
 	// measured epochs (1e6 * 0.999^201 stays far above evictBelow), so the
-	// measurement covers the survivor path, not just chunk wipes.
+	// measurement covers the survivor path, not just evictions.
 	h := newHeatStore(0.999)
 	for vp := pagetable.VPage(0); vp < 64; vp++ {
 		h.record(vp*(chunkPages/4+1), vp%3 == 0, 1e6)

@@ -5,7 +5,8 @@
 #
 # Builds every binary, example and vulcanbench with coverage over the
 # vulcan/... packages, runs the shipped command sets (the seven Makefile
-# demos, figures -all in text and CSV, each policy, a fleet, the
+# demos, figures -all in text and CSV, each policy, a checkpoint and a
+# resume under tpp, memtis and nomad, a filtered trace, a fleet, the
 # examples, tracegen and one traced vulcanbench pass), and writes the
 # functions none of them executed to out/reach/unreached.txt, one
 # `go tool covdata func` row each. Runs offline. The census takes a few
@@ -40,6 +41,15 @@ GOFLAGS="-mod=readonly ${cover[*]}" make --no-print-directory VULCANSIM="$bin/vu
 for pol in static tpp memtis nomad vulcan; do
 	"$bin/vulcansim" -policy "$pol" -seconds 20 -scale 8 -seed 3 >/dev/null
 done
+# The demos checkpoint only vulcan runs: a checkpoint and a resume under
+# tpp, memtis and nomad carry the PEBS and hint-fault profilers through
+# their codecs.
+for pol in tpp memtis nomad; do
+	"$bin/vulcansim" -policy "$pol" -seconds 10 -scale 8 -seed 3 -checkpoint-out "$work/$pol.ckpt" >/dev/null
+	"$bin/vulcansim" -policy "$pol" -seconds 10 -scale 8 -seed 3 -resume "$work/$pol.ckpt" >/dev/null
+done
+"$bin/vulcansim" -seconds 10 -scale 8 -seed 3 -obs-filter migrate-sync,tlb-shootdown \
+	-trace-out "$work/filtered.json" >/dev/null
 "$bin/vulcansim" -fleet 4 -scheduler fairness -seconds 10 -scale 8 >/dev/null
 
 for ex in examples/*; do
