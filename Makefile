@@ -48,7 +48,7 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs fourteen native fuzz targets for ten seconds each: the
+# fuzz-smoke runs fifteen native fuzz targets for ten seconds each: the
 # checkpoint container (FuzzCheckpointReader), the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
@@ -59,8 +59,9 @@ bench-smoke:
 # its per-PTE reference (FuzzHintFaultWindow), the telemetry
 # checkpoint decoder (FuzzRecorderRestore), the system checkpoint
 # section (FuzzSystemSection), the workload thread decoder
-# (FuzzThreadRestore) and the migration decoders: engine shadows, async
-# queue and retry queue (FuzzMigrateRestore). Their seed corpora also
+# (FuzzThreadRestore), the migration decoders: engine shadows, async
+# queue and retry queue (FuzzMigrateRestore), and the Vulcan policy
+# decoder (FuzzVulcanRestore). Their seed corpora also
 # run in every `go test`; a failing input lands in the package's
 # testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/system -run '^$$' -fuzz FuzzSystemSection -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzThreadRestore -fuzztime 10s
 	$(GO) test ./internal/migrate -run '^$$' -fuzz FuzzMigrateRestore -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzVulcanRestore -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

@@ -86,22 +86,29 @@ func (pq *PromotionQueues) snapshotWaitMemory(e *checkpoint.Encoder) {
 	}
 }
 
-// restoreWaitMemory reads the wait memory back in place.
+// restoreWaitMemory reads the wait memory back in place. It accepts
+// only what snapshotWaitMemory writes: pages in range, in strictly
+// ascending order.
 func (pq *PromotionQueues) restoreWaitMemory(d *checkpoint.Decoder) error {
 	n := d.Length(16)
 	if d.Err() != nil {
 		return d.Err()
 	}
 	pq.lastHeat = make(map[pagetable.VPage]float64, n)
+	var prev pagetable.VPage
 	for i := 0; i < n; i++ {
 		vp := pagetable.VPage(d.U64())
 		heat := d.F64()
 		if d.Err() != nil {
 			return d.Err()
 		}
-		if _, dup := pq.lastHeat[vp]; dup {
-			return fmt.Errorf("core: duplicate wait entry for page %d", vp)
+		if vp > pagetable.MaxVPage {
+			return fmt.Errorf("core: wait entry for page %d out of range", vp)
 		}
+		if i > 0 && vp <= prev {
+			return fmt.Errorf("core: wait entry for page %d duplicated or out of order", vp)
+		}
+		prev = vp
 		pq.lastHeat[vp] = heat
 	}
 	return nil

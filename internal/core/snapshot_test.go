@@ -8,6 +8,7 @@ import (
 	"vulcan/internal/fault"
 	"vulcan/internal/machine"
 	"vulcan/internal/mem"
+	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
 	"vulcan/internal/system"
 	"vulcan/internal/workload"
@@ -129,4 +130,103 @@ func TestVulcanRestoreRejectsBadSnapshots(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// waitEntry is one wait-memory record as snapshotWaitMemory writes it.
+func waitEntry(vp uint64, heat float64) []byte {
+	e := &checkpoint.Encoder{}
+	e.U64(vp)
+	e.F64(heat)
+	return e.Bytes()
+}
+
+// badWaitBlobs returns two policy snapshots of v that Snapshot never
+// writes: the first workload's wait list in descending page order, and
+// a wait entry for a page past MaxVPage. Both start from a real
+// snapshot of v with a planted wait list and rewrite its entries.
+func badWaitBlobs(t testing.TB, v *Vulcan) (descending, farPage []byte) {
+	t.Helper()
+	pq := v.queues[v.qos.states[0].App]
+	saved := pq.lastHeat
+	defer func() { pq.lastHeat = saved }()
+	snap := func(wait map[pagetable.VPage]float64) []byte {
+		pq.lastHeat = wait
+		e := &checkpoint.Encoder{}
+		v.Snapshot(e)
+		return e.Bytes()
+	}
+	lo, hi := waitEntry(10, 1.25), waitEntry(20, 2.75)
+	pair := append(append([]byte{}, lo...), hi...)
+	swapped := append(append([]byte{}, hi...), lo...)
+	descending = snap(map[pagetable.VPage]float64{10: 1.25, 20: 2.75})
+	farPage = snap(map[pagetable.VPage]float64{10: 1.25})
+	if bytes.Count(descending, pair) != 1 || bytes.Count(farPage, lo) != 1 {
+		t.Fatal("planted wait entries not found once in the snapshot")
+	}
+	descending = bytes.Replace(descending, pair, swapped, 1)
+	farPage = bytes.Replace(farPage, lo, waitEntry(1<<62, 1.25), 1)
+	return descending, farPage
+}
+
+// TestVulcanRestoreRejectsBadWaitMemory feeds a properly admitted
+// Vulcan the two wait lists Snapshot never writes: entries out of page
+// order, which would restore and re-encode differently, and a page past
+// MaxVPage. Both must be rejected with the poison window's wording.
+func TestVulcanRestoreRejectsBadWaitMemory(t *testing.T) {
+	sys := system.New(vulcanConfig(nil))
+	sys.RunEpoch()
+	v := sys.Policy().(*Vulcan)
+	descending, farPage := badWaitBlobs(t, v)
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"descending", descending, "core: wait entry for page 10 duplicated or out of order"},
+		{"far page", farPage, "core: wait entry for page 4611686018427387904 out of range"},
+	} {
+		err := v.Restore(checkpoint.NewDecoder(c.blob))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s wait list: Restore error = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzVulcanRestore feeds the Vulcan policy decoder arbitrary bytes,
+// seeded with a driven system's policy snapshot, its truncations and
+// the two bad wait lists. Restore must never panic, and a blob it
+// accepts — Restore and Close both succeed — must re-encode byte for
+// byte. The target is admitted once and reused: Restore overwrites
+// every field Snapshot writes before it can accept a blob.
+func FuzzVulcanRestore(f *testing.F) {
+	live := system.New(vulcanConfig(nil))
+	for i := 0; i < 5; i++ {
+		live.RunEpoch()
+	}
+	v := live.Policy().(*Vulcan)
+	e := &checkpoint.Encoder{}
+	v.Snapshot(e)
+	blob := e.Bytes()
+	f.Add(blob)
+	for cut := 0; cut < len(blob); cut += 29 {
+		f.Add(blob[:cut])
+	}
+	descending, farPage := badWaitBlobs(f, v)
+	f.Add(descending)
+	f.Add(farPage)
+
+	cold := system.New(vulcanConfig(nil))
+	cold.RunEpoch() // admit the same two workloads
+	target := cold.Policy().(*Vulcan)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		d := checkpoint.NewDecoder(blob)
+		if target.Restore(d) != nil || d.Close() != nil {
+			return
+		}
+		e := &checkpoint.Encoder{}
+		target.Snapshot(e)
+		if !bytes.Equal(e.Bytes(), blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", blob, e.Bytes())
+		}
+	})
 }

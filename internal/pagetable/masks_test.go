@@ -95,7 +95,8 @@ func touchReference(r *Replicated, tid int, vp VPage, write bool) (TouchResult, 
 // checkTableMasks asserts the leaf masks and counts agree with the
 // PTEs: CheckMasks passes, Range visits exactly the pages Lookup finds,
 // PresentFrom's words hold exactly Range's pages at or above a start,
-// RangeFast visits exactly Range's present fast-tier pages, Mapped and
+// Words yields exactly Range's pages as present bits and its fast-tier
+// pages as fast bits, in nonzero, aligned, ascending words, Mapped and
 // FastMapped match a recount, a SweepAccessed that changes nothing
 // visits exactly the PTEs with A or D set, and a cursor finds what
 // Lookup finds.
@@ -144,14 +145,27 @@ func checkTableMasks(t *testing.T, r *Replicated) {
 			t.Fatalf("PresentFrom(%d) yielded %v, want %v", start, got, want)
 		}
 	}
-	var gotFast, gotAD []VPage
-	r.RangeFast(func(vp VPage) { gotFast = append(gotFast, vp) })
+	var gotPresent, gotFast, gotAD []VPage
+	r.Words(func(base VPage, present, fast uint64) {
+		if base&63 != 0 || present == 0 || fast&^present != 0 {
+			t.Fatalf("Words yielded present %#x, fast %#x at base %#x", present, fast, uint64(base))
+		}
+		for ; present != 0; present &= present - 1 {
+			gotPresent = append(gotPresent, base+VPage(bits.TrailingZeros64(present)))
+		}
+		for ; fast != 0; fast &= fast - 1 {
+			gotFast = append(gotFast, base+VPage(bits.TrailingZeros64(fast)))
+		}
+	})
 	r.SweepAccessed(func(vp VPage, p PTE) PTE {
 		gotAD = append(gotAD, vp)
 		return p
 	})
+	if !slices.Equal(gotPresent, mapped) {
+		t.Fatalf("Words' present bits are %v, Range visited %v", gotPresent, mapped)
+	}
 	if !slices.Equal(gotFast, fast) {
-		t.Fatalf("RangeFast visited %v, fast pages are %v", gotFast, fast)
+		t.Fatalf("Words' fast bits are %v, fast pages are %v", gotFast, fast)
 	}
 	if len(mapped) != r.Mapped() {
 		t.Fatalf("Mapped = %d, %d present pages", r.Mapped(), len(mapped))
@@ -216,8 +230,8 @@ func TestMaskWalksAllocateNothing(t *testing.T) {
 		r.Map(int(vp)%2, vp, NewPTE(mem.Frame{Tier: mem.TierID(vp % 2), Index: uint32(vp)}, 0))
 	}
 	n := 0
-	if a := testing.AllocsPerRun(20, func() { r.RangeFast(func(VPage) { n++ }) }); a != 0 {
-		t.Errorf("RangeFast: %v allocs/run", a)
+	if a := testing.AllocsPerRun(20, func() { r.Words(func(_ VPage, _, fast uint64) { n += bits.OnesCount64(fast) }) }); a != 0 {
+		t.Errorf("Words: %v allocs/run", a)
 	}
 	touchAndSweep := func() {
 		for vp := VPage(0); vp < 3*EntriesPerTable; vp += 7 {

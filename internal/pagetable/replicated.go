@@ -112,10 +112,11 @@ func (r *Replicated) PresentFrom(start VPage, fn func(base VPage, word uint64) b
 	r.proc.PresentFrom(start, fn)
 }
 
-// RangeFast iterates present fast-tier PTEs in ascending VPage order.
+// Words yields the present and fast mask words in ascending order (see
+// Table.Words).
 //
 //vulcan:hotpath
-func (r *Replicated) RangeFast(fn func(vp VPage)) { r.proc.RangeFast(fn) }
+func (r *Replicated) Words(fn func(base VPage, present, fast uint64)) { r.proc.Words(fn) }
 
 // SweepAccessed harvests A/D bits through the shared leaves (see
 // Table.SweepAccessed); both the process view and every thread view

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"vulcan/internal/checkpoint"
+	"vulcan/internal/mem"
 )
 
 // Snapshot appends the replicated table's durable state: the per-leaf
@@ -136,6 +137,11 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 		if !p.Shared() && int(p.Owner()) >= r.nthreads {
 			return fmt.Errorf("pagetable: PTE at %#x owned by thread %d of %d",
 				uint64(vp), p.Owner(), r.nthreads)
+		}
+		// A present entry's fast mask bit is its only tier record: the
+		// entries that are not fast must be exactly the slow ones.
+		if p.Present() && !p.Frame().Tier.Valid() {
+			return fmt.Errorf("pagetable: PTE at %#x names tier %d of %d", uint64(vp), p.Frame().Tier, mem.NumTiers)
 		}
 		if _, err := c.mapLeaf(vp, p); err != nil {
 			return fmt.Errorf("pagetable: restoring PTE: %w", err)

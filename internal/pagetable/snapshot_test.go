@@ -239,6 +239,7 @@ func TestReplicatedRestoreErrorTexts(t *testing.T) {
 		{section(5, pte(0), 0x201, pte(0)), "pagetable: PTE at 0x201 in unlinked leaf"},
 		{section(0x201, pte(0)), "pagetable: PTE at 0x201 in unlinked leaf"},
 		{section(5, pte(0), 6, pte(0), 0x403, pte(5)), "pagetable: PTE at 0x403 owned by thread 5 of 1"},
+		{section(5, pte(0), 0x402, pte(0)|2<<pteShiftTier), "pagetable: PTE at 0x402 names tier 2 of 2"},
 		{section(5, pte(0), 0x400, 0), "pagetable: restoring PTE: pagetable: mapping non-present PTE at 0x400"},
 	} {
 		err := NewReplicated(1).Restore(checkpoint.NewDecoder(c.blob))

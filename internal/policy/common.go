@@ -7,6 +7,8 @@
 package policy
 
 import (
+	"math/bits"
+
 	"vulcan/internal/mem"
 	"vulcan/internal/migrate"
 	"vulcan/internal/pagetable"
@@ -80,15 +82,23 @@ func rankMinor(appIndex int, vp pagetable.VPage) uint64 {
 
 // ColdestFastPages returns up to n of app's fast-tier pages ordered by
 // ascending profiled heat, then page number (unprofiled pages count as
-// coldest).
+// coldest). It reads the fast pages and their heats 64 at a time.
 func (b *RankBuf) ColdestFastPages(a *system.App, n int) []pagetable.VPage {
 	if n <= 0 {
 		return nil
 	}
 	sel := &b.selCold
 	sel.Reset(n)
-	a.Table.RangeFast(func(vp pagetable.VPage) {
-		sel.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)), uint64(vp), vp)
+	a.Table.Words(func(base pagetable.VPage, _, fast uint64) {
+		if fast == 0 {
+			return
+		}
+		hw := a.Profiler.HeatWord(base)
+		for ; fast != 0; fast &= fast - 1 {
+			i := bits.TrailingZeros64(fast)
+			vp := base | pagetable.VPage(i)
+			sel.Offer(radix.FloatKeyAsc(hw.Heat(i)), uint64(vp), vp)
+		}
 	})
 	return sel.Sorted()
 }
@@ -111,9 +121,17 @@ func (b *RankBuf) GlobalColdestFastPages(sys *system.System, n int, keep []PageS
 		if idx < len(keep) {
 			ka = &keep[idx]
 		}
-		a.Table.RangeFast(func(vp pagetable.VPage) {
-			if ka == nil || !ka.Has(vp) {
-				sel.Offer(radix.FloatKeyAsc(a.Profiler.Heat(vp)*w), rankMinor(idx, vp), GlobalPage{a, vp})
+		a.Table.Words(func(base pagetable.VPage, _, fast uint64) {
+			if fast == 0 {
+				return
+			}
+			hw := a.Profiler.HeatWord(base)
+			for ; fast != 0; fast &= fast - 1 {
+				i := bits.TrailingZeros64(fast)
+				vp := base | pagetable.VPage(i)
+				if ka == nil || !ka.Has(vp) {
+					sel.Offer(radix.FloatKeyAsc(hw.Heat(i)*w), rankMinor(idx, vp), GlobalPage{a, vp})
+				}
 			}
 		})
 	}
@@ -128,16 +146,23 @@ func (b *RankBuf) SlowPagesWithHeat(a *system.App, limit int) []pagetable.VPage 
 
 // HottestSlowPages selects up to limit of app's profiled pages resident
 // in the slow tier, hottest first, then by page number. It returns val
-// of each page, in sel's reusable buffer. HeatPages is in ascending page
-// order, so a table cursor walks each leaf once.
+// of each page, in sel's reusable buffer. The slow pages of a mask word
+// are its present pages that are not fast (the machine has two tiers),
+// and the profiled ones among them are the heat word's live pages.
 func HottestSlowPages[T any](sel *radix.Select[T], a *system.App, limit int, val func(profile.PageHeat) T) []T {
 	sel.Reset(limit)
-	cur := a.Table.Cursor()
-	for _, ph := range a.Profiler.HeatPages() {
-		if p, ok := cur.Lookup(ph.VP); ok && p.Frame().Tier == mem.TierSlow {
+	a.Table.Words(func(base pagetable.VPage, present, fast uint64) {
+		slow := present &^ fast
+		if slow == 0 {
+			return
+		}
+		hw := a.Profiler.HeatWord(base)
+		for slow &= hw.Live; slow != 0; slow &= slow - 1 {
+			i := bits.TrailingZeros64(slow)
+			ph := profile.PageHeat{VP: base | pagetable.VPage(i), Heat: hw.Heat(i), WriteFrac: hw.WriteFrac(i)}
 			sel.Offer(radix.FloatKeyDesc(ph.Heat), uint64(ph.VP), val(ph))
 		}
-	}
+	})
 	return sel.Sorted()
 }
 

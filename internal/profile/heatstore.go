@@ -212,19 +212,60 @@ func (h *heatStore) heat(vp pagetable.VPage) float64 {
 	return c.cells[i].heat
 }
 
+// writeFraction reads vp's cell through its heat word, so the two
+// return the same bits by construction.
+//
 //vulcan:hotpath
 func (h *heatStore) writeFraction(vp pagetable.VPage) float64 {
-	c := h.dir.Chunk(uint64(vp) >> chunkShift)
-	i := int(vp) & chunkMask
-	if c == nil || i >= len(c.cells) {
+	return h.word(vp &^ 63).WriteFrac(int(vp & 63))
+}
+
+// HeatWord is the profiled state of the 64 pages from a multiple of 64,
+// read from one heat chunk: bit i of Live is set exactly when page
+// base+i is tracked, and Heat(i) and WriteFrac(i) return what Heat and
+// WriteFraction return for that page. The zero value reads as 64
+// untracked pages.
+type HeatWord struct {
+	Live  uint64
+	cells *[64]heatCell
+}
+
+// Heat returns page i's heat, bit for bit Profiler.Heat (0 when
+// untracked).
+func (w HeatWord) Heat(i int) float64 {
+	if w.cells == nil {
 		return 0
 	}
-	cell := &c.cells[i]
+	return w.cells[i&63].heat
+}
+
+// WriteFrac returns page i's write fraction (0 when untracked), the
+// expression behind Profiler.WriteFraction.
+func (w HeatWord) WriteFrac(i int) float64 {
+	if w.cells == nil {
+		return 0
+	}
+	cell := &w.cells[i&63]
 	total := cell.reads + cell.writes
 	if total == 0 {
 		return 0
 	}
 	return cell.writes / total
+}
+
+// word returns the heat word of the 64 pages from base, a multiple of
+// 64. A page with no cell (its chunk never allocated, or past the
+// chunk's head cells) is untracked, as in heat, so such a word is the
+// zero HeatWord.
+//
+//vulcan:hotpath
+func (h *heatStore) word(base pagetable.VPage) HeatWord {
+	c := h.dir.Chunk(uint64(base) >> chunkShift)
+	i := int(base) & chunkMask
+	if c == nil || i+64 > len(c.cells) {
+		return HeatWord{}
+	}
+	return HeatWord{Live: c.mask[i>>6], cells: (*[64]heatCell)(c.cells[i : i+64])}
 }
 
 // snapshot returns all tracked pages hottest-first (ties broken by

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -257,4 +258,76 @@ func (h *heatStore) reset() {
 	h.dir = dense.Dir[heatChunk]{}
 	h.trackedPages = 0
 	h.snapValid = false
+}
+
+// TestHeatWordMatchesPointwise checks every profiler's HeatWord against
+// its Heat and WriteFraction for all 64 pages of a word: the live bit
+// is set exactly for the pages with heat, and both accessors agree bit
+// for bit. The words lie at bases 0, 448, 512 and 4032 of a chunk that
+// holds only its head cells, of a chunk never allocated, and of a far
+// chunk in a later directory block, grown past its head. Decay evicts
+// some pages first, so live words hold dead cells.
+func TestHeatWordMatchesPointwise(t *testing.T) {
+	tbl := newProfileTable()
+	profilers := []Profiler{
+		NewPEBSWithDecay(1, DefaultDecay, 9),
+		NewHybrid(tbl, 1, DefaultDecay, 9),
+		NewHintFault(tbl, 64, 1000),
+	}
+	far := pagetable.VPage(chunkPages * (dense.DirBlock + 3))
+	var pages []pagetable.VPage
+	for vp := pagetable.VPage(0); vp < 500; vp += 3 {
+		pages = append(pages, vp)
+	}
+	for vp := far + 400; vp < far+4096; vp += 7 {
+		pages = append(pages, vp)
+	}
+	for _, p := range profilers {
+		var heat *heatStore
+		switch in := p.(type) {
+		case *PEBS:
+			heat = in.heat
+		case *Hybrid:
+			heat = in.heat
+		case *HintFault:
+			heat = in.heat
+		}
+		for k, vp := range pages {
+			// The hint-fault profiler records only through its poison
+			// window, so feed the store directly, alike for all three.
+			for i := 0; i <= k%5; i++ {
+				heat.record(vp, (k+i)%3 == 0, float64(1+k%4))
+			}
+		}
+		heat.endEpoch()
+		for i := 0; i < 8; i++ {
+			heat.endEpoch()
+			heat.record(6, false, 1)
+			heat.record(far+403, true, 2)
+		}
+		if heat.tracked() == 0 || heat.tracked() == len(pages) {
+			t.Fatalf("%s: %d of %d pages tracked, want some evicted and some live", p.Name(), heat.tracked(), len(pages))
+		}
+		for _, chunk := range []pagetable.VPage{0, chunkPages, far} {
+			for _, off := range []pagetable.VPage{0, 448, 512, 4032} {
+				base := chunk + off
+				w := p.HeatWord(base)
+				for i := 0; i < 64; i++ {
+					vp := base + pagetable.VPage(i)
+					h, wf := p.Heat(vp), p.WriteFraction(vp)
+					if live := w.Live&(1<<i) != 0; live != (h != 0) {
+						t.Fatalf("%s page %d: live bit %t, heat %v", p.Name(), vp, live, h)
+					}
+					if math.Float64bits(w.Heat(i)) != math.Float64bits(h) || math.Float64bits(w.WriteFrac(i)) != math.Float64bits(wf) {
+						t.Fatalf("%s page %d: word reads heat %v, write fraction %v; pointwise %v, %v",
+							p.Name(), vp, w.Heat(i), w.WriteFrac(i), h, wf)
+					}
+				}
+			}
+		}
+	}
+	var zero HeatWord
+	if zero.Live != 0 || zero.Heat(5) != 0 || zero.WriteFrac(5) != 0 {
+		t.Fatal("the zero HeatWord does not read as untracked")
+	}
 }

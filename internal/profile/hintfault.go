@@ -130,6 +130,9 @@ func (h *HintFault) Heat(vp pagetable.VPage) float64 { return h.heat.heat(vp) }
 // WriteFraction implements Profiler.
 func (h *HintFault) WriteFraction(vp pagetable.VPage) float64 { return h.heat.writeFraction(vp) }
 
+// HeatWord implements Profiler.
+func (h *HintFault) HeatWord(base pagetable.VPage) HeatWord { return h.heat.word(base) }
+
 // HeatSnapshot implements Profiler.
 func (h *HintFault) HeatSnapshot() []PageHeat { return h.heat.snapshot() }
 

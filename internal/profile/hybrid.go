@@ -109,6 +109,9 @@ func (h *Hybrid) Heat(vp pagetable.VPage) float64 { return h.heat.heat(vp) }
 // WriteFraction implements Profiler.
 func (h *Hybrid) WriteFraction(vp pagetable.VPage) float64 { return h.heat.writeFraction(vp) }
 
+// HeatWord implements Profiler.
+func (h *Hybrid) HeatWord(base pagetable.VPage) HeatWord { return h.heat.word(base) }
+
 // HeatSnapshot implements Profiler.
 func (h *Hybrid) HeatSnapshot() []PageHeat { return h.heat.snapshot() }
 

@@ -77,6 +77,9 @@ func (p *PEBS) Heat(vp pagetable.VPage) float64 { return p.heat.heat(vp) }
 // WriteFraction implements Profiler.
 func (p *PEBS) WriteFraction(vp pagetable.VPage) float64 { return p.heat.writeFraction(vp) }
 
+// HeatWord implements Profiler.
+func (p *PEBS) HeatWord(base pagetable.VPage) HeatWord { return p.heat.word(base) }
+
 // HeatSnapshot implements Profiler.
 func (p *PEBS) HeatSnapshot() []PageHeat { return p.heat.snapshot() }
 

@@ -57,6 +57,10 @@ type Profiler interface {
 	// WriteFraction estimates the fraction of writes among the page's
 	// observed accesses (0 if untracked).
 	WriteFraction(vp pagetable.VPage) float64
+	// HeatWord returns the profiled state of the 64 pages from base, a
+	// multiple of 64, in one call: the rankers read a page-table mask
+	// word's heats through it instead of one Heat call per page.
+	HeatWord(base pagetable.VPage) HeatWord
 	// HeatSnapshot returns all tracked pages, hottest first (ties broken
 	// by ascending page number for determinism). The returned slice is
 	// scratch owned by the profiler: it is valid until the next

@@ -200,3 +200,24 @@ func TestHeatStorePagesAfterMutationZeroAlloc(t *testing.T) {
 		t.Errorf("heatStore.pages after a record allocated %.0f objects/op, want 0", allocs)
 	}
 }
+
+func TestHeatWordZeroAlloc(t *testing.T) {
+	// The rankers call HeatWord through the Profiler interface once per
+	// mask word; the word is returned by value and must not escape.
+	var p Profiler = NewPEBSWithDecay(1, DefaultDecay, 42)
+	for vp := pagetable.VPage(0); vp < 64; vp++ {
+		p.Record(Access{VP: vp * 7, Write: vp%2 == 0})
+	}
+	sum := 0.0
+	if allocs := testing.AllocsPerRun(200, func() {
+		for base := pagetable.VPage(0); base < 8*64; base += 64 {
+			w := p.HeatWord(base)
+			sum += w.Heat(3) + w.WriteFrac(3)
+		}
+	}); allocs != 0 {
+		t.Errorf("HeatWord allocated %.0f objects/op, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("no heat read: the pin measured only empty words")
+	}
+}

@@ -35,6 +35,9 @@ func (a *adversarialProfiler) WriteFraction(pagetable.VPage) float64 {
 	return a.rng.Float64()
 }
 
+// HeatWord reports every page untracked: the zero word.
+func (a *adversarialProfiler) HeatWord(pagetable.VPage) profile.HeatWord { return profile.HeatWord{} }
+
 func (a *adversarialProfiler) HeatSnapshot() []profile.PageHeat {
 	out := make([]profile.PageHeat, 0, 256)
 	for i := 0; i < 256; i++ {
