@@ -48,7 +48,7 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs fifteen native fuzz targets for ten seconds each: the
+# fuzz-smoke runs sixteen native fuzz targets for ten seconds each: the
 # checkpoint container (FuzzCheckpointReader), the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
@@ -57,8 +57,9 @@ bench-smoke:
 # checkpoint decoder (FuzzTiersRestore), the profiler checkpoint
 # decoder (FuzzProfilerRestore), the hint-fault window rebuild against
 # its per-PTE reference (FuzzHintFaultWindow), the telemetry
-# checkpoint decoder (FuzzRecorderRestore), the system checkpoint
-# section (FuzzSystemSection), the workload thread decoder
+# checkpoint decoder (FuzzRecorderRestore), the trace record emitter
+# against its string-building reference (FuzzTraceStreamEvent), the
+# system checkpoint section (FuzzSystemSection), the workload thread decoder
 # (FuzzThreadRestore), the migration decoders: engine shadows, async
 # queue and retry queue (FuzzMigrateRestore), and the Vulcan policy
 # decoder (FuzzVulcanRestore). Their seed corpora also
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzProfilerRestore -fuzztime 10s
 	$(GO) test ./internal/profile -run '^$$' -fuzz FuzzHintFaultWindow -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRecorderRestore -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceStreamEvent -fuzztime 10s
 	$(GO) test ./internal/system -run '^$$' -fuzz FuzzSystemSection -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzThreadRestore -fuzztime 10s
 	$(GO) test ./internal/migrate -run '^$$' -fuzz FuzzMigrateRestore -fuzztime 10s

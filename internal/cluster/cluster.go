@@ -44,8 +44,9 @@ const crossHostCopyCyclesPerPage = 6000.0
 // plus the fleet epochs at which it arrives and (optionally) departs.
 type JobSpec struct {
 	// App is the workload template. Its Name must be unique across the
-	// fleet and must not contain '~' (reserved for re-placement
-	// generation suffixes); StartAt is ignored — arrival is governed by
+	// fleet, at most 56 bytes, and must not contain '~' (the last 8
+	// bytes and '~' are reserved for re-placement generation
+	// suffixes); StartAt is ignored — arrival is governed by
 	// Arrive.
 	App workload.AppConfig
 	// Arrive is the fleet epoch at which the job first asks for
@@ -198,6 +199,10 @@ func (c *Config) validate() error {
 				return fmt.Errorf("cluster: job %q: '~' is reserved for re-placement generations", j.App.Name)
 			}
 		}
+		if len(j.App.Name) > workload.MaxNameLen-genSuffixLen {
+			return fmt.Errorf("cluster: job %q: names over %d bytes leave no room for re-placement generations",
+				j.App.Name, workload.MaxNameLen-genSuffixLen)
+		}
 		for k := 0; k < i; k++ {
 			if c.Jobs[k].App.Name == j.App.Name {
 				return fmt.Errorf("cluster: duplicate job name %q", j.App.Name)
@@ -299,6 +304,10 @@ func (f *Fleet) CanFit(h int, j *Job) bool {
 	sys := f.hosts[h].Sys
 	return sys.LiveThreads()+j.Spec.App.Threads <= sys.Cores()
 }
+
+// genSuffixLen is the room a job name leaves for instName's "~N"
+// suffix within workload.MaxNameLen: '~' and up to seven digits.
+const genSuffixLen = 8
 
 // instName is the unique per-placement instance name: a host's retired
 // names are permanent, so each re-placement runs under a fresh one.

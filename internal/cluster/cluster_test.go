@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"vulcan/internal/machine"
@@ -94,6 +95,7 @@ func TestFleetConfigValidation(t *testing.T) {
 		func(c *Config) { c.Jobs = nil },
 		func(c *Config) { c.Jobs[0].App.Name = "" },
 		func(c *Config) { c.Jobs[0].App.Name = "x~1" },
+		func(c *Config) { c.Jobs[0].App.Name = strings.Repeat("j", workload.MaxNameLen-genSuffixLen+1) },
 		func(c *Config) { c.Jobs[1].App.Name = c.Jobs[0].App.Name },
 		func(c *Config) { c.Jobs[0].Arrive = -1 },
 		func(c *Config) { c.Jobs[2].Depart = 1 }, // arrives at 1, departs at 1

@@ -23,62 +23,80 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return ts.Close()
 }
 
-// microseconds renders a nanosecond count as the trace format's
+// appendMicroseconds appends a nanosecond count as the trace format's
 // microsecond timestamp, with sub-µs precision kept as decimals.
-func microseconds(ns int64) string {
-	us := ns / 1000
+func appendMicroseconds(b []byte, ns int64) []byte {
+	b = strconv.AppendInt(b, ns/1000, 10)
 	frac := ns % 1000
 	if frac == 0 {
-		return strconv.FormatInt(us, 10)
+		return b
 	}
-	// Always three fractional digits: 1234 ns -> "1.234".
-	s := strconv.FormatInt(frac, 10)
-	for len(s) < 3 {
-		s = "0" + s
+	// Always three fractional characters, zero-padded on the left:
+	// 1234 ns -> "1.234", 5 ns -> "0.005".
+	b = append(b, '.')
+	at := len(b)
+	b = strconv.AppendInt(b, frac, 10)
+	for len(b)-at < 3 {
+		b = append(b, 0)
+		copy(b[at+1:], b[at:])
+		b[at] = '0'
 	}
-	return strconv.FormatInt(us, 10) + "." + s
+	return b
+}
+
+// appendJSONString appends s as a JSON string literal with the escapes
+// our names can need.
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20:
+			const hex = "0123456789abcdef"
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }
 
 // jsonWriter is a minimal error-latching JSON emitter that counts the
 // bytes it accepts. The exporter writes structure by hand so field
 // order (and therefore output bytes) is exactly the emission order, not
 // encoding/json's choices; the byte count gives streams a Tell() for
-// rolling-checkpoint truncation offsets.
+// rolling-checkpoint truncation offsets. Each record is built in rec
+// and goes out in one write.
 type jsonWriter struct {
 	w   *bufio.Writer
 	n   int64
 	err error
+	rec []byte // the record being built, reused across records
 }
 
-func (j *jsonWriter) raw(s string) {
+// lit, str, int, us and float append one token to the record.
+func (j *jsonWriter) lit(s string)    { j.rec = append(j.rec, s...) }
+func (j *jsonWriter) str(s string)    { j.rec = appendJSONString(j.rec, s) }
+func (j *jsonWriter) int(v int64)     { j.rec = strconv.AppendInt(j.rec, v, 10) }
+func (j *jsonWriter) us(ns int64)     { j.rec = appendMicroseconds(j.rec, ns) }
+func (j *jsonWriter) float(v float64) { j.rec = strconv.AppendFloat(j.rec, v, 'g', -1, 64) }
+
+// typ appends t's wire name as a JSON string; the taxonomy's names
+// need no escapes.
+func (j *jsonWriter) typ(t EventType) {
+	j.rec = append(j.rec, '"')
+	j.rec = t.appendName(j.rec)
+	j.rec = append(j.rec, '"')
+}
+
+// emit writes the built record and empties the buffer.
+func (j *jsonWriter) emit() {
 	if j.err == nil {
 		var k int
-		k, j.err = j.w.WriteString(s)
+		k, j.err = j.w.Write(j.rec)
 		j.n += int64(k)
 	}
-}
-
-// str writes a JSON string literal with the escapes our names can need.
-func (j *jsonWriter) str(s string) {
-	if j.err != nil {
-		return
-	}
-	buf := make([]byte, 0, len(s)+2)
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			buf = append(buf, '\\', c)
-		case c < 0x20:
-			const hex = "0123456789abcdef"
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-		default:
-			buf = append(buf, c)
-		}
-	}
-	buf = append(buf, '"')
-	var k int
-	k, j.err = j.w.Write(buf)
-	j.n += int64(k)
+	j.rec = j.rec[:0]
 }

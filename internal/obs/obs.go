@@ -17,6 +17,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"vulcan/internal/sim"
@@ -107,7 +108,17 @@ func (t EventType) String() string {
 	if int(t) < len(eventTypeNames) {
 		return eventTypeNames[t]
 	}
-	return fmt.Sprintf("event(%d)", uint8(t))
+	return string(t.appendName(nil))
+}
+
+// appendName appends the wire name to b.
+func (t EventType) appendName(b []byte) []byte {
+	if int(t) < len(eventTypeNames) {
+		return append(b, eventTypeNames[t]...)
+	}
+	b = append(b, "event("...)
+	b = strconv.AppendUint(b, uint64(t), 10)
+	return append(b, ')')
 }
 
 // ParseEventType resolves a wire name back to its type.

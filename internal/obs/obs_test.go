@@ -278,8 +278,8 @@ func TestMicroseconds(t *testing.T) {
 		{5, "0.005"},
 		{1_000_000_000, "1000000"},
 	} {
-		if got := microseconds(tc.ns); got != tc.want {
-			t.Errorf("microseconds(%d) = %q, want %q", tc.ns, got, tc.want)
+		if got := string(appendMicroseconds(nil, tc.ns)); got != tc.want {
+			t.Errorf("appendMicroseconds(%d) = %q, want %q", tc.ns, got, tc.want)
 		}
 	}
 }

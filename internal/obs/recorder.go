@@ -2,7 +2,6 @@ package obs
 
 import (
 	"io"
-	"strconv"
 
 	"vulcan/internal/sim"
 )
@@ -18,11 +17,11 @@ import (
 // clock stamps t=0 (useful in unit tests that set Event.Time
 // explicitly).
 type Recorder struct {
-	clock   *sim.Clock //vulcan:nosnap construction wiring; the restoring recorder keeps its live clock binding
-	filter  TypeSet
-	events  []Event
-	reg     *Registry
-	samples []epochSample
+	clock  *sim.Clock //vulcan:nosnap construction wiring; the restoring recorder keeps its live clock binding
+	filter TypeSet
+	events []Event
+	reg    *Registry
+	log    sampleLog
 
 	// trace/csv, when set (StreamTo), switch the recorder to streaming
 	// mode.
@@ -32,16 +31,64 @@ type Recorder struct {
 	rows []metricRow //vulcan:nosnap FlushEpoch's registry row buffer, dead between flushes
 }
 
-// epochSample is one per-epoch registry snapshot row.
-type epochSample struct {
-	Epoch int
-	T     sim.Time
-	Row   metricRow
+// sampleLog is the batch recorder's per-epoch registry samples. Each
+// flush appends one run: the rows it took, all at one (epoch, t). A row
+// is an interned identity and its value, 12 bytes, and holds no pointer
+// into the registry.
+type sampleLog struct {
+	runs []sampleRun
+	sids []uint32  // row identities, indices into names
+	vals []float64 // row values, beside sids
+
+	// names and index intern identities; they only grow, so an
+	// identity a registry row has cached stays valid across Restore.
+	names []string
+	index map[string]uint32
+}
+
+// sampleRun is one run of consecutive samples sharing (epoch, t).
+type sampleRun struct {
+	epoch int
+	t     sim.Time
+	end   int // one past the run's last row in sids/vals
+}
+
+func newSampleLog() sampleLog { return sampleLog{index: map[string]uint32{}} }
+
+// intern returns id's index in names, adding it on first sight.
+func (l *sampleLog) intern(id string) uint32 {
+	sid, ok := l.index[id]
+	if !ok {
+		sid = uint32(len(l.names))
+		l.names = append(l.names, id)
+		l.index[id] = sid
+	}
+	return sid
+}
+
+// add appends one sample, opening a new run unless the last run has
+// the same (epoch, t).
+func (l *sampleLog) add(epoch int, t sim.Time, sid uint32, v float64) {
+	if n := len(l.runs); n == 0 || l.runs[n-1].epoch != epoch || l.runs[n-1].t != t {
+		l.runs = append(l.runs, sampleRun{epoch: epoch, t: t})
+	}
+	l.sids = append(l.sids, sid)
+	l.vals = append(l.vals, v) //vulcan:allowalloc batch mode keeps every sample; growth amortized
+	l.runs[len(l.runs)-1].end = len(l.sids)
+}
+
+// each calls fn once per run with the run's rows, in order.
+func (l *sampleLog) each(fn func(epoch int, t sim.Time, sids []uint32, vals []float64)) {
+	start := 0
+	for _, run := range l.runs {
+		fn(run.epoch, run.t, l.sids[start:run.end], l.vals[start:run.end])
+		start = run.end
+	}
 }
 
 // NewRecorder returns a recorder that admits every event type.
 func NewRecorder() *Recorder {
-	return &Recorder{reg: NewRegistry()}
+	return &Recorder{reg: NewRegistry(), log: newSampleLog()}
 }
 
 // BindClock attaches the simulation clock; the system calls this during
@@ -115,21 +162,24 @@ func (r *Recorder) FlushEpoch(epoch int) {
 		return
 	}
 	for _, row := range r.rows {
-		r.samples = append(r.samples, epochSample{Epoch: epoch, T: t, Row: row}) //vulcan:allowalloc batch mode keeps every sample; growth amortized
+		if row.memo.sid == 0 {
+			row.memo.sid = r.log.intern(row.ID) + 1
+		}
+		r.log.add(epoch, t, row.memo.sid-1, row.Val)
 	}
 }
-
-// formatVal renders a metric value in the shortest round-trippable
-// form, so output is byte-stable across runs and Go versions.
-func formatVal(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WriteMetricsCSV emits the per-epoch registry snapshots by replaying
 // them through a CSVStream: epoch, sim time (ns), metric identity,
 // value, in (epoch, sorted metric identity) order — never map order.
+// Each run's "epoch,t_ns," prefix is formatted once.
 func (r *Recorder) WriteMetricsCSV(w io.Writer) error {
 	cs := NewCSVStream(w)
-	for _, s := range r.samples {
-		cs.Row(s.Epoch, s.T, s.Row.ID, s.Row.Val)
-	}
+	r.log.each(func(epoch int, t sim.Time, sids []uint32, vals []float64) {
+		cs.begin(epoch, t)
+		for i, sid := range sids {
+			cs.row(r.log.names[sid], vals[i])
+		}
+	})
 	return cs.Flush()
 }

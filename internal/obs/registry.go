@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"vulcan/internal/metrics"
@@ -22,31 +22,11 @@ func App(name string) Label { return Label{Key: "app", Val: name} }
 // Tier is the canonical per-tier label ("fast"/"slow").
 func Tier(name string) Label { return Label{Key: "tier", Val: name} }
 
-// metricID renders the canonical instrument identity:
-// name{k1=v1,k2=v2} with labels sorted by key.
-func metricID(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Val)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 // Gauge is a set-to-current-value instrument.
-type Gauge struct{ v float64 }
+type Gauge struct {
+	v   float64
+	row rowMemo
+}
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.v = v }
@@ -55,6 +35,27 @@ func (g *Gauge) Set(v float64) { g.v = v }
 // the exporters read instruments back, so control code cannot depend on
 // telemetry being enabled.
 func (g *Gauge) value() float64 { return g.v }
+
+// rowMemo is one exported row's memory across flushes: the value bits
+// its CSV tail was last formatted from, that "id,value\n" tail, and
+// the row's interned identity in its recorder's batch log (0 = not yet
+// interned, else index+1).
+type rowMemo struct {
+	bits uint64
+	tail []byte
+	sid  uint32
+}
+
+// csvTail returns the row's "id,value\n" tail, re-formatting it into
+// the kept buffer only when the value's bits changed. Comparing bits
+// keeps -0 and NaN payloads exact.
+func (m *rowMemo) csvTail(id string, v float64) []byte {
+	if b := math.Float64bits(v); b != m.bits || len(m.tail) == 0 {
+		m.bits = b
+		m.tail = appendCSVTail(m.tail[:0], id, v)
+	}
+	return m.tail
+}
 
 // Registry is the simulator's metric namespace: named gauges and
 // fixed-bucket histograms, each optionally labeled per app and per
@@ -70,7 +71,11 @@ type Registry struct {
 	histos map[string]*metrics.Histogram
 
 	gaugeList sortedIDs[*Gauge]
-	histoList sortedIDs[histoRows]
+	histoList sortedIDs[*histoRows]
+
+	// A lookup builds its key here, so a hit allocates nothing.
+	key    []byte  //vulcan:nosnap lookup scratch, dead between calls
+	labels []Label //vulcan:nosnap lookup scratch, dead between calls
 }
 
 // sortedIDs holds instrument identities in ascending order, each with
@@ -87,14 +92,16 @@ func (s *sortedIDs[T]) insert(id string, v T) {
 	s.vals = slices.Insert(s.vals, i, v)
 }
 
-// histoRows is a histogram with its four exported row names.
+// histoRows is a histogram with its four exported row names and their
+// memos.
 type histoRows struct {
-	h    *metrics.Histogram
-	rows [4]string // id.count, id.p50, id.p95, id.p99
+	h     *metrics.Histogram
+	rows  [4]string // id.count, id.p50, id.p95, id.p99
+	memos [4]rowMemo
 }
 
-func newHistoRows(id string, h *metrics.Histogram) histoRows {
-	return histoRows{h: h, rows: [4]string{id + ".count", id + ".p50", id + ".p95", id + ".p99"}}
+func newHistoRows(id string, h *metrics.Histogram) *histoRows {
+	return &histoRows{h: h, rows: [4]string{id + ".count", id + ".p50", id + ".p95", id + ".p99"}}
 }
 
 // NewRegistry returns an empty registry.
@@ -105,11 +112,34 @@ func NewRegistry() *Registry {
 	}
 }
 
+// identity renders the canonical instrument identity into the key
+// buffer: name{k1=v1,k2=v2} with labels sorted by key.
+func (r *Registry) identity(name string, labels []Label) []byte {
+	r.key = append(r.key[:0], name...)
+	if len(labels) == 0 {
+		return r.key
+	}
+	r.labels = append(r.labels[:0], labels...)
+	slices.SortStableFunc(r.labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	r.key = append(r.key, '{')
+	for i, l := range r.labels {
+		if i > 0 {
+			r.key = append(r.key, ',')
+		}
+		r.key = append(r.key, l.Key...)
+		r.key = append(r.key, '=')
+		r.key = append(r.key, l.Val...)
+	}
+	r.key = append(r.key, '}')
+	return r.key
+}
+
 // Gauge returns (creating if needed) the named gauge.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	id := metricID(name, labels)
-	g := r.gauges[id]
+	key := r.identity(name, labels)
+	g := r.gauges[string(key)]
 	if g == nil {
+		id := string(key)
 		g = &Gauge{}
 		r.gauges[id] = g
 		r.gaugeList.insert(id, g)
@@ -121,9 +151,10 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // histogram over [min, max) with n buckets. The shape arguments apply
 // only on first use.
 func (r *Registry) Histogram(name string, min, max float64, n int, labels ...Label) *metrics.Histogram {
-	id := metricID(name, labels)
-	h := r.histos[id]
+	key := r.identity(name, labels)
+	h := r.histos[string(key)]
 	if h == nil {
+		id := string(key)
 		h = metrics.NewHistogram(min, max, n)
 		r.histos[id] = h
 		r.histoList.insert(id, newHistoRows(id, h))
@@ -139,22 +170,24 @@ func (r *Registry) Histogram(name string, min, max float64, n int, labels ...Lab
 //vulcan:hotpath
 func (r *Registry) snapshot(out []metricRow) []metricRow {
 	for i, g := range r.gaugeList.vals {
-		out = append(out, metricRow{ID: r.gaugeList.ids[i], Val: g.value()})
+		out = append(out, metricRow{ID: r.gaugeList.ids[i], Val: g.value(), memo: &g.row})
 	}
 	for _, hr := range r.histoList.vals {
 		s := hr.h.Summary()
 		out = append(out,
-			metricRow{ID: hr.rows[0], Val: float64(s.Count)},
-			metricRow{ID: hr.rows[1], Val: s.P50},
-			metricRow{ID: hr.rows[2], Val: s.P95},
-			metricRow{ID: hr.rows[3], Val: s.P99},
+			metricRow{ID: hr.rows[0], Val: float64(s.Count), memo: &hr.memos[0]},
+			metricRow{ID: hr.rows[1], Val: s.P50, memo: &hr.memos[1]},
+			metricRow{ID: hr.rows[2], Val: s.P95, memo: &hr.memos[2]},
+			metricRow{ID: hr.rows[3], Val: s.P99, memo: &hr.memos[3]},
 		)
 	}
 	return out
 }
 
-// metricRow is one exported (identity, value) pair.
+// metricRow is one exported (identity, value) pair with its
+// instrument's row memo.
 type metricRow struct {
-	ID  string
-	Val float64
+	ID   string
+	Val  float64
+	memo *rowMemo
 }

@@ -18,13 +18,15 @@ func (r *Recorder) Snapshot(e *checkpoint.Encoder) {
 	for _, ev := range r.events {
 		snapshotEvent(e, ev)
 	}
-	e.Int(len(r.samples))
-	for _, s := range r.samples {
-		e.Int(s.Epoch)
-		e.I64(int64(s.T))
-		e.String(s.Row.ID)
-		e.F64(s.Row.Val)
-	}
+	e.Int(len(r.log.sids))
+	r.log.each(func(epoch int, t sim.Time, sids []uint32, vals []float64) {
+		for i, sid := range sids {
+			e.Int(epoch)
+			e.I64(int64(t))
+			e.String(r.log.names[sid])
+			e.F64(vals[i])
+		}
+	})
 	r.reg.Snapshot(e)
 }
 
@@ -47,15 +49,17 @@ func (r *Recorder) Restore(d *checkpoint.Decoder) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	r.samples = make([]epochSample, 0, n)
+	r.log.runs = nil
+	r.log.sids = make([]uint32, 0, n)
+	r.log.vals = make([]float64, 0, n)
 	for i := 0; i < n; i++ {
-		s := epochSample{Epoch: d.Int(), T: sim.Time(d.I64())}
-		s.Row.ID = d.String()
-		s.Row.Val = d.F64()
+		epoch, t := d.Int(), sim.Time(d.I64())
+		id := d.String()
+		v := d.F64()
 		if d.Err() != nil {
 			return d.Err()
 		}
-		r.samples = append(r.samples, s)
+		r.log.add(epoch, t, r.log.intern(id), v)
 	}
 	return r.reg.Restore(d)
 }
@@ -146,7 +150,7 @@ func (r *Registry) Restore(d *checkpoint.Decoder) error {
 		return d.Err()
 	}
 	r.histos = make(map[string]*metrics.Histogram, n)
-	r.histoList = sortedIDs[histoRows]{}
+	r.histoList = sortedIDs[*histoRows]{}
 	for i := 0; i < n; i++ {
 		id := d.String()
 		if d.Err() != nil {

@@ -161,7 +161,9 @@ func TestRegistryRestoreRejectsUnsortedIDs(t *testing.T) {
 // a blob the recorder accepts re-encodes byte for byte, with its
 // registry's identity lists in sorted order. The corpus is
 // a batch recorder's snapshot after a short run (events, samples,
-// gauges, two histograms) and a truncation ladder over it.
+// gauges, two histograms), a truncation ladder over it, and the
+// hand-built sample lists whose (epoch, t) pairs interleave and repeat,
+// so the log holds several runs per epoch.
 func FuzzRecorderRestore(f *testing.F) {
 	var clock sim.Clock
 	r := populatedRecorder(&clock)
@@ -173,6 +175,9 @@ func FuzzRecorderRestore(f *testing.F) {
 	f.Add(blob)
 	for cut := 0; cut < len(blob); cut += 37 {
 		f.Add(blob[:cut])
+	}
+	for _, samples := range handBuiltSamples {
+		f.Add(sampleBlob(samples))
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		r := NewRecorder()

@@ -44,11 +44,14 @@ type TraceStream struct {
 	pids     map[string]int
 	pidOrder []string // scopes in pid-assignment order; pid = index+1
 
-	tids     map[string]map[string]int
+	tids     map[scopeLane]int
 	tidOrder map[string][]string // lanes in tid-assignment order; tid = index+1
 
 	cursor map[streamTrack]int64
 }
+
+// scopeLane names one lane within one scope.
+type scopeLane struct{ scope, lane string }
 
 // streamTrack identifies one layout track (one thread row in the
 // rendered trace).
@@ -58,30 +61,35 @@ type streamTrack struct{ pid, tid int }
 // machine process metadata are written immediately.
 func NewTraceStream(w io.Writer) *TraceStream {
 	ts := newTraceStream(w)
-	ts.j.raw(`{"displayTimeUnit":"ms","traceEvents":[`)
+	ts.j.lit(`{"displayTimeUnit":"ms","traceEvents":[`)
+	ts.j.emit()
 	ts.pid("") // machine is always pid 1
 	return ts
 }
 
 func newTraceStream(w io.Writer) *TraceStream {
 	return &TraceStream{
-		j:        jsonWriter{w: bufio.NewWriter(w)},
+		j:        jsonWriter{w: bufio.NewWriterSize(w, streamBuffer)},
 		first:    true,
 		pids:     map[string]int{},
-		tids:     map[string]map[string]int{},
+		tids:     map[scopeLane]int{},
 		tidOrder: map[string][]string{},
 		cursor:   map[streamTrack]int64{},
 	}
 }
 
-// sep writes the record separator (comma for every record after the
-// first) and the leading newline.
-func (ts *TraceStream) sep() {
+// streamBuffer sizes both streams' write buffers to hold about one
+// epoch of output, so a flush is one write(2).
+const streamBuffer = 64 << 10
+
+// record starts a record in the writer's buffer: the separator (a
+// comma before every record after the first) and the leading newline.
+func (ts *TraceStream) record() {
 	if !ts.first {
-		ts.j.raw(",")
+		ts.j.lit(",")
 	}
 	ts.first = false
-	ts.j.raw("\n")
+	ts.j.lit("\n")
 }
 
 // pid returns the scope's process id, assigning the next free pid and
@@ -97,11 +105,13 @@ func (ts *TraceStream) pid(scope string) int {
 	if display == "" {
 		display = "machine"
 	}
-	ts.sep()
-	ts.j.raw(`{"name":"process_name","ph":"M","pid":` + strconv.Itoa(p) +
-		`,"tid":0,"args":{"name":`)
+	ts.record()
+	ts.j.lit(`{"name":"process_name","ph":"M","pid":`)
+	ts.j.int(int64(p))
+	ts.j.lit(`,"tid":0,"args":{"name":`)
 	ts.j.str(display)
-	ts.j.raw(`}}`)
+	ts.j.lit(`}}`)
+	ts.j.emit()
 	return p
 }
 
@@ -113,28 +123,32 @@ func (ts *TraceStream) tid(pid int, scope, track string) int {
 	if lane == "" {
 		lane = "events"
 	}
-	lanes := ts.tids[scope]
-	if lanes == nil {
-		lanes = map[string]int{}
-		ts.tids[scope] = lanes
-	}
-	if t, ok := lanes[lane]; ok {
+	key := scopeLane{scope, lane}
+	if t, ok := ts.tids[key]; ok {
 		return t
 	}
 	t := len(ts.tidOrder[scope]) + 1
-	lanes[lane] = t
+	ts.tids[key] = t
 	ts.tidOrder[scope] = append(ts.tidOrder[scope], lane)
-	ts.sep()
-	ts.j.raw(`{"name":"thread_name","ph":"M","pid":` + strconv.Itoa(pid) +
-		`,"tid":` + strconv.Itoa(t) + `,"args":{"name":`)
+	ts.record()
+	ts.j.lit(`{"name":"thread_name","ph":"M","pid":`)
+	ts.j.int(int64(pid))
+	ts.j.lit(`,"tid":`)
+	ts.j.int(int64(t))
+	ts.j.lit(`,"args":{"name":`)
 	ts.j.str(lane)
-	ts.j.raw(`}}`)
+	ts.j.lit(`}}`)
+	ts.j.emit()
 	return t
 }
 
 // Event writes one event record: a complete ("X") slice when it has a
 // duration, a thread-scoped instant ("i") otherwise. Fields and the
-// note become args.
+// note become args. The record is built in one reused buffer and goes
+// out in one write; once its scope, lane and track cursor exist, an
+// event allocates nothing.
+//
+//vulcan:hotpath
 func (ts *TraceStream) Event(e Event) {
 	p := ts.pid(e.App)
 	t := ts.tid(p, e.App, e.Track)
@@ -143,41 +157,42 @@ func (ts *TraceStream) Event(e Event) {
 	if c := ts.cursor[key]; tns < c {
 		tns = c
 	}
-	ts.sep()
-	ts.j.raw(`{"name":`)
-	ts.j.str(e.Type.String())
-	ts.j.raw(`,"cat":`)
-	ts.j.str(e.Type.String())
+	ts.record()
+	ts.j.lit(`{"name":`)
+	ts.j.typ(e.Type)
+	ts.j.lit(`,"cat":`)
+	ts.j.typ(e.Type)
 	if e.Dur > 0 {
-		ts.j.raw(`,"ph":"X"`)
+		ts.j.lit(`,"ph":"X"`)
 	} else {
-		ts.j.raw(`,"ph":"i","s":"t"`)
+		ts.j.lit(`,"ph":"i","s":"t"`)
 	}
-	ts.j.raw(`,"pid":` + strconv.Itoa(p) + `,"tid":` + strconv.Itoa(t))
-	ts.j.raw(`,"ts":` + microseconds(tns))
+	ts.j.lit(`,"pid":`)
+	ts.j.int(int64(p))
+	ts.j.lit(`,"tid":`)
+	ts.j.int(int64(t))
+	ts.j.lit(`,"ts":`)
+	ts.j.us(tns)
 	if e.Dur > 0 {
-		ts.j.raw(`,"dur":` + microseconds(int64(e.Dur)))
+		ts.j.lit(`,"dur":`)
+		ts.j.us(int64(e.Dur))
 		ts.cursor[key] = tns + int64(e.Dur)
 	}
-	ts.j.raw(`,"args":{`)
-	argFirst := true
-	arg := func() {
-		if !argFirst {
-			ts.j.raw(",")
-		}
-		argFirst = false
-	}
+	ts.j.lit(`,"args":{`)
 	if e.Note != "" {
-		arg()
-		ts.j.raw(`"note":`)
+		ts.j.lit(`"note":`)
 		ts.j.str(e.Note)
 	}
-	for _, f := range e.Fields {
-		arg()
+	for i, f := range e.Fields {
+		if i > 0 || e.Note != "" {
+			ts.j.lit(",")
+		}
 		ts.j.str(f.Key)
-		ts.j.raw(`:` + formatVal(f.Val))
+		ts.j.lit(":")
+		ts.j.float(f.Val)
 	}
-	ts.j.raw(`}}`)
+	ts.j.lit(`}}`)
+	ts.j.emit()
 }
 
 // Flush pushes buffered bytes to the underlying writer — the explicit
@@ -201,7 +216,8 @@ func (ts *TraceStream) Err() error { return ts.j.err }
 // Close terminates the JSON document and flushes. The stream is
 // unusable afterwards.
 func (ts *TraceStream) Close() error {
-	ts.j.raw("\n]}\n")
+	ts.j.lit("\n]}\n")
+	ts.j.emit()
 	if ts.j.err != nil {
 		return ts.j.err
 	}
@@ -260,13 +276,11 @@ func ResumeTraceStream(w io.Writer, d *checkpoint.Decoder) (*TraceStream, error)
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
-		lanes := map[string]int{}
 		for k := 0; k < nLanes; k++ {
 			lane := d.String()
-			lanes[lane] = k + 1
+			ts.tids[scopeLane{scope, lane}] = k + 1
 			ts.tidOrder[scope] = append(ts.tidOrder[scope], lane)
 		}
-		ts.tids[scope] = lanes
 	}
 	nCur := d.Length(24)
 	if d.Err() != nil {
@@ -285,15 +299,16 @@ func ResumeTraceStream(w io.Writer, d *checkpoint.Decoder) (*TraceStream, error)
 // (Recorder.WriteMetricsCSV) replays its buffered samples through this
 // stream, so streamed and batch CSV are byte-identical.
 type CSVStream struct {
-	w   *bufio.Writer
-	n   int64
-	err error
-	buf []byte // row formatting scratch, reused across rows
+	w      *bufio.Writer
+	n      int64
+	err    error
+	buf    []byte // row formatting scratch, reused across rows
+	prefix int    // length of the "epoch,t_ns," prefix at buf's head
 }
 
 // NewCSVStream opens a metrics CSV stream on w, writing the header.
 func NewCSVStream(w io.Writer) *CSVStream {
-	s := &CSVStream{w: bufio.NewWriter(w)}
+	s := &CSVStream{w: bufio.NewWriterSize(w, streamBuffer)}
 	s.buf = append(s.buf, "epoch,t_ns,metric,value\n"...)
 	s.write(s.buf)
 	return s
@@ -309,30 +324,42 @@ func (s *CSVStream) write(b []byte) {
 	s.n += int64(k)
 }
 
-// Row appends one sample row: epoch, sim time (ns), metric identity,
-// shortest-round-trip value.
-func (s *CSVStream) Row(epoch int, t sim.Time, id string, val float64) {
-	s.rows(epoch, t, []metricRow{{ID: id, Val: val}})
-}
-
-// rows appends one row per metric, all at one epoch and time: the
-// "epoch,t_ns," prefix is formatted once, and each row is appended to
-// the reused scratch buffer with strconv's Append functions.
+// rows appends one row per registry row, all at one epoch and time.
+// Each row copies its memo's kept "id,value\n" tail, which is
+// re-formatted only when the value changed.
 //
 //vulcan:hotpath
 func (s *CSVStream) rows(epoch int, t sim.Time, rows []metricRow) {
+	s.begin(epoch, t)
+	for _, row := range rows {
+		s.buf = append(s.buf[:s.prefix], row.memo.csvTail(row.ID, row.Val)...)
+		s.write(s.buf)
+	}
+}
+
+// begin formats the "epoch,t_ns," prefix the following rows share.
+func (s *CSVStream) begin(epoch int, t sim.Time) {
 	s.buf = strconv.AppendInt(s.buf[:0], int64(epoch), 10)
 	s.buf = append(s.buf, ',')
 	s.buf = strconv.AppendInt(s.buf, int64(t), 10)
 	s.buf = append(s.buf, ',')
-	prefix := len(s.buf)
-	for _, row := range rows {
-		s.buf = append(s.buf[:prefix], row.ID...)
-		s.buf = append(s.buf, ',')
-		s.buf = strconv.AppendFloat(s.buf, row.Val, 'g', -1, 64)
-		s.buf = append(s.buf, '\n')
-		s.write(s.buf)
-	}
+	s.prefix = len(s.buf)
+}
+
+// row formats and writes one row after the current prefix.
+func (s *CSVStream) row(id string, val float64) {
+	s.buf = appendCSVTail(s.buf[:s.prefix], id, val)
+	s.write(s.buf)
+}
+
+// appendCSVTail appends a row's "id,value\n" tail, the value in its
+// shortest round-trip form, so output is byte-stable across runs and
+// Go versions.
+func appendCSVTail(b []byte, id string, val float64) []byte {
+	b = append(b, id...)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, val, 'g', -1, 64)
+	return append(b, '\n')
 }
 
 // Flush pushes buffered bytes to the underlying writer.
@@ -357,6 +384,6 @@ func (s *CSVStream) Snapshot(e *checkpoint.Encoder) { e.I64(s.n) }
 // already hold the first Tell() bytes of the original stream. No header
 // is written.
 func ResumeCSVStream(w io.Writer, d *checkpoint.Decoder) (*CSVStream, error) {
-	s := &CSVStream{w: bufio.NewWriter(w), n: d.I64()}
+	s := &CSVStream{w: bufio.NewWriterSize(w, streamBuffer), n: d.I64()}
 	return s, d.Err()
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -143,6 +144,12 @@ var loadErrorCases = map[string]string{
 	"negative fault rate":      `{"apps":[{"preset":"memcached"}],"faults":{"rate":-0.1}}`,
 	"profile and rate":         `{"apps":[{"preset":"memcached"}],"faults":{"profile":"light","rate":0.05}}`,
 	"fault seed doing nothing": `{"apps":[{"preset":"memcached"}],"faults":{"seed":7}}`,
+
+	"name with a comma":         `{"apps":[{"name":"x,y","rss_pages":100}]}`,
+	"preset renamed with brace": `{"apps":[{"preset":"memcached","name":"p}q"}]}`,
+	"name with a newline":       `{"apps":[{"name":"n\nl","rss_pages":100}]}`,
+	"template name with comma":  `{"apps":[{"preset":"memcached"}],"arrivals":{"rate_per_epoch":1,"template":{"name":"x,y","rss_pages":1000}}}`,
+	"fleet job with brace":      `{"apps":[{"name":"p}q","rss_pages":100}],"fleet":{"hosts":2}}`,
 }
 
 func TestLoadErrors(t *testing.T) {
@@ -458,5 +465,28 @@ func TestPresetName(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader(`{` + apps + `, ` + fmt.Sprintf(tmpl, "mc") + `}`)); err == nil {
 		t.Fatal("template name colliding with a renamed preset accepted")
+	}
+}
+
+// TestLoadRejectsUnsafeNames: names carrying a CSV or label separator
+// are rejected wherever a scenario names an app — its apps, a renamed
+// preset, the arrivals template and fleet jobs.
+func TestLoadRejectsUnsafeNames(t *testing.T) {
+	for _, name := range []string{"x,y", "p}q", "n\nl"} {
+		q, err := json.Marshal(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, js := range []string{
+			`{"apps":[{"name":%s,"rss_pages":100}]}`,
+			`{"apps":[{"preset":"memcached","name":%s}]}`,
+			`{"apps":[{"preset":"memcached"}],"arrivals":{"rate_per_epoch":1,"template":{"name":%s,"rss_pages":1000}}}`,
+			`{"apps":[{"name":%s,"rss_pages":100}],"fleet":{"hosts":2}}`,
+		} {
+			_, err := Load(strings.NewReader(fmt.Sprintf(js, q)))
+			if err == nil || !strings.Contains(err.Error(), "app name") {
+				t.Errorf("%s: err = %v, want an app-name rejection", fmt.Sprintf(js, q), err)
+			}
+		}
 	}
 }

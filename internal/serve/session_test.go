@@ -554,3 +554,33 @@ func TestSessionAuditsEveryEpoch(t *testing.T) {
 		t.Fatalf("scripted session rejected commands: %v", s.Errs())
 	}
 }
+
+// TestEnqueueRejectsUnsafeNames: an admit whose name carries a CSV or
+// metric-label separator is rejected at Enqueue, so every metrics-CSV
+// row the session writes keeps exactly four columns.
+func TestEnqueueRejectsUnsafeNames(t *testing.T) {
+	opts := Options{Scenario: testScenario(4), MetricsOut: filepath.Join(t.TempDir(), "metrics.csv")}
+	s, err := NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"x,y", "p}q", "n\nl"} {
+		admit := Cmd{Op: "admit", App: &scenario.App{Name: name, Class: "BE", Threads: 1,
+			RSSPages: 2048, Generator: "uniform"}}
+		if err := s.Enqueue(admit); err == nil || !strings.Contains(err.Error(), "app name") {
+			t.Errorf("admit %q: err = %v, want an app-name rejection", name, err)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(readFile(t, opts.MetricsOut)), "\n"), "\n")
+	if len(lines) < 2 {
+		t.Fatalf("metrics CSV has %d lines", len(lines))
+	}
+	for _, l := range lines {
+		if strings.Count(l, ",") != 3 {
+			t.Fatalf("row %q does not have four columns", l)
+		}
+	}
+}

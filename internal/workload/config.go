@@ -70,6 +70,8 @@ func (c AppConfig) Check() error {
 	switch {
 	case c.Name == "":
 		return fmt.Errorf("workload: app without a name")
+	case !validName(c.Name):
+		return fmt.Errorf("workload: app name %q is not 1-%d bytes of [A-Za-z0-9._~-]", c.Name, MaxNameLen)
 	case c.Threads <= 0:
 		return fmt.Errorf("workload: app %s with %d threads", c.Name, c.Threads)
 	case c.RSSPages <= 0:
@@ -95,6 +97,27 @@ func (c AppConfig) Check() error {
 			c.Name, shared, private, need)
 	}
 	return nil
+}
+
+// MaxNameLen bounds an app name's length in bytes.
+const MaxNameLen = 64
+
+// validName reports whether name is 1-64 bytes of [A-Za-z0-9._~-]. An
+// app name becomes a metric label value, a metrics-CSV field and a
+// trace scope, so it may hold none of the separators those formats use.
+// ('~' is admitted for the fleet's re-placement instances, job~N.)
+func validName(name string) bool {
+	if len(name) == 0 || len(name) > MaxNameLen {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '~', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // regions returns the sizes BuildThreads gives c's shared region and

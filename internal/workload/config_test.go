@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"vulcan/internal/sim"
@@ -151,5 +152,28 @@ func TestNomadMicroConfig(t *testing.T) {
 func TestClassString(t *testing.T) {
 	if LC.String() != "LC" || BE.String() != "BE" {
 		t.Fatal("class strings wrong")
+	}
+}
+
+// TestCheckRejectsUnsafeNames: an app name becomes a metric label
+// value, a metrics-CSV field and a trace scope, so Check admits only
+// 1-64 bytes of [A-Za-z0-9._~-].
+func TestCheckRejectsUnsafeNames(t *testing.T) {
+	cfg := AppConfig{
+		Class: BE, Threads: 1, RSSPages: 100,
+		NewGen: func(pages int, rng *sim.RNG) Generator { return NewUniform(pages, 0, 0, rng) },
+	}
+	long := strings.Repeat("a", MaxNameLen)
+	for _, name := range []string{"memcached", "churn.12", "job02~1", "A-Z_0.9", long} {
+		cfg.Name = name
+		if err := cfg.Check(); err != nil {
+			t.Errorf("name %q rejected: %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "x,y", "p}q", "n\nl", "a=b", "a{b", "sp ace", `q"t`, "\xff", long + "a"} {
+		cfg.Name = name
+		if err := cfg.Check(); err == nil {
+			t.Errorf("name %q accepted", name)
+		}
 	}
 }
