@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: FORCE check build fmt vet lint vet-sarif test bench-test bench-smoke fuzz-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench reach
+.PHONY: FORCE check build fmt vet lint vet-sarif test bench-test bench-smoke fuzz-smoke race obs-demo obs-demo-parallel chaos-demo chaos-golden checkpoint-demo prof-demo fleet-demo serve-demo bench reach reach-check
 
 # check is the full gate, in fail-fast order: cheap static checks first,
 # then the test suites.
@@ -316,9 +316,24 @@ serve-demo: $(VULCANSIM)
 # binaries, examples and vulcanbench with coverage, runs the shipped
 # command sets (the seven demos above among them) and lists the
 # functions none of them reached in out/reach/unreached.txt. A few
-# minutes long, so not part of check or CI.
+# minutes long, so not part of check.
 reach:
 	bash scripts/reach.sh
+
+# reach-check runs the census and fails, naming each one, when a
+# function no shipped run reaches is missing from the committed list
+# testdata/reach/unreached.txt (`path: Func` lines, sorted). Entries
+# that left the list are only reported. After an intended change, copy
+# out/reach/unreached-funcs.txt over the committed list.
+REACH_LIST = testdata/reach/unreached.txt
+reach-check: reach
+	@new="$$(LC_ALL=C comm -13 $(REACH_LIST) out/reach/unreached-funcs.txt)"; \
+	gone="$$(LC_ALL=C comm -23 $(REACH_LIST) out/reach/unreached-funcs.txt)"; \
+	if [ -n "$$gone" ]; then \
+		echo "reach-check: no longer in the unreached list (refresh $(REACH_LIST)):"; echo "$$gone"; fi; \
+	if [ -n "$$new" ]; then \
+		echo "reach-check: newly unreached functions, not in $(REACH_LIST):"; echo "$$new"; exit 1; fi; \
+	echo "reach-check: no function joined the unreached list"
 
 # bench runs vulcanbench, the repo's benchmark, over all four workloads
 # (bench/README.md has its options and metrics). Figure values are

@@ -69,20 +69,6 @@ func TestFacadePolicyConstructors(t *testing.T) {
 	}
 }
 
-// TestFacadeHotPageBench exercises the exported Figure 4 microbenchmark.
-func TestFacadeHotPageBench(t *testing.T) {
-	cfg := vulcan.DefaultHotPageConfig()
-	cfg.ReadFraction = 1.0
-	s := vulcan.RunHotPageSync(cfg)
-	a := vulcan.RunHotPageAsync(cfg)
-	if s.Ops == 0 || a.Ops == 0 {
-		t.Fatal("microbenchmark produced no operations")
-	}
-	if a.OpsPerSec <= s.OpsPerSec {
-		t.Fatal("read-only async should beat sync")
-	}
-}
-
 // TestFacadeWorkloadPresets checks the Table 2 presets are exposed with
 // their paper footprints.
 func TestFacadeWorkloadPresets(t *testing.T) {
@@ -97,18 +83,6 @@ func TestFacadeWorkloadPresets(t *testing.T) {
 		if got := tc.cfg.RSSPages * 4096 * 64 >> 30; got != tc.gb {
 			t.Errorf("%s paper footprint = %d GB, want %d", tc.cfg.Name, got, tc.gb)
 		}
-	}
-	micro := vulcan.Microbenchmark("m", 1000, 100, 0.5)
-	micro.Validate()
-	if micro.RSSPages != 1000 {
-		t.Fatal("microbenchmark preset wrong")
-	}
-}
-
-// TestFacadeJainIndex sanity-checks the exported fairness metric.
-func TestFacadeJainIndex(t *testing.T) {
-	if j := vulcan.JainIndex([]float64{1, 1, 1}); j != 1 {
-		t.Fatalf("Jain of equal = %v", j)
 	}
 }
 
@@ -130,16 +104,5 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 		if p := rep.Next().Page; p < 0 || p >= 1000 {
 			t.Fatalf("replayed page %d", p)
 		}
-	}
-}
-
-// TestFacadeCostModel checks the exported calibration entry point.
-func TestFacadeCostModel(t *testing.T) {
-	c := vulcan.DefaultCostModel()
-	if c.PrepCycles(32, false) <= c.PrepCycles(2, false) {
-		t.Fatal("preparation cost not growing with cores")
-	}
-	if c.PrepCycles(32, true) != c.PrepCycles(2, true) {
-		t.Fatal("optimized preparation not constant")
 	}
 }

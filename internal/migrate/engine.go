@@ -320,7 +320,7 @@ func (e *Engine) MigrateSync(moves []Move) Result {
 	// Copy + remap each staged page.
 	copied := 0
 	for _, s := range e.batch {
-		newPTE, outcome := e.commitPage(s.vp, s.old, s.to)
+		outcome := e.commitPage(s.vp, s.old, s.to)
 		res.Outcomes[s.idx] = outcome
 		switch outcome {
 		case Moved:
@@ -331,7 +331,6 @@ func (e *Engine) MigrateSync(moves []Move) Result {
 		case NoFrame:
 			res.Failed++
 		}
-		_ = newPTE
 	}
 
 	res.Breakdown = machine.Breakdown{
@@ -443,7 +442,7 @@ func (e *Engine) emitSync(res Result, attempted int) {
 
 // commitPage moves one unmapped page's content and reinstalls its PTE.
 // On allocation failure the original mapping is restored.
-func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID) (pagetable.PTE, Outcome) {
+func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID) Outcome {
 	srcFrame := old.Frame()
 
 	// Shadow fast-path: demoting a clean page whose slow-tier shadow is
@@ -454,7 +453,7 @@ func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID
 				newPTE := old.WithFrame(shadow).WithAccessed(false)
 				e.mustRemap(vp, newPTE)
 				e.cfg.Tiers.Free(srcFrame)
-				return newPTE, Remapped
+				return Remapped
 			}
 		} else if stale, ok := e.shadows.drop(vp); ok {
 			// The page was written after promotion: its shadow is stale
@@ -467,7 +466,7 @@ func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID
 	if !ok {
 		// Destination exhausted: restore the original mapping.
 		e.mustRemap(vp, old)
-		return old, NoFrame
+		return NoFrame
 	}
 
 	newPTE := old.WithFrame(dst).WithAccessed(false).WithDirty(false)
@@ -483,7 +482,7 @@ func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID
 	} else {
 		e.cfg.Tiers.Free(srcFrame)
 	}
-	return newPTE, Moved
+	return Moved
 }
 
 // mustRemap reinstalls the exact PTE p — owner, accessed and dirty bits

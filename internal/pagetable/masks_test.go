@@ -176,16 +176,6 @@ func checkTableMasks(t *testing.T, r *Replicated) {
 	if !slices.Equal(gotAD, ad) {
 		t.Fatalf("SweepAccessed visited %v, A/D pages are %v", gotAD, ad)
 	}
-	cur := r.Cursor()
-	for _, vp := range mapped {
-		want, _ := r.Lookup(vp)
-		if got, ok := cur.Lookup(vp); !ok || got != want {
-			t.Fatalf("cursor lookup %#x = %v,%t, want %v", uint64(vp), got, ok, want)
-		}
-		if _, ok := cur.Lookup(vp + 1); ok != slices.Contains(mapped, vp+1) {
-			t.Fatalf("cursor lookup %#x: ok = %t", uint64(vp+1), ok)
-		}
-	}
 }
 
 // TestLeafMasksDifferential runs seeded random operation sequences
@@ -223,7 +213,7 @@ func TestSweepAccessedRejectsOtherChanges(t *testing.T) {
 }
 
 // TestMaskWalksAllocateNothing pins the zero-alloc contract of the
-// mask walks and the cursor.
+// mask walks.
 func TestMaskWalksAllocateNothing(t *testing.T) {
 	r := NewReplicated(2)
 	for vp := VPage(0); vp < 3*EntriesPerTable; vp += 3 {
@@ -241,16 +231,5 @@ func TestMaskWalksAllocateNothing(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, touchAndSweep); a != 0 {
 		t.Errorf("SweepAccessed: %v allocs/run", a)
-	}
-	lookups := func() {
-		cur := r.Cursor()
-		for vp := VPage(0); vp < 3*EntriesPerTable; vp++ {
-			if _, ok := cur.Lookup(vp); ok {
-				n++
-			}
-		}
-	}
-	if a := testing.AllocsPerRun(20, lookups); a != 0 {
-		t.Errorf("Cursor.Lookup: %v allocs/run", a)
 	}
 }

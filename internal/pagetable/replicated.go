@@ -125,9 +125,6 @@ func (r *Replicated) Words(fn func(base VPage, present, fast uint64)) { r.proc.W
 //vulcan:hotpath
 func (r *Replicated) SweepAccessed(fn func(vp VPage, p PTE) PTE) { r.proc.SweepAccessed(fn) }
 
-// Cursor returns a lookup cursor over the shared leaves.
-func (r *Replicated) Cursor() Cursor { return r.proc.Cursor() }
-
 // CheckMasks verifies the leaves' present, fast and A/D masks against
 // their PTEs: the masks are derived state, so a mismatch means some write
 // bypassed Leaf.SetPTE.
@@ -189,8 +186,9 @@ func (r *Replicated) Map(tid int, vp VPage, p PTE) error {
 // MapCursor maps pages through the last leaf it reached and remembers
 // which threads it linked there, so a run of Map calls in ascending
 // page order walks the process tree once per leaf and links each
-// (thread, leaf) pair once. Like Cursor it is short-lived: valid while
-// the table is mutated, but not across a Restore.
+// (thread, leaf) pair once. It is short-lived: valid while the table
+// is mutated (leaves are never freed), but not across a Restore, which
+// rebuilds the tree.
 type MapCursor struct {
 	r          *Replicated
 	c          mapCursor

@@ -320,40 +320,11 @@ func (t *Table) SweepAccessed(fn func(vp VPage, p PTE) PTE) {
 	}
 }
 
-// Cursor looks PTEs up through the last leaf it reached, so a run of
-// lookups within one leaf — a page list in ascending order — pays one
-// 4-level walk per leaf instead of one per page. Get one from
-// Table.Cursor or Replicated.Cursor. A cursor is a short-lived reader:
-// it stays valid while the table is mutated (leaves are never freed),
-// but not across a Restore, which rebuilds the tree.
-type Cursor struct {
-	t    *Table
-	li   uint64
-	leaf *Leaf
-}
-
-// Cursor returns a lookup cursor over t.
-func (t *Table) Cursor() Cursor { return Cursor{t: t} }
-
-// Lookup returns the PTE for vp, like Table.Lookup.
-//
-//vulcan:hotpath
-func (c *Cursor) Lookup(vp VPage) (PTE, bool) {
-	if li := LeafIndex(vp); c.leaf == nil || li != c.li {
-		leaf, _ := c.t.leafAt(vp)
-		if leaf == nil {
-			return 0, false
-		}
-		c.leaf, c.li = leaf, li
-	}
-	p := c.leaf.ptes[vp&(EntriesPerTable-1)]
-	return p, p.Present()
-}
-
 // mapCursor maps PTEs through the last leaf it reached, so mapping a
 // run of pages in ascending order walks the tree once per leaf instead
-// of once per page. Like Cursor it is short-lived: it stays valid while
-// the table is mutated, but not across a Restore.
+// of once per page. It is short-lived: it stays valid while the table
+// is mutated (leaves are never freed), but not across a Restore, which
+// rebuilds the tree.
 type mapCursor struct {
 	t    *Table
 	li   uint64

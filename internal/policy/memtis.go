@@ -1,8 +1,12 @@
 package policy
 
 import (
+	"fmt"
+	"math/bits"
+
 	"vulcan/internal/mem"
 	"vulcan/internal/migrate"
+	"vulcan/internal/pagetable"
 	"vulcan/internal/profile"
 	"vulcan/internal/radix"
 	"vulcan/internal/system"
@@ -28,7 +32,6 @@ type Memtis struct {
 	// and the promotion and victim picks.
 	rank     RankBuf
 	keys     radix.Buf[struct{}]
-	pages    [][]profile.PageHeat
 	hot      []PageSet
 	selPromo radix.Select[GlobalPage]
 	promote  []GlobalPage
@@ -115,27 +118,35 @@ func (m *Memtis) EndEpoch(sys *system.System) {
 // are demoted even when the fast tier has room, exactly like Memtis's
 // histogram-threshold split. A radix select finds the threshold key;
 // only the slow-tier hot pages, the promotion candidates, are ordered.
+//
+// The pages are read 64 at a time, each page-table present word beside
+// its heat word. That covers every profiled page because a profiler
+// tracks only mapped pages (TestProfiledPagesAreMapped); the walk
+// panics if it finds fewer than the profilers track.
 func (m *Memtis) classify(sys *system.System) {
 	apps := sys.StartedApps()
 	target := int(float64(sys.Tiers().Fast().Capacity()) * (1 - headroom))
 
-	pages := m.pages[:0]
 	n := 0
 	for _, a := range apps {
-		ph := a.Profiler.HeatPages()
-		pages = append(pages, ph)
-		n += len(ph)
+		n += a.Profiler.Tracked()
 	}
-	m.pages = pages
 	major, minor := m.keys.Keys(n)
 	i := 0
-	for j, a := range apps {
+	for _, a := range apps {
 		w := a.SampleWeight()
-		for _, ph := range pages[j] {
-			major[i] = radix.FloatKeyDesc(ph.Heat * w)
-			minor[i] = rankMinor(a.Index, ph.VP)
-			i++
-		}
+		a.Table.Words(func(base pagetable.VPage, present, _ uint64) {
+			hw := a.Profiler.HeatWord(base)
+			for live := present & hw.Live; live != 0; live &= live - 1 {
+				j := bits.TrailingZeros64(live)
+				major[i] = radix.FloatKeyDesc(hw.Heat(j) * w)
+				minor[i] = rankMinor(a.Index, base|pagetable.VPage(j))
+				i++
+			}
+		})
+	}
+	if i != n {
+		panic(fmt.Sprintf("policy: memtis found %d of the %d profiled pages mapped", i, n))
 	}
 	cut := m.keys.Cut(major, minor, target)
 
@@ -149,24 +160,25 @@ func (m *Memtis) classify(sys *system.System) {
 	sel.Reset(maxMovesPerEpoch)
 	hotInFast := 0
 	i = 0
-	for j, a := range apps {
+	for _, a := range apps {
 		set := &m.hot[a.Index]
-		cur := a.Table.Cursor() // pages[j] is in ascending page order
-		for _, ph := range pages[j] {
-			maj, mnr := major[i], minor[i]
-			i++
-			if !cut.Admit(maj, mnr) {
-				continue
-			}
-			set.Add(ph.VP)
-			if p, ok := cur.Lookup(ph.VP); ok {
-				if p.Frame().Tier == mem.TierFast {
+		a.Table.Words(func(base pagetable.VPage, present, fast uint64) {
+			for live := present & a.Profiler.HeatWord(base).Live; live != 0; live &= live - 1 {
+				maj, mnr := major[i], minor[i]
+				i++
+				if !cut.Admit(maj, mnr) {
+					continue
+				}
+				j := bits.TrailingZeros64(live)
+				vp := base | pagetable.VPage(j)
+				set.Add(vp)
+				if fast&(1<<j) != 0 {
 					hotInFast++
 				} else {
-					sel.Offer(maj, mnr, GlobalPage{a, ph.VP})
+					sel.Offer(maj, mnr, GlobalPage{a, vp})
 				}
 			}
-		}
+		})
 	}
 	m.promote = sel.Sorted()
 

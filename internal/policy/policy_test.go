@@ -299,17 +299,15 @@ func (c *checkedMemtis) EndEpoch(sys *system.System) {
 	c.demoted += len(c.victims)
 }
 
-// TestMemtisMatchesFullSortReference pins Memtis's selections to the
-// full sort they replace: over 20 epochs of a three-app system, the hot
-// counts, the promotion order and the victims are identical.
-func TestMemtisMatchesFullSortReference(t *testing.T) {
-	pol := &checkedMemtis{Memtis: NewMemtis(), t: t}
+// memtisSystem is a three-app co-location whose fast tier holds a
+// tenth of the RSS.
+func memtisSystem(pol system.Tiering) *system.System {
 	mcfg := machine.DefaultConfig()
 	mcfg.Cores = 8
 	mcfg.Tiers[mem.TierFast].CapacityPages = 1024
 	mcfg.Tiers[mem.TierSlow].CapacityPages = 1 << 15
 	kv := func(p int, rng *sim.RNG) workload.Generator { return workload.NewKeyValue(p, rng) }
-	sys := system.New(system.Config{
+	return system.New(system.Config{
 		Machine: mcfg,
 		Apps: []workload.AppConfig{
 			{Name: "lc", Class: workload.LC, Threads: 2, RSSPages: 3000, SharedFraction: 0.9,
@@ -326,11 +324,48 @@ func TestMemtisMatchesFullSortReference(t *testing.T) {
 		Seed:             11,
 		DisableTHP:       true,
 	})
-	for i := 0; i < 20; i++ {
-		sys.RunEpoch()
-	}
-	if pol.promoted == 0 || pol.demoted == 0 {
-		t.Fatalf("test did not exercise both paths: %d promotions, %d victims", pol.promoted, pol.demoted)
+}
+
+// fig8System is Fig 8's large-working-set cell at the figure's scale 8
+// (internal/figures builds it from ColocationMachine(8) and
+// SamplesForScale(8)): one NomadMicro tenant whose working set is twice
+// the fast tier, inside an RSS four times it.
+func fig8System(pol system.Tiering) *system.System {
+	mcfg := machine.DefaultConfig()
+	mcfg.Tiers[mem.TierFast].CapacityPages /= 8
+	mcfg.Tiers[mem.TierSlow].CapacityPages /= 8
+	fast := mcfg.Tiers[mem.TierFast].CapacityPages
+	return system.New(system.Config{
+		Machine:          mcfg,
+		Apps:             []workload.AppConfig{workload.NomadMicroConfig("micro", fast*4, fast*2, 0.5)},
+		Policy:           pol,
+		Seed:             1,
+		SamplesPerThread: 800,
+	})
+}
+
+// TestMemtisMatchesFullSortReference pins Memtis's selections to the
+// full sort they replace: over 20 epochs of a three-app system and of
+// Fig 8's large working set, the hot counts, the promotion order and
+// the victims are identical.
+func TestMemtisMatchesFullSortReference(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(system.Tiering) *system.System
+	}{
+		{"colocation", memtisSystem},
+		{"fig8", fig8System},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := &checkedMemtis{Memtis: NewMemtis(), t: t}
+			sys := tc.build(pol)
+			for i := 0; i < 20; i++ {
+				sys.RunEpoch()
+			}
+			if pol.promoted == 0 || pol.demoted == 0 {
+				t.Fatalf("test did not exercise both paths: %d promotions, %d victims", pol.promoted, pol.demoted)
+			}
+		})
 	}
 }
 

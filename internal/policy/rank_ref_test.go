@@ -20,7 +20,7 @@ import (
 // The rankers read 64 pages per page-table mask word and heat word.
 // The references below are the per-page rankers they replace: the fast
 // pages from a filtered Range with one Profiler.Heat call each, and the
-// slow candidates from HeatPages with one cursor lookup each. Every key
+// slow candidates from HeatPages with one Lookup each. Every key
 // is a total order with a unique page (or app-and-page) minor, so the
 // walks must select the same pages in the same order.
 
@@ -67,9 +67,8 @@ func refGlobalColdestFastPages(sys *system.System, n int, keep []policy.PageSet)
 func refHottestSlowPages(a *system.App, limit int) []profile.PageHeat {
 	var sel radix.Select[profile.PageHeat]
 	sel.Reset(limit)
-	cur := a.Table.Cursor()
 	for _, ph := range a.Profiler.HeatPages() {
-		if p, ok := cur.Lookup(ph.VP); ok && p.Frame().Tier == mem.TierSlow {
+		if p, ok := a.Table.Lookup(ph.VP); ok && p.Frame().Tier == mem.TierSlow {
 			sel.Offer(radix.FloatKeyDesc(ph.Heat), uint64(ph.VP), ph)
 		}
 	}

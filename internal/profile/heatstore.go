@@ -24,7 +24,7 @@ import (
 //     without reserving memory for unused regions;
 //   - steady-state operation allocates nothing: chunks are allocated
 //     once when a page region is first touched and then reused forever;
-//   - epoch sweeps (decay, evict-below compaction, snapshot collection)
+//   - epoch sweeps (decay and evict-below compaction) and collections
 //     visit only the set bits of each chunk's live mask, so they cost
 //     the pages a tenant tracks, not the cells between them;
 //   - a chunk allocates only its first 512 cells (chunkHeadPages) until
@@ -63,24 +63,18 @@ type heatChunk struct {
 	mask bitmapChunk
 }
 
-// heatStore is the shared heat bookkeeping used by every profiler.
+// heatStore is the shared heat bookkeeping used by every profiler. Each
+// profiler embeds one, and its Heat, WriteFraction, HeatWord,
+// HeatSnapshot, HeatPages and Tracked methods are the Profiler queries.
 type heatStore struct {
 	dir   dense.Dir[heatChunk]
 	decay float64
 	// trackedPages counts live entries across all chunks.
 	trackedPages int
-	// snapScratch backs pages() and snapshot(); the returned slice is
-	// valid only until the next call of either.
-	snapScratch []PageHeat          //vulcan:nosnap scratch, rebuilt by endEpoch, pages() or snapshot()
-	sortBuf     radix.Buf[PageHeat] //vulcan:nosnap snapshot() sort buffers, dead between calls
-	// snapValid marks snapScratch as holding every tracked page's current
-	// stats in ascending page order (collected for free during endEpoch's
-	// decay sweep). Any mutation clears it, forcing pages() back to a
-	// full sweep. snapWanted records that the collection has been
-	// consumed at least once, so stores that are only ever queried
-	// pointwise skip the collection work entirely.
-	snapValid  bool //vulcan:nosnap cache flag over scratch state
-	snapWanted bool //vulcan:nosnap set on first pages() call
+	// snapScratch backs HeatPages and HeatSnapshot; the returned slice
+	// is valid only until the next call of either.
+	snapScratch []PageHeat          //vulcan:nosnap scratch, rebuilt by HeatPages or HeatSnapshot
+	sortBuf     radix.Buf[PageHeat] //vulcan:nosnap HeatSnapshot sort buffers, dead between calls
 }
 
 func newHeatStore(decay float64) *heatStore {
@@ -91,13 +85,12 @@ func newHeatStore(decay float64) *heatStore {
 }
 
 // liveCell returns vp's cell for a mutation, allocating its chunk and
-// cells on first touch of the region and dropping the cached
-// collection. A dead cell is marked live (mask bit set, counted) and
-// fresh reports it; the caller leaves the cell's heat nonzero.
+// cells on first touch of the region. A dead cell is marked live (mask
+// bit set, counted) and fresh reports it; the caller leaves the cell's
+// heat nonzero.
 //
 //vulcan:hotpath
 func (h *heatStore) liveCell(vp pagetable.VPage) (cell *heatCell, fresh bool) {
-	h.snapValid = false
 	c := h.dir.Ensure(uint64(vp) >> chunkShift)
 	i := int(vp) & chunkMask
 	if i >= len(c.cells) {
@@ -142,26 +135,14 @@ func (h *heatStore) record(vp pagetable.VPage, write bool, weight float64) {
 
 // endEpoch ages every tracked page and evicts entries whose heat decayed
 // to noise — one pass over the set bits of each live chunk's mask, in
-// ascending page order, instead of a map walk. When this store's
-// collection is consumed (snapWanted), the sweep also collects the
-// surviving entries into snapScratch, so the following pages() call
-// skips its own full sweep.
+// ascending page order, instead of a map walk.
 //
 //vulcan:hotpath
 func (h *heatStore) endEpoch() {
-	collect := h.snapWanted
-	var out []PageHeat
-	if collect {
-		if cap(h.snapScratch) < h.trackedPages {
-			h.snapScratch = make([]PageHeat, 0, 1<<bits.Len(uint(h.trackedPages-1))) //vulcan:allowalloc grow-once scratch, amortized across epochs
-		}
-		out = h.snapScratch[:0]
-	}
 	for ci, c := h.dir.Next(0); c != nil; ci, c = h.dir.Next(ci + 1) {
 		if c.live == 0 {
 			continue
 		}
-		base := chunkBase(ci)
 		for w, word := range &c.mask {
 			if word == 0 {
 				continue
@@ -178,32 +159,18 @@ func (h *heatStore) endEpoch() {
 					continue
 				}
 				cell.heat = v
-				r := cell.reads * h.decay
-				wr := cell.writes * h.decay
-				cell.reads = r
-				cell.writes = wr
-				if collect {
-					// With wr == 0 the fraction is +0 whatever r is;
-					// otherwise r + wr >= wr > 0, so the division is
-					// defined. Reads-only pages skip the divide.
-					wf := 0.0
-					if wr != 0 {
-						wf = wr / (r + wr)
-					}
-					out = append(out, PageHeat{VP: base | pagetable.VPage(j), Heat: v, WriteFrac: wf}) //vulcan:allowalloc appends into grow-once snapScratch, amortized across epochs
-				}
+				cell.reads *= h.decay
+				cell.writes *= h.decay
 			}
 			c.mask[w] = word
 		}
 	}
-	if collect {
-		h.snapScratch = out
-	}
-	h.snapValid = collect
 }
 
+// Heat returns vp's heat estimate (0 if untracked).
+//
 //vulcan:hotpath
-func (h *heatStore) heat(vp pagetable.VPage) float64 {
+func (h *heatStore) Heat(vp pagetable.VPage) float64 {
 	c := h.dir.Chunk(uint64(vp) >> chunkShift)
 	i := int(vp) & chunkMask
 	if c == nil || i >= len(c.cells) {
@@ -212,12 +179,13 @@ func (h *heatStore) heat(vp pagetable.VPage) float64 {
 	return c.cells[i].heat
 }
 
-// writeFraction reads vp's cell through its heat word, so the two
-// return the same bits by construction.
+// WriteFraction returns the fraction of writes among vp's observed
+// accesses (0 if untracked). It reads vp's cell through its heat word,
+// so the two return the same bits by construction.
 //
 //vulcan:hotpath
-func (h *heatStore) writeFraction(vp pagetable.VPage) float64 {
-	return h.word(vp &^ 63).WriteFrac(int(vp & 63))
+func (h *heatStore) WriteFraction(vp pagetable.VPage) float64 {
+	return h.HeatWord(vp &^ 63).WriteFrac(int(vp & 63))
 }
 
 // HeatWord is the profiled state of the 64 pages from a multiple of 64,
@@ -245,21 +213,26 @@ func (w HeatWord) WriteFrac(i int) float64 {
 	if w.cells == nil {
 		return 0
 	}
-	cell := &w.cells[i&63]
-	total := cell.reads + cell.writes
+	return w.cells[i&63].writeFrac()
+}
+
+// writeFrac is the cell's write fraction: 0 for an untracked cell, whose
+// reads and writes are both zero.
+func (c *heatCell) writeFrac() float64 {
+	total := c.reads + c.writes
 	if total == 0 {
 		return 0
 	}
-	return cell.writes / total
+	return c.writes / total
 }
 
-// word returns the heat word of the 64 pages from base, a multiple of
-// 64. A page with no cell (its chunk never allocated, or past the
-// chunk's head cells) is untracked, as in heat, so such a word is the
+// HeatWord returns the heat word of the 64 pages from base, a multiple
+// of 64. A page with no cell (its chunk never allocated, or past the
+// chunk's head cells) is untracked, as in Heat, so such a word is the
 // zero HeatWord.
 //
 //vulcan:hotpath
-func (h *heatStore) word(base pagetable.VPage) HeatWord {
+func (h *heatStore) HeatWord(base pagetable.VPage) HeatWord {
 	c := h.dir.Chunk(uint64(base) >> chunkShift)
 	i := int(base) & chunkMask
 	if c == nil || i+64 > len(c.cells) {
@@ -268,53 +241,42 @@ func (h *heatStore) word(base pagetable.VPage) HeatWord {
 	return HeatWord{Live: c.mask[i>>6], cells: (*[64]heatCell)(c.cells[i : i+64])}
 }
 
-// snapshot returns all tracked pages hottest-first (ties broken by
+// HeatSnapshot returns all tracked pages hottest-first (ties broken by
 // ascending page number). The slice is scratch owned by the store, with
-// the same lifetime as pages().
-func (h *heatStore) snapshot() []PageHeat {
-	ph := h.pages()
+// the same lifetime as HeatPages'.
+func (h *heatStore) HeatSnapshot() []PageHeat {
+	ph := h.HeatPages()
 	major, minor := h.sortBuf.Keys(len(ph))
 	for i, p := range ph {
 		major[i] = radix.FloatKeyDesc(p.Heat)
 		minor[i] = uint64(p.VP)
 	}
-	// The sort permutes the collection, and its result may live in the
-	// buffer's spare: keep that as the scratch (so the spare stays the
-	// other array) and make the next pages() collect afresh.
+	// The sort's result may live in the buffer's spare: keep that as the
+	// scratch, so the spare stays the other array.
 	h.snapScratch = h.sortBuf.Sort(ph, major, minor)
-	h.snapValid = false
 	return h.snapScratch
 }
 
-// pages returns all tracked pages in ascending page order: the cached
-// collection when valid, else a fresh sweep. The slice is scratch owned
-// by the store: it is valid only until the store is next mutated or
-// queried and must not be retained or modified by the caller.
-func (h *heatStore) pages() []PageHeat {
-	h.snapWanted = true
-	if h.snapValid {
-		return h.snapScratch
-	}
+// HeatPages returns all tracked pages in ascending page order, one sweep
+// of the live masks. The slice is scratch owned by the store: it is
+// valid only until the next HeatPages or HeatSnapshot call and must not
+// be retained or modified by the caller.
+func (h *heatStore) HeatPages() []PageHeat {
 	if cap(h.snapScratch) < h.trackedPages {
 		// Jump straight to a power-of-two above the live-page count: one
 		// high-water allocation instead of O(log n) append regrowths.
 		h.snapScratch = make([]PageHeat, 0, 1<<bits.Len(uint(h.trackedPages-1))) //vulcan:allowalloc grow-once scratch, amortized across epochs
 	}
 	out := h.snapScratch[:0]
-	h.forEachLive(func(vp pagetable.VPage, heat, reads, writes float64) {
-		total := reads + writes
-		wf := 0.0
-		if total > 0 {
-			wf = writes / total
-		}
-		out = append(out, PageHeat{VP: vp, Heat: heat, WriteFrac: wf})
+	h.forEachLive(func(vp pagetable.VPage, c *heatCell) {
+		out = append(out, PageHeat{VP: vp, Heat: c.heat, WriteFrac: c.writeFrac()})
 	})
 	h.snapScratch = out
-	h.snapValid = true
 	return out
 }
 
-func (h *heatStore) tracked() int { return h.trackedPages }
+// Tracked returns the number of pages with live heat state.
+func (h *heatStore) Tracked() int { return h.trackedPages }
 
 // setRaw installs restored per-page stats verbatim. heat must be
 // nonzero (the caller validates); the cell must currently be empty.

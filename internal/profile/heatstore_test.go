@@ -56,7 +56,7 @@ func (m refHeat) sortedPages() []pagetable.VPage {
 	return vps
 }
 
-// pages mirrors heatStore.pages: ascending page order.
+// pages mirrors heatStore.HeatPages: ascending page order.
 func (m refHeat) pages() []PageHeat {
 	out := []PageHeat{}
 	for _, vp := range m.sortedPages() {
@@ -70,7 +70,7 @@ func (m refHeat) pages() []PageHeat {
 	return out
 }
 
-// snapshot mirrors heatStore.snapshot: hottest first, ties by page.
+// snapshot mirrors heatStore.HeatSnapshot: hottest first, ties by page.
 func (m refHeat) snapshot() []PageHeat {
 	out := m.pages()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Heat > out[j].Heat })
@@ -223,31 +223,32 @@ func TestHeatStoreMatchesReference(t *testing.T) {
 						wantWF = s.writes / total
 					}
 				}
-				if got, gotWF := h.heat(vp), h.writeFraction(vp); got != want || gotWF != wantWF {
+				if got, gotWF := h.Heat(vp), h.WriteFraction(vp); got != want || gotWF != wantWF {
 					t.Fatalf("seed %d step %d: page %d heat %v write fraction %v, model %v and %v",
 						seed, step, vp, got, gotWF, want, wantWF)
 				}
 			}
-			if h.tracked() != len(ref) {
-				t.Fatalf("seed %d step %d: tracked = %d, model has %d", seed, step, h.tracked(), len(ref))
+			if h.Tracked() != len(ref) {
+				t.Fatalf("seed %d step %d: tracked = %d, model has %d", seed, step, h.Tracked(), len(ref))
 			}
 			e := &checkpoint.Encoder{}
 			h.Snapshot(e)
 			if !bytes.Equal(e.Bytes(), ref.encode()) {
 				t.Fatalf("seed %d step %d: Snapshot bytes differ from the model's", seed, step)
 			}
-			// Alternate the query order: snapshot() invalidates the
-			// cached collection pages() may serve after an epoch.
+			// Alternate the query order: a HeatSnapshot sort may leave
+			// the scratch in the sort buffer's spare, which the next
+			// HeatPages collects into.
 			if step%2 == 0 {
-				if got, want := h.pages(), ref.pages(); !samePages(got, want) {
-					t.Fatalf("seed %d step %d: pages() differs from the model:\n got %v\nwant %v", seed, step, got, want)
+				if got, want := h.HeatPages(), ref.pages(); !samePages(got, want) {
+					t.Fatalf("seed %d step %d: HeatPages differs from the model:\n got %v\nwant %v", seed, step, got, want)
 				}
 			}
-			if got, want := h.snapshot(), ref.snapshot(); !samePages(got, want) {
-				t.Fatalf("seed %d step %d: snapshot() differs from the model:\n got %v\nwant %v", seed, step, got, want)
+			if got, want := h.HeatSnapshot(), ref.snapshot(); !samePages(got, want) {
+				t.Fatalf("seed %d step %d: HeatSnapshot differs from the model:\n got %v\nwant %v", seed, step, got, want)
 			}
-			if got, want := h.pages(), ref.pages(); !samePages(got, want) {
-				t.Fatalf("seed %d step %d: pages() after snapshot() differs from the model", seed, step)
+			if got, want := h.HeatPages(), ref.pages(); !samePages(got, want) {
+				t.Fatalf("seed %d step %d: HeatPages after HeatSnapshot differs from the model", seed, step)
 			}
 		}
 	}
@@ -257,7 +258,6 @@ func TestHeatStoreMatchesReference(t *testing.T) {
 func (h *heatStore) reset() {
 	h.dir = dense.Dir[heatChunk]{}
 	h.trackedPages = 0
-	h.snapValid = false
 }
 
 // TestHeatWordMatchesPointwise checks every profiler's HeatWord against
@@ -286,11 +286,11 @@ func TestHeatWordMatchesPointwise(t *testing.T) {
 		var heat *heatStore
 		switch in := p.(type) {
 		case *PEBS:
-			heat = in.heat
+			heat = in.heatStore
 		case *Hybrid:
-			heat = in.heat
+			heat = in.heatStore
 		case *HintFault:
-			heat = in.heat
+			heat = in.heatStore
 		}
 		for k, vp := range pages {
 			// The hint-fault profiler records only through its poison
@@ -305,8 +305,8 @@ func TestHeatWordMatchesPointwise(t *testing.T) {
 			heat.record(6, false, 1)
 			heat.record(far+403, true, 2)
 		}
-		if heat.tracked() == 0 || heat.tracked() == len(pages) {
-			t.Fatalf("%s: %d of %d pages tracked, want some evicted and some live", p.Name(), heat.tracked(), len(pages))
+		if heat.Tracked() == 0 || heat.Tracked() == len(pages) {
+			t.Fatalf("%s: %d of %d pages tracked, want some evicted and some live", p.Name(), heat.Tracked(), len(pages))
 		}
 		for _, chunk := range []pagetable.VPage{0, chunkPages, far} {
 			for _, off := range []pagetable.VPage{0, 448, 512, 4032} {

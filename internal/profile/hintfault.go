@@ -10,9 +10,10 @@ import (
 // style): each epoch it "poisons" a rotating window of mapped pages; the
 // next access to a poisoned page takes a minor fault, which both reveals
 // the access (a strong recency signal) and costs the faulting thread
-// real latency — the mechanism's signature drawback.
+// real latency — the mechanism's signature drawback. The embedded heat
+// store answers the Profiler queries.
 type HintFault struct {
-	heat  *heatStore
+	*heatStore
 	table *pagetable.Replicated
 
 	// poisoned is the active poison window as a paged bitmap; Record
@@ -47,7 +48,7 @@ func NewHintFault(table *pagetable.Replicated, windowPages int, faultCycles floa
 		panic("profile: HintFault window must be positive")
 	}
 	h := &HintFault{
-		heat:        newHeatStore(DefaultDecay),
+		heatStore:   newHeatStore(DefaultDecay),
 		table:       table,
 		windowPages: windowPages,
 		faultCycles: faultCycles,
@@ -69,7 +70,7 @@ func (h *HintFault) Record(a Access) float64 {
 		return 0
 	}
 	h.faultsThisEpoch++
-	h.heat.record(a.VP, a.Write, h.faultBoost)
+	h.record(a.VP, a.Write, h.faultBoost)
 	return h.faultCycles
 }
 
@@ -119,25 +120,7 @@ func (h *HintFault) EndEpoch() EpochReport {
 		h.walkEnd = start
 		h.table.PresentFrom(0, h.poisonFn)
 	}
-	h.heat.endEpoch()
-	rep.Tracked = h.heat.tracked()
+	h.endEpoch()
+	rep.Tracked = h.Tracked()
 	return rep
 }
-
-// Heat implements Profiler.
-func (h *HintFault) Heat(vp pagetable.VPage) float64 { return h.heat.heat(vp) }
-
-// WriteFraction implements Profiler.
-func (h *HintFault) WriteFraction(vp pagetable.VPage) float64 { return h.heat.writeFraction(vp) }
-
-// HeatWord implements Profiler.
-func (h *HintFault) HeatWord(base pagetable.VPage) HeatWord { return h.heat.word(base) }
-
-// HeatSnapshot implements Profiler.
-func (h *HintFault) HeatSnapshot() []PageHeat { return h.heat.snapshot() }
-
-// HeatPages implements Profiler.
-func (h *HintFault) HeatPages() []PageHeat { return h.heat.pages() }
-
-// Tracked implements Profiler.
-func (h *HintFault) Tracked() int { return h.heat.tracked() }

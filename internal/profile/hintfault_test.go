@@ -75,8 +75,8 @@ func (r *refWindow) endEpoch() EpochReport {
 	if r.count < h.windowPages && r.wrapLimit > 0 {
 		h.table.Range(r.wrapVisit)
 	}
-	h.heat.endEpoch()
-	rep.Tracked = h.heat.tracked()
+	h.endEpoch()
+	rep.Tracked = h.Tracked()
 	return rep
 }
 

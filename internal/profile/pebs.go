@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
 )
 
@@ -10,10 +9,11 @@ import (
 // events) and weights each sample by the rate to stay unbiased. Like the
 // real mechanism it is cheap per access but suffers false negatives for
 // large, lightly-touched footprints (§2.1: "high false negatives at the
-// terabyte scale").
+// terabyte scale"). The embedded heat store answers the Profiler
+// queries.
 type PEBS struct {
-	heat *heatStore
-	rng  *sim.RNG
+	*heatStore
+	rng *sim.RNG
 	// SampleRate is the sampling period: one in SampleRate accesses is
 	// observed.
 	sampleRate   int
@@ -35,7 +35,7 @@ func NewPEBSWithDecay(sampleRate int, decay float64, seed uint64) *PEBS {
 		panic("profile: PEBS sample rate must be positive")
 	}
 	return &PEBS{
-		heat:         newHeatStore(decay),
+		heatStore:    newHeatStore(decay),
 		rng:          sim.NewRNG(seed),
 		sampleRate:   sampleRate,
 		sampleWeight: float64(sampleRate),
@@ -55,7 +55,7 @@ func (p *PEBS) Record(a Access) float64 {
 		return 0
 	}
 	p.samples++
-	p.heat.record(a.VP, a.Write, p.sampleWeight)
+	p.record(a.VP, a.Write, p.sampleWeight)
 	return 0
 }
 
@@ -66,25 +66,7 @@ func (p *PEBS) Record(a Access) float64 {
 func (p *PEBS) EndEpoch() EpochReport {
 	rep := EpochReport{OverheadCycles: float64(p.samples) * 40}
 	p.samples = 0
-	p.heat.endEpoch()
-	rep.Tracked = p.heat.tracked()
+	p.endEpoch()
+	rep.Tracked = p.Tracked()
 	return rep
 }
-
-// Heat implements Profiler.
-func (p *PEBS) Heat(vp pagetable.VPage) float64 { return p.heat.heat(vp) }
-
-// WriteFraction implements Profiler.
-func (p *PEBS) WriteFraction(vp pagetable.VPage) float64 { return p.heat.writeFraction(vp) }
-
-// HeatWord implements Profiler.
-func (p *PEBS) HeatWord(base pagetable.VPage) HeatWord { return p.heat.word(base) }
-
-// HeatSnapshot implements Profiler.
-func (p *PEBS) HeatSnapshot() []PageHeat { return p.heat.snapshot() }
-
-// HeatPages implements Profiler.
-func (p *PEBS) HeatPages() []PageHeat { return p.heat.pages() }
-
-// Tracked implements Profiler.
-func (p *PEBS) Tracked() int { return p.heat.tracked() }

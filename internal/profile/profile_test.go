@@ -18,15 +18,15 @@ func TestHeatStoreDecayAndEviction(t *testing.T) {
 	h := newHeatStore(0.5)
 	h.record(1, false, 8)
 	h.endEpoch()
-	if got := h.heat(1); got != 4 {
+	if got := h.Heat(1); got != 4 {
 		t.Fatalf("heat after one epoch = %v, want 4", got)
 	}
 	// Decay to below evictBelow drops the page.
 	for i := 0; i < 20; i++ {
 		h.endEpoch()
 	}
-	if h.tracked() != 0 {
-		t.Fatalf("tracked = %d after full decay", h.tracked())
+	if h.Tracked() != 0 {
+		t.Fatalf("tracked = %d after full decay", h.Tracked())
 	}
 }
 
@@ -36,10 +36,10 @@ func TestHeatStoreWriteFraction(t *testing.T) {
 	h.record(1, false, 1)
 	h.record(1, false, 1)
 	h.record(1, false, 1)
-	if wf := h.writeFraction(1); wf != 0.25 {
+	if wf := h.WriteFraction(1); wf != 0.25 {
 		t.Fatalf("writeFraction = %v, want 0.25", wf)
 	}
-	if h.writeFraction(99) != 0 {
+	if h.WriteFraction(99) != 0 {
 		t.Fatal("untracked writeFraction nonzero")
 	}
 }
@@ -49,19 +49,19 @@ func TestHeatStoreSnapshotOrdering(t *testing.T) {
 	h.record(3, false, 1)
 	h.record(1, false, 5)
 	h.record(2, false, 5)
-	snap := h.snapshot()
+	snap := h.HeatSnapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot size = %d", len(snap))
 	}
 	if snap[0].VP != 1 || snap[1].VP != 2 || snap[2].VP != 3 {
 		t.Fatalf("ordering wrong: %v", snap)
 	}
-	// The sorted view must not leak into the unordered one: pages()
+	// The sorted view must not leak into the unordered one: HeatPages
 	// stays ascending after a snapshot, before and after an epoch.
 	h.record(3, false, 9) // now the hottest, out of page order
 	for round := 0; round < 2; round++ {
-		h.snapshot()
-		ph := h.pages()
+		h.HeatSnapshot()
+		ph := h.HeatPages()
 		for i := 1; i < len(ph); i++ {
 			if ph[i-1].VP >= ph[i].VP {
 				t.Fatalf("round %d: pages not ascending: %v", round, ph)

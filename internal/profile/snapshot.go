@@ -62,7 +62,7 @@ func (h *heatStore) Snapshot(e *checkpoint.Encoder) {
 	// passes, so the two always agree.
 	var runs []int
 	prev := pagetable.VPage(0)
-	h.forEachLive(func(vp pagetable.VPage, _, _, _ float64) {
+	h.forEachLive(func(vp pagetable.VPage, _ *heatCell) {
 		if len(runs) == 0 || vp != prev+1 {
 			runs = append(runs, 0)
 		}
@@ -75,7 +75,7 @@ func (h *heatStore) Snapshot(e *checkpoint.Encoder) {
 	e.Int(len(runs))
 
 	run, left := 0, 0
-	h.forEachLive(func(vp pagetable.VPage, heat, reads, writes float64) {
+	h.forEachLive(func(vp pagetable.VPage, c *heatCell) {
 		if left == 0 {
 			left = runs[run]
 			run++
@@ -83,14 +83,15 @@ func (h *heatStore) Snapshot(e *checkpoint.Encoder) {
 			e.Int(left)
 		}
 		left--
-		e.F64(heat)
-		e.F64(reads)
-		e.F64(writes)
+		e.F64(c.heat)
+		e.F64(c.reads)
+		e.F64(c.writes)
 	})
 }
 
-// forEachLive calls fn for every tracked page in ascending order.
-func (h *heatStore) forEachLive(fn func(vp pagetable.VPage, heat, reads, writes float64)) {
+// forEachLive calls fn with every tracked page and its cell, in
+// ascending order.
+func (h *heatStore) forEachLive(fn func(vp pagetable.VPage, c *heatCell)) {
 	for ci, c := h.dir.Next(0); c != nil; ci, c = h.dir.Next(ci + 1) {
 		if c.live == 0 {
 			continue
@@ -99,8 +100,7 @@ func (h *heatStore) forEachLive(fn func(vp pagetable.VPage, heat, reads, writes 
 		for w, word := range &c.mask {
 			for ; word != 0; word &= word - 1 {
 				j := w<<6 | bits.TrailingZeros64(word)
-				cell := &c.cells[j]
-				fn(base|pagetable.VPage(j), cell.heat, cell.reads, cell.writes)
+				fn(base|pagetable.VPage(j), &c.cells[j])
 			}
 		}
 	}
@@ -159,10 +159,12 @@ func (h *heatStore) Restore(d *checkpoint.Decoder) error {
 	return nil
 }
 
-// Snapshot implements checkpoint.Snapshotter.
+// Snapshot implements checkpoint.Snapshotter: the sampler's RNG, then
+// the heat runs. Hybrid's sweep keeps no state between epochs, so
+// Hybrid checkpoints through this codec too.
 func (p *PEBS) Snapshot(e *checkpoint.Encoder) {
 	p.rng.Snapshot(e)
-	p.heat.Snapshot(e)
+	p.heatStore.Snapshot(e)
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -170,27 +172,13 @@ func (p *PEBS) Restore(d *checkpoint.Decoder) error {
 	if err := p.rng.Restore(d); err != nil {
 		return err
 	}
-	return p.heat.Restore(d)
-}
-
-// Snapshot implements checkpoint.Snapshotter.
-func (h *Hybrid) Snapshot(e *checkpoint.Encoder) {
-	h.rng.Snapshot(e)
-	h.heat.Snapshot(e)
-}
-
-// Restore implements checkpoint.Snapshotter.
-func (h *Hybrid) Restore(d *checkpoint.Decoder) error {
-	if err := h.rng.Restore(d); err != nil {
-		return err
-	}
-	return h.heat.Restore(d)
+	return p.heatStore.Restore(d)
 }
 
 // Snapshot implements checkpoint.Snapshotter: the heat runs, then the
 // poison window as a count and ascending pages, then the cursor.
 func (h *HintFault) Snapshot(e *checkpoint.Encoder) {
-	h.heat.Snapshot(e)
+	h.heatStore.Snapshot(e)
 	e.Int(h.poisoned.count)
 	h.poisoned.forEach(func(vp pagetable.VPage) {
 		e.U64(uint64(vp))
@@ -200,7 +188,7 @@ func (h *HintFault) Snapshot(e *checkpoint.Encoder) {
 
 // Restore implements checkpoint.Snapshotter.
 func (h *HintFault) Restore(d *checkpoint.Decoder) error {
-	if err := h.heat.Restore(d); err != nil {
+	if err := h.heatStore.Restore(d); err != nil {
 		return err
 	}
 	n := d.Length(8)

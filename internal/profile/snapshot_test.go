@@ -285,11 +285,11 @@ func FuzzProfilerRestore(f *testing.F) {
 		}
 		switch in := p.(type) {
 		case *PEBS:
-			checkChunks(t, in.heat)
+			checkChunks(t, in.heatStore)
 		case *Hybrid:
-			checkChunks(t, in.heat)
+			checkChunks(t, in.heatStore)
 		case *HintFault:
-			checkChunks(t, in.heat)
+			checkChunks(t, in.heatStore)
 		}
 	})
 }

@@ -87,24 +87,22 @@ func TestHeatStoreRecordZeroAlloc(t *testing.T) {
 }
 
 func TestHeatStoreEndEpochZeroAlloc(t *testing.T) {
-	// The decay sweep with snapshot collection enabled: after the first
-	// epoch grows snapScratch, every later epoch must reuse it. Pages are
-	// spread across several chunks and recorded hot enough to survive all
-	// measured epochs (1e6 * 0.999^201 stays far above evictBelow), so the
-	// measurement covers the survivor path, not just evictions.
+	// The decay sweep allocates nothing. Pages are spread across several
+	// chunks and recorded hot enough to survive all measured epochs
+	// (1e6 * 0.999^201 stays far above evictBelow), so the measurement
+	// covers the survivor path, not just evictions.
 	h := newHeatStore(0.999)
 	for vp := pagetable.VPage(0); vp < 64; vp++ {
 		h.record(vp*(chunkPages/4+1), vp%3 == 0, 1e6)
 	}
-	h.snapshot() // consume once so endEpoch takes the collect path
-	h.endEpoch() // warm-up: grows snapScratch
+	h.endEpoch()
 	if allocs := testing.AllocsPerRun(200, func() {
 		h.endEpoch()
 	}); allocs != 0 {
 		t.Errorf("heatStore.endEpoch allocated %.0f objects/op in steady state, want 0", allocs)
 	}
-	if h.tracked() != 64 {
-		t.Fatalf("tracked = %d after measured epochs, want 64 (pages must survive for the pin to mean anything)", h.tracked())
+	if h.Tracked() != 64 {
+		t.Fatalf("tracked = %d after measured epochs, want 64 (pages must survive for the pin to mean anything)", h.Tracked())
 	}
 }
 
@@ -117,7 +115,6 @@ func TestPEBSEpochCycleZeroAlloc(t *testing.T) {
 	for vp := pagetable.VPage(0); vp < 16; vp++ {
 		p.Record(Access{VP: vp * 100, Write: vp%2 == 0, Fast: true})
 	}
-	p.HeatSnapshot() // consume once so endEpoch collects
 	p.EndEpoch()
 	if allocs := testing.AllocsPerRun(200, func() {
 		for vp := pagetable.VPage(0); vp < 16; vp++ {
@@ -141,7 +138,6 @@ func TestHintFaultEndEpochZeroAlloc(t *testing.T) {
 		window int
 	}{{"forward", 10}, {"wrap", pages - 1}} {
 		h := NewHintFault(warmTable(t, pages), tc.window, 1000)
-		h.HeatPages() // consume once so endEpoch collects
 		h.EndEpoch()
 		wrapped := 0
 		if allocs := testing.AllocsPerRun(50, func() {
@@ -161,9 +157,8 @@ func TestHintFaultEndEpochZeroAlloc(t *testing.T) {
 }
 
 func TestHybridEndEpochZeroAlloc(t *testing.T) {
-	// The A/D harvest with scan backfill and the decay sweep with
-	// collection: touched pages get backfilled heat and their bits
-	// cleared every epoch.
+	// The A/D harvest with scan backfill and the decay sweep: touched
+	// pages get backfilled heat and their bits cleared every epoch.
 	tbl := warmTable(t, 2*pagetable.EntriesPerTable)
 	h := NewHybrid(tbl, 1_000_000, DefaultDecay, 42)
 	touchAll := func() {
@@ -171,7 +166,6 @@ func TestHybridEndEpochZeroAlloc(t *testing.T) {
 			tbl.Touch(0, vp, vp%2 == 0)
 		}
 	}
-	h.HeatPages()
 	touchAll()
 	h.EndEpoch()
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -186,18 +180,18 @@ func TestHybridEndEpochZeroAlloc(t *testing.T) {
 }
 
 func TestHeatStorePagesAfterMutationZeroAlloc(t *testing.T) {
-	// A record invalidates the cached collection, so pages() takes its
-	// full sweep; once snapScratch has grown, that sweep must reuse it.
+	// HeatPages sweeps the live masks into snapScratch; once it has
+	// grown, a sweep after a mutation must reuse it.
 	h := newHeatStore(DefaultDecay)
 	for vp := pagetable.VPage(0); vp < 64; vp++ {
 		h.record(vp*(chunkPages/4+1), vp%3 == 0, 1)
 	}
-	h.pages()
+	h.HeatPages()
 	if allocs := testing.AllocsPerRun(200, func() {
 		h.record(3*(chunkPages/4+1), true, 1)
-		h.pages()
+		h.HeatPages()
 	}); allocs != 0 {
-		t.Errorf("heatStore.pages after a record allocated %.0f objects/op, want 0", allocs)
+		t.Errorf("heatStore.HeatPages after a record allocated %.0f objects/op, want 0", allocs)
 	}
 }
 

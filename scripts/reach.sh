@@ -9,8 +9,11 @@
 # resume under tpp, memtis and nomad, a filtered trace, a fleet, the
 # examples, tracegen and one traced vulcanbench pass), and writes the
 # functions none of them executed to out/reach/unreached.txt, one
-# `go tool covdata func` row each. Runs offline. The census takes a few
-# minutes; it is a deletion aid, not a gate.
+# `go tool covdata func` row each, and to out/reach/unreached-funcs.txt
+# as sorted `path: Func` lines, without line numbers, so the list does
+# not move when code above a function does. Runs offline and takes a
+# few minutes. `make reach-check` compares the second list with the
+# committed testdata/reach/unreached.txt.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -64,5 +67,7 @@ done
 # Function rows at 0.0% outside the benchmark's own module.
 go tool covdata func -i "$dir/cov" | grep -v '^vulcan/bench/' |
 	awk '$NF == "0.0%"' >"$dir/unreached.txt"
+awk '{ split($1, loc, ":"); print loc[1] ": " $2 }' "$dir/unreached.txt" |
+	LC_ALL=C sort >"$dir/unreached-funcs.txt"
 total=$(go tool covdata func -i "$dir/cov" | grep -v '^vulcan/bench/' | grep -vc '^total')
 echo "reach: $(wc -l <"$dir/unreached.txt") of $total non-bench functions never ran; see $dir/unreached.txt"

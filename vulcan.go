@@ -32,7 +32,6 @@ import (
 	"vulcan/internal/machine"
 	"vulcan/internal/mem"
 	"vulcan/internal/metrics"
-	"vulcan/internal/migrate"
 	"vulcan/internal/pagetable"
 	"vulcan/internal/policy"
 	"vulcan/internal/sim"
@@ -145,10 +144,6 @@ func NewStatic() Tiering { return system.NullPolicy{} }
 // 512MB fast tier (70ns), 4GB slow tier (162ns), calibrated cost model.
 func DefaultMachine() MachineConfig { return machine.DefaultConfig() }
 
-// DefaultCostModel returns the cycle-cost constants calibrated against
-// the paper's Figures 2, 3 and 7.
-func DefaultCostModel() CostModel { return machine.DefaultCostModel() }
-
 // Memcached returns the paper's LC key-value workload (Table 2, 51 GB at
 // 1/64 scale).
 func Memcached() AppConfig { return workload.MemcachedConfig() }
@@ -158,33 +153,6 @@ func PageRank() AppConfig { return workload.PageRankConfig() }
 
 // Liblinear returns the paper's BE ML workload (69 GB at 1/64 scale).
 func Liblinear() AppConfig { return workload.LiblinearConfig() }
-
-// Microbenchmark returns a Nomad-style Zipfian working-set workload with
-// the given footprint (§5.2 / Figure 8).
-func Microbenchmark(name string, rssPages, wssPages int, writeFrac float64) AppConfig {
-	return workload.NomadMicroConfig(name, rssPages, wssPages, writeFrac)
-}
-
-// JainIndex computes Jain's fairness index over allocations.
-func JainIndex(xs []float64) float64 { return metrics.JainIndex(xs) }
-
-// HotPageConfig parameterizes the single-page sync-vs-async promotion
-// microbenchmark (Figure 4 / Observation #4).
-type HotPageConfig = migrate.HotPageConfig
-
-// HotPageResult reports one microbenchmark run.
-type HotPageResult = migrate.HotPageResult
-
-// DefaultHotPageConfig returns the Figure 4 settings.
-func DefaultHotPageConfig() HotPageConfig { return migrate.DefaultHotPageConfig() }
-
-// RunHotPageSync promotes a hot page synchronously under concurrent
-// access (TPP-style, stalls the accessor).
-func RunHotPageSync(cfg HotPageConfig) HotPageResult { return migrate.RunHotPageSync(cfg) }
-
-// RunHotPageAsync promotes it transactionally in the background
-// (Nomad-style, aborts when writes keep dirtying the copy).
-func RunHotPageAsync(cfg HotPageConfig) HotPageResult { return migrate.RunHotPageAsync(cfg) }
 
 // Trace is a recorded page-reference stream (compact VTRC format).
 type Trace = trace.Trace
@@ -215,11 +183,3 @@ type (
 	// FaultKind enumerates the injectable fault classes.
 	FaultKind = fault.Kind
 )
-
-// FaultPlanAtRate returns the canonical all-kinds chaos plan at the
-// given per-opportunity rate; rate <= 0 returns nil (fault-free).
-func FaultPlanAtRate(rate float64) *FaultPlan { return fault.PlanAtRate(rate) }
-
-// FaultProfile resolves a named chaos profile ("off", "light",
-// "moderate", "heavy") to a plan.
-func FaultProfile(name string) (*FaultPlan, error) { return fault.ParseProfile(name) }
