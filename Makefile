@@ -48,7 +48,7 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs sixteen native fuzz targets for ten seconds each: the
+# fuzz-smoke runs seventeen native fuzz targets for ten seconds each: the
 # checkpoint container (FuzzCheckpointReader), the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
@@ -59,7 +59,8 @@ bench-smoke:
 # its per-PTE reference (FuzzHintFaultWindow), the telemetry
 # checkpoint decoder (FuzzRecorderRestore), the trace record emitter
 # against its string-building reference (FuzzTraceStreamEvent), the
-# system checkpoint section (FuzzSystemSection), the workload thread decoder
+# system checkpoint section (FuzzSystemSection), a running app's
+# checkpoint section (FuzzAppSection), the workload thread decoder
 # (FuzzThreadRestore), the migration decoders: engine shadows, async
 # queue and retry queue (FuzzMigrateRestore), and the Vulcan policy
 # decoder (FuzzVulcanRestore). Their seed corpora also
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzRecorderRestore -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzTraceStreamEvent -fuzztime 10s
 	$(GO) test ./internal/system -run '^$$' -fuzz FuzzSystemSection -fuzztime 10s
+	$(GO) test ./internal/system -run '^$$' -fuzz FuzzAppSection -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzThreadRestore -fuzztime 10s
 	$(GO) test ./internal/migrate -run '^$$' -fuzz FuzzMigrateRestore -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzVulcanRestore -fuzztime 10s

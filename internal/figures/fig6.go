@@ -38,22 +38,20 @@ func Fig6() []Fig6Row {
 	threadCounts := []int{2, 4, 8, 16, 32}
 	return lab.Map(0, len(threadCounts), func(i int) Fig6Row {
 		threads := threadCounts[i]
-		shared := pagetable.New()
 		vulcanT := pagetable.NewReplicated(threads)
 		for vp := pagetable.VPage(0); vp < Fig6MappedPages; vp++ {
 			pte := pagetable.NewPTE(mem.Frame{Tier: mem.TierFast, Index: uint32(vp)}, 0)
-			if err := shared.Map(vp, pte); err != nil {
-				panic(err)
-			}
 			if err := vulcanT.Map(int(vp)%threads, vp, pte); err != nil {
 				panic(err)
 			}
 		}
+		// The process-wide view shares Vulcan's leaves and holds exactly
+		// the tables one shared process table would for this mapping.
 		// Full replication (RadixVM-style) needs no simulation: every
 		// per-thread replica and the canonical tree hold the same mapping
 		// as the shared table, so it costs threads+1 copies of its tables,
 		// and every PTE store is broadcast to each of the threads' replicas.
-		s, v := shared.TableCount(), vulcanT.TotalTables()
+		s, v := vulcanT.TableCount(), vulcanT.TotalTables()
 		f := (threads + 1) * s
 		return Fig6Row{
 			Threads:          threads,

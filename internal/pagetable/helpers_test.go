@@ -5,8 +5,8 @@ import "math/bits"
 // threadMapsLeaf reports whether tid has linked the leaf covering vp.
 func (r *Replicated) threadMapsLeaf(tid int, vp VPage) bool {
 	r.checkTid(tid)
-	set := r.leafThreads[LeafIndex(vp)]
-	return set != nil && set.has(tid)
+	leaf, _ := r.leafAt(vp)
+	return leaf != nil && leaf.linked.has(tid)
 }
 
 // upperTables returns the number of private upper-level tables held by
@@ -17,7 +17,7 @@ func (r *Replicated) upperTables(tid int) int {
 }
 
 // sharedLeaves returns the number of shared last-level tables.
-func (r *Replicated) sharedLeaves() int { return len(r.leafThreads) }
+func (r *Replicated) sharedLeaves() int { return r.leaves }
 
 // Live returns the number of present entries in the leaf.
 func (l *Leaf) Live() int {

@@ -24,54 +24,60 @@ const (
 func runTableOps(t *testing.T, data []byte) {
 	r := NewReplicated(opsThreads)
 	for ; len(data) >= 4; data = data[4:] {
-		op, tid := data[0]%6, int(data[0]/6)%opsThreads
-		vp := VPage(uint16(data[1])|uint16(data[2])<<8) % opsPages
-		arg := data[3]
-		frame := mem.Frame{Tier: mem.TierID(arg & 1), Index: uint32(arg)}
-		switch op {
-		case 0:
-			r.Map(tid, vp, NewPTE(frame, 0))
-		case 1:
-			p := NewPTE(frame, uint8(arg>>4)%opsThreads).WithAccessed(arg&2 != 0).WithDirty(arg&4 != 0)
-			r.Install(tid, vp, p)
-		case 2:
-			write := arg&2 != 0
-			want, wantOK := touchReference(r, tid, vp, write)
-			got, ok := r.Touch(tid, vp, write)
-			if ok != wantOK || got != want {
-				t.Fatalf("Touch(%d, %#x) = %+v,%t, want %+v,%t", tid, uint64(vp), got, ok, want, wantOK)
-			}
-			if p, _ := r.Lookup(vp); ok && p != got.PTE {
-				t.Fatalf("Touch(%d, %#x) returned %v, the table holds %v", tid, uint64(vp), got.PTE, p)
-			}
-		case 3:
-			r.Unmap(vp)
-		case 4:
-			// Clear the A/D bits of every other page the sweep visits.
-			r.SweepAccessed(func(vp VPage, p PTE) PTE {
-				if vp&1 == VPage(arg&1) {
-					return p.WithAccessed(false).WithDirty(false)
-				}
-				return p
-			})
-		case 5:
-			// Round-trip through a checkpoint in place: Restore
-			// rebuilds every leaf, so no Touch memo may survive it.
-			tables := r.TotalTables()
-			e := &checkpoint.Encoder{}
-			r.Snapshot(e)
-			d := checkpoint.NewDecoder(e.Bytes())
-			if err := r.Restore(d); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if r.TotalTables() != tables {
-				t.Fatalf("restore built %d tables, the table had %d", r.TotalTables(), tables)
-			}
-		}
+		applyTableOp(t, r, data[:4])
 		checkTableMasks(t, r)
+	}
+}
+
+// applyTableOp applies the operation op, four bytes, to r.
+func applyTableOp(t *testing.T, r *Replicated, op []byte) {
+	t.Helper()
+	kind, tid := op[0]%6, int(op[0]/6)%opsThreads
+	vp := VPage(uint16(op[1])|uint16(op[2])<<8) % opsPages
+	arg := op[3]
+	frame := mem.Frame{Tier: mem.TierID(arg & 1), Index: uint32(arg)}
+	switch kind {
+	case 0:
+		r.Map(tid, vp, NewPTE(frame, 0))
+	case 1:
+		p := NewPTE(frame, uint8(arg>>4)%opsThreads).WithAccessed(arg&2 != 0).WithDirty(arg&4 != 0)
+		r.Install(tid, vp, p)
+	case 2:
+		write := arg&2 != 0
+		want, wantOK := touchReference(r, tid, vp, write)
+		got, ok := r.Touch(tid, vp, write)
+		if ok != wantOK || got != want {
+			t.Fatalf("Touch(%d, %#x) = %+v,%t, want %+v,%t", tid, uint64(vp), got, ok, want, wantOK)
+		}
+		if p, _ := r.Lookup(vp); ok && p != got.PTE {
+			t.Fatalf("Touch(%d, %#x) returned %v, the table holds %v", tid, uint64(vp), got.PTE, p)
+		}
+	case 3:
+		r.Unmap(vp)
+	case 4:
+		// Clear the A/D bits of every other page the sweep visits.
+		r.SweepAccessed(func(vp VPage, p PTE) PTE {
+			if vp&1 == VPage(arg&1) {
+				return p.WithAccessed(false).WithDirty(false)
+			}
+			return p
+		})
+	case 5:
+		// Round-trip through a checkpoint in place: Restore
+		// rebuilds every leaf, so no Touch memo may survive it.
+		tables := r.TotalTables()
+		e := &checkpoint.Encoder{}
+		r.Snapshot(e)
+		d := checkpoint.NewDecoder(e.Bytes())
+		if err := r.Restore(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if r.TotalTables() != tables {
+			t.Fatalf("restore built %d tables, the table had %d", r.TotalTables(), tables)
+		}
 	}
 }
 

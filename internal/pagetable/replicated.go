@@ -32,6 +32,7 @@ type TouchResult struct {
 	PTE          PTE  // entry after the access
 	LinkedLeaf   bool // a minor fault linked the shared leaf into this thread's tree
 	BecameShared bool // ownership transitioned private -> shared on this access
+	Huge         bool // the page's leaf is mapped as one 2MiB huge page
 }
 
 // Replicated is Vulcan's per-thread page table structure (Figure 6,
@@ -40,17 +41,15 @@ type TouchResult struct {
 // PTE owner bits track which thread — or the shared pattern — maps each
 // page.
 //
-// A process-wide union table (the paper's process_pgd) is kept alongside
-// the per-thread roots; it shares the same leaf objects, so a PTE update
-// through either view is immediately visible in both.
+// The embedded table is the process-wide union view (the paper's
+// process_pgd) kept alongside the per-thread roots; it holds the same
+// leaf objects, so a PTE update through either view is immediately
+// visible in both, and its lookups, walks and counts are the
+// structure's own.
 type Replicated struct {
-	proc     *Table
+	*table
 	nthreads int
 	roots    []*tableL4
-	// leafThreads records, per shared leaf, which threads have linked it
-	// into their private upper levels — the candidate TLB shootdown scope
-	// for shared pages.
-	leafThreads map[uint64]*threadSet
 	// tablesPerThread counts upper-level tables allocated per thread
 	// (including the root), the replication memory overhead of §3.6.
 	tablesPerThread []int
@@ -74,10 +73,9 @@ func NewReplicated(nthreads int) *Replicated {
 		panic(fmt.Sprintf("pagetable: %d threads outside [1,%d]", nthreads, MaxThreads))
 	}
 	r := &Replicated{
-		proc:            New(),
+		table:           newTable(),
 		nthreads:        nthreads,
 		roots:           make([]*tableL4, nthreads),
-		leafThreads:     make(map[uint64]*threadSet),
 		tablesPerThread: make([]int, nthreads),
 		memo:            make([]touchMemo, nthreads),
 	}
@@ -91,44 +89,11 @@ func NewReplicated(nthreads int) *Replicated {
 // Threads returns the number of threads the structure was built for.
 func (r *Replicated) Threads() int { return r.nthreads }
 
-// Mapped returns the number of present PTEs (process-wide view).
-func (r *Replicated) Mapped() int { return r.proc.Mapped() }
-
-// FastMapped returns the number of present PTEs whose frame lives in the
-// fast tier, maintained incrementally by the shared process table.
-func (r *Replicated) FastMapped() int { return r.proc.FastMapped() }
-
-// Lookup returns the PTE for vp from the shared leaves.
-func (r *Replicated) Lookup(vp VPage) (PTE, bool) { return r.proc.Lookup(vp) }
-
-// Range iterates present PTEs in ascending VPage order.
-func (r *Replicated) Range(fn func(vp VPage, p PTE) bool) { r.proc.Range(fn) }
-
-// PresentFrom yields the present-mask words covering pages at or above
-// start in ascending order (see Table.PresentFrom).
-//
-//vulcan:hotpath
-func (r *Replicated) PresentFrom(start VPage, fn func(base VPage, word uint64) bool) {
-	r.proc.PresentFrom(start, fn)
-}
-
-// Words yields the present and fast mask words in ascending order (see
-// Table.Words).
-//
-//vulcan:hotpath
-func (r *Replicated) Words(fn func(base VPage, present, fast uint64)) { r.proc.Words(fn) }
-
-// SweepAccessed harvests A/D bits through the shared leaves (see
-// Table.SweepAccessed); both the process view and every thread view
-// observe the result.
-//
-//vulcan:hotpath
-func (r *Replicated) SweepAccessed(fn func(vp VPage, p PTE) PTE) { r.proc.SweepAccessed(fn) }
-
 // CheckMasks verifies the leaves' present, fast and A/D masks against
-// their PTEs: the masks are derived state, so a mismatch means some write
-// bypassed Leaf.SetPTE.
-func (r *Replicated) CheckMasks() error { return r.proc.checkMasks() }
+// their PTEs — the masks are derived state, so a mismatch means some
+// write bypassed Leaf.SetPTE — and the leaf state beside them: link
+// sets, huge flags and the leaf counts.
+func (r *Replicated) CheckMasks() error { return r.checkMasks() }
 
 func (r *Replicated) checkTid(tid int) {
 	if tid < 0 || tid >= r.nthreads {
@@ -165,13 +130,7 @@ func (r *Replicated) linkLeaf(tid int, vp VPage, leaf *Leaf) (*tableL2, bool) {
 	}
 	l2.leaves[i2] = leaf
 	l2.live++
-	li := LeafIndex(vp)
-	set := r.leafThreads[li]
-	if set == nil {
-		set = &threadSet{}
-		r.leafThreads[li] = set
-	}
-	set.add(tid)
+	leaf.linked.add(tid)
 	return l2, true
 }
 
@@ -183,22 +142,19 @@ func (r *Replicated) Map(tid int, vp VPage, p PTE) error {
 	return c.Map(tid, vp, p)
 }
 
-// MapCursor maps pages through the last leaf it reached and remembers
-// which threads it linked there, so a run of Map calls in ascending
-// page order walks the process tree once per leaf and links each
-// (thread, leaf) pair once. It is short-lived: valid while the table
-// is mutated (leaves are never freed), but not across a Restore, which
-// rebuilds the tree.
+// MapCursor maps pages through the last leaf it reached, so a run of
+// Map calls in ascending page order walks the process tree once per
+// leaf, and links a thread only when the leaf's link set lacks it. It
+// is short-lived: valid while the table is mutated (leaves are never
+// freed), but not across a Restore, which rebuilds the tree.
 type MapCursor struct {
-	r          *Replicated
-	c          mapCursor
-	linkedLeaf *Leaf
-	linked     threadSet // threads this cursor linked into linkedLeaf
+	r *Replicated
+	c mapCursor
 }
 
 // MapCursor returns a mapping cursor over the table.
 func (r *Replicated) MapCursor() MapCursor {
-	return MapCursor{r: r, c: mapCursor{t: r.proc}}
+	return MapCursor{r: r, c: mapCursor{t: r.table}}
 }
 
 // Map is Replicated.Map through the cursor.
@@ -208,12 +164,8 @@ func (m *MapCursor) Map(tid int, vp VPage, p PTE) error {
 	if err != nil {
 		return err
 	}
-	if leaf != m.linkedLeaf {
-		m.linkedLeaf, m.linked = leaf, threadSet{}
-	}
-	if !m.linked.has(tid) {
+	if !leaf.linked.has(tid) {
 		m.r.linkLeaf(tid, vp, leaf)
-		m.linked.add(tid)
 	}
 	return nil
 }
@@ -224,7 +176,7 @@ func (m *MapCursor) Map(tid int, vp VPage, p PTE) error {
 // would stamp tid as owner, losing a shared page's ownership.
 func (r *Replicated) Install(tid int, vp VPage, p PTE) error {
 	r.checkTid(tid)
-	leaf, err := r.proc.mapLeaf(vp, p)
+	leaf, err := r.mapLeaf(vp, p)
 	if err != nil {
 		return err
 	}
@@ -251,7 +203,7 @@ func (r *Replicated) Touch(tid int, vp VPage, write bool) (TouchResult, bool) {
 	}
 	hit := leaf != nil
 	if !hit {
-		if leaf, _ = r.proc.leafAt(vp); leaf == nil {
+		if leaf, _ = r.leafAt(vp); leaf == nil {
 			return TouchResult{}, false
 		}
 	}
@@ -279,13 +231,9 @@ func (r *Replicated) Touch(tid int, vp VPage, write bool) (TouchResult, bool) {
 		leaf.SetPTE(i, p)
 	}
 	res.PTE = p
+	res.Huge = leaf.huge
 	return res, true
 }
-
-// Unmap clears vp's PTE in the shared leaf (visible to all threads) and
-// returns the prior entry. Private upper-level links are left in place:
-// like real page tables, empty leaves are not eagerly torn down.
-func (r *Replicated) Unmap(vp VPage) (PTE, bool) { return r.proc.Unmap(vp) }
 
 // AppendShootdownScope appends to dst the thread ids whose TLBs may cache
 // vp's translation and therefore must receive invalidations when it
@@ -295,28 +243,72 @@ func (r *Replicated) Unmap(vp VPage) (PTE, bool) { return r.proc.Unmap(vp) }
 // TLB shootdowns. Appending lets the migration engine reuse one scratch
 // buffer across a batch instead of allocating per page.
 func (r *Replicated) AppendShootdownScope(dst []int, vp VPage) []int {
-	p, ok := r.Lookup(vp)
-	if !ok {
+	leaf, i := r.leafAt(vp)
+	if leaf == nil {
 		return dst
 	}
-	if !p.Shared() {
+	switch p := leaf.PTE(i); {
+	case !p.Present():
+		return dst
+	case !p.Shared():
 		return append(dst, int(p.Owner()))
 	}
-	set := r.leafThreads[LeafIndex(vp)]
-	if set == nil {
-		return dst
-	}
-	return set.appendMembers(dst)
+	return leaf.linked.appendMembers(dst)
 }
 
 // TotalTables returns all page-table pages: shared leaves plus every
 // thread's private upper levels plus the process-wide upper levels. The
-// comparison against Table.TableCount for the same mapping quantifies
-// replication overhead (§3.6).
+// comparison against TableCount, the process view's tables alone,
+// quantifies replication overhead (§3.6).
 func (r *Replicated) TotalTables() int {
-	n := r.proc.TableCount() // process view: upper levels + leaves
+	n := r.TableCount() // process view: upper levels + leaves
 	for _, c := range r.tablesPerThread {
 		n += c
 	}
 	return n
+}
+
+// SetHuge marks leaf li as mapped by one 2MiB huge page. Only a leaf
+// with every slot present can be huge; SetHuge reports an error for any
+// other.
+func (r *Replicated) SetHuge(li uint64) error {
+	if li > LeafIndex(MaxVPage) {
+		return fmt.Errorf("pagetable: huge leaf %d out of range", li)
+	}
+	leaf, _ := r.leafAt(VPage(li) << 9)
+	if leaf == nil || !leaf.full() {
+		return fmt.Errorf("pagetable: huge leaf %d not fully mapped", li)
+	}
+	if !leaf.huge {
+		leaf.huge = true
+		r.huge++
+	}
+	return nil
+}
+
+// SplitHuge breaks the huge mapping of the leaf covering vp into base
+// pages, reporting whether there was one to break (callers charge the
+// split cost only then).
+func (r *Replicated) SplitHuge(vp VPage) bool {
+	leaf, _ := r.leafAt(vp)
+	if leaf == nil || !leaf.huge {
+		return false
+	}
+	leaf.huge = false
+	r.huge--
+	return true
+}
+
+// HugeLeaves returns the number of leaves mapped as huge pages.
+func (r *Replicated) HugeLeaves() int { return r.huge }
+
+// EachHugeLeaf calls fn with the index of every huge leaf in ascending
+// order.
+func (r *Replicated) EachHugeLeaf(fn func(li uint64)) {
+	w := leafWalk{t: r.table}
+	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
+		if leaf.huge {
+			fn(LeafIndex(base))
+		}
+	}
 }

@@ -174,12 +174,10 @@ func TestReplicatedTableAccounting(t *testing.T) {
 		t.Fatalf("upperTables(1) after touch = %d, want 3", got)
 	}
 	// Replication overhead: replicated structure holds strictly more
-	// tables than a process-wide one for the same mapping.
-	single := New()
-	single.Map(VPage(0), NewPTE(fastFrame(0), 0))
-	if r.TotalTables() <= single.TableCount() {
+	// tables than its process-wide view of the same mapping.
+	if r.TotalTables() <= r.TableCount() {
 		t.Fatalf("replicated tables %d not greater than single %d",
-			r.TotalTables(), single.TableCount())
+			r.TotalTables(), r.TableCount())
 	}
 }
 
@@ -262,19 +260,16 @@ func TestFigure6MemoryComparison(t *testing.T) {
 	// from, where last-level tables are the bulk of page-table memory.
 	const pages = 65536
 
-	shared := New()
 	vulcanStyle := NewReplicated(threads)
 	for vp := VPage(0); vp < pages; vp++ {
 		pte := NewPTE(fastFrame(uint32(vp)), 0)
-		if err := shared.Map(vp, pte); err != nil {
-			t.Fatal(err)
-		}
 		if err := vulcanStyle.Map(int(vp)%threads, vp, pte); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	procTables := shared.TableCount()
+	// The process-wide view holds what one shared table would.
+	procTables := vulcanStyle.TableCount()
 	vulcanTables := vulcanStyle.TotalTables()
 	// Full replication keeps a copy of the process-wide tree per thread
 	// plus a canonical one.

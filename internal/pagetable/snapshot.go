@@ -3,7 +3,6 @@ package pagetable
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"vulcan/internal/checkpoint"
 	"vulcan/internal/mem"
@@ -15,26 +14,25 @@ import (
 // leaves are only ever created by Map/Install (which always link them),
 // intermediate tables exist exactly on the paths to linked leaves, and
 // neither is ever deallocated, so the (leaf, linkers) relation plus the
-// PTE contents reconstruct the structure exactly.
+// PTE contents reconstruct the structure exactly. The leaves' huge
+// flags are not part of it: the owner of the THP policy snapshots them
+// (EachHugeLeaf) and sets them again after a restore (SetHuge).
 func (r *Replicated) Snapshot(e *checkpoint.Encoder) {
 	e.Grow(r.SnapshotSize())
 	e.Int(r.nthreads)
 
-	leaves := make([]uint64, 0, len(r.leafThreads))
-	for li := range r.leafThreads {
-		leaves = append(leaves, li)
-	}
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
-	e.Int(len(leaves))
-	for _, li := range leaves {
-		set := r.leafThreads[li]
-		e.U64(li)
-		e.U64(set.bits[0])
-		e.U64(set.bits[1])
+	// Every leaf is linked, so the ascending leaf walk yields the link
+	// records in leaf-index order.
+	e.Int(r.leaves)
+	w := leafWalk{t: r.table}
+	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
+		e.U64(LeafIndex(base))
+		e.U64(leaf.linked.bits[0])
+		e.U64(leaf.linked.bits[1])
 	}
 
-	e.Int(r.proc.Mapped())
-	r.proc.Range(func(vp VPage, p PTE) bool {
+	e.Int(r.Mapped())
+	r.Range(func(vp VPage, p PTE) bool {
 		e.U64(uint64(vp))
 		e.U64(uint64(p))
 		return true
@@ -44,7 +42,7 @@ func (r *Replicated) Snapshot(e *checkpoint.Encoder) {
 // SnapshotSize is the number of bytes Snapshot appends: three counts,
 // 24 per leaf and 16 per present PTE.
 func (r *Replicated) SnapshotSize() int {
-	return 8 + 8 + 24*len(r.leafThreads) + 8 + 16*r.proc.Mapped()
+	return 8 + 8 + 24*r.leaves + 8 + 16*r.Mapped()
 }
 
 // Restore rebuilds the table in place from a snapshot. The receiver
@@ -61,8 +59,7 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 	}
 
 	// Reset to the empty structure NewReplicated builds.
-	r.proc = New()
-	r.leafThreads = make(map[uint64]*threadSet)
+	r.table = newTable()
 	for i := range r.roots {
 		r.roots[i] = &tableL4{}
 		r.tablesPerThread[i] = 1
@@ -110,17 +107,18 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 	}
 	for _, l := range leaves {
 		base := VPage(l.li) << 9
-		leaf, _ := r.proc.walk(base)
+		leaf, _ := r.walk(base)
 		for _, tid := range l.set.appendMembers(tidBuf[:0]) {
 			r.linkLeaf(tid, base, leaf)
 		}
 	}
 
 	// The PTEs arrive in ascending order, so one cursor walks to each
-	// leaf once, and the leaf's link check runs once per leaf. Length
-	// checked that the section holds every record.
+	// leaf once, and the leaf's link check runs once per leaf: the tree
+	// now holds exactly the linked leaves. Length checked that the
+	// section holds every record.
 	recs := d.Fixed(16 * nPTE)
-	c := mapCursor{t: r.proc}
+	c := mapCursor{t: r.table}
 	prevVP := VPage(0)
 	for i := 0; i < nPTE; i++ {
 		vp := VPage(binary.LittleEndian.Uint64(recs[16*i:]))
@@ -129,8 +127,12 @@ func (r *Replicated) Restore(d *checkpoint.Decoder) error {
 			return fmt.Errorf("pagetable: vpages out of order (%d after %d)", vp, prevVP)
 		}
 		prevVP = vp
-		if li := LeafIndex(vp); !c.at(li) {
-			if _, ok := r.leafThreads[li]; !ok {
+		if !c.at(LeafIndex(vp)) {
+			var leaf *Leaf
+			if vp <= MaxVPage {
+				leaf, _ = r.leafAt(vp)
+			}
+			if leaf == nil {
 				return fmt.Errorf("pagetable: PTE at %#x in unlinked leaf", uint64(vp))
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"vulcan/internal/checkpoint"
@@ -288,4 +289,88 @@ func TestMapCursorMatchesMap(t *testing.T) {
 		t.Fatal("cursor-mapped table counts differ")
 	}
 	checkTableMasks(t, got)
+}
+
+// referenceSnapshot is the encoder Snapshot replaced: it gathers each
+// leaf's linking threads into a map keyed by leaf index, sorts the
+// keys and writes the leaf records in that order, then the PTEs. The
+// map here is read from the threads' private trees, not from the
+// leaves' link sets, so the two encoders share no link state.
+func referenceSnapshot(r *Replicated) []byte {
+	links := make(map[uint64]*threadSet)
+	for tid, root := range r.roots {
+		for i4, l3 := range root.l3s {
+			if l3 == nil {
+				continue
+			}
+			for i3, l2 := range l3.l2s {
+				if l2 == nil {
+					continue
+				}
+				for i2, leaf := range l2.leaves {
+					if leaf == nil {
+						continue
+					}
+					li := uint64(i4)<<18 | uint64(i3)<<9 | uint64(i2)
+					if links[li] == nil {
+						links[li] = &threadSet{}
+					}
+					links[li].add(tid)
+				}
+			}
+		}
+	}
+	leaves := make([]uint64, 0, len(links))
+	for li := range links {
+		leaves = append(leaves, li)
+	}
+	sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
+	e := &checkpoint.Encoder{}
+	e.Int(r.nthreads)
+	e.Int(len(leaves))
+	for _, li := range leaves {
+		e.U64(li)
+		e.U64(links[li].bits[0])
+		e.U64(links[li].bits[1])
+	}
+	e.Int(r.Mapped())
+	r.Range(func(vp VPage, p PTE) bool {
+		e.U64(uint64(vp))
+		e.U64(uint64(p))
+		return true
+	})
+	return e.Bytes()
+}
+
+// TestSnapshotMatchesReference runs the FuzzTableOps seeds and seeded
+// random operation sequences and, after every operation, holds
+// Snapshot's bytes and SnapshotSize to the map-and-sort reference.
+func TestSnapshotMatchesReference(t *testing.T) {
+	seqs := [][]byte{
+		{0, 1, 0, 0, 5, 1, 0, 2, 4, 0, 0, 0},
+		{1, 0xff, 1, 0x37, 2, 0xff, 1, 0, 4, 0, 0, 1, 3, 0xff, 1, 0},
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		data := make([]byte, 4*600)
+		for i := range data {
+			data[i] = byte(rng.Uint64())
+		}
+		seqs = append(seqs, data)
+	}
+	for _, data := range seqs {
+		r := NewReplicated(opsThreads)
+		for ; len(data) >= 4; data = data[4:] {
+			applyTableOp(t, r, data[:4])
+			e := &checkpoint.Encoder{}
+			r.Snapshot(e)
+			want := referenceSnapshot(r)
+			if !bytes.Equal(e.Bytes(), want) {
+				t.Fatalf("after op %x: Snapshot\n %x\nreference\n %x", data[:4], e.Bytes(), want)
+			}
+			if r.SnapshotSize() != len(want) {
+				t.Fatalf("after op %x: SnapshotSize %d, reference wrote %d bytes", data[:4], r.SnapshotSize(), len(want))
+			}
+		}
+	}
 }

@@ -20,11 +20,19 @@ import (
 // sweep visit only the slots they need instead of every PTE slot. The
 // masks are derived state: a checkpoint carries the PTEs, and restore
 // rebuilds the masks through Map.
+//
+// The leaf also holds the two facts about it as a whole: linked, the
+// threads whose private trees link it — the shootdown scope of its
+// shared pages — and huge, whether its 512 pages are mapped as one
+// 2MiB transparent huge page (§3.5). A huge leaf always has every slot
+// present: migration splits it before it unmaps any of its pages.
 type Leaf struct {
 	ptes    [EntriesPerTable]PTE
 	present leafMask
 	fast    leafMask
 	ad      leafMask
+	linked  threadSet
+	huge    bool
 }
 
 // leafMask holds one bit per leaf slot.
@@ -32,6 +40,16 @@ type leafMask [EntriesPerTable / 64]uint64
 
 // PTE returns the entry at slot i.
 func (l *Leaf) PTE(i int) PTE { return l.ptes[i] }
+
+// full reports whether every slot of the leaf is present.
+func (l *Leaf) full() bool {
+	for _, w := range l.present {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	return true
+}
 
 // SetPTE stores an entry at slot i, maintaining the present, fast and
 // A/D masks.
@@ -68,37 +86,39 @@ type tableL4 struct {
 	live int
 }
 
-// Table is a process-wide 4-level page table — the vanilla structure that
+// table is a process-wide 4-level page table — the vanilla structure that
 // every thread of a process shares in conventional kernels (Figure 6,
-// left).
-type Table struct {
+// left). Replicated embeds one as its process-wide view.
+type table struct {
 	root *tableL4
 
 	mapped     int // present PTEs
 	fastMapped int // present PTEs whose frame is in the fast tier
 	tables     int // allocated tables including root (page-table memory)
+	leaves     int // allocated leaves
+	huge       int // leaves mapped as huge pages
 }
 
-// New returns an empty process-wide page table.
-func New() *Table {
-	return &Table{root: &tableL4{}, tables: 1}
+// newTable returns an empty process-wide page table.
+func newTable() *table {
+	return &table{root: &tableL4{}, tables: 1}
 }
 
 // Mapped returns the number of present PTEs.
-func (t *Table) Mapped() int { return t.mapped }
+func (t *table) Mapped() int { return t.mapped }
 
 // FastMapped returns the number of present PTEs whose frame lives in the
 // fast tier. The count is maintained on every mutation, so per-app tier
 // censuses are O(1) reads instead of full-table walks.
-func (t *Table) FastMapped() int { return t.fastMapped }
+func (t *table) FastMapped() int { return t.fastMapped }
 
 // TableCount returns the number of allocated page-table pages (all
 // levels), the metric behind the replication-overhead discussion in §3.6.
-func (t *Table) TableCount() int { return t.tables }
+func (t *table) TableCount() int { return t.tables }
 
 // walk descends to the leaf covering vp, allocating intermediate tables
 // and the leaf as needed. Returns the leaf and the final-level index.
-func (t *Table) walk(vp VPage) (*Leaf, int) {
+func (t *table) walk(vp VPage) (*Leaf, int) {
 	if vp > MaxVPage {
 		panic(fmt.Sprintf("pagetable: vpage %#x out of range", uint64(vp)))
 	}
@@ -123,13 +143,14 @@ func (t *Table) walk(vp VPage) (*Leaf, int) {
 		l2.leaves[i2] = leaf
 		l2.live++
 		t.tables++
+		t.leaves++
 	}
 	return leaf, i1
 }
 
 // leafAt returns the leaf covering vp and the final-level index, or a
 // nil leaf when the path does not exist. It never allocates.
-func (t *Table) leafAt(vp VPage) (*Leaf, int) {
+func (t *table) leafAt(vp VPage) (*Leaf, int) {
 	if vp > MaxVPage {
 		panic(fmt.Sprintf("pagetable: vpage %#x out of range", uint64(vp)))
 	}
@@ -146,7 +167,7 @@ func (t *Table) leafAt(vp VPage) (*Leaf, int) {
 }
 
 // Lookup returns the PTE for vp; ok is false when nothing is mapped.
-func (t *Table) Lookup(vp VPage) (PTE, bool) {
+func (t *table) Lookup(vp VPage) (PTE, bool) {
 	leaf, i := t.leafAt(vp)
 	if leaf == nil {
 		return 0, false
@@ -155,24 +176,21 @@ func (t *Table) Lookup(vp VPage) (PTE, bool) {
 	return p, p.Present()
 }
 
-// Map installs a PTE for vp. Mapping over a present entry returns an
-// error: replacing a live translation without an unmap (and shootdown) is
-// exactly the bug class tiering code must not hide.
-func (t *Table) Map(vp VPage, p PTE) error {
-	_, err := t.mapLeaf(vp, p)
-	return err
-}
-
-// mapLeaf is Map that also returns the leaf it wrote, so a caller that
-// links the leaf elsewhere does not walk to it again.
-func (t *Table) mapLeaf(vp VPage, p PTE) (*Leaf, error) {
+// mapLeaf installs a PTE for vp and returns the leaf it wrote, so the
+// caller links the leaf without walking to it again. Mapping over a
+// present entry returns an error: replacing a live translation without
+// an unmap (and shootdown) is exactly the bug class tiering code must
+// not hide.
+func (t *table) mapLeaf(vp VPage, p PTE) (*Leaf, error) {
 	c := mapCursor{t: t}
 	return c.mapLeaf(vp, p)
 }
 
-// Unmap clears the PTE for vp, returning the prior entry. ok is false when
-// nothing was mapped.
-func (t *Table) Unmap(vp VPage) (PTE, bool) {
+// Unmap clears the PTE for vp in its shared leaf, visible to every
+// thread, returning the prior entry. ok is false when nothing was
+// mapped. Links to the leaf stay in place: like real page tables, empty
+// leaves are not eagerly torn down.
+func (t *table) Unmap(vp VPage) (PTE, bool) {
 	leaf, i := t.leafAt(vp)
 	if leaf == nil {
 		return 0, false
@@ -192,7 +210,7 @@ func (t *Table) Unmap(vp VPage) (PTE, bool) {
 // leafWalk visits a table's allocated leaves in ascending VPage order,
 // starting at the leaf position (i4, i3, i2) it is built with.
 type leafWalk struct {
-	t          *Table
+	t          *table
 	i4, i3, i2 int
 }
 
@@ -229,7 +247,7 @@ func (w *leafWalk) next() (base VPage, leaf *Leaf, ok bool) {
 // Range calls fn for every present PTE in ascending VPage order,
 // reading the leaves' present masks. fn may return false to stop early.
 // Range is the substrate for page-table scanning profilers.
-func (t *Table) Range(fn func(vp VPage, p PTE) bool) {
+func (t *table) Range(fn func(vp VPage, p PTE) bool) {
 	w := leafWalk{t: t}
 	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
 		for i, word := range leaf.present {
@@ -251,7 +269,7 @@ func (t *Table) Range(fn func(vp VPage, p PTE) bool) {
 // prefix below the cursor.
 //
 //vulcan:hotpath
-func (t *Table) PresentFrom(start VPage, fn func(base VPage, word uint64) bool) {
+func (t *table) PresentFrom(start VPage, fn func(base VPage, word uint64) bool) {
 	if start > MaxVPage {
 		return
 	}
@@ -281,7 +299,7 @@ func (t *Table) PresentFrom(start VPage, fn func(base VPage, word uint64) bool) 
 // page.
 //
 //vulcan:hotpath
-func (t *Table) Words(fn func(base VPage, present, fast uint64)) {
+func (t *table) Words(fn func(base VPage, present, fast uint64)) {
 	w := leafWalk{t: t}
 	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
 		for i, word := range &leaf.present {
@@ -300,7 +318,7 @@ func (t *Table) Words(fn func(base VPage, present, fast uint64)) {
 // change panics, because the sweep maintains no mapped or tier counts.
 //
 //vulcan:hotpath
-func (t *Table) SweepAccessed(fn func(vp VPage, p PTE) PTE) {
+func (t *table) SweepAccessed(fn func(vp VPage, p PTE) PTE) {
 	w := leafWalk{t: t}
 	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
 		for i, word := range leaf.ad {
@@ -326,7 +344,7 @@ func (t *Table) SweepAccessed(fn func(vp VPage, p PTE) PTE) {
 // is mutated (leaves are never freed), but not across a Restore, which
 // rebuilds the tree.
 type mapCursor struct {
-	t    *Table
+	t    *table
 	li   uint64
 	leaf *Leaf
 }
@@ -334,8 +352,7 @@ type mapCursor struct {
 // at reports whether the cursor rests on leaf li.
 func (c *mapCursor) at(li uint64) bool { return c.leaf != nil && c.li == li }
 
-// mapLeaf installs p at vp, like Table.Map, and returns the leaf it
-// wrote.
+// mapLeaf installs p at vp, like table.mapLeaf.
 func (c *mapCursor) mapLeaf(vp VPage, p PTE) (*Leaf, error) {
 	if !p.Present() {
 		return nil, fmt.Errorf("pagetable: mapping non-present PTE at %#x", uint64(vp))
@@ -357,8 +374,11 @@ func (c *mapCursor) mapLeaf(vp VPage, p PTE) (*Leaf, error) {
 }
 
 // checkMasks verifies every leaf's present, fast and A/D masks against
-// its PTEs, returning the first disagreement.
-func (t *Table) checkMasks() error {
+// its PTEs, and the leaf state the masks do not cover: every leaf has a
+// linking thread, a huge leaf has every slot present, and the leaf and
+// huge-leaf counts match the walk. It returns the first disagreement.
+func (t *table) checkMasks() error {
+	leaves, huge := 0, 0
 	w := leafWalk{t: t}
 	for base, leaf, ok := w.next(); ok; base, leaf, ok = w.next() {
 		var present, fast, ad leafMask
@@ -383,6 +403,19 @@ func (t *Table) checkMasks() error {
 		if ad != leaf.ad {
 			return fmt.Errorf("pagetable: leaf at %#x: A/D mask %x, PTEs say %x", uint64(base), leaf.ad, ad)
 		}
+		if leaf.linked == (threadSet{}) {
+			return fmt.Errorf("pagetable: leaf at %#x linked by no thread", uint64(base))
+		}
+		if leaf.huge && !leaf.full() {
+			return fmt.Errorf("pagetable: huge leaf at %#x not fully present", uint64(base))
+		}
+		leaves++
+		if leaf.huge {
+			huge++
+		}
+	}
+	if leaves != t.leaves || huge != t.huge {
+		return fmt.Errorf("pagetable: %d leaves (%d huge) counted as %d (%d huge)", leaves, huge, t.leaves, t.huge)
 	}
 	return nil
 }

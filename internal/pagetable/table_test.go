@@ -10,9 +10,9 @@ import (
 func fastFrame(i uint32) mem.Frame { return mem.Frame{Tier: mem.TierFast, Index: i} }
 
 func TestTableMapLookup(t *testing.T) {
-	tbl := New()
+	tbl := NewReplicated(1)
 	vp := VPage(0x12345)
-	if err := tbl.Map(vp, NewPTE(fastFrame(7), 0)); err != nil {
+	if err := tbl.Map(0, vp, NewPTE(fastFrame(7), 0)); err != nil {
 		t.Fatal(err)
 	}
 	p, ok := tbl.Lookup(vp)
@@ -28,27 +28,27 @@ func TestTableMapLookup(t *testing.T) {
 }
 
 func TestTableDoubleMapFails(t *testing.T) {
-	tbl := New()
+	tbl := NewReplicated(1)
 	vp := VPage(10)
-	if err := tbl.Map(vp, NewPTE(fastFrame(1), 0)); err != nil {
+	if err := tbl.Map(0, vp, NewPTE(fastFrame(1), 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Map(vp, NewPTE(fastFrame(2), 0)); err == nil {
+	if err := tbl.Map(0, vp, NewPTE(fastFrame(2), 0)); err == nil {
 		t.Fatal("double map succeeded")
 	}
 }
 
 func TestTableMapAbsentPTEFails(t *testing.T) {
-	tbl := New()
-	if err := tbl.Map(5, 0); err == nil {
+	tbl := NewReplicated(1)
+	if err := tbl.Map(0, 5, 0); err == nil {
 		t.Fatal("mapping a non-present PTE succeeded")
 	}
 }
 
 func TestTableUnmap(t *testing.T) {
-	tbl := New()
+	tbl := NewReplicated(1)
 	vp := VPage(0xABCDE)
-	tbl.Map(vp, NewPTE(fastFrame(3), 0))
+	tbl.Map(0, vp, NewPTE(fastFrame(3), 0))
 	p, ok := tbl.Unmap(vp)
 	if !ok || p.Frame() != fastFrame(3) {
 		t.Fatalf("Unmap = %v,%v", p, ok)
@@ -65,11 +65,11 @@ func TestTableUnmap(t *testing.T) {
 }
 
 func TestTableRangeOrderAndCompleteness(t *testing.T) {
-	tbl := New()
+	tbl := NewReplicated(1)
 	// Spread mappings across leaves and upper levels.
 	vps := []VPage{0, 511, 512, 1 << 18, 1<<27 + 5, MaxVPage}
 	for i, vp := range vps {
-		if err := tbl.Map(vp, NewPTE(fastFrame(uint32(i)), 0)); err != nil {
+		if err := tbl.Map(0, vp, NewPTE(fastFrame(uint32(i)), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,9 +89,9 @@ func TestTableRangeOrderAndCompleteness(t *testing.T) {
 }
 
 func TestTableRangeEarlyStop(t *testing.T) {
-	tbl := New()
+	tbl := NewReplicated(1)
 	for i := VPage(0); i < 10; i++ {
-		tbl.Map(i, NewPTE(fastFrame(uint32(i)), 0))
+		tbl.Map(0, i, NewPTE(fastFrame(uint32(i)), 0))
 	}
 	n := 0
 	tbl.Range(func(VPage, PTE) bool {
@@ -104,20 +104,20 @@ func TestTableRangeEarlyStop(t *testing.T) {
 }
 
 func TestTableCountGrowth(t *testing.T) {
-	tbl := New()
+	tbl := NewReplicated(1)
 	if tbl.TableCount() != 1 {
 		t.Fatalf("empty table count = %d, want 1 (root)", tbl.TableCount())
 	}
-	tbl.Map(0, NewPTE(fastFrame(0), 0))
+	tbl.Map(0, 0, NewPTE(fastFrame(0), 0))
 	// root + l3 + l2 + leaf
 	if tbl.TableCount() != 4 {
 		t.Fatalf("count after first map = %d, want 4", tbl.TableCount())
 	}
-	tbl.Map(1, NewPTE(fastFrame(1), 0)) // same leaf
+	tbl.Map(0, 1, NewPTE(fastFrame(1), 0)) // same leaf
 	if tbl.TableCount() != 4 {
 		t.Fatalf("same-leaf map changed count to %d", tbl.TableCount())
 	}
-	tbl.Map(512, NewPTE(fastFrame(2), 0)) // new leaf, same l2
+	tbl.Map(0, 512, NewPTE(fastFrame(2), 0)) // new leaf, same l2
 	if tbl.TableCount() != 5 {
 		t.Fatalf("new-leaf map count = %d, want 5", tbl.TableCount())
 	}
@@ -129,7 +129,7 @@ func TestTableOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range vpage did not panic")
 		}
 	}()
-	New().Lookup(MaxVPage + 1)
+	NewReplicated(1).Lookup(MaxVPage + 1)
 }
 
 func TestLeafLiveCount(t *testing.T) {
@@ -153,7 +153,7 @@ func TestTableMapUnmapProperty(t *testing.T) {
 	// Property: mapping a set of distinct vpages then unmapping all of
 	// them leaves Mapped()==0 and every lookup failing.
 	check := func(raw []uint32) bool {
-		tbl := New()
+		tbl := NewReplicated(1)
 		seen := map[VPage]bool{}
 		var vps []VPage
 		for _, r := range raw {
@@ -163,7 +163,7 @@ func TestTableMapUnmapProperty(t *testing.T) {
 			}
 			seen[vp] = true
 			vps = append(vps, vp)
-			if err := tbl.Map(vp, NewPTE(fastFrame(r), 0)); err != nil {
+			if err := tbl.Map(0, vp, NewPTE(fastFrame(r), 0)); err != nil {
 				return false
 			}
 		}

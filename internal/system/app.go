@@ -40,12 +40,14 @@ type App struct {
 	rng     *sim.RNG
 	started bool
 	// stopped marks an app evicted by StopApp: its frames are freed, its
-	// runtime state (table, TLBs, threads, engines, profiler, THP
-	// overlay) is dropped and it never runs again, but it keeps its slot
-	// (indices, recorder series and fairness history stay stable) and
-	// its durable summary statistics for reporting.
+	// runtime state (table, TLBs, threads, engines, profiler) is dropped
+	// and it never runs again, but it keeps its slot (indices, recorder
+	// series and fairness history stay stable) and its durable summary
+	// statistics for reporting.
 	stopped bool
-	huge    *HugeSet // nil when THP disabled
+	// thpSplits counts the huge pages migration has split over the
+	// app's life; the page table's leaves hold which are still huge.
+	thpSplits uint64
 
 	// acct is the app's resolved cost-account set; every field is nil on
 	// unprofiled runs and all charges are nil-safe no-ops.
@@ -252,9 +254,9 @@ func (a *App) admit(sys *System, placer Placer) {
 }
 
 // build constructs the app's runtime objects — engine, migrators,
-// profiler, TLBs, threads and the THP overlay — and makes it live, with
-// nothing mapped. Resume stops here: the checkpoint's overlays supply
-// what premap would have produced (DESIGN.md §11).
+// profiler, TLBs and threads — and makes it live, with nothing mapped.
+// Resume stops here: the checkpoint's overlays supply what premap would
+// have produced (DESIGN.md §11).
 func (a *App) build(sys *System) {
 	a.sys = sys
 	a.acct = newAppAccounts(sys.prof, a.Cfg.Name)
@@ -307,13 +309,6 @@ func (a *App) build(sys *System) {
 		a.Profiler = profile.NewHybrid(a.Table, 8, profile.DefaultDecay, a.rng.Uint64())
 	}
 	a.sampleFaults = sys.inj.Profile(a.Cfg.Name)
-
-	if !sys.cfg.DisableTHP {
-		// Premap maps exactly the layout's pages, so this is the
-		// resident set the premap leaves.
-		_, _, mapped := a.premapLayout()
-		a.huge = NewHugeSet(mapped)
-	}
 	a.started = true
 	i, _ := slices.BinarySearchFunc(sys.live, a.Index, byIndex)
 	sys.live = slices.Insert(sys.live, i, a)
@@ -322,11 +317,18 @@ func (a *App) build(sys *System) {
 // splitTHP breaks the huge mapping covering a page about to migrate,
 // returning the one-time split cost (§3.5).
 func (a *App) splitTHP(vp pagetable.VPage) float64 {
-	if a.huge.Split(vp) {
+	if a.Table.SplitHuge(vp) {
 		a.epochTHPSplits++
+		a.thpSplits++
 		return a.sys.cost.THPSplitCycles
 	}
 	return 0
+}
+
+// hugeTLBTag returns the TLB tag for a huge mapping: the leaf index
+// offset into a disjoint tag space so huge and base tags never collide.
+func hugeTLBTag(vp pagetable.VPage) pagetable.VPage {
+	return pagetable.VPage(pagetable.LeafIndex(vp)) | pagetable.VPage(1)<<40
 }
 
 // TLBStats aggregates the app's per-thread TLB counters.
@@ -337,9 +339,6 @@ func (a *App) TLBStats() tlb.Stats {
 	}
 	return s
 }
-
-// Huge exposes the app's THP state (nil when disabled).
-func (a *App) Huge() *HugeSet { return a.huge }
 
 // invalidateTLBs evicts vp from the TLBs of the threads in scope.
 func (a *App) invalidateTLBs(vp pagetable.VPage, threads []int) {
@@ -366,6 +365,13 @@ func (a *App) noteDelayedAcks(threads []int) {
 // sharing emerges as threads touch). Pages beyond the premapped prefix
 // demand-fault as the access stream reaches them, growing the resident
 // set over time.
+//
+// Unless THP is disabled, every whole 2MiB group of the premapped
+// prefix is then mapped huge, for TLB coverage: Vulcan "enables
+// transparent huge pages to maximize TLB coverage by default, despite
+// proactively splitting them into base pages during promotion" (§3.5),
+// and the baselines run on the same THP-enabled kernel. The tail
+// partial group stays base-mapped, as the kernel would leave it.
 func (a *App) premap(placer Placer) {
 	sharedPages, privPer, mapped := a.premapLayout()
 	c := a.Table.MapCursor()
@@ -377,6 +383,13 @@ func (a *App) premap(placer Placer) {
 			tid = (vp - sharedPages) / privPer
 		}
 		a.mapNewPage(&c, pagetable.VPage(vp), tid, placer)
+	}
+	if !a.sys.cfg.DisableTHP {
+		for li := uint64(0); li < uint64(mapped)/pagetable.EntriesPerTable; li++ {
+			if err := a.Table.SetHuge(li); err != nil {
+				panic(fmt.Sprintf("system: premapped group not whole: %v", err))
+			}
+		}
 	}
 	a.rssMapped = a.Table.Mapped()
 }
@@ -505,7 +518,7 @@ func (a *App) runEpochAccesses(samples int, epochCycles float64, bwUtil [mem.Num
 				// A huge mapping translates the whole 2MiB group through
 				// one TLB entry.
 				tag := vp
-				if a.huge.IsHuge(vp) {
+				if res.Huge {
 					tag = hugeTLBTag(vp)
 				}
 				h := 0

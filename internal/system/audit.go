@@ -30,32 +30,45 @@ func (r AuditReport) String() string {
 
 // Audit verifies the global frame-ownership invariant: every physical
 // frame is either on its tier's free list, mapped by exactly one page of
-// exactly one application, or held as exactly one shadow copy — and
-// nothing else. Any migration-engine bug that leaks, double-frees or
-// double-maps a frame surfaces here. Audit is O(total frames) and meant
-// for tests and debugging, not the simulation hot path. It also checks
-// every live app's page-table leaf masks (fast tier, A/D) against the
-// PTEs they mirror.
+// exactly one application, held as exactly one shadow copy, or seized
+// by a memory-pressure burst — and nothing else. Any migration-engine
+// bug that leaks, double-frees or double-maps a frame surfaces here.
+// Audit is O(total frames) and meant for tests, reports and resumes,
+// not the simulation hot path. It also checks every live app's
+// page-table leaf state (Replicated.CheckMasks): the masks against the
+// PTEs they mirror, the link sets and the huge leaves.
 func (s *System) Audit() AuditReport {
-	var rep AuditReport
-
-	type owner struct {
-		app  string
-		vp   pagetable.VPage
-		kind string // "map" or "shadow"
+	rep := s.frameAudit()
+	for _, a := range s.live {
+		if err := a.Table.CheckMasks(); err != nil {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", a.Cfg.Name, err))
+		}
 	}
-	seen := make(map[mem.Frame]owner)
+	return rep
+}
 
-	claim := func(f mem.Frame, o owner) {
-		if prev, dup := seen[f]; dup {
+// frameAudit is Audit's frame-ownership half. It marks claimed frames
+// in one bitmap per tier, so it costs a bit per frame and a visit per
+// mapped page; Resume runs it on every system it restores.
+func (s *System) frameAudit() AuditReport {
+	var rep AuditReport
+	var claimed [mem.NumTiers][]uint64
+	for t := range claimed {
+		claimed[t] = make([]uint64, (s.tiers.Tier(mem.TierID(t)).Capacity()+63)/64)
+	}
+	claim := func(f mem.Frame, who string, vp pagetable.VPage, kind string) {
+		w, bit := &claimed[f.Tier][f.Index>>6], uint64(1)<<(f.Index&63)
+		if *w&bit != 0 {
 			rep.Errors = append(rep.Errors, fmt.Sprintf(
-				"frame %v claimed twice: %s:%#x(%s) and %s:%#x(%s)",
-				f, prev.app, uint64(prev.vp), prev.kind, o.app, uint64(o.vp), o.kind))
+				"frame %v claimed twice, the second time by %s:%#x(%s)", f, who, uint64(vp), kind))
 			return
 		}
-		seen[f] = o
+		*w |= bit
 	}
 
+	for _, f := range s.pressure {
+		claim(f, "system", 0, "pressure")
+	}
 	for _, a := range s.live {
 		a.Table.Range(func(vp pagetable.VPage, p pagetable.PTE) bool {
 			f := p.Frame()
@@ -69,18 +82,16 @@ func (s *System) Audit() AuditReport {
 					"%s:%#x maps out-of-range frame %v", a.Cfg.Name, uint64(vp), f))
 				return true
 			}
-			claim(f, owner{a.Cfg.Name, vp, "map"})
+			claim(f, a.Cfg.Name, vp, "map")
 			rep.MappedFrames++
 			return true
 		})
 		rep.ShadowFrames += a.Engine.Shadows().Live
-		if err := a.Table.CheckMasks(); err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", a.Cfg.Name, err))
-		}
 	}
 
-	// Accounting identity per tier: used == claimed (mapped + shadows are
-	// the only allocation sources), and used + free == capacity.
+	// Accounting identity per tier: used == claimed (mapped, shadow and
+	// pressure frames are the only allocation sources), and used + free
+	// == capacity.
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
 		tier := s.tiers.Tier(t)
 		rep.FreeFrames += tier.FreePages()
@@ -91,10 +102,10 @@ func (s *System) Audit() AuditReport {
 		}
 	}
 	totalUsed := s.tiers.Fast().Used() + s.tiers.Slow().Used()
-	if claimed := rep.MappedFrames + rep.ShadowFrames; claimed != totalUsed {
+	if claimed := rep.MappedFrames + rep.ShadowFrames + len(s.pressure); claimed != totalUsed {
 		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"claimed frames %d (mapped %d + shadow %d) != tier-used %d",
-			claimed, rep.MappedFrames, rep.ShadowFrames, totalUsed))
+			"claimed frames %d (mapped %d + shadow %d + pressure %d) != tier-used %d",
+			claimed, rep.MappedFrames, rep.ShadowFrames, len(s.pressure), totalUsed))
 	}
 	return rep
 }

@@ -1,8 +1,10 @@
 package system
 
 import (
+	"fmt"
 	"testing"
 
+	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
 	"vulcan/internal/workload"
 )
@@ -78,5 +80,37 @@ func TestAuditDetectsDoubleMapping(t *testing.T) {
 	rep := sys.Audit()
 	if rep.Ok() {
 		t.Fatal("audit missed a double-mapped frame")
+	}
+}
+
+// TestAuditCatchesPartialHugeLeaf unmaps one page of a huge leaf
+// without splitting it first, releasing its frame so the frame
+// accounting still balances: the partial leaf marked huge is the one
+// violation, and Audit reports it.
+func TestAuditCatchesPartialHugeLeaf(t *testing.T) {
+	sys := New(Config{
+		Machine:     tinyMachine(256, 2048),
+		Apps:        []workload.AppConfig{tinyApp("a", workload.LC, 1200, 0)},
+		EpochLength: 10 * sim.Millisecond,
+	})
+	sys.RunEpoch()
+	a := sys.App("a")
+	huge := hugeLeafList(a)
+	if len(huge) == 0 {
+		t.Fatal("setup: no huge leaf left after one epoch")
+	}
+	if rep := sys.Audit(); !rep.Ok() {
+		t.Fatalf("setup: %v", rep.Errors)
+	}
+	vp := pagetable.VPage(huge[0]<<9 + 7)
+	p, ok := a.Table.Unmap(vp)
+	if !ok {
+		t.Fatalf("setup: page %#x not mapped", uint64(vp))
+	}
+	sys.tiers.Free(p.Frame())
+	rep := sys.Audit()
+	want := fmt.Sprintf("a: pagetable: huge leaf at %#x not fully present", huge[0]<<9)
+	if len(rep.Errors) != 1 || rep.Errors[0] != want {
+		t.Fatalf("audit errors = %q, want [%q]", rep.Errors, want)
 	}
 }

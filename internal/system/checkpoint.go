@@ -8,7 +8,6 @@ import (
 	"vulcan/internal/mem"
 	"vulcan/internal/metrics"
 	"vulcan/internal/migrate"
-	"vulcan/internal/pagetable"
 	"vulcan/internal/profile"
 )
 
@@ -285,6 +284,13 @@ func resume(r io.Reader, cfg Config, admit func(*System, *App)) (*System, error)
 		}
 	}
 
+	// Each section decodes on its own, so only the assembled system can
+	// show a page table mapping a frame twice or one the tiers never
+	// handed out.
+	if audit := s.frameAudit(); !audit.Ok() {
+		return nil, fmt.Errorf("system: checkpoint fails the frame audit: %s", audit.Errors[0])
+	}
+
 	if samePolicy && cr.Has("policy") {
 		ps, ok := s.policy.(checkpoint.Snapshotter)
 		if !ok {
@@ -362,9 +368,13 @@ func (a *App) snapshot(e *checkpoint.Encoder) {
 	if a.Retry != nil {
 		a.Retry.Snapshot(e)
 	}
-	e.Bool(a.huge != nil)
-	if a.huge != nil {
-		a.huge.Snapshot(e)
+	// The THP overlay: the huge leaves in ascending order and the
+	// lifetime split count.
+	e.Bool(!a.sys.cfg.DisableTHP)
+	if !a.sys.cfg.DisableTHP {
+		e.Int(a.Table.HugeLeaves())
+		a.Table.EachHugeLeaf(e.U64)
+		e.U64(a.thpSplits)
 	}
 	a.fthr.Snapshot(e)
 	a.perfSeries.Snapshot(e)
@@ -384,7 +394,7 @@ func (a *App) snapshot(e *checkpoint.Encoder) {
 // checkpointed run and this one — a clean warm-up branching into a
 // faulted run, or the reverse — so retry state with no destination is
 // discarded and a fresh retrier keeps its empty construction state;
-// likewise for the THP overlay.
+// likewise a run with THP disabled reads and drops the THP overlay.
 func (a *App) restore(d *checkpoint.Decoder) error {
 	name := d.String()
 	ckptStarted := d.Bool()
@@ -473,11 +483,7 @@ func (a *App) restore(d *checkpoint.Decoder) error {
 		return d.Err()
 	}
 	if hasHuge {
-		target := a.huge
-		if target == nil {
-			target = &HugeSet{}
-		}
-		if err := target.Restore(d); err != nil {
+		if err := a.restoreTHP(d); err != nil {
 			return err
 		}
 	}
@@ -508,35 +514,30 @@ func (a *App) restore(d *checkpoint.Decoder) error {
 	return nil
 }
 
-// Snapshot appends the THP overlay: the intact huge groups in ascending
-// order plus the lifetime split count. The bitmap iterates ascending by
-// construction, so the wire bytes match the previous sorted encoding.
-func (h *HugeSet) Snapshot(e *checkpoint.Encoder) {
-	e.Int(h.count)
-	h.forEachGroup(func(g uint64) { e.U64(g) })
-	e.U64(h.splits)
-}
-
-// Restore reads the overlay back in place.
-func (h *HugeSet) Restore(d *checkpoint.Decoder) error {
+// restoreTHP reads the THP overlay back onto the table the section has
+// just restored: each huge leaf, in ascending order, must be mapped in
+// full. A run with THP disabled marks no leaf and keeps no split count.
+func (a *App) restoreTHP(d *checkpoint.Decoder) error {
+	keep := !a.sys.cfg.DisableTHP
 	n := d.Length(8)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	h.words = nil
-	h.count = 0
-	for i := 0; i < n; i++ {
-		g := d.U64()
+	for i, prev := 0, uint64(0); i < n; i++ {
+		li := d.U64()
 		if d.Err() != nil {
 			return d.Err()
 		}
-		if g > uint64(pagetable.MaxVPage)>>9 {
-			return fmt.Errorf("system: huge group %d out of range in checkpoint", g)
+		if i > 0 && li <= prev {
+			return fmt.Errorf("system: huge leaf %d after %d in checkpoint", li, prev)
 		}
-		if !h.setGroup(g) {
-			return fmt.Errorf("system: duplicate huge group %d in checkpoint", g)
+		prev = li
+		if keep {
+			if err := a.Table.SetHuge(li); err != nil {
+				return err
+			}
 		}
 	}
-	h.splits = d.U64()
+	splits := d.U64()
+	if keep {
+		a.thpSplits = splits
+	}
 	return d.Err()
 }

@@ -6,11 +6,15 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"vulcan/internal/checkpoint"
 	"vulcan/internal/fault"
 	"vulcan/internal/mem"
 	"vulcan/internal/obs"
+	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
 	"vulcan/internal/workload"
 )
@@ -347,4 +351,125 @@ func TestCheckpointAllocatesLittle(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(blob.Len()) {
 		t.Fatalf("checkpoint of a %d-byte blob allocated %d bytes, more than twice the blob", blob.Len(), got)
 	}
+}
+
+// appSectionConfig is one running app whose premap leaves three huge
+// leaves and a partial one; the churn policy migrates pages of the
+// first, splitting it, so the app section carries intact huge leaves
+// and a split count.
+func appSectionConfig() Config {
+	return Config{
+		Machine:     tinyMachine(256, 4096),
+		Apps:        []workload.AppConfig{tinyApp("a", workload.LC, 1600, 0)},
+		EpochLength: 10 * sim.Millisecond,
+		Policy:      &churnPolicy{},
+		Seed:        7,
+	}
+}
+
+// thpOverlay encodes an app section's THP overlay as the app writes it.
+func thpOverlay(splits uint64, leaves ...uint64) []byte {
+	e := &checkpoint.Encoder{}
+	e.Bool(true)
+	e.Int(len(leaves))
+	for _, li := range leaves {
+		e.U64(li)
+	}
+	e.U64(splits)
+	return e.Bytes()
+}
+
+// appSection runs appSectionConfig for three epochs and returns the
+// system, its checkpoint's sections and the app.0 payload among them.
+func appSection(t testing.TB) (*System, []ckptSection, []byte) {
+	t.Helper()
+	sys := New(appSectionConfig())
+	runEpochs(sys, 3)
+	var blob bytes.Buffer
+	if err := sys.Checkpoint(&blob); err != nil {
+		t.Fatal(err)
+	}
+	sections := splitCheckpoint(t, blob.Bytes())
+	for _, sec := range sections {
+		if sec.name == "app.0" {
+			return sys, sections, sec.payload
+		}
+	}
+	t.Fatal("no app.0 section")
+	return nil, nil, nil
+}
+
+// withFrameOf rewrites an app payload's PTE record for vp to map the
+// frame page src maps, the one frame then mapped twice.
+func withFrameOf(t testing.TB, sys *System, payload []byte, vp, src pagetable.VPage) []byte {
+	t.Helper()
+	tbl := sys.App("a").Table
+	p, _ := tbl.Lookup(vp)
+	q, _ := tbl.Lookup(src)
+	rec := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, uint64(vp)), uint64(p))
+	at := bytes.Index(payload, rec)
+	if at < 0 {
+		t.Fatalf("no PTE record for %#x in the payload", uint64(vp))
+	}
+	out := bytes.Clone(payload)
+	binary.LittleEndian.PutUint64(out[at+8:], uint64(p.WithFrame(q.Frame())))
+	return out
+}
+
+// TestResumeRejectsTakenFrame: an app section whose page table maps a
+// frame twice decodes cleanly on its own, so Resume must catch it in
+// the assembled system's audit.
+func TestResumeRejectsTakenFrame(t *testing.T) {
+	sys, sections, real := appSection(t)
+	in := joinCheckpoint(sections, "app.0", withFrameOf(t, sys, real, 100, 101))
+	_, err := Resume(bytes.NewReader(in), appSectionConfig())
+	if err == nil || !strings.Contains(err.Error(), "claimed twice") {
+		t.Fatalf("Resume error = %v, want a taken frame", err)
+	}
+}
+
+// FuzzAppSection: the fuzz input replaces a running app's app.0
+// payload in a real checkpoint; every other section is re-emitted byte
+// for byte, so the checksums stay valid. The seeds are the real payload,
+// its truncations, a PTE mapping another page's frame, and its THP
+// overlay rewritten — leaves out of order, an unmapped leaf, a partial
+// leaf, a split leaf marked huge again. Resume never panics, and an
+// accepted payload resumes to a system that passes Audit and
+// checkpoints back to the same bytes.
+func FuzzAppSection(f *testing.F) {
+	sys, sections, real := appSection(f)
+	f.Add(real)
+	f.Add(withFrameOf(f, sys, real, 100, 101))
+	for cut := 0; cut < len(real); cut += len(real)/64 + 1 {
+		f.Add(real[:cut])
+	}
+	a := sys.App("a")
+	if !slices.Equal(hugeLeafList(a), []uint64{1, 2}) || a.thpSplits != 1 {
+		f.Fatalf("setup: huge leaves %v, %d splits; want [1 2], 1", hugeLeafList(a), a.thpSplits)
+	}
+	thp := thpOverlay(1, 1, 2)
+	at := bytes.LastIndex(real, thp)
+	if at < 0 {
+		f.Fatal("setup: THP overlay not in the app section")
+	}
+	for _, leaves := range [][]uint64{{2, 1}, {1, 40}, {1, 3}, {0, 1, 2}} {
+		f.Add(slices.Concat(real[:at], thpOverlay(1, leaves...), real[at+len(thp):]))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		in := joinCheckpoint(sections, "app.0", payload)
+		resumed, err := Resume(bytes.NewReader(in), appSectionConfig())
+		if err != nil {
+			return
+		}
+		if audit := resumed.Audit(); !audit.Ok() {
+			t.Fatalf("accepted payload resumes to a failing audit: %v", audit.Errors)
+		}
+		var again bytes.Buffer
+		if err := resumed.Checkpoint(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), in) {
+			t.Fatalf("accepted payload re-checkpoints differently:\n in  %x", payload)
+		}
+	})
 }

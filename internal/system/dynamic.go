@@ -163,7 +163,7 @@ func (s *System) retire(a *App) {
 	s.admitOrder = slices.DeleteFunc(s.admitOrder, func(idx int) bool { return idx == a.Index })
 	a.Table, a.TLBs, a.Threads = nil, nil, nil
 	a.Engine, a.Async, a.Retry, a.Profiler, a.sampleFaults = nil, nil, nil, nil, nil
-	a.huge, a.acct = nil, appAccounts{}
+	a.acct = appAccounts{}
 	a.started = false
 	a.stopped = true
 	a.fastPages = 0

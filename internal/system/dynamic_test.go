@@ -114,7 +114,7 @@ func TestStopAppFreesFrames(t *testing.T) {
 	}
 	// A retired app is its summary: the runtime state is gone.
 	if a.Table != nil || a.TLBs != nil || a.Threads != nil || a.Engine != nil ||
-		a.Async != nil || a.Retry != nil || a.Profiler != nil || a.Huge() != nil {
+		a.Async != nil || a.Retry != nil || a.Profiler != nil {
 		t.Fatal("stopped app kept runtime state")
 	}
 	if len(sys.StartedApps()) != 1 {

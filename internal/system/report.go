@@ -93,8 +93,8 @@ func (s *System) Report() Report {
 			ar.MigrationRemaps = st.Remapped
 			ar.MigrationAborts = st.Aborted
 			ar.MigrationCycles = st.CyclesUsed
-			ar.THPGroups = a.Huge().HugeGroups()
-			ar.THPSplits = a.Huge().Splits()
+			ar.THPGroups = a.Table.HugeLeaves()
+			ar.THPSplits = a.thpSplits
 		}
 		r.Apps = append(r.Apps, ar)
 	}

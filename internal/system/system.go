@@ -406,9 +406,9 @@ func (s *System) observeApp(a *App) {
 	ts := a.TLBStats()
 	reg.Gauge("tlb_hit_rate", app).Set(ts.HitRate())
 	reg.Gauge("tlb_invalidations", app).Set(float64(ts.Invalidations))
-	if a.huge != nil {
-		reg.Gauge("thp_groups", app).Set(float64(a.huge.HugeGroups()))
-		reg.Gauge("thp_splits", app).Set(float64(a.huge.Splits()))
+	if !s.cfg.DisableTHP {
+		reg.Gauge("thp_groups", app).Set(float64(a.Table.HugeLeaves()))
+		reg.Gauge("thp_splits", app).Set(float64(a.thpSplits))
 	}
 	as := a.Async.Stats()
 	reg.Gauge("async_moved", app).Set(float64(as.Moved))

@@ -1,59 +1,22 @@
 package system
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"vulcan/internal/checkpoint"
 	"vulcan/internal/migrate"
 	"vulcan/internal/pagetable"
 	"vulcan/internal/sim"
 	"vulcan/internal/workload"
 )
 
-func TestHugeSetGrouping(t *testing.T) {
-	h := NewHugeSet(1536) // exactly 3 groups
-	if h.HugeGroups() != 3 {
-		t.Fatalf("groups = %d, want 3", h.HugeGroups())
-	}
-	if !h.IsHuge(0) || !h.IsHuge(511) || !h.IsHuge(1535) {
-		t.Fatal("pages inside groups not huge")
-	}
-	if h.IsHuge(1536) {
-		t.Fatal("page beyond RSS huge")
-	}
-	// A partial tail group stays base-mapped.
-	h2 := NewHugeSet(1000) // 1 full group + 488 tail pages
-	if h2.HugeGroups() != 1 {
-		t.Fatalf("partial-tail groups = %d, want 1", h2.HugeGroups())
-	}
-	if h2.IsHuge(700) {
-		t.Fatal("tail page mapped huge")
-	}
-}
-
-func TestHugeSetSplit(t *testing.T) {
-	h := NewHugeSet(1024)
-	if !h.Split(5) {
-		t.Fatal("first split failed")
-	}
-	if h.Split(100) { // same group (0..511)
-		t.Fatal("second split of same group reported true")
-	}
-	if h.IsHuge(5) || h.IsHuge(100) {
-		t.Fatal("group still huge after split")
-	}
-	if !h.IsHuge(512) {
-		t.Fatal("neighbouring group lost huge-ness")
-	}
-	if h.Splits() != 1 {
-		t.Fatalf("splits = %d", h.Splits())
-	}
-}
-
-func TestHugeSetNilSafe(t *testing.T) {
-	var h *HugeSet
-	if h.IsHuge(0) || h.Split(0) || h.HugeGroups() != 0 || h.Splits() != 0 {
-		t.Fatal("nil HugeSet not inert")
-	}
+// hugeLeafList returns the app's huge leaves in ascending order.
+func hugeLeafList(a *App) []uint64 {
+	var out []uint64
+	a.Table.EachHugeLeaf(func(li uint64) { out = append(out, li) })
+	return out
 }
 
 func TestHugeTLBTagDisjoint(t *testing.T) {
@@ -76,13 +39,10 @@ func TestTHPEnabledByDefault(t *testing.T) {
 		EpochLength: 10 * sim.Millisecond,
 	})
 	sys.RunEpoch()
-	a := sys.App("a")
-	if a.Huge() == nil {
-		t.Fatal("THP not enabled by default")
-	}
-	// 2000 premapped pages -> 3 full groups.
-	if got := a.Huge().HugeGroups(); got != 3 {
-		t.Fatalf("huge groups = %d, want 3", got)
+	// 2000 premapped pages -> 3 full groups; the partial tail group
+	// stays base-mapped.
+	if got := hugeLeafList(sys.App("a")); !slices.Equal(got, []uint64{0, 1, 2}) {
+		t.Fatalf("huge leaves = %v, want [0 1 2]", got)
 	}
 }
 
@@ -94,8 +54,8 @@ func TestTHPDisable(t *testing.T) {
 		DisableTHP:  true,
 	})
 	sys.RunEpoch()
-	if sys.App("a").Huge() != nil {
-		t.Fatal("THP active despite DisableTHP")
+	if n := sys.App("a").Table.HugeLeaves(); n != 0 {
+		t.Fatalf("THP active despite DisableTHP: %d huge leaves", n)
 	}
 }
 
@@ -134,7 +94,7 @@ func TestTHPSplitOnMigration(t *testing.T) {
 	})
 	sys.RunEpoch()
 	a := sys.App("a")
-	groupsBefore := a.Huge().HugeGroups()
+	groupsBefore := a.Table.HugeLeaves()
 
 	// Demote one fast page from a huge group: its covering group must
 	// split and the cost must appear in the breakdown.
@@ -142,7 +102,7 @@ func TestTHPSplitOnMigration(t *testing.T) {
 	if p, _ := a.Table.Lookup(victim); p.Frame().Tier != 0 {
 		t.Fatal("setup: page 0 not in fast tier")
 	}
-	if !a.Huge().IsHuge(victim) {
+	if res, _ := a.Table.Touch(0, victim, false); !res.Huge {
 		t.Fatal("setup: page 0 not huge")
 	}
 	res := a.Engine.MigrateSync([]migrate.Move{{VP: victim, To: 1}})
@@ -152,8 +112,8 @@ func TestTHPSplitOnMigration(t *testing.T) {
 	if res.Breakdown.Split != sys.Cost().THPSplitCycles {
 		t.Fatalf("split cost = %v, want %v", res.Breakdown.Split, sys.Cost().THPSplitCycles)
 	}
-	if a.Huge().HugeGroups() != groupsBefore-1 {
-		t.Fatal("group did not split")
+	if a.Table.HugeLeaves() != groupsBefore-1 || a.thpSplits != 1 {
+		t.Fatalf("group did not split: %d huge leaves, %d splits", a.Table.HugeLeaves(), a.thpSplits)
 	}
 	// Second migration in the same (now split) group: no second charge.
 	res2 := a.Engine.MigrateSync([]migrate.Move{{VP: victim + 1, To: 1}})
@@ -162,5 +122,53 @@ func TestTHPSplitOnMigration(t *testing.T) {
 	}
 	if res2.Breakdown.Split != 0 {
 		t.Fatalf("already-split group charged again: %v", res2.Breakdown.Split)
+	}
+}
+
+// TestRestoreTHPRejects: the app section's THP overlay restores onto
+// the table only as the encoder writes it — huge leaves ascending, each
+// mapped in full — and round-trips byte for byte.
+func TestRestoreTHPRejects(t *testing.T) {
+	sys := New(Config{
+		Machine:     tinyMachine(2048, 4096),
+		Apps:        []workload.AppConfig{tinyApp("a", workload.LC, 1200, 0)},
+		EpochLength: 10 * sim.Millisecond,
+	})
+	a := sys.App("a")
+	a.admit(sys, nil) // 1200 pages: leaves 0 and 1 huge, leaf 2 partial
+	overlay := func(leaves ...uint64) []byte {
+		e := &checkpoint.Encoder{}
+		e.Int(len(leaves))
+		for _, li := range leaves {
+			e.U64(li)
+		}
+		e.U64(9)
+		return e.Bytes()
+	}
+	for _, c := range []struct {
+		leaves []uint64
+		want   string
+	}{
+		{[]uint64{1, 0}, "system: huge leaf 0 after 1 in checkpoint"},
+		{[]uint64{0, 0}, "system: huge leaf 0 after 0 in checkpoint"},
+		{[]uint64{0, 40}, "pagetable: huge leaf 40 not fully mapped"},
+		{[]uint64{2}, "pagetable: huge leaf 2 not fully mapped"},
+		{[]uint64{1 << 40}, "pagetable: huge leaf 1099511627776 out of range"},
+	} {
+		err := a.restoreTHP(checkpoint.NewDecoder(overlay(c.leaves...)))
+		if err == nil || err.Error() != c.want {
+			t.Errorf("restoreTHP(%v) = %v, want %q", c.leaves, err, c.want)
+		}
+	}
+	blob := overlay(0, 1)
+	if err := a.restoreTHP(checkpoint.NewDecoder(blob)); err != nil {
+		t.Fatal(err)
+	}
+	e := &checkpoint.Encoder{}
+	e.Int(a.Table.HugeLeaves())
+	a.Table.EachHugeLeaf(e.U64)
+	e.U64(a.thpSplits)
+	if !bytes.Equal(e.Bytes(), blob) {
+		t.Fatalf("overlay re-encodes as %x, want %x", e.Bytes(), blob)
 	}
 }

@@ -7,7 +7,8 @@
 # vulcan/... packages, runs the shipped command sets (the seven Makefile
 # demos, figures -all in text and CSV, each policy, a checkpoint and a
 # resume under tpp, memtis and nomad, a filtered trace, a fleet, the
-# examples, tracegen and one traced vulcanbench pass), and writes the
+# examples, tracegen, a checkpoint and a resume of custom apps from a
+# scenario file, and one traced vulcanbench pass), and writes the
 # functions none of them executed to out/reach/unreached.txt, one
 # `go tool covdata func` row each, and to out/reach/unreached-funcs.txt
 # as sorted `path: Func` lines, without line numbers, so the list does
@@ -51,6 +52,11 @@ for pol in tpp memtis nomad; do
 	"$bin/vulcansim" -policy "$pol" -seconds 10 -scale 8 -seed 3 -checkpoint-out "$work/$pol.ckpt" >/dev/null
 	"$bin/vulcansim" -policy "$pol" -seconds 10 -scale 8 -seed 3 -resume "$work/$pol.ckpt" >/dev/null
 done
+# Custom apps on the micro, scan and webserver generators, from a
+# scenario file, through a checkpoint and a resume: no preset runs
+# these generators, so this is their only path through their codecs.
+"$bin/vulcansim" -config testdata/reach/custom-apps.json -checkpoint-out "$work/custom.ckpt" >/dev/null
+"$bin/vulcansim" -config testdata/reach/custom-apps.json -resume "$work/custom.ckpt" >/dev/null
 "$bin/vulcansim" -seconds 10 -scale 8 -seed 3 -obs-filter migrate-sync,tlb-shootdown \
 	-trace-out "$work/filtered.json" >/dev/null
 "$bin/vulcansim" -fleet 4 -scheduler fairness -seconds 10 -scale 8 >/dev/null
