@@ -48,7 +48,7 @@ bench-test:
 bench-smoke:
 	bash bench/run.sh --seconds 3
 
-# fuzz-smoke runs seventeen native fuzz targets for ten seconds each: the
+# fuzz-smoke runs eighteen native fuzz targets for ten seconds each: the
 # checkpoint container (FuzzCheckpointReader), the
 # journal decoder (FuzzReadJournal), the scenario loader (FuzzResolve),
 # the radix selection (FuzzSelect), the page-table checkpoint decoder
@@ -62,8 +62,9 @@ bench-smoke:
 # system checkpoint section (FuzzSystemSection), a running app's
 # checkpoint section (FuzzAppSection), the workload thread decoder
 # (FuzzThreadRestore), the migration decoders: engine shadows, async
-# queue and retry queue (FuzzMigrateRestore), and the Vulcan policy
-# decoder (FuzzVulcanRestore). Their seed corpora also
+# queue and retry queue (FuzzMigrateRestore), the Vulcan policy
+# decoder (FuzzVulcanRestore), and sync migration batches against the
+# old unmap-at-staging engine (FuzzMigrateSync). Their seed corpora also
 # run in every `go test`; a failing input lands in the package's
 # testdata/fuzz/ for replay.
 fuzz-smoke:
@@ -84,6 +85,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzThreadRestore -fuzztime 10s
 	$(GO) test ./internal/migrate -run '^$$' -fuzz FuzzMigrateRestore -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzVulcanRestore -fuzztime 10s
+	$(GO) test ./internal/migrate -run '^$$' -fuzz FuzzMigrateSync -fuzztime 10s
 
 # race proves the simulation core stays goroutine-free or correctly
 # synchronized.

@@ -9,7 +9,6 @@ import (
 	"vulcan/internal/pagetable"
 	"vulcan/internal/policy"
 	"vulcan/internal/profile"
-	"vulcan/internal/radix"
 	"vulcan/internal/sim"
 	"vulcan/internal/system"
 	"vulcan/internal/workload"
@@ -74,9 +73,9 @@ type Vulcan struct {
 
 	// Per-epoch scratch, reused so enforcement allocates nothing in
 	// steady state.
-	rank      policy.RankBuf                 //vulcan:nosnap per-epoch ranking scratch, rebuilt every enforce pass
-	selHeat   radix.Select[profile.PageHeat] //vulcan:nosnap per-epoch candidate selection scratch
-	syncBatch []migrate.Move                 //vulcan:nosnap per-epoch sync-migration scratch, reused buffer
+	rank      policy.RankBuf     //vulcan:nosnap per-epoch ranking scratch, rebuilt every enforce pass
+	cands     []profile.PageHeat //vulcan:nosnap per-epoch candidate scratch, refilled by slowCandidates
+	syncBatch []migrate.Move     //vulcan:nosnap per-epoch sync-migration scratch, reused buffer
 	// swapRank is each app's last swap count, swapWithinQuota's rank
 	// size hint. Any hint yields the same swaps, so it is a cost memo,
 	// not state.
@@ -391,7 +390,13 @@ func (v *Vulcan) swapWithinQuota(sys *system.System, app *system.App, budget flo
 }
 
 // slowCandidates returns up to limit of app's hottest slow-resident
-// pages.
+// pages with their heat and write fraction, read only for the pages
+// kept. The slice is reused: it is valid until the next call.
 func (v *Vulcan) slowCandidates(app *system.App, limit int) []profile.PageHeat {
-	return policy.HottestSlowPages(&v.selHeat, app, limit, func(ph profile.PageHeat) profile.PageHeat { return ph })
+	cands := v.cands[:0]
+	for _, vp := range v.rank.SlowPagesWithHeat(app, limit) {
+		cands = append(cands, profile.PageHeat{VP: vp, Heat: app.Profiler.Heat(vp), WriteFrac: app.Profiler.WriteFraction(vp)})
+	}
+	v.cands = cands
+	return cands
 }

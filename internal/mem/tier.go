@@ -102,6 +102,14 @@ func (t *Tier) Used() int { return t.used }
 // FreePages returns the number of free frames.
 func (t *Tier) FreePages() int { return len(t.free) }
 
+// EachFree calls fn with every frame index on the free stack, bottom
+// first.
+func (t *Tier) EachFree(fn func(idx uint32)) {
+	for _, idx := range t.free {
+		fn(idx)
+	}
+}
+
 // Alloc removes a frame from the free list. ok is false when the tier is
 // full.
 func (t *Tier) Alloc() (idx uint32, ok bool) {

@@ -151,8 +151,9 @@ type Result struct {
 // Cycles returns the batch's total cycle cost.
 func (r Result) Cycles() float64 { return r.Breakdown.Total() }
 
-// staged is one move that survived lookup and was unmapped, awaiting
-// shootdown + copy + remap.
+// staged is one move that survived lookup, awaiting shootdown + copy +
+// remap. old is the entry it had at staging, which stays mapped until
+// the commit.
 type staged struct {
 	idx int
 	vp  pagetable.VPage
@@ -239,6 +240,11 @@ func (e *Engine) addScope(vp pagetable.VPage) {
 // to (the faulting thread for TPP-style promotions, a migration thread
 // for background demotions).
 //
+// A batch names distinct pages. Each page stays mapped from staging to
+// its commit, which unmaps and reinstalls it only when it really moves;
+// a page named twice would be committed twice, and the second commit's
+// unmap panics because the entry it finds is not the staged one.
+//
 //vulcan:hotpath
 func (e *Engine) MigrateSync(moves []Move) Result {
 	if cap(e.outcomes) < len(moves) {
@@ -258,7 +264,10 @@ func (e *Engine) MigrateSync(moves []Move) Result {
 	e.batch = e.batch[:0]
 	attempted := 0
 
-	// Lock/unmap each page, collecting shootdown scope.
+	// Lock each page, collecting shootdown scope. The simulated unmap is
+	// charged here, but the entry stays in place until commitPage: no
+	// step in between reads another staged page's entry, and a move
+	// that finds no frame then leaves its entry as it was.
 	splitCycles := 0.0
 	for i, mv := range moves {
 		pte, ok := e.cfg.Table.Lookup(mv.VP)
@@ -289,8 +298,7 @@ func (e *Engine) MigrateSync(moves []Move) Result {
 		if e.cfg.TargetedShootdown {
 			e.addScope(mv.VP)
 		}
-		old, _ := e.cfg.Table.Unmap(mv.VP)
-		e.batch = append(e.batch, staged{idx: i, vp: mv.VP, old: old, to: mv.To})
+		e.batch = append(e.batch, staged{idx: i, vp: mv.VP, old: pte, to: mv.To})
 	}
 
 	// A non-targeted shootdown reaches every process thread, whatever
@@ -440,8 +448,10 @@ func (e *Engine) emitSync(res Result, attempted int) {
 	}
 }
 
-// commitPage moves one unmapped page's content and reinstalls its PTE.
-// On allocation failure the original mapping is restored.
+// commitPage moves one staged page's content and remaps its PTE. Every
+// frame is taken before the entry is touched, so a page whose
+// destination is exhausted keeps its entry as it was and gets only the
+// leaf link that reinstalling the entry would have made.
 func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID) Outcome {
 	srcFrame := old.Frame()
 
@@ -450,8 +460,7 @@ func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID
 	if e.cfg.Shadowing && to == mem.TierSlow {
 		if !old.Dirty() {
 			if shadow, ok := e.shadows.take(vp); ok {
-				newPTE := old.WithFrame(shadow).WithAccessed(false)
-				e.mustRemap(vp, newPTE)
+				e.remap(vp, old, old.WithFrame(shadow).WithAccessed(false))
 				e.cfg.Tiers.Free(srcFrame)
 				return Remapped
 			}
@@ -464,13 +473,12 @@ func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID
 
 	dst, ok := e.cfg.Tiers.Alloc(to)
 	if !ok {
-		// Destination exhausted: restore the original mapping.
-		e.mustRemap(vp, old)
+		// Destination exhausted: the mapping stays where it is.
+		e.cfg.Table.Link(ownerThread(old), vp)
 		return NoFrame
 	}
 
-	newPTE := old.WithFrame(dst).WithAccessed(false).WithDirty(false)
-	e.mustRemap(vp, newPTE)
+	e.remap(vp, old, old.WithFrame(dst).WithAccessed(false).WithDirty(false))
 
 	if e.cfg.Shadowing && to == mem.TierFast && srcFrame.Tier == mem.TierSlow {
 		// Keep the slow copy as a shadow instead of freeing it; a stale
@@ -485,17 +493,25 @@ func (e *Engine) commitPage(vp pagetable.VPage, old pagetable.PTE, to mem.TierID
 	return Moved
 }
 
-// mustRemap reinstalls the exact PTE p — owner, accessed and dirty bits
-// included — for a page the engine itself unmapped; the page cannot have
-// disappeared in between in a single-owner simulation.
-func (e *Engine) mustRemap(vp pagetable.VPage, p pagetable.PTE) {
-	tid := 0
-	if owner := p.Owner(); owner != pagetable.OwnerShared {
-		tid = int(owner)
+// remap replaces vp's staged entry old with the exact PTE p — owner,
+// accessed and dirty bits included. The entry must still be old: only
+// a page named twice in one batch can have changed since staging.
+func (e *Engine) remap(vp pagetable.VPage, old, p pagetable.PTE) {
+	if got, ok := e.cfg.Table.Unmap(vp); !ok || got != old {
+		panic(fmt.Sprintf("migrate: page %#x changed between staging and commit (a batch must name distinct pages)", uint64(vp)))
 	}
-	if err := e.cfg.Table.Install(tid, vp, p); err != nil {
+	if err := e.cfg.Table.Install(ownerThread(p), vp, p); err != nil {
 		panic(fmt.Sprintf("migrate: remap of %#x failed: %v", uint64(vp), err))
 	}
+}
+
+// ownerThread is the thread a remap links p's leaf for: its owner, or
+// thread 0 for a shared page.
+func ownerThread(p pagetable.PTE) int {
+	if owner := p.Owner(); owner != pagetable.OwnerShared {
+		return int(owner)
+	}
+	return 0
 }
 
 // InvalidateShadow drops vp's shadow copy (called when the page is
@@ -505,6 +521,12 @@ func (e *Engine) InvalidateShadow(vp pagetable.VPage) {
 	if f, ok := e.shadows.drop(vp); ok {
 		e.cfg.Tiers.Free(f)
 	}
+}
+
+// EachShadow calls fn with every shadow copy's page and frame, in
+// ascending page order.
+func (e *Engine) EachShadow(fn func(vp pagetable.VPage, f mem.Frame)) {
+	e.shadows.frames.ForEach(func(vp, w uint64) { fn(pagetable.VPage(vp), unpackFrame(w)) })
 }
 
 // HasShadow reports whether vp currently holds a shadow copy.

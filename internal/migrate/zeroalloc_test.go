@@ -88,6 +88,53 @@ func TestMigrateSyncProfEnabledSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMigrateSyncCommitPathsSteadyStateAllocs extends the budget to the
+// commit's other paths: a promotion into a full fast tier (no frame,
+// the entry stays mapped) and a clean demotion by shadow remap.
+func TestMigrateSyncCommitPathsSteadyStateAllocs(t *testing.T) {
+	t.Run("no-frame", func(t *testing.T) {
+		e, _, _ := testEnvFast(t, 4, 32, 2, func(c *Config) { c.TargetedShootdown = true })
+		e.MigrateSync([]Move{{VP: 0, To: mem.TierFast}, {VP: 1, To: mem.TierFast}})
+		moves := []Move{{VP: 2, To: mem.TierFast}, {VP: 3, To: mem.TierFast}}
+		allocs := testing.AllocsPerRun(50, func() {
+			if res := e.MigrateSync(moves); res.Outcomes[0] != NoFrame {
+				t.Fatalf("outcome %v, want no-frame", res.Outcomes[0])
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("no-frame MigrateSync allocated %.0f objects/op, want 0", allocs)
+		}
+	})
+	t.Run("shadow-remap", func(t *testing.T) {
+		e, _, _ := testEnv(t, 4, 32, func(c *Config) { c.Shadowing = true })
+		moves := []Move{{VP: 0, To: mem.TierFast}, {VP: 1, To: mem.TierFast}}
+		flip := func() Outcome {
+			res := e.MigrateSync(moves)
+			to := mem.TierFast
+			if moves[0].To == mem.TierFast {
+				to = mem.TierSlow
+			}
+			moves[0].To, moves[1].To = to, to
+			return res.Outcomes[0]
+		}
+		for i := 0; i < 4; i++ {
+			flip()
+		}
+		remapped := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			if flip() == Remapped {
+				remapped++
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("shadowing MigrateSync allocated %.0f objects/op, want 0", allocs)
+		}
+		if remapped == 0 {
+			t.Fatal("no demotion took the shadow remap")
+		}
+	})
+}
+
 // TestObsEnabledNilSinkZeroAlloc pins the guard itself.
 func TestObsEnabledNilSinkZeroAlloc(t *testing.T) {
 	var sink obs.Sink

@@ -112,14 +112,14 @@ func (r *Replicated) linkLeaf(tid int, vp VPage, leaf *Leaf) (*tableL2, bool) {
 	if l3 == nil {
 		l3 = &tableL3{}
 		root.l3s[i4] = l3
-		root.live++
+		raise(&root.top, i4)
 		r.tablesPerThread[tid]++
 	}
 	l2 := l3.l2s[i3]
 	if l2 == nil {
 		l2 = &tableL2{}
 		l3.l2s[i3] = l2
-		l3.live++
+		raise(&l3.top, i3)
 		r.tablesPerThread[tid]++
 	}
 	if l2.leaves[i2] == leaf {
@@ -129,7 +129,7 @@ func (r *Replicated) linkLeaf(tid int, vp VPage, leaf *Leaf) (*tableL2, bool) {
 		panic("pagetable: conflicting leaf link")
 	}
 	l2.leaves[i2] = leaf
-	l2.live++
+	raise(&l2.top, i2)
 	leaf.linked.add(tid)
 	return l2, true
 }
@@ -182,6 +182,21 @@ func (r *Replicated) Install(tid int, vp VPage, p PTE) error {
 	}
 	r.linkLeaf(tid, vp, leaf)
 	return nil
+}
+
+// Link links the leaf covering the mapped page vp into tid's private
+// tree, the link Install makes after it writes an entry. The migration
+// engine makes it for a page whose move found no frame, in place of
+// reinstalling the entry it never removed.
+func (r *Replicated) Link(tid int, vp VPage) {
+	r.checkTid(tid)
+	leaf, _ := r.leafAt(vp)
+	if leaf == nil {
+		panic(fmt.Sprintf("pagetable: linking unmapped vpage %#x", uint64(vp)))
+	}
+	if !leaf.linked.has(tid) {
+		r.linkLeaf(tid, vp, leaf)
+	}
 }
 
 // Touch simulates a hardware access by thread tid: it sets the accessed

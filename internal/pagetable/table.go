@@ -72,19 +72,24 @@ func (l *Leaf) SetPTE(i int, p PTE) {
 
 // Upper-level tables. Distinct types per level keep walks branch-free and
 // make the replication boundary (upper levels private, leaves shared)
-// explicit in the type system.
+// explicit in the type system. Each records top, one past its highest
+// allocated slot, so a walk stops there instead of scanning the empty
+// slots above it; children are never freed, so top only grows.
 type tableL2 struct {
 	leaves [EntriesPerTable]*Leaf
-	live   int
+	top    int
 }
 type tableL3 struct {
-	l2s  [EntriesPerTable]*tableL2
-	live int
+	l2s [EntriesPerTable]*tableL2
+	top int
 }
 type tableL4 struct {
-	l3s  [EntriesPerTable]*tableL3
-	live int
+	l3s [EntriesPerTable]*tableL3
+	top int
 }
+
+// raise lifts a table's top above slot i, which just got a child.
+func raise(top *int, i int) { *top = max(*top, i+1) }
 
 // table is a process-wide 4-level page table — the vanilla structure that
 // every thread of a process shares in conventional kernels (Figure 6,
@@ -127,21 +132,21 @@ func (t *table) walk(vp VPage) (*Leaf, int) {
 	if l3 == nil {
 		l3 = &tableL3{}
 		t.root.l3s[i4] = l3
-		t.root.live++
+		raise(&t.root.top, i4)
 		t.tables++
 	}
 	l2 := l3.l2s[i3]
 	if l2 == nil {
 		l2 = &tableL2{}
 		l3.l2s[i3] = l2
-		l3.live++
+		raise(&l3.top, i3)
 		t.tables++
 	}
 	leaf := l2.leaves[i2]
 	if leaf == nil {
 		leaf = &Leaf{}
 		l2.leaves[i2] = leaf
-		l2.live++
+		raise(&l2.top, i2)
 		t.tables++
 		t.leaves++
 	}
@@ -216,23 +221,24 @@ type leafWalk struct {
 
 // next returns the next leaf and its first VPage; ok is false once the
 // walk is past the last leaf. The position lives in locals while it
-// scans, so the empty slots it skips cost no stores.
+// scans, so the empty slots it skips cost no stores, and each level's
+// scan ends at its table's top.
 //
 //vulcan:hotpath
 func (w *leafWalk) next() (base VPage, leaf *Leaf, ok bool) {
 	root := w.t.root
 	i4, i3, i2 := w.i4, w.i3, w.i2
-	for ; i4 < EntriesPerTable; i4, i3 = i4+1, 0 {
+	for ; i4 < root.top; i4, i3 = i4+1, 0 {
 		l3 := root.l3s[i4]
 		if l3 == nil {
 			continue
 		}
-		for ; i3 < EntriesPerTable; i3, i2 = i3+1, 0 {
+		for ; i3 < l3.top; i3, i2 = i3+1, 0 {
 			l2 := l3.l2s[i3]
 			if l2 == nil {
 				continue
 			}
-			for ; i2 < EntriesPerTable; i2++ {
+			for ; i2 < l2.top; i2++ {
 				if leaf := l2.leaves[i2]; leaf != nil {
 					w.i4, w.i3, w.i2 = i4, i3, i2+1
 					return VPage(i4)<<27 | VPage(i3)<<18 | VPage(i2)<<9, leaf, true

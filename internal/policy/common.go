@@ -12,7 +12,6 @@ import (
 	"vulcan/internal/mem"
 	"vulcan/internal/migrate"
 	"vulcan/internal/pagetable"
-	"vulcan/internal/profile"
 	"vulcan/internal/radix"
 	"vulcan/internal/system"
 )
@@ -138,18 +137,13 @@ func (b *RankBuf) GlobalColdestFastPages(sys *system.System, n int, keep []PageS
 	return sel.Sorted()
 }
 
-// SlowPagesWithHeat returns app pages resident in the slow tier that have
-// nonzero profiled heat, hottest first, capped at limit.
+// SlowPagesWithHeat returns up to limit of app's profiled pages resident
+// in the slow tier, hottest first, then by page number. The slow pages
+// of a mask word are its present pages that are not fast (the machine
+// has two tiers), and the profiled ones among them are the heat word's
+// live pages.
 func (b *RankBuf) SlowPagesWithHeat(a *system.App, limit int) []pagetable.VPage {
-	return HottestSlowPages(&b.selSlow, a, limit, func(ph profile.PageHeat) pagetable.VPage { return ph.VP })
-}
-
-// HottestSlowPages selects up to limit of app's profiled pages resident
-// in the slow tier, hottest first, then by page number. It returns val
-// of each page, in sel's reusable buffer. The slow pages of a mask word
-// are its present pages that are not fast (the machine has two tiers),
-// and the profiled ones among them are the heat word's live pages.
-func HottestSlowPages[T any](sel *radix.Select[T], a *system.App, limit int, val func(profile.PageHeat) T) []T {
+	sel := &b.selSlow
 	sel.Reset(limit)
 	a.Table.Words(func(base pagetable.VPage, present, fast uint64) {
 		slow := present &^ fast
@@ -159,8 +153,8 @@ func HottestSlowPages[T any](sel *radix.Select[T], a *system.App, limit int, val
 		hw := a.Profiler.HeatWord(base)
 		for slow &= hw.Live; slow != 0; slow &= slow - 1 {
 			i := bits.TrailingZeros64(slow)
-			ph := profile.PageHeat{VP: base | pagetable.VPage(i), Heat: hw.Heat(i), WriteFrac: hw.WriteFrac(i)}
-			sel.Offer(radix.FloatKeyDesc(ph.Heat), uint64(ph.VP), val(ph))
+			vp := base | pagetable.VPage(i)
+			sel.Offer(radix.FloatKeyDesc(hw.Heat(i)), uint64(vp), vp)
 		}
 	})
 	return sel.Sorted()

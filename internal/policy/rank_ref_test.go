@@ -93,13 +93,23 @@ func samePageHeats(a, b []profile.PageHeat) bool {
 // that every ranker selected something.
 type rankCounts struct{ cold, global, slow int }
 
-// checkApp compares ColdestFastPages and HottestSlowPages with their
+// withHeat reads each page's heat and write fraction the way Vulcan
+// reads its kept candidates: through Profiler.Heat and WriteFraction.
+func withHeat(a *system.App, vps []pagetable.VPage) []profile.PageHeat {
+	out := make([]profile.PageHeat, len(vps))
+	for i, vp := range vps {
+		out[i] = profile.PageHeat{VP: vp, Heat: a.Profiler.Heat(vp), WriteFrac: a.Profiler.WriteFraction(vp)}
+	}
+	return out
+}
+
+// checkApp compares ColdestFastPages and SlowPagesWithHeat with their
 // references on a, at limits from one page to past every candidate.
+// The slow pages' heats and write fractions, read back per page, must
+// match the reference's bit for bit.
 func checkApp(t *testing.T, where string, a *system.App, c *rankCounts) {
 	t.Helper()
 	var b policy.RankBuf
-	var sel radix.Select[profile.PageHeat]
-	id := func(ph profile.PageHeat) profile.PageHeat { return ph }
 	for _, n := range []int{0, 1, 7, 100, a.Table.FastMapped() + 1} {
 		got, want := b.ColdestFastPages(a, n), refColdestFastPages(a, n)
 		if !slices.Equal(got, want) {
@@ -108,9 +118,9 @@ func checkApp(t *testing.T, where string, a *system.App, c *rankCounts) {
 		c.cold += len(got)
 	}
 	for _, n := range []int{0, 1, 7, 100, a.Profiler.Tracked() + 1} {
-		got, want := policy.HottestSlowPages(&sel, a, n, id), refHottestSlowPages(a, n)
+		got, want := withHeat(a, b.SlowPagesWithHeat(a, n)), refHottestSlowPages(a, n)
 		if !samePageHeats(got, want) {
-			t.Fatalf("%s: HottestSlowPages(%d) = %v, reference %v", where, n, got, want)
+			t.Fatalf("%s: SlowPagesWithHeat(%d) = %v, reference %v", where, n, got, want)
 		}
 		c.slow += len(got)
 	}
@@ -293,22 +303,20 @@ func TestRankersAllocateNothing(t *testing.T) {
 		sys.RunEpoch()
 	}
 	var b policy.RankBuf
-	var sel radix.Select[profile.PageHeat]
-	id := func(ph profile.PageHeat) profile.PageHeat { return ph }
 	keep := make([]policy.PageSet, 1)
 	keep[0].Add(0)
 	apps := sys.StartedApps()
 	rank := func() {
 		for _, a := range apps {
 			b.ColdestFastPages(a, 64)
-			policy.HottestSlowPages(&sel, a, 64, id)
+			b.SlowPagesWithHeat(a, 64)
 		}
 		b.GlobalColdestFastPages(sys, 64, keep)
 	}
 	rank()
 	for name, fn := range map[string]func(){
 		"ColdestFastPages":       func() { b.ColdestFastPages(apps[0], 64) },
-		"HottestSlowPages":       func() { policy.HottestSlowPages(&sel, apps[1], 64, id) },
+		"SlowPagesWithHeat":      func() { b.SlowPagesWithHeat(apps[1], 64) },
 		"GlobalColdestFastPages": func() { b.GlobalColdestFastPages(sys, 64, keep) },
 	} {
 		if a := testing.AllocsPerRun(20, fn); a != 0 {

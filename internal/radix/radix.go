@@ -67,7 +67,11 @@ func (b *Buf[T]) Keys(n int) (major, minor []uint64) {
 // buffer's spare (the other is retained as the next call's spare). Key
 // contents are consumed. Passes whose byte is uniform across all keys
 // are skipped, so narrow key ranges (small page numbers, few apps) cost
-// close to nothing.
+// close to nothing, and so are all the minor passes when the minor keys
+// arrive in ascending order: a stable sort of sorted keys is the
+// identity, so the major passes alone give the (major, minor) order.
+// The per-app rankers offer their pages in ascending page order, which
+// is their minor key.
 func (b *Buf[T]) Sort(a []T, major, minor []uint64) []T {
 	n := len(a)
 	if n < 2 {
@@ -89,7 +93,12 @@ func (b *Buf[T]) Sort(a []T, major, minor []uint64) []T {
 	var orMin, andMin, orMaj, andMaj uint64
 	orMin, andMin = ka[0], ka[0]
 	orMaj, andMaj = ca[0], ca[0]
+	// A subtraction borrows exactly when a minor key is below its
+	// predecessor, so down stays zero for ascending minor keys.
+	var down uint64
 	for i := 1; i < n; i++ {
+		_, borrow := bits.Sub64(ka[i], ka[i-1], 0)
+		down |= borrow
 		orMin |= ka[i]
 		andMin &= ka[i]
 		orMaj |= ca[i]
@@ -119,6 +128,9 @@ func (b *Buf[T]) Sort(a []T, major, minor []uint64) []T {
 		ca, cb = cb, ca
 	}
 	varMin := orMin ^ andMin
+	if down == 0 {
+		varMin = 0
+	}
 	varMaj := orMaj ^ andMaj
 	for shift := uint(0); shift < 64; shift += 8 {
 		if (varMin>>shift)&0xFF != 0 {

@@ -219,7 +219,68 @@ func TestSelectMatchesSortPrefix(t *testing.T) {
 	}
 }
 
-// FuzzSelect checks the selection contract on arbitrary keys and k.
+// presorted returns keys with the same major keys in place and the
+// minor keys in ascending order: the shape every ranker offers, pages
+// in ascending order, which lets Sort skip the minor passes.
+func presorted(keys []key) []key {
+	out := slices.Clone(keys)
+	mins := make([]uint64, len(keys))
+	for i, kk := range keys {
+		mins[i] = kk.min
+	}
+	slices.Sort(mins)
+	for i := range out {
+		out[i].min = mins[i]
+	}
+	return out
+}
+
+// TestSortPresortedMinor checks the minor-pass skip against the stable
+// sort: minor keys already ascending, ascending but for one inversion
+// (at the front, in the middle, at the end), and all equal, over
+// majors that vary in one byte, in several, or not at all.
+func TestSortPresortedMinor(t *testing.T) {
+	var b Buf[int]
+	var sel Select[int]
+	s := uint64(0x2545f4914f6cdd1d)
+	next := func() uint64 {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return s
+	}
+	majors := map[string]func(i int) uint64{
+		"one byte":   func(int) uint64 { return next() % 7 },
+		"heats":      func(int) uint64 { return FloatKeyDesc([]float64{0, 1, 2.5, 7, 1e-9, 3e5}[next()%6]) },
+		"all equal":  func(int) uint64 { return 42 },
+		"descending": func(i int) uint64 { return uint64(1_000_000 - i) },
+	}
+	for name, major := range majors {
+		for _, n := range []int{2, 3, 64, 300, 2049} {
+			keys := make([]key, n)
+			for i := range keys {
+				keys[i] = key{major(i), uint64(i) * 3 << 20}
+			}
+			checkSelect(t, keys, n/3+1, &b, &sel)
+			for _, at := range []int{1, n / 2, n - 1} {
+				inv := slices.Clone(keys)
+				inv[at].min, inv[at-1].min = inv[at-1].min, inv[at].min
+				if inv[at].min == inv[at-1].min {
+					t.Fatalf("%s n=%d: swap at %d made no inversion", name, n, at)
+				}
+				checkSelect(t, inv, n/2, &b, &sel)
+			}
+			equal := slices.Clone(keys)
+			for i := range equal {
+				equal[i].min = 5
+			}
+			checkSelect(t, equal, n-1, &b, &sel)
+		}
+	}
+}
+
+// FuzzSelect checks the selection contract on arbitrary keys and k, and
+// on the same keys with their minor keys put in ascending order.
 func FuzzSelect(f *testing.F) {
 	for i, data := range selectCases() {
 		f.Add(data, uint16(i*7))
@@ -228,7 +289,9 @@ func FuzzSelect(f *testing.F) {
 	var sel Select[int]
 	f.Fuzz(func(t *testing.T, data []byte, k uint16) {
 		keys := decodeKeys(data)
-		checkSelect(t, keys, int(k)%(len(keys)+3)-1, &b, &sel)
+		kk := int(k)%(len(keys)+3) - 1
+		checkSelect(t, keys, kk, &b, &sel)
+		checkSelect(t, presorted(keys), kk, &b, &sel)
 	})
 }
 
@@ -249,26 +312,35 @@ func TestSelectReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestSortReusesBuffers pins Sort's steady state at zero allocations,
+// both with every pass (descending pages) and with the minor passes
+// skipped (ascending pages).
 func TestSortReusesBuffers(t *testing.T) {
-	var b Buf[el]
-	const n = 512
-	allocs := testing.AllocsPerRun(20, func() {
-		items := b.spare // reuse the spare as the input to avoid per-run allocation
-		if cap(items) < n {
-			items = make([]el, n)
+	for _, ascending := range []bool{false, true} {
+		var b Buf[el]
+		const n = 512
+		allocs := testing.AllocsPerRun(20, func() {
+			items := b.spare // reuse the spare as the input to avoid per-run allocation
+			if cap(items) < n {
+				items = make([]el, n)
+			}
+			items = items[:n]
+			for i := range items {
+				vp := uint64(n - i)
+				if ascending {
+					vp = uint64(i)
+				}
+				items[i] = el{heat: float64(i % 7), vp: vp}
+			}
+			major, minor := b.Keys(n)
+			for i, it := range items {
+				major[i] = FloatKeyDesc(it.heat)
+				minor[i] = it.vp
+			}
+			b.Sort(items, major, minor)
+		})
+		if allocs > 0.5 {
+			t.Fatalf("ascending=%v: steady-state Sort allocates %.1f times per run, want 0", ascending, allocs)
 		}
-		items = items[:n]
-		for i := range items {
-			items[i] = el{heat: float64(i % 7), vp: uint64(n - i)}
-		}
-		major, minor := b.Keys(n)
-		for i, it := range items {
-			major[i] = FloatKeyDesc(it.heat)
-			minor[i] = it.vp
-		}
-		b.Sort(items, major, minor)
-	})
-	if allocs > 0.5 {
-		t.Fatalf("steady-state Sort allocates %.1f times per run, want 0", allocs)
 	}
 }
